@@ -15,18 +15,39 @@
 //! the differential test suite (nucleusness values are canonical, so any
 //! correct peel order yields the same output).
 
-use ugraph::rs::{peel_deferred, RsSupport};
+use ugraph::cliques::four_clique_extensions;
+use ugraph::rs::{peel_deferred, Incidence, RsSupport};
+use ugraph::triangles::TriangleTable;
 use ugraph::{
-    EdgeSubgraph, FourClique, FourCliqueEnumerator, Triangle, TriangleId, TriangleIndex,
-    UncertainGraph, UnionFind,
+    EdgeSubgraph, FourClique, Parallelism, Triangle, TriangleId, TriangleIndex, UncertainGraph,
+    UnionFind,
 };
+
+/// The triangle index of `graph` plus its 4-cliques, each with the ids of
+/// its four triangles (aligned with [`FourClique::triangles`]), from one
+/// edge-ordered triangle pass: the cliques are extensions of the
+/// triangle table, so no triangle id is looked up.
+fn triangles_and_cliques(
+    graph: &UncertainGraph,
+) -> (TriangleIndex, Vec<FourClique>, Vec<[TriangleId; 4]>) {
+    let table = TriangleTable::build(graph, Parallelism::Sequential);
+    let (mut vertices, mut ids) = (Vec::new(), Vec::new());
+    for t in 0..table.len() as TriangleId {
+        let [a, b, c] = table.triangle(t).vertices();
+        four_clique_extensions(&table, t, |d, [abd, acd, bcd]| {
+            vertices.push(FourClique::new(a, b, c, d));
+            ids.push([t, abd, acd, bcd]);
+        });
+    }
+    (table.into_parts().0, vertices, ids)
+}
 
 /// Rank-(3,4) deterministic support structure: triangles are the
 /// elements, enumerated 4-cliques the cells.  All probabilities are 1;
 /// only the incidence accessors are exercised by the counting rescore.
 struct DetNucleusSupport {
     cliques: Vec<[TriangleId; 4]>,
-    cliques_of: Vec<Vec<u32>>,
+    cliques_of: Incidence,
 }
 
 impl RsSupport for DetNucleusSupport {
@@ -43,7 +64,7 @@ impl RsSupport for DetNucleusSupport {
     }
 
     fn cells_of(&self, t: u32) -> &[u32] {
-        &self.cliques_of[t as usize]
+        self.cliques_of.list(t)
     }
 
     fn cell_elements(&self, c: u32) -> &[u32] {
@@ -67,30 +88,10 @@ pub struct NucleusDecomposition {
 impl NucleusDecomposition {
     /// Runs the decomposition on the structure of `graph`.
     pub fn compute(graph: &UncertainGraph) -> Self {
-        let index = TriangleIndex::build(graph);
-        let clique_vertices = FourCliqueEnumerator::new(graph).into_cliques();
-
-        // Map each 4-clique to the ids of its four triangles, and build the
-        // reverse triangle → cliques adjacency.
-        let mut cliques: Vec<[TriangleId; 4]> = Vec::with_capacity(clique_vertices.len());
-        let mut cliques_of: Vec<Vec<u32>> = vec![Vec::new(); index.len()];
-        // Clique indices are packed into `u32` ids; narrow through the
-        // checked constructor so a count past 2^32 fails typed.
-        if let Some(last) = clique_vertices.len().checked_sub(1) {
-            ugraph::error::checked_id("4-clique", last)
-                .expect("4-clique count exceeds the packed 32-bit id space");
-        }
-        for (ci, clique) in clique_vertices.iter().enumerate() {
-            let mut ids = [0 as TriangleId; 4];
-            for (slot, t) in clique.triangles().iter().enumerate() {
-                let id = index
-                    .id_of(t)
-                    .expect("every triangle of an enumerated 4-clique is indexed");
-                ids[slot] = id;
-                cliques_of[id as usize].push(ci as u32);
-            }
-            cliques.push(ids);
-        }
+        let (index, clique_vertices, cliques) = triangles_and_cliques(graph);
+        // The reverse triangle → cliques adjacency, ascending clique ids.
+        let cliques_of =
+            Incidence::transpose(index.len(), cliques.len(), "4-clique", |c| cliques[c]);
 
         // Support peeling over triangles via the generic engine.
         let support = DetNucleusSupport {
@@ -278,8 +279,7 @@ pub fn is_k_nucleus(graph: &UncertainGraph, k: u32) -> bool {
     if graph.num_edges() == 0 {
         return false;
     }
-    let index = TriangleIndex::build(graph);
-    let cliques = FourCliqueEnumerator::new(graph).into_cliques();
+    let (index, cliques, clique_ids) = triangles_and_cliques(graph);
     if cliques.is_empty() {
         return false;
     }
@@ -288,17 +288,12 @@ pub fn is_k_nucleus(graph: &UncertainGraph, k: u32) -> bool {
     let mut edge_covered = vec![false; graph.num_edges()];
     let mut support = vec![0u32; index.len()];
     let mut uf = UnionFind::new(index.len());
-    for clique in &cliques {
+    for (clique, ids) in cliques.iter().zip(&clique_ids) {
         for (u, v) in clique.edges() {
             let e = graph.edge_id(u, v).expect("clique edge exists");
             edge_covered[e as usize] = true;
         }
-        let ids: Vec<TriangleId> = clique
-            .triangles()
-            .iter()
-            .map(|t| index.id_of(t).expect("indexed"))
-            .collect();
-        for &t in &ids {
+        for &t in ids {
             support[t as usize] += 1;
         }
         for w in ids.windows(2) {
@@ -334,20 +329,14 @@ pub fn is_k_nucleus(graph: &UncertainGraph, k: u32) -> bool {
 ///
 /// Returns `false` for worlds without any triangle.
 pub fn is_k_nucleus_lenient(graph: &UncertainGraph, k: u32) -> bool {
-    let index = TriangleIndex::build(graph);
+    let (index, _, clique_ids) = triangles_and_cliques(graph);
     if index.is_empty() {
         return false;
     }
-    let cliques = FourCliqueEnumerator::new(graph).into_cliques();
     let mut support = vec![0u32; index.len()];
     let mut uf = UnionFind::new(index.len());
-    for clique in &cliques {
-        let ids: Vec<TriangleId> = clique
-            .triangles()
-            .iter()
-            .map(|t| index.id_of(t).expect("indexed"))
-            .collect();
-        for &t in &ids {
+    for ids in &clique_ids {
+        for &t in ids {
             support[t as usize] += 1;
         }
         for w in ids.windows(2) {
@@ -366,7 +355,7 @@ pub fn is_k_nucleus_lenient(graph: &UncertainGraph, k: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugraph::GraphBuilder;
+    use ugraph::{FourCliqueEnumerator, GraphBuilder};
 
     fn complete(n: u32) -> UncertainGraph {
         let mut b = GraphBuilder::new();

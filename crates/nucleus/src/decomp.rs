@@ -351,11 +351,13 @@ impl RankSupport {
             }
             RankSupport::Nucleus(old) => {
                 let new = old.repair(&delta.graph, &delta.inserted, parallelism);
-                // (3,4) elements are triangles: map through the old
-                // triangle index (triangles keep their vertex triple).
-                let new_to_old: Vec<Option<u32>> = (0..new.num_triangles() as u32)
-                    .map(|t| old.triangle_index().id_of(&new.triangle(t)))
-                    .collect();
+                // (3,4) elements are triangles, which keep their vertex
+                // triple: both id orders are lexicographic, so one
+                // linear merge maps every new id to its old one.
+                let new_to_old = merge_ids(
+                    old.triangle_index().triangles(),
+                    new.triangle_index().triangles(),
+                );
                 let affected = rs::affected_elements(old, &new, &new_to_old);
                 let region = rs::component_closure(&new, &affected);
                 SupportRepair {
@@ -367,6 +369,20 @@ impl RankSupport {
             }
         }
     }
+}
+
+/// For every element of the sorted `new` list, its position in the
+/// sorted `old` list, or `None` when it is not there.
+fn merge_ids<T: Ord>(old: &[T], new: &[T]) -> Vec<Option<u32>> {
+    let mut i = 0;
+    new.iter()
+        .map(|t| {
+            while old.get(i).is_some_and(|o| o < t) {
+                i += 1;
+            }
+            (old.get(i) == Some(t)).then_some(i as u32)
+        })
+        .collect()
 }
 
 /// Result of [`RankSupport::repair`]: the repaired support plus the

@@ -12,12 +12,47 @@
 //! 4-cliques containing it together with the corresponding `Pr(E_i)`, plus
 //! the triangle's own existence probability `Pr(△)` — everything the DP,
 //! the statistical approximations and the peeling loop need.
+//!
+//! # Build
+//!
+//! Everything comes out of one edge-ordered triangle pass
+//! ([`TriangleTable`]), which lists every triangle in id order with its
+//! three edge ids and edge probabilities and gives each edge its run of
+//! triangle ids.  The 4-cliques are the extensions of that table
+//! ([`four_clique_extensions`]): triangle `(a, b, c)` extends to
+//! `(a, b, c, d)` for every `d > c` found by a three-way merge of three
+//! runs, which also names the triangles `(a, b, d)`, `(a, c, d)` and
+//! `(b, c, d)`.  The six edge probabilities of the clique sit in the
+//! table rows of `(a, b, c)`, `(a, b, d)` and `(a, c, d)`, so each
+//! [`CliqueRecord`] is filled with no lookup and cliques come out in
+//! lexicographic order with no sort.  With `p(x, y)` the value
+//! [`UncertainGraph::edge_probability`] returns, the products are:
+//!
+//! * `Pr(△(a,b,c)) = p(a,b) · p(b,c) · p(a,c)`;
+//! * the completion probabilities of `(a, b, c, d)`, in slot order
+//!   `[abc, abd, acd, bcd]`: `p(a,d)·p(b,d)·p(c,d)`,
+//!   `p(a,c)·p(b,c)·p(c,d)`, `p(a,b)·p(b,c)·p(b,d)` and
+//!   `p(a,b)·p(a,c)·p(a,d)` — each the triangle's three vertices joined
+//!   to the completing vertex, multiplied left to right.
+//!
+//! The triangle → cliques incidence ([`SupportStructure::cliques_of`])
+//! is stored in CSR form ([`Incidence`]), ascending clique ids per
+//! triangle.  The per-triangle edge ids and probabilities are dropped
+//! before the build returns.
+//!
+//! # Repair
+//!
+//! [`SupportStructure::repair`] repairs the triangle table around the
+//! net-inserted edges of an update batch ([`TriangleTable::repair`]) and
+//! runs the same assembly; the 4-cliques of the updated graph are the
+//! extensions of the repaired table, so no clique is carried over or
+//! looked up.
 
+use ugraph::cliques::four_clique_extensions;
 use ugraph::par::{self, Parallelism};
-use ugraph::rs::RsSupport;
-use ugraph::{
-    FourClique, FourCliqueEnumerator, Triangle, TriangleId, TriangleIndex, UncertainGraph,
-};
+use ugraph::rs::{Incidence, RsSupport};
+use ugraph::triangles::TriangleTable;
+use ugraph::{FourClique, Triangle, TriangleId, TriangleIndex, UncertainGraph};
 
 /// One 4-clique, expressed through the dense ids of its four triangles and
 /// the completion probability `Pr(E_i)` associated with each of them.
@@ -54,7 +89,7 @@ pub struct SupportStructure {
     index: TriangleIndex,
     triangle_probs: Vec<f64>,
     cliques: Vec<CliqueRecord>,
-    cliques_of: Vec<Vec<u32>>,
+    cliques_of: Incidence,
 }
 
 impl SupportStructure {
@@ -66,28 +101,24 @@ impl SupportStructure {
     /// [`SupportStructure::build`] with an explicit [`Parallelism`]
     /// setting.
     ///
-    /// Triangle enumeration, 4-clique enumeration, triangle-probability
-    /// computation and clique-record construction all run as chunked
-    /// parallel scans; chunk results are merged in index order, so the
-    /// structure is bit-identical to the sequential build for every thread
-    /// count.
+    /// The triangle pass (over edges), the triangle probabilities and the
+    /// 4-clique extension (over triangles) all run as chunked parallel
+    /// scans; chunk results are merged in index order, so the structure
+    /// is bit-identical to the sequential build for every thread count.
     pub fn build_with(graph: &UncertainGraph, parallelism: Parallelism) -> Self {
-        let index = TriangleIndex::build_with(graph, parallelism);
-        let raw_cliques = FourCliqueEnumerator::with_parallelism(graph, parallelism).into_cliques();
-        Self::assemble(graph, index, raw_cliques, parallelism)
+        Self::assemble(TriangleTable::build(graph, parallelism), parallelism)
     }
 
-    /// Repairs the structure after an edge-update batch, reusing every
-    /// triangle and 4-clique untouched by the batch instead of
+    /// Repairs the structure after an edge-update batch instead of
     /// re-enumerating the whole graph.
     ///
     /// `new_graph` is the post-update graph and `inserted` the canonical
     /// `(u, v)` pairs of the net-inserted edges (as reported by
-    /// [`ugraph::update::GraphDelta::inserted`]).  Surviving triangles and
-    /// cliques are those whose edges all still exist; new ones can only
-    /// contain an inserted edge, so a local enumeration around `inserted`
-    /// completes the set.  Both runs are sorted and disjoint, so a merge
-    /// reproduces the global enumeration order and the result is
+    /// [`ugraph::update::GraphDelta::inserted`]).  The surviving
+    /// triangles are those whose edges all still exist; new ones contain
+    /// an inserted edge, so a local enumeration around `inserted`
+    /// completes the set ([`TriangleTable::repair`]).  The repaired table
+    /// goes through the same assembly as a fresh build, so the result is
     /// bit-identical to `SupportStructure::build_with(new_graph, _)`.
     pub fn repair(
         &self,
@@ -95,90 +126,47 @@ impl SupportStructure {
         inserted: &[(u32, u32)],
         parallelism: Parallelism,
     ) -> Self {
-        let index = self.index.repair(new_graph, inserted);
-
-        let survivors = self
-            .cliques
-            .iter()
-            .map(|r| r.clique)
-            .filter(|q| q.edges().iter().all(|&(u, v)| new_graph.has_edge(u, v)));
-        let additions = ugraph::cliques::four_cliques_containing_edges(new_graph, inserted);
-        // Survivors existed before the batch, additions contain a
-        // net-inserted edge: the sorted runs are disjoint.
-        let mut raw_cliques = Vec::with_capacity(self.cliques.len() + additions.len());
-        let mut add = additions.into_iter().peekable();
-        for q in survivors {
-            while add.peek().is_some_and(|a| *a < q) {
-                raw_cliques.push(add.next().unwrap());
-            }
-            raw_cliques.push(q);
-        }
-        raw_cliques.extend(add);
-
-        Self::assemble(new_graph, index, raw_cliques, parallelism)
+        let table = TriangleTable::repair(self.index.triangles(), new_graph, inserted, parallelism);
+        Self::assemble(table, parallelism)
     }
 
     /// Shared tail of [`SupportStructure::build_with`] and
-    /// [`SupportStructure::repair`]: computes triangle probabilities and
-    /// clique records over an already-enumerated (sorted) triangle index
-    /// and 4-clique list.
-    fn assemble(
-        graph: &UncertainGraph,
-        index: TriangleIndex,
-        raw_cliques: Vec<FourClique>,
-        parallelism: Parallelism,
-    ) -> Self {
-        let triangles = index.triangles();
-        let triangle_probs: Vec<f64> = par::par_map(parallelism, triangles.len(), |i| {
-            triangles[i]
-                .probability(graph)
-                .expect("indexed triangle exists")
+    /// [`SupportStructure::repair`]: triangle probabilities, clique
+    /// records and the CSR incidence, all read off the table.
+    fn assemble(table: TriangleTable, parallelism: Parallelism) -> Self {
+        let nt = table.len();
+        let triangle_probs: Vec<f64> = par::par_map(parallelism, nt, |t| {
+            let [pab, pac, pbc] = table.probs(t as TriangleId);
+            pab * pbc * pac
         });
 
-        let cliques: Vec<CliqueRecord> = par::par_map(parallelism, raw_cliques.len(), |ci| {
-            let clique = raw_cliques[ci];
-            let tris = clique.triangles();
-            let mut triangle_ids = [0 as TriangleId; 4];
-            let mut completion_probs = [0.0f64; 4];
-            let vertices = clique.vertices();
-            for (slot, tri) in tris.iter().enumerate() {
-                let id = index.id_of(tri).expect("triangle of clique is indexed");
-                triangle_ids[slot] = id;
-                // The completing vertex is the one vertex of the clique not
-                // in the triangle.
-                let z = vertices
-                    .iter()
-                    .copied()
-                    .find(|v| !tri.contains(*v))
-                    .expect("clique has exactly one vertex outside each triangle");
-                let [a, b, c] = tri.vertices();
-                let p = graph.edge_probability(a, z).expect("clique edge")
-                    * graph.edge_probability(b, z).expect("clique edge")
-                    * graph.edge_probability(c, z).expect("clique edge");
-                completion_probs[slot] = p;
-            }
-            CliqueRecord {
-                clique,
-                triangles: triangle_ids,
-                completion_probs,
+        let cliques: Vec<CliqueRecord> = par::par_extend(parallelism, nt, |range, out| {
+            for t in range {
+                let t = t as TriangleId;
+                let [a, b, c] = table.triangle(t).vertices();
+                let [pab, pac, pbc] = table.probs(t);
+                four_clique_extensions(&table, t, |d, [abd, acd, bcd]| {
+                    let [_, pad, pbd] = table.probs(abd);
+                    let pcd = table.probs(acd)[2];
+                    out.push(CliqueRecord {
+                        clique: FourClique::new(a, b, c, d),
+                        triangles: [t, abd, acd, bcd],
+                        completion_probs: [
+                            pad * pbd * pcd,
+                            pac * pbc * pcd,
+                            pab * pbc * pbd,
+                            pab * pac * pad,
+                        ],
+                    });
+                });
             }
         });
 
-        // The reverse index is a cheap sequential fill: O(4 · #cliques)
-        // pushes into per-triangle lists, ordered by clique id exactly as
-        // in the sequential build.  Clique indices are packed into `u32`
-        // ids; the narrowing goes through the checked constructor so a
-        // count past 2^32 fails typed instead of wrapping.
-        if let Some(last) = cliques.len().checked_sub(1) {
-            ugraph::error::checked_id("4-clique", last)
-                .expect("4-clique count exceeds the packed 32-bit id space");
-        }
-        let mut cliques_of: Vec<Vec<u32>> = vec![Vec::new(); index.len()];
-        for (record_id, record) in cliques.iter().enumerate() {
-            for &t in &record.triangles {
-                cliques_of[t as usize].push(record_id as u32);
-            }
-        }
+        // Ascending clique ids per triangle, exactly the clique-id order
+        // the records were emitted in.
+        let cliques_of =
+            Incidence::transpose(nt, cliques.len(), "4-clique", |c| cliques[c].triangles);
+        let (index, _, _) = table.into_parts();
 
         SupportStructure {
             index,
@@ -226,13 +214,13 @@ impl SupportStructure {
     /// Indices of the cliques containing triangle `t` (the deterministic
     /// support of `t` is the length of this slice).
     pub fn cliques_of(&self, t: TriangleId) -> &[u32] {
-        &self.cliques_of[t as usize]
+        self.cliques_of.list(t)
     }
 
     /// Deterministic support `c_△` of triangle `t` (number of 4-cliques
     /// containing it).
     pub fn support(&self, t: TriangleId) -> usize {
-        self.cliques_of[t as usize].len()
+        self.cliques_of(t).len()
     }
 
     /// The completion probabilities `Pr(E_i)` of triangle `t` over the
@@ -256,7 +244,7 @@ impl SupportStructure {
         F: FnMut(u32) -> bool,
     {
         out.clear();
-        for &c in &self.cliques_of[t as usize] {
+        for &c in self.cliques_of(t) {
             if filter(c) {
                 out.push(
                     self.cliques[c as usize]
@@ -277,7 +265,7 @@ impl SupportStructure {
     /// neighbours), without duplicates.
     pub fn neighbor_triangles(&self, t: TriangleId) -> Vec<TriangleId> {
         let mut out = Vec::new();
-        for &c in &self.cliques_of[t as usize] {
+        for &c in self.cliques_of(t) {
             for &other in &self.cliques[c as usize].triangles {
                 if other != t {
                     out.push(other);
@@ -311,7 +299,7 @@ impl RsSupport for SupportStructure {
     }
 
     fn cells_of(&self, t: u32) -> &[u32] {
-        &self.cliques_of[t as usize]
+        self.cliques_of(t)
     }
 
     fn cell_elements(&self, c: u32) -> &[u32] {

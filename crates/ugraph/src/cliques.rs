@@ -2,12 +2,29 @@
 //!
 //! 4-cliques are the `s = 4` cliques of the (3,4)-nucleus: the support of a
 //! triangle is the number of 4-cliques containing it, and each 4-clique
-//! contains exactly four triangles.  The enumerator reports each 4-clique
-//! once and can expand it into its four triangles.
+//! contains exactly four triangles.
+//!
+//! 4-cliques are enumerated as **extensions of the triangle table**
+//! ([`TriangleTable`]) rather than from the graph.  The 4-clique
+//! `(a, b, c, z)` with `a < b < c < z` is reported once, from its smallest
+//! triangle `(a, b, c)`: `z` completes it iff the three triangles
+//! `(a, b, z)`, `(a, c, z)` and `(b, c, z)` exist, i.e. iff `z` is the
+//! third vertex in each of three runs of the table — the run of edge
+//! `(a, b)` after the triangle itself, the run of `(a, c)` and the run of
+//! `(b, c)`.  All three runs ascend in their third vertex, so one
+//! three-way merge ([`four_clique_extensions`]) yields every `z`,
+//! ascending, together with the ids of the three other triangles; their
+//! table rows carry the remaining three edge probabilities.  Visiting
+//! triangles in id order therefore emits cliques in lexicographic order
+//! with no sort, and a support build fills its clique records without a
+//! single id or probability lookup.
+//!
+//! General k-clique enumeration ([`enumerate_k_cliques`]) is a slow
+//! recursive reference kept for validation and small graphs.
 
 use crate::graph::{UncertainGraph, VertexId};
 use crate::par::{self, Parallelism};
-use crate::triangles::Triangle;
+use crate::triangles::{Triangle, TriangleId, TriangleTable};
 
 /// A 4-clique, stored with its vertices sorted increasingly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -83,13 +100,44 @@ impl std::fmt::Display for FourClique {
     }
 }
 
+/// Calls `emit(z, [abz, acz, bcz])` for every vertex `z > c` completing
+/// triangle `t = (a, b, c)` of `table` to the 4-clique `(a, b, c, z)`,
+/// ascending in `z`, where `abz`, `acz` and `bcz` are the ids of the
+/// triangles `(a, b, z)`, `(a, c, z)` and `(b, c, z)`.
+///
+/// The three-way merge of the runs described in the module docs; it
+/// allocates nothing.
+pub fn four_clique_extensions<F>(table: &TriangleTable, t: TriangleId, mut emit: F)
+where
+    F: FnMut(VertexId, [TriangleId; 3]),
+{
+    let [eab, eac, ebc] = table.edge_ids(t);
+    let triangles = table.triangles();
+    let third = |x: usize| triangles[x].vertices()[2];
+    let (mut i, ab_end) = (t as usize + 1, table.run(eab).end);
+    let (ac, bc) = (table.run(eac), table.run(ebc));
+    let (mut j, mut k) = (ac.start, bc.start);
+    while i < ab_end && j < ac.end && k < bc.end {
+        let (x, y, z) = (third(i), third(j), third(k));
+        if x == y && y == z {
+            emit(x, [i as TriangleId, j as TriangleId, k as TriangleId]);
+            i += 1;
+            j += 1;
+            k += 1;
+        } else {
+            let top = x.max(y).max(z);
+            i += usize::from(x < top);
+            j += usize::from(y < top);
+            k += usize::from(z < top);
+        }
+    }
+}
+
 /// Enumerator of all 4-cliques of a graph.
 ///
-/// Enumeration strategy: for every triangle `(u, v, w)` with `u < v < w`
-/// (produced by the edge-iterator technique), every common neighbour
-/// `z > w` of the three vertices yields the 4-clique `(u, v, w, z)`.
-/// Each 4-clique is reported exactly once, from its lexicographically
-/// smallest triangle.
+/// Cliques are the extensions of the graph's [`TriangleTable`]
+/// (see the module docs): each 4-clique is reported exactly once, from
+/// its lexicographically smallest triangle, and the list comes out sorted.
 #[derive(Debug, Clone)]
 pub struct FourCliqueEnumerator {
     cliques: Vec<FourClique>,
@@ -102,30 +150,21 @@ impl FourCliqueEnumerator {
     }
 
     /// [`FourCliqueEnumerator::new`] with an explicit [`Parallelism`]
-    /// setting.  Edges are scanned in parallel chunks and the merged clique
+    /// setting.  The triangle pass scans edges and the extension pass
+    /// scans triangles in parallel chunks merged in order, so the clique
     /// list is identical to the sequential one for every thread count.
     pub fn with_parallelism(graph: &UncertainGraph, parallelism: Parallelism) -> Self {
-        let edges = graph.edges();
-        let mut cliques = par::par_extend(parallelism, edges.len(), |range, out| {
-            for e in &edges[range] {
-                let (u, v) = (e.u, e.v);
-                let common_uv = graph.common_neighbors(u, v);
-                for (wi, &w) in common_uv.iter().enumerate() {
-                    if w <= v {
-                        continue;
-                    }
-                    // Candidates z must be adjacent to u, v (i.e. in
-                    // common_uv) and to w; restricting to z > w keeps each
-                    // clique unique.
-                    for &z in &common_uv[wi + 1..] {
-                        if z > w && graph.has_edge(w, z) {
-                            out.push(FourClique::new(u, v, w, z));
-                        }
-                    }
-                }
+        let table = TriangleTable::build(graph, parallelism);
+        let cliques = par::par_extend(parallelism, table.len(), |range, out| {
+            for t in range {
+                let [a, b, c] = table.triangles()[t].vertices();
+                four_clique_extensions(&table, t as TriangleId, |z, _| {
+                    out.push(FourClique {
+                        vertices: [a, b, c, z],
+                    });
+                });
             }
         });
-        cliques.sort_unstable();
         FourCliqueEnumerator { cliques }
     }
 
@@ -150,62 +189,19 @@ impl FourCliqueEnumerator {
     }
 }
 
-/// Enumerates the 4-cliques of `graph` that contain at least one of the
-/// given edges, sorted and deduplicated — the incremental counterpart of
-/// [`FourCliqueEnumerator`] used by the support-repair paths: after an
-/// edge-update batch, the new graph's 4-cliques are exactly the old ones
-/// whose six edges all survived plus the cliques containing a
-/// net-inserted edge, which this function finds without rescanning the
-/// whole edge set.
-///
-/// Unlike the full enumeration there is no `w > v` / `z > w` canonical
-/// restriction: the given edge can be any of a clique's six edges, so
-/// every pair of common neighbours is taken and duplicates (cliques
-/// containing two of the given edges) are removed by the sort + dedup.
-pub fn four_cliques_containing_edges(
-    graph: &UncertainGraph,
-    edges: &[(VertexId, VertexId)],
-) -> Vec<FourClique> {
-    let mut cliques = Vec::new();
-    for &(u, v) in edges {
-        let common_uv = graph.common_neighbors(u, v);
-        for (wi, &w) in common_uv.iter().enumerate() {
-            for &z in &common_uv[wi + 1..] {
-                if graph.has_edge(w, z) {
-                    cliques.push(FourClique::new(u, v, w, z));
-                }
-            }
-        }
-    }
-    cliques.sort_unstable();
-    cliques.dedup();
-    cliques
-}
-
 /// Counts all 4-cliques of `graph` without materializing them (same
-/// traversal as [`FourCliqueEnumerator`]).
+/// extension traversal as [`FourCliqueEnumerator`]).
 pub fn count_four_cliques(graph: &UncertainGraph) -> usize {
     count_four_cliques_with(graph, Parallelism::Sequential)
 }
 
 /// [`count_four_cliques`] with an explicit [`Parallelism`] setting.
 pub fn count_four_cliques_with(graph: &UncertainGraph, parallelism: Parallelism) -> usize {
-    let edges = graph.edges();
-    par::par_count(parallelism, edges.len(), |range| {
+    let table = TriangleTable::build(graph, parallelism);
+    par::par_count(parallelism, table.len(), |range| {
         let mut count = 0usize;
-        for e in &edges[range] {
-            let (u, v) = (e.u, e.v);
-            let common_uv = graph.common_neighbors(u, v);
-            for (wi, &w) in common_uv.iter().enumerate() {
-                if w <= v {
-                    continue;
-                }
-                for &z in &common_uv[wi + 1..] {
-                    if z > w && graph.has_edge(w, z) {
-                        count += 1;
-                    }
-                }
-            }
+        for t in range {
+            four_clique_extensions(&table, t as TriangleId, |_, _| count += 1);
         }
         count
     })
@@ -364,25 +360,21 @@ mod tests {
     }
 
     #[test]
-    fn cliques_containing_edges_match_filtered_full_enumeration() {
+    fn extensions_name_the_three_other_triangles() {
         let g = complete_graph(6, 0.8);
-        // Every 4-clique of K6 contains at least one of the probed edges.
-        let probes = [(0u32, 1u32), (2, 3), (4, 5)];
-        let incremental = four_cliques_containing_edges(&g, &probes);
-        let expected: Vec<FourClique> = FourCliqueEnumerator::new(&g)
-            .cliques()
-            .iter()
-            .copied()
-            .filter(|c| probes.iter().any(|&(u, v)| c.contains(u) && c.contains(v)))
-            .collect();
-        assert_eq!(incremental, expected);
-        // A single probe edge finds each containing clique exactly once,
-        // in sorted order.
-        let single = four_cliques_containing_edges(&g, &[(1, 4)]);
-        assert_eq!(single.len(), binomial(4, 2));
-        assert!(single.windows(2).all(|w| w[0] < w[1]));
-        // Edges outside any clique contribute nothing.
-        assert!(four_cliques_containing_edges(&g, &[]).is_empty());
+        let table = TriangleTable::build(&g, Parallelism::Sequential);
+        let mut seen = Vec::new();
+        for t in 0..table.len() as TriangleId {
+            let [a, b, c] = table.triangle(t).vertices();
+            four_clique_extensions(&table, t, |z, [abz, acz, bcz]| {
+                assert_eq!(table.triangle(abz), Triangle::new(a, b, z));
+                assert_eq!(table.triangle(acz), Triangle::new(a, c, z));
+                assert_eq!(table.triangle(bcz), Triangle::new(b, c, z));
+                seen.push(FourClique::new(a, b, c, z));
+            });
+        }
+        assert_eq!(seen, FourCliqueEnumerator::new(&g).into_cliques());
+        assert_eq!(seen.len(), binomial(6, 4));
     }
 
     #[test]

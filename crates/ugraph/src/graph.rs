@@ -268,7 +268,7 @@ impl UncertainGraph {
     }
 
     /// Position of `v` inside `u`'s adjacency slice, if the edge exists.
-    fn edge_index(&self, u: VertexId, v: VertexId) -> Option<usize> {
+    pub(crate) fn edge_index(&self, u: VertexId, v: VertexId) -> Option<usize> {
         if (u as usize) >= self.num_vertices() || (v as usize) >= self.num_vertices() {
             return None;
         }

@@ -24,6 +24,8 @@
 //!   existence probability.
 //! * [`CoreSupport`] / [`TrussSupport`] — the (1,2) and (2,3)
 //!   implementations (the (3,4) one is `nucleus::SupportStructure`).
+//! * [`Incidence`] — the CSR cell lists the (2,3) and (3,4) supports
+//!   store their element → cells incidence in.
 //! * [`peel_deferred`] — the deferred bucket-queue peel, generic over the
 //!   support and the (monotone) rescoring function.
 //! * [`region`] — the bounded re-peel machinery for incremental edge
@@ -42,11 +44,13 @@
 
 pub mod core_support;
 pub mod dp;
+pub mod incidence;
 pub mod region;
 pub mod truss_support;
 
 pub use core_support::CoreSupport;
 pub use dp::DpScratch;
+pub use incidence::Incidence;
 pub use region::{affected_elements, component_closure, RegionSupport};
 pub use truss_support::TrussSupport;
 

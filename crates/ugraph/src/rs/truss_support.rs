@@ -6,17 +6,26 @@
 //! closures of its triangles: given edge `{u, v}`, triangle `{u, v, w}`
 //! materializes with probability `p(u,w) · p(v,w)`, and the γ-support is
 //! the largest `k` with `p(u,v) · Pr[at least k triangles close] ≥ γ`.
+//!
+//! The structure is assembled from the edge-ordered
+//! [`TriangleTable`]: a triangle's cell members are
+//! the table's three edge ids, its wedge-closure probabilities are
+//! products of the table's three edge probabilities, and the per-edge
+//! cell lists are the CSR transpose ([`Incidence`]) of the member
+//! arrays.  Nothing is looked up in the graph.  A repair rebuilds the
+//! old triangle list from the stored members, repairs the table
+//! ([`TriangleTable::repair`]) and runs the same assembly.
 
 use crate::graph::UncertainGraph;
 use crate::par::Parallelism;
+use crate::triangles::{Triangle, TriangleTable};
 
-use super::RsSupport;
+use super::{Incidence, RsSupport};
 
 /// Support structure of the (2,3) rank: elements are edges, cells are
 /// triangles.
 ///
-/// Triangles are enumerated like [`crate::triangles::TriangleIndex`],
-/// whose id order is
+/// Cell ids are the [`crate::triangles::TriangleIndex`] ids, which are
 /// lexicographic on the sorted vertex triple — so for a fixed edge
 /// `{u, v}` the cell list is ordered by ascending third vertex `w`,
 /// exactly the `common_neighbors(u, v)` order the frozen reference
@@ -28,7 +37,7 @@ pub struct TrussSupport {
     element_probs: Vec<f64>,
     /// Triangle ids of every edge, in ascending id (= ascending third
     /// vertex) order.
-    cells_of: Vec<Vec<u32>>,
+    cells_of: Incidence,
     /// Member edge ids of every triangle `{a, b, c}` (`a < b < c`), as
     /// `[{a,b}, {a,c}, {b,c}]`.
     cell_elements: Vec<[u32; 3]>,
@@ -40,34 +49,37 @@ pub struct TrussSupport {
 
 impl TrussSupport {
     /// Builds the (2,3) support of `graph` with the graph's edge
-    /// probabilities.  Triangle enumeration and per-triangle probability
-    /// work run under `parallelism`.
+    /// probabilities.  The triangle pass and the per-triangle
+    /// probability work run under `parallelism`.
     pub fn build(graph: &UncertainGraph, parallelism: Parallelism) -> Self {
-        Self::build_inner(graph, parallelism, false)
+        Self::assemble(
+            graph,
+            TriangleTable::build(graph, parallelism),
+            parallelism,
+            false,
+        )
     }
 
     /// Builds the (2,3) support of a *deterministic* view of `graph`:
     /// every edge exists with probability 1, so the Poisson-binomial
     /// scorer degenerates to triangle counting.
     pub fn deterministic(graph: &UncertainGraph, parallelism: Parallelism) -> Self {
-        Self::build_inner(graph, parallelism, true)
-    }
-
-    fn build_inner(graph: &UncertainGraph, parallelism: Parallelism, deterministic: bool) -> Self {
-        let mut triangles = crate::triangles::enumerate_triangles_with(graph, parallelism);
-        // Global lexicographic order — the same cell-id order
-        // `TriangleIndex::build_with` assigns.
-        triangles.sort_unstable();
-        Self::assemble(graph, &triangles, parallelism, deterministic)
+        Self::assemble(
+            graph,
+            TriangleTable::build(graph, parallelism),
+            parallelism,
+            true,
+        )
     }
 
     /// Repairs the support after an edge-update batch: `old_graph` is
     /// the graph this support was built from, `new_graph` and `inserted`
-    /// come from the batch's [`crate::update::GraphDelta`].  Surviving
-    /// triangles are carried over, new ones are enumerated around the
-    /// inserted edges only, and the records are recomputed from
-    /// `new_graph` — the same arithmetic on the same floats as a fresh
-    /// [`TrussSupport::build`], so the result is bit-identical to one.
+    /// come from the batch's [`crate::update::GraphDelta`].  The old
+    /// triangles are read back from the stored member edges, the
+    /// triangle table is repaired around the inserted edges, and the
+    /// records go through the same assembly as a fresh
+    /// [`TrussSupport::build`] — the same arithmetic on the same floats,
+    /// so the result is bit-identical to one.
     ///
     /// Only supports built by [`build`](Self::build) (probabilistic
     /// completion probabilities) are repairable; the
@@ -80,100 +92,47 @@ impl TrussSupport {
         inserted: &[(u32, u32)],
         parallelism: Parallelism,
     ) -> Self {
-        // Reconstruct the old triangle triples from the stored member
-        // edges (cells are in lexicographic triple order already).
-        let survivors = self.cell_elements.iter().filter_map(|&[eab, eac, _]| {
-            let e1 = old_graph.edge(eab);
-            let e2 = old_graph.edge(eac);
-            let third = if e2.u == e1.u || e2.u == e1.v {
-                e2.v
-            } else {
-                e2.u
-            };
-            let t = crate::triangles::Triangle::new(e1.u, e1.v, third);
-            t.edges()
-                .iter()
-                .all(|&(a, b)| new_graph.has_edge(a, b))
-                .then_some(t)
-        });
-
-        let mut added: Vec<crate::triangles::Triangle> = Vec::new();
-        for &(u, v) in inserted {
-            for w in new_graph.common_neighbors(u, v) {
-                added.push(crate::triangles::Triangle::new(u, v, w));
-            }
-        }
-        added.sort_unstable();
-        added.dedup();
-
-        // Merge the two sorted, disjoint runs (survivors have all-old
-        // edges, additions contain an inserted one) back into global
-        // lexicographic order.
-        let mut triangles = Vec::with_capacity(self.cell_elements.len() + added.len());
-        let mut add_iter = added.into_iter().peekable();
-        for t in survivors {
-            while let Some(&a) = add_iter.peek() {
-                if a < t {
-                    triangles.push(a);
-                    add_iter.next();
-                } else {
-                    break;
-                }
-            }
-            triangles.push(t);
-        }
-        triangles.extend(add_iter);
-
-        Self::assemble(new_graph, &triangles, parallelism, false)
+        // Cells are in lexicographic triple order already: edge {a,b}
+        // and edge {a,c} name all three vertices.
+        let old_triangles: Vec<Triangle> = self
+            .cell_elements
+            .iter()
+            .map(|&[eab, eac, _]| {
+                let (ab, ac) = (old_graph.edge(eab), old_graph.edge(eac));
+                Triangle::new(ab.u, ab.v, ac.v)
+            })
+            .collect();
+        let table = TriangleTable::repair(&old_triangles, new_graph, inserted, parallelism);
+        drop(old_triangles);
+        Self::assemble(new_graph, table, parallelism, false)
     }
 
-    /// Builds the records over an explicit, lexicographically sorted
-    /// triangle list — shared by the fresh build (full enumeration) and
-    /// the incremental repair (merged survivor/addition list).
+    /// Builds the records from a triangle table — shared by the fresh
+    /// build and the repair.
     fn assemble(
         graph: &UncertainGraph,
-        triangles: &[crate::triangles::Triangle],
+        table: TriangleTable,
         parallelism: Parallelism,
         deterministic: bool,
     ) -> Self {
-        let nt = triangles.len();
-        let records: Vec<([u32; 3], [f64; 3])> = crate::par::par_map(parallelism, nt, |ti| {
-            let [a, b, c] = triangles[ti].vertices();
-            let eab = graph.edge_id(a, b).expect("triangle edge {a,b} exists");
-            let eac = graph.edge_id(a, c).expect("triangle edge {a,c} exists");
-            let ebc = graph.edge_id(b, c).expect("triangle edge {b,c} exists");
-            let completion = if deterministic {
-                [1.0, 1.0, 1.0]
-            } else {
-                let pab = graph.edge(eab).p;
-                let pac = graph.edge(eac).p;
-                let pbc = graph.edge(ebc).p;
-                // Slot i conditions on member edge i; the two other
-                // edges close the wedge.
+        let (_, cell_elements, probs) = table.into_parts();
+        let completion = if deterministic {
+            vec![[1.0; 3]; probs.len()]
+        } else {
+            // Slot i conditions on member edge i; the two other edges
+            // close the wedge.
+            crate::par::par_map(parallelism, probs.len(), |t| {
+                let [pab, pac, pbc] = probs[t];
                 [pac * pbc, pab * pbc, pab * pac]
-            };
-            ([eab, eac, ebc], completion)
-        });
-
-        // Triangle indices are packed into `u32` cell ids; narrow through
-        // the checked constructor so a count past 2^32 fails typed.
-        if let Some(last) = nt.checked_sub(1) {
-            crate::error::checked_id("triangle", last)
-                .expect("triangle count exceeds the packed 32-bit id space");
-        }
-        let mut cells_of = vec![Vec::new(); graph.num_edges()];
-        let mut cell_elements = Vec::with_capacity(nt);
-        let mut completion = Vec::with_capacity(nt);
-        for (ti, (edges, probs)) in records.into_iter().enumerate() {
-            // Ascending triangle id per edge = ascending third vertex,
-            // because triangle ids are lexicographic on the triple.
-            for &e in &edges {
-                cells_of[e as usize].push(ti as u32);
-            }
-            cell_elements.push(edges);
-            completion.push(probs);
-        }
-
+            })
+        };
+        drop(probs);
+        // Ascending triangle id per edge = ascending third vertex,
+        // because triangle ids are lexicographic on the triple.
+        let cells_of =
+            Incidence::transpose(graph.num_edges(), cell_elements.len(), "triangle", |t| {
+                cell_elements[t]
+            });
         let element_probs = if deterministic {
             vec![1.0; graph.num_edges()]
         } else {
@@ -209,7 +168,7 @@ impl RsSupport for TrussSupport {
     }
 
     fn cells_of(&self, t: u32) -> &[u32] {
-        &self.cells_of[t as usize]
+        self.cells_of.list(t)
     }
 
     fn cell_elements(&self, c: u32) -> &[u32] {

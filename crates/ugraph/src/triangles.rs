@@ -1,21 +1,46 @@
-//! Triangle enumeration and indexing.
+//! Triangle enumeration, indexing and the edge-ordered triangle table.
 //!
-//! Triangles are the `r = 3` cliques of the (3,4)-nucleus.  The peeling
-//! algorithms need to address triangles by dense integer ids and to look a
-//! triangle up by its vertex set; [`TriangleIndex`] provides both.
+//! Triangles are the `r = 3` cliques of the (3,4)-nucleus and the cells
+//! of the (2,3)-truss.  Every triangle of a graph is found by one
+//! **edge-ordered pass**: for each canonical edge `(u, v)` (`u < v`, in
+//! edge-id order) an allocation-free merge of the two sorted adjacency
+//! slices yields the common neighbours `w > v`, ascending.  Each triangle
+//! is reported once, from its lexicographically smallest edge, and
+//! because the edge table is sorted by `(u, v)` the pass emits triangles
+//! already in lexicographic order — a triangle's dense id is simply its
+//! position in the output, with no sort.
 //!
-//! The index is deliberately **compact**: it stores nothing but the
-//! sorted triangle array (12 bytes per triangle — three `u32` vertex
-//! ids) and answers id lookups by binary search over it.  An earlier
-//! revision kept a `HashMap<Triangle, TriangleId>` alongside, which
-//! more than quadrupled the per-triangle footprint; at the million-edge
-//! scale the map alone dwarfed the graph.  Dense ids are `u32` and every
-//! narrowing from a `usize` count goes through the checked constructor
-//! ([`crate::error::checked_id`]), so a graph with more than `2^32`
-//! triangles surfaces a typed [`IdOverflow`] instead of wrapping.
+//! Two products come out of that pass:
+//!
+//! * [`TriangleIndex`] — the compact id ↔ triangle map (12 bytes per
+//!   triangle: the sorted triangle array, id lookups by binary search).
+//!   An earlier revision kept a `HashMap<Triangle, TriangleId>`
+//!   alongside, which more than quadrupled the per-triangle footprint.
+//! * [`TriangleTable`] — the same triangles together with, per triangle,
+//!   the ids of its three edges and the three probabilities
+//!   [`UncertainGraph::edge_probability`] returns for them (read from the
+//!   adjacency slots the merge visits), plus every edge's **run**: the
+//!   contiguous id range of the triangles `(u, v, w)` the pass emitted
+//!   from edge `(u, v)`, ascending in `w`.  The support builds of both
+//!   the truss and the nucleus rank are assembled from this table alone:
+//!   4-cliques are extensions of its triangles along the runs
+//!   ([`crate::cliques::four_clique_extensions`]), so no triangle id or
+//!   edge probability is ever looked up again.
+//!
+//! An update batch repairs a table instead of rebuilding it
+//! ([`TriangleTable::repair`]): the old triangles whose three edges
+//! survived are merged with the triangles around the net-inserted edges,
+//! and the merged list goes through the same table assembly.
+//!
+//! Dense ids are `u32` and every narrowing from a `usize` count goes
+//! through the checked constructor ([`crate::error::checked_id`]), so a
+//! graph with more than `2^32` triangles surfaces a typed [`IdOverflow`]
+//! instead of wrapping.
+
+use std::ops::Range;
 
 use crate::error::{checked_id, IdOverflow};
-use crate::graph::{UncertainGraph, VertexId};
+use crate::graph::{EdgeId, UncertainGraph, VertexId};
 use crate::par::{self, Parallelism};
 
 /// Dense identifier of a triangle inside a [`TriangleIndex`].
@@ -77,12 +102,53 @@ impl std::fmt::Display for Triangle {
     }
 }
 
-/// Enumerates every triangle of `graph` exactly once.
+/// The edge-ordered pass over `edges`: for every canonical edge
+/// `e = (u, v)` in the range, calls `emit(e, [u, v, w], [iuv, iuw, ivw])`
+/// for each common neighbour `w > v`, ascending, where `iuv`, `iuw` and
+/// `ivw` are the flat adjacency slots of `v` in `u`'s list, of `w` in
+/// `u`'s and of `w` in `v`'s.  An allocation-free merge of the two sorted
+/// adjacency slices beyond `v`.
+fn for_each_triangle<F>(graph: &UncertainGraph, edges: Range<usize>, mut emit: F)
+where
+    F: FnMut(EdgeId, [VertexId; 3], [usize; 3]),
+{
+    let (offsets, neighbors, _, _) = graph.csr_parts();
+    for (e, edge) in edges.clone().zip(&graph.edges()[edges]) {
+        let (ou, ov) = (offsets[edge.u as usize], offsets[edge.v as usize]);
+        let nu = &neighbors[ou..offsets[edge.u as usize + 1]];
+        let nv = &neighbors[ov..offsets[edge.v as usize + 1]];
+        // Both slices are sorted: skip to the first neighbour past `v`.
+        // `v` itself sits right before that point in `u`'s slice.
+        let mut i = nu.partition_point(|&x| x <= edge.v);
+        let mut j = nv.partition_point(|&x| x <= edge.v);
+        let iuv = ou + i - 1;
+        while i < nu.len() && j < nv.len() {
+            match nu[i].cmp(&nv[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    emit(e as EdgeId, [edge.u, edge.v, nu[i]], [iuv, ou + i, ov + j]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Appends the triangles the edge-ordered pass emits from `edges`.
+fn push_triangles(graph: &UncertainGraph, edges: Range<usize>, out: &mut Vec<Triangle>) {
+    for_each_triangle(graph, edges, |_, vertices, _| {
+        out.push(Triangle { vertices });
+    });
+}
+
+/// Enumerates every triangle of `graph` exactly once, in lexicographic
+/// order (the dense-id order of [`TriangleIndex`]).
 ///
-/// The enumeration uses the standard edge-iterator technique: for each
-/// canonical edge `(u, v)` with `u < v`, the common neighbours `w > v`
-/// complete a triangle `(u, v, w)`.  Each triangle is therefore reported
-/// from its lexicographically smallest edge only.
+/// The enumeration is the edge-ordered pass described in the module
+/// docs: each triangle is reported from its lexicographically smallest
+/// edge only.
 pub fn enumerate_triangles(graph: &UncertainGraph) -> Vec<Triangle> {
     enumerate_triangles_with(graph, Parallelism::Sequential)
 }
@@ -93,16 +159,8 @@ pub fn enumerate_triangles(graph: &UncertainGraph) -> Vec<Triangle> {
 /// edge order, so the output is identical to the sequential enumeration
 /// for every thread count.
 pub fn enumerate_triangles_with(graph: &UncertainGraph, parallelism: Parallelism) -> Vec<Triangle> {
-    let edges = graph.edges();
-    par::par_extend(parallelism, edges.len(), |range, out| {
-        for e in &edges[range] {
-            let (u, v) = (e.u, e.v);
-            for w in graph.common_neighbors(u, v) {
-                if w > v {
-                    out.push(Triangle::new(u, v, w));
-                }
-            }
-        }
+    par::par_extend(parallelism, graph.num_edges(), |range, out| {
+        push_triangles(graph, range, out)
     })
 }
 
@@ -158,43 +216,26 @@ impl TriangleIndex {
         graph: &UncertainGraph,
         parallelism: Parallelism,
     ) -> Result<Self, IdOverflow> {
-        let mut triangles = enumerate_triangles_with(graph, parallelism);
-        triangles.sort_unstable();
-        Self::from_sorted(triangles)
+        Self::from_sorted(enumerate_triangles_with(graph, parallelism))
     }
 
-    /// Streaming sequential build that walks the edge table in chunks of
-    /// `chunk_edges` edges, bounding the enumeration scratch by the
-    /// densest chunk instead of the whole graph.
+    /// Sequential build that walks the edge table in chunks of
+    /// `chunk_edges` edges.
     ///
-    /// The canonical smallest-edge enumeration emits triangles already
-    /// in lexicographic order (edges are sorted by `(u, v)` and each
-    /// edge's completions ascend in `w`), so chunks concatenate into the
-    /// exact array [`TriangleIndex::build`] produces — no global sort,
-    /// no id drift, and peak transient memory is one chunk's triangles
-    /// plus the growing index itself.
+    /// The edge-ordered pass emits triangles already in lexicographic
+    /// order and keeps no per-edge scratch, so chunks append straight
+    /// into the index array: the result is the exact array
+    /// [`TriangleIndex::build`] produces (no global sort, no id drift)
+    /// for every chunk size, and peak transient memory is the growing
+    /// index itself.
     pub fn try_build_streaming(
         graph: &UncertainGraph,
         chunk_edges: usize,
     ) -> Result<Self, IdOverflow> {
-        let chunk_edges = chunk_edges.max(1);
-        let edges = graph.edges();
+        let (m, chunk) = (graph.num_edges(), chunk_edges.max(1));
         let mut triangles = Vec::new();
-        let mut scratch = Vec::new();
-        let mut start = 0;
-        while start < edges.len() {
-            let end = (start + chunk_edges).min(edges.len());
-            for e in &edges[start..end] {
-                let (u, v) = (e.u, e.v);
-                for w in graph.common_neighbors(u, v) {
-                    if w > v {
-                        scratch.push(Triangle::new(u, v, w));
-                    }
-                }
-            }
-            triangles.extend_from_slice(&scratch);
-            scratch.clear();
-            start = end;
+        for start in (0..m).step_by(chunk) {
+            push_triangles(graph, start..(start + chunk).min(m), &mut triangles);
         }
         debug_assert!(triangles.windows(2).all(|w| w[0] < w[1]));
         Self::from_sorted(triangles)
@@ -252,59 +293,6 @@ impl TriangleIndex {
         self.id_of(&Triangle::new(a, b, c))
     }
 
-    /// Repairs the index after an edge-update batch: surviving triangles
-    /// are kept (a triangle survives iff all three of its edges are still
-    /// present in `new_graph`), and the triangles created by the
-    /// net-inserted edges (`inserted`, canonical pairs as reported by
-    /// [`crate::update::GraphDelta::inserted`]) are enumerated around
-    /// those edges only.  The result is identical — same triangles, same
-    /// ids — to [`TriangleIndex::build`] on `new_graph`, at a cost
-    /// proportional to the old index plus the inserted edges'
-    /// neighbourhoods instead of the whole edge set.
-    ///
-    /// The incremental enumeration takes *every* common neighbour of an
-    /// inserted edge (no `w > v` restriction): the inserted edge can be
-    /// any of a new triangle's three edges, so the canonical smallest-edge
-    /// reporting of the full enumeration does not apply.  Duplicates
-    /// (a triangle containing two inserted edges) are removed by the
-    /// sort + dedup before the merge.
-    pub fn repair(&self, new_graph: &UncertainGraph, inserted: &[(VertexId, VertexId)]) -> Self {
-        let survivors = self
-            .triangles
-            .iter()
-            .copied()
-            .filter(|t| t.edges().iter().all(|&(a, b)| new_graph.has_edge(a, b)));
-
-        let mut added: Vec<Triangle> = Vec::new();
-        for &(u, v) in inserted {
-            for w in new_graph.common_neighbors(u, v) {
-                added.push(Triangle::new(u, v, w));
-            }
-        }
-        added.sort_unstable();
-        added.dedup();
-
-        // Survivors (sorted, all-old edges) and additions (sorted, each
-        // contains an inserted edge) are disjoint; one merge restores the
-        // global lexicographic id order of a fresh build.
-        let mut triangles = Vec::with_capacity(self.triangles.len() + added.len());
-        let mut add_iter = added.into_iter().peekable();
-        for t in survivors {
-            while let Some(&a) = add_iter.peek() {
-                if a < t {
-                    triangles.push(a);
-                    add_iter.next();
-                } else {
-                    break;
-                }
-            }
-            triangles.push(t);
-        }
-        triangles.extend(add_iter);
-
-        Self::from_sorted(triangles).expect("triangle count exceeds the u32 id space")
-    }
-
     /// Iterator over `(id, triangle)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TriangleId, Triangle)> + '_ {
         self.triangles
@@ -316,6 +304,243 @@ impl TriangleIndex {
     /// All triangles in id order.
     pub fn triangles(&self) -> &[Triangle] {
         &self.triangles
+    }
+}
+
+/// Every triangle of a graph in id (= lexicographic) order, with its
+/// three edge ids and edge probabilities, plus each edge's run of
+/// triangle ids — the one table both support builds are assembled from.
+///
+/// For triangle `t = (a, b, c)`:
+///
+/// * [`edge_ids(t)`](Self::edge_ids) is `[e(a,b), e(a,c), e(b,c)]`;
+/// * [`probs(t)`](Self::probs) is `[p(a,b), p(a,c), p(b,c)]`, the values
+///   [`UncertainGraph::edge_probability`] returns for those pairs;
+/// * `t` lies in the [`run`](Self::run) of `e(a,b)`: the ids of the
+///   triangles `(a, b, w)`, ascending in `w`.
+///
+/// # Example
+///
+/// ```
+/// use ugraph::{GraphBuilder, Triangle};
+/// use ugraph::triangles::TriangleTable;
+/// use ugraph::Parallelism;
+///
+/// let mut b = GraphBuilder::new();
+/// for &(u, v) in &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
+///     b.add_edge(u, v, 0.5).unwrap();
+/// }
+/// let g = b.build();
+/// let table = TriangleTable::build(&g, Parallelism::Sequential);
+/// assert_eq!(table.len(), 4);
+/// // Edge (0, 1) completes to (0, 1, 2) and (0, 1, 3): ids 0 and 1.
+/// assert_eq!(table.run(g.edge_id(0, 1).unwrap()), 0..2);
+/// assert_eq!(table.triangle(1), Triangle::new(0, 1, 3));
+/// assert_eq!(table.probs(1), [0.5; 3]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct TriangleTable {
+    triangles: Vec<Triangle>,
+    edge_ids: Vec<[EdgeId; 3]>,
+    probs: Vec<[f64; 3]>,
+    /// `runs[e]..runs[e + 1]` are the triangles emitted from edge `e`.
+    runs: Vec<usize>,
+}
+
+/// The per-triangle rows of a [`TriangleTable`] under construction: one
+/// chunk's worth, before the runs are derived.
+#[derive(Default)]
+struct Rows {
+    triangles: Vec<Triangle>,
+    edge_ids: Vec<[EdgeId; 3]>,
+    probs: Vec<[f64; 3]>,
+}
+
+impl Rows {
+    fn push(&mut self, t: Triangle, edge_ids: [EdgeId; 3], probs: [f64; 3]) {
+        self.triangles.push(t);
+        self.edge_ids.push(edge_ids);
+        self.probs.push(probs);
+    }
+}
+
+impl TriangleTable {
+    /// Runs the edge-ordered pass over `graph`.  Edges are scanned in
+    /// parallel chunks merged in edge order, so the table is identical
+    /// for every thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the graph holds more than `2^32` triangles.
+    pub fn build(graph: &UncertainGraph, parallelism: Parallelism) -> Self {
+        let (_, _, probs, edges) = graph.csr_parts();
+        let parts = par::par_extend(parallelism, graph.num_edges(), |range, out| {
+            let mut part = Rows::default();
+            for_each_triangle(graph, range, |e, vertices, [iuv, iuw, ivw]| {
+                part.push(
+                    Triangle { vertices },
+                    [e, edges[iuw], edges[ivw]],
+                    [probs[iuv], probs[iuw], probs[ivw]],
+                );
+            });
+            out.push(part);
+        });
+        Self::concat(parts, graph.num_edges())
+    }
+
+    /// Repairs a table after an edge-update batch.
+    ///
+    /// `old_triangles` are the triangles of the graph before the batch,
+    /// in id order; `new_graph` and `inserted` (canonical pairs of the
+    /// net-inserted edges) come from the batch's
+    /// [`crate::update::GraphDelta`].  The old triangles whose three edges
+    /// still exist survive; new triangles must contain an inserted edge,
+    /// so every common neighbour of every inserted edge is taken (no
+    /// `w > v` restriction — the inserted edge can be any of the three)
+    /// and the duplicates of triangles holding two inserted edges are
+    /// removed.  Survivors and additions are disjoint sorted runs; one
+    /// merge restores the global id order, and each triangle's edge ids
+    /// and probabilities are read from `new_graph`'s adjacency slots —
+    /// the same slots the edge-ordered pass reads.  The result equals
+    /// [`TriangleTable::build`] on `new_graph`, at a cost proportional to
+    /// the old triangles plus the inserted edges' neighbourhoods.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the repaired graph holds more than `2^32` triangles.
+    pub fn repair(
+        old_triangles: &[Triangle],
+        new_graph: &UncertainGraph,
+        inserted: &[(VertexId, VertexId)],
+        parallelism: Parallelism,
+    ) -> Self {
+        let mut added: Vec<Triangle> = Vec::new();
+        for &(u, v) in inserted {
+            for w in new_graph.common_neighbors(u, v) {
+                added.push(Triangle::new(u, v, w));
+            }
+        }
+        added.sort_unstable();
+        added.dedup();
+
+        // A candidate whose edges are not all present is an old triangle
+        // the batch destroyed; it is dropped by the lookups below.
+        let mut candidates = Vec::with_capacity(old_triangles.len() + added.len());
+        let mut add = added.into_iter().peekable();
+        for &t in old_triangles {
+            while add.peek().is_some_and(|a| *a < t) {
+                candidates.extend(add.next());
+            }
+            candidates.push(t);
+        }
+        candidates.extend(add);
+
+        let (_, _, probs, edges) = new_graph.csr_parts();
+        let parts = par::par_extend(parallelism, candidates.len(), |range, out| {
+            let mut part = Rows::default();
+            for &t in &candidates[range] {
+                let [a, b, c] = t.vertices;
+                let slots = [
+                    new_graph.edge_index(a, b),
+                    new_graph.edge_index(a, c),
+                    new_graph.edge_index(b, c),
+                ];
+                if let [Some(iab), Some(iac), Some(ibc)] = slots {
+                    part.push(
+                        t,
+                        [edges[iab], edges[iac], edges[ibc]],
+                        [probs[iab], probs[iac], probs[ibc]],
+                    );
+                }
+            }
+            out.push(part);
+        });
+        drop(candidates);
+        Self::concat(parts, new_graph.num_edges())
+    }
+
+    /// Concatenates per-chunk rows in chunk order (a single part — the
+    /// sequential case — is taken as is), checks the id space and
+    /// derives the per-edge runs from the triangles' smallest edges,
+    /// which are non-decreasing in id order.
+    fn concat(mut parts: Vec<Rows>, num_edges: usize) -> Self {
+        let rows = if parts.len() == 1 {
+            parts.pop().unwrap_or_default()
+        } else {
+            let mut rows = Rows::default();
+            for part in parts {
+                rows.triangles.extend_from_slice(&part.triangles);
+                rows.edge_ids.extend_from_slice(&part.edge_ids);
+                rows.probs.extend_from_slice(&part.probs);
+            }
+            rows
+        };
+        debug_assert!(rows.triangles.windows(2).all(|w| w[0] < w[1]));
+        if let Some(last) = rows.triangles.len().checked_sub(1) {
+            checked_id("triangle", last).expect("triangle count exceeds the u32 id space");
+        }
+        let mut runs = vec![0usize; num_edges + 1];
+        for &[e, _, _] in &rows.edge_ids {
+            runs[e as usize + 1] += 1;
+        }
+        for e in 0..num_edges {
+            runs[e + 1] += runs[e];
+        }
+        TriangleTable {
+            triangles: rows.triangles,
+            edge_ids: rows.edge_ids,
+            probs: rows.probs,
+            runs,
+        }
+    }
+
+    /// Number of triangles.
+    pub fn len(&self) -> usize {
+        self.triangles.len()
+    }
+
+    /// `true` when the graph has no triangles.
+    pub fn is_empty(&self) -> bool {
+        self.triangles.is_empty()
+    }
+
+    /// All triangles in id order.
+    pub fn triangles(&self) -> &[Triangle] {
+        &self.triangles
+    }
+
+    /// The triangle with dense id `t`.
+    pub fn triangle(&self, t: TriangleId) -> Triangle {
+        self.triangles[t as usize]
+    }
+
+    /// Edge ids `[e(a,b), e(a,c), e(b,c)]` of triangle `t = (a, b, c)`.
+    pub fn edge_ids(&self, t: TriangleId) -> [EdgeId; 3] {
+        self.edge_ids[t as usize]
+    }
+
+    /// Edge probabilities `[p(a,b), p(a,c), p(b,c)]` of triangle
+    /// `t = (a, b, c)`.
+    pub fn probs(&self, t: TriangleId) -> [f64; 3] {
+        self.probs[t as usize]
+    }
+
+    /// The run of edge `e = (u, v)`: the ids of the triangles
+    /// `(u, v, w)`, ascending in `w`.
+    pub fn run(&self, e: EdgeId) -> Range<usize> {
+        self.runs[e as usize]..self.runs[e as usize + 1]
+    }
+
+    /// Splits the table into its triangle index and its per-triangle
+    /// edge ids and probabilities; the runs are dropped.
+    pub fn into_parts(self) -> (TriangleIndex, Vec<[EdgeId; 3]>, Vec<[f64; 3]>) {
+        (
+            TriangleIndex {
+                triangles: self.triangles,
+            },
+            self.edge_ids,
+            self.probs,
+        )
     }
 }
 
@@ -482,7 +707,7 @@ mod tests {
             b.add_edge(u, v, 0.8).unwrap();
         }
         let g = b.build();
-        let idx = TriangleIndex::build(&g);
+        let table = TriangleTable::build(&g, Parallelism::Sequential);
 
         let batches: Vec<Vec<EdgeUpdate>> = vec![
             // Pure inserts creating new triangles (including at the
@@ -508,13 +733,80 @@ mod tests {
         ];
         for batch in batches {
             let delta = apply_edge_updates(&g, &batch).unwrap();
-            let repaired = idx.repair(&delta.graph, &delta.inserted);
-            let fresh = TriangleIndex::build(&delta.graph);
-            assert_eq!(repaired.triangles(), fresh.triangles());
-            for (id, t) in fresh.iter() {
-                assert_eq!(repaired.id_of(&t), Some(id));
+            let fresh = TriangleTable::build(&delta.graph, Parallelism::Sequential);
+            for threads in [1, 2, 8] {
+                let repaired = TriangleTable::repair(
+                    table.triangles(),
+                    &delta.graph,
+                    &delta.inserted,
+                    Parallelism::fixed(threads),
+                );
+                assert_same_table(&repaired, &fresh);
             }
         }
+    }
+
+    fn assert_same_table(a: &TriangleTable, b: &TriangleTable) {
+        assert_eq!(a.triangles, b.triangles);
+        assert_eq!(a.edge_ids, b.edge_ids);
+        assert_eq!(a.runs, b.runs);
+        let bits = |t: &TriangleTable| -> Vec<[u64; 3]> {
+            t.probs.iter().map(|p| p.map(f64::to_bits)).collect()
+        };
+        assert_eq!(bits(a), bits(b));
+    }
+
+    #[test]
+    fn table_rows_match_edge_lookups_and_runs_partition_the_ids() {
+        // Isolated highest vertex ids: runs must still cover every edge.
+        let mut b = GraphBuilder::with_vertices(10);
+        for u in 0..7u32 {
+            for v in (u + 1)..7u32 {
+                if (u * 3 + v) % 4 != 0 {
+                    b.add_edge(u, v, 0.1 + 0.05 * f64::from(u + v)).unwrap();
+                }
+            }
+        }
+        let g = b.build();
+        let table = TriangleTable::build(&g, Parallelism::Sequential);
+        assert_eq!(table.triangles(), enumerate_triangles(&g).as_slice());
+        for (t, tri) in table.triangles().iter().enumerate() {
+            let t = t as TriangleId;
+            let [(a, b0), (a1, c), (b1, c1)] = tri.edges();
+            assert_eq!(
+                table.edge_ids(t),
+                [
+                    g.edge_id(a, b0).unwrap(),
+                    g.edge_id(a1, c).unwrap(),
+                    g.edge_id(b1, c1).unwrap()
+                ]
+            );
+            assert_eq!(
+                table.probs(t),
+                [
+                    g.edge_probability(a, b0).unwrap(),
+                    g.edge_probability(a1, c).unwrap(),
+                    g.edge_probability(b1, c1).unwrap()
+                ]
+            );
+            assert!(table.run(table.edge_ids(t)[0]).contains(&(t as usize)));
+        }
+        let mut covered = 0;
+        for e in 0..g.num_edges() as EdgeId {
+            let run = table.run(e);
+            assert_eq!(run.start, covered);
+            covered = run.end;
+        }
+        assert_eq!(covered, table.len());
+        for threads in [2, 8] {
+            assert_same_table(
+                &TriangleTable::build(&g, Parallelism::fixed(threads)),
+                &table,
+            );
+        }
+        let (index, edge_ids, probs) = table.clone().into_parts();
+        assert_eq!(index.triangles(), table.triangles());
+        assert_eq!((edge_ids.len(), probs.len()), (table.len(), table.len()));
     }
 
     #[test]
