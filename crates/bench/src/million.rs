@@ -32,6 +32,7 @@
 //! the wall figures (report-only) and the process-wide
 //! [`ugraph::metrics::peak_rss_bytes`] probe (bounded-factor gate).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use rand::SeedableRng;
@@ -329,11 +330,15 @@ pub fn run(config: &MillionBenchConfig) -> MillionBenchReport {
     let (graph, generate_t) = Timing::measure(|| generate_million_graph(config));
 
     // Snapshot round trip: owned decode vs zero-copy open, both asserted
-    // bit-identical to the generated graph.
+    // bit-identical to the generated graph.  The file name is unique per
+    // call, because one process can run several of these at once (the
+    // unit tests do) and one run's cleanup must not delete another's file.
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
     let path = std::env::temp_dir().join(format!(
-        "bench_million_{}_{}.ugsnap",
+        "bench_million_{}_{}_{}.ugsnap",
         config.seed,
-        std::process::id()
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
     ));
     let (written, write_t) = Timing::measure(|| io::write_snapshot_file(&graph, &path));
     written.expect("snapshot write to the temp dir succeeds");

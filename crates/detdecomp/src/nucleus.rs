@@ -271,8 +271,8 @@ pub fn k_nucleus_subgraphs(graph: &UncertainGraph, k: u32) -> Vec<NucleusSubgrap
 /// (Definition 3): it is a union of 4-cliques, every triangle has support
 /// ≥ k, and every pair of triangles is connected through 4-cliques.
 ///
-/// Used by the global algorithm (Algorithm 2) as the indicator
-/// `1_g(G, △, k)` on sampled possible worlds.  An edgeless graph is not a
+/// The global algorithm (Algorithm 2) judges its sampled worlds by the
+/// relaxed [`is_k_nucleus_lenient`] instead.  An edgeless graph is not a
 /// nucleus; for `k = 0` the support condition is vacuous but the
 /// union-of-cliques and connectivity conditions still apply.
 pub fn is_k_nucleus(graph: &UncertainGraph, k: u32) -> bool {
@@ -319,7 +319,7 @@ pub fn is_k_nucleus(graph: &UncertainGraph, k: u32) -> bool {
     roots.len() <= 1
 }
 
-/// A relaxed form of [`is_k_nucleus`] used to evaluate the *global*
+/// A relaxed form of [`is_k_nucleus`] that defines the *global*
 /// indicator `1_g(G, △, k)` on possible worlds (Definition 4): every
 /// triangle of `graph` must have 4-clique support ≥ k and all triangles
 /// must be 4-clique-connected, but edges that lie outside every 4-clique
@@ -327,7 +327,9 @@ pub fn is_k_nucleus(graph: &UncertainGraph, k: u32) -> bool {
 /// edges that Definition 3's union-of-cliques condition would reject,
 /// and the paper's worked example — Figure 2 — counts such worlds).
 ///
-/// Returns `false` for worlds without any triangle.
+/// Returns `false` for worlds without any triangle.  The exact oracle
+/// `nucleus::exact::exact_global_tail` evaluates it on every world, and
+/// the Monte-Carlo path of the `nucleus` crate is tested against it.
 pub fn is_k_nucleus_lenient(graph: &UncertainGraph, k: u32) -> bool {
     let (index, _, clique_ids) = triangles_and_cliques(graph);
     if index.is_empty() {

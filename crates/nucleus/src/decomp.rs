@@ -526,6 +526,7 @@ fn generic_point<S: RsSupport + Sync>(
         scratch.score(support, t, threshold, |c| !cell_dead[c as usize])
     });
     stats.peak_scratch_bytes = scratch.peak_bytes().max(init_peak);
+    stats.peak_rss_bytes = ugraph::metrics::peak_rss_bytes();
 
     // Counts of elements scored by each method: empty when there is
     // nothing to score, matching the nucleus rank's per-element tally.
@@ -616,6 +617,7 @@ fn repair_points_generic<S: RsSupport + Sync>(
             scratch.score(&region_view, t, threshold, |c| !cell_dead[c as usize])
         });
         stats.peak_scratch_bytes = scratch.peak_bytes().max(init_peak);
+        stats.peak_rss_bytes = ugraph::metrics::peak_rss_bytes();
 
         // Scatter the re-peeled scores; everything outside the region
         // carries its old final score bitwise.
@@ -1295,6 +1297,34 @@ mod tests {
                 assert_eq!(par.initial_scores(), base.initial_scores());
                 assert_eq!(par.peel_stats(), base.peel_stats());
             }
+        }
+    }
+
+    #[test]
+    fn every_point_reads_the_peak_rss_probe() {
+        // The generic peel does no I/O; each decomposition point reads
+        // the process probe itself, fresh or repaired, at every rank.
+        if ugraph::metrics::peak_rss_bytes() == 0 {
+            return; // no VmHWM interface on this platform
+        }
+        let g = complete(6, 0.7);
+        let hybrid = ScoreMethod::Hybrid(crate::config::ApproxThresholds::default());
+        for config in [
+            DecompConfig::core(0.3),
+            DecompConfig::truss(0.3),
+            DecompConfig::nucleus(0.3),
+            DecompConfig::nucleus(0.3).with_method(hybrid),
+        ] {
+            let d = Decomposition::compute(&g, &config).unwrap();
+            assert!(d.peel_stats().peak_rss_bytes > 0, "{config:?}");
+        }
+        for rank in [Rank::Core, Rank::Truss, Rank::Nucleus] {
+            let config = SweepConfig::exact(vec![0.3]).with_rank(rank);
+            let mut sweep = DecompSweep::compute(&g, &config).unwrap();
+            let batch = [EdgeUpdate::Delete { u: 0, v: 1 }];
+            let outcome = sweep.apply_updates(&g, &batch).unwrap();
+            assert_eq!(outcome.report.repaired_points, 1, "{rank}");
+            assert!(sweep.peel_stats()[0].peak_rss_bytes > 0, "{rank}");
         }
     }
 

@@ -107,6 +107,15 @@ pub enum NucleusError {
         /// Maximum number of edges supported.
         max_edges: usize,
     },
+    /// A precomputed local decomposition handed to the global or
+    /// weakly-global algorithm was computed at a different θ than the
+    /// algorithm's configuration, so its candidate space would be wrong.
+    LocalThetaMismatch {
+        /// θ of the global or weakly-global configuration.
+        expected: f64,
+        /// θ the local decomposition was computed with.
+        got: f64,
+    },
     /// A referenced triangle does not exist in the graph.
     UnknownTriangle {
         /// The vertices of the missing triangle.
@@ -143,6 +152,11 @@ impl fmt::Display for NucleusError {
             } => write!(
                 f,
                 "exact possible-world enumeration supports at most {max_edges} edges, got {num_edges}"
+            ),
+            NucleusError::LocalThetaMismatch { expected, got } => write!(
+                f,
+                "the local decomposition was computed at theta = {got}, \
+                 but the configuration asks for theta = {expected}"
             ),
             NucleusError::UnknownTriangle { vertices } => write!(
                 f,
@@ -204,6 +218,13 @@ mod tests {
         };
         assert!(e.to_string().contains("nucleus"));
         assert!(e.to_string().contains("truss"));
+
+        let e = NucleusError::LocalThetaMismatch {
+            expected: 0.25,
+            got: 0.5,
+        };
+        assert!(e.to_string().contains("0.25"));
+        assert!(e.to_string().contains("0.5"));
 
         let e = NucleusError::ThresholdOffGrid {
             name: "theta",

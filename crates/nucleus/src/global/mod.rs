@@ -6,23 +6,34 @@
 //!
 //! 1. **Search-space pruning**: every g-(k,θ)-nucleus is contained in an
 //!    ℓ-(k,θ)-nucleus, so candidates are assembled only from the 4-cliques
-//!    of the local decomposition's qualifying cliques.
+//!    whose four triangles all have ℓ-nucleusness ≥ k.  From each seed
+//!    triangle, in ascending id order, a candidate `H` grows by 4-clique
+//!    closure: every triangle of `H` in fewer than `k` of its cliques
+//!    pulls in its other candidate cliques.  `H` is the edge-induced
+//!    subgraph of the chosen cliques; candidates are de-duplicated by
+//!    their clique set.
 //! 2. **Monte-Carlo estimation**: for each candidate `H`, `n` possible
 //!    worlds of `H` are sampled (Lemma 4 fixes `n` from ε, δ) and the
 //!    indicator `1_g` — the sampled world is a deterministic k-nucleus
-//!    containing the triangle — is averaged per triangle.
+//!    containing the triangle — is averaged per triangle.  `H` is
+//!    compiled once into flat triangle and 4-clique arrays, each world
+//!    is drawn as a kept-edge mask from one RNG stream shared by all
+//!    candidates, and the indicator is evaluated on that mask (see
+//!    [`crate::sampling`]).  No world is materialized as a graph.
+//!
+//! `H` is accepted, once per edge set, when the estimate of every
+//! triangle it reports reaches θ.
 
 use std::collections::{HashMap, HashSet};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use ugraph::{EdgeId, EdgeSubgraph, Triangle, TriangleId, UncertainGraph, WorldSampler};
-
-use ugraph::Parallelism;
+use ugraph::{EdgeId, EdgeSubgraph, Parallelism, Triangle, TriangleId, UncertainGraph};
 
 use crate::config::{LocalConfig, SamplingConfig, ScoreMethod};
-use crate::error::Result;
+use crate::error::{NucleusError, Result};
 use crate::local::LocalNucleusDecomposition;
+use crate::sampling::CompiledCandidate;
 
 /// Configuration of the global (and weakly-global) decompositions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,6 +84,21 @@ impl GlobalConfig {
             parallelism: self.parallelism,
         }
     }
+
+    /// Checks the sampling parameters and that `local` was computed at
+    /// this configuration's θ: a local decomposition at another θ prunes
+    /// to a different candidate space.  Its score method may differ.
+    pub(crate) fn validate_with_local(&self, local: &LocalNucleusDecomposition) -> Result<()> {
+        self.sampling.validate()?;
+        let got = local.config().theta;
+        if got != self.theta {
+            return Err(NucleusError::LocalThetaMismatch {
+                expected: self.theta,
+                got,
+            });
+        }
+        Ok(())
+    }
 }
 
 impl Default for GlobalConfig {
@@ -88,7 +114,13 @@ pub struct GlobalNucleus {
     pub k: u32,
     /// The nucleus as a materialized subgraph of the input graph.
     pub subgraph: EdgeSubgraph,
-    /// The triangles of the nucleus, in original vertex ids.
+    /// The triangles of the 4-cliques chosen for this nucleus, sorted, in
+    /// original vertex ids.  These are the triangles whose probabilities
+    /// were estimated and tested against θ.  They need not be every
+    /// triangle of [`subgraph`](Self::subgraph): edges of different
+    /// cliques can close a triangle that lies in no chosen clique.
+    /// Whether the test should range over all triangles of `H` is open
+    /// (ROADMAP item 2, step B).
     pub triangles: Vec<Triangle>,
     /// The smallest estimated `P̂r(X_{H,△,g} ≥ k)` over the triangles.
     pub min_probability: f64,
@@ -118,14 +150,18 @@ pub fn global_nuclei(
 }
 
 /// Same as [`global_nuclei`] but reuses a precomputed local decomposition
-/// (which must have been computed with the same θ).
+/// of `graph`.
+///
+/// `local` must have been computed at `config.theta`, or
+/// [`NucleusError::LocalThetaMismatch`] is returned; its score method
+/// may differ from `config.score_method`.
 pub fn global_nuclei_with_local(
     graph: &UncertainGraph,
     k: u32,
     config: &GlobalConfig,
     local: &LocalNucleusDecomposition,
 ) -> Result<Vec<GlobalNucleus>> {
-    config.sampling.validate()?;
+    config.validate_with_local(local)?;
     let support = local.support();
     let scores = local.scores();
 
@@ -221,35 +257,15 @@ pub fn global_nuclei_with_local(
         triangles.sort_unstable();
         triangles.dedup();
         let sub = EdgeSubgraph::induced_by_edges(graph, &edge_ids);
-        let h_graph = sub.graph();
-
-        // Triangles of H in local vertex ids.
-        let local_triangles: Vec<Triangle> = triangles
-            .iter()
-            .map(|t| {
-                let [a, b, c] = t.vertices();
-                Triangle::new(
-                    sub.local_vertex(a).expect("vertex in H"),
-                    sub.local_vertex(b).expect("vertex in H"),
-                    sub.local_vertex(c).expect("vertex in H"),
-                )
-            })
-            .collect();
 
         // Monte-Carlo estimation of Pr(X_{H,△,g} ≥ k) per triangle.
-        let sampler = WorldSampler::new(h_graph);
-        let mut hits = vec![0usize; local_triangles.len()];
+        let mut compiled = CompiledCandidate::compile(&sub, &triangles);
+        let mut hits = vec![0usize; triangles.len()];
+        let mut kept = Vec::new();
         for _ in 0..n_samples {
-            let world = sampler.sample(&mut rng);
-            let det = world.materialize(h_graph);
-            if !detdecomp::is_k_nucleus_lenient(&det, k) {
-                continue;
-            }
-            for (i, t) in local_triangles.iter().enumerate() {
-                let [a, b, c] = t.vertices();
-                if world.contains_triangle(h_graph, a, b, c) {
-                    hits[i] += 1;
-                }
+            compiled.draw(&mut rng, &mut kept);
+            if compiled.is_k_nucleus(&kept, k) {
+                compiled.count_present(&kept, &mut hits);
             }
         }
         let estimates: Vec<f64> = hits.iter().map(|&h| h as f64 / n_samples as f64).collect();
@@ -372,6 +388,24 @@ mod tests {
         let g = b.build();
         let nuclei = global_nuclei(&g, 1, &GlobalConfig::new(0.1)).unwrap();
         assert!(nuclei.is_empty());
+    }
+
+    #[test]
+    fn a_local_decomposition_at_another_theta_is_rejected() {
+        let g = figure3a_graph();
+        let config = GlobalConfig::new(0.42);
+        let other = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.2)).unwrap();
+        assert_eq!(
+            global_nuclei_with_local(&g, 1, &config, &other).unwrap_err(),
+            NucleusError::LocalThetaMismatch {
+                expected: 0.42,
+                got: 0.2
+            }
+        );
+        // The same θ under another score method is accepted.
+        let approx =
+            LocalNucleusDecomposition::compute(&g, &LocalConfig::approximate(0.42)).unwrap();
+        assert!(global_nuclei_with_local(&g, 1, &config, &approx).is_ok());
     }
 
     #[test]

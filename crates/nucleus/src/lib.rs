@@ -53,7 +53,7 @@
 //! | [`approx`] | 5.3 | Poisson / Translated-Poisson / Binomial / CLT approximations and the hybrid selector |
 //! | [`global`] | 6 | Algorithm 2 (Monte-Carlo g-(k,θ)-nuclei) |
 //! | [`weakly_global`] | 6 | Algorithm 3 (Monte-Carlo w-(k,θ)-nuclei) |
-//! | [`sampling`] | 6, Lemma 4 | Hoeffding sample sizes, world sampling |
+//! | [`sampling`] | 6, Lemma 4 | Hoeffding sample sizes, world sampling, compiled candidate world checks |
 //! | [`exact`] | 3–4 | exhaustive possible-world oracles (ground truth for tests) |
 //! | [`hardness`] | 4 | executable reduction gadgets (reliability → g, k-clique → w) |
 

@@ -194,8 +194,8 @@ pub(super) fn peel(
 /// the scratch-arena DP rescorer.  The generic loop owns the invariants
 /// (κ upper bounds, alive counters, `min(κ, alive)` skip bound, lazy
 /// deletion) and the `dp_calls`/`recompute_skips`/`buckets_touched`
-/// counters; this wrapper folds the scratch arena's high-water mark into
-/// the stats, exactly as the pre-generic engine did.
+/// counters; this wrapper folds the scratch arena's high-water mark and
+/// the process's peak RSS into the stats, as the eager engine does.
 fn peel_deferred(
     support: &SupportStructure,
     config: &LocalConfig,
@@ -207,6 +207,7 @@ fn peel_deferred(
         fresh
     });
     stats.peak_scratch_bytes = scratch.peak_bytes;
+    stats.peak_rss_bytes = ugraph::metrics::peak_rss_bytes();
     (scores, stats)
 }
 

@@ -5,18 +5,24 @@
 //! *contain* a deterministic k-nucleus that includes the triangle — a
 //! relaxation of the global semantics, but still NP-hard to decide
 //! (Theorem 4.2).  The algorithm prunes with the local decomposition
-//! (every w-(k,θ)-nucleus is an ℓ-(k,θ)-nucleus), samples `n` possible
-//! worlds of each ℓ-nucleus, runs a deterministic nucleus decomposition on
-//! every world, and keeps the triangles whose estimated probability of
-//! lying in a k-nucleus reaches θ.
+//! (every w-(k,θ)-nucleus is an ℓ-(k,θ)-nucleus) and samples `n` possible
+//! worlds of each ℓ-(k,θ)-nucleus.  Each candidate is compiled once into
+//! flat triangle and 4-clique arrays, and each world is a kept-edge mask
+//! on them (see [`crate::sampling`]).  A triangle lies in a k-nucleus of
+//! the world when it lies in a present 4-clique that survives the
+//! level-k filter: present triangles in fewer than `k` live 4-cliques are
+//! dropped, with their 4-cliques, until none is left.  The triangles
+//! whose estimated probability of lying in a k-nucleus reaches θ are
+//! kept and grouped into edge-connected w-(k,θ)-nuclei.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use ugraph::{EdgeId, EdgeSubgraph, Triangle, UncertainGraph, UnionFind, WorldSampler};
+use ugraph::{EdgeId, EdgeSubgraph, Triangle, UncertainGraph, UnionFind};
 
 use crate::error::Result;
 use crate::global::GlobalConfig;
 use crate::local::LocalNucleusDecomposition;
+use crate::sampling::CompiledCandidate;
 
 /// One w-(k,θ)-nucleus found by Algorithm 3.
 #[derive(Debug, Clone)]
@@ -55,53 +61,31 @@ pub fn weakly_global_nuclei(
 }
 
 /// Same as [`weakly_global_nuclei`] but reuses a precomputed local
-/// decomposition (computed with the same θ).
+/// decomposition of `graph`.
+///
+/// `local` must have been computed at `config.theta`, or
+/// [`NucleusError::LocalThetaMismatch`](crate::NucleusError::LocalThetaMismatch)
+/// is returned; its score method may differ from `config.score_method`.
 pub fn weakly_global_nuclei_with_local(
     graph: &UncertainGraph,
     k: u32,
     config: &GlobalConfig,
     local: &LocalNucleusDecomposition,
 ) -> Result<Vec<WeaklyGlobalNucleus>> {
-    config.sampling.validate()?;
+    config.validate_with_local(local)?;
     let n_samples = config.sampling.num_samples();
     let mut rng = ChaCha8Rng::seed_from_u64(config.sampling.seed);
     let mut solution = Vec::new();
 
     for candidate in local.k_nuclei(graph, k) {
-        let sub = &candidate.subgraph;
-        let h_graph = sub.graph();
-
-        // Triangles of the candidate, in local vertex ids.
-        let local_triangles: Vec<Triangle> = candidate
-            .triangles
-            .iter()
-            .map(|t| {
-                let [a, b, c] = t.vertices();
-                Triangle::new(
-                    sub.local_vertex(a).expect("vertex in candidate"),
-                    sub.local_vertex(b).expect("vertex in candidate"),
-                    sub.local_vertex(c).expect("vertex in candidate"),
-                )
-            })
-            .collect();
-
         // Monte-Carlo: count, per triangle, the worlds in which it belongs
         // to a deterministic k-nucleus of the world.
-        let sampler = WorldSampler::new(h_graph);
-        let mut global_score = vec![0usize; local_triangles.len()];
+        let mut compiled = CompiledCandidate::compile(&candidate.subgraph, &candidate.triangles);
+        let mut global_score = vec![0usize; candidate.triangles.len()];
+        let mut kept = Vec::new();
         for _ in 0..n_samples {
-            let world = sampler.sample(&mut rng);
-            let det = world.materialize(h_graph);
-            let decomp = detdecomp::NucleusDecomposition::compute(&det);
-            let nuclei = decomp.k_nuclei(&det, k);
-            if nuclei.is_empty() {
-                continue;
-            }
-            for (i, t) in local_triangles.iter().enumerate() {
-                if nuclei.iter().any(|n| n.contains_triangle(t)) {
-                    global_score[i] += 1;
-                }
-            }
+            compiled.draw(&mut rng, &mut kept);
+            compiled.count_in_k_nucleus(&kept, k, &mut global_score);
         }
         let estimates: Vec<f64> = global_score
             .iter()
@@ -242,6 +226,21 @@ mod tests {
                 assert!(exact >= 0.42 - 0.1, "triangle {tri}: exact {exact}");
             }
         }
+    }
+
+    #[test]
+    fn a_local_decomposition_at_another_theta_is_rejected() {
+        let g = figure2a_graph();
+        let config = GlobalConfig::new(0.42);
+        let other = LocalNucleusDecomposition::compute(&g, &crate::config::LocalConfig::exact(0.3))
+            .unwrap();
+        assert_eq!(
+            weakly_global_nuclei_with_local(&g, 1, &config, &other).unwrap_err(),
+            crate::NucleusError::LocalThetaMismatch {
+                expected: 0.42,
+                got: 0.3
+            }
+        );
     }
 
     #[test]

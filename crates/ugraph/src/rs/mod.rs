@@ -145,12 +145,15 @@ pub struct PeelStats {
     /// every thread count.
     pub peak_scratch_bytes: usize,
     /// Process-wide peak resident set size in bytes (`VmHWM` from
-    /// `/proc/self/status`) sampled when the engine finished; `0` on
-    /// platforms without that interface.  Unlike every other field this
-    /// one depends on the allocator and on what else the process already
-    /// did, so it is **excluded from equality** (determinism tests compare
-    /// the logical counters only) and benchmark gates treat it as a
-    /// bounded environment probe, not an exact number.
+    /// `/proc/self/status`, see [`crate::metrics::peak_rss_bytes`]), read
+    /// once per decomposition point by the layer that runs the peel;
+    /// [`peel_deferred`] itself does no I/O and leaves it 0, and so do
+    /// platforms without that interface.
+    /// Unlike every other field this one depends on the allocator and on
+    /// what else the process already did, so it is **excluded from
+    /// equality** (determinism tests compare the logical counters only)
+    /// and benchmark gates treat it as a bounded environment probe, not an
+    /// exact number.
     pub peak_rss_bytes: u64,
 }
 
@@ -247,8 +250,9 @@ impl BucketQueue {
 /// element, typically computed in parallel by the caller); the return
 /// value is the final decomposition number of every element (the drain
 /// level at which it was processed) plus the engine's perf counters
-/// (`peak_scratch_bytes` is left 0 — the caller owns the scratch and
-/// folds its high-water mark in).
+/// (`peak_scratch_bytes` and `peak_rss_bytes` are left 0 — the caller
+/// owns the scratch and folds its high-water mark in, and takes the
+/// process probe if it wants one; the engine does no I/O).
 ///
 /// `rescore(t, cell_dead)` must return the score of element `t` over the
 /// cells whose `cell_dead` entry is false, and must be **monotone**:
@@ -350,7 +354,6 @@ where
     }
 
     stats.buckets_touched = queue.buckets_touched();
-    stats.peak_rss_bytes = crate::metrics::peak_rss_bytes();
     (scores, stats)
 }
 

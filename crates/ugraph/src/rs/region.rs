@@ -354,5 +354,6 @@ mod tests {
         let (scores, stats) = peel_deferred(&region, Vec::new(), |_, _| 0);
         assert!(scores.is_empty());
         assert_eq!(stats.dp_calls, 0);
+        assert_eq!(stats.peak_rss_bytes, 0, "the engine reads no probe");
     }
 }
