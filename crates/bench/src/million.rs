@@ -104,6 +104,9 @@ pub struct MillionPerTheta {
     pub theta: f64,
     /// Deterministic peel counters at this threshold.
     pub stats: PeelStats,
+    /// The process's peak resident set size in bytes, read right after
+    /// the sweep (an environment probe; 0 where unsupported).
+    pub peak_rss_bytes: u64,
     /// Largest truss score at this threshold.
     pub max_score: u32,
 }
@@ -187,7 +190,7 @@ impl MillionBenchReport {
                     p.stats.recompute_skips,
                     p.stats.buckets_touched,
                     p.stats.peak_scratch_bytes,
-                    p.stats.peak_rss_bytes,
+                    p.peak_rss_bytes,
                     p.max_score,
                 )
             })
@@ -395,6 +398,7 @@ pub fn run(config: &MillionBenchConfig) -> MillionBenchReport {
         sweep_s = t.seconds();
         index = Some(built);
     });
+    let sweep_peak_rss = ugraph::metrics::peak_rss_bytes();
     let index = index.expect("the sweep ran");
     assert_eq!(index.support_builds(), 1, "sweep must build support once");
     let stats_grid = index.peel_stats();
@@ -405,6 +409,7 @@ pub fn run(config: &MillionBenchConfig) -> MillionBenchReport {
         .map(|(gi, &theta)| MillionPerTheta {
             theta,
             stats: stats_grid[gi],
+            peak_rss_bytes: sweep_peak_rss,
             max_score: index.scores_at_index(gi).iter().copied().max().unwrap_or(0),
         })
         .collect();
@@ -477,6 +482,7 @@ mod tests {
         if cfg!(target_os = "linux") {
             assert!(report.mmap_used, "mmap open fell back to the owned path");
             assert!(report.peak_rss_bytes > 0);
+            assert!(report.per_theta.iter().all(|p| p.peak_rss_bytes > 0));
         }
 
         let json = report.to_json();

@@ -106,6 +106,11 @@ pub struct PerThetaCounters {
     /// Peel counters of the sweep at this θ (asserted identical to the
     /// independent run's).
     pub stats: PeelStats,
+    /// The process's peak resident set size in bytes
+    /// ([`ugraph::metrics::peak_rss_bytes`]), read right after the sweep
+    /// that produced this point: an environment probe, not a counter
+    /// (0 where the platform has no `VmHWM`).
+    pub peak_rss_bytes: u64,
     /// Largest ℓ-nucleusness at this θ.
     pub max_score: u32,
     /// Peeling-time recomputations of the independent per-θ run
@@ -196,7 +201,7 @@ impl SweepBenchReport {
                     p.stats.recompute_skips,
                     p.stats.buckets_touched,
                     p.stats.peak_scratch_bytes,
-                    p.stats.peak_rss_bytes,
+                    p.peak_rss_bytes,
                     p.max_score,
                     p.independent_dp_calls
                 )
@@ -330,11 +335,13 @@ fn run_bench_nucleus(
 
     let mut sweep_s = f64::INFINITY;
     let mut index = None;
+    let mut peak_rss_bytes = 0;
     let (_, _, sweep_exceeded) = run_with_deadline(config.deadline, || {
         for _ in 0..repeats {
             let (built, t) = Timing::measure(|| {
                 ThetaSweep::compute(graph, &sweep_config).expect("valid sweep config")
             });
+            peak_rss_bytes = ugraph::metrics::peak_rss_bytes();
             sweep_s = sweep_s.min(t.seconds());
             index = Some(built);
         }
@@ -385,6 +392,7 @@ fn run_bench_nucleus(
             PerThetaCounters {
                 theta,
                 stats,
+                peak_rss_bytes,
                 max_score: index.max_score_at(theta).expect("grid point"),
                 independent_dp_calls: solo.peel_stats().dp_calls,
             }
@@ -421,11 +429,13 @@ fn run_bench_generic(
 
     let mut sweep_s = f64::INFINITY;
     let mut index = None;
+    let mut peak_rss_bytes = 0;
     let (_, _, sweep_exceeded) = run_with_deadline(config.deadline, || {
         for _ in 0..repeats {
             let (built, t) = Timing::measure(|| {
                 DecompSweep::compute(graph, &sweep_config).expect("valid sweep config")
             });
+            peak_rss_bytes = ugraph::metrics::peak_rss_bytes();
             sweep_s = sweep_s.min(t.seconds());
             index = Some(built);
         }
@@ -479,6 +489,7 @@ fn run_bench_generic(
             PerThetaCounters {
                 theta,
                 stats,
+                peak_rss_bytes,
                 max_score: index.scores_at_index(gi).iter().copied().max().unwrap_or(0),
                 independent_dp_calls: solo.peel_stats().dp_calls,
             }
@@ -683,8 +694,11 @@ mod tests {
             Some(report.num_triangles.unwrap() as f64)
         );
         // Every per-theta row carries the RSS probe next to the
-        // deterministic scratch peak.
+        // deterministic scratch peak, read by the bench itself.
         assert!(json.contains("\"peak_rss_bytes\""));
+        if cfg!(target_os = "linux") {
+            assert!(report.per_theta.iter().all(|p| p.peak_rss_bytes > 0));
+        }
     }
 
     #[test]

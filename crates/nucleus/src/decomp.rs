@@ -16,24 +16,27 @@
 //!   threshold grid, for any rank,
 //! * [`RankSupport`] / [`DecompHandle`] keep a built support resident in
 //!   memory and shareable across threads (`Arc`-based), so a serving
-//!   process can answer many queries off one build.
+//!   process can answer many queries off one build; the handle also
+//!   caches the support's threshold-independent [`TailTable`], so each
+//!   element's DP runs once however many thresholds are asked.
 //!
 //! Outputs are **bit-identical** to the historical per-rank entry points
 //! (`probdecomp::EtaCoreDecomposition`, `probdecomp::GammaTrussDecomposition`,
 //! [`LocalNucleusDecomposition`](crate::local::LocalNucleusDecomposition)):
-//! the supports gather the same floats in
-//! the same order, the DP is the same arithmetic, and the deferred peel
-//! reaches the same fixpoint as the frozen eager references (the DP
-//! scorer is monotone under cell removal, which makes the peeling
-//! fixpoint schedule-independent).  Differential proptests in
+//! the supports gather the same floats in the same order, the DP is the
+//! same arithmetic (an initial score read off the tail table is the DP's
+//! own cut of the same tail), and the deferred peel reaches the same
+//! fixpoint as the frozen eager references (the DP scorer is monotone
+//! under cell removal, which makes the peeling fixpoint
+//! schedule-independent).  Differential proptests in
 //! `tests/rs_engine_equivalence.rs` enforce this per rank.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use ugraph::rs::{self, CoreSupport, PeelStats, RsSupport, TailScratch, TrussSupport};
+use ugraph::rs::{self, CoreSupport, PeelStats, RsSupport, TailScratch, TailTable, TrussSupport};
 use ugraph::update::GraphDelta;
 use ugraph::{apply_edge_updates, par, EdgeUpdate, Parallelism, UncertainGraph};
 
@@ -301,6 +304,16 @@ impl RankSupport {
         }
     }
 
+    /// Runs every element's DP once into the threshold-independent table
+    /// the exact-DP points read their initial scores from.
+    fn tail_table(&self, parallelism: Parallelism) -> TailTable {
+        match self {
+            RankSupport::Core(s) => TailTable::build(s, parallelism),
+            RankSupport::Truss(s) => TailTable::build(s, parallelism),
+            RankSupport::Nucleus(s) => TailTable::build(s, parallelism),
+        }
+    }
+
     /// Repairs the support after an edge-update batch instead of
     /// rebuilding it, and computes the damage region of the bounded
     /// re-peel.
@@ -458,67 +471,50 @@ pub struct HandleUpdate {
 }
 
 /// Everything one threshold produces: the per-point payload shared by
-/// [`Decomposition`] and [`DecompSweep`].
+/// [`Decomposition`], [`DecompSweep`] and
+/// [`LocalNucleusDecomposition`](crate::local::LocalNucleusDecomposition).
 #[derive(Debug, Clone)]
-struct Point {
-    scores: Vec<u32>,
-    initial_scores: Vec<u32>,
-    method_counts: HashMap<ApproxMethod, usize>,
-    stats: PeelStats,
+pub(crate) struct Point {
+    pub(crate) scores: Vec<u32>,
+    pub(crate) initial_scores: Vec<u32>,
+    pub(crate) method_counts: HashMap<ApproxMethod, usize>,
+    pub(crate) stats: PeelStats,
 }
 
-/// Runs one threshold over a borrowed support.  The nucleus rank runs
-/// the canonical initial-κ + peel sequence of [`crate::local`]; the
-/// other ranks run the generic engine of [`ugraph::rs`].  Either way the
-/// result is bit-identical to the historical per-rank entry points.
+/// Runs one threshold over a borrowed support.  Exact-DP points, at every
+/// rank, read their initial scores from the support's [`TailTable`] —
+/// built into `tails` on first use, so every point computed over one
+/// support shares it — and peel on the generic engine of
+/// [`ugraph::rs`].  Hybrid points (nucleus rank only) run the eager
+/// engine of [`crate::local::peel`] and never build a table.  Either way
+/// the result is bit-identical to the historical per-rank entry points.
 fn compute_point(
     support: &RankSupport,
+    tails: &OnceLock<TailTable>,
     threshold: f64,
     method: ScoreMethod,
     parallelism: Parallelism,
 ) -> Point {
+    if let (RankSupport::Nucleus(s), ScoreMethod::Hybrid(_)) = (support, method) {
+        let config = LocalConfig {
+            theta: threshold,
+            method,
+            parallelism,
+        };
+        return local::peel::hybrid_point(s, &config);
+    }
+    let tails = tails.get_or_init(|| support.tail_table(parallelism));
     match support {
-        RankSupport::Nucleus(s) => {
-            let local = LocalConfig {
-                theta: threshold,
-                method,
-                parallelism,
-            };
-            let point = local::decompose_point(s, &local);
-            Point {
-                scores: point.scores,
-                initial_scores: point.initial_scores,
-                method_counts: point.method_counts,
-                stats: point.stats,
-            }
-        }
-        RankSupport::Core(s) => generic_point(s, threshold, parallelism),
-        RankSupport::Truss(s) => generic_point(s, threshold, parallelism),
+        RankSupport::Core(s) => generic_point(s, tails, threshold),
+        RankSupport::Truss(s) => generic_point(s, tails, threshold),
+        RankSupport::Nucleus(s) => generic_point(s, tails, threshold),
     }
 }
 
-/// The generic-engine threshold run: parallel initial DP pass (ordered
-/// merge, so bit-identical for every thread count), then the deferred
-/// bucket-queue peel.
-fn generic_point<S: RsSupport + Sync>(
-    support: &S,
-    threshold: f64,
-    parallelism: Parallelism,
-) -> Point {
-    let n = support.num_elements();
-    let scored: Vec<(u32, usize)> =
-        par::par_map_init(parallelism, n, TailScratch::new, |scratch, t| {
-            let k = scratch.score(support, t as u32, threshold, |_| true);
-            (k, scratch.peak_bytes())
-        });
-    let mut kappa = Vec::with_capacity(n);
-    let mut init_peak = 0usize;
-    for (k, peak) in scored {
-        kappa.push(k);
-        // Per-item values are running per-chunk maxima; the overall
-        // maximum is independent of the chunk partition.
-        init_peak = init_peak.max(peak);
-    }
+/// The exact-DP threshold run: initial scores read off `tails` (the
+/// table of `support`), then the deferred bucket-queue peel.
+pub(crate) fn generic_point<S: RsSupport>(support: &S, tails: &TailTable, threshold: f64) -> Point {
+    let (kappa, init_peak) = tails.initial_scores(support, threshold);
     let initial_scores = kappa.clone();
 
     let mut scratch = TailScratch::new();
@@ -526,10 +522,10 @@ fn generic_point<S: RsSupport + Sync>(
         scratch.score(support, t, threshold, |c| !cell_dead[c as usize])
     });
     stats.peak_scratch_bytes = scratch.peak_bytes().max(init_peak);
-    stats.peak_rss_bytes = ugraph::metrics::peak_rss_bytes();
 
     // Counts of elements scored by each method: empty when there is
-    // nothing to score, matching the nucleus rank's per-element tally.
+    // nothing to score, matching the Hybrid scorer's per-element tally.
+    let n = support.num_elements();
     let mut method_counts = HashMap::new();
     if n > 0 {
         method_counts.insert(ApproxMethod::DynamicProgramming, n);
@@ -617,7 +613,6 @@ fn repair_points_generic<S: RsSupport + Sync>(
             scratch.score(&region_view, t, threshold, |c| !cell_dead[c as usize])
         });
         stats.peak_scratch_bytes = scratch.peak_bytes().max(init_peak);
-        stats.peak_rss_bytes = ugraph::metrics::peak_rss_bytes();
 
         // Scatter the re-peeled scores; everything outside the region
         // carries its old final score bitwise.
@@ -659,22 +654,38 @@ fn repair_points_generic<S: RsSupport + Sync>(
 /// memory.  Every computation borrows the shared support — no rebuilds,
 /// no copies — and is bit-identical to a from-scratch run at the same
 /// configuration.
+///
+/// The handle also caches the support's [`TailTable`]: the first
+/// exact-DP [`compute_at`](Self::compute_at) or [`sweep`](Self::sweep)
+/// runs every element's Poisson-binomial DP once, and every later
+/// exact-DP point — through this handle or any clone of it — reads its
+/// initial scores from that table instead of re-running the DP.  The
+/// table lives as long as the last clone of the handle and holds one
+/// `f64` per element–cell incidence plus `n + 1` `u32` offsets: about
+/// 0.7 MB for a 44k-edge graph at the nucleus rank (41k triangles, 17k
+/// 4-cliques), and about 2.4 MB for the nucleus and truss ranks of a
+/// 74k-edge graph together.  Hybrid points never build it.  A handle
+/// returned by [`apply_updates`](Self::apply_updates) starts with an
+/// empty cache and rebuilds the table on its first exact-DP point.
 #[derive(Debug, Clone)]
 pub struct DecompHandle {
     support: Arc<RankSupport>,
+    tails: Arc<OnceLock<TailTable>>,
 }
 
 impl DecompHandle {
     /// Builds the support for `rank` and wraps it in a handle.
     pub fn build(graph: &UncertainGraph, rank: Rank, parallelism: Parallelism) -> Self {
-        DecompHandle {
-            support: Arc::new(RankSupport::build(graph, rank, parallelism)),
-        }
+        Self::from_support(Arc::new(RankSupport::build(graph, rank, parallelism)))
     }
 
-    /// Wraps an already-built (and possibly already-shared) support.
+    /// Wraps an already-built (and possibly already-shared) support.  The
+    /// new handle's table cache starts empty.
     pub fn from_support(support: Arc<RankSupport>) -> Self {
-        DecompHandle { support }
+        DecompHandle {
+            support,
+            tails: Arc::new(OnceLock::new()),
+        }
     }
 
     /// The rank the handle's support was built for.
@@ -710,6 +721,7 @@ impl DecompHandle {
         self.check_rank(config.rank)?;
         let point = compute_point(
             &self.support,
+            &self.tails,
             config.threshold,
             config.method,
             config.parallelism,
@@ -724,12 +736,14 @@ impl DecompHandle {
     }
 
     /// Sweeps a whole grid over the shared support (no new build:
-    /// [`DecompSweep::support_builds`] reports 0).
+    /// [`DecompSweep::support_builds`] reports 0), reading exact-DP
+    /// initial scores from the handle's cached table.
     pub fn sweep(&self, config: &SweepConfig) -> Result<DecompSweep> {
         config.validate()?;
         self.check_rank(config.rank)?;
         Ok(DecompSweep::over_support(
             Arc::clone(&self.support),
+            &self.tails,
             config,
             0,
         ))
@@ -760,9 +774,7 @@ impl DecompHandle {
             recomputed_points: 0,
         };
         Ok(HandleUpdate {
-            handle: DecompHandle {
-                support: Arc::new(repair.support),
-            },
+            handle: DecompHandle::from_support(Arc::new(repair.support)),
             graph: delta.graph,
             report,
         })
@@ -864,12 +876,15 @@ impl DecompSweep {
     pub fn compute(graph: &UncertainGraph, config: &SweepConfig) -> Result<Self> {
         config.validate()?;
         let support = Arc::new(RankSupport::build(graph, config.rank, config.parallelism));
-        Ok(Self::over_support(support, config, 1))
+        Ok(Self::over_support(support, &OnceLock::new(), config, 1))
     }
 
-    /// Runs the (already validated) sweep over a shared support.
+    /// Runs the (already validated) sweep over a shared support.  An
+    /// exact-DP grid reads every point's initial scores from one
+    /// [`TailTable`], taken from `tails` or built into it up front.
     pub(crate) fn over_support(
         support: Arc<RankSupport>,
+        tails: &OnceLock<TailTable>,
         config: &SweepConfig,
         support_builds: usize,
     ) -> Self {
@@ -882,8 +897,13 @@ impl DecompSweep {
         } else {
             config.parallelism
         };
+        if config.method == ScoreMethod::DynamicProgramming {
+            // Build the table with the sweep's own parallelism before the
+            // grid workers share it.
+            tails.get_or_init(|| support.tail_table(config.parallelism));
+        }
         let points: Vec<Point> = par::par_map(config.parallelism, grid_len, |gi| {
-            compute_point(&support, config.thetas[gi], config.method, inner)
+            compute_point(&support, tails, config.thetas[gi], config.method, inner)
         });
         let sweep = DecompSweep {
             support,
@@ -1075,7 +1095,13 @@ impl DecompSweep {
                 parallelism
             };
             let points: Vec<Point> = par::par_map(parallelism, grid_len, |gi| {
-                compute_point(support, self.config.thetas[gi], self.config.method, inner)
+                compute_point(
+                    support,
+                    &OnceLock::new(),
+                    self.config.thetas[gi],
+                    self.config.method,
+                    inner,
+                )
             });
             let n = support.num_elements();
             let calls = points.iter().map(|p| n + p.stats.dp_calls).sum();
@@ -1301,31 +1327,42 @@ mod tests {
     }
 
     #[test]
-    fn every_point_reads_the_peak_rss_probe() {
-        // The generic peel does no I/O; each decomposition point reads
-        // the process probe itself, fresh or repaired, at every rank.
-        if ugraph::metrics::peak_rss_bytes() == 0 {
-            return; // no VmHWM interface on this platform
-        }
-        let g = complete(6, 0.7);
-        let hybrid = ScoreMethod::Hybrid(crate::config::ApproxThresholds::default());
-        for config in [
-            DecompConfig::core(0.3),
-            DecompConfig::truss(0.3),
-            DecompConfig::nucleus(0.3),
-            DecompConfig::nucleus(0.3).with_method(hybrid),
-        ] {
-            let d = Decomposition::compute(&g, &config).unwrap();
-            assert!(d.peel_stats().peak_rss_bytes > 0, "{config:?}");
-        }
+    fn one_handle_and_its_clone_share_one_tail_table_at_every_rank() {
+        let g = complete(7, 0.65);
+        // Shuffled, with repeats and the grid's upper end.
+        let thetas = [0.4, 0.05, 0.9, 0.4, 0.2, 0.05, 1.0, 0.65];
         for rank in [Rank::Core, Rank::Truss, Rank::Nucleus] {
-            let config = SweepConfig::exact(vec![0.3]).with_rank(rank);
-            let mut sweep = DecompSweep::compute(&g, &config).unwrap();
-            let batch = [EdgeUpdate::Delete { u: 0, v: 1 }];
-            let outcome = sweep.apply_updates(&g, &batch).unwrap();
-            assert_eq!(outcome.report.repaired_points, 1, "{rank}");
-            assert!(sweep.peel_stats()[0].peak_rss_bytes > 0, "{rank}");
+            let handle = DecompHandle::build(&g, rank, Parallelism::Sequential);
+            let clone = handle.clone();
+            assert!(handle.tails.get().is_none(), "{rank}: the table is lazy");
+            let mut first: Option<*const TailTable> = None;
+            for (i, &threshold) in thetas.iter().enumerate() {
+                let via = if i % 2 == 0 { &handle } else { &clone };
+                let config = DecompConfig::new(rank, threshold);
+                let shared = via.compute_at(&config).unwrap();
+                first.get_or_insert_with(|| handle.tails.get().expect("built by the first call"));
+                let fresh = Decomposition::compute(&g, &config).unwrap();
+                assert_eq!(shared.scores(), fresh.scores(), "{rank} @ {threshold}");
+                assert_eq!(shared.initial_scores(), fresh.initial_scores());
+                assert_eq!(shared.method_counts(), fresh.method_counts());
+                assert_eq!(shared.peel_stats(), fresh.peel_stats());
+            }
+            assert!(Arc::ptr_eq(&handle.tails, &clone.tails), "{rank}");
+            let table = clone.tails.get().expect("filled");
+            assert!(std::ptr::eq(first.unwrap(), table), "{rank}: one build");
+            assert_eq!(table.len(), handle.num_elements());
         }
+
+        // Hybrid points never build a table.
+        let handle = DecompHandle::build(&g, Rank::Nucleus, Parallelism::Sequential);
+        let hybrid = ScoreMethod::Hybrid(crate::config::ApproxThresholds::default());
+        let config = DecompConfig::nucleus(0.3).with_method(hybrid);
+        let approx = handle.compute_at(&config).unwrap();
+        assert_eq!(
+            approx.scores(),
+            Decomposition::compute(&g, &config).unwrap().scores()
+        );
+        assert!(handle.tails.get().is_none());
     }
 
     #[test]

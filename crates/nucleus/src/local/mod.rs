@@ -8,16 +8,17 @@
 //! The score at removal time is the triangle's ℓ-nucleusness ν(△).
 //!
 //! Scores are computed either exactly (dynamic programming, [`dp`]) or by
-//! the hybrid statistical approximation framework
-//! ([`crate::approx`]), selected through
-//! [`ScoreMethod`](crate::config::ScoreMethod).
+//! the hybrid statistical approximation framework ([`crate::approx`]),
+//! selected through [`ScoreMethod`].
 //!
-//! The peeling itself runs on the engine of [`peel`]: a monotone bucket
-//! queue with deferred, batched DP recomputation and reusable scratch
-//! buffers, emitting deterministic [`PeelStats`] perf counters.  The
-//! original eager heap engine survives as [`mod@reference`] (tests and the
-//! `reference-peel` feature) and the two are property-tested to produce
-//! bit-identical results.
+//! The exact DP runs the same path as every other rank of
+//! [`crate::decomp`]: initial κ read off the support's [`TailTable`],
+//! then the generic deferred bucket-queue peel of [`ugraph::rs`] with
+//! batched DP recomputation and reusable scratch buffers.  The Hybrid
+//! scorer runs the eager engine of [`peel`].  Both emit deterministic
+//! [`PeelStats`] perf counters.  The original eager heap engine survives
+//! as [`mod@reference`] (tests and the `reference-peel` feature) and both
+//! scorers are property-tested to produce bit-identical results to it.
 //!
 //! To decompose at many thresholds, [`sweep`] amortizes the support
 //! structure across a whole θ grid: one build, one [`NucleusIndex`]
@@ -32,40 +33,17 @@ pub mod sweep;
 
 use std::collections::HashMap;
 
+use ugraph::rs::TailTable;
 use ugraph::{Triangle, TriangleId, TriangleIndex, UncertainGraph};
 
 use crate::approx::ApproxMethod;
-use crate::config::LocalConfig;
+use crate::config::{LocalConfig, ScoreMethod};
+use crate::decomp;
 use crate::error::Result;
 use crate::support::SupportStructure;
 
 pub use peel::PeelStats;
 pub use sweep::{NucleusIndex, ThetaSweep};
-
-/// One full single-θ decomposition over a borrowed support: the
-/// canonical initial-κ + peel sequence shared by
-/// [`LocalNucleusDecomposition::with_support`] and the sweep engine of
-/// [`crate::decomp::DecompSweep`].  Keeping the sequence in one place is
-/// what makes every surface bit-identical by construction.
-pub(crate) struct PointResult {
-    pub scores: Vec<u32>,
-    pub initial_scores: Vec<u32>,
-    pub method_counts: HashMap<ApproxMethod, usize>,
-    pub stats: PeelStats,
-}
-
-pub(crate) fn decompose_point(support: &SupportStructure, config: &LocalConfig) -> PointResult {
-    let init = peel::initial_scores(support, config);
-    let initial_scores = init.kappa.clone();
-    let (scores, mut stats) = peel::peel(support, config, init.kappa);
-    stats.peak_scratch_bytes = stats.peak_scratch_bytes.max(init.peak_scratch_bytes);
-    PointResult {
-        scores,
-        initial_scores,
-        method_counts: init.method_counts,
-        stats,
-    }
-}
 
 /// Result of the local nucleus decomposition: the ℓ-nucleusness of every
 /// triangle, plus the support structure it was computed over.
@@ -94,13 +72,22 @@ impl LocalNucleusDecomposition {
     /// Runs ℓ-NuDecomp over a prebuilt [`SupportStructure`] (lets callers
     /// amortize clique enumeration across several θ values).
     ///
-    /// The initial κ pass runs in parallel chunks under
-    /// `config.parallelism` with an ordered merge, the peeling runs on
-    /// the engine of [`peel`]; results are bit-identical for every
-    /// parallelism setting and to the [`mod@reference`] engine.
+    /// The exact DP builds the support's tail table under
+    /// `config.parallelism` (ordered parallel chunks) and peels on the
+    /// generic engine of [`ugraph::rs`], exactly as
+    /// [`Decomposition::compute`](crate::Decomposition::compute) does;
+    /// the Hybrid scorer runs the engine of [`peel`].  Results are
+    /// bit-identical for every parallelism setting and to the
+    /// [`mod@reference`] engine.
     pub fn with_support(support: SupportStructure, config: &LocalConfig) -> Result<Self> {
         config.validate()?;
-        let point = decompose_point(&support, config);
+        let point = match config.method {
+            ScoreMethod::DynamicProgramming => {
+                let tails = TailTable::build(&support, config.parallelism);
+                decomp::generic_point(&support, &tails, config.theta)
+            }
+            ScoreMethod::Hybrid(_) => peel::hybrid_point(&support, config),
+        };
 
         Ok(LocalNucleusDecomposition {
             support,

@@ -1,48 +1,31 @@
-//! The ℓ-NuDecomp peeling engine.
+//! The Hybrid scorer's ℓ-NuDecomp engine.
 //!
 //! Algorithm 1 peels triangles in non-decreasing order of their current
-//! nucleus score κ.  The first implementation (kept verbatim as
-//! [`super::reference`]) paid three avoidable costs on the hot path:
+//! nucleus score κ.  Exact-DP points do not run here: at every rank,
+//! this one included, they read their initial κ from the support's
+//! [`TailTable`](ugraph::rs::TailTable) and peel on the generic deferred
+//! bucket-queue engine of [`ugraph::rs`]
+//! ([`crate::decomp`]'s `generic_point`) — [`SupportStructure`]
+//! implements [`RsSupport`](ugraph::rs::RsSupport), so the probabilistic
+//! core and truss decompositions drive the very same loop at ranks (1,2)
+//! and (2,3).  The frozen heap-based original survives as
+//! [`super::reference`].
 //!
-//! 1. a `BinaryHeap` with lazy deletion, `O(log n)` per operation and full
-//!    of stale entries,
-//! 2. an **eager** full score recomputation (the `O(c²)` Poisson-binomial
-//!    DP) for every affected triangle of every dead clique, and
-//! 3. a fresh `Vec` allocation per completion-probability gather and per
-//!    DP table.
+//! What stays here is the engine of [`ScoreMethod::Hybrid`].  Deferral
+//! needs a *monotone* scorer (removing a clique never raises κ); the
+//! statistical approximations of the hybrid scorer do not share that
+//! guarantee (e.g. dropping a low-probability event can *raise* a
+//! Binomial tail estimate), and each triangle's method depends on its
+//! completion probabilities, so neither the deferred schedule nor a
+//! threshold-independent table applies.  The Hybrid scorer therefore
+//! runs:
 //!
-//! This module replaces all three for the exact-DP scorer by
-//! instantiating the **generic (r,s) engine** of [`ugraph::rs`] at rank
-//! (3,4) — [`SupportStructure`] implements
-//! [`RsSupport`](ugraph::rs::RsSupport), and the probabilistic core and
-//! truss decompositions drive the very same loop at ranks (1,2) and
-//! (2,3):
-//!
-//! * **Monotone bucket queue** ([`ugraph::rs::BucketQueue`]): priorities
-//!   are bounded by the largest initial κ and the drain level never
-//!   decreases, so a `Vec<Vec<TriangleId>>` indexed by κ gives `O(1)`
-//!   push/pop.
-//! * **Deferred recompute** ([`ugraph::rs::peel_deferred`]): a clique
-//!   death only decrements an alive-clique counter, marks the triangle
-//!   dirty and (when needed) requeues it at the current level.  The DP
-//!   runs at most once per pop, over the *batched* set of deaths since
-//!   the last evaluation — and is skipped entirely when the cheap upper
-//!   bound `min(κ, alive)` cannot exceed the current level, because the
-//!   clamped score is then pinned to the level no matter what the DP
-//!   would say.
-//! * **Scratch arena** (`ScoreScratch`): the probability gather buffer
-//!   and the DP pmf/tail tables are reused across evaluations, so the
-//!   steady state allocates nothing.
-//!
-//! Deferral is only applied to the exact DP scorer because its score
-//! function is *monotone* (removing a clique never raises κ — the tail of
-//! the Poisson-binomial distribution is pointwise dominated), which makes
-//! the peeling fixpoint independent of evaluation order.  The statistical
-//! approximations of the hybrid scorer do not share that guarantee (e.g.
-//! dropping a low-probability event can *raise* a Binomial tail
-//! estimate), so [`ScoreMethod::Hybrid`] runs the eager heap loop —
-//! still through the scratch arena — and stays bit-identical to the
-//! reference by construction.
+//! * an initial κ pass that scores every triangle at the point's θ, in
+//!   parallel chunks with one scratch arena (`ScoreScratch`) per chunk,
+//!   tallying the method each triangle was scored by;
+//! * the eager heap loop of the reference — recompute on every clique
+//!   death, `BinaryHeap` with lazy deletion — still through the scratch
+//!   arena, so it stays bit-identical to the reference by construction.
 //!
 //! The engine reports its work through [`PeelStats`]: deterministic
 //! counters (never wall-clock) that CI diffs against a committed baseline
@@ -57,6 +40,7 @@ use ugraph::TriangleId;
 
 use crate::approx::{self, ApproxMethod};
 use crate::config::{LocalConfig, ScoreMethod};
+use crate::decomp::Point;
 use crate::local::dp::{self, DpScratch};
 use crate::support::SupportStructure;
 
@@ -67,9 +51,21 @@ use crate::support::SupportStructure;
 /// instead.
 pub use ugraph::rs::PeelStats;
 
+/// Every scoring method, in declaration (discriminant) order: slot `i`
+/// of the initial pass's tally counts `METHODS[i]`.
+const METHODS: [ApproxMethod; 5] = [
+    ApproxMethod::Poisson,
+    ApproxMethod::TranslatedPoisson,
+    ApproxMethod::Binomial,
+    ApproxMethod::Clt,
+    ApproxMethod::DynamicProgramming,
+];
+
 /// Reusable scoring arena: one per worker thread (initial pass) or per
-/// engine (peeling), so the steady state allocates nothing.
-pub(crate) struct ScoreScratch {
+/// engine (peeling), so the steady state allocates nothing.  Scores with
+/// either scorer, so the eager engine can also be checked against the
+/// deferred one on the exact DP.
+struct ScoreScratch {
     config: LocalConfig,
     probs: Vec<f64>,
     dp: DpScratch,
@@ -78,7 +74,7 @@ pub(crate) struct ScoreScratch {
 }
 
 impl ScoreScratch {
-    pub(crate) fn new(config: &LocalConfig) -> Self {
+    fn new(config: &LocalConfig) -> Self {
         ScoreScratch {
             config: *config,
             probs: Vec::new(),
@@ -91,7 +87,7 @@ impl ScoreScratch {
     /// returning the score and the evaluation method.  Bit-identical to
     /// scoring `support.completion_probs_filtered(t, filter)` through the
     /// allocating entry points.
-    pub(crate) fn score<F>(
+    fn score<F>(
         &mut self,
         support: &SupportStructure,
         t: TriangleId,
@@ -129,7 +125,7 @@ impl ScoreScratch {
 }
 
 /// Result of the initial κ pass.
-pub(super) struct InitialScores {
+struct InitialScores {
     /// κ(△) over all cliques, indexed by triangle id.
     pub kappa: Vec<u32>,
     /// Evaluation method per triangle, accumulated in triangle-id order.
@@ -143,7 +139,7 @@ pub(super) struct InitialScores {
 /// in triangle-id order ([`par::par_map_init`]'s ordered-merge contract),
 /// so scores, method counts and the scratch peak are identical for every
 /// [`Parallelism`](ugraph::Parallelism) setting.
-pub(super) fn initial_scores(support: &SupportStructure, config: &LocalConfig) -> InitialScores {
+fn initial_scores(support: &SupportStructure, config: &LocalConfig) -> InitialScores {
     let nt = support.num_triangles();
     let scored: Vec<(u32, ApproxMethod, usize)> = par::par_map_init(
         config.parallelism,
@@ -155,16 +151,22 @@ pub(super) fn initial_scores(support: &SupportStructure, config: &LocalConfig) -
         },
     );
     let mut kappa = Vec::with_capacity(nt);
-    let mut method_counts: HashMap<ApproxMethod, usize> = HashMap::new();
+    let mut tally = [0usize; METHODS.len()];
     let mut peak_scratch_bytes = 0usize;
     for (k, method, peak) in scored {
         kappa.push(k);
-        *method_counts.entry(method).or_insert(0) += 1;
+        tally[method as usize] += 1;
         // Per-item values are running per-chunk maxima; the overall
         // maximum equals the maximum over individual evaluations, which
         // is independent of the chunk partition.
         peak_scratch_bytes = peak_scratch_bytes.max(peak);
     }
+    // One entry per method that scored at least one triangle.
+    let method_counts = METHODS
+        .into_iter()
+        .zip(tally)
+        .filter(|&(_, n)| n > 0)
+        .collect();
     InitialScores {
         kappa,
         method_counts,
@@ -172,43 +174,20 @@ pub(super) fn initial_scores(support: &SupportStructure, config: &LocalConfig) -
     }
 }
 
-/// Peels the triangles given their initial κ scores, returning the final
-/// ℓ-nucleusness of every triangle plus the engine's perf counters.
-///
-/// Dispatches on the scorer: the exact DP runs the deferred bucket-queue
-/// engine, the hybrid approximations run the eager heap engine (see the
-/// module docs for why).
-pub(super) fn peel(
-    support: &SupportStructure,
-    config: &LocalConfig,
-    kappa: Vec<u32>,
-) -> (Vec<u32>, PeelStats) {
-    match config.method {
-        ScoreMethod::DynamicProgramming => peel_deferred(support, config, kappa),
-        ScoreMethod::Hybrid(_) => peel_eager(support, config, kappa),
+/// One Hybrid-scorer threshold: the initial κ pass, then the eager
+/// engine, with the pass's scratch peak folded into the stats.
+pub(crate) fn hybrid_point(support: &SupportStructure, config: &LocalConfig) -> Point {
+    debug_assert!(matches!(config.method, ScoreMethod::Hybrid(_)));
+    let init = initial_scores(support, config);
+    let initial_scores = init.kappa.clone();
+    let (scores, mut stats) = peel_eager(support, config, init.kappa);
+    stats.peak_scratch_bytes = stats.peak_scratch_bytes.max(init.peak_scratch_bytes);
+    Point {
+        scores,
+        initial_scores,
+        method_counts: init.method_counts,
+        stats,
     }
-}
-
-/// The deferred bucket-queue engine (exact DP scorer only): the generic
-/// [`ugraph::rs::peel_deferred`] instantiated with the (3,4) support and
-/// the scratch-arena DP rescorer.  The generic loop owns the invariants
-/// (κ upper bounds, alive counters, `min(κ, alive)` skip bound, lazy
-/// deletion) and the `dp_calls`/`recompute_skips`/`buckets_touched`
-/// counters; this wrapper folds the scratch arena's high-water mark and
-/// the process's peak RSS into the stats, as the eager engine does.
-fn peel_deferred(
-    support: &SupportStructure,
-    config: &LocalConfig,
-    kappa: Vec<u32>,
-) -> (Vec<u32>, PeelStats) {
-    let mut scratch = ScoreScratch::new(config);
-    let (scores, mut stats) = ugraph::rs::peel_deferred(support, kappa, |t, clique_dead| {
-        let (fresh, _) = scratch.score(support, t, |c| !clique_dead[c as usize]);
-        fresh
-    });
-    stats.peak_scratch_bytes = scratch.peak_bytes;
-    stats.peak_rss_bytes = ugraph::metrics::peak_rss_bytes();
-    (scores, stats)
 }
 
 /// The eager heap engine: the reference algorithm (recompute on every
@@ -270,14 +249,16 @@ fn peel_eager(
     }
 
     stats.peak_scratch_bytes = scratch.peak_bytes;
-    stats.peak_rss_bytes = ugraph::metrics::peak_rss_bytes();
     (scores, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugraph::{GraphBuilder, UncertainGraph};
+    use crate::config::ApproxThresholds;
+    use crate::decomp::generic_point;
+    use ugraph::rs::TailTable;
+    use ugraph::{GraphBuilder, Parallelism, UncertainGraph};
 
     fn complete(n: u32, p: f64) -> UncertainGraph {
         let mut b = GraphBuilder::new();
@@ -289,8 +270,23 @@ mod tests {
         b.build()
     }
 
+    /// The exact-DP point every rank runs: initial κ off the support's
+    /// tail table, then the generic deferred peel.
+    fn exact_point(support: &SupportStructure, theta: f64) -> Point {
+        let tails = TailTable::build(support, Parallelism::Sequential);
+        generic_point(support, &tails, theta)
+    }
+
     // The bucket-queue unit tests moved to `ugraph::rs` together with the
-    // queue itself; what stays here exercises the (3,4) instantiation.
+    // queue itself; what stays here exercises the (3,4) instantiation of
+    // the exact-DP path, and the eager engine against it.
+
+    #[test]
+    fn methods_are_listed_in_discriminant_order() {
+        for (i, &method) in METHODS.iter().enumerate() {
+            assert_eq!(method as usize, i, "{method}");
+        }
+    }
 
     #[test]
     fn deferred_engine_skips_recomputes_via_the_cheap_bound() {
@@ -303,21 +299,21 @@ mod tests {
         let g = complete(5, 1.0);
         let config = LocalConfig::exact(0.5);
         let support = SupportStructure::build(&g);
-        let init = initial_scores(&support, &config);
-        assert!(init.kappa.iter().all(|&k| k == 2));
-        let (scores, stats) = peel_deferred(&support, &config, init.kappa.clone());
-        assert!(scores.iter().all(|&s| s == 2));
-        assert_eq!(stats.dp_calls, 0, "cheap bound must defeat every pop");
-        assert!(stats.recompute_skips > 0);
-        assert!(stats.buckets_touched >= 1);
-        // No recompute ran, so the *peel-phase* scratch was never used;
-        // the decomposition folds the initial pass's peak in.
-        assert_eq!(stats.peak_scratch_bytes, 0);
-        let full = super::super::LocalNucleusDecomposition::compute(&g, &config).unwrap();
-        assert!(full.peel_stats().peak_scratch_bytes > 0);
+        let point = exact_point(&support, 0.5);
+        assert!(point.initial_scores.iter().all(|&k| k == 2));
+        assert!(point.scores.iter().all(|&s| s == 2));
+        assert_eq!(point.stats.dp_calls, 0, "cheap bound must defeat every pop");
+        assert!(point.stats.recompute_skips > 0);
+        assert!(point.stats.buckets_touched >= 1);
+        // No recompute ran, so the peel-phase scratch was never used: the
+        // whole peak is the initial pass's, as the table scan counts it.
+        let tails = TailTable::build(&support, Parallelism::Sequential);
+        let (_, init_peak) = tails.initial_scores(&support, 0.5);
+        assert!(init_peak > 0);
+        assert_eq!(point.stats.peak_scratch_bytes, init_peak);
 
-        let (eager_scores, eager_stats) = peel_eager(&support, &config, init.kappa);
-        assert_eq!(scores, eager_scores);
+        let (eager_scores, eager_stats) = peel_eager(&support, &config, point.initial_scores);
+        assert_eq!(point.scores, eager_scores);
         // The eager engine dodges these pops through its own kappa ≤
         // level check and counts them as skips too.
         assert_eq!(eager_stats.dp_calls, 0);
@@ -346,45 +342,94 @@ mod tests {
         let g = b.build();
         let config = LocalConfig::exact(0.5);
         let support = SupportStructure::build(&g);
-        let init = initial_scores(&support, &config);
-        let (deferred, stats) = peel_deferred(&support, &config, init.kappa.clone());
-        let (eager, eager_stats) = peel_eager(&support, &config, init.kappa);
-        assert_eq!(deferred, eager);
-        assert!(stats.dp_calls > 0, "inconclusive bounds must recompute");
+        let point = exact_point(&support, 0.5);
+        // The table's initial κ is the per-triangle DP pass's.
+        assert_eq!(
+            initial_scores(&support, &config).kappa,
+            point.initial_scores
+        );
+        let (eager, eager_stats) = peel_eager(&support, &config, point.initial_scores.clone());
+        assert_eq!(point.scores, eager);
         assert!(
-            stats.dp_calls <= eager_stats.dp_calls,
+            point.stats.dp_calls > 0,
+            "inconclusive bounds must recompute"
+        );
+        assert!(
+            point.stats.dp_calls <= eager_stats.dp_calls,
             "deferral must never recompute more than the eager engine \
              ({} vs {})",
-            stats.dp_calls,
+            point.stats.dp_calls,
             eager_stats.dp_calls
         );
-        assert!(stats.peak_scratch_bytes > 0);
+        assert!(point.stats.peak_scratch_bytes > 0);
     }
 
     #[test]
     fn stats_are_deterministic_across_repeat_runs() {
         let g = complete(6, 0.7);
-        let config = LocalConfig::exact(0.2);
         let support = SupportStructure::build(&g);
-        let init = initial_scores(&support, &config);
-        let (scores_a, stats_a) = peel_deferred(&support, &config, init.kappa.clone());
-        let (scores_b, stats_b) = peel_deferred(&support, &config, init.kappa);
-        assert_eq!(scores_a, scores_b);
-        assert_eq!(stats_a, stats_b);
+        let a = exact_point(&support, 0.2);
+        let b = exact_point(&support, 0.2);
+        assert_eq!(a.scores, b.scores);
+        assert_eq!(a.stats, b.stats);
     }
 
     #[test]
     fn initial_pass_is_identical_for_every_parallelism() {
-        use ugraph::Parallelism;
-        let g = complete(7, 0.6);
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
+        let cfg = ugraph::generators::PlantedCliqueConfig {
+            num_vertices: 40,
+            background_edges: 80,
+            num_communities: 4,
+            community_size: (5, 8),
+            overlap: 2,
+        };
+        let edges = ugraph::generators::planted_clique_edges(&cfg, &mut rng);
+        let g = ugraph::generators::assign_probabilities(
+            &edges,
+            40,
+            &ugraph::generators::ProbabilityModel::Uniform {
+                low: 0.2,
+                high: 1.0,
+            },
+            &mut rng,
+        );
         let support = SupportStructure::build(&g);
-        let base = initial_scores(&support, &LocalConfig::exact(0.15));
-        for threads in [1, 2, 8] {
-            let cfg = LocalConfig::exact(0.15).with_parallelism(Parallelism::fixed(threads));
-            let par = initial_scores(&support, &cfg);
+        // Small A and B spread the triangles over several methods, so the
+        // per-method tally is exercised beyond its DP slot.
+        let thresholds = ApproxThresholds {
+            a: 5,
+            b: 3,
+            ..ApproxThresholds::default()
+        };
+        let config = LocalConfig {
+            theta: 0.15,
+            method: ScoreMethod::Hybrid(thresholds),
+            parallelism: Parallelism::Sequential,
+        };
+        let base = initial_scores(&support, &config);
+        assert!(base.method_counts.len() >= 3, "{:?}", base.method_counts);
+        assert!(base.method_counts.values().all(|&n| n > 0));
+        assert_eq!(
+            base.method_counts.values().sum::<usize>(),
+            support.num_triangles()
+        );
+        let exact =
+            TailTable::build(&support, Parallelism::Sequential).initial_scores(&support, 0.15);
+        for threads in [2, 8] {
+            let par = initial_scores(
+                &support,
+                &LocalConfig {
+                    parallelism: Parallelism::fixed(threads),
+                    ..config
+                },
+            );
             assert_eq!(par.kappa, base.kappa, "threads = {threads}");
             assert_eq!(par.method_counts, base.method_counts);
             assert_eq!(par.peak_scratch_bytes, base.peak_scratch_bytes);
+            let tails = TailTable::build(&support, Parallelism::fixed(threads));
+            assert_eq!(tails.initial_scores(&support, 0.15), exact);
         }
     }
 }

@@ -1,15 +1,20 @@
 //! The resident query service.
 //!
 //! [`ServerCore`] owns a *world*: the loaded graph plus one lazily-built
-//! [`RankSupport`] per rank ever queried, each carrying a generation
+//! [`DecompHandle`] per rank ever queried, each carrying a generation
 //! counter (`support_builds` counts exactly one build per rank for the
-//! life of the process).  Around the world sit an LRU cache of
+//! life of the process).  The handle keeps the rank's support and its
+//! threshold-independent tail table, so every cache miss on one support
+//! generation reads its initial scores from one table instead of
+//! re-running each element's DP.  Around the world sit an LRU cache of
 //! materialized per-threshold decomposition points (keyed by rank,
 //! method, θ *and* generation), the open sessions and the deterministic
 //! [`ServerStats`].  The `apply_updates` method mutates the world in
 //! one atomic transition: the graph is swapped, every resident support
 //! is repaired incrementally (never rebuilt), and exactly the cache
-//! entries whose rank the batch actually changed are invalidated.
+//! entries whose rank the batch actually changed are invalidated — a
+//! changed rank gets a new handle (its table is rebuilt on the next
+//! miss), an untouched one keeps its handle and table.
 //! Queries resolve graph, support and generation under a single lock
 //! acquisition, so no request can ever observe a half-applied update.
 //! It is transport-independent: [`ServerCore::handle_body`] maps one
@@ -31,9 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use nucleus::{
-    ApproxThresholds, DecompConfig, DecompHandle, Rank, RankSupport, ScoreMethod, SweepConfig,
-};
+use nucleus::{ApproxThresholds, DecompConfig, DecompHandle, Rank, ScoreMethod, SweepConfig};
 use ugraph::{apply_edge_updates, EdgeUpdate, Parallelism, UncertainGraph};
 
 use crate::frame::{read_frame_while, write_frame, FrameError, ReadOutcome};
@@ -128,11 +131,11 @@ struct PointCache {
     inflight: HashSet<PointKey>,
 }
 
-/// One rank's slice of the world: its current support and the
-/// generation the support (and every cache entry derived from it)
-/// belongs to.
+/// One rank's slice of the world: a handle on its current support (and
+/// the tail table cached with it) and the generation the support — and
+/// every cache entry derived from it — belongs to.
 struct RankState {
-    support: Arc<RankSupport>,
+    handle: DecompHandle,
     generation: u64,
 }
 
@@ -151,7 +154,7 @@ struct WorldState {
 /// `apply_updates` is observed entirely or not at all.
 struct ResolvedRank {
     graph: Arc<UncertainGraph>,
-    support: Arc<RankSupport>,
+    handle: DecompHandle,
     generation: u64,
 }
 
@@ -249,13 +252,13 @@ impl ServerCore {
         let state = world.ranks.entry(rank).or_insert_with(|| {
             ServerStats::bump(&self.stats.support_builds);
             RankState {
-                support: Arc::new(RankSupport::build(&graph, rank, self.config.parallelism)),
+                handle: DecompHandle::build(&graph, rank, self.config.parallelism),
                 generation: 0,
             }
         });
         ResolvedRank {
             graph,
-            support: Arc::clone(&state.support),
+            handle: state.handle.clone(),
             generation: state.generation,
         }
     }
@@ -298,9 +301,11 @@ impl ServerCore {
 
     /// The materialized point for (session, theta) against the resolved
     /// world view, served from the LRU cache when possible.  Misses
-    /// compute over the view's shared support — never a rebuild — and
-    /// results are bit-identical to a direct
-    /// [`nucleus::Decomposition::compute`] at the same configuration.
+    /// compute through the view's shared handle — never a rebuild, and
+    /// exact-DP misses read their initial scores from the handle's tail
+    /// table, built by the generation's first miss — and results are
+    /// bit-identical to a direct [`nucleus::Decomposition::compute`] at
+    /// the same configuration.
     ///
     /// The compute itself runs *outside* the cache lock: the first
     /// request for a key marks it in-flight (and is the one counted
@@ -347,7 +352,7 @@ impl ServerCore {
             method: session.method,
             parallelism: Parallelism::Sequential,
         };
-        let computed = DecompHandle::from_support(Arc::clone(&view.support)).compute_at(&config);
+        let computed = view.handle.compute_at(&config);
 
         let mut cache = self.cache.lock().unwrap();
         cache.inflight.remove(&key);
@@ -526,7 +531,7 @@ impl ServerCore {
         };
         let id = self.next_session.fetch_add(1, Ordering::SeqCst);
         let grid_len = session.grid.len();
-        let num_elements = view.support.num_elements();
+        let num_elements = view.handle.num_elements();
         self.sessions.lock().unwrap().insert(id, session);
         ServerStats::bump(&self.stats.sessions_opened);
         Ok(Json::Obj(vec![
@@ -615,7 +620,7 @@ impl ServerCore {
         view: &ResolvedRank,
         rank: Rank,
     ) -> Result<&nucleus::SupportStructure, RequestError> {
-        view.support.as_nucleus().ok_or_else(|| {
+        view.handle.support().as_nucleus().ok_or_else(|| {
             RequestError::new(
                 ErrorCode::WrongRank,
                 format!(
@@ -851,8 +856,11 @@ impl ServerCore {
     /// entries — happens under the world lock, so every query observes
     /// either the pre-update or the post-update world, never a mix.  A
     /// rank whose repair proves the batch did not touch it (identical
-    /// element set, empty repair region) keeps its generation and its
-    /// cached points.
+    /// element set, empty repair region) keeps its generation, its
+    /// cached points and its handle: every element's scoring inputs are
+    /// bitwise unchanged, so the resident support and its tail table
+    /// still describe the updated graph.  A touched rank gets a handle
+    /// over the repaired support, whose table the next miss rebuilds.
     fn do_apply_updates(&self, params: &Json) -> Result<Json, RequestError> {
         let updates = Self::parse_updates(params)?;
         let mut world = self.world.lock().unwrap();
@@ -867,9 +875,8 @@ impl ServerCore {
         let mut invalidated = 0usize;
         let mut ranks = HashMap::with_capacity(world.ranks.len());
         for (&rank, state) in &world.ranks {
-            let repair = state
-                .support
-                .repair(&world.graph, &delta, self.config.parallelism);
+            let support = state.handle.support();
+            let repair = support.repair(&world.graph, &delta, self.config.parallelism);
             ServerStats::bump(&self.stats.supports_repaired);
             repaired_ranks += 1;
             affected_elements += repair.affected.len();
@@ -878,14 +885,14 @@ impl ServerCore {
             // proves them still bit-exact: every element carried over in
             // place and none re-peeled.
             let untouched = repair.region.is_empty()
-                && repair.new_to_old.len() == state.support.num_elements()
+                && repair.new_to_old.len() == state.handle.num_elements()
                 && repair
                     .new_to_old
                     .iter()
                     .enumerate()
                     .all(|(i, mapped)| *mapped == Some(i as u32));
-            let generation = if untouched {
-                state.generation
+            let (handle, generation) = if untouched {
+                (state.handle.clone(), state.generation)
             } else {
                 let stale = self
                     .cache
@@ -897,15 +904,12 @@ impl ServerCore {
                     ServerStats::bump(&self.stats.cache_invalidations);
                 }
                 invalidated += stale;
-                state.generation + 1
+                (
+                    DecompHandle::from_support(Arc::new(repair.support)),
+                    state.generation + 1,
+                )
             };
-            ranks.insert(
-                rank,
-                RankState {
-                    support: Arc::new(repair.support),
-                    generation,
-                },
-            );
+            ranks.insert(rank, RankState { handle, generation });
         }
         world.graph = Arc::new(delta.graph);
         world.ranks = ranks;
@@ -1054,4 +1058,78 @@ fn serve_connection(core: &Arc<ServerCore>, mut stream: TcpStream) {
         }
     }
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ugraph::GraphBuilder;
+
+    /// A K5 with a pendant edge: the pendant lies in no triangle.
+    fn k5_with_pendant() -> UncertainGraph {
+        let mut b = GraphBuilder::new();
+        for u in 0..5 {
+            for v in (u + 1)..5 {
+                b.add_edge(u, v, 0.8).unwrap();
+            }
+        }
+        b.add_edge(4, 5, 0.7).unwrap();
+        b.build()
+    }
+
+    fn call(core: &ServerCore, method: &str, params: &str) -> Json {
+        let body = format!(r#"{{"id": 1, "method": "{method}", "params": {params}}}"#);
+        let response = Json::parse(&String::from_utf8(core.handle_body(body.as_bytes())).unwrap())
+            .expect("responses are JSON");
+        assert!(response.get("error").is_none(), "{method}: {response:?}");
+        response
+    }
+
+    fn handle_of(core: &ServerCore, rank: Rank) -> (DecompHandle, u64) {
+        let world = core.world.lock().unwrap();
+        let state = &world.ranks[&rank];
+        (state.handle.clone(), state.generation)
+    }
+
+    #[test]
+    fn an_update_keeps_the_handle_of_every_rank_it_leaves_untouched() {
+        let core = ServerCore::new(k5_with_pendant(), ServerConfig::default());
+        for (session, rank) in [(1, "nucleus"), (2, "truss")] {
+            call(
+                &core,
+                "open",
+                &format!(r#"{{"rank": "{rank}", "thetas": [0.1]}}"#),
+            );
+            call(
+                &core,
+                "max_score_at",
+                &format!(r#"{{"session": {session}, "theta": 0.1}}"#),
+            );
+        }
+        let (nucleus, _) = handle_of(&core, Rank::Nucleus);
+        let (truss, _) = handle_of(&core, Rank::Truss);
+
+        // Re-weighting the pendant edge changes one truss element (the
+        // edge itself) and no triangle.
+        call(
+            &core,
+            "apply_updates",
+            r#"{"updates": [{"op": "reweight", "u": 4, "v": 5, "p": 0.3}]}"#,
+        );
+        let (kept, generation) = handle_of(&core, Rank::Nucleus);
+        assert!(Arc::ptr_eq(kept.support(), nucleus.support()));
+        assert_eq!(generation, 0);
+        let (repaired, generation) = handle_of(&core, Rank::Truss);
+        assert!(!Arc::ptr_eq(repaired.support(), truss.support()));
+        assert_eq!(generation, 1);
+
+        // The kept handle still answers for the updated graph.
+        let graph = core.graph();
+        let config = DecompConfig::nucleus(0.1).with_parallelism(Parallelism::Sequential);
+        let fresh = nucleus::Decomposition::compute(&graph, &config).unwrap();
+        assert_eq!(kept.compute_at(&config).unwrap().scores(), fresh.scores());
+        let stats = core.stats();
+        assert_eq!(stats.cache_invalidations, 1, "only the truss point drops");
+        assert_eq!(stats.supports_repaired, 2);
+    }
 }

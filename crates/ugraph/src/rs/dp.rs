@@ -63,6 +63,13 @@ impl DpScratch {
             self.tail[k] = acc.min(1.0);
         }
     }
+
+    /// The tail `Pr[ζ ≥ k]` for `k = 0..=c`, computed into the scratch:
+    /// the exact table [`max_k_with_scratch`] cuts at a threshold.
+    pub fn tail(&mut self, completion_probs: &[f64]) -> &[f64] {
+        self.fill_tail(completion_probs);
+        &self.tail
+    }
 }
 
 /// Bytes of DP-table scratch required for a support of size `c`: the pmf
@@ -118,9 +125,8 @@ pub fn max_k_with_scratch(
     if element_prob < theta {
         return 0;
     }
-    scratch.fill_tail(completion_probs);
     let mut best = 0u32;
-    for (k, &t) in scratch.tail.iter().enumerate() {
+    for (k, &t) in scratch.tail(completion_probs).iter().enumerate() {
         if element_prob * t >= theta {
             best = k as u32;
         } else {

@@ -32,7 +32,11 @@
 //!   updates: affected-set diffing, component closure and the
 //!   [`RegionSupport`] adapter that re-peels only the touched region on
 //!   this same engine.
-//! * [`TailScratch`] — the reusable Poisson-binomial tail scorer.
+//! * [`TailScratch`] — the reusable Poisson-binomial tail scorer, which
+//!   the peels rescore through.
+//! * [`TailTable`] — every element's scaled tail, built once per support
+//!   and read at any threshold: the initial scores of every exact-DP
+//!   point come from it.
 //! * [`PeelStats`] — deterministic perf counters, identical for every
 //!   thread count, gated in CI via committed bench baselines.
 //!
@@ -46,12 +50,14 @@ pub mod core_support;
 pub mod dp;
 pub mod incidence;
 pub mod region;
+pub mod tail_table;
 pub mod truss_support;
 
 pub use core_support::CoreSupport;
 pub use dp::DpScratch;
 pub use incidence::Incidence;
 pub use region::{affected_elements, component_closure, RegionSupport};
+pub use tail_table::TailTable;
 pub use truss_support::TrussSupport;
 
 /// The support structure of one (r,s) rank: for every r-clique *element*
@@ -120,8 +126,10 @@ pub trait RsSupport {
 /// Every field is a function of the graph and the configuration only —
 /// independent of wall clock, thread count and allocator behaviour — so
 /// the counters can be committed to a benchmark baseline and gated on in
-/// CI (`experiments bench-compare`).
-#[derive(Debug, Clone, Copy, Default)]
+/// CI (`experiments bench-compare`).  Process probes such as the peak
+/// resident set are the bench layer's to read
+/// ([`crate::metrics::peak_rss_bytes`]); the engine does no I/O.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeelStats {
     /// Full score recomputations performed during peeling (DP or, for the
     /// hybrid scorer, whichever approximation was selected).  The initial
@@ -142,33 +150,11 @@ pub struct PeelStats {
     /// the probability gather buffer plus — when the DP tables were
     /// actually filled — the pmf/tail tables.  Counted from requested
     /// element counts, not allocator capacities, so it is identical for
-    /// every thread count.
+    /// every thread count.  Initial scores read from a [`TailTable`]
+    /// count what the per-element DP pass would have needed
+    /// ([`TailTable::initial_scores`]).
     pub peak_scratch_bytes: usize,
-    /// Process-wide peak resident set size in bytes (`VmHWM` from
-    /// `/proc/self/status`, see [`crate::metrics::peak_rss_bytes`]), read
-    /// once per decomposition point by the layer that runs the peel;
-    /// [`peel_deferred`] itself does no I/O and leaves it 0, and so do
-    /// platforms without that interface.
-    /// Unlike every other field this one depends on the allocator and on
-    /// what else the process already did, so it is **excluded from
-    /// equality** (determinism tests compare the logical counters only)
-    /// and benchmark gates treat it as a bounded environment probe, not an
-    /// exact number.
-    pub peak_rss_bytes: u64,
 }
-
-impl PartialEq for PeelStats {
-    /// Logical counters only; `peak_rss_bytes` is an environment probe
-    /// and deliberately ignored.
-    fn eq(&self, other: &Self) -> bool {
-        self.dp_calls == other.dp_calls
-            && self.recompute_skips == other.recompute_skips
-            && self.buckets_touched == other.buckets_touched
-            && self.peak_scratch_bytes == other.peak_scratch_bytes
-    }
-}
-
-impl Eq for PeelStats {}
 
 /// Monotone bucket priority queue over small integer priorities.
 ///
@@ -250,9 +236,8 @@ impl BucketQueue {
 /// element, typically computed in parallel by the caller); the return
 /// value is the final decomposition number of every element (the drain
 /// level at which it was processed) plus the engine's perf counters
-/// (`peak_scratch_bytes` and `peak_rss_bytes` are left 0 — the caller
-/// owns the scratch and folds its high-water mark in, and takes the
-/// process probe if it wants one; the engine does no I/O).
+/// (`peak_scratch_bytes` is left 0 — the caller owns the scratch and
+/// folds its high-water mark in).
 ///
 /// `rescore(t, cell_dead)` must return the score of element `t` over the
 /// cells whose `cell_dead` entry is false, and must be **monotone**:
