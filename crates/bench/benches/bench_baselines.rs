@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nd_datasets::{PaperDataset, Scale};
-use nucleus::{LocalConfig, LocalNucleusDecomposition};
-use probdecomp::{EtaCoreDecomposition, GammaTrussDecomposition};
+use nucleus::{ApproxThresholds, DecompConfig, Decomposition, ScoreMethod};
 
 fn bench_baselines(c: &mut Criterion) {
     let mut group = c.benchmark_group("baselines");
@@ -12,14 +11,16 @@ fn bench_baselines(c: &mut Criterion) {
     let graph = PaperDataset::Dblp.generate(Scale::Tiny, 42);
     let theta = 0.3;
     group.bench_function("eta_core/dblp", |b| {
-        b.iter(|| EtaCoreDecomposition::try_compute(&graph, theta).unwrap())
+        b.iter(|| Decomposition::compute(&graph, &DecompConfig::core(theta)).unwrap())
     });
     group.bench_function("gamma_truss/dblp", |b| {
-        b.iter(|| GammaTrussDecomposition::try_compute(&graph, theta).unwrap())
+        b.iter(|| Decomposition::compute(&graph, &DecompConfig::truss(theta)).unwrap())
     });
+    let hybrid = ScoreMethod::Hybrid(ApproxThresholds::default());
     group.bench_function("local_nucleus_ap/dblp", |b| {
         b.iter(|| {
-            LocalNucleusDecomposition::compute(&graph, &LocalConfig::approximate(theta)).unwrap()
+            Decomposition::compute(&graph, &DecompConfig::nucleus(theta).with_method(hybrid))
+                .unwrap()
         })
     });
     group.finish();

@@ -5,15 +5,18 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nd_datasets::{PaperDataset, Scale};
 use nucleus::global::global_nuclei_with_local;
 use nucleus::weakly_global::weakly_global_nuclei_with_local;
-use nucleus::{GlobalConfig, LocalConfig, LocalNucleusDecomposition, SamplingConfig};
+use nucleus::{
+    ApproxThresholds, DecompConfig, Decomposition, GlobalConfig, SamplingConfig, ScoreMethod,
+};
 
 fn bench_global(c: &mut Criterion) {
     let mut group = c.benchmark_group("global_decomposition");
     group.sample_size(10);
     let graph = PaperDataset::Krogan.generate(Scale::Tiny, 42);
     let theta = 0.001;
+    let hybrid = ScoreMethod::Hybrid(ApproxThresholds::default());
     let local =
-        LocalNucleusDecomposition::compute(&graph, &LocalConfig::approximate(theta)).unwrap();
+        Decomposition::compute(&graph, &DecompConfig::nucleus(theta).with_method(hybrid)).unwrap();
     let config = GlobalConfig::new(theta)
         .with_sampling(SamplingConfig::default().with_num_samples(100).with_seed(1));
     group.bench_function("FG/krogan/k=2", |b| {

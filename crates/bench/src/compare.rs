@@ -393,12 +393,24 @@ pub fn compare(old: &Json, new: &Json, tolerance: f64) -> Result<CompareReport, 
              reported as '-' and not gated"
         ));
     }
-    if old_rank.is_none() != new_rank.is_none() {
+    // At one schema generation, exactly one report carrying `rank` means
+    // a parbench report against a sweep report: the two share `counts`,
+    // and each side's own gated counters are expected to be one-sided.
+    let cross_kind = old_rank.is_none() != new_rank.is_none();
+    if cross_kind {
         let which = if old_rank.is_none() { "old" } else { "new" };
-        notes.push(format!(
-            "{which} report predates the \"rank\" field (bench-parallel/v5); treated as a \
-             nucleus sweep"
-        ));
+        notes.push(if old_schema == new_schema {
+            format!(
+                "{which} report carries no \"rank\" field (a parbench report against a sweep \
+                 report); treated as a nucleus run, and counters only one kind emits are not \
+                 gated"
+            )
+        } else {
+            format!(
+                "{which} report predates the \"rank\" field (bench-parallel/v5); treated as a \
+                 nucleus sweep"
+            )
+        });
     }
 
     // Matrix reports carry dynamic per-scenario counters instead of the
@@ -425,7 +437,7 @@ pub fn compare(old: &Json, new: &Json, tolerance: f64) -> Result<CompareReport, 
             continue;
         }
         if old_v.is_none() != new_v.is_none() && *gate != Gate::ReportOnly {
-            if old_schema == new_schema {
+            if old_schema == new_schema && !cross_kind {
                 // Same schema but a gated counter vanished (or appeared):
                 // the report shape changed without a schema bump.  Failing
                 // here keeps the gate from being silently neutered by a
@@ -885,6 +897,46 @@ mod tests {
         // The gated sweep counters still bite across the bump.
         let rebuilt = compare(&v4(1, 400, 20821), &v5("nucleus", 2, 400, 20821), 0.0).unwrap();
         assert_eq!(rebuilt.regressions()[0].name, "sweep.support_builds");
+    }
+
+    /// A v6 parbench report (no `rank`, a `peel` object) and a v6 sweep
+    /// report (a `rank` and a `sweep` object) of the same graph.
+    fn v6_pair(sweep_triangles: u64) -> (Json, Json) {
+        // Both fixtures lead with their `schema` key.
+        let v6 = |mut doc: Json| {
+            if let Json::Obj(members) = &mut doc {
+                members[0].1 = Json::Str("bench-parallel/v6".to_string());
+            }
+            doc
+        };
+        (
+            v6(v3(100, 20821, None)),
+            v6(v5("nucleus", 1, 400, sweep_triangles)),
+        )
+    }
+
+    #[test]
+    fn same_schema_parbench_vs_sweep_gates_only_shared_counts() {
+        let (parbench, sweep) = v6_pair(20821);
+        let report = compare(&parbench, &sweep, 0.0).unwrap();
+        assert!(report.regressions().is_empty(), "{}", report.format());
+        assert!(report
+            .notes
+            .iter()
+            .any(|n| n.contains("a parbench report against a sweep report")));
+        for shared in ["counts.triangles", "counts.four_cliques"] {
+            let row = report.rows.iter().find(|r| r.name == shared).unwrap();
+            assert_eq!(row.verdict, "ok", "{shared}");
+        }
+        // The shared counts still gate.
+        let (parbench, drifted) = v6_pair(99);
+        let failing: Vec<_> = compare(&parbench, &drifted, 0.0)
+            .unwrap()
+            .regressions()
+            .iter()
+            .map(|r| r.name.clone())
+            .collect();
+        assert_eq!(failing, vec!["counts.triangles"]);
     }
 
     #[test]

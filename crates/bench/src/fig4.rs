@@ -1,8 +1,13 @@
 //! Figure 4 — running time of the local nucleus decomposition, exact DP
 //! versus the hybrid statistical approximation (AP), for θ ∈ {0.1..0.5}.
 
+use std::sync::Arc;
+
 use nd_datasets::PaperDataset;
-use nucleus::{LocalConfig, LocalNucleusDecomposition, SupportStructure};
+use nucleus::{
+    ApproxThresholds, DecompConfig, DecompHandle, Decomposition, RankSupport, ScoreMethod,
+    SupportStructure,
+};
 
 use crate::runner::{format_table, ExperimentContext, Timing};
 
@@ -38,21 +43,22 @@ pub fn run(ctx: &ExperimentContext, datasets: &[PaperDataset]) -> Fig4 {
     let mut points = Vec::new();
     for &ds in datasets {
         let graph = ctx.dataset(ds);
-        // The support structure (triangle + 4-clique enumeration) is shared
-        // by both algorithms and all θ, mirroring the paper's setup where
-        // enumeration is part of preprocessing.
+        // The support structure (triangle + 4-clique enumeration) is built
+        // once for both algorithms and all θ, mirroring the paper's setup
+        // where enumeration is part of preprocessing.  Each timed run gets
+        // a fresh handle over its own copy, so it pays for the copy and
+        // its own tail table, as a standalone run would.
         let support = SupportStructure::build(&graph);
+        let run = |config: DecompConfig| -> Decomposition {
+            let handle =
+                DecompHandle::from_support(Arc::new(RankSupport::Nucleus(support.clone())));
+            handle.compute_at(&config).expect("valid config")
+        };
         for &theta in &THETAS {
-            let (dp, dp_time) = Timing::measure(|| {
-                LocalNucleusDecomposition::with_support(support.clone(), &LocalConfig::exact(theta))
-                    .expect("valid config")
-            });
+            let (dp, dp_time) = Timing::measure(|| run(DecompConfig::nucleus(theta)));
             let (ap, ap_time) = Timing::measure(|| {
-                LocalNucleusDecomposition::with_support(
-                    support.clone(),
-                    &LocalConfig::approximate(theta),
-                )
-                .expect("valid config")
+                run(DecompConfig::nucleus(theta)
+                    .with_method(ScoreMethod::Hybrid(ApproxThresholds::default())))
             });
             points.push(Fig4Point {
                 dataset: ctx.dataset_name(ds),

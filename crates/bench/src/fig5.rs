@@ -3,8 +3,8 @@
 
 use nd_datasets::PaperDataset;
 use nucleus::{
-    global::global_nuclei_with_local, weakly_global::weakly_global_nuclei_with_local, GlobalConfig,
-    LocalConfig, LocalNucleusDecomposition, SamplingConfig,
+    global::global_nuclei_with_local, weakly_global::weakly_global_nuclei_with_local,
+    ApproxThresholds, DecompConfig, Decomposition, GlobalConfig, SamplingConfig, ScoreMethod,
 };
 
 use crate::runner::{format_table, ExperimentContext, Timing};
@@ -42,8 +42,12 @@ pub fn run(ctx: &ExperimentContext, datasets: &[PaperDataset], k: u32, num_sampl
     let mut points = Vec::new();
     for &ds in datasets {
         let graph = ctx.dataset(ds);
-        let local = LocalNucleusDecomposition::compute(&graph, &LocalConfig::approximate(THETA))
-            .expect("valid config");
+        let local = Decomposition::compute(
+            &graph,
+            &DecompConfig::nucleus(THETA)
+                .with_method(ScoreMethod::Hybrid(ApproxThresholds::default())),
+        )
+        .expect("valid config");
         let config = GlobalConfig::new(THETA).with_sampling(
             SamplingConfig::default()
                 .with_num_samples(num_samples)

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use nucleus::approx::{max_k_with_method, ApproxMethod};
-use nucleus::local::dp;
+use ugraph::rs::dp;
 
 use crate::runner::{format_table, ExperimentContext};
 

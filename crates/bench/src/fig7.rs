@@ -4,7 +4,7 @@
 //! nucleus, and the number of nuclei.
 
 use nd_datasets::PaperDataset;
-use nucleus::{LocalConfig, LocalNucleusDecomposition};
+use nucleus::{ApproxThresholds, DecompConfig, Decomposition, ScoreMethod};
 use ugraph::metrics::{probabilistic_clustering_coefficient, probabilistic_density};
 
 use crate::runner::{format_table, ExperimentContext};
@@ -39,11 +39,14 @@ pub struct Fig7 {
 /// Runs the sweep on the given dataset (flickr in the paper).
 pub fn run(ctx: &ExperimentContext, dataset: PaperDataset) -> Fig7 {
     let graph = ctx.dataset(dataset);
-    let local = LocalNucleusDecomposition::compute(&graph, &LocalConfig::approximate(THETA))
-        .expect("valid config");
+    let local = Decomposition::compute(
+        &graph,
+        &DecompConfig::nucleus(THETA).with_method(ScoreMethod::Hybrid(ApproxThresholds::default())),
+    )
+    .expect("valid config");
     let mut points = Vec::new();
     for k in 1..=local.max_score() {
-        let nuclei = local.k_nuclei(&graph, k);
+        let nuclei = local.k_nuclei(&graph, k).expect("nucleus rank");
         if nuclei.is_empty() {
             continue;
         }

@@ -4,8 +4,8 @@
 
 use nd_datasets::PaperDataset;
 use nucleus::{
-    global::global_nuclei_with_local, weakly_global::weakly_global_nuclei_with_local, GlobalConfig,
-    LocalConfig, LocalNucleusDecomposition, SamplingConfig,
+    global::global_nuclei_with_local, weakly_global::weakly_global_nuclei_with_local,
+    ApproxThresholds, DecompConfig, Decomposition, GlobalConfig, SamplingConfig, ScoreMethod,
 };
 use ugraph::metrics::{probabilistic_clustering_coefficient, probabilistic_density};
 use ugraph::UncertainGraph;
@@ -59,8 +59,12 @@ pub fn run(
     let mut rows = Vec::new();
     for &ds in datasets {
         let graph = ctx.dataset(ds);
-        let local = LocalNucleusDecomposition::compute(&graph, &LocalConfig::approximate(THETA))
-            .expect("valid config");
+        let local = Decomposition::compute(
+            &graph,
+            &DecompConfig::nucleus(THETA)
+                .with_method(ScoreMethod::Hybrid(ApproxThresholds::default())),
+        )
+        .expect("valid config");
         let config = GlobalConfig::new(THETA).with_sampling(
             SamplingConfig::default()
                 .with_num_samples(num_samples)
@@ -80,7 +84,7 @@ pub fn run(
             {
                 w_graphs.push(n.subgraph.into_graph());
             }
-            for n in local.k_nuclei(&graph, k) {
+            for n in local.k_nuclei(&graph, k).expect("nucleus rank") {
                 l_graphs.push(n.subgraph.into_graph());
             }
         }

@@ -68,6 +68,7 @@
 //! ([`crate::runner::run_with_deadline`]) whose overrun flag lands in the
 //! JSON rather than hanging CI.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use nd_datasets::ExternalDataset;
@@ -80,8 +81,8 @@ use ugraph::par::Parallelism;
 use ugraph::triangles::enumerate_triangles_with;
 use ugraph::UncertainGraph;
 
-use nucleus::local::reference;
-use nucleus::{LocalConfig, LocalNucleusDecomposition, PeelStats, SupportStructure};
+use nucleus::reference;
+use nucleus::{DecompConfig, DecompHandle, PeelStats, RankSupport, SupportStructure};
 
 use crate::runner::{format_table, run_with_deadline, Timing};
 
@@ -203,7 +204,7 @@ impl IngestTimings {
 /// record the deferred engine's DP savings as a tracked number.
 #[derive(Debug, Clone)]
 pub struct PeelBench {
-    /// θ the decomposition ran at ([`LocalConfig::default`]).
+    /// θ the decomposition ran at (0.1).
     pub theta: f64,
     /// Deterministic counters of the production engine.
     pub stats: PeelStats,
@@ -350,13 +351,13 @@ fn measure_config(
 }
 
 /// Runs the ℓ-NuDecomp peeling engine and the frozen reference engine on
-/// the benchmark graph at [`LocalConfig::default`] (exact DP, θ = 0.1)
-/// and returns their perf counters.  Wall times are best-of-`repeats`
-/// like every other phase, so neither engine is billed for cold caches.
+/// the benchmark graph at θ = 0.1 (exact DP) and returns their perf
+/// counters.  Wall times are best-of-`repeats` like every other phase,
+/// so neither engine is billed for cold caches.
 /// Panics if the engines disagree on a single score — the benchmark
 /// doubles as a CI-enforced bit-identity check at real scale.
 fn measure_peel(graph: &UncertainGraph, repeats: usize) -> PeelBench {
-    let config = LocalConfig::default();
+    let config = DecompConfig::nucleus(0.1);
     let mut support = Some(SupportStructure::build_with(graph, Parallelism::Auto));
     let mut reference_s = f64::INFINITY;
     let mut engine_s = f64::INFINITY;
@@ -371,14 +372,16 @@ fn measure_peel(graph: &UncertainGraph, repeats: usize) -> PeelBench {
         });
         reference_s = reference_s.min(reference_t.seconds());
         // The last repeat moves the support into the engine; earlier
-        // repeats clone it *outside* the measured closure.
+        // repeats clone it *outside* the measured closure.  Each repeat
+        // gets a fresh handle, so each builds its own tail table.
         let engine_input = if r + 1 == repeats.max(1) {
             support.take().expect("support still present")
         } else {
             borrowed.clone()
         };
         let (decomp, engine_t) = Timing::measure(|| {
-            LocalNucleusDecomposition::with_support(engine_input, &config)
+            DecompHandle::from_support(Arc::new(RankSupport::Nucleus(engine_input)))
+                .compute_at(&config)
                 .expect("default config is valid")
         });
         peak_rss_bytes = ugraph::metrics::peak_rss_bytes();
@@ -402,7 +405,7 @@ fn measure_peel(graph: &UncertainGraph, repeats: usize) -> PeelBench {
     method_counts.sort();
 
     PeelBench {
-        theta: config.theta,
+        theta: config.threshold,
         stats: *decomp.peel_stats(),
         peak_rss_bytes,
         reference_dp_calls: oracle.dp_calls,

@@ -197,8 +197,8 @@ pub fn million_config(spec: &Spec) -> Result<million::MillionBenchConfig, String
 /// fail with the typed validation message before any work — the same
 /// check (and error prefix) the subcommand arms always applied.
 fn validate_grid(subcommand: &str, thetas: &[f64]) -> Result<(), String> {
-    nucleus::ThetaSweep::new(nucleus::SweepConfig::exact(thetas.to_vec()))
-        .map(|_| ())
+    nucleus::SweepConfig::exact(thetas.to_vec())
+        .validate()
         .map_err(|e| format!("{subcommand}: {e}"))
 }
 

@@ -3,7 +3,8 @@
 //! of triangles whose score differs, for θ ∈ {0.2, 0.4}.
 
 use nd_datasets::PaperDataset;
-use nucleus::{LocalConfig, LocalNucleusDecomposition, SupportStructure};
+use nucleus::{ApproxThresholds, DecompConfig, DecompHandle, Rank, ScoreMethod};
+use ugraph::Parallelism;
 
 use crate::runner::{format_table, ExperimentContext};
 
@@ -37,19 +38,18 @@ pub fn run(ctx: &ExperimentContext, datasets: &[PaperDataset]) -> Table2 {
     let mut rows = Vec::new();
     for &ds in datasets {
         let graph = ctx.dataset(ds);
-        let support = SupportStructure::build(&graph);
+        let handle = DecompHandle::build(&graph, Rank::Nucleus, Parallelism::Sequential);
         for &theta in &THETAS {
-            let dp = LocalNucleusDecomposition::with_support(
-                support.clone(),
-                &LocalConfig::exact(theta),
-            )
-            .expect("valid config");
-            let ap = LocalNucleusDecomposition::with_support(
-                support.clone(),
-                &LocalConfig::approximate(theta),
-            )
-            .expect("valid config");
-            let n = dp.num_triangles();
+            let dp = handle
+                .compute_at(&DecompConfig::nucleus(theta))
+                .expect("valid config");
+            let ap = handle
+                .compute_at(
+                    &DecompConfig::nucleus(theta)
+                        .with_method(ScoreMethod::Hybrid(ApproxThresholds::default())),
+                )
+                .expect("valid config");
+            let n = dp.num_elements();
             let mut total_error = 0.0f64;
             let mut with_error = 0usize;
             for t in 0..n {

@@ -7,12 +7,9 @@
 //! each decomposition (k_max), averaged over its connected components.
 
 use nd_datasets::PaperDataset;
-use nucleus::{LocalConfig, LocalNucleusDecomposition};
-use probdecomp::{
-    eta_core_subgraphs, gamma_truss_subgraphs, EtaCoreDecomposition, GammaTrussDecomposition,
-};
+use nucleus::{ApproxThresholds, DecompConfig, Decomposition, ScoreMethod};
 use ugraph::metrics::{probabilistic_clustering_coefficient, probabilistic_density};
-use ugraph::{EdgeSubgraph, UncertainGraph};
+use ugraph::UncertainGraph;
 
 use crate::runner::{format_table, ExperimentContext};
 
@@ -58,7 +55,12 @@ fn average_stats(subgraphs: &[&UncertainGraph]) -> (f64, f64, f64, f64) {
     (v, e, pd, pcc)
 }
 
-fn stats_of_edge_subgraphs(subs: &[EdgeSubgraph], k_max: u32) -> CohesivenessStats {
+/// Decomposes `graph` under `config` and averages the statistics of its
+/// maximum-score components.
+fn cohesiveness(graph: &UncertainGraph, config: &DecompConfig) -> CohesivenessStats {
+    let decomp = Decomposition::compute(graph, config).expect("valid config");
+    let k_max = decomp.max_score();
+    let subs = decomp.k_subgraphs(graph, k_max.max(1));
     let graphs: Vec<&UncertainGraph> = subs.iter().map(|s| s.graph()).collect();
     let (avg_vertices, avg_edges, pd, pcc) = average_stats(&graphs);
     CohesivenessStats {
@@ -99,38 +101,13 @@ pub fn run(ctx: &ExperimentContext, datasets: &[PaperDataset]) -> Table3 {
     for &ds in datasets {
         let graph = ctx.dataset(ds);
         for &theta in &THETAS {
-            // Nucleus.
-            let local =
-                LocalNucleusDecomposition::compute(&graph, &LocalConfig::approximate(theta))
-                    .expect("valid config");
-            let kn = local.max_score();
-            let nucleus_subs: Vec<EdgeSubgraph> = local
-                .k_nuclei(&graph, kn.max(1))
-                .into_iter()
-                .map(|n| n.subgraph)
-                .collect();
-            let nucleus = stats_of_edge_subgraphs(&nucleus_subs, kn);
-
-            // Truss.
-            let truss_decomp =
-                GammaTrussDecomposition::try_compute(&graph, theta).expect("valid theta");
-            let kt = truss_decomp.max_truss();
-            let truss_subs = gamma_truss_subgraphs(&graph, kt.max(1), theta).expect("valid theta");
-            let truss = stats_of_edge_subgraphs(&truss_subs, kt);
-
-            // Core.
-            let core_decomp =
-                EtaCoreDecomposition::try_compute(&graph, theta).expect("valid theta");
-            let kc = core_decomp.max_core();
-            let core_subs = eta_core_subgraphs(&graph, kc.max(1), theta).expect("valid theta");
-            let core = stats_of_edge_subgraphs(&core_subs, kc);
-
+            let hybrid = ScoreMethod::Hybrid(ApproxThresholds::default());
             rows.push(Table3Row {
                 dataset: ctx.dataset_name(ds),
                 theta,
-                nucleus,
-                truss,
-                core,
+                nucleus: cohesiveness(&graph, &DecompConfig::nucleus(theta).with_method(hybrid)),
+                truss: cohesiveness(&graph, &DecompConfig::truss(theta)),
+                core: cohesiveness(&graph, &DecompConfig::core(theta)),
             });
         }
     }

@@ -3,19 +3,19 @@
 //!
 //! The paper's experiments sweep θ for every figure (fig4–fig8 all
 //! re-run the decomposition per threshold), paying the θ-independent
-//! support-structure build each time.  `nucleus::local::sweep` amortizes
-//! that build across the grid, and [`DecompSweep`] generalizes the same
-//! amortization to the (k,η)-core and (k,γ)-truss ranks; this module
-//! measures the claim and makes it CI-gateable:
+//! support-structure build each time.  [`DecompSweep`] amortizes that
+//! build across the grid at every rank — the (3,4) nucleus, the
+//! (k,η)-core and the (k,γ)-truss; this module measures the claim and
+//! makes it CI-gateable:
 //!
-//! * [`run_bench`] builds one sweep index over a grid at the configured
-//!   [`Rank`] ([`ThetaSweep`] at the nucleus rank, [`DecompSweep`]
-//!   elsewhere), then runs an **independent** decomposition per
-//!   threshold (support rebuilt each time, exactly what a caller without
-//!   the index would do), asserts every per-threshold result is
-//!   bit-identical, and emits a `bench-parallel/v6` JSON report: the
-//!   shared `counts`/`source` objects of the parbench schema plus a top-level
-//!   `rank` string and a `sweep` object with `support_builds` (gated
+//! * [`run_bench`] builds one [`DecompSweep`] over a grid at the
+//!   configured [`Rank`], then runs an **independent**
+//!   [`Decomposition::compute`] per threshold (support rebuilt each time,
+//!   exactly what a caller without the sweep would do), asserts every
+//!   per-threshold result is bit-identical, and emits a
+//!   `bench-parallel/v6` JSON report: the shared `counts`/`source`
+//!   objects of the parbench schema plus a top-level `rank` string and
+//!   a `sweep` object with `support_builds` (gated
 //!   `== 1` in CI), per-threshold peel counters, the summed
 //!   `dp_calls_total` vs `independent_dp_calls_total`, and the measured
 //!   wall-clock amortization (reported, never gated).  The `counts`
@@ -44,11 +44,11 @@ use std::time::Duration;
 
 use nd_datasets::{ExternalDataset, PaperDataset};
 use ugraph::par::Parallelism;
-use ugraph::{TriangleIndex, UncertainGraph};
+use ugraph::rs::RsSupport;
 
 use nucleus::{
-    DecompConfig, DecompSweep, Decomposition, LocalConfig, LocalNucleusDecomposition, PeelStats,
-    Rank, SweepConfig, ThetaSweep,
+    DecompConfig, DecompSweep, Decomposition, PeelStats, Rank, RankSupport, ScoreMethod,
+    SweepConfig,
 };
 
 use crate::parbench::{generate_graph, ingest, json_source_object, IngestError, IngestTimings};
@@ -301,9 +301,10 @@ impl SweepBenchReport {
     }
 }
 
-/// Runs the benchmark at the configured rank: best-of-`repeats` sweep
-/// builds, then best-of-`repeats` independent per-threshold loops,
-/// verifying bit-identity of every per-threshold result on the way.
+/// Runs the benchmark at the configured rank: best-of-`repeats`
+/// [`DecompSweep`] builds, then best-of-`repeats` independent
+/// per-threshold [`Decomposition::compute`] loops, verifying bit-identity
+/// of every per-threshold result on the way.
 ///
 /// Panics if the sweep and an independent decomposition disagree on a
 /// single score, initial score, method count or perf counter — the
@@ -316,114 +317,7 @@ pub fn run_bench(config: &SweepBenchConfig) -> Result<SweepBenchReport, IngestEr
             None,
         ),
     };
-    Ok(match config.rank {
-        Rank::Nucleus => run_bench_nucleus(config, &graph, ingest_timings),
-        rank => run_bench_generic(config, rank, &graph, ingest_timings),
-    })
-}
-
-/// The nucleus-rank benchmark: [`ThetaSweep`] vs independent
-/// [`LocalNucleusDecomposition`] runs (the richest per-point checks,
-/// including method counts and clique counts).
-fn run_bench_nucleus(
-    config: &SweepBenchConfig,
-    graph: &UncertainGraph,
-    ingest_timings: Option<IngestTimings>,
-) -> SweepBenchReport {
-    let sweep_config = SweepConfig::exact(config.thetas.clone());
-    let repeats = config.repeats.max(1);
-
-    let mut sweep_s = f64::INFINITY;
-    let mut index = None;
-    let mut peak_rss_bytes = 0;
-    let (_, _, sweep_exceeded) = run_with_deadline(config.deadline, || {
-        for _ in 0..repeats {
-            let (built, t) = Timing::measure(|| {
-                ThetaSweep::compute(graph, &sweep_config).expect("valid sweep config")
-            });
-            peak_rss_bytes = ugraph::metrics::peak_rss_bytes();
-            sweep_s = sweep_s.min(t.seconds());
-            index = Some(built);
-        }
-    });
-    let index = index.expect("at least one repeat ran");
-    assert_eq!(index.support_builds(), 1, "sweep must build support once");
-
-    let mut independent_s = f64::INFINITY;
-    let mut independents = None;
-    let (_, _, indep_exceeded) = run_with_deadline(config.deadline, || {
-        for _ in 0..repeats {
-            let (solo, t) = Timing::measure(|| {
-                config
-                    .thetas
-                    .iter()
-                    .map(|&theta| {
-                        LocalNucleusDecomposition::compute(graph, &LocalConfig::exact(theta))
-                            .expect("valid config")
-                    })
-                    .collect::<Vec<_>>()
-            });
-            independent_s = independent_s.min(t.seconds());
-            independents = Some(solo);
-        }
-    });
-    let independents = independents.expect("at least one repeat ran");
-
-    let per_theta: Vec<PerThetaCounters> = config
-        .thetas
-        .iter()
-        .zip(&independents)
-        .map(|(&theta, solo)| {
-            assert_eq!(
-                index.scores_at(theta).expect("theta is a grid point"),
-                solo.scores(),
-                "sweep diverged from the independent decomposition at theta {theta}"
-            );
-            assert_eq!(
-                index.initial_scores_at(theta).expect("grid point"),
-                solo.initial_scores()
-            );
-            assert_eq!(
-                index.method_counts_at(theta).expect("grid point"),
-                solo.method_counts()
-            );
-            let stats = *index.peel_stats_at(theta).expect("grid point");
-            assert_eq!(&stats, solo.peel_stats(), "perf counters diverged");
-            PerThetaCounters {
-                theta,
-                stats,
-                peak_rss_bytes,
-                max_score: index.max_score_at(theta).expect("grid point"),
-                independent_dp_calls: solo.peel_stats().dp_calls,
-            }
-        })
-        .collect();
-
-    SweepBenchReport {
-        config: config.clone(),
-        actual_vertices: graph.num_vertices(),
-        actual_edges: graph.num_edges(),
-        ingest: ingest_timings,
-        num_triangles: Some(index.num_triangles()),
-        num_four_cliques: Some(index.support().num_cliques()),
-        available_parallelism: Parallelism::Auto.num_threads(),
-        support_builds: index.support_builds(),
-        independent_support_builds: config.thetas.len(),
-        per_theta,
-        sweep_s,
-        independent_s,
-        deadline_exceeded: sweep_exceeded || indep_exceeded,
-    }
-}
-
-/// The core/truss-rank benchmark: [`DecompSweep`] vs independent
-/// [`Decomposition::compute`] runs per grid point.
-fn run_bench_generic(
-    config: &SweepBenchConfig,
-    rank: Rank,
-    graph: &UncertainGraph,
-    ingest_timings: Option<IngestTimings>,
-) -> SweepBenchReport {
+    let rank = config.rank;
     let sweep_config = SweepConfig::exact(config.thetas.clone()).with_rank(rank);
     let repeats = config.repeats.max(1);
 
@@ -433,7 +327,7 @@ fn run_bench_generic(
     let (_, _, sweep_exceeded) = run_with_deadline(config.deadline, || {
         for _ in 0..repeats {
             let (built, t) = Timing::measure(|| {
-                DecompSweep::compute(graph, &sweep_config).expect("valid sweep config")
+                DecompSweep::compute(&graph, &sweep_config).expect("valid sweep config")
             });
             peak_rss_bytes = ugraph::metrics::peak_rss_bytes();
             sweep_s = sweep_s.min(t.seconds());
@@ -452,12 +346,13 @@ fn run_bench_generic(
                     .thetas
                     .iter()
                     .map(|&threshold| {
-                        let point = match rank {
-                            Rank::Core => DecompConfig::core(threshold),
-                            Rank::Truss => DecompConfig::truss(threshold),
-                            Rank::Nucleus => unreachable!("nucleus uses run_bench_nucleus"),
+                        let point = DecompConfig {
+                            rank,
+                            threshold,
+                            method: ScoreMethod::DynamicProgramming,
+                            parallelism: Parallelism::Auto,
                         };
-                        Decomposition::compute(graph, &point).expect("valid config")
+                        Decomposition::compute(&graph, &point).expect("valid config")
                     })
                     .collect::<Vec<_>>()
             });
@@ -467,7 +362,6 @@ fn run_bench_generic(
     });
     let independents = independents.expect("at least one repeat ran");
 
-    let stats_grid = index.peel_stats();
     let per_theta: Vec<PerThetaCounters> = config
         .thetas
         .iter()
@@ -484,33 +378,36 @@ fn run_bench_generic(
                 solo.initial_scores(),
                 "{rank} initial scores diverged at threshold {theta}"
             );
-            let stats = stats_grid[gi];
+            assert_eq!(index.method_counts_at_index(gi), solo.method_counts());
+            let stats = *index.peel_stats_at_index(gi);
             assert_eq!(&stats, solo.peel_stats(), "perf counters diverged");
             PerThetaCounters {
                 theta,
                 stats,
                 peak_rss_bytes,
-                max_score: index.scores_at_index(gi).iter().copied().max().unwrap_or(0),
+                max_score: index.max_score_at_index(gi),
                 independent_dp_calls: solo.peel_stats().dp_calls,
             }
         })
         .collect();
 
     // The cell counts the `counts` object can carry at this rank: the
-    // truss rank's cells are triangles; the core rank's elements and
-    // cells (vertices, edges) are already top-level report fields.
-    let num_triangles = match rank {
-        Rank::Truss => Some(TriangleIndex::build(graph).len()),
-        _ => None,
+    // nucleus rank's elements and cells, the truss rank's cells
+    // (triangles); the core rank's elements and cells (vertices, edges)
+    // are already top-level report fields.
+    let (num_triangles, num_four_cliques) = match &**index.support() {
+        RankSupport::Nucleus(s) => (Some(s.num_triangles()), Some(s.num_cliques())),
+        RankSupport::Truss(s) => (Some(s.num_cells()), None),
+        RankSupport::Core(_) => (None, None),
     };
 
-    SweepBenchReport {
+    Ok(SweepBenchReport {
         config: config.clone(),
         actual_vertices: graph.num_vertices(),
         actual_edges: graph.num_edges(),
         ingest: ingest_timings,
         num_triangles,
-        num_four_cliques: None,
+        num_four_cliques,
         available_parallelism: Parallelism::Auto.num_threads(),
         support_builds: index.support_builds(),
         independent_support_builds: config.thetas.len(),
@@ -518,7 +415,7 @@ fn run_bench_generic(
         sweep_s,
         independent_s,
         deadline_exceeded: sweep_exceeded || indep_exceeded,
-    }
+    })
 }
 
 /// One row of the deterministic sweep table.
@@ -585,40 +482,37 @@ impl SweepTable {
 /// decomposition (the sweep's differential contract, re-checked on the
 /// synthetic data the goldens pin).
 pub fn run_table(ctx: &ExperimentContext, datasets: &[PaperDataset], thetas: &[f64]) -> SweepTable {
-    let sweep = ThetaSweep::new(SweepConfig::exact(thetas.to_vec())).expect("valid grid");
+    let config = SweepConfig::exact(thetas.to_vec());
     let mut shapes = Vec::new();
     let mut rows = Vec::new();
     for &dataset in datasets {
         let graph = ctx.dataset(dataset);
         let name = ctx.dataset_name(dataset);
-        let index = sweep.run(&graph).expect("valid sweep");
-        assert_eq!(index.support_builds(), 1);
+        let sweep = DecompSweep::compute(&graph, &config).expect("valid sweep");
+        assert_eq!(sweep.support_builds(), 1);
         assert!(
-            index.is_monotone_in_theta(),
+            sweep.is_monotone_in_threshold(),
             "{name}: sweep rows must be non-increasing in theta"
         );
-        shapes.push((
-            name.clone(),
-            index.num_triangles(),
-            index.support().num_cliques(),
-        ));
-        for &theta in thetas {
-            let solo = LocalNucleusDecomposition::compute(&graph, &LocalConfig::exact(theta))
+        let support = sweep.nucleus_support().expect("nucleus-rank sweep");
+        shapes.push((name.clone(), support.num_triangles(), support.num_cliques()));
+        for (gi, &theta) in thetas.iter().enumerate() {
+            let solo = Decomposition::compute(&graph, &DecompConfig::nucleus(theta))
                 .expect("valid config");
             assert_eq!(
-                index.scores_at(theta).expect("grid point"),
+                sweep.scores_at_index(gi),
                 solo.scores(),
                 "{name}: sweep diverged at theta {theta}"
             );
             rows.push(SweepTableRow {
                 dataset: name.clone(),
                 theta,
-                max_score: index.max_score_at(theta).expect("grid point"),
-                nuclei_at_1: index
+                max_score: sweep.max_score_at_index(gi),
+                nuclei_at_1: sweep
                     .k_nuclei_at(&graph, theta, 1)
                     .expect("grid point")
                     .len(),
-                stats: *index.peel_stats_at(theta).expect("grid point"),
+                stats: *sweep.peel_stats_at_index(gi),
             });
         }
     }

@@ -81,7 +81,7 @@ pub fn max_k(triangle_prob: f64, completion_probs: &[f64], theta: f64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::local::dp;
+    use ugraph::rs::dp;
 
     fn choose(n: usize, k: usize) -> f64 {
         if k > n {

@@ -65,7 +65,7 @@ pub fn max_k(triangle_prob: f64, completion_probs: &[f64], theta: f64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::local::dp;
+    use ugraph::rs::dp;
 
     #[test]
     fn erf_reference_values() {

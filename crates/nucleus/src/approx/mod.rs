@@ -20,7 +20,7 @@ pub mod stats;
 pub mod translated_poisson;
 
 use crate::config::ApproxThresholds;
-use crate::local::dp;
+use ugraph::rs::dp;
 
 /// The method used to evaluate a triangle's support distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -76,7 +76,7 @@ pub fn max_k(triangle_prob: f64, completion_probs: &[f64], theta: f64) -> u32 {
 mod tests {
     use super::*;
     use crate::approx::stats;
-    use crate::local::dp;
+    use ugraph::rs::dp;
 
     #[test]
     fn moments_are_approximately_preserved() {

@@ -53,66 +53,9 @@ pub enum ScoreMethod {
     Hybrid(ApproxThresholds),
 }
 
-/// Configuration of the local nucleus decomposition (Algorithm 1).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LocalConfig {
-    /// Probability threshold θ of Definition 5.
-    pub theta: f64,
-    /// How support scores are computed.
-    pub method: ScoreMethod,
-    /// Parallelism of the support-structure construction (triangle and
-    /// 4-clique enumeration, completion probabilities).  Results are
-    /// bit-identical for every setting; defaults to [`Parallelism::Auto`].
-    pub parallelism: Parallelism,
-}
-
-impl LocalConfig {
-    /// Exact DP configuration with the given threshold.
-    pub fn exact(theta: f64) -> Self {
-        LocalConfig {
-            theta,
-            method: ScoreMethod::DynamicProgramming,
-            parallelism: Parallelism::Auto,
-        }
-    }
-
-    /// Hybrid approximation configuration with the paper's default
-    /// hyperparameters.
-    pub fn approximate(theta: f64) -> Self {
-        LocalConfig {
-            theta,
-            method: ScoreMethod::Hybrid(ApproxThresholds::default()),
-            parallelism: Parallelism::Auto,
-        }
-    }
-
-    /// Sets the parallelism of the support-structure construction.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Validates the threshold.
-    pub fn validate(&self) -> Result<()> {
-        if !(self.theta > 0.0 && self.theta <= 1.0) || self.theta.is_nan() {
-            return Err(NucleusError::InvalidThreshold {
-                name: "theta",
-                value: self.theta,
-            });
-        }
-        validate_method(&self.method)
-    }
-}
-
-impl Default for LocalConfig {
-    fn default() -> Self {
-        LocalConfig::exact(0.1)
-    }
-}
-
 /// Validates a scoring method's hyperparameters (shared by
-/// [`LocalConfig`] and [`SweepConfig`]).
-fn validate_method(method: &ScoreMethod) -> Result<()> {
+/// [`DecompConfig`](crate::decomp::DecompConfig) and [`SweepConfig`]).
+pub(crate) fn validate_method(method: &ScoreMethod) -> Result<()> {
     if let ScoreMethod::Hybrid(t) = method {
         if !(t.c_max > 0.0 && t.c_max <= 1.0) {
             return Err(NucleusError::InvalidThreshold {
@@ -171,10 +114,7 @@ pub fn validate_theta_grid(thetas: &[f64]) -> Result<()> {
 /// amortized across a whole grid of thresholds, at any rank of the
 /// (r,s)-nucleus family.
 ///
-/// This is the single validated builder behind every sweep surface:
-/// [`ThetaSweep`](crate::local::sweep::ThetaSweep) is the `rank =
-/// nucleus` instance (the constructors default to that rank for
-/// source compatibility), and a single-threshold
+/// The constructors default to the nucleus rank, and a single-threshold
 /// [`DecompConfig`](crate::decomp::DecompConfig) expands into one via
 /// [`DecompConfig::sweep`](crate::decomp::DecompConfig::sweep).
 #[derive(Debug, Clone, PartialEq)]
@@ -333,38 +273,6 @@ mod tests {
         assert_eq!(t.b, 100);
         assert_eq!(t.c_max, 0.25);
         assert_eq!(t.d, 0.9);
-    }
-
-    #[test]
-    fn local_config_constructors() {
-        let e = LocalConfig::exact(0.3);
-        assert_eq!(e.theta, 0.3);
-        assert_eq!(e.method, ScoreMethod::DynamicProgramming);
-        assert_eq!(e.parallelism, Parallelism::Auto);
-        let a = LocalConfig::approximate(0.3);
-        assert!(matches!(a.method, ScoreMethod::Hybrid(_)));
-        assert!(e.validate().is_ok());
-        assert!(a.validate().is_ok());
-        let s = e.with_parallelism(Parallelism::Sequential);
-        assert_eq!(s.parallelism, Parallelism::Sequential);
-        assert!(s.validate().is_ok());
-    }
-
-    #[test]
-    fn local_config_validation() {
-        assert!(LocalConfig::exact(0.0).validate().is_err());
-        assert!(LocalConfig::exact(1.1).validate().is_err());
-        assert!(LocalConfig::exact(f64::NAN).validate().is_err());
-        let mut cfg = LocalConfig::approximate(0.5);
-        if let ScoreMethod::Hybrid(ref mut t) = cfg.method {
-            t.c_max = 0.0;
-        }
-        assert!(cfg.validate().is_err());
-        let mut cfg = LocalConfig::approximate(0.5);
-        if let ScoreMethod::Hybrid(ref mut t) = cfg.method {
-            t.d = 2.0;
-        }
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

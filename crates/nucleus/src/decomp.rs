@@ -20,14 +20,12 @@
 //!   caches the support's threshold-independent [`TailTable`], so each
 //!   element's DP runs once however many thresholds are asked.
 //!
-//! Outputs are **bit-identical** to the historical per-rank entry points
-//! (`probdecomp::EtaCoreDecomposition`, `probdecomp::GammaTrussDecomposition`,
-//! [`LocalNucleusDecomposition`](crate::local::LocalNucleusDecomposition)):
-//! the supports gather the same floats in the same order, the DP is the
-//! same arithmetic (an initial score read off the tail table is the DP's
-//! own cut of the same tail), and the deferred peel reaches the same
-//! fixpoint as the frozen eager references (the DP scorer is monotone
-//! under cell removal, which makes the peeling fixpoint
+//! Outputs are **bit-identical** to the frozen eager engines of
+//! [`crate::reference`]: the supports gather the same floats in the same
+//! order, the DP is the same arithmetic (an initial score read off the
+//! tail table is the DP's own cut of the same tail), and the deferred
+//! peel reaches the same fixpoint as the eager references (the DP scorer
+//! is monotone under cell removal, which makes the peeling fixpoint
 //! schedule-independent).  Differential proptests in
 //! `tests/rs_engine_equivalence.rs` enforce this per rank.
 
@@ -36,12 +34,16 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
+use detdecomp::NucleusSubgraph;
 use ugraph::rs::{self, CoreSupport, PeelStats, RsSupport, TailScratch, TailTable, TrussSupport};
 use ugraph::update::GraphDelta;
-use ugraph::{apply_edge_updates, par, EdgeUpdate, Parallelism, UncertainGraph};
+use ugraph::{
+    apply_edge_updates, par, ConnectedComponents, EdgeId, EdgeSubgraph, EdgeUpdate, Parallelism,
+    UncertainGraph,
+};
 
 use crate::approx::ApproxMethod;
-use crate::config::{LocalConfig, ScoreMethod, SweepConfig};
+use crate::config::{validate_method, ScoreMethod, SweepConfig};
 use crate::error::{NucleusError, Result};
 use crate::local::{self, nuclei};
 use crate::support::SupportStructure;
@@ -181,8 +183,7 @@ impl DecompConfig {
         Self::new(Rank::Truss, gamma)
     }
 
-    /// ℓ-NuDecomp configuration (equivalent to
-    /// [`LocalConfig::exact`]).
+    /// ℓ-NuDecomp configuration.
     pub fn nucleus(theta: f64) -> Self {
         Self::new(Rank::Nucleus, theta)
     }
@@ -200,7 +201,8 @@ impl DecompConfig {
         self
     }
 
-    /// Validates the threshold range and the method/rank combination.
+    /// Validates the threshold range, the method/rank combination and
+    /// the hybrid scorer's hyperparameters.
     pub fn validate(&self) -> Result<()> {
         if !(self.threshold > 0.0 && self.threshold <= 1.0) || self.threshold.is_nan() {
             return Err(NucleusError::InvalidThreshold {
@@ -214,28 +216,7 @@ impl DecompConfig {
                 method: "hybrid",
             });
         }
-        // Delegate hybrid-hyperparameter checks (and re-check θ) to the
-        // rank-3 config.
-        self.local_config().validate().map_err(|e| match e {
-            // Re-label the threshold under this rank's conventional name.
-            NucleusError::InvalidThreshold { value, .. } if value == self.threshold => {
-                NucleusError::InvalidThreshold {
-                    name: self.rank.threshold_name(),
-                    value,
-                }
-            }
-            other => other,
-        })
-    }
-
-    /// The equivalent rank-3 [`LocalConfig`] (used for the nucleus path
-    /// and for hyperparameter validation).
-    fn local_config(&self) -> LocalConfig {
-        LocalConfig {
-            theta: self.threshold,
-            method: self.method,
-            parallelism: self.parallelism,
-        }
+        validate_method(&self.method)
     }
 
     /// Expands this single-threshold configuration into a [`SweepConfig`]
@@ -302,6 +283,15 @@ impl RankSupport {
             RankSupport::Nucleus(s) => Some(s),
             _ => None,
         }
+    }
+
+    /// Like [`as_nucleus`](Self::as_nucleus), but other ranks produce the
+    /// typed [`NucleusError::RankMismatch`].
+    pub(crate) fn require_nucleus(&self) -> Result<&SupportStructure> {
+        self.as_nucleus().ok_or(NucleusError::RankMismatch {
+            expected: Rank::Nucleus.as_str(),
+            got: self.rank().as_str(),
+        })
     }
 
     /// Runs every element's DP once into the threshold-independent table
@@ -471,8 +461,7 @@ pub struct HandleUpdate {
 }
 
 /// Everything one threshold produces: the per-point payload shared by
-/// [`Decomposition`], [`DecompSweep`] and
-/// [`LocalNucleusDecomposition`](crate::local::LocalNucleusDecomposition).
+/// [`Decomposition`] and [`DecompSweep`].
 #[derive(Debug, Clone)]
 pub(crate) struct Point {
     pub(crate) scores: Vec<u32>,
@@ -487,7 +476,8 @@ pub(crate) struct Point {
 /// support shares it — and peel on the generic engine of
 /// [`ugraph::rs`].  Hybrid points (nucleus rank only) run the eager
 /// engine of [`crate::local::peel`] and never build a table.  Either way
-/// the result is bit-identical to the historical per-rank entry points.
+/// the result is bit-identical to the frozen engines of
+/// [`crate::reference`].
 fn compute_point(
     support: &RankSupport,
     tails: &OnceLock<TailTable>,
@@ -496,11 +486,9 @@ fn compute_point(
     parallelism: Parallelism,
 ) -> Point {
     if let (RankSupport::Nucleus(s), ScoreMethod::Hybrid(_)) = (support, method) {
-        let config = LocalConfig {
-            theta: threshold,
-            method,
-            parallelism,
-        };
+        let config = DecompConfig::nucleus(threshold)
+            .with_method(method)
+            .with_parallelism(parallelism);
         return local::peel::hybrid_point(s, &config);
     }
     let tails = tails.get_or_init(|| support.tail_table(parallelism));
@@ -728,6 +716,7 @@ impl DecompHandle {
         );
         Ok(Decomposition {
             config: *config,
+            support: Arc::clone(&self.support),
             initial_scores: point.initial_scores,
             scores: point.scores,
             method_counts: point.method_counts,
@@ -783,11 +772,13 @@ impl DecompHandle {
 
 /// Result of a unified (r,s) decomposition: the decomposition number of
 /// every element (core number, truss number or ℓ-nucleusness, indexed by
-/// vertex, edge or triangle id), plus the engine's deterministic perf
-/// counters.
+/// vertex, edge or triangle id), the engine's deterministic perf
+/// counters, and the support it was computed over (shared with the
+/// [`DecompHandle`] that computed it, never copied).
 #[derive(Debug, Clone)]
 pub struct Decomposition {
     config: DecompConfig,
+    support: Arc<RankSupport>,
     initial_scores: Vec<u32>,
     scores: Vec<u32>,
     method_counts: HashMap<ApproxMethod, usize>,
@@ -848,18 +839,93 @@ impl Decomposition {
     pub fn peel_stats(&self) -> &PeelStats {
         &self.stats
     }
+
+    /// The nucleus-rank [`SupportStructure`] (triangles, 4-cliques,
+    /// completion probabilities), when this is a nucleus decomposition.
+    pub fn nucleus_support(&self) -> Option<&SupportStructure> {
+        self.support.as_nucleus()
+    }
+
+    /// The maximal ℓ-(k,θ)-nuclei for `k ≥ 1` — nucleus rank only; other
+    /// ranks produce [`NucleusError::RankMismatch`].  `graph` must be the
+    /// graph the decomposition was computed from.
+    pub fn k_nuclei(&self, graph: &UncertainGraph, k: u32) -> Result<Vec<NucleusSubgraph>> {
+        let support = self.require_nucleus()?;
+        Ok(nuclei::extract_k_nuclei(graph, support, &self.scores, k))
+    }
+
+    /// The nucleus-rank support, or [`NucleusError::RankMismatch`].
+    pub(crate) fn require_nucleus(&self) -> Result<&SupportStructure> {
+        self.support.require_nucleus()
+    }
+
+    /// The maximal connected k-subgraphs at any rank, for `k ≥ 1`: the
+    /// connected (k,η)-cores (vertex-induced, at least 2 vertices), the
+    /// connected (k,γ)-trusses (edge-induced, at least 3 vertices) or the
+    /// ℓ-(k,θ)-nuclei.  `graph` must be the graph the decomposition was
+    /// computed from.
+    pub fn k_subgraphs(&self, graph: &UncertainGraph, k: u32) -> Vec<EdgeSubgraph> {
+        match &*self.support {
+            RankSupport::Core(_) => {
+                let in_core: Vec<bool> = self.scores.iter().map(|&c| c >= k).collect();
+                if !in_core.contains(&true) {
+                    return Vec::new();
+                }
+                let components = ConnectedComponents::over_vertices(graph, |v| in_core[v as usize]);
+                components
+                    .vertex_sets()
+                    .into_iter()
+                    .filter(|set| set.len() > 1)
+                    .map(|set| EdgeSubgraph::induced_by_vertices(graph, &set))
+                    .collect()
+            }
+            RankSupport::Truss(_) => {
+                let edges: Vec<EdgeId> = (0..self.scores.len() as EdgeId)
+                    .filter(|&e| self.scores[e as usize] >= k)
+                    .collect();
+                if edges.is_empty() {
+                    return Vec::new();
+                }
+                let sub = EdgeSubgraph::induced_by_edges(graph, &edges);
+                let components = ConnectedComponents::new(sub.graph());
+                components
+                    .vertex_sets()
+                    .into_iter()
+                    .filter(|set| set.len() > 2)
+                    .map(|set| {
+                        let original: Vec<_> =
+                            set.iter().map(|&v| sub.original_vertex(v)).collect();
+                        let comp_edges: Vec<EdgeId> = edges
+                            .iter()
+                            .copied()
+                            .filter(|&e| {
+                                let edge = graph.edge(e);
+                                original.contains(&edge.u) && original.contains(&edge.v)
+                            })
+                            .collect();
+                        EdgeSubgraph::induced_by_edges(graph, &comp_edges)
+                    })
+                    .collect()
+            }
+            RankSupport::Nucleus(s) => nuclei::extract_k_nuclei(graph, s, &self.scores, k)
+                .into_iter()
+                .map(|n| n.subgraph)
+                .collect(),
+        }
+    }
 }
 
 /// A threshold sweep at any rank: one support build amortized across a
 /// whole grid, per-point scores, method counts and [`PeelStats`],
 /// queryable in O(log grid).
 ///
-/// This is the one sweep engine of the workspace —
-/// [`ThetaSweep`](crate::local::sweep::ThetaSweep) and
-/// [`NucleusIndex`](crate::local::sweep::NucleusIndex) are thin
-/// nucleus-rank wrappers over it.  Every per-point result is
-/// bit-identical to an independent [`Decomposition::compute`] at that
-/// threshold, for every parallelism setting.
+/// This is the one sweep engine of the workspace.  Every per-point
+/// result is bit-identical to an independent [`Decomposition::compute`]
+/// at that threshold, for every parallelism setting, and the exact-DP
+/// rows are non-increasing in the threshold (a larger threshold can only
+/// shrink every tail set).  [`support_builds`](Self::support_builds)
+/// makes the amortization CI-gateable: `experiments thetasweep` emits it
+/// and `bench-compare` pins it to 1.
 #[derive(Debug, Clone)]
 pub struct DecompSweep {
     support: Arc<RankSupport>,
@@ -1173,11 +1239,8 @@ impl DecompSweep {
         graph: &UncertainGraph,
         threshold: f64,
         k: u32,
-    ) -> Result<Vec<detdecomp::NucleusSubgraph>> {
-        let support = self.nucleus_support().ok_or(NucleusError::RankMismatch {
-            expected: Rank::Nucleus.as_str(),
-            got: self.config.rank.as_str(),
-        })?;
+    ) -> Result<Vec<NucleusSubgraph>> {
+        let support = self.support.require_nucleus()?;
         let gi = self.require_grid_index(threshold)?;
         Ok(nuclei::extract_k_nuclei(
             graph,
@@ -1191,7 +1254,8 @@ impl DecompSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::local::LocalNucleusDecomposition;
+    use crate::config::ApproxThresholds;
+    use ugraph::generators::ProbabilityModel;
     use ugraph::GraphBuilder;
 
     fn complete(n: u32, p: f64) -> UncertainGraph {
@@ -1236,7 +1300,7 @@ mod tests {
 
     #[test]
     fn hybrid_method_is_nucleus_only() {
-        let hybrid = ScoreMethod::Hybrid(crate::config::ApproxThresholds::default());
+        let hybrid = ScoreMethod::Hybrid(ApproxThresholds::default());
         assert_eq!(
             DecompConfig::core(0.5).with_method(hybrid).validate(),
             Err(NucleusError::UnsupportedMethod {
@@ -1270,17 +1334,6 @@ mod tests {
         assert_eq!(core.num_elements(), 5);
         assert_eq!(truss.num_elements(), 10);
         assert_eq!(nucleus.num_elements(), 10);
-    }
-
-    #[test]
-    fn nucleus_rank_matches_local_decomposition_bitwise() {
-        let g = complete(6, 0.7);
-        let unified = Decomposition::compute(&g, &DecompConfig::nucleus(0.2)).unwrap();
-        let local = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.2)).unwrap();
-        assert_eq!(unified.scores(), local.scores());
-        assert_eq!(unified.initial_scores(), local.initial_scores());
-        assert_eq!(unified.peel_stats(), local.peel_stats());
-        assert_eq!(unified.method_counts(), local.method_counts());
     }
 
     #[test]
@@ -1355,7 +1408,7 @@ mod tests {
 
         // Hybrid points never build a table.
         let handle = DecompHandle::build(&g, Rank::Nucleus, Parallelism::Sequential);
-        let hybrid = ScoreMethod::Hybrid(crate::config::ApproxThresholds::default());
+        let hybrid = ScoreMethod::Hybrid(ApproxThresholds::default());
         let config = DecompConfig::nucleus(0.3).with_method(hybrid);
         let approx = handle.compute_at(&config).unwrap();
         assert_eq!(
@@ -1506,17 +1559,9 @@ mod tests {
             })
         );
         assert!(sweep.nucleus_support().is_some());
-        let solo = LocalNucleusDecomposition::compute(
-            &g,
-            &LocalConfig {
-                theta: 0.1,
-                method: ScoreMethod::DynamicProgramming,
-                parallelism: Parallelism::Auto,
-            },
-        )
-        .unwrap();
+        let solo = Decomposition::compute(&g, &DecompConfig::nucleus(0.1)).unwrap();
         let nuclei = sweep.k_nuclei_at(&g, 0.1, 1).unwrap();
-        let expected = solo.k_nuclei(&g, 1);
+        let expected = solo.k_nuclei(&g, 1).unwrap();
         assert_eq!(nuclei.len(), expected.len());
         for (a, b) in nuclei.iter().zip(&expected) {
             assert_eq!(a.cliques, b.cliques);
@@ -1769,5 +1814,545 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn decomp_config_validates_hybrid_hyperparameters() {
+        for bad in [0.0, 1.1, f64::NAN] {
+            assert!(DecompConfig::nucleus(bad).validate().is_err(), "{bad}");
+        }
+        let with =
+            |t: ApproxThresholds| DecompConfig::nucleus(0.5).with_method(ScoreMethod::Hybrid(t));
+        let defaults = ApproxThresholds::default();
+        assert!(with(defaults).validate().is_ok());
+        for (bad, name) in [
+            (
+                ApproxThresholds {
+                    c_max: 0.0,
+                    ..defaults
+                },
+                "approx.c_max",
+            ),
+            (ApproxThresholds { d: 2.0, ..defaults }, "approx.d"),
+        ] {
+            match with(bad).validate() {
+                Err(NucleusError::InvalidThreshold { name: got, .. }) => assert_eq!(got, name),
+                other => panic!("expected InvalidThreshold, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn compute_at_shares_the_handle_support() {
+        let g = complete(5, 0.8);
+        for rank in [Rank::Core, Rank::Truss, Rank::Nucleus] {
+            let handle = DecompHandle::build(&g, rank, Parallelism::Sequential);
+            let d = handle.compute_at(&DecompConfig::new(rank, 0.3)).unwrap();
+            assert!(Arc::ptr_eq(&d.support, handle.support()), "{rank}");
+            assert_eq!(d.nucleus_support().is_some(), rank == Rank::Nucleus);
+        }
+    }
+
+    #[test]
+    fn k_nuclei_is_nucleus_rank_only() {
+        let g = complete(5, 0.9);
+        for rank in [Rank::Core, Rank::Truss, Rank::Nucleus] {
+            let d = Decomposition::compute(&g, &DecompConfig::new(rank, 0.1)).unwrap();
+            match d.k_nuclei(&g, 1) {
+                Ok(nuclei) => {
+                    assert_eq!(rank, Rank::Nucleus);
+                    assert_eq!(nuclei.len(), 1);
+                }
+                Err(e) => assert_eq!(
+                    e,
+                    NucleusError::RankMismatch {
+                        expected: "nucleus",
+                        got: rank.as_str(),
+                    }
+                ),
+            }
+        }
+    }
+
+    /// Two disjoint K5s with high probabilities, plus a weak pendant
+    /// vertex attached to each clique.
+    fn two_k5s_with_pendants() -> UncertainGraph {
+        let mut b = GraphBuilder::new();
+        for base in [0u32, 5u32] {
+            for i in 0..5u32 {
+                for j in (i + 1)..5u32 {
+                    b.add_edge(base + i, base + j, 0.9).unwrap();
+                }
+            }
+        }
+        b.add_edge(4, 10, 0.1).unwrap();
+        b.add_edge(9, 11, 0.1).unwrap();
+        b.build()
+    }
+
+    #[test]
+    fn k_subgraphs_extract_both_k5s_at_every_rank() {
+        let g = two_k5s_with_pendants();
+        for rank in [Rank::Core, Rank::Truss, Rank::Nucleus] {
+            let d = Decomposition::compute(&g, &DecompConfig::new(rank, 0.5)).unwrap();
+            let k = d.max_score().max(1);
+            let subs = d.k_subgraphs(&g, k);
+            assert_eq!(subs.len(), 2, "{rank}");
+            for sub in &subs {
+                assert_eq!(sub.num_vertices(), 5, "{rank}");
+                assert_eq!(sub.num_edges(), 10, "{rank}");
+            }
+            if rank == Rank::Nucleus {
+                let nuclei = d.k_nuclei(&g, k).unwrap();
+                assert_eq!(nuclei.len(), subs.len());
+                for (n, sub) in nuclei.iter().zip(&subs) {
+                    assert_eq!(n.subgraph.original_vertices(), sub.original_vertices());
+                    assert_eq!(n.subgraph.num_edges(), sub.num_edges());
+                }
+            }
+        }
+    }
+
+    // Nucleus-rank sweeps: per-point results, grid lookups and nuclei
+    // queries against single-threshold decompositions.
+
+    fn nucleus(g: &UncertainGraph, config: DecompConfig) -> Decomposition {
+        Decomposition::compute(g, &config).unwrap()
+    }
+
+    #[test]
+    fn sweep_matches_independent_runs_on_a_fixture() {
+        let g = complete(6, 0.7);
+        let grid = vec![0.05, 0.2, 0.4, 0.6, 0.9];
+        let sweep = DecompSweep::compute(&g, &SweepConfig::exact(grid.clone())).unwrap();
+        assert_eq!(sweep.support_builds(), 1);
+        assert_eq!(sweep.grid_len(), 5);
+        for (gi, &theta) in grid.iter().enumerate() {
+            let solo = nucleus(&g, DecompConfig::nucleus(theta));
+            assert_eq!(sweep.scores_at(theta).unwrap(), solo.scores());
+            assert_eq!(
+                sweep.initial_scores_at(theta).unwrap(),
+                solo.initial_scores()
+            );
+            assert_eq!(sweep.method_counts_at_index(gi), solo.method_counts());
+            assert_eq!(sweep.peel_stats_at_index(gi), solo.peel_stats());
+            assert_eq!(sweep.max_score_at(theta).unwrap(), solo.max_score());
+        }
+    }
+
+    #[test]
+    fn sweep_over_a_prebuilt_support_reports_zero_builds() {
+        let g = complete(5, 0.8);
+        let config = SweepConfig::exact(vec![0.1, 0.5]);
+        let support = Arc::new(RankSupport::Nucleus(SupportStructure::build(&g)));
+        let shared = DecompHandle::from_support(support).sweep(&config).unwrap();
+        assert_eq!(shared.support_builds(), 0);
+        let direct = DecompSweep::compute(&g, &config).unwrap();
+        assert_eq!(direct.support_builds(), 1);
+        for gi in 0..shared.grid_len() {
+            assert_eq!(shared.scores_at_index(gi), direct.scores_at_index(gi));
+            assert_eq!(
+                shared.initial_scores_at_index(gi),
+                direct.initial_scores_at_index(gi)
+            );
+        }
+    }
+
+    #[test]
+    fn grid_lookup_is_exact_match_only() {
+        let g = complete(5, 0.6);
+        let sweep = DecompSweep::compute(&g, &SweepConfig::exact(vec![0.1, 0.3, 0.7])).unwrap();
+        assert_eq!(sweep.grid_index_of(0.3), Some(1));
+        assert_eq!(sweep.grid_index_of(0.2), None);
+        assert_eq!(sweep.grid_index_of(f64::NAN), None);
+        assert!(sweep.scores_at(0.2).is_none());
+        assert!(sweep.initial_scores_at(0.31).is_none());
+        assert!(sweep.max_score_at(0.0).is_none());
+        assert_eq!(sweep.thresholds(), &[0.1, 0.3, 0.7]);
+    }
+
+    #[test]
+    fn invalid_grids_are_rejected_before_any_work() {
+        let g = complete(4, 0.5);
+        assert_eq!(
+            DecompSweep::compute(&g, &SweepConfig::exact(vec![])).unwrap_err(),
+            NucleusError::InvalidThetaGrid(crate::ThetaGridError::Empty)
+        );
+        assert!(SweepConfig::exact(vec![0.5, 0.1]).validate().is_err());
+    }
+
+    #[test]
+    fn monotone_rows_and_per_triangle_queries() {
+        let g = complete(6, 0.65);
+        let sweep =
+            DecompSweep::compute(&g, &SweepConfig::exact(vec![0.05, 0.2, 0.5, 0.8])).unwrap();
+        assert!(sweep.is_monotone_in_threshold());
+        let row: Vec<u32> = (0..sweep.grid_len())
+            .map(|gi| sweep.scores_at_index(gi)[0])
+            .collect();
+        assert_eq!(row.len(), 4);
+        assert!(row.windows(2).all(|w| w[1] <= w[0]));
+        let index = sweep.nucleus_support().unwrap().triangle_index();
+        assert!(index.id_of(&ugraph::Triangle::new(90, 91, 92)).is_none());
+    }
+
+    #[test]
+    fn k_nuclei_queries_match_single_theta_decompositions() {
+        let g = complete(5, 0.9);
+        let grid = vec![0.1, 0.5];
+        let sweep = DecompSweep::compute(&g, &SweepConfig::exact(grid.clone())).unwrap();
+        for &theta in &grid {
+            let solo = nucleus(&g, DecompConfig::nucleus(theta));
+            for k in 1..=2 {
+                let from_sweep = sweep.k_nuclei_at(&g, theta, k).unwrap();
+                let from_solo = solo.k_nuclei(&g, k).unwrap();
+                assert_eq!(from_sweep.len(), from_solo.len());
+                for (a, b) in from_sweep.iter().zip(&from_solo) {
+                    assert_eq!(a.cliques, b.cliques);
+                    assert_eq!(a.triangles, b.triangles);
+                }
+            }
+        }
+        assert!(sweep.k_nuclei_at(&g, 0.33, 1).is_err());
+    }
+
+    #[test]
+    fn sweep_is_identical_for_every_parallelism() {
+        let g = complete(7, 0.6);
+        let config = SweepConfig::exact(vec![0.05, 0.15, 0.4, 0.75]);
+        let base = DecompSweep::compute(
+            &g,
+            &config.clone().with_parallelism(Parallelism::Sequential),
+        )
+        .unwrap();
+        for threads in [2, 8] {
+            let par = DecompSweep::compute(
+                &g,
+                &config.clone().with_parallelism(Parallelism::fixed(threads)),
+            )
+            .unwrap();
+            for gi in 0..config.thetas.len() {
+                assert_eq!(
+                    par.scores_at_index(gi),
+                    base.scores_at_index(gi),
+                    "threads = {threads}"
+                );
+                assert_eq!(
+                    par.initial_scores_at_index(gi),
+                    base.initial_scores_at_index(gi)
+                );
+                assert_eq!(par.peel_stats_at_index(gi), base.peel_stats_at_index(gi));
+            }
+        }
+    }
+
+    #[test]
+    fn single_point_grid_equals_a_plain_decomposition() {
+        let g = complete(6, 0.7);
+        let sweep = DecompSweep::compute(&g, &SweepConfig::exact(vec![0.25])).unwrap();
+        let solo = nucleus(&g, DecompConfig::nucleus(0.25));
+        assert_eq!(sweep.grid_len(), 1);
+        assert_eq!(sweep.scores_at(0.25).unwrap(), solo.scores());
+        assert_eq!(sweep.total_dp_calls(), solo.peel_stats().dp_calls);
+    }
+
+    #[test]
+    fn empty_graph_sweeps_cleanly() {
+        let g = UncertainGraph::empty(4);
+        let sweep = DecompSweep::compute(&g, &SweepConfig::exact(vec![0.1, 0.9])).unwrap();
+        assert_eq!(sweep.num_elements(), 0);
+        assert_eq!(sweep.max_score_at(0.1), Some(0));
+        assert!(sweep.is_monotone_in_threshold());
+        assert!(sweep.k_nuclei_at(&g, 0.9, 1).unwrap().is_empty());
+    }
+
+    #[test]
+    fn hybrid_sweep_matches_independent_hybrid_runs() {
+        let g = complete(7, 0.55);
+        let grid = vec![0.05, 0.3, 0.7];
+        let sweep = DecompSweep::compute(&g, &SweepConfig::approximate(grid.clone())).unwrap();
+        let hybrid = ScoreMethod::Hybrid(ApproxThresholds::default());
+        for (gi, &theta) in grid.iter().enumerate() {
+            let solo = nucleus(&g, DecompConfig::nucleus(theta).with_method(hybrid));
+            assert_eq!(sweep.scores_at(theta).unwrap(), solo.scores());
+            assert_eq!(sweep.method_counts_at_index(gi), solo.method_counts());
+        }
+    }
+
+    // The Table 3 baselines: the probabilistic (k,η)-core (Bonchi et
+    // al.) and the local (k,γ)-truss (Huang et al.) at ranks (1,2) and
+    // (2,3).
+
+    fn scores(g: &UncertainGraph, config: DecompConfig) -> Vec<u32> {
+        Decomposition::compute(g, &config)
+            .unwrap()
+            .scores()
+            .to_vec()
+    }
+
+    /// A G(n, m) graph whose edge probabilities are drawn from `model`.
+    fn random_graph(seed: u64, n: usize, m: usize, model: ProbabilityModel) -> UncertainGraph {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let edges = ugraph::generators::gnm_edges(n, m, &mut rng);
+        ugraph::generators::assign_probabilities(&edges, n, &model, &mut rng)
+    }
+
+    const CERTAIN: ProbabilityModel = ProbabilityModel::Constant(1.0);
+
+    fn uniform(low: f64) -> ProbabilityModel {
+        ProbabilityModel::Uniform { low, high: 1.0 }
+    }
+
+    /// Deterministic core numbers via the naive iterative algorithm.
+    fn naive_core(graph: &UncertainGraph) -> Vec<u32> {
+        let n = graph.num_vertices();
+        let mut core = vec![0u32; n];
+        for k in 1..=graph.max_degree() as u32 {
+            let mut alive = vec![true; n];
+            loop {
+                let mut changed = false;
+                for v in 0..n {
+                    let deg = graph
+                        .neighbors(v as u32)
+                        .iter()
+                        .filter(|&&u| alive[u as usize])
+                        .count() as u32;
+                    if alive[v] && deg < k {
+                        alive[v] = false;
+                        changed = true;
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+            for v in 0..n {
+                if alive[v] {
+                    core[v] = k;
+                }
+            }
+        }
+        core
+    }
+
+    /// Deterministic truss numbers via naive iterative filtering (support
+    /// convention).
+    fn naive_truss(graph: &UncertainGraph) -> Vec<u32> {
+        let m = graph.num_edges();
+        let mut truss = vec![0u32; m];
+        for k in 1..=graph.max_degree() as u32 {
+            let mut alive = vec![true; m];
+            loop {
+                let mut changed = false;
+                for e in 0..m {
+                    let edge = graph.edge(e as EdgeId);
+                    let sup = graph
+                        .common_neighbors(edge.u, edge.v)
+                        .iter()
+                        .filter(|&&w| {
+                            alive[graph.edge_id(edge.u, w).unwrap() as usize]
+                                && alive[graph.edge_id(edge.v, w).unwrap() as usize]
+                        })
+                        .count() as u32;
+                    if alive[e] && sup < k {
+                        alive[e] = false;
+                        changed = true;
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+            for e in 0..m {
+                if alive[e] {
+                    truss[e] = k;
+                }
+            }
+        }
+        truss
+    }
+
+    fn assert_malformed_threshold_rejected(config: fn(f64) -> DecompConfig, name: &str) {
+        let g = complete(4, 0.9);
+        for bad in [0.0, -0.25, 1.5, f64::NAN] {
+            match Decomposition::compute(&g, &config(bad)) {
+                Err(NucleusError::InvalidThreshold { name: got, value }) => {
+                    assert_eq!(got, name);
+                    assert!(value.is_nan() == bad.is_nan() && (bad.is_nan() || value == bad));
+                }
+                other => panic!("{name}={bad} should be rejected, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn certain_graph_matches_deterministic_core() {
+        // With all probabilities 1 and any η ≤ 1, the η-core equals the
+        // deterministic core.
+        let g = random_graph(31, 40, 160, CERTAIN);
+        assert_eq!(scores(&g, DecompConfig::core(0.7)), naive_core(&g));
+    }
+
+    #[test]
+    fn core_matches_frozen_reference_on_k6() {
+        let g = complete(6, 0.6);
+        assert_eq!(
+            scores(&g, DecompConfig::core(0.3)),
+            crate::reference::eta_core_numbers(&g, 0.3)
+        );
+    }
+
+    #[test]
+    fn malformed_eta_is_rejected_with_typed_error() {
+        assert_malformed_threshold_rejected(DecompConfig::core, "eta");
+    }
+
+    #[test]
+    fn eta_degree_drops_with_threshold() {
+        // A star with 4 leaves, each edge p = 0.5.  Pr[deg >= 2] = 0.6875,
+        // Pr[deg >= 3] = 0.3125.
+        let mut b = GraphBuilder::new();
+        for leaf in 1..=4u32 {
+            b.add_edge(0, leaf, 0.5).unwrap();
+        }
+        let g = b.build();
+        let lenient = scores(&g, DecompConfig::core(0.3));
+        let strict = scores(&g, DecompConfig::core(0.7));
+        assert!(lenient[0] >= strict[0]);
+        // Leaves can have at most η-degree 1 (p = 0.5 < 0.7 means 0 for strict).
+        assert_eq!(strict[1], 0);
+    }
+
+    #[test]
+    fn clique_with_low_probabilities_has_smaller_core() {
+        let high = Decomposition::compute(&complete(6, 0.95), &DecompConfig::core(0.5)).unwrap();
+        let low = Decomposition::compute(&complete(6, 0.3), &DecompConfig::core(0.5)).unwrap();
+        assert!(high.max_score() > low.max_score());
+        assert_eq!(high.num_elements(), 6);
+    }
+
+    #[test]
+    fn core_of_an_empty_graph() {
+        let g = UncertainGraph::empty(3);
+        let d = Decomposition::compute(&g, &DecompConfig::core(0.5)).unwrap();
+        assert_eq!(d.scores(), &[0, 0, 0]);
+        assert_eq!(d.max_score(), 0);
+        assert!(d.k_subgraphs(&g, 1).is_empty());
+    }
+
+    #[test]
+    fn core_numbers_monotone_in_eta() {
+        let g = random_graph(5, 30, 120, uniform(0.2));
+        let loose = scores(&g, DecompConfig::core(0.1));
+        let tight = scores(&g, DecompConfig::core(0.9));
+        for v in 0..30 {
+            assert!(
+                loose[v] >= tight[v],
+                "vertex {v}: eta=0.1 gives {} < eta=0.9 gives {}",
+                loose[v],
+                tight[v]
+            );
+        }
+    }
+
+    #[test]
+    fn eta_core_never_exceeds_deterministic_core() {
+        let g = random_graph(13, 30, 110, uniform(0.2));
+        let prob = scores(&g, DecompConfig::core(0.4));
+        for (v, &d) in naive_core(&g).iter().enumerate() {
+            assert!(prob[v] <= d);
+        }
+    }
+
+    #[test]
+    fn certain_graph_matches_deterministic_truss() {
+        let g = random_graph(41, 25, 100, CERTAIN);
+        assert_eq!(scores(&g, DecompConfig::truss(0.6)), naive_truss(&g));
+    }
+
+    #[test]
+    fn truss_matches_frozen_reference_on_k6() {
+        let g = complete(6, 0.7);
+        assert_eq!(
+            scores(&g, DecompConfig::truss(0.2)),
+            crate::reference::gamma_truss_numbers(&g, 0.2)
+        );
+    }
+
+    #[test]
+    fn malformed_gamma_is_rejected_with_typed_error() {
+        assert_malformed_threshold_rejected(DecompConfig::truss, "gamma");
+    }
+
+    #[test]
+    fn truss_of_empty_and_triangle_free_graphs() {
+        let g = UncertainGraph::empty(4);
+        assert_eq!(scores(&g, DecompConfig::truss(0.5)), Vec::<u32>::new());
+
+        let mut b = GraphBuilder::new();
+        b.add_edge(0, 1, 0.9).unwrap();
+        b.add_edge(1, 2, 0.9).unwrap();
+        let path = b.build();
+        let d = Decomposition::compute(&path, &DecompConfig::truss(0.5)).unwrap();
+        assert!(d.scores().iter().all(|&t| t == 0));
+        assert!(d.k_subgraphs(&path, 1).is_empty());
+    }
+
+    #[test]
+    fn gamma_truss_number_decreases_with_gamma() {
+        let g = complete(6, 0.7);
+        let loose = scores(&g, DecompConfig::truss(0.05));
+        let tight = scores(&g, DecompConfig::truss(0.9));
+        assert!(loose.iter().zip(&tight).all(|(l, t)| l >= t));
+    }
+
+    #[test]
+    fn gamma_truss_never_exceeds_deterministic_truss() {
+        let g = random_graph(43, 20, 90, uniform(0.3));
+        let prob = scores(&g, DecompConfig::truss(0.3));
+        for (e, &d) in naive_truss(&g).iter().enumerate() {
+            assert!(prob[e] <= d);
+        }
+    }
+
+    #[test]
+    fn single_triangle_support() {
+        // One triangle with p = 0.8 everywhere.
+        // Pr[X_e >= 1] = 0.8 * 0.64 = 0.512.
+        let g = complete(3, 0.8);
+        assert!(scores(&g, DecompConfig::truss(0.5)).iter().all(|&t| t == 1));
+        assert!(scores(&g, DecompConfig::truss(0.6)).iter().all(|&t| t == 0));
+    }
+
+    #[test]
+    fn subgraph_extraction_keeps_dense_component() {
+        // A K5 with strong probabilities plus a weak triangle attached.
+        let mut b = GraphBuilder::new();
+        for u in 0..5u32 {
+            for v in (u + 1)..5u32 {
+                b.add_edge(u, v, 0.95).unwrap();
+            }
+        }
+        b.add_edge(4, 5, 0.2).unwrap();
+        b.add_edge(4, 6, 0.2).unwrap();
+        b.add_edge(5, 6, 0.2).unwrap();
+        let g = b.build();
+        let d = Decomposition::compute(&g, &DecompConfig::truss(0.5)).unwrap();
+        let k = d.max_score();
+        assert!(k >= 2);
+        let trusses = d.k_subgraphs(&g, k);
+        assert_eq!(trusses.len(), 1);
+        assert_eq!(trusses[0].num_vertices(), 5);
+        assert_eq!(trusses[0].num_edges(), 10);
+    }
+
+    #[test]
+    fn max_truss_and_truss_subgraphs() {
+        let g = complete(5, 0.9);
+        let d = Decomposition::compute(&g, &DecompConfig::truss(0.3)).unwrap();
+        assert!(d.max_score() >= 2);
+        assert_eq!(d.k_subgraphs(&g, 1)[0].num_edges(), 10);
+        assert!(d.k_subgraphs(&g, d.max_score() + 1).is_empty());
     }
 }

@@ -170,8 +170,6 @@ mod tests {
 
     #[test]
     fn local_tail_matches_dp_on_random_graph() {
-        use crate::config::LocalConfig;
-        use crate::local::LocalNucleusDecomposition;
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
         let edges = ugraph::generators::gnm_edges(8, 16, &mut rng);
@@ -184,12 +182,12 @@ mod tests {
             },
             &mut rng,
         );
-        let local = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.3)).unwrap();
-        for (id, tri) in local.triangle_index().iter() {
-            let probs = local.support().completion_probs(id);
-            let tri_prob = local.support().triangle_prob(id);
+        let support = crate::SupportStructure::build(&g);
+        for (id, tri) in support.triangle_index().iter() {
+            let probs = support.completion_probs(id);
+            let tri_prob = support.triangle_prob(id);
             for k in 0..=probs.len() as u32 {
-                let dp = crate::local::dp::local_tail_probability(tri_prob, &probs, k as usize);
+                let dp = ugraph::rs::dp::local_tail_probability(tri_prob, &probs, k as usize);
                 let exact = exact_local_tail(&g, &tri, k).unwrap();
                 assert!(
                     (dp - exact).abs() < 1e-9,

@@ -30,10 +30,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use ugraph::{EdgeId, EdgeSubgraph, Parallelism, Triangle, TriangleId, UncertainGraph};
 
-use crate::config::{LocalConfig, SamplingConfig, ScoreMethod};
+use crate::config::{SamplingConfig, ScoreMethod};
+use crate::decomp::{DecompConfig, Decomposition};
 use crate::error::{NucleusError, Result};
-use crate::local::LocalNucleusDecomposition;
 use crate::sampling::CompiledCandidate;
+use crate::support::SupportStructure;
 
 /// Configuration of the global (and weakly-global) decompositions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,27 +78,32 @@ impl GlobalConfig {
         self
     }
 
-    pub(crate) fn local_config(&self) -> LocalConfig {
-        LocalConfig {
-            theta: self.theta,
-            method: self.score_method,
-            parallelism: self.parallelism,
-        }
+    /// The ℓ-NuDecomp configuration of the local pruning step.
+    pub(crate) fn local_config(&self) -> DecompConfig {
+        DecompConfig::nucleus(self.theta)
+            .with_method(self.score_method)
+            .with_parallelism(self.parallelism)
     }
 
-    /// Checks the sampling parameters and that `local` was computed at
-    /// this configuration's θ: a local decomposition at another θ prunes
-    /// to a different candidate space.  Its score method may differ.
-    pub(crate) fn validate_with_local(&self, local: &LocalNucleusDecomposition) -> Result<()> {
+    /// Checks the sampling parameters and that `local` is a nucleus-rank
+    /// decomposition ([`NucleusError::RankMismatch`] otherwise) computed
+    /// at this configuration's θ: a local decomposition at another θ
+    /// prunes to a different candidate space.  Its score method may
+    /// differ.  Returns the local decomposition's support.
+    pub(crate) fn validate_with_local<'a>(
+        &self,
+        local: &'a Decomposition,
+    ) -> Result<&'a SupportStructure> {
         self.sampling.validate()?;
-        let got = local.config().theta;
+        let support = local.require_nucleus()?;
+        let got = local.config().threshold;
         if got != self.theta {
             return Err(NucleusError::LocalThetaMismatch {
                 expected: self.theta,
                 got,
             });
         }
-        Ok(())
+        Ok(support)
     }
 }
 
@@ -145,24 +151,24 @@ pub fn global_nuclei(
     config: &GlobalConfig,
 ) -> Result<Vec<GlobalNucleus>> {
     config.sampling.validate()?;
-    let local = LocalNucleusDecomposition::compute(graph, &config.local_config())?;
+    let local = Decomposition::compute(graph, &config.local_config())?;
     global_nuclei_with_local(graph, k, config, &local)
 }
 
 /// Same as [`global_nuclei`] but reuses a precomputed local decomposition
 /// of `graph`.
 ///
-/// `local` must have been computed at `config.theta`, or
-/// [`NucleusError::LocalThetaMismatch`] is returned; its score method
-/// may differ from `config.score_method`.
+/// `local` must be a nucleus-rank [`Decomposition`], or
+/// [`NucleusError::RankMismatch`] is returned, computed at
+/// `config.theta`, or [`NucleusError::LocalThetaMismatch`] is returned;
+/// its score method may differ from `config.score_method`.
 pub fn global_nuclei_with_local(
     graph: &UncertainGraph,
     k: u32,
     config: &GlobalConfig,
-    local: &LocalNucleusDecomposition,
+    local: &Decomposition,
 ) -> Result<Vec<GlobalNucleus>> {
-    config.validate_with_local(local)?;
-    let support = local.support();
+    let support = config.validate_with_local(local)?;
     let scores = local.scores();
 
     // Candidate space C: the 4-cliques whose four triangles all reach
@@ -394,7 +400,7 @@ mod tests {
     fn a_local_decomposition_at_another_theta_is_rejected() {
         let g = figure3a_graph();
         let config = GlobalConfig::new(0.42);
-        let other = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.2)).unwrap();
+        let other = Decomposition::compute(&g, &DecompConfig::nucleus(0.2)).unwrap();
         assert_eq!(
             global_nuclei_with_local(&g, 1, &config, &other).unwrap_err(),
             NucleusError::LocalThetaMismatch {
@@ -403,9 +409,23 @@ mod tests {
             }
         );
         // The same θ under another score method is accepted.
+        let hybrid = ScoreMethod::Hybrid(crate::config::ApproxThresholds::default());
         let approx =
-            LocalNucleusDecomposition::compute(&g, &LocalConfig::approximate(0.42)).unwrap();
+            Decomposition::compute(&g, &DecompConfig::nucleus(0.42).with_method(hybrid)).unwrap();
         assert!(global_nuclei_with_local(&g, 1, &config, &approx).is_ok());
+    }
+
+    #[test]
+    fn a_core_rank_decomposition_is_rejected() {
+        let g = figure3a_graph();
+        let core = Decomposition::compute(&g, &DecompConfig::core(0.42)).unwrap();
+        assert_eq!(
+            global_nuclei_with_local(&g, 1, &GlobalConfig::new(0.42), &core).unwrap_err(),
+            NucleusError::RankMismatch {
+                expected: "nucleus",
+                got: "core"
+            }
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use nucleus::{LocalConfig, LocalNucleusDecomposition};
+//! use nucleus::{DecompConfig, Decomposition};
 //! use ugraph::GraphBuilder;
 //!
 //! // A probabilistic 5-clique.
@@ -35,11 +35,16 @@
 //! }
 //! let graph = b.build();
 //!
-//! let decomp = LocalNucleusDecomposition::compute(&graph, &LocalConfig::exact(0.1)).unwrap();
+//! let decomp = Decomposition::compute(&graph, &DecompConfig::nucleus(0.1)).unwrap();
 //! assert_eq!(decomp.max_score(), 2);
-//! let nuclei = decomp.k_nuclei(&graph, 2);
+//! let nuclei = decomp.k_nuclei(&graph, 2).unwrap();
 //! assert_eq!(nuclei.len(), 1);
 //! assert_eq!(nuclei[0].num_vertices(), 5);
+//!
+//! // The same engine computes the Table 3 baselines: the (k,η)-core and
+//! // the local (k,γ)-truss.
+//! let core = Decomposition::compute(&graph, &DecompConfig::core(0.1)).unwrap();
+//! assert_eq!(core.k_subgraphs(&graph, core.max_score()).len(), 1);
 //! ```
 //!
 //! ## Module map
@@ -47,9 +52,8 @@
 //! | module | paper section | contents |
 //! |--------|---------------|----------|
 //! | [`support`] | 5.1 | per-triangle 4-clique completion probabilities |
-//! | [`decomp`] | — | unified (r,s) surface: [`DecompConfig`], [`Decomposition`], [`DecompSweep`] over core/truss/nucleus |
-//! | [`local`] | 5.1–5.2 | exact DP and the peeling algorithm (Algorithm 1) |
-//! | [`local::sweep`] | 5, §7 sweeps | θ-sweep index: one support build amortized over a θ grid, O(log grid) (θ, k) queries |
+//! | [`decomp`] | 5, 7.4 | the one (r,s) surface: [`DecompConfig`], [`Decomposition`], [`DecompSweep`] (one support build amortized over a threshold grid) and [`DecompHandle`] over core/truss/nucleus |
+//! | [`local`] | 5.1–5.2 | the peeling algorithm (Algorithm 1) and ℓ-(k,θ)-nuclei extraction |
 //! | [`approx`] | 5.3 | Poisson / Translated-Poisson / Binomial / CLT approximations and the hybrid selector |
 //! | [`global`] | 6 | Algorithm 2 (Monte-Carlo g-(k,θ)-nuclei) |
 //! | [`weakly_global`] | 6 | Algorithm 3 (Monte-Carlo w-(k,θ)-nuclei) |
@@ -65,19 +69,21 @@ pub mod exact;
 pub mod global;
 pub mod hardness;
 pub mod local;
+#[doc(hidden)]
+pub mod reference;
 pub mod sampling;
 pub mod support;
 pub mod weakly_global;
 
 pub use approx::ApproxMethod;
-pub use config::{ApproxThresholds, LocalConfig, SamplingConfig, ScoreMethod, SweepConfig};
+pub use config::{ApproxThresholds, SamplingConfig, ScoreMethod, SweepConfig};
 pub use decomp::{
     DecompConfig, DecompHandle, DecompSweep, Decomposition, HandleUpdate, Rank, RankSupport,
     SupportRepair, UnknownRankError, UpdateOutcome, UpdateReport,
 };
 pub use error::{NucleusError, Result, ThetaGridError};
 pub use global::{global_nuclei, GlobalConfig, GlobalNucleus};
-pub use local::{LocalNucleusDecomposition, NucleusIndex, PeelStats, ThetaSweep};
+pub use local::PeelStats;
 pub use support::SupportStructure;
 // Re-exported so update callers don't need a direct `ugraph` dependency.
 pub use ugraph::{EdgeUpdate, UpdateError};

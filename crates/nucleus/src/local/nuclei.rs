@@ -56,28 +56,6 @@ pub fn extract_k_nuclei(
     nuclei
 }
 
-/// The union of all ℓ-(k,θ)-nuclei as a single edge-id set — the candidate
-/// space `C` of Algorithm 2.
-pub fn k_nuclei_union_edges(
-    graph: &UncertainGraph,
-    support: &SupportStructure,
-    scores: &[u32],
-    k: u32,
-) -> Vec<EdgeId> {
-    let mut edges: Vec<EdgeId> = Vec::new();
-    for c in 0..support.num_cliques() as u32 {
-        let record = support.clique(c);
-        if record.triangles.iter().all(|&t| scores[t as usize] >= k) {
-            for (u, v) in record.clique.edges() {
-                edges.push(graph.edge_id(u, v).expect("clique edge exists"));
-            }
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    edges
-}
-
 fn build_nucleus(
     graph: &UncertainGraph,
     support: &SupportStructure,
@@ -112,10 +90,15 @@ fn build_nucleus(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
-    use crate::config::LocalConfig;
-    use crate::local::LocalNucleusDecomposition;
+    use crate::{DecompConfig, Decomposition};
     use ugraph::GraphBuilder;
+
+    fn exact(g: &UncertainGraph, theta: f64) -> Decomposition {
+        Decomposition::compute(g, &DecompConfig::nucleus(theta)).unwrap()
+    }
 
     fn two_k5s_with_bridge(p: f64) -> UncertainGraph {
         let mut b = GraphBuilder::new();
@@ -133,9 +116,9 @@ mod tests {
     #[test]
     fn extracts_two_separate_nuclei() {
         let g = two_k5s_with_bridge(0.9);
-        let local = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.1)).unwrap();
+        let local = exact(&g, 0.1);
         assert_eq!(local.max_score(), 2);
-        let nuclei = local.k_nuclei(&g, 2);
+        let nuclei = local.k_nuclei(&g, 2).unwrap();
         assert_eq!(nuclei.len(), 2);
         for n in &nuclei {
             assert_eq!(n.num_vertices(), 5);
@@ -147,26 +130,13 @@ mod tests {
     }
 
     #[test]
-    fn union_edges_covers_all_nuclei() {
-        let g = two_k5s_with_bridge(0.9);
-        let local = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.1)).unwrap();
-        let union = local.k_nuclei_union_edges(&g, 2);
-        // Both K5s contribute 10 edges each; the bridge edge is not part of
-        // any qualifying clique.
-        assert_eq!(union.len(), 20);
-        let bridge = g.edge_id(4, 5).unwrap();
-        assert!(!union.contains(&bridge));
-        assert!(local.k_nuclei_union_edges(&g, 3).is_empty());
-    }
-
-    #[test]
     fn no_nuclei_above_max_score() {
         let g = two_k5s_with_bridge(0.5);
-        let local = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.2)).unwrap();
+        let local = exact(&g, 0.2);
         let kmax = local.max_score();
-        assert!(local.k_nuclei(&g, kmax + 1).is_empty());
+        assert!(local.k_nuclei(&g, kmax + 1).unwrap().is_empty());
         if kmax >= 1 {
-            assert!(!local.k_nuclei(&g, kmax).is_empty());
+            assert!(!local.k_nuclei(&g, kmax).unwrap().is_empty());
         }
     }
 
@@ -174,11 +144,12 @@ mod tests {
     fn nuclei_triangles_all_meet_threshold() {
         let g = two_k5s_with_bridge(0.8);
         let theta = 0.3;
-        let local = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(theta)).unwrap();
+        let local = exact(&g, theta);
+        let index = local.nucleus_support().unwrap().triangle_index();
         for k in 1..=local.max_score() {
-            for nucleus in local.k_nuclei(&g, k) {
+            for nucleus in local.k_nuclei(&g, k).unwrap() {
                 for tri in &nucleus.triangles {
-                    let score = local.score_of(tri).unwrap();
+                    let score = local.score(index.id_of(tri).unwrap());
                     assert!(score >= k, "triangle {tri} has score {score} < {k}");
                 }
             }
@@ -190,13 +161,21 @@ mod tests {
         // Higher-k nuclei must be contained (edge-wise) in the union of
         // lower-k nuclei.
         let g = two_k5s_with_bridge(0.95);
-        let local = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.05)).unwrap();
-        let mut previous: Option<Vec<EdgeId>> = None;
+        let local = exact(&g, 0.05);
+        let mut previous: Option<BTreeSet<(u32, u32)>> = None;
         for k in (1..=local.max_score()).rev() {
-            let union = local.k_nuclei_union_edges(&g, k);
+            let union: BTreeSet<(u32, u32)> = local
+                .k_nuclei(&g, k)
+                .unwrap()
+                .iter()
+                .flat_map(|n| n.cliques.iter().flat_map(|c| c.edges()))
+                .collect();
             if let Some(higher) = previous {
                 for e in &higher {
-                    assert!(union.contains(e), "edge {e} of (k+1)-nucleus missing at k");
+                    assert!(
+                        union.contains(e),
+                        "edge {e:?} of (k+1)-nucleus missing at k"
+                    );
                 }
             }
             previous = Some(union);

@@ -9,7 +9,7 @@
 //! implements [`RsSupport`](ugraph::rs::RsSupport), so the probabilistic
 //! core and truss decompositions drive the very same loop at ranks (1,2)
 //! and (2,3).  The frozen heap-based original survives as
-//! [`super::reference`].
+//! [`crate::reference::decompose`].
 //!
 //! What stays here is the engine of [`ScoreMethod::Hybrid`].  Deferral
 //! needs a *monotone* scorer (removing a clique never raises κ); the
@@ -36,19 +36,18 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use ugraph::par;
+use ugraph::rs::dp::{self, DpScratch};
 use ugraph::TriangleId;
 
 use crate::approx::{self, ApproxMethod};
-use crate::config::{LocalConfig, ScoreMethod};
-use crate::decomp::Point;
-use crate::local::dp::{self, DpScratch};
+use crate::config::ScoreMethod;
+use crate::decomp::{DecompConfig, Point};
 use crate::support::SupportStructure;
 
 /// Deterministic perf counters — the generic engine's, re-exported under
 /// the historical path.  In this crate `dp_calls` counts peel-phase DP
 /// (or hybrid) evaluations; the initial κ pass is reported through
-/// [`method_counts`](super::LocalNucleusDecomposition::method_counts)
-/// instead.
+/// [`method_counts`](crate::Decomposition::method_counts) instead.
 pub use ugraph::rs::PeelStats;
 
 /// Every scoring method, in declaration (discriminant) order: slot `i`
@@ -66,7 +65,7 @@ const METHODS: [ApproxMethod; 5] = [
 /// either scorer, so the eager engine can also be checked against the
 /// deferred one on the exact DP.
 struct ScoreScratch {
-    config: LocalConfig,
+    config: DecompConfig,
     probs: Vec<f64>,
     dp: DpScratch,
     /// Running maximum of the per-evaluation logical scratch requirement.
@@ -74,7 +73,7 @@ struct ScoreScratch {
 }
 
 impl ScoreScratch {
-    fn new(config: &LocalConfig) -> Self {
+    fn new(config: &DecompConfig) -> Self {
         ScoreScratch {
             config: *config,
             probs: Vec::new(),
@@ -98,7 +97,7 @@ impl ScoreScratch {
     {
         support.completion_probs_into(t, filter, &mut self.probs);
         let tri_prob = support.triangle_prob(t);
-        let theta = self.config.theta;
+        let theta = self.config.threshold;
         let (k, method) = match self.config.method {
             ScoreMethod::DynamicProgramming => (
                 dp::max_k_with_scratch(&mut self.dp, tri_prob, &self.probs, theta),
@@ -139,7 +138,7 @@ struct InitialScores {
 /// in triangle-id order ([`par::par_map_init`]'s ordered-merge contract),
 /// so scores, method counts and the scratch peak are identical for every
 /// [`Parallelism`](ugraph::Parallelism) setting.
-fn initial_scores(support: &SupportStructure, config: &LocalConfig) -> InitialScores {
+fn initial_scores(support: &SupportStructure, config: &DecompConfig) -> InitialScores {
     let nt = support.num_triangles();
     let scored: Vec<(u32, ApproxMethod, usize)> = par::par_map_init(
         config.parallelism,
@@ -176,7 +175,7 @@ fn initial_scores(support: &SupportStructure, config: &LocalConfig) -> InitialSc
 
 /// One Hybrid-scorer threshold: the initial κ pass, then the eager
 /// engine, with the pass's scratch peak folded into the stats.
-pub(crate) fn hybrid_point(support: &SupportStructure, config: &LocalConfig) -> Point {
+pub(crate) fn hybrid_point(support: &SupportStructure, config: &DecompConfig) -> Point {
     debug_assert!(matches!(config.method, ScoreMethod::Hybrid(_)));
     let init = initial_scores(support, config);
     let initial_scores = init.kappa.clone();
@@ -198,7 +197,7 @@ pub(crate) fn hybrid_point(support: &SupportStructure, config: &LocalConfig) -> 
 /// evaluation schedule is kept identical.
 fn peel_eager(
     support: &SupportStructure,
-    config: &LocalConfig,
+    config: &DecompConfig,
     mut kappa: Vec<u32>,
 ) -> (Vec<u32>, PeelStats) {
     let nt = kappa.len();
@@ -297,7 +296,7 @@ mod tests {
         // recomputations against 5 · 3 = 15 (actually fewer after the
         // kappa ≤ level skip) in the eager engine.
         let g = complete(5, 1.0);
-        let config = LocalConfig::exact(0.5);
+        let config = DecompConfig::nucleus(0.5);
         let support = SupportStructure::build(&g);
         let point = exact_point(&support, 0.5);
         assert!(point.initial_scores.iter().all(|&k| k == 2));
@@ -340,7 +339,7 @@ mod tests {
             b.add_edge(u, 3, 1.0).unwrap();
         }
         let g = b.build();
-        let config = LocalConfig::exact(0.5);
+        let config = DecompConfig::nucleus(0.5);
         let support = SupportStructure::build(&g);
         let point = exact_point(&support, 0.5);
         // The table's initial κ is the per-triangle DP pass's.
@@ -403,11 +402,9 @@ mod tests {
             b: 3,
             ..ApproxThresholds::default()
         };
-        let config = LocalConfig {
-            theta: 0.15,
-            method: ScoreMethod::Hybrid(thresholds),
-            parallelism: Parallelism::Sequential,
-        };
+        let config = DecompConfig::nucleus(0.15)
+            .with_method(ScoreMethod::Hybrid(thresholds))
+            .with_parallelism(Parallelism::Sequential);
         let base = initial_scores(&support, &config);
         assert!(base.method_counts.len() >= 3, "{:?}", base.method_counts);
         assert!(base.method_counts.values().all(|&n| n > 0));
@@ -420,10 +417,7 @@ mod tests {
         for threads in [2, 8] {
             let par = initial_scores(
                 &support,
-                &LocalConfig {
-                    parallelism: Parallelism::fixed(threads),
-                    ..config
-                },
+                &config.with_parallelism(Parallelism::fixed(threads)),
             );
             assert_eq!(par.kappa, base.kappa, "threads = {threads}");
             assert_eq!(par.method_counts, base.method_counts);
@@ -435,18 +429,20 @@ mod tests {
 }
 
 /// Property suite: the production engine must be **bit-identical** to the
-/// frozen [`reference`](super::reference) engine — scores, initial scores
+/// frozen [`reference`](crate::reference) engine — scores, initial scores
 /// and method counts — on random graphs, across θ, both scorers and every
 /// parallelism setting.  This is the contract that lets the deferred
 /// engine skip work: any observable divergence is a bug, not a tradeoff.
 #[cfg(test)]
 mod equivalence_proptests {
+    use std::sync::Arc;
+
     use proptest::prelude::*;
 
-    use super::super::reference;
-    use super::super::LocalNucleusDecomposition;
-    use crate::config::LocalConfig;
+    use crate::config::{ApproxThresholds, ScoreMethod};
+    use crate::reference;
     use crate::support::SupportStructure;
+    use crate::{DecompConfig, DecompHandle, RankSupport};
     use ugraph::{GraphBuilder, Parallelism, UncertainGraph};
 
     /// A random probabilistic graph dense enough to grow 4-cliques.
@@ -474,7 +470,7 @@ mod equivalence_proptests {
             })
     }
 
-    fn assert_engines_agree(g: &UncertainGraph, config_for: impl Fn(Parallelism) -> LocalConfig) {
+    fn assert_engines_agree(g: &UncertainGraph, config_for: impl Fn(Parallelism) -> DecompConfig) {
         let support = SupportStructure::build(g);
         let oracle = reference::decompose(&support, &config_for(Parallelism::Sequential)).unwrap();
         for par in [
@@ -482,8 +478,9 @@ mod equivalence_proptests {
             Parallelism::fixed(2),
             Parallelism::fixed(8),
         ] {
-            let engine =
-                LocalNucleusDecomposition::with_support(support.clone(), &config_for(par)).unwrap();
+            let handle =
+                DecompHandle::from_support(Arc::new(RankSupport::Nucleus(support.clone())));
+            let engine = handle.compute_at(&config_for(par)).unwrap();
             prop_assert_eq!(engine.scores(), &oracle.scores[..], "parallelism = {}", par);
             prop_assert_eq!(engine.initial_scores(), &oracle.initial_scores[..]);
             prop_assert_eq!(engine.method_counts(), &oracle.method_counts);
@@ -502,7 +499,7 @@ mod equivalence_proptests {
             g in arb_graph(11, 0.75),
             theta in 0.02f64..0.95,
         ) {
-            assert_engines_agree(&g, |par| LocalConfig::exact(theta).with_parallelism(par));
+            assert_engines_agree(&g, |par| DecompConfig::nucleus(theta).with_parallelism(par));
         }
 
         /// Hybrid scorer: the eager scratch-arena engine against the
@@ -513,7 +510,9 @@ mod equivalence_proptests {
             theta in 0.02f64..0.95,
         ) {
             assert_engines_agree(&g, |par| {
-                LocalConfig::approximate(theta).with_parallelism(par)
+                DecompConfig::nucleus(theta)
+                    .with_method(ScoreMethod::Hybrid(ApproxThresholds::default()))
+                    .with_parallelism(par)
             });
         }
     }

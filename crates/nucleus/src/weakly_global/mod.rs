@@ -19,9 +19,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use ugraph::{EdgeId, EdgeSubgraph, Triangle, UncertainGraph, UnionFind};
 
+use crate::decomp::Decomposition;
 use crate::error::Result;
 use crate::global::GlobalConfig;
-use crate::local::LocalNucleusDecomposition;
 use crate::sampling::CompiledCandidate;
 
 /// One w-(k,θ)-nucleus found by Algorithm 3.
@@ -56,28 +56,30 @@ pub fn weakly_global_nuclei(
     config: &GlobalConfig,
 ) -> Result<Vec<WeaklyGlobalNucleus>> {
     config.sampling.validate()?;
-    let local = LocalNucleusDecomposition::compute(graph, &config.local_config())?;
+    let local = Decomposition::compute(graph, &config.local_config())?;
     weakly_global_nuclei_with_local(graph, k, config, &local)
 }
 
 /// Same as [`weakly_global_nuclei`] but reuses a precomputed local
 /// decomposition of `graph`.
 ///
-/// `local` must have been computed at `config.theta`, or
+/// `local` must be a nucleus-rank [`Decomposition`], or
+/// [`NucleusError::RankMismatch`](crate::NucleusError::RankMismatch) is
+/// returned, computed at `config.theta`, or
 /// [`NucleusError::LocalThetaMismatch`](crate::NucleusError::LocalThetaMismatch)
 /// is returned; its score method may differ from `config.score_method`.
 pub fn weakly_global_nuclei_with_local(
     graph: &UncertainGraph,
     k: u32,
     config: &GlobalConfig,
-    local: &LocalNucleusDecomposition,
+    local: &Decomposition,
 ) -> Result<Vec<WeaklyGlobalNucleus>> {
     config.validate_with_local(local)?;
     let n_samples = config.sampling.num_samples();
     let mut rng = ChaCha8Rng::seed_from_u64(config.sampling.seed);
     let mut solution = Vec::new();
 
-    for candidate in local.k_nuclei(graph, k) {
+    for candidate in local.k_nuclei(graph, k)? {
         // Monte-Carlo: count, per triangle, the worlds in which it belongs
         // to a deterministic k-nucleus of the world.
         let mut compiled = CompiledCandidate::compile(&candidate.subgraph, &candidate.triangles);
@@ -203,9 +205,7 @@ mod tests {
                 .with_seed(4),
         );
         // Local nuclei exist at k = 2...
-        let local =
-            LocalNucleusDecomposition::compute(&g, &crate::config::LocalConfig::exact(0.01))
-                .unwrap();
+        let local = Decomposition::compute(&g, &crate::DecompConfig::nucleus(0.01)).unwrap();
         assert_eq!(local.max_score(), 2);
         // ...but the weakly-global decomposition rejects them (the true
         // probability is 0.006 < 0.01; with 1000 samples the estimate is
@@ -232,8 +232,7 @@ mod tests {
     fn a_local_decomposition_at_another_theta_is_rejected() {
         let g = figure2a_graph();
         let config = GlobalConfig::new(0.42);
-        let other = LocalNucleusDecomposition::compute(&g, &crate::config::LocalConfig::exact(0.3))
-            .unwrap();
+        let other = Decomposition::compute(&g, &crate::DecompConfig::nucleus(0.3)).unwrap();
         assert_eq!(
             weakly_global_nuclei_with_local(&g, 1, &config, &other).unwrap_err(),
             crate::NucleusError::LocalThetaMismatch {

@@ -2,8 +2,8 @@
 //! components over vertex or edge subsets.
 //!
 //! Every decomposition in this workspace reports *maximal connected*
-//! subgraphs, so connectivity checks are on the hot path of the nuclei
-//! extraction code in `nucleus` and the baselines in `probdecomp`.
+//! subgraphs, so connectivity checks are on the hot path of the nuclei,
+//! core and truss extraction code in `nucleus`.
 
 use crate::graph::{UncertainGraph, VertexId};
 

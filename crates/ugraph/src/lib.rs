@@ -25,7 +25,7 @@
 //! * Generic (r,s)-nucleus engine ([`rs`]) — the support-structure trait
 //!   ([`rs::RsSupport`]), its (1,2) and (2,3) implementations, the shared
 //!   Poisson-binomial DP ([`rs::dp`]) and the deferred bucket-queue peel
-//!   that `detdecomp`, `probdecomp` and `nucleus` all instantiate.
+//!   that `detdecomp` and `nucleus` instantiate.
 //! * Random generators ([`generators`]) and ingestion/persistence
 //!   ([`io`]) — SNAP edge lists, Konect TSV, versioned `.ugsnap` binary
 //!   snapshots with checksums, and pluggable edge-probability models.
@@ -35,7 +35,7 @@
 //!   paths consume.
 //!
 //! The crate is deliberately free of any decomposition logic; it is the
-//! substrate shared by `detdecomp`, `probdecomp` and `nucleus`.
+//! substrate shared by `detdecomp` and `nucleus`.
 //!
 //! # Unsafe-code discipline
 //!

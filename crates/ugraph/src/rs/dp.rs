@@ -175,6 +175,18 @@ mod tests {
     }
 
     #[test]
+    fn pmf_matches_binomial_for_identical_probs() {
+        // Identical events: ζ is Binomial(n, p), checked in closed form.
+        let (p, n) = (0.4, 6);
+        let mut choose = 1.0;
+        for (k, &mass) in support_pmf(&vec![p; n]).iter().enumerate() {
+            let binom = choose * p.powi(k as i32) * (1.0 - p).powi((n - k) as i32);
+            assert_close(mass, binom);
+            choose = choose * (n - k) as f64 / (k + 1) as f64;
+        }
+    }
+
+    #[test]
     fn tail_is_monotone() {
         let probs = [0.2, 0.9, 0.5, 0.5, 0.1];
         let tail = support_tail(&probs);

@@ -7,8 +7,8 @@
 
 use prob_nucleus_repro::nd_datasets::{PaperDataset, Scale};
 use prob_nucleus_repro::nucleus::approx::{hybrid_max_k, select_method, ApproxMethod};
-use prob_nucleus_repro::nucleus::local::dp;
 use prob_nucleus_repro::nucleus::{ApproxThresholds, SupportStructure};
+use prob_nucleus_repro::ugraph::rs::dp;
 use std::collections::HashMap;
 
 fn main() {

@@ -11,9 +11,9 @@
 use std::time::Instant;
 
 use prob_nucleus_repro::nd_datasets::ExternalDataset;
-use prob_nucleus_repro::nucleus::{LocalConfig, LocalNucleusDecomposition};
 use prob_nucleus_repro::ugraph::io::EdgeProbabilityModel;
 use prob_nucleus_repro::ugraph::InputFormat;
+use prob_nucleus_repro::{DecompConfig, Decomposition};
 
 fn main() {
     let dir = std::env::temp_dir().join("nd_ingest_example");
@@ -67,14 +67,14 @@ fn main() {
     println!("reloaded from snapshot in {:?}", t.elapsed());
 
     // The ingested graph plugs straight into the decomposition stack.
-    let local =
-        LocalNucleusDecomposition::compute(&graph, &LocalConfig::exact(0.05)).expect("decompose");
+    let local = Decomposition::compute(&graph, &DecompConfig::nucleus(0.05)).expect("decompose");
     println!(
         "local nucleus decomposition: {} triangles, max score {}",
-        local.num_triangles(),
+        local.num_elements(),
         local.max_score()
     );
-    for nucleus in local.k_nuclei(&graph, local.max_score().max(1)) {
+    let k = local.max_score().max(1);
+    for nucleus in local.k_nuclei(&graph, k).expect("nucleus rank") {
         println!(
             "  nucleus with {} vertices / {} edges",
             nucleus.num_vertices(),

@@ -6,8 +6,8 @@
 
 use prob_nucleus_repro::nd_datasets::{PaperDataset, Scale};
 use prob_nucleus_repro::nucleus::{
-    global_nuclei, weakly_global_nuclei, GlobalConfig, LocalConfig, LocalNucleusDecomposition,
-    SamplingConfig,
+    global_nuclei, weakly_global_nuclei, ApproxThresholds, DecompConfig, Decomposition,
+    GlobalConfig, SamplingConfig, ScoreMethod,
 };
 use prob_nucleus_repro::ugraph::metrics::{
     probabilistic_clustering_coefficient, probabilistic_density,
@@ -27,11 +27,12 @@ fn main() {
     // 1. Local decomposition: complexes where each triangle of proteins is
     //    jointly reinforced by 4-cliques with probability >= theta.
     let theta = 0.1;
-    let local = LocalNucleusDecomposition::compute(&graph, &LocalConfig::approximate(theta))
+    let hybrid = ScoreMethod::Hybrid(ApproxThresholds::default());
+    let local = Decomposition::compute(&graph, &DecompConfig::nucleus(theta).with_method(hybrid))
         .expect("valid configuration");
     let k = local.max_score().max(1);
     println!("\nlocal decomposition: k_max = {}", local.max_score());
-    for nucleus in local.k_nuclei(&graph, k) {
+    for nucleus in local.k_nuclei(&graph, k).expect("nucleus rank") {
         let sub = nucleus.subgraph.graph();
         println!(
             "  complex with {} proteins: PD = {:.3}, PCC = {:.3}",

@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use prob_nucleus_repro::nucleus::{LocalConfig, LocalNucleusDecomposition};
 use prob_nucleus_repro::ugraph::GraphBuilder;
+use prob_nucleus_repro::{DecompConfig, Decomposition};
 
 fn main() {
     // A small collaboration network: two tight groups (probable cliques)
@@ -35,21 +35,22 @@ fn main() {
 
     // Local nucleus decomposition with the exact DP at θ = 0.2.
     let theta = 0.2;
-    let local = LocalNucleusDecomposition::compute(&graph, &LocalConfig::exact(theta))
-        .expect("valid configuration");
+    let local =
+        Decomposition::compute(&graph, &DecompConfig::nucleus(theta)).expect("valid configuration");
     println!(
         "maximum l-nucleusness at theta={theta}: {}",
         local.max_score()
     );
 
     // Per-triangle scores.
-    for (id, triangle) in local.triangle_index().iter() {
+    let support = local.nucleus_support().expect("nucleus rank");
+    for (id, triangle) in support.triangle_index().iter() {
         println!("  triangle {triangle}: nucleusness {}", local.score(id));
     }
 
     // Extract the maximal nuclei for every k.
     for k in 1..=local.max_score() {
-        let nuclei = local.k_nuclei(&graph, k);
+        let nuclei = local.k_nuclei(&graph, k).expect("nucleus rank");
         println!("l-({k},{theta})-nuclei: {}", nuclei.len());
         for nucleus in nuclei {
             println!(

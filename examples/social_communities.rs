@@ -5,16 +5,20 @@
 //! Run with: `cargo run --release --example social_communities`
 
 use prob_nucleus_repro::nd_datasets::{PaperDataset, Scale};
-use prob_nucleus_repro::nucleus::{LocalConfig, LocalNucleusDecomposition};
-use prob_nucleus_repro::probdecomp::{
-    eta_core_subgraphs, gamma_truss_subgraphs, EtaCoreDecomposition, GammaTrussDecomposition,
-};
+use prob_nucleus_repro::nucleus::{ApproxThresholds, ScoreMethod};
 use prob_nucleus_repro::ugraph::metrics::{
     probabilistic_clustering_coefficient, probabilistic_density,
 };
 use prob_nucleus_repro::ugraph::UncertainGraph;
+use prob_nucleus_repro::{DecompConfig, Decomposition};
 
-fn describe(name: &str, k: u32, subgraphs: &[&UncertainGraph]) {
+/// Decomposes `graph` under `config` and summarizes its maximum-score
+/// components.
+fn describe(name: &str, graph: &UncertainGraph, config: &DecompConfig) {
+    let decomp = Decomposition::compute(graph, config).expect("valid configuration");
+    let k = decomp.max_score();
+    let components = decomp.k_subgraphs(graph, k.max(1));
+    let subgraphs: Vec<&UncertainGraph> = components.iter().map(|s| s.graph()).collect();
     if subgraphs.is_empty() {
         println!("{name:>8}: no subgraphs found");
         return;
@@ -50,27 +54,17 @@ fn main() {
         graph.num_edges()
     );
 
-    // Probabilistic nucleus (this paper).
-    let local = LocalNucleusDecomposition::compute(&graph, &LocalConfig::approximate(theta))
-        .expect("valid configuration");
-    let kn = local.max_score();
-    let nuclei = local.k_nuclei(&graph, kn.max(1));
-    let nucleus_graphs: Vec<&UncertainGraph> = nuclei.iter().map(|n| n.subgraph.graph()).collect();
-    describe("nucleus", kn, &nucleus_graphs);
-
+    // Probabilistic nucleus (this paper), with the hybrid scorer.
+    let hybrid = ScoreMethod::Hybrid(ApproxThresholds::default());
+    describe(
+        "nucleus",
+        &graph,
+        &DecompConfig::nucleus(theta).with_method(hybrid),
+    );
     // Probabilistic (k,gamma)-truss (Huang et al. 2016).
-    let truss = GammaTrussDecomposition::try_compute(&graph, theta).expect("valid theta");
-    let kt = truss.max_truss();
-    let trusses = gamma_truss_subgraphs(&graph, kt.max(1), theta).expect("valid theta");
-    let truss_graphs: Vec<&UncertainGraph> = trusses.iter().map(|t| t.graph()).collect();
-    describe("truss", kt, &truss_graphs);
-
+    describe("truss", &graph, &DecompConfig::truss(theta));
     // Probabilistic (k,eta)-core (Bonchi et al. 2014).
-    let core = EtaCoreDecomposition::try_compute(&graph, theta).expect("valid theta");
-    let kc = core.max_core();
-    let cores = eta_core_subgraphs(&graph, kc.max(1), theta).expect("valid theta");
-    let core_graphs: Vec<&UncertainGraph> = cores.iter().map(|c| c.graph()).collect();
-    describe("core", kc, &core_graphs);
+    describe("core", &graph, &DecompConfig::core(theta));
 
     println!(
         "\nThe nucleus communities are the smallest and densest — the paper's\n\

@@ -1,17 +1,16 @@
-//! θ-sweep index: answer (θ, k)-nucleus queries for a whole grid of
+//! θ sweep: answer (θ, k)-nucleus queries for a whole grid of
 //! thresholds from one support-structure build.
 //!
 //! The support structure (triangles, 4-cliques, completion
 //! probabilities) does not depend on θ, so sweeping thresholds through
-//! `ThetaSweep` pays that dominant cost once, while every per-θ result
+//! `DecompSweep` pays that dominant cost once, while every per-θ result
 //! stays bit-identical to an independent decomposition at that θ.
 //!
 //! Run with: `cargo run --example theta_sweep`
 
-use prob_nucleus_repro::nucleus::{
-    LocalConfig, LocalNucleusDecomposition, SweepConfig, ThetaSweep,
-};
+use prob_nucleus_repro::nucleus::SweepConfig;
 use prob_nucleus_repro::ugraph::GraphBuilder;
+use prob_nucleus_repro::{DecompConfig, DecompSweep, Decomposition};
 
 fn main() {
     // Two probable 5-cliques sharing a bridge — communities whose
@@ -33,20 +32,20 @@ fn main() {
     // One build, five thresholds.  The grid must be sorted, distinct and
     // inside (0, 1] — malformed grids fail with a typed error.
     let grid = vec![0.02, 0.1, 0.3, 0.5, 0.8];
-    let index = ThetaSweep::compute(&graph, &SweepConfig::exact(grid.clone()))
+    let sweep = DecompSweep::compute(&graph, &SweepConfig::exact(grid.clone()))
         .expect("valid sweep configuration");
     println!(
-        "index over {} grid points, {} triangles, support built {} time(s)",
-        index.grid_len(),
-        index.num_triangles(),
-        index.support_builds()
+        "sweep over {} grid points, {} triangles, support built {} time(s)",
+        sweep.grid_len(),
+        sweep.num_elements(),
+        sweep.support_builds()
     );
 
     // Any (θ, k) on the grid is now an O(log grid) lookup plus a pure
     // extraction — no enumeration, no rescoring.
     for &theta in &grid {
-        let kmax = index.max_score_at(theta).expect("grid point");
-        let nuclei = index.k_nuclei_at(&graph, theta, 1).expect("grid point");
+        let kmax = sweep.max_score_at(theta).expect("grid point");
+        let nuclei = sweep.k_nuclei_at(&graph, theta, 1).expect("grid point");
         println!(
             "theta {theta:.2}: max nucleusness {kmax}, {} l-(1,theta)-nuclei",
             nuclei.len()
@@ -54,17 +53,17 @@ fn main() {
     }
 
     // Scores are monotone: tightening θ can only lower a triangle's
-    // nucleusness, so each row of the index is sorted non-increasing.
-    let tri = index.triangle_index().triangle(0);
-    println!(
-        "scores of triangle {tri} across the grid: {:?}",
-        index.scores_across_grid(&tri).expect("triangle exists")
-    );
-    assert!(index.is_monotone_in_theta());
+    // nucleusness, so each row of the sweep is sorted non-increasing.
+    let tri = sweep.nucleus_support().expect("nucleus rank").triangle(0);
+    let row: Vec<u32> = (0..sweep.grid_len())
+        .map(|gi| sweep.scores_at_index(gi)[0])
+        .collect();
+    println!("scores of triangle {tri} across the grid: {row:?}");
+    assert!(sweep.is_monotone_in_threshold());
 
-    // The index is bit-identical to an independent run at any grid θ.
-    let solo = LocalNucleusDecomposition::compute(&graph, &LocalConfig::exact(0.3))
-        .expect("valid configuration");
-    assert_eq!(index.scores_at(0.3).unwrap(), solo.scores());
+    // The sweep is bit-identical to an independent run at any grid θ.
+    let solo =
+        Decomposition::compute(&graph, &DecompConfig::nucleus(0.3)).expect("valid configuration");
+    assert_eq!(sweep.scores_at(0.3).unwrap(), solo.scores());
     println!("verified: sweep scores at theta 0.3 == independent decomposition");
 }

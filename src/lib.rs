@@ -9,14 +9,14 @@
 //!   possible worlds, metrics, generators, I/O),
 //! * [`detdecomp`] — deterministic k-core / k-truss / (3,4)-nucleus
 //!   decompositions,
-//! * [`probdecomp`] — probabilistic (k,η)-core and (k,γ)-truss baselines,
 //! * [`nucleus`] — the paper's contribution: local (exact DP + statistical
-//!   approximations), global and weakly-global nucleus decompositions,
+//!   approximations), global and weakly-global nucleus decompositions, and
+//!   the same engine's probabilistic (k,η)-core and (k,γ)-truss baselines,
 //! * [`nd_datasets`] — synthetic emulations of the paper's datasets.
 //!
 //! ```
-//! use prob_nucleus_repro::nucleus::{LocalConfig, LocalNucleusDecomposition};
 //! use prob_nucleus_repro::ugraph::GraphBuilder;
+//! use prob_nucleus_repro::{DecompConfig, Decomposition};
 //!
 //! let mut b = GraphBuilder::new();
 //! for u in 0..5u32 {
@@ -25,20 +25,21 @@
 //!     }
 //! }
 //! let graph = b.build();
-//! let local = LocalNucleusDecomposition::compute(&graph, &LocalConfig::exact(0.2)).unwrap();
+//! let local = Decomposition::compute(&graph, &DecompConfig::nucleus(0.2)).unwrap();
 //! assert_eq!(local.max_score(), 2);
+//! let truss = Decomposition::compute(&graph, &DecompConfig::truss(0.2)).unwrap();
+//! assert_eq!(truss.k_subgraphs(&graph, truss.max_score()).len(), 1);
 //! ```
 //!
-//! The facade refuses deprecated decomposition entry points: every caller
-//! that goes through this crate is guaranteed to be on the fallible
-//! `try_compute` / [`Decomposition::compute`] surface.
+//! The facade denies `deprecated` lints, so every caller that goes
+//! through this crate stays on the fallible [`Decomposition::compute`]
+//! surface.
 
 #![deny(deprecated)]
 
 pub use detdecomp;
 pub use nd_datasets;
 pub use nucleus;
-pub use probdecomp;
 pub use ugraph;
 
 /// Convenience re-export of the parallelism knob used across the

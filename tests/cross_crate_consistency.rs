@@ -2,12 +2,12 @@
 //! consistent with the deterministic ones and with each other.
 
 use prob_nucleus_repro::detdecomp::{CoreDecomposition, NucleusDecomposition, TrussDecomposition};
-use prob_nucleus_repro::nucleus::{LocalConfig, LocalNucleusDecomposition};
-use prob_nucleus_repro::probdecomp::{EtaCoreDecomposition, GammaTrussDecomposition};
 use prob_nucleus_repro::ugraph::generators::{
     assign_probabilities, planted_clique_edges, PlantedCliqueConfig, ProbabilityModel,
 };
-use prob_nucleus_repro::ugraph::{EdgeId, UncertainGraph};
+use prob_nucleus_repro::ugraph::rs::dp;
+use prob_nucleus_repro::ugraph::UncertainGraph;
+use prob_nucleus_repro::{DecompConfig, Decomposition};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -24,6 +24,10 @@ fn clique_rich_graph(seed: u64, p: ProbabilityModel) -> UncertainGraph {
     assign_probabilities(&edges, 60, &p, &mut rng)
 }
 
+fn decompose(g: &UncertainGraph, config: DecompConfig) -> Decomposition {
+    Decomposition::compute(g, &config).unwrap()
+}
+
 /// With all edge probabilities equal to 1, every probabilistic
 /// decomposition must coincide with its deterministic counterpart.
 #[test]
@@ -31,16 +35,17 @@ fn certain_graph_probabilistic_equals_deterministic() {
     let g = clique_rich_graph(1, ProbabilityModel::Constant(1.0));
 
     let det_core = CoreDecomposition::compute(&g);
-    let prob_core = EtaCoreDecomposition::try_compute(&g, 0.9).unwrap();
-    assert_eq!(det_core.core_numbers(), prob_core.core_numbers());
+    let prob_core = decompose(&g, DecompConfig::core(0.9));
+    assert_eq!(det_core.core_numbers(), prob_core.scores());
 
     let det_truss = TrussDecomposition::compute(&g);
-    let prob_truss = GammaTrussDecomposition::try_compute(&g, 0.9).unwrap();
-    assert_eq!(det_truss.truss_numbers(), prob_truss.truss_numbers());
+    let prob_truss = decompose(&g, DecompConfig::truss(0.9));
+    assert_eq!(det_truss.truss_numbers(), prob_truss.scores());
 
     let det_nucleus = NucleusDecomposition::compute(&g);
-    let prob_nucleus = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.9)).unwrap();
-    for (id, tri) in prob_nucleus.triangle_index().iter() {
+    let prob_nucleus = decompose(&g, DecompConfig::nucleus(0.9));
+    let index = prob_nucleus.nucleus_support().unwrap().triangle_index();
+    for (id, tri) in index.iter() {
         assert_eq!(
             prob_nucleus.score(id),
             det_nucleus.nucleusness_of(&tri).unwrap(),
@@ -61,9 +66,9 @@ fn probabilistic_scores_bounded_by_deterministic() {
         },
     );
     let det = NucleusDecomposition::compute(&g);
-    let loose = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.05)).unwrap();
-    let tight = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.6)).unwrap();
-    for (id, tri) in loose.triangle_index().iter() {
+    let loose = decompose(&g, DecompConfig::nucleus(0.05));
+    let tight = decompose(&g, DecompConfig::nucleus(0.6));
+    for (id, tri) in loose.nucleus_support().unwrap().triangle_index().iter() {
         let d = det.nucleusness_of(&tri).unwrap();
         assert!(loose.score(id) <= d);
         assert!(tight.score(id) <= loose.score(id));
@@ -84,21 +89,21 @@ fn nucleus_subgraphs_are_inside_truss_and_core() {
             high: 1.0,
         },
     );
-    let local = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(theta)).unwrap();
+    let local = decompose(&g, DecompConfig::nucleus(theta));
     if local.max_score() == 0 {
         return; // nothing to check on this draw
     }
-    let truss = GammaTrussDecomposition::try_compute(&g, theta).unwrap();
-    let core = EtaCoreDecomposition::try_compute(&g, theta).unwrap();
-    for nucleus in local.k_nuclei(&g, 1) {
+    let truss = decompose(&g, DecompConfig::truss(theta));
+    let core = decompose(&g, DecompConfig::core(theta));
+    for nucleus in local.k_nuclei(&g, 1).unwrap() {
         for &v in nucleus.subgraph.original_vertices() {
-            assert!(core.core_number(v) >= 1, "vertex {v} outside the 1-core");
+            assert!(core.score(v) >= 1, "vertex {v} outside the 1-core");
         }
         for tri in &nucleus.triangles {
             for (u, v) in tri.edges() {
-                let e: EdgeId = g.edge_id(u, v).unwrap();
+                let e = g.edge_id(u, v).unwrap();
                 assert!(
-                    truss.truss_number(e) >= 1,
+                    truss.score(e) >= 1,
                     "edge ({u},{v}) outside the (1,gamma)-truss"
                 );
             }
@@ -161,9 +166,9 @@ fn extracted_nuclei_satisfy_definition() {
             high: 1.0,
         },
     );
-    let local = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(theta)).unwrap();
+    let local = decompose(&g, DecompConfig::nucleus(theta));
     for k in 1..=local.max_score() {
-        for nucleus in local.k_nuclei(&g, k) {
+        for nucleus in local.k_nuclei(&g, k).unwrap() {
             for tri in &nucleus.triangles {
                 // Completion probabilities of the nucleus's 4-cliques that
                 // contain this triangle: for the clique's fourth vertex z,
@@ -190,9 +195,7 @@ fn extracted_nuclei_satisfy_definition() {
                     "k={k}: triangle {tri} is in no clique of its nucleus"
                 );
                 let tri_prob = tri.probability(&g).expect("triangle edges exist");
-                let tail = prob_nucleus_repro::nucleus::local::dp::local_tail_probability(
-                    tri_prob, &probs, k as usize,
-                );
+                let tail = dp::local_tail_probability(tri_prob, &probs, k as usize);
                 assert!(
                     tail >= theta - 1e-9,
                     "k={k}: triangle {tri} tail {tail} below theta {theta}"

@@ -1,15 +1,13 @@
 //! End-to-end smoke test of the `prob_nucleus_repro` facade re-exports:
 //! builds a small probabilistic graph through `ugraph`, runs decompositions
-//! from `nucleus`, `detdecomp` and `probdecomp`, and touches a synthetic
-//! dataset from `nd_datasets` — all through the umbrella crate's paths.
+//! from `nucleus` and `detdecomp`, and touches a synthetic dataset from
+//! `nd_datasets` — all through the umbrella crate's paths.
 
 use prob_nucleus_repro::detdecomp::NucleusDecomposition;
 use prob_nucleus_repro::nd_datasets::{PaperDataset, Scale};
-use prob_nucleus_repro::nucleus::{
-    LocalConfig, LocalNucleusDecomposition, NucleusError, SweepConfig, ThetaGridError, ThetaSweep,
-};
-use prob_nucleus_repro::probdecomp::EtaCoreDecomposition;
+use prob_nucleus_repro::nucleus::{NucleusError, SweepConfig, ThetaGridError};
 use prob_nucleus_repro::ugraph::{GraphBuilder, Triangle};
+use prob_nucleus_repro::{DecompConfig, DecompSweep, Decomposition};
 
 /// A probabilistic K5 with p = 0.9 on every edge.
 fn k5(p: f64) -> prob_nucleus_repro::ugraph::UncertainGraph {
@@ -32,25 +30,29 @@ fn facade_local_decomposition_known_score() {
     // completes with probability 0.9³ = 0.729 and the triangle exists with
     // probability 0.9³, so Pr[ζ ≥ 2] · Pr(△) = 0.729³ ≈ 0.387 ≥ 0.2:
     // all ten triangles reach the deterministic maximum score of 2.
-    let local = LocalNucleusDecomposition::compute(&graph, &LocalConfig::exact(0.2)).unwrap();
-    assert_eq!(local.num_triangles(), 10);
+    let local = Decomposition::compute(&graph, &DecompConfig::nucleus(0.2)).unwrap();
+    assert_eq!(local.num_elements(), 10);
     assert_eq!(local.max_score(), 2);
     assert!(local.scores().iter().all(|&s| s == 2));
-    assert_eq!(local.score_of(&Triangle::new(0, 1, 2)), Some(2));
+    let index = local.nucleus_support().unwrap().triangle_index();
+    assert_eq!(
+        index.id_of(&Triangle::new(0, 1, 2)).map(|t| local.score(t)),
+        Some(2)
+    );
 
     // The probabilistic scores coincide with the deterministic nucleusness
     // here, and the single extracted 2-nucleus is the whole K5.
     let det = NucleusDecomposition::compute(&graph);
-    for (id, tri) in local.triangle_index().iter() {
+    for (id, tri) in index.iter() {
         assert_eq!(local.score(id), det.nucleusness_of(&tri).unwrap());
     }
-    let nuclei = local.k_nuclei(&graph, 2);
+    let nuclei = local.k_nuclei(&graph, 2).unwrap();
     assert_eq!(nuclei.len(), 1);
     assert_eq!(nuclei[0].num_vertices(), 5);
     assert_eq!(nuclei[0].cliques.len(), 5);
 
     // At a threshold above any attainable probability nothing survives.
-    let strict = LocalNucleusDecomposition::compute(&graph, &LocalConfig::exact(0.999)).unwrap();
+    let strict = Decomposition::compute(&graph, &DecompConfig::nucleus(0.999)).unwrap();
     assert_eq!(strict.max_score(), 0);
 }
 
@@ -60,18 +62,18 @@ fn facade_theta_sweep_index() {
 
     // The θ-sweep re-exports: one support build answering a grid of
     // thresholds, bit-identical to independent runs at each grid point.
-    let index = ThetaSweep::compute(&graph, &SweepConfig::exact(vec![0.2, 0.999])).unwrap();
-    assert_eq!(index.support_builds(), 1);
-    assert_eq!(index.max_score_at(0.2), Some(2));
-    assert_eq!(index.max_score_at(0.999), Some(0));
-    assert!(index.is_monotone_in_theta());
-    let solo = LocalNucleusDecomposition::compute(&graph, &LocalConfig::exact(0.2)).unwrap();
-    assert_eq!(index.scores_at(0.2).unwrap(), solo.scores());
-    assert_eq!(index.k_nuclei_at(&graph, 0.2, 2).unwrap().len(), 1);
+    let sweep = DecompSweep::compute(&graph, &SweepConfig::exact(vec![0.2, 0.999])).unwrap();
+    assert_eq!(sweep.support_builds(), 1);
+    assert_eq!(sweep.max_score_at(0.2), Some(2));
+    assert_eq!(sweep.max_score_at(0.999), Some(0));
+    assert!(sweep.is_monotone_in_threshold());
+    let solo = Decomposition::compute(&graph, &DecompConfig::nucleus(0.2)).unwrap();
+    assert_eq!(sweep.scores_at(0.2).unwrap(), solo.scores());
+    assert_eq!(sweep.k_nuclei_at(&graph, 0.2, 2).unwrap().len(), 1);
 
     // Typed grid validation surfaces through the facade too.
     assert_eq!(
-        ThetaSweep::compute(&graph, &SweepConfig::exact(vec![0.9, 0.2])).unwrap_err(),
+        DecompSweep::compute(&graph, &SweepConfig::exact(vec![0.9, 0.2])).unwrap_err(),
         NucleusError::InvalidThetaGrid(ThetaGridError::NotSorted { index: 1 })
     );
 }
@@ -83,8 +85,8 @@ fn facade_baselines_and_datasets() {
     // (k,η)-core baseline via the facade: every vertex of K5 has 4
     // neighbours, each present with probability 0.9, so the 3-core at
     // η = 0.5 contains all vertices.
-    let core = EtaCoreDecomposition::try_compute(&graph, 0.5).unwrap();
-    assert!(core.core_numbers().iter().all(|&c| c >= 3));
+    let core = Decomposition::compute(&graph, &DecompConfig::core(0.5)).unwrap();
+    assert!(core.scores().iter().all(|&c| c >= 3));
 
     // Synthetic dataset generation is seeded and reproducible.
     let a = PaperDataset::Krogan.generate(Scale::Tiny, 42);

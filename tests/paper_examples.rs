@@ -6,8 +6,7 @@ use prob_nucleus_repro::nucleus::exact::{
     exact_global_tail, exact_local_tail, exact_weakly_global_tail,
 };
 use prob_nucleus_repro::nucleus::{
-    global_nuclei, weakly_global_nuclei, GlobalConfig, LocalConfig, LocalNucleusDecomposition,
-    SamplingConfig,
+    global_nuclei, weakly_global_nuclei, DecompConfig, Decomposition, GlobalConfig, SamplingConfig,
 };
 use prob_nucleus_repro::ugraph::{GraphBuilder, Triangle, UncertainGraph};
 
@@ -31,7 +30,7 @@ fn example1_local_nucleus_at_042() {
     // Each triangle of the Figure 2a subgraph is in one 4-clique with
     // probability at least 0.42.
     let g = figure2a();
-    let local = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.42)).unwrap();
+    let local = Decomposition::compute(&g, &DecompConfig::nucleus(0.42)).unwrap();
     assert_eq!(local.max_score(), 1);
     assert!(local.scores().iter().all(|&s| s == 1));
     // Pr(X >= 1) for triangle (1,3,5) is exactly 0.5 (the 4-clique
@@ -112,7 +111,7 @@ fn example2_k5_is_local_but_not_weakly_global() {
         }
     }
     let g = b.build();
-    let local = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.01)).unwrap();
+    let local = Decomposition::compute(&g, &DecompConfig::nucleus(0.01)).unwrap();
     assert!(local.scores().iter().all(|&s| s == 2));
     let pw = exact_weakly_global_tail(&g, &Triangle::new(0, 1, 2), 2).unwrap();
     assert!((pw - 0.6f64.powi(10)).abs() < 1e-9);

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use prob_nucleus_repro::nucleus::{LocalConfig, LocalNucleusDecomposition, SupportStructure};
+use prob_nucleus_repro::nucleus::{DecompConfig, Decomposition, SupportStructure};
 use prob_nucleus_repro::ugraph::cliques::{count_four_cliques, count_four_cliques_with};
 use prob_nucleus_repro::ugraph::par::{par_extend, par_map};
 use prob_nucleus_repro::ugraph::triangles::{enumerate_triangles, enumerate_triangles_with};
@@ -114,17 +114,13 @@ proptest! {
     /// parallelism setting.
     #[test]
     fn local_decomposition_scores_identical(g in arb_graph(9, 0.8), theta in 0.05f64..0.9) {
-        let sequential = LocalNucleusDecomposition::compute(
-            &g,
-            &LocalConfig::exact(theta).with_parallelism(Parallelism::Sequential),
-        )
-        .unwrap();
+        let config = DecompConfig::nucleus(theta);
+        let sequential =
+            Decomposition::compute(&g, &config.with_parallelism(Parallelism::Sequential)).unwrap();
         for threads in THREAD_COUNTS {
-            let par = LocalNucleusDecomposition::compute(
-                &g,
-                &LocalConfig::exact(theta).with_parallelism(Parallelism::fixed(threads)),
-            )
-            .unwrap();
+            let par =
+                Decomposition::compute(&g, &config.with_parallelism(Parallelism::fixed(threads)))
+                    .unwrap();
             prop_assert_eq!(par.scores(), sequential.scores(), "threads = {}", threads);
             prop_assert_eq!(par.initial_scores(), sequential.initial_scores());
             prop_assert_eq!(par.method_counts(), sequential.method_counts());

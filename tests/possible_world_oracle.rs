@@ -5,7 +5,7 @@
 //! computes analytically can be cross-checked against the brute-force
 //! distribution (Equation 1 of the paper):
 //!
-//! * the triangle-support pmf/tails of `nucleus::local::dp`
+//! * the triangle-support pmf/tails of `ugraph::rs::dp`
 //!   (`support_pmf`, `local_tail_probability`, Proposition 5.1),
 //! * expected triangle and 4-clique counts,
 //! * the initial local nucleus scores (the largest `k` with
@@ -22,13 +22,15 @@
 //! *updated* graph demands — the repair is checked against ground truth,
 //! not just against a from-scratch run of the same code.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
-use prob_nucleus_repro::nucleus::local::dp;
 use prob_nucleus_repro::nucleus::{
-    DecompConfig, DecompSweep, Decomposition, LocalConfig, LocalNucleusDecomposition, Rank,
-    SupportStructure, SweepConfig, ThetaSweep,
+    DecompConfig, DecompHandle, DecompSweep, Decomposition, Rank, RankSupport, SupportStructure,
+    SweepConfig,
 };
+use prob_nucleus_repro::ugraph::rs::dp;
 use prob_nucleus_repro::ugraph::{EdgeId, EdgeUpdate, GraphBuilder, TriangleId, UncertainGraph};
 
 const TOL: f64 = 1e-9;
@@ -184,11 +186,12 @@ fn check_graph(graph: &UncertainGraph, thetas: &[f64]) {
 
     // Local nucleus scores: the initial score is the largest k whose
     // brute-force tail clears θ; peeling can only lower scores.
+    let handle = DecompHandle::from_support(Arc::new(RankSupport::Nucleus(support.clone())));
     for &theta in thetas {
-        let local =
-            LocalNucleusDecomposition::with_support(support.clone(), &LocalConfig::exact(theta))
-                .expect("valid config");
-        assert_eq!(local.num_triangles(), support.num_triangles());
+        let local = handle
+            .compute_at(&DecompConfig::nucleus(theta))
+            .expect("valid config");
+        assert_eq!(local.num_elements(), support.num_triangles());
         for t in 0..support.num_triangles() {
             let brute_initial = (0..oracle.tail[t].len())
                 .rev()
@@ -206,24 +209,26 @@ fn check_graph(graph: &UncertainGraph, thetas: &[f64]) {
         }
     }
 
-    // θ-sweep index: one support build answering every grid point must
+    // θ sweep: one support build answering every grid point must
     // agree with the exhaustive distribution at each θ — same
     // brute-force initial scores, same per-θ scores as the independent
     // decomposition, and rows non-increasing in θ.
     let mut grid = thetas.to_vec();
     grid.sort_by(|a, b| a.partial_cmp(b).expect("thetas are finite"));
     grid.dedup();
-    let sweep = ThetaSweep::new(SweepConfig::exact(grid.clone())).expect("valid grid");
-    let index = sweep
-        .run_with_support(support.clone())
+    let sweep = handle
+        .sweep(&SweepConfig::exact(grid.clone()))
         .expect("valid sweep");
-    assert!(index.is_monotone_in_theta(), "sweep rows must be sorted");
+    assert!(
+        sweep.is_monotone_in_threshold(),
+        "sweep rows must be sorted"
+    );
     for &theta in &grid {
-        let initial = index.initial_scores_at(theta).expect("grid point");
-        let solo =
-            LocalNucleusDecomposition::with_support(support.clone(), &LocalConfig::exact(theta))
-                .expect("valid config");
-        assert_eq!(index.scores_at(theta).expect("grid point"), solo.scores());
+        let initial = sweep.initial_scores_at(theta).expect("grid point");
+        let solo = handle
+            .compute_at(&DecompConfig::nucleus(theta))
+            .expect("valid config");
+        assert_eq!(sweep.scores_at(theta).expect("grid point"), solo.scores());
         for (t, &sweep_initial) in initial.iter().enumerate() {
             let brute_initial = (0..oracle.tail[t].len())
                 .rev()
@@ -364,9 +369,9 @@ fn k4_fixture_matches_brute_force() {
         assert_close(oracle.tail[t][1], 1.0 / 64.0, "K4 joint clique probability");
     }
     // θ between 1/64 and 1/8 separates initial scores 0 and 1.
-    let sep = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.05)).unwrap();
+    let sep = Decomposition::compute(&g, &DecompConfig::nucleus(0.05)).unwrap();
     assert!(sep.initial_scores().iter().all(|&s| s == 0));
-    let loose = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.01)).unwrap();
+    let loose = Decomposition::compute(&g, &DecompConfig::nucleus(0.01)).unwrap();
     assert!(loose.initial_scores().iter().all(|&s| s == 1));
 }
 

@@ -4,9 +4,9 @@ use proptest::prelude::*;
 
 use prob_nucleus_repro::detdecomp::NucleusDecomposition;
 use prob_nucleus_repro::nucleus::approx::{tail_probability, ApproxMethod};
-use prob_nucleus_repro::nucleus::local::dp;
-use prob_nucleus_repro::nucleus::{LocalConfig, LocalNucleusDecomposition};
+use prob_nucleus_repro::ugraph::rs::dp;
 use prob_nucleus_repro::ugraph::{GraphBuilder, UncertainGraph};
+use prob_nucleus_repro::{DecompConfig, Decomposition};
 
 /// Strategy: a random probabilistic graph with up to `max_v` vertices and
 /// a biased-dense edge set so triangles and 4-cliques actually appear.
@@ -57,9 +57,9 @@ proptest! {
         let mapped = open_snapshot(&path).unwrap();
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(mapped.graph(), &owned);
-        let cfg = LocalConfig::exact(theta);
-        let on_owned = LocalNucleusDecomposition::compute(&owned, &cfg).unwrap();
-        let on_mapped = LocalNucleusDecomposition::compute(mapped.graph(), &cfg).unwrap();
+        let cfg = DecompConfig::nucleus(theta);
+        let on_owned = Decomposition::compute(&owned, &cfg).unwrap();
+        let on_mapped = Decomposition::compute(mapped.graph(), &cfg).unwrap();
         prop_assert_eq!(on_owned.scores(), on_mapped.scores());
         prop_assert_eq!(on_owned.initial_scores(), on_mapped.initial_scores());
     }
@@ -101,10 +101,10 @@ proptest! {
     /// number of scores equals the number of triangles.
     #[test]
     fn local_scores_bounded_by_deterministic(g in arb_graph(9, 0.75), theta in 0.05f64..0.9) {
-        let local = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(theta)).unwrap();
+        let local = Decomposition::compute(&g, &DecompConfig::nucleus(theta)).unwrap();
         let det = NucleusDecomposition::compute(&g);
-        prop_assert_eq!(local.num_triangles(), det.num_triangles());
-        for (id, tri) in local.triangle_index().iter() {
+        prop_assert_eq!(local.num_elements(), det.num_triangles());
+        for (id, tri) in local.nucleus_support().unwrap().triangle_index().iter() {
             prop_assert!(local.score(id) <= det.nucleusness_of(&tri).unwrap());
         }
     }
@@ -112,9 +112,9 @@ proptest! {
     /// Monotonicity in θ: raising the threshold can only lower scores.
     #[test]
     fn local_scores_monotone_in_theta(g in arb_graph(8, 0.8)) {
-        let low = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.1)).unwrap();
-        let high = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(0.5)).unwrap();
-        for t in 0..low.num_triangles() {
+        let low = Decomposition::compute(&g, &DecompConfig::nucleus(0.1)).unwrap();
+        let high = Decomposition::compute(&g, &DecompConfig::nucleus(0.5)).unwrap();
+        for t in 0..low.num_elements() {
             prop_assert!(high.scores()[t] <= low.scores()[t]);
         }
     }
@@ -124,12 +124,13 @@ proptest! {
     #[test]
     fn extracted_nuclei_are_well_formed(g in arb_graph(9, 0.8)) {
         let theta = 0.2;
-        let local = LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(theta)).unwrap();
+        let local = Decomposition::compute(&g, &DecompConfig::nucleus(theta)).unwrap();
+        let index = local.nucleus_support().unwrap().triangle_index();
         for k in 1..=local.max_score() {
-            for nucleus in local.k_nuclei(&g, k) {
+            for nucleus in local.k_nuclei(&g, k).unwrap() {
                 prop_assert!(!nucleus.cliques.is_empty());
                 for tri in &nucleus.triangles {
-                    prop_assert!(local.score_of(tri).unwrap() >= k);
+                    prop_assert!(local.score(index.id_of(tri).unwrap()) >= k);
                 }
                 for clique in &nucleus.cliques {
                     for (u, v) in clique.edges() {

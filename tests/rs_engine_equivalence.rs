@@ -3,10 +3,12 @@
 //! The API redesign moved every decomposition — probabilistic (k,η)-core,
 //! local (k,γ)-truss, ℓ-NuDecomp and the three deterministic peels — onto
 //! one generic engine (`ugraph::rs`).  The pre-redesign peeling loops are
-//! frozen verbatim in `probdecomp::reference` and `detdecomp::reference`;
-//! these proptests pin the generic engine **bit-identical** to them on
-//! random graphs, at 1, 2 and 8 worker threads (the engine's counters and
-//! scores must not depend on the thread count).
+//! frozen in `nucleus::reference` and `detdecomp::reference`; these
+//! proptests pin the generic engine **bit-identical** to the core, truss
+//! and deterministic ones on random graphs, at 1, 2 and 8 worker threads
+//! (the engine's counters and scores must not depend on the thread
+//! count).  The nucleus rank is pinned to its frozen engine by the
+//! `equivalence_proptests` of `nucleus::local::peel`.
 //!
 //! Case count scales with `PROPTEST_CASES` (64 by default, 1024 in the
 //! thorough CI job).
@@ -15,10 +17,8 @@ use proptest::prelude::*;
 
 use prob_nucleus_repro::detdecomp;
 use prob_nucleus_repro::nucleus::{
-    DecompConfig, DecompSweep, Decomposition, LocalConfig, LocalNucleusDecomposition, Rank,
-    SweepConfig,
+    reference, DecompConfig, DecompSweep, Decomposition, Rank, SweepConfig,
 };
-use prob_nucleus_repro::probdecomp;
 use prob_nucleus_repro::ugraph::{GraphBuilder, Parallelism, UncertainGraph};
 
 /// Strategy: a random probabilistic graph with a biased-dense edge set so
@@ -50,12 +50,8 @@ fn arb_graph(max_v: u32, density: f64) -> impl Strategy<Value = UncertainGraph> 
 /// Runs the unified decomposition at 1/2/8 threads and asserts that the
 /// scores (and deterministic counters) are thread-independent, returning
 /// the sequential scores.
-fn thread_independent_scores(g: &UncertainGraph, rank: Rank, threshold: f64) -> Vec<u32> {
-    let config = match rank {
-        Rank::Core => DecompConfig::core(threshold),
-        Rank::Truss => DecompConfig::truss(threshold),
-        Rank::Nucleus => DecompConfig::nucleus(threshold),
-    };
+fn thread_independent_scores(g: &UncertainGraph, config: DecompConfig) -> Vec<u32> {
+    let rank = config.rank;
     let base = Decomposition::compute(g, &config.with_parallelism(Parallelism::Sequential))
         .expect("valid config");
     for threads in [2usize, 8] {
@@ -83,8 +79,8 @@ proptest! {
     /// (k,η)-core peel bit-identically at every thread count.
     #[test]
     fn core_matches_frozen_reference(g in arb_graph(14, 0.55), eta in 0.02f64..0.95) {
-        let generic = thread_independent_scores(&g, Rank::Core, eta);
-        let frozen = probdecomp::reference::eta_core_numbers(&g, eta);
+        let generic = thread_independent_scores(&g, DecompConfig::core(eta));
+        let frozen = reference::eta_core_numbers(&g, eta);
         prop_assert_eq!(generic, frozen);
     }
 
@@ -92,20 +88,9 @@ proptest! {
     /// (k,γ)-truss peel bit-identically at every thread count.
     #[test]
     fn truss_matches_frozen_reference(g in arb_graph(12, 0.6), gamma in 0.02f64..0.95) {
-        let generic = thread_independent_scores(&g, Rank::Truss, gamma);
-        let frozen = probdecomp::reference::gamma_truss_numbers(&g, gamma);
+        let generic = thread_independent_scores(&g, DecompConfig::truss(gamma));
+        let frozen = reference::gamma_truss_numbers(&g, gamma);
         prop_assert_eq!(generic, frozen);
-    }
-
-    /// Rank (3,4): the unified surface reproduces the dedicated
-    /// ℓ-NuDecomp (itself differentially pinned to its own frozen
-    /// reference engine inside the nucleus crate) at every thread count.
-    #[test]
-    fn nucleus_matches_dedicated_decomposition(g in arb_graph(10, 0.7), theta in 0.02f64..0.8) {
-        let generic = thread_independent_scores(&g, Rank::Nucleus, theta);
-        let dedicated =
-            LocalNucleusDecomposition::compute(&g, &LocalConfig::exact(theta)).unwrap();
-        prop_assert_eq!(generic.as_slice(), dedicated.scores());
     }
 
     /// The deterministic peels (rewritten over the same engine) reproduce
@@ -127,22 +112,6 @@ proptest! {
         prop_assert_eq!(
             nucleus.nucleusness_values(),
             detdecomp::reference::nucleusness(&g).as_slice()
-        );
-    }
-
-    /// The deprecated baseline shims agree with the frozen references
-    /// (the migration preserved outputs exactly).
-    #[test]
-    fn baseline_shims_match_frozen_references(g in arb_graph(10, 0.6), th in 0.05f64..0.9) {
-        let core = probdecomp::EtaCoreDecomposition::try_compute(&g, th).unwrap();
-        prop_assert_eq!(
-            core.core_numbers(),
-            probdecomp::reference::eta_core_numbers(&g, th).as_slice()
-        );
-        let truss = probdecomp::GammaTrussDecomposition::try_compute(&g, th).unwrap();
-        prop_assert_eq!(
-            truss.truss_numbers(),
-            probdecomp::reference::gamma_truss_numbers(&g, th).as_slice()
         );
     }
 

@@ -1,19 +1,19 @@
-//! Differential + metamorphic test suite for the θ-sweep index.
+//! Differential + metamorphic test suite for nucleus-rank θ sweeps.
 //!
 //! Two contracts, enforced on random graphs:
 //!
-//! * **Differential**: every per-θ slice of a [`ThetaSweep`] — scores,
+//! * **Differential**: every per-θ slice of a [`DecompSweep`] — scores,
 //!   initial scores, method counts and perf counters — must be
-//!   **bit-identical** to an independent
-//!   [`LocalNucleusDecomposition::compute`] at that θ, for the exact-DP
-//!   and the hybrid scorer, at 1, 2 and 8 worker threads.  The sweep may
+//!   **bit-identical** to an independent [`Decomposition::compute`] at
+//!   that θ, for the exact-DP and the hybrid scorer, at 1, 2 and 8
+//!   worker threads.  The sweep may
 //!   amortize the support build and reschedule work across grid points,
 //!   but it must never change a single observable result.
 //!
 //! * **Metamorphic monotonicity**: Definition 5 gives
 //!   `Pr[△ ∧ ζ ≥ k] ≥ θ` — a larger θ can only shrink the qualifying
 //!   set, so κ_θ(△) (and, for the monotone DP scorer, ν_θ(△)) is
-//!   non-increasing in θ.  Every score row of the index must therefore
+//!   non-increasing in θ.  Every score row of the sweep must therefore
 //!   be sorted non-increasing across the grid.  For the hybrid scorer
 //!   the *initial* scores share the guarantee (the approximation tail of
 //!   a fixed alive set is a fixed function of k, so its max-k is
@@ -25,10 +25,9 @@
 
 use proptest::prelude::*;
 
-use prob_nucleus_repro::nucleus::{
-    LocalConfig, LocalNucleusDecomposition, SweepConfig, ThetaSweep,
-};
+use prob_nucleus_repro::nucleus::SweepConfig;
 use prob_nucleus_repro::ugraph::{GraphBuilder, Parallelism, UncertainGraph};
+use prob_nucleus_repro::{DecompConfig, DecompSweep, Decomposition};
 
 /// Thread counts every property is exercised at.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -76,27 +75,24 @@ fn assert_sweep_matches_independent_runs(
 ) {
     // The independent oracle runs sequentially; per-θ results are
     // thread-count-independent anyway (tests/parallel_equivalence.rs).
-    let solo: Vec<LocalNucleusDecomposition> = grid
+    let solo: Vec<Decomposition> = grid
         .iter()
         .map(|&theta| {
-            let sweep_cfg = config_for(vec![theta]);
-            let local = LocalConfig {
-                theta,
-                method: sweep_cfg.method,
-                parallelism: Parallelism::Sequential,
-            };
-            LocalNucleusDecomposition::compute(g, &local).expect("valid config")
+            let local = DecompConfig::nucleus(theta)
+                .with_method(config_for(vec![theta]).method)
+                .with_parallelism(Parallelism::Sequential);
+            Decomposition::compute(g, &local).expect("valid config")
         })
         .collect();
 
     for threads in THREAD_COUNTS {
         let config = config_for(grid.to_vec()).with_parallelism(Parallelism::fixed(threads));
-        let index = ThetaSweep::compute(g, &config).expect("valid sweep config");
-        prop_assert_eq!(index.support_builds(), 1, "support built exactly once");
-        prop_assert_eq!(index.grid_len(), grid.len());
+        let sweep = DecompSweep::compute(g, &config).expect("valid sweep config");
+        prop_assert_eq!(sweep.support_builds(), 1, "support built exactly once");
+        prop_assert_eq!(sweep.grid_len(), grid.len());
         for (gi, (&theta, solo)) in grid.iter().zip(&solo).enumerate() {
             prop_assert_eq!(
-                index.scores_at(theta).expect("theta is a grid point"),
+                sweep.scores_at(theta).expect("theta is a grid point"),
                 solo.scores(),
                 "scores at theta {} (grid point {}, threads {})",
                 theta,
@@ -104,17 +100,11 @@ fn assert_sweep_matches_independent_runs(
                 threads
             );
             prop_assert_eq!(
-                index.initial_scores_at(theta).expect("grid point"),
+                sweep.initial_scores_at(theta).expect("grid point"),
                 solo.initial_scores()
             );
-            prop_assert_eq!(
-                index.method_counts_at(theta).expect("grid point"),
-                solo.method_counts()
-            );
-            prop_assert_eq!(
-                index.peel_stats_at(theta).expect("grid point"),
-                solo.peel_stats()
-            );
+            prop_assert_eq!(sweep.method_counts_at_index(gi), solo.method_counts());
+            prop_assert_eq!(sweep.peel_stats_at_index(gi), solo.peel_stats());
         }
     }
 }
@@ -151,19 +141,19 @@ proptest! {
         g in arb_graph(10, 0.75),
         grid in arb_grid(),
     ) {
-        let index = ThetaSweep::compute(&g, &SweepConfig::exact(grid.clone()))
+        let sweep = DecompSweep::compute(&g, &SweepConfig::exact(grid.clone()))
             .expect("valid sweep config");
-        prop_assert!(index.is_monotone_in_theta());
-        for t in 0..index.num_triangles() {
+        prop_assert!(sweep.is_monotone_in_threshold());
+        for t in 0..sweep.num_elements() {
             for w in 0..grid.len().saturating_sub(1) {
                 prop_assert!(
-                    index.scores_at_index(w + 1)[t] <= index.scores_at_index(w)[t],
+                    sweep.scores_at_index(w + 1)[t] <= sweep.scores_at_index(w)[t],
                     "final score of triangle {} rose from theta {} to {}",
                     t, grid[w], grid[w + 1]
                 );
                 prop_assert!(
-                    index.initial_scores_at_index(w + 1)[t]
-                        <= index.initial_scores_at_index(w)[t],
+                    sweep.initial_scores_at_index(w + 1)[t]
+                        <= sweep.initial_scores_at_index(w)[t],
                     "initial score of triangle {} rose from theta {} to {}",
                     t, grid[w], grid[w + 1]
                 );
@@ -179,13 +169,13 @@ proptest! {
         g in arb_graph(9, 0.8),
         grid in arb_grid(),
     ) {
-        let index = ThetaSweep::compute(&g, &SweepConfig::approximate(grid.clone()))
+        let sweep = DecompSweep::compute(&g, &SweepConfig::approximate(grid.clone()))
             .expect("valid sweep config");
-        for t in 0..index.num_triangles() {
+        for t in 0..sweep.num_elements() {
             for w in 0..grid.len().saturating_sub(1) {
                 prop_assert!(
-                    index.initial_scores_at_index(w + 1)[t]
-                        <= index.initial_scores_at_index(w)[t],
+                    sweep.initial_scores_at_index(w + 1)[t]
+                        <= sweep.initial_scores_at_index(w)[t],
                     "hybrid initial score of triangle {} rose from theta {} to {}",
                     t, grid[w], grid[w + 1]
                 );
