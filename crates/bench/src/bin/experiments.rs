@@ -30,7 +30,6 @@
 //!                    [--dry-run] [--out BENCH_matrix.json]
 //!
 //! experiments bench-compare OLD.json NEW.json [--tolerance F]
-//!                           [--deny-generation-skew]
 //!
 //! experiments serve [--port P] [--cache N] [--threads N] [--thetas GRID]
 //!                   [--edges M] [--vertices N] [--seed N]
@@ -164,7 +163,7 @@ fn print_usage() {
          \x20                   [--input PATH [--format F] [--prob-model M]]\n\
          \x20   one sweep index build vs independent per-threshold runs at the\n\
          \x20   chosen (r,s) rank (default nucleus; the grid is the eta/gamma\n\
-         \x20   grid at the core/truss ranks); emits bench-parallel/v6 JSON\n\
+         \x20   grid at the core/truss ranks); emits bench-parallel/v7 JSON\n\
          \x20   with rank + support_builds + amortization\n\
          \n\
          experiments updates [--rank core|truss|nucleus] [--edges M]\n\
@@ -174,7 +173,7 @@ fn print_usage() {
          \x20                [--input PATH [--format F] [--prob-model M]]\n\
          \x20   apply a seeded edge-update batch through the incremental\n\
          \x20   repair path, verify bit-identity against a full rebuild and\n\
-         \x20   emit bench-updates/v1 JSON with repair-vs-rebuild dp_calls\n\
+         \x20   emit bench-updates/v2 JSON with repair-vs-rebuild dp_calls\n\
          \n\
          experiments gen [--gen gnm|ba] [--edges M] [--vertices N] [--seed N]\n\
          \x20            [--attach K] --out PATH [--snapshot PATH]\n\
@@ -187,7 +186,7 @@ fn print_usage() {
          \x20   million-edge memory-scaling baseline: seeded BA graph, snapshot\n\
          \x20   mmap-vs-owned reload (bit-identity asserted), 1-vs-T-thread\n\
          \x20   triangle phase, streaming index build, truss sweep; emits\n\
-         \x20   bench-million/v1 JSON with peak_rss_bytes\n\
+         \x20   bench-million/v2 JSON with peak_rss_bytes\n\
          \n\
          experiments matrix [--scenarios DIR] [--only NAME[,NAME...]] [--tag TAG]\n\
          \x20               [--dry-run] [--out BENCH_matrix.json]\n\
@@ -198,14 +197,11 @@ fn print_usage() {
          \x20   running\n\
          \n\
          experiments bench-compare OLD.json NEW.json [--tolerance F]\n\
-         \x20                      [--deny-generation-skew]\n\
          \x20   diffs two bench-parallel/*, bench-serve/*, bench-updates/*,\n\
-         \x20   bench-million/* or bench-matrix/* reports; exits 1 when a\n\
-         \x20   deterministic counter (dp_calls, counts, reload_speedup, server\n\
-         \x20   stats, repair work, matrix scenario counters) regresses beyond\n\
-         \x20   the relative tolerance (default 0), or — with\n\
-         \x20   --deny-generation-skew — when the two schema generations differ.\n\
-         \x20   Wall times are never gated.\n\
+         \x20   bench-million/* or bench-matrix/* reports of one schema by the\n\
+         \x20   gate tags they record; exits 1 when a number regresses beyond\n\
+         \x20   the relative tolerance (default 0) and refuses reports of\n\
+         \x20   differing schemas (regenerate the baseline). Walls never gate.\n\
          \n\
          experiments serve [--port P] [--cache N] [--threads N]\n\
          \x20              [--thetas 0.1,0.3] [--edges M] [--vertices N] [--seed N]\n\
@@ -214,7 +210,7 @@ fn print_usage() {
          \x20   resident (r,s)-nucleus query service over TCP; with --oneshot,\n\
          \x20   runs the scripted self-test (every wire answer compared\n\
          \x20   bit-for-bit against the library, including across an\n\
-         \x20   apply_updates batch) and emits bench-serve/v2 JSON\n\
+         \x20   apply_updates batch) and emits bench-serve/v3 JSON\n\
          \n\
          experiments serve-client --addr HOST:PORT [--call METHOD]\n\
          \x20                     [--params JSON] [--deadline-ms N]\n\
@@ -230,7 +226,6 @@ fn run_bench_compare(args: &[String]) {
     // `--tolerance 0.1` may appear before, between or after the files.
     let mut files: Vec<&str> = Vec::new();
     let mut tolerance = 0.0f64;
-    let mut deny_skew = false;
     let mut args_iter = args[1..].iter();
     while let Some(arg) = args_iter.next() {
         if arg == "--tolerance" {
@@ -240,8 +235,6 @@ fn run_bench_compare(args: &[String]) {
             tolerance = spec
                 .parse::<f64>()
                 .unwrap_or_else(|_| fail(&format!("invalid --tolerance '{spec}'")));
-        } else if arg == "--deny-generation-skew" {
-            deny_skew = true;
         } else if arg.starts_with("--") {
             fail(&format!("bench-compare: unknown flag '{arg}'"));
         } else {
@@ -261,17 +254,6 @@ fn run_bench_compare(args: &[String]) {
         compare::compare(&read(old_path), &read(new_path), tolerance).unwrap_or_else(|e| fail(&e));
     println!("# bench-compare  old: {old_path}  new: {new_path}  tolerance: {tolerance}\n");
     println!("{}", report.format());
-    if let Some(skew) = report.generation_skew() {
-        if deny_skew {
-            eprintln!(
-                "generation skew denied: {skew}\n\
-                 committed baselines must share one schema generation — regenerate \
-                 the stale baseline so every gated counter is live"
-            );
-            std::process::exit(1);
-        }
-        println!("generation skew: {skew} (allowed; pass --deny-generation-skew to refuse)");
-    }
     if !report.regressions().is_empty() {
         std::process::exit(1);
     }
@@ -542,7 +524,7 @@ fn run_gen(args: &[String]) {
 
 /// Boots the resident query service — or, with `--oneshot`, runs the
 /// scripted self-test (through the registry dispatch, like the matrix)
-/// and writes the `bench-serve/v2` report (the CI `serve-smoke`
+/// and writes the `bench-serve/v3` report (the CI `serve-smoke`
 /// surface).
 fn run_serve(args: &[String]) {
     let spec = bench_spec(Workload::Serve, args);

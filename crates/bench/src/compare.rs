@@ -1,60 +1,45 @@
-//! Diffing of two `bench-parallel/*` reports with a deterministic
-//! regression gate (`experiments bench-compare`).
+//! Diffing of two bench reports with a deterministic regression gate
+//! (`experiments bench-compare`).
 //!
 //! Wall-clock times are far too noisy to gate a CI job on, but the
-//! benchmark reports also carry **deterministic** counters — triangle and
-//! 4-clique counts, the peeling engine's `dp_calls`, the snapshot-cache
-//! `reload_speedup` — that are pure functions of the graph and the
-//! algorithm.  `bench-compare OLD.json NEW.json` prints every tracked
-//! value side by side and exits nonzero when a *gated* counter regresses
-//! beyond `--tolerance` (a relative fraction, default 0):
+//! benchmark reports also carry **deterministic** counters — clique
+//! counts, the peeling engine's `dp_calls`, the server's cache hits —
+//! that are pure functions of the graph, the configuration and the
+//! script.  Every report tags each of its numbers with a [`Gate`] on the
+//! line that emits it ([`crate::report`]), and `bench-compare OLD.json
+//! NEW.json` gates by those tags: it prints every tagged value side by
+//! side and exits nonzero when a gated one regresses beyond
+//! `--tolerance`.
 //!
-//! * `counts.triangles`, `counts.four_cliques` — must match within the
-//!   tolerance, in *both* directions (drift either way means the
-//!   algorithm changed behaviour; run at `--tolerance 0` — the default —
-//!   to demand exact equality);
-//! * `peel.dp_calls` — must not increase (the deferred engine's work);
-//! * `source.ingest.reload_speedup` — must not decrease.
+//! The tolerance is relative, with one slack for every gate that takes
+//! it: `slack = tolerance · max(|old|, 1)`.  `Exact` fails when
+//! `|new − old| > slack`, `LowerIsBetter` when `new > old + slack`,
+//! `HigherIsBetter` when `new < old − slack`; `WithinFactor` ignores the
+//! tolerance and `ReportOnly` never fails.
 //!
-//! Schema bumps are handled gracefully: comparing a `bench-parallel/v2`
-//! baseline against a v3 report simply skips the counters the old file
-//! does not carry, with a note.  Wall times are always printed, never
-//! gated.
+//! Structural rules, each refused with a message rather than a verdict:
 //!
-//! Sweep reports carry a `rank` field since `bench-parallel/v5` (core,
-//! truss or nucleus).  Reports that predate it are treated as nucleus
-//! sweeps, with a note; comparing reports of *different* ranks is
-//! refused outright — their counters describe different algorithms, so
-//! any verdict would be meaningless.
+//! * the two reports must carry the same schema string — a baseline of
+//!   another generation has to be regenerated, not reconciled;
+//! * a report without a `gates` object, or with a malformed tag, is an
+//!   error;
+//! * reports of different families (a parallel bench against a serve
+//!   smoke) or of different ranks describe different artifacts.
 //!
-//! `bench-serve/*` reports (`experiments serve --oneshot`) gate the
-//! query service's deterministic [`nd_server::StatsSnapshot`] counters —
-//! all Exact, since the scripted session is fixed.  Comparing across
-//! schema *families* (a parallel bench against a serve smoke) is
-//! refused for the same reason as cross-rank compares.
-//!
-//! `bench-updates/*` reports (`experiments updates`) gate the
-//! incremental-maintenance counters: batch composition and repair sizes
-//! are Exact, `repair.repair_dp_calls` must not increase, and
-//! `repair.dp_calls_excess` — score evaluations the repair spent *beyond*
-//! what a full rebuild would have — is Exact with a committed baseline of
-//! 0, so CI enforces repair ≤ rebuild at tolerance 0.
-//!
-//! `bench-million/*` reports (`experiments million`) gate the seeded
-//! graph shape, triangle count and snapshot size exactly; the mmap and
-//! thread-scaling wall figures are reported only, and the process-wide
-//! `peak_rss_bytes` probe uses the bounded-factor gate (fails only past
-//! 2x the baseline, and is skipped when the baseline host lacked the
-//! probe entirely).
-//!
-//! Committed baselines are expected to share one schema *generation*
-//! (all regenerated together when a schema bumps), otherwise one-sided
-//! counters silently drop out of the gate.  [`CompareReport::generation_skew`]
-//! detects the condition, and `experiments bench-compare
-//! --deny-generation-skew` (used by CI) turns it into a hard failure.
+//! For two reports of the same kind, a path tagged by only one of them
+//! fails unless its tag is `report-only`, and a path whose tag differs
+//! between the two fails, so neither a refactor that stops emitting a
+//! counter nor a hand-edited baseline can loosen a gate.  A parbench
+//! report against a sweep report (the one report with no `rank`) is the
+//! one cross-kind case: the two describe the same graph, so only the
+//! paths both tag are gated and the rest are noted.  `bench-matrix/*`
+//! reports carry no tags; every counter of every scenario is gated
+//! exactly.
 
 use crate::json::Json;
+use crate::report;
 use crate::runner::format_table;
+use Gate::ReportOnly;
 
 /// Whether and how a tracked value participates in the gate.
 ///
@@ -135,13 +120,11 @@ pub struct DiffRow {
 /// Result of comparing two reports.
 #[derive(Debug, Clone)]
 pub struct CompareReport {
-    /// Schemas of the two files.
-    pub old_schema: String,
-    /// Schema of the new file.
-    pub new_schema: String,
+    /// The schema both reports share.
+    pub schema: String,
     /// Every tracked value.
     pub rows: Vec<DiffRow>,
-    /// Context notes (schema bumps, skipped counters).
+    /// Context notes (counters one kind of report lacks, new scenarios).
     pub notes: Vec<String>,
 }
 
@@ -152,28 +135,6 @@ impl CompareReport {
             .iter()
             .filter(|r| r.regression.is_some())
             .collect()
-    }
-
-    /// `Some(description)` when the two reports belong to different
-    /// schema generations.  Cross-generation compares degrade gracefully
-    /// (one-sided counters are skipped with a note), which is right for
-    /// a one-off local diff but wrong for committed baselines — those
-    /// should all be regenerated at one generation so every gate is
-    /// live.  `experiments bench-compare --deny-generation-skew` turns
-    /// this condition into a hard failure.
-    pub fn generation_skew(&self) -> Option<String> {
-        if self.old_schema == self.new_schema {
-            return None;
-        }
-        let describe = |s: &str| match generation_of(s) {
-            Some(g) => format!("{s} (generation {g})"),
-            None => s.to_string(),
-        };
-        Some(format!(
-            "{} vs {}",
-            describe(&self.old_schema),
-            describe(&self.new_schema)
-        ))
     }
 
     /// Renders the comparison as a table plus notes.
@@ -194,9 +155,8 @@ impl CompareReport {
             ]);
         }
         let mut out = format!(
-            "bench-compare: {} (old) vs {} (new)\n{}",
-            self.old_schema,
-            self.new_schema,
+            "bench-compare: {}\n{}",
+            self.schema,
             format_table(&["counter", "old", "new", "verdict"], &rows)
         );
         for note in &self.notes {
@@ -217,106 +177,6 @@ impl CompareReport {
         }
         out
     }
-}
-
-/// The tracked values: dotted path, gate mode.
-const TRACKED: &[(&[&str], Gate)] = &[
-    (&["counts", "triangles"], Gate::Exact),
-    (&["counts", "four_cliques"], Gate::Exact),
-    (&["peel", "dp_calls"], Gate::LowerIsBetter),
-    (&["peel", "reference_dp_calls"], Gate::ReportOnly),
-    (&["peel", "recompute_skips"], Gate::ReportOnly),
-    (&["peel", "buckets_touched"], Gate::ReportOnly),
-    // Deterministic scratch accounting of the peeling engine: growth is
-    // a real algorithmic change, so it gates (bench-parallel/v6 onward;
-    // earlier baselines carry the counter and gate identically).
-    (&["peel", "peak_scratch_bytes"], Gate::LowerIsBetter),
-    // The kernel's VmHWM probe: noisy across allocators and hosts, so
-    // only gross growth (2x) fails.
-    (&["peel", "peak_rss_bytes"], Gate::WithinFactor(2)),
-    (
-        &["source", "ingest", "reload_speedup"],
-        Gate::HigherIsBetter,
-    ),
-    // Wall-derived mmap figures: printed for context, gated by CI on a
-    // fresh run rather than against baselines from other hardware.
-    (&["source", "ingest", "mmap_speedup"], Gate::ReportOnly),
-    (&["baseline", "total_s"], Gate::ReportOnly),
-    (&["peel", "peel_s"], Gate::ReportOnly),
-    (&["peel", "reference_peel_s"], Gate::ReportOnly),
-    // θ-sweep counters (bench-parallel/v4, `experiments thetasweep`).
-    // `support_builds` is the tentpole invariant: the sweep must build
-    // the support structure exactly once, so any drift from the baseline
-    // (whose value is 1) fails the gate.
-    (&["sweep", "support_builds"], Gate::Exact),
-    (&["sweep", "grid_size"], Gate::Exact),
-    (&["sweep", "dp_calls_total"], Gate::LowerIsBetter),
-    (&["sweep", "independent_dp_calls_total"], Gate::ReportOnly),
-    (&["sweep", "sweep_s"], Gate::ReportOnly),
-    (&["sweep", "independent_s"], Gate::ReportOnly),
-    (&["sweep", "amortization"], Gate::ReportOnly),
-    // Query-service counters (bench-serve/v1, `experiments serve
-    // --oneshot`).  The scripted session is fixed, so every counter is a
-    // deterministic function of the script: all Exact.  The load-bearing
-    // three: `support_builds` must stay 1 however many sessions open,
-    // repeated-θ queries must keep landing as `cache_hits`, and
-    // `protocol_errors` must stay 0 (the script sends no malformed
-    // frames).
-    (&["stats", "requests"], Gate::Exact),
-    (&["stats", "batches"], Gate::Exact),
-    (&["stats", "protocol_errors"], Gate::Exact),
-    (&["stats", "request_errors"], Gate::Exact),
-    (&["stats", "cache_hits"], Gate::Exact),
-    (&["stats", "cache_misses"], Gate::Exact),
-    (&["stats", "cache_evictions"], Gate::Exact),
-    (&["stats", "support_builds"], Gate::Exact),
-    (&["stats", "sessions_opened"], Gate::Exact),
-    (&["stats", "sessions_closed"], Gate::Exact),
-    (&["stats", "deadlines_exceeded"], Gate::Exact),
-    // Incremental-update counters, shared by bench-serve/v2 (the
-    // scripted session applies one batch) and bench-updates/v1 reports.
-    (&["stats", "updates_applied"], Gate::Exact),
-    (&["stats", "supports_repaired"], Gate::Exact),
-    (&["stats", "cache_invalidations"], Gate::Exact),
-    // Repair-vs-rebuild counters (bench-updates/v1, `experiments
-    // updates`).  The batch and the damage region are pure functions of
-    // the seeded graph and batch: Exact.  `repair_dp_calls` is the work
-    // the repair actually spent; `dp_calls_excess` is how far it exceeded
-    // a full rebuild (0 in every committed baseline), so gating it Exact
-    // at tolerance 0 *is* the "repair never does more work than rebuild"
-    // guarantee.
-    (&["batch", "inserts"], Gate::Exact),
-    (&["batch", "deletes"], Gate::Exact),
-    (&["batch", "reweights"], Gate::Exact),
-    (&["repair", "affected_elements"], Gate::Exact),
-    (&["repair", "region_elements"], Gate::Exact),
-    (&["repair", "repair_dp_calls"], Gate::LowerIsBetter),
-    (&["repair", "rebuild_dp_calls"], Gate::ReportOnly),
-    (&["repair", "dp_calls_excess"], Gate::Exact),
-    // Million-edge memory-scaling baseline (bench-million/v1,
-    // `experiments million`).  The generator is seeded, so the graph
-    // shape, triangle count (gated through the shared `counts` paths)
-    // and snapshot size are Exact; the reload/mmap wall numbers are
-    // reported only — CI gates those on a fresh run, never against a
-    // baseline measured on other hardware — and the RSS probe gets the
-    // bounded-factor gate.
-    (&["million", "vertices"], Gate::Exact),
-    (&["million", "edges"], Gate::Exact),
-    (&["million", "snapshot_bytes"], Gate::Exact),
-    (&["million", "streaming_chunk_edges"], Gate::Exact),
-    (&["million", "snapshot_write_s"], Gate::ReportOnly),
-    (&["million", "owned_reload_s"], Gate::ReportOnly),
-    (&["million", "mmap_open_s"], Gate::ReportOnly),
-    (&["million", "mmap_speedup"], Gate::ReportOnly),
-    (&["million", "triangles_1t_s"], Gate::ReportOnly),
-    (&["million", "triangles_nt_s"], Gate::ReportOnly),
-    (&["million", "triangle_speedup"], Gate::ReportOnly),
-    (&["million", "peak_rss_bytes"], Gate::WithinFactor(2)),
-];
-
-/// The explicit `rank` field of a report, when present (v5+).
-fn rank_of(doc: &Json) -> Option<String> {
-    doc.get("rank").and_then(Json::as_str).map(str::to_string)
 }
 
 /// The schema families this tool understands.  Reports of different
@@ -350,12 +210,6 @@ fn schema_of(doc: &Json, which: &str) -> Result<(String, String), String> {
     Ok((family.to_string(), schema.to_string()))
 }
 
-/// The numeric generation of a `family/vN` schema string — `6` for
-/// `bench-parallel/v6`, `None` when the suffix is not of that shape.
-pub fn generation_of(schema: &str) -> Option<u64> {
-    schema.rsplit('/').next()?.strip_prefix('v')?.parse().ok()
-}
-
 /// Compares two parsed reports.  `tolerance` is a relative fraction
 /// (e.g. `0.05` allows 5% drift on gated counters).
 pub fn compare(old: &Json, new: &Json, tolerance: f64) -> Result<CompareReport, String> {
@@ -370,11 +224,16 @@ pub fn compare(old: &Json, new: &Json, tolerance: f64) -> Result<CompareReport, 
              the two families share no gated counters, so any verdict would be meaningless"
         ));
     }
+    if old_schema != new_schema {
+        return Err(format!(
+            "schema mismatch: old report is {old_schema}, new report is {new_schema}; \
+             regenerate the baseline with this build"
+        ));
+    }
 
-    // Pre-v5 reports carry no rank field; they all described the
-    // nucleus-rank decomposition, so that is the implied default.
-    let old_rank = rank_of(old);
-    let new_rank = rank_of(new);
+    // Only sweeps carry a rank; a parbench report is a nucleus run.
+    let rank_of = |doc: &Json| doc.get("rank").and_then(Json::as_str).map(str::to_string);
+    let (old_rank, new_rank) = (rank_of(old), rank_of(new));
     let old_r = old_rank.as_deref().unwrap_or("nucleus");
     let new_r = new_rank.as_deref().unwrap_or("nucleus");
     if old_r != new_r {
@@ -387,86 +246,87 @@ pub fn compare(old: &Json, new: &Json, tolerance: f64) -> Result<CompareReport, 
 
     let mut rows = Vec::new();
     let mut notes = Vec::new();
-    if old_schema != new_schema {
-        notes.push(format!(
-            "schema bump {old_schema} -> {new_schema}: counters absent from either side are \
-             reported as '-' and not gated"
-        ));
-    }
-    // At one schema generation, exactly one report carrying `rank` means
-    // a parbench report against a sweep report: the two share `counts`,
-    // and each side's own gated counters are expected to be one-sided.
-    let cross_kind = old_rank.is_none() != new_rank.is_none();
-    if cross_kind {
-        let which = if old_rank.is_none() { "old" } else { "new" };
-        notes.push(if old_schema == new_schema {
-            format!(
-                "{which} report carries no \"rank\" field (a parbench report against a sweep \
-                 report); treated as a nucleus run, and counters only one kind emits are not \
-                 gated"
-            )
-        } else {
-            format!(
-                "{which} report predates the \"rank\" field (bench-parallel/v5); treated as a \
-                 nucleus sweep"
-            )
-        });
-    }
-
-    // Matrix reports carry dynamic per-scenario counters instead of the
-    // fixed TRACKED table: every counter the baseline recorded is gated
-    // Exact against the new run.
     if old_family == "bench-matrix" {
         compare_matrix(old, new, tolerance, &mut rows, &mut notes);
-        return Ok(CompareReport {
-            old_schema,
-            new_schema,
-            rows,
-            notes,
-        });
+    } else {
+        // Exactly one report carrying `rank` means a parbench report
+        // against a sweep report of the same graph.
+        let cross_kind = old_rank.is_none() != new_rank.is_none();
+        compare_tagged(old, new, tolerance, cross_kind, &mut rows, &mut notes)?;
     }
+    Ok(CompareReport {
+        schema: old_schema,
+        rows,
+        notes,
+    })
+}
 
-    for (path, gate) in TRACKED {
-        let name = path.join(".");
-        let old_v = old.path(path).and_then(Json::as_f64);
-        let new_v = new.path(path).and_then(Json::as_f64);
-        let (mut regression, mut verdict) = judge(*gate, old_v, new_v, tolerance);
-        if old_v.is_none() && new_v.is_none() {
-            // Absent on both sides (e.g. reload_speedup on generated
-            // runs): not worth a row.
-            continue;
+/// Gates every path either report tags, by the tags they record.
+fn compare_tagged(
+    old: &Json,
+    new: &Json,
+    tolerance: f64,
+    cross_kind: bool,
+    rows: &mut Vec<DiffRow>,
+    notes: &mut Vec<String>,
+) -> Result<(), String> {
+    let old_gates = report::gates(old)
+        .map_err(|e| format!("old report: {e}; regenerate the baseline with this build"))?;
+    let new_gates = report::gates(new).map_err(|e| format!("new report: {e}"))?;
+    let mut paths: Vec<&String> = old_gates.iter().map(|(path, _, _)| path).collect();
+    for (path, _, _) in &new_gates {
+        if !paths.contains(&path) {
+            paths.push(path);
         }
-        if old_v.is_none() != new_v.is_none() && *gate != Gate::ReportOnly {
-            if old_schema == new_schema && !cross_kind {
-                // Same schema but a gated counter vanished (or appeared):
-                // the report shape changed without a schema bump.  Failing
-                // here keeps the gate from being silently neutered by a
-                // refactor that stops emitting a counter.
-                regression = Some(format!(
-                    "gated counter present in only one {old_schema} report; \
-                     bump the schema version if this is intentional"
-                ));
-                verdict = "REGRESSED".to_string();
-            } else {
-                notes.push(format!(
-                    "{name}: present in only one report; compared as not gated"
-                ));
+    }
+    for name in paths {
+        let find = |gates: &[(String, Gate, f64)]| {
+            gates
+                .iter()
+                .find(|(p, _, _)| p == name)
+                .map(|&(_, g, v)| (g, v))
+        };
+        let (old_entry, new_entry) = (find(&old_gates), find(&new_gates));
+        let (regression, verdict) = match (old_entry, new_entry) {
+            (Some((old_gate, _)), Some((new_gate, _))) if old_gate != new_gate => (
+                Some(format!(
+                    "gate differs: old {old_gate}, new {new_gate}; regenerate the baseline \
+                     with this build"
+                )),
+                "REGRESSED".to_string(),
+            ),
+            (Some((gate, old_v)), Some((_, new_v))) => {
+                judge(gate, Some(old_v), Some(new_v), tolerance)
             }
-        }
+            (Some((gate, _)), _) | (_, Some((gate, _))) if cross_kind || gate == ReportOnly => {
+                if cross_kind {
+                    notes.push(format!(
+                        "{name}: tagged by only one of a parbench and a sweep report; not gated"
+                    ));
+                }
+                (None, "skipped".to_string())
+            }
+            // The report shape changed without a schema bump: failing
+            // keeps the gate from being silently neutered by a refactor
+            // that stops emitting a counter.
+            _ => (
+                Some(
+                    "gated counter present in only one report; bump the schema version if \
+                     this is intentional"
+                        .to_string(),
+                ),
+                "REGRESSED".to_string(),
+            ),
+        };
         rows.push(DiffRow {
-            name,
-            old: old_v,
-            new: new_v,
+            name: name.clone(),
+            old: old_entry.map(|(_, v)| v),
+            new: new_entry.map(|(_, v)| v),
             regression,
             verdict,
         });
     }
-    Ok(CompareReport {
-        old_schema,
-        new_schema,
-        rows,
-        notes,
-    })
+    Ok(())
 }
 
 /// The `scenarios` array of a `bench-matrix/*` report, keyed by name.
@@ -500,7 +360,7 @@ fn matrix_passed(item: &Json) -> Option<f64> {
         .map(|b| if b { 1.0 } else { 0.0 })
 }
 
-/// Diffs two `bench-matrix/*` reports.  Unlike the fixed-table families,
+/// Diffs two `bench-matrix/*` reports.  Unlike the tagged families,
 /// the gated surface here is *dynamic*: every scenario and every counter
 /// the baseline recorded must still be present and Exact-equal (within
 /// tolerance) in the new run.  New scenarios/counters are noted, not
@@ -563,7 +423,7 @@ fn compare_matrix(
             let (mut regression, mut verdict) = judge(Gate::Exact, Some(old_v), new_v, tolerance);
             if new_v.is_none() {
                 // A counter the baseline gates vanished: same failure
-                // mode as a same-schema TRACKED counter disappearing.
+                // mode as a same-schema gated counter disappearing.
                 regression = Some(
                     "gated counter missing from the new report; regenerate the baseline \
                      if the scenario's counter set changed deliberately"
@@ -609,7 +469,7 @@ pub(crate) fn judge(
 ) -> (Option<String>, String) {
     let (old_v, new_v) = match (old, new) {
         (Some(o), Some(n)) => (o, n),
-        // A counter only one side carries cannot be gated (schema bump).
+        // A counter only one side carries cannot be gated.
         _ => return (None, "skipped".to_string()),
     };
     let slack = tolerance * old_v.abs().max(1.0);
@@ -677,53 +537,73 @@ pub(crate) fn judge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Report;
+    use Gate::{Exact, HigherIsBetter, LowerIsBetter, ReportOnly, WithinFactor};
 
-    fn v3(dp_calls: u64, triangles: u64, reload: Option<f64>) -> Json {
-        let ingest = match reload {
-            Some(r) => format!(", \"ingest\": {{ \"reload_speedup\": {r} }}"),
-            None => String::new(),
-        };
-        Json::parse(&format!(
-            r#"{{ "schema": "bench-parallel/v3",
-                  "source": {{ "kind": "generated"{ingest} }},
-                  "counts": {{ "triangles": {triangles}, "four_cliques": 165 }},
-                  "baseline": {{ "total_s": 0.2 }},
-                  "peel": {{ "dp_calls": {dp_calls}, "reference_dp_calls": 400,
-                             "recompute_skips": 10, "buckets_touched": 3,
-                             "peak_scratch_bytes": 1024, "peel_s": 0.01,
-                             "reference_peel_s": 0.02 }} }}"#
-        ))
-        .unwrap()
+    /// A parbench-shaped report: no `rank`, a `peel` object.
+    fn parbench(dp_calls: u64, triangles: u64, reload: Option<f64>) -> Json {
+        let mut r = Report::new("bench-parallel/v7");
+        if let Some(speedup) = reload {
+            r.gate("source.ingest.reload_speedup", speedup, HigherIsBetter);
+        }
+        r.gate("counts.triangles", triangles, Exact);
+        r.gate("counts.four_cliques", 165u64, Exact);
+        r.gate("peel.dp_calls", dp_calls, LowerIsBetter);
+        r.gate("peel.reference_dp_calls", 400u64, Exact);
+        r.gate("peel.peel_s", 0.01, ReportOnly);
+        Json::parse(&r.into_json()).unwrap()
     }
 
-    fn v2(triangles: u64) -> Json {
-        Json::parse(&format!(
-            r#"{{ "schema": "bench-parallel/v2",
-                  "counts": {{ "triangles": {triangles}, "four_cliques": 165 }},
-                  "baseline": {{ "total_s": 0.2 }} }}"#
-        ))
-        .unwrap()
+    /// A sweep-shaped report of `rank`: the truss rank's counts carry no
+    /// four_cliques, so cross-rank key presence is exercised too.
+    fn sweep(rank: &str, support_builds: u64, dp_total: u64, triangles: u64) -> Json {
+        let mut r = Report::new("bench-parallel/v7");
+        r.set("rank", Json::str(rank));
+        r.gate("counts.triangles", triangles, Exact);
+        if rank == "nucleus" {
+            r.gate("counts.four_cliques", 165u64, Exact);
+        }
+        r.gate("sweep.support_builds", support_builds, Exact);
+        r.gate("sweep.dp_calls_total", dp_total, LowerIsBetter);
+        r.gate("sweep.independent_dp_calls_total", dp_total, Exact);
+        r.gate("sweep.sweep_s", 0.5, ReportOnly);
+        Json::parse(&r.into_json()).unwrap()
+    }
+
+    /// The names of the rows that regressed.
+    fn fails(old: &Json, new: &Json, tolerance: f64) -> Vec<String> {
+        let report = compare(old, new, tolerance).unwrap();
+        report
+            .regressions()
+            .iter()
+            .map(|r| r.name.clone())
+            .collect()
+    }
+
+    fn refused(old: &Json, new: &Json) -> String {
+        compare(old, new, 0.0).unwrap_err()
+    }
+
+    /// `doc` with every `from` in its serialization replaced by `to`.
+    fn edited(doc: &Json, from: &str, to: &str) -> Json {
+        Json::parse(&doc.to_json_string().replace(from, to)).unwrap()
     }
 
     #[test]
     fn identical_reports_pass() {
-        let report = compare(&v3(100, 20821, Some(6.0)), &v3(100, 20821, Some(6.0)), 0.0).unwrap();
+        let doc = parbench(100, 20821, Some(6.0));
+        let report = compare(&doc, &doc, 0.0).unwrap();
         assert!(report.regressions().is_empty(), "{}", report.format());
         assert!(report.format().contains("result: OK"));
     }
 
     #[test]
     fn dp_call_increase_fails_and_decrease_improves() {
-        let report = compare(&v3(100, 20821, None), &v3(101, 20821, None), 0.0).unwrap();
-        let failing: Vec<_> = report
-            .regressions()
-            .iter()
-            .map(|r| r.name.clone())
-            .collect();
-        assert_eq!(failing, vec!["peel.dp_calls"]);
+        let base = parbench(100, 20821, None);
+        let report = compare(&base, &parbench(101, 20821, None), 0.0).unwrap();
+        assert_eq!(report.regressions()[0].name, "peel.dp_calls");
         assert!(report.format().contains("REGRESSED"));
-
-        let improved = compare(&v3(100, 20821, None), &v3(60, 20821, None), 0.0).unwrap();
+        let improved = compare(&base, &parbench(60, 20821, None), 0.0).unwrap();
         assert!(improved.regressions().is_empty());
         assert!(improved.format().contains("improved"));
     }
@@ -731,513 +611,310 @@ mod tests {
     #[test]
     fn tolerance_allows_bounded_drift() {
         // 5% tolerance: 104 dp_calls on a 100 baseline passes, 106 fails.
-        assert!(compare(&v3(100, 20821, None), &v3(104, 20821, None), 0.05)
-            .unwrap()
-            .regressions()
-            .is_empty());
-        assert!(!compare(&v3(100, 20821, None), &v3(106, 20821, None), 0.05)
-            .unwrap()
-            .regressions()
-            .is_empty());
-        assert!(compare(&v3(100, 20821, None), &v3(100, 20821, None), 2.0).is_err());
+        let base = parbench(100, 20821, None);
+        assert!(fails(&base, &parbench(104, 20821, None), 0.05).is_empty());
+        assert_eq!(fails(&base, &parbench(106, 20821, None), 0.05).len(), 1);
+        assert!(compare(&base, &base, 2.0).is_err());
+    }
+
+    #[test]
+    fn tolerance_slack_is_relative_to_the_baseline_for_every_gate() {
+        let fails = |gate, old, new| judge(gate, Some(old), Some(new), 0.05).0.is_some();
+        // Exact drifts by tolerance · max(|old|, 1) in both directions.
+        assert!(!fails(Exact, 100.0, 96.0) && !fails(Exact, 100.0, 104.0));
+        assert!(fails(Exact, 100.0, 94.0) && fails(Exact, 100.0, 106.0));
+        // Below |old| = 1 the slack stays at the tolerance itself.
+        assert!(!fails(LowerIsBetter, 0.0, 0.04) && fails(LowerIsBetter, 0.0, 0.06));
+        assert!(!fails(HigherIsBetter, 0.5, 0.46) && fails(HigherIsBetter, 0.5, 0.44));
+        // WithinFactor ignores the tolerance.
+        assert!(!fails(WithinFactor(2), 100.0, 200.0) && fails(WithinFactor(2), 100.0, 201.0));
     }
 
     #[test]
     fn count_drift_fails_in_both_directions() {
+        let base = parbench(100, 20821, None);
         for new_triangles in [20820, 20822] {
-            let report =
-                compare(&v3(100, 20821, None), &v3(100, new_triangles, None), 0.0).unwrap();
-            let failing: Vec<_> = report
-                .regressions()
-                .iter()
-                .map(|r| r.name.clone())
-                .collect();
-            assert_eq!(failing, vec!["counts.triangles"], "new = {new_triangles}");
+            let new = parbench(100, new_triangles, None);
+            assert_eq!(fails(&base, &new, 0.0), vec!["counts.triangles"]);
         }
     }
 
     #[test]
     fn reload_speedup_gates_only_downward() {
-        let slower = compare(&v3(100, 20821, Some(6.0)), &v3(100, 20821, Some(4.0)), 0.1).unwrap();
-        assert_eq!(slower.regressions().len(), 1);
-        let faster = compare(&v3(100, 20821, Some(6.0)), &v3(100, 20821, Some(9.0)), 0.0).unwrap();
-        assert!(faster.regressions().is_empty());
-    }
-
-    #[test]
-    fn v2_baseline_skips_peel_counters_with_a_note() {
-        let report = compare(&v2(20821), &v3(100, 20821, None), 0.0).unwrap();
-        assert!(report.regressions().is_empty(), "{}", report.format());
-        assert!(report
-            .notes
-            .iter()
-            .any(|n| n.contains("schema bump bench-parallel/v2 -> bench-parallel/v3")));
-        let dp_row = report
-            .rows
-            .iter()
-            .find(|r| r.name == "peel.dp_calls")
-            .unwrap();
-        assert_eq!(dp_row.old, None);
-        assert_eq!(dp_row.verdict, "skipped");
+        let base = parbench(100, 20821, Some(6.0));
+        let slower = fails(&base, &parbench(100, 20821, Some(4.0)), 0.1);
+        assert_eq!(slower, vec!["source.ingest.reload_speedup"]);
+        assert!(fails(&base, &parbench(100, 20821, Some(9.0)), 0.0).is_empty());
     }
 
     #[test]
     fn same_schema_missing_gated_counter_fails() {
-        // A v3 report that silently stops emitting a gated counter must
-        // not slip through as "skipped" — that would neuter the gate.
-        let mut doc = v3(100, 20821, None);
-        if let Json::Obj(members) = &mut doc {
-            members.retain(|(k, _)| k != "counts");
+        // A report that stops emitting (and so stops tagging) a gated
+        // counter must not slip through as "skipped" — in either
+        // direction — while a one-sided report-only path is fine.
+        let full = parbench(100, 20821, None);
+        let mut r = Report::new("bench-parallel/v7");
+        r.gate("counts.triangles", 20821u64, Exact);
+        r.gate("counts.four_cliques", 165u64, Exact);
+        r.gate("peel.dp_calls", 100u64, LowerIsBetter);
+        let trimmed = Json::parse(&r.into_json()).unwrap();
+        for (old, new) in [(&full, &trimmed), (&trimmed, &full)] {
+            let report = compare(old, new, 0.0).unwrap();
+            assert_eq!(report.regressions()[0].name, "peel.reference_dp_calls");
+            assert_eq!(report.regressions().len(), 1);
+            assert!(report.format().contains("bump the schema version"));
+            let peel_s = report.rows.iter().find(|r| r.name == "peel.peel_s");
+            assert_eq!(peel_s.unwrap().verdict, "skipped");
         }
-        let report = compare(&v3(100, 20821, None), &doc, 0.0).unwrap();
-        let failing: Vec<_> = report
-            .regressions()
-            .iter()
-            .map(|r| r.name.clone())
-            .collect();
-        assert_eq!(failing, vec!["counts.triangles", "counts.four_cliques"]);
-        assert!(report.format().contains("bump the schema version"));
     }
 
-    fn v4(support_builds: u64, dp_total: u64, triangles: u64) -> Json {
-        Json::parse(&format!(
-            r#"{{ "schema": "bench-parallel/v4",
-                  "source": {{ "kind": "generated" }},
-                  "counts": {{ "triangles": {triangles}, "four_cliques": 165 }},
-                  "sweep": {{ "grid_size": 5, "support_builds": {support_builds},
-                              "dp_calls_total": {dp_total},
-                              "independent_dp_calls_total": {dp_total},
-                              "sweep_s": 0.5, "independent_s": 1.6,
-                              "amortization": 3.2 }} }}"#
-        ))
-        .unwrap()
+    #[test]
+    fn a_differing_tag_fails() {
+        // A hand-edited baseline that loosens a gate does not loosen it.
+        let base = parbench(100, 20821, None);
+        let loosened = edited(&base, "\"lower-is-better\"", "\"report-only\"");
+        let report = compare(&loosened, &parbench(150, 20821, None), 0.0).unwrap();
+        assert_eq!(report.regressions()[0].name, "peel.dp_calls");
+        assert!(
+            report.format().contains("gate differs"),
+            "{}",
+            report.format()
+        );
+    }
+
+    #[test]
+    fn differing_schemas_and_untagged_baselines_are_refused() {
+        let v7 = parbench(100, 20821, None);
+        let v6 = edited(&v7, "bench-parallel/v7", "bench-parallel/v6");
+        for err in [refused(&v6, &v7), refused(&v7, &v6)] {
+            assert!(
+                err.contains("schema mismatch") && err.contains("regenerate"),
+                "{err}"
+            );
+        }
+        // A v6 baseline as committed carries no gates object at all;
+        // the same document relabelled v7 is refused for that.
+        let untagged = r#"{ "schema": "bench-parallel/v6", "peel": { "dp_calls": 100 } }"#;
+        let untagged = Json::parse(untagged).unwrap();
+        assert!(refused(&untagged, &v7).contains("regenerate"));
+        let err = refused(&edited(&untagged, "/v6", "/v7"), &v7);
+        assert!(
+            err.contains("no \"gates\" object") && err.contains("regenerate"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn malformed_tags_are_errors_not_panics() {
+        let good = parbench(100, 20821, None);
+        let bad = edited(&good, "\"lower-is-better\"", "\"lower\"");
+        assert!(refused(&bad, &good).contains("unknown gate 'lower'"));
+        assert!(refused(&good, &bad).contains("new report"));
     }
 
     #[test]
     fn v4_support_builds_gate_is_exact() {
-        let ok = compare(&v4(1, 400, 20821), &v4(1, 400, 20821), 0.0).unwrap();
-        assert!(ok.regressions().is_empty(), "{}", ok.format());
         // A second support build is the exact regression the sweep
-        // exists to prevent; tolerance must not excuse it either way.
-        let rebuilt = compare(&v4(1, 400, 20821), &v4(2, 400, 20821), 0.0).unwrap();
-        let failing: Vec<_> = rebuilt
-            .regressions()
-            .iter()
-            .map(|r| r.name.clone())
-            .collect();
-        assert_eq!(failing, vec!["sweep.support_builds"]);
+        // exists to prevent.
+        let base = sweep("nucleus", 1, 400, 20821);
+        assert!(fails(&base, &base, 0.0).is_empty());
+        let rebuilt = sweep("nucleus", 2, 400, 20821);
+        assert_eq!(fails(&base, &rebuilt, 0.0), vec!["sweep.support_builds"]);
     }
 
     #[test]
     fn v4_sweep_dp_total_gates_only_upward() {
-        let more = compare(&v4(1, 400, 20821), &v4(1, 401, 20821), 0.0).unwrap();
-        assert_eq!(more.regressions().len(), 1);
-        assert_eq!(more.regressions()[0].name, "sweep.dp_calls_total");
-        let fewer = compare(&v4(1, 400, 20821), &v4(1, 300, 20821), 0.0).unwrap();
-        assert!(fewer.regressions().is_empty());
-    }
-
-    #[test]
-    fn v3_to_v4_schema_bump_degrades_gracefully() {
-        // A v3 baseline (parbench) against a v4 report (thetasweep) on
-        // the same graph: shared counters still gate (counts must
-        // match), one-sided counters are skipped with a note.
-        let report = compare(&v3(100, 20821, None), &v4(1, 400, 20821), 0.0).unwrap();
-        assert!(report.regressions().is_empty(), "{}", report.format());
-        assert!(report
-            .notes
-            .iter()
-            .any(|n| n.contains("schema bump bench-parallel/v3 -> bench-parallel/v4")));
-        assert!(report
-            .notes
-            .iter()
-            .any(|n| n.contains("sweep.support_builds")));
-        // Shared counters still diverge loudly.
-        let drifted = compare(&v3(100, 20821, None), &v4(1, 400, 99), 0.0).unwrap();
-        assert!(!drifted.regressions().is_empty());
-    }
-
-    fn v5(rank: &str, support_builds: u64, dp_total: u64, triangles: u64) -> Json {
-        // The truss rank's counts carry no four_cliques; keep the fixture
-        // honest about that so cross-rank key presence is exercised too.
-        let counts = if rank == "nucleus" {
-            format!(r#"{{ "triangles": {triangles}, "four_cliques": 165 }}"#)
-        } else {
-            format!(r#"{{ "triangles": {triangles} }}"#)
-        };
-        Json::parse(&format!(
-            r#"{{ "schema": "bench-parallel/v5",
-                  "rank": "{rank}",
-                  "source": {{ "kind": "generated" }},
-                  "counts": {counts},
-                  "sweep": {{ "grid_size": 5, "support_builds": {support_builds},
-                              "dp_calls_total": {dp_total},
-                              "independent_dp_calls_total": {dp_total},
-                              "sweep_s": 0.5, "independent_s": 1.6,
-                              "amortization": 3.2 }} }}"#
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn v4_to_v5_schema_bump_degrades_gracefully() {
-        // A v4 baseline has no "rank" key: treated as a nucleus sweep, so
-        // gating against a v5 nucleus report works and the assumption is
-        // spelled out in a note.
-        let report = compare(&v4(1, 400, 20821), &v5("nucleus", 1, 400, 20821), 0.0).unwrap();
-        assert!(report.regressions().is_empty(), "{}", report.format());
-        assert!(report
-            .notes
-            .iter()
-            .any(|n| n.contains("schema bump bench-parallel/v4 -> bench-parallel/v5")));
-        assert!(report
-            .notes
-            .iter()
-            .any(|n| n.contains("old report predates the \"rank\" field")));
-        // The gated sweep counters still bite across the bump.
-        let rebuilt = compare(&v4(1, 400, 20821), &v5("nucleus", 2, 400, 20821), 0.0).unwrap();
-        assert_eq!(rebuilt.regressions()[0].name, "sweep.support_builds");
-    }
-
-    /// A v6 parbench report (no `rank`, a `peel` object) and a v6 sweep
-    /// report (a `rank` and a `sweep` object) of the same graph.
-    fn v6_pair(sweep_triangles: u64) -> (Json, Json) {
-        // Both fixtures lead with their `schema` key.
-        let v6 = |mut doc: Json| {
-            if let Json::Obj(members) = &mut doc {
-                members[0].1 = Json::Str("bench-parallel/v6".to_string());
-            }
-            doc
-        };
-        (
-            v6(v3(100, 20821, None)),
-            v6(v5("nucleus", 1, 400, sweep_triangles)),
-        )
+        // dp_calls_total may only fall; its independent twin is exact.
+        let base = sweep("nucleus", 1, 400, 20821);
+        assert_eq!(
+            fails(&base, &sweep("nucleus", 1, 401, 20821), 0.0),
+            vec!["sweep.dp_calls_total", "sweep.independent_dp_calls_total"]
+        );
+        let fewer = sweep("nucleus", 1, 300, 20821);
+        assert_eq!(
+            fails(&base, &fewer, 0.0),
+            vec!["sweep.independent_dp_calls_total"]
+        );
     }
 
     #[test]
     fn same_schema_parbench_vs_sweep_gates_only_shared_counts() {
-        let (parbench, sweep) = v6_pair(20821);
-        let report = compare(&parbench, &sweep, 0.0).unwrap();
+        let parbench = parbench(100, 20821, None);
+        let report = compare(&parbench, &sweep("nucleus", 1, 400, 20821), 0.0).unwrap();
         assert!(report.regressions().is_empty(), "{}", report.format());
-        assert!(report
-            .notes
-            .iter()
-            .any(|n| n.contains("a parbench report against a sweep report")));
-        for shared in ["counts.triangles", "counts.four_cliques"] {
-            let row = report.rows.iter().find(|r| r.name == shared).unwrap();
-            assert_eq!(row.verdict, "ok", "{shared}");
+        let verdict = |name| &report.rows.iter().find(|r| r.name == name).unwrap().verdict;
+        assert_eq!(verdict("counts.triangles"), "ok");
+        assert_eq!(verdict("counts.four_cliques"), "ok");
+        for one_sided in ["peel.dp_calls", "sweep.support_builds"] {
+            assert_eq!(verdict(one_sided), "skipped");
+            assert!(report.notes.iter().any(|n| n.starts_with(one_sided)));
         }
-        // The shared counts still gate.
-        let (parbench, drifted) = v6_pair(99);
-        let failing: Vec<_> = compare(&parbench, &drifted, 0.0)
-            .unwrap()
-            .regressions()
-            .iter()
-            .map(|r| r.name.clone())
-            .collect();
-        assert_eq!(failing, vec!["counts.triangles"]);
+        // The shared counts still gate, in both directions of the pair.
+        let drifted = sweep("nucleus", 1, 400, 99);
+        assert_eq!(fails(&parbench, &drifted, 0.0), vec!["counts.triangles"]);
+        assert_eq!(fails(&drifted, &parbench, 0.0), vec!["counts.triangles"]);
     }
 
     #[test]
     fn v5_gates_apply_per_rank() {
-        // Same-rank v5 reports gate exactly like v4 ones did.
-        let ok = compare(&v5("truss", 1, 300, 9000), &v5("truss", 1, 300, 9000), 0.0).unwrap();
-        assert!(ok.regressions().is_empty(), "{}", ok.format());
-        let rebuilt = compare(&v5("truss", 1, 300, 9000), &v5("truss", 2, 300, 9000), 0.0).unwrap();
-        let failing: Vec<_> = rebuilt
-            .regressions()
-            .iter()
-            .map(|r| r.name.clone())
-            .collect();
-        assert_eq!(failing, vec!["sweep.support_builds"]);
-        let more_dp = compare(&v5("core", 1, 300, 0), &v5("core", 1, 301, 0), 0.0).unwrap();
-        assert_eq!(more_dp.regressions()[0].name, "sweep.dp_calls_total");
+        let base = sweep("truss", 1, 300, 9000);
+        assert!(fails(&base, &base, 0.0).is_empty());
+        let rebuilt = sweep("truss", 2, 300, 9000);
+        assert_eq!(fails(&base, &rebuilt, 0.0), vec!["sweep.support_builds"]);
+        let more_dp = fails(&sweep("core", 1, 300, 0), &sweep("core", 1, 301, 0), 0.0);
+        assert_eq!(more_dp[0], "sweep.dp_calls_total");
     }
 
     #[test]
     fn mismatched_ranks_are_refused() {
-        // A truss baseline against a core report (or a v4 nucleus
-        // baseline against a truss report) compares different
+        // A truss baseline against a core report (or a parbench report,
+        // a nucleus run, against a truss sweep) compares different
         // algorithms: refuse instead of emitting a meaningless verdict.
-        let err = compare(&v5("truss", 1, 300, 9000), &v5("core", 1, 300, 9000), 0.0).unwrap_err();
-        assert!(err.contains("rank mismatch"), "{err}");
-        let err = compare(&v4(1, 400, 20821), &v5("truss", 1, 300, 20821), 0.0).unwrap_err();
-        assert!(err.contains("rank mismatch"), "{err}");
+        let truss = sweep("truss", 1, 300, 9000);
+        assert!(refused(&truss, &sweep("core", 1, 300, 9000)).contains("rank mismatch"));
+        assert!(refused(&parbench(100, 9000, None), &truss).contains("rank mismatch"));
     }
 
     #[test]
     fn rejects_non_bench_schemas() {
         let bogus = Json::parse(r#"{ "schema": "something-else/v1" }"#).unwrap();
-        assert!(compare(&bogus, &v2(1), 0.0).is_err());
+        let doc = parbench(100, 1, None);
+        assert!(compare(&bogus, &doc, 0.0).is_err());
         let missing = Json::parse(r#"{ "counts": {} }"#).unwrap();
-        assert!(compare(&v2(1), &missing, 0.0).is_err());
+        assert!(compare(&doc, &missing, 0.0).is_err());
     }
 
-    fn serve_v1(hits: u64, builds: u64, protocol_errors: u64) -> Json {
-        Json::parse(&format!(
-            r#"{{ "schema": "bench-serve/v1",
-                  "source": {{ "kind": "generated" }},
-                  "oneshot": {{ "passed": true, "bit_identical": true, "failures": [ ] }},
-                  "stats": {{ "requests": 22, "batches": 1,
-                              "protocol_errors": {protocol_errors},
-                              "request_errors": 4, "cache_hits": {hits},
-                              "cache_misses": 2, "cache_evictions": 0,
-                              "support_builds": {builds}, "sessions_opened": 2,
-                              "sessions_closed": 2, "deadlines_exceeded": 1 }} }}"#
-        ))
-        .unwrap()
-    }
-
-    fn serve(hits: u64, builds: u64, protocol_errors: u64) -> Json {
-        serve_with_updates(hits, builds, protocol_errors, 1, 2)
-    }
-
-    fn serve_with_updates(
-        hits: u64,
-        builds: u64,
-        protocol_errors: u64,
-        repaired: u64,
-        invalidations: u64,
-    ) -> Json {
-        Json::parse(&format!(
-            r#"{{ "schema": "bench-serve/v2",
-                  "source": {{ "kind": "generated" }},
-                  "oneshot": {{ "passed": true, "bit_identical": true, "failures": [ ] }},
-                  "stats": {{ "requests": 33, "batches": 1,
-                              "protocol_errors": {protocol_errors},
-                              "request_errors": 6, "cache_hits": {hits},
-                              "cache_misses": 4, "cache_evictions": 0,
-                              "support_builds": {builds}, "sessions_opened": 2,
-                              "sessions_closed": 2, "deadlines_exceeded": 1,
-                              "updates_applied": 1,
-                              "supports_repaired": {repaired},
-                              "cache_invalidations": {invalidations} }} }}"#
-        ))
-        .unwrap()
+    fn serve(hits: u64, builds: u64, protocol_errors: u64, repaired: u64) -> Json {
+        let mut r = Report::new("bench-serve/v3");
+        for (name, value) in [
+            ("requests", 28),
+            ("protocol_errors", protocol_errors),
+            ("cache_hits", hits),
+            ("support_builds", builds),
+            ("supports_repaired", repaired),
+            ("cache_invalidations", 2),
+        ] {
+            r.gate(&format!("stats.{name}"), value, Exact);
+        }
+        Json::parse(&r.into_json()).unwrap()
     }
 
     #[test]
     fn serve_reports_gate_every_counter_exactly() {
-        let ok = compare(&serve(8, 1, 0), &serve(8, 1, 0), 0.0).unwrap();
-        assert!(ok.regressions().is_empty(), "{}", ok.format());
+        let base = serve(9, 1, 0, 1);
+        assert!(fails(&base, &base, 0.0).is_empty());
         // A second support build, a lost cache hit, any protocol error,
-        // a rebuild instead of a repair, or a drifted invalidation count
-        // each trips its own exact gate.
+        // or a rebuild instead of a repair each trips its own exact gate.
         for (drifted, expect) in [
-            (serve(8, 2, 0), "stats.support_builds"),
-            (serve(7, 1, 0), "stats.cache_hits"),
-            (serve(8, 1, 1), "stats.protocol_errors"),
-            (serve_with_updates(8, 1, 0, 0, 2), "stats.supports_repaired"),
-            (
-                serve_with_updates(8, 1, 0, 1, 3),
-                "stats.cache_invalidations",
-            ),
+            (serve(9, 2, 0, 1), "stats.support_builds"),
+            (serve(8, 1, 0, 1), "stats.cache_hits"),
+            (serve(9, 1, 1, 1), "stats.protocol_errors"),
+            (serve(9, 1, 0, 0), "stats.supports_repaired"),
         ] {
-            let report = compare(&serve(8, 1, 0), &drifted, 0.0).unwrap();
-            let failing: Vec<_> = report
-                .regressions()
-                .iter()
-                .map(|r| r.name.clone())
-                .collect();
-            assert_eq!(failing, vec![expect]);
+            assert_eq!(fails(&base, &drifted, 0.0), vec![expect]);
         }
     }
 
-    #[test]
-    fn serve_v1_baseline_skips_update_counters_with_a_note() {
-        // A pre-update v1 baseline gates the shared counters it carries
-        // and skips the v2 update counters (its cache_misses differ —
-        // the v2 script queries after its update batch — so those rows
-        // regress loudly rather than being silently reconciled).
-        let report = compare(&serve_v1(8, 1, 0), &serve(8, 1, 0), 0.0).unwrap();
-        let failing: Vec<_> = report
-            .regressions()
-            .iter()
-            .map(|r| r.name.clone())
-            .collect();
-        assert_eq!(
-            failing,
-            vec![
-                "stats.requests",
-                "stats.request_errors",
-                "stats.cache_misses"
-            ]
-        );
-        assert!(report
-            .notes
-            .iter()
-            .any(|n| n.contains("schema bump bench-serve/v1 -> bench-serve/v2")));
-        let repaired = report
-            .rows
-            .iter()
-            .find(|r| r.name == "stats.supports_repaired")
-            .unwrap();
-        assert_eq!(repaired.old, None);
-        assert_eq!(repaired.verdict, "skipped");
-    }
-
     fn updates(repair: u64, rebuild: u64, region: u64) -> Json {
+        let mut r = Report::new("bench-updates/v2");
+        r.set("rank", Json::str("truss"));
+        r.gate("batch.inserts", 64u64, Exact);
+        r.gate("repair.region_elements", region, Exact);
+        r.gate("repair.repair_dp_calls", repair, LowerIsBetter);
+        r.gate("repair.rebuild_dp_calls", rebuild, Exact);
         let excess = repair.saturating_sub(rebuild);
-        Json::parse(&format!(
-            r#"{{ "schema": "bench-updates/v1",
-                  "rank": "truss",
-                  "source": {{ "kind": "generated" }},
-                  "batch": {{ "inserts": 64, "deletes": 64, "reweights": 64 }},
-                  "repair": {{ "affected_elements": 900,
-                               "region_elements": {region},
-                               "repair_dp_calls": {repair},
-                               "rebuild_dp_calls": {rebuild},
-                               "dp_calls_excess": {excess} }} }}"#
-        ))
-        .unwrap()
+        r.gate("repair.dp_calls_excess", excess, Exact);
+        Json::parse(&r.into_json()).unwrap()
     }
 
     #[test]
     fn updates_reports_gate_repair_never_exceeding_rebuild() {
-        let ok = compare(
-            &updates(5_000, 60_000, 1_200),
-            &updates(5_000, 60_000, 1_200),
-            0.0,
-        )
-        .unwrap();
-        assert!(ok.regressions().is_empty(), "{}", ok.format());
+        let base = updates(5_000, 60_000, 1_200);
+        assert!(fails(&base, &base, 0.0).is_empty());
         // More repair work (still under rebuild) fails LowerIsBetter…
-        let slower = compare(
-            &updates(5_000, 60_000, 1_200),
-            &updates(6_000, 60_000, 1_200),
-            0.0,
-        )
-        .unwrap();
-        let failing: Vec<_> = slower
-            .regressions()
-            .iter()
-            .map(|r| r.name.clone())
-            .collect();
-        assert_eq!(failing, vec!["repair.repair_dp_calls"]);
+        let slower = fails(&base, &updates(6_000, 60_000, 1_200), 0.0);
+        assert_eq!(slower, vec!["repair.repair_dp_calls"]);
         // …and a repair that exceeds the rebuild breaks the Exact
         // dp_calls_excess gate on top (baseline excess is 0).
-        let exceeded = compare(
-            &updates(5_000, 60_000, 1_200),
-            &updates(61_000, 60_000, 1_200),
-            0.0,
-        )
-        .unwrap();
-        let failing: Vec<_> = exceeded
-            .regressions()
-            .iter()
-            .map(|r| r.name.clone())
-            .collect();
         assert_eq!(
-            failing,
+            fails(&base, &updates(61_000, 60_000, 1_200), 0.0),
             vec!["repair.repair_dp_calls", "repair.dp_calls_excess"]
         );
-        // A grown damage region is an algorithm change, not noise.
-        let wider = compare(
-            &updates(5_000, 60_000, 1_200),
-            &updates(5_000, 60_000, 1_300),
-            0.0,
-        )
-        .unwrap();
-        assert_eq!(wider.regressions()[0].name, "repair.region_elements");
+        // A grown damage region or rebuild cost is an algorithm change,
+        // not noise.
+        let wider = fails(&base, &updates(5_000, 60_000, 1_300), 0.0);
+        assert_eq!(wider, vec!["repair.region_elements"]);
+        let costlier = fails(&base, &updates(5_000, 60_001, 1_200), 0.0);
+        assert_eq!(costlier, vec!["repair.rebuild_dp_calls"]);
     }
 
     #[test]
     fn updates_reports_refuse_cross_rank_and_cross_family() {
-        let mut core = updates(5_000, 60_000, 1_200);
-        if let Json::Obj(members) = &mut core {
-            for (k, v) in members.iter_mut() {
-                if k == "rank" {
-                    *v = Json::Str("core".to_string());
-                }
-            }
-        }
-        let err = compare(&updates(5_000, 60_000, 1_200), &core, 0.0).unwrap_err();
-        assert!(err.contains("rank mismatch"), "{err}");
-        let err = compare(&updates(5_000, 60_000, 1_200), &serve(8, 1, 0), 0.0).unwrap_err();
-        assert!(err.contains("schema family mismatch"), "{err}");
+        let base = updates(5_000, 60_000, 1_200);
+        let core = edited(&base, "\"truss\"", "\"core\"");
+        assert!(refused(&base, &core).contains("rank mismatch"));
+        assert!(refused(&base, &serve(9, 1, 0, 1)).contains("schema family mismatch"));
     }
 
     #[test]
     fn cross_family_compares_are_refused() {
-        let err = compare(&v3(100, 20821, None), &serve(8, 1, 0), 0.0).unwrap_err();
+        let serve = serve(9, 1, 0, 1);
+        let err = refused(&parbench(100, 20821, None), &serve);
         assert!(err.contains("schema family mismatch"), "{err}");
-        let err = compare(&serve(8, 1, 0), &v5("nucleus", 1, 400, 20821), 0.0).unwrap_err();
+        let err = refused(&serve, &sweep("nucleus", 1, 400, 20821));
         assert!(err.contains("schema family mismatch"), "{err}");
     }
 
     fn million(edges: u64, snapshot_bytes: u64, rss: u64) -> Json {
-        Json::parse(&format!(
-            r#"{{ "schema": "bench-million/v1",
-                  "rank": "truss",
-                  "source": {{ "kind": "generated" }},
-                  "counts": {{ "triangles": 3100000 }},
-                  "million": {{ "vertices": 200005, "edges": {edges},
-                                "snapshot_bytes": {snapshot_bytes},
-                                "streaming_chunk_edges": 65536,
-                                "snapshot_write_s": 0.9, "owned_reload_s": 0.08,
-                                "mmap_open_s": 0.002, "mmap_speedup": 40.0,
-                                "triangles_1t_s": 2.0, "triangles_nt_s": 0.7,
-                                "triangle_speedup": 2.8,
-                                "peak_rss_bytes": {rss} }},
-                  "sweep": {{ "grid_size": 2, "support_builds": 1,
-                              "dp_calls_total": 5000000, "sweep_s": 30.0 }} }}"#
-        ))
-        .unwrap()
+        let mut r = Report::new("bench-million/v2");
+        r.set("rank", Json::str("truss"));
+        r.gate("edges", edges, Exact);
+        r.gate("million.snapshot_bytes", snapshot_bytes, Exact);
+        r.gate("million.mmap_speedup", 40.0, ReportOnly);
+        r.gate("million.peak_rss_bytes", rss, WithinFactor(2));
+        Json::parse(&r.into_json()).unwrap()
     }
 
     #[test]
     fn million_reports_gate_shape_exactly_and_walls_not_at_all() {
         let base = million(1_000_025, 48_001_296, 3_000_000_000);
-        let ok = compare(&base, &million(1_000_025, 48_001_296, 3_000_000_000), 0.0).unwrap();
-        assert!(ok.regressions().is_empty(), "{}", ok.format());
+        assert!(fails(&base, &base, 0.0).is_empty());
         // A drifted edge count or snapshot size is an algorithm/format
         // change; a wildly different mmap_speedup is just another host.
-        let drifted = compare(&base, &million(1_000_026, 48_001_296, 3_000_000_000), 0.0).unwrap();
-        assert_eq!(drifted.regressions()[0].name, "million.edges");
-        let bigger = compare(&base, &million(1_000_025, 48_999_999, 3_000_000_000), 0.0).unwrap();
-        assert_eq!(bigger.regressions()[0].name, "million.snapshot_bytes");
+        let drifted = million(1_000_026, 48_001_296, 3_000_000_000);
+        assert_eq!(fails(&base, &drifted, 0.0), vec!["edges"]);
+        let bigger = million(1_000_025, 48_999_999, 3_000_000_000);
+        assert_eq!(fails(&base, &bigger, 0.0), vec!["million.snapshot_bytes"]);
+        let slower = edited(&base, "\"mmap_speedup\":40", "\"mmap_speedup\":2");
+        assert!(fails(&base, &slower, 0.0).is_empty());
     }
 
     #[test]
     fn rss_gate_fails_only_past_the_factor_and_skips_zero_baselines() {
         let base = million(1_000_025, 48_001_296, 3_000_000_000);
         // 1.9x growth passes, 2.1x fails, shrinking is fine.
-        assert!(
-            compare(&base, &million(1_000_025, 48_001_296, 5_700_000_000), 0.0)
-                .unwrap()
-                .regressions()
-                .is_empty()
-        );
-        let report = compare(&base, &million(1_000_025, 48_001_296, 6_300_000_000), 0.0).unwrap();
+        let rss = |bytes| million(1_000_025, 48_001_296, bytes);
+        assert!(fails(&base, &rss(5_700_000_000), 0.0).is_empty());
+        let report = compare(&base, &rss(6_300_000_000), 0.0).unwrap();
         assert_eq!(report.regressions()[0].name, "million.peak_rss_bytes");
         assert!(report.format().contains("grew past 2x"));
-        assert!(
-            compare(&base, &million(1_000_025, 48_001_296, 1_000_000), 0.0)
-                .unwrap()
-                .regressions()
-                .is_empty()
-        );
+        assert!(fails(&base, &rss(1_000_000), 0.0).is_empty());
         // A baseline recorded without the probe (0) gates nothing.
-        let blind = million(1_000_025, 48_001_296, 0);
-        let report = compare(&blind, &base, 0.0).unwrap();
+        let report = compare(&rss(0), &base, 0.0).unwrap();
         assert!(report.regressions().is_empty(), "{}", report.format());
         let rss_row = report
             .rows
             .iter()
-            .find(|r| r.name == "million.peak_rss_bytes")
-            .unwrap();
-        assert_eq!(rss_row.verdict, "skipped");
+            .find(|r| r.name == "million.peak_rss_bytes");
+        assert_eq!(rss_row.unwrap().verdict, "skipped");
     }
 
     #[test]
     fn million_vs_parallel_compares_are_refused() {
-        let err = compare(
+        let err = refused(
             &million(1_000_025, 48_001_296, 0),
-            &v3(100, 20821, None),
-            0.0,
-        )
-        .unwrap_err();
+            &parbench(100, 20821, None),
+        );
         assert!(err.contains("schema family mismatch"), "{err}");
     }
 
@@ -1378,23 +1055,12 @@ mod tests {
 
     #[test]
     fn matrix_vs_other_families_is_refused() {
-        let err = compare(&matrix(20821, true, false), &v3(100, 20821, None), 0.0).unwrap_err();
+        let err = compare(
+            &matrix(20821, true, false),
+            &parbench(100, 20821, None),
+            0.0,
+        )
+        .unwrap_err();
         assert!(err.contains("schema family mismatch"), "{err}");
-    }
-
-    #[test]
-    fn generation_skew_is_detected_and_parses_versions() {
-        assert_eq!(generation_of("bench-parallel/v6"), Some(6));
-        assert_eq!(generation_of("bench-serve/v2"), Some(2));
-        assert_eq!(generation_of("bench-parallel"), None);
-        assert_eq!(generation_of("bench-parallel/beta"), None);
-        // Same schema: no skew.
-        let same = compare(&v3(100, 20821, None), &v3(100, 20821, None), 0.0).unwrap();
-        assert_eq!(same.generation_skew(), None);
-        // Cross-generation: flagged with both versions spelled out.
-        let skewed = compare(&v3(100, 20821, None), &v4(1, 400, 20821), 0.0).unwrap();
-        let msg = skewed.generation_skew().expect("skew detected");
-        assert!(msg.contains("bench-parallel/v3 (generation 3)"), "{msg}");
-        assert!(msg.contains("bench-parallel/v4 (generation 4)"), "{msg}");
     }
 }

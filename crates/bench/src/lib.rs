@@ -16,11 +16,12 @@
 //! | [`fig8`] | Figure 8 | PD/PCC of g- vs w- vs ℓ-nuclei |
 //! | [`ablation`] | (extra) | Monte-Carlo sample count vs estimation error; per-method scoring cost |
 //! | [`parbench`] | (extra) | parallel-substrate speedups + peeling-engine perf counters, emitted as machine-readable `BENCH_parallel.json` |
-//! | [`thetasweep`] | (extra) | θ-sweep amortization: one support build vs per-θ rebuilds, `support_builds` + per-θ counters as `bench-parallel/v4` JSON |
-//! | [`compare`] | (extra) | `bench-compare`: diff two bench JSONs, gate CI on deterministic counters |
-//! | [`million`] | (extra) | million-edge memory-scaling baseline: snapshot mmap vs owned reload, streaming index, truss sweep, as `bench-million/v1` JSON |
-//! | [`serve`] | (extra) | `nd-server` smoke: scripted TCP session vs direct library calls, counters as `bench-serve/v2` JSON |
-//! | [`updates`] | (extra) | incremental edge-update maintenance: repair vs rebuild work counters as `bench-updates/v1` JSON |
+//! | [`thetasweep`] | (extra) | θ-sweep amortization: one support build vs per-θ rebuilds, `support_builds` + per-θ counters as `bench-parallel/v7` JSON |
+//! | [`report`] | (extra) | the one report model of the five bench drivers: a JSON tree whose numbers carry their `bench-compare` gate tags |
+//! | [`compare`] | (extra) | `bench-compare`: diff two bench JSONs, gate CI on deterministic counters by their tags |
+//! | [`million`] | (extra) | million-edge memory-scaling baseline: snapshot mmap vs owned reload, streaming index, truss sweep, as `bench-million/v2` JSON |
+//! | [`serve`] | (extra) | `nd-server` smoke: scripted TCP session vs direct library calls, counters as `bench-serve/v3` JSON |
+//! | [`updates`] | (extra) | incremental edge-update maintenance: repair vs rebuild work counters as `bench-updates/v2` JSON |
 //! | [`registry`] | (extra) | declarative scenario registry: TOML-subset specs + builtins behind `experiments matrix`, emitted as `bench-matrix/v1` JSON |
 //! | [`cli`] | (extra) | shared flag parsing (`--input/--format/--prob-model`, θ-grids, thread lists) for the `experiments` binary |
 //!
@@ -42,6 +43,7 @@ pub mod fig8;
 pub mod million;
 pub mod parbench;
 pub mod registry;
+pub mod report;
 pub mod runner;
 pub mod serve;
 pub mod table1;

@@ -25,12 +25,12 @@
 //!   budget, and the sweep-vs-independent identity is already pinned by
 //!   the 50k bench.
 //!
-//! The report (`bench-million/v1`) reuses the `counts` and `sweep`
-//! objects of the parallel family so `bench-compare` gates the shared
-//! counters with the same table, and adds a `million` object with the
-//! snapshot size (Exact — a format change shows up as a byte drift),
-//! the wall figures (report-only) and the process-wide
-//! [`ugraph::metrics::peak_rss_bytes`] probe (bounded-factor gate).
+//! The report (`bench-million/v2`) reuses the `counts` and `sweep`
+//! objects of the parallel family with the same gates, and adds a
+//! `million` object with the snapshot size (Exact — a format change
+//! shows up as a byte drift), the wall figures (report-only) and the
+//! process-wide [`ugraph::metrics::peak_rss_bytes`] probe
+//! (bounded-factor gate).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -45,7 +45,9 @@ use ugraph::{TriangleIndex, UncertainGraph};
 
 use nucleus::{DecompSweep, PeelStats, Rank, SweepConfig};
 
-use crate::parbench::json_escape;
+use crate::compare::Gate::{Exact, LowerIsBetter, ReportOnly, WithinFactor};
+use crate::json::Json;
+use crate::report::{num, object, Report};
 use crate::runner::{run_with_deadline, Timing};
 
 /// Configuration of the million-edge baseline.
@@ -170,84 +172,76 @@ impl MillionBenchReport {
         self.per_theta.iter().map(|p| p.stats.dp_calls).sum()
     }
 
-    /// Serializes the report to the `bench-million/v1` JSON schema.
+    /// Serializes the report to the `bench-million/v2` JSON schema.
     pub fn to_json(&self) -> String {
-        let grid: Vec<String> = self
-            .per_theta
-            .iter()
-            .map(|p| format!("{:.6}", p.theta))
-            .collect();
-        let rows: Vec<String> = self
-            .per_theta
-            .iter()
-            .map(|p| {
-                format!(
-                    "      {{ \"theta\": {:.6}, \"dp_calls\": {}, \"recompute_skips\": {}, \
-                     \"buckets_touched\": {}, \"peak_scratch_bytes\": {}, \
-                     \"peak_rss_bytes\": {}, \"max_score\": {} }}",
-                    p.theta,
-                    p.stats.dp_calls,
-                    p.stats.recompute_skips,
-                    p.stats.buckets_touched,
-                    p.stats.peak_scratch_bytes,
-                    p.peak_rss_bytes,
-                    p.max_score,
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"schema\": \"bench-million/v1\",\n  \"rank\": \"truss\",\n  \
-             \"source\": {{ \"kind\": \"generated\", \
-             \"generator\": \"{}\", \"requested_vertices\": {}, \
-             \"attach\": {}, \"seed\": {} }},\n  \
-             \"vertices\": {},\n  \"edges\": {},\n  \"seed\": {},\n  \
-             \"available_parallelism\": {},\n  \
-             \"counts\": {{ \"triangles\": {} }},\n  \
-             \"million\": {{ \"vertices\": {}, \"edges\": {}, \
-             \"snapshot_bytes\": {},\n               \
-             \"streaming_chunk_edges\": {},\n               \
-             \"generate_s\": {:.6}, \"snapshot_write_s\": {:.6},\n               \
-             \"owned_reload_s\": {:.6}, \"mmap_open_s\": {:.6}, \
-             \"mmap_speedup\": {:.3}, \"mmap_used\": {},\n               \
-             \"threads\": {}, \"triangles_1t_s\": {:.6}, \
-             \"triangles_nt_s\": {:.6}, \"triangle_speedup\": {:.3},\n               \
-             \"peak_rss_bytes\": {} }},\n  \
-             \"sweep\": {{\n    \"grid\": [ {} ],\n    \"grid_size\": {},\n    \
-             \"support_builds\": {},\n    \"dp_calls_total\": {},\n    \
-             \"sweep_s\": {:.6},\n    \"deadline_exceeded\": {},\n    \
-             \"per_theta\": [\n{}\n    ]\n  }}\n}}\n",
-            json_escape(GENERATOR_NAME),
-            self.config.vertices,
-            self.config.attach,
-            self.config.seed,
-            self.vertices,
-            self.edges,
-            self.config.seed,
-            self.available_parallelism,
-            self.num_triangles,
-            self.vertices,
-            self.edges,
-            self.snapshot_bytes,
-            self.config.streaming_chunk_edges,
-            self.generate_s,
+        let c = &self.config;
+        let mut r = Report::new("bench-million/v2");
+        r.set("rank", Json::str("truss"));
+        let generator = [
+            ("generator", Json::str(GENERATOR_NAME)),
+            ("requested_vertices", num(c.vertices)),
+            ("attach", num(c.attach)),
+            ("seed", num(c.seed)),
+        ];
+        r.source(None, &generator);
+        r.gate("vertices", self.vertices, Exact);
+        r.gate("edges", self.edges, Exact);
+        r.set("seed", num(c.seed));
+        r.set("available_parallelism", num(self.available_parallelism));
+        r.gate("counts.triangles", self.num_triangles, Exact);
+        // A pure function of (n, m): a format change shows up as a byte
+        // drift.
+        r.gate("million.snapshot_bytes", self.snapshot_bytes, Exact);
+        let chunk = c.streaming_chunk_edges;
+        r.gate("million.streaming_chunk_edges", chunk, Exact);
+        // Walls and their ratios are gated by CI on a fresh run, never
+        // against a baseline measured on other hardware.
+        r.set("million.generate_s", num(self.generate_s));
+        r.gate(
+            "million.snapshot_write_s",
             self.snapshot_write_s,
-            self.owned_reload_s,
-            self.mmap_open_s,
-            self.mmap_speedup(),
-            self.mmap_used,
-            self.config.threads,
-            self.triangles_1t_s,
-            self.triangles_nt_s,
+            ReportOnly,
+        );
+        r.gate("million.owned_reload_s", self.owned_reload_s, ReportOnly);
+        r.gate("million.mmap_open_s", self.mmap_open_s, ReportOnly);
+        r.gate("million.mmap_speedup", self.mmap_speedup(), ReportOnly);
+        r.set("million.mmap_used", Json::Bool(self.mmap_used));
+        r.set("million.threads", num(c.threads));
+        r.gate("million.triangles_1t_s", self.triangles_1t_s, ReportOnly);
+        r.gate("million.triangles_nt_s", self.triangles_nt_s, ReportOnly);
+        r.gate(
+            "million.triangle_speedup",
             self.triangle_speedup(),
+            ReportOnly,
+        );
+        r.gate(
+            "million.peak_rss_bytes",
             self.peak_rss_bytes,
-            grid.join(", "),
-            self.per_theta.len(),
-            self.support_builds,
-            self.dp_calls_total(),
-            self.sweep_s,
-            self.deadline_exceeded,
-            rows.join(",\n")
-        )
+            WithinFactor(2),
+        );
+        let grid = self.per_theta.iter().map(|p| num(p.theta));
+        r.set("sweep.grid", Json::Arr(grid.collect()));
+        r.gate("sweep.grid_size", self.per_theta.len(), Exact);
+        r.gate("sweep.support_builds", self.support_builds, Exact);
+        r.gate("sweep.dp_calls_total", self.dp_calls_total(), LowerIsBetter);
+        r.gate("sweep.sweep_s", self.sweep_s, ReportOnly);
+        r.set(
+            "sweep.deadline_exceeded",
+            Json::Bool(self.deadline_exceeded),
+        );
+        let rows = self.per_theta.iter().map(|p| {
+            object([
+                ("theta", num(p.theta)),
+                ("dp_calls", num(p.stats.dp_calls)),
+                ("recompute_skips", num(p.stats.recompute_skips)),
+                ("buckets_touched", num(p.stats.buckets_touched)),
+                ("peak_scratch_bytes", num(p.stats.peak_scratch_bytes)),
+                ("peak_rss_bytes", num(p.peak_rss_bytes)),
+                ("max_score", num(p.max_score)),
+            ])
+        });
+        r.set("sweep.per_theta", Json::Arr(rows.collect()));
+        r.into_json()
     }
 
     /// Human-readable summary of the same measurements.
@@ -486,36 +480,16 @@ mod tests {
         }
 
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"bench-million/v1\""));
-        assert!(json.contains("\"rank\": \"truss\""));
+        assert!(json.contains(r#""schema":"bench-million/v2""#));
+        assert!(json.contains(r#""rank":"truss""#));
         let doc = crate::json::Json::parse(&json).expect("report JSON parses");
-        // Every gated path of the bench-compare table must be present.
-        for path in [
-            vec!["counts", "triangles"],
-            vec!["million", "vertices"],
-            vec!["million", "edges"],
-            vec!["million", "snapshot_bytes"],
-            vec!["million", "streaming_chunk_edges"],
-            vec!["million", "peak_rss_bytes"],
-            vec!["sweep", "support_builds"],
-            vec!["sweep", "grid_size"],
-            vec!["sweep", "dp_calls_total"],
-        ] {
-            assert!(
-                doc.path(&path)
-                    .and_then(crate::json::Json::as_f64)
-                    .is_some(),
-                "gated path {path:?} missing from the report"
-            );
-        }
         assert_eq!(
             doc.path(&["sweep", "support_builds"])
                 .and_then(crate::json::Json::as_f64),
             Some(1.0)
         );
         assert_eq!(
-            doc.path(&["million", "edges"])
-                .and_then(crate::json::Json::as_f64),
+            doc.path(&["edges"]).and_then(crate::json::Json::as_f64),
             Some(report.edges as f64)
         );
         assert!(report.format().contains("truss sweep"));
@@ -540,6 +514,36 @@ mod tests {
         let doc = crate::json::Json::parse(&report.to_json()).unwrap();
         let compared = crate::compare::compare(&doc, &doc, 0.0).unwrap();
         assert!(compared.regressions().is_empty(), "{}", compared.format());
-        assert_eq!(compared.generation_skew(), None);
+    }
+
+    #[test]
+    fn report_tags_every_gated_number() {
+        let json = run(&tiny_config()).to_json();
+        crate::report::assert_tagged(
+            &json,
+            &[
+                ("vertices", Exact),
+                ("edges", Exact),
+                ("counts.triangles", Exact),
+                ("million.snapshot_bytes", Exact),
+                ("million.streaming_chunk_edges", Exact),
+                ("million.snapshot_write_s", ReportOnly),
+                ("million.owned_reload_s", ReportOnly),
+                ("million.mmap_open_s", ReportOnly),
+                ("million.mmap_speedup", ReportOnly),
+                ("million.triangles_1t_s", ReportOnly),
+                ("million.triangles_nt_s", ReportOnly),
+                ("million.triangle_speedup", ReportOnly),
+                ("million.peak_rss_bytes", WithinFactor(2)),
+                ("sweep.grid_size", Exact),
+                ("sweep.support_builds", Exact),
+                ("sweep.dp_calls_total", LowerIsBetter),
+                ("sweep.sweep_s", ReportOnly),
+            ],
+        );
+        // The top-level vertex and edge counts are the gated ones.
+        let doc = Json::parse(&json).unwrap();
+        assert_eq!(doc.path(&["million", "vertices"]), None);
+        assert_eq!(doc.path(&["million", "edges"]), None);
     }
 }

@@ -8,13 +8,13 @@
 //! of the substrate becomes a tracked, diffable artifact instead of a
 //! number in a PR description.
 //!
-//! The JSON schema (`bench-parallel/v6` — the documented field-by-field
+//! The JSON schema (`bench-parallel/v7` — the documented field-by-field
 //! reference of every bench report family lives in
-//! `docs/BENCH_SCHEMAS.md`):
+//! `docs/BENCH_SCHEMAS.md`), compact on one line, shown spread out:
 //!
 //! ```json
 //! {
-//!   "schema": "bench-parallel/v6",
+//!   "schema": "bench-parallel/v7",
 //!   "source": { "kind": "generated", "generator": "gnm-uniform",
 //!               "requested_vertices": 2000, "requested_edges": 50000,
 //!               "seed": 42 },
@@ -32,7 +32,9 @@
 //!                 "support_s": 0.34, "total_s": 0.34, "speedup": 1.0,
 //!                 "deadline_exceeded": false },
 //!   "runs": [ { "threads": 4, "triangles_s": 0.11, ... , "speedup": 3.6,
-//!               "deadline_exceeded": false } ]
+//!               "deadline_exceeded": false } ],
+//!   "gates": { "vertices": "exact", ..., "peel.dp_calls": "lower-is-better",
+//!              "peel.peak_rss_bytes": "within-factor:2", ... }
 //! }
 //! ```
 //!
@@ -41,8 +43,9 @@
 //! reference engine's `reference_dp_calls`; `method_counts` is emitted as
 //! an array **sorted by method name** so the JSON is byte-stable (a
 //! `HashMap` iteration order must never leak into a tracked artifact).
-//! `experiments bench-compare` diffs two such files and gates CI on the
-//! counters, never on the wall-clock fields (`*_s`, `speedup`).
+//! Each number's `bench-compare` gate is tagged where [`crate::report`]
+//! places it; the counters gate, the wall-clock fields (`*_s`,
+//! `speedup`) never do.
 //!
 //! With `--input` the `source` object records the ingested file instead —
 //! its path, format and probability model plus the ingestion timings
@@ -84,6 +87,9 @@ use ugraph::UncertainGraph;
 use nucleus::reference;
 use nucleus::{DecompConfig, DecompHandle, PeelStats, RankSupport, SupportStructure};
 
+use crate::compare::Gate::{Exact, LowerIsBetter, ReportOnly, WithinFactor};
+use crate::json::Json;
+use crate::report::{num, object, Report};
 use crate::runner::{format_table, run_with_deadline, Timing};
 
 /// Configuration of the parallel-substrate benchmark.
@@ -566,157 +572,72 @@ pub fn run(config: &ParBenchConfig) -> Result<ParBenchReport, IngestError> {
     })
 }
 
-fn json_run(run: &ThreadRun) -> String {
-    format!(
-        "{{ \"threads\": {}, \"triangles_s\": {:.6}, \"four_cliques_s\": {:.6}, \
-         \"support_s\": {:.6}, \"total_s\": {:.6}, \"speedup\": {:.3}, \
-         \"deadline_exceeded\": {} }}",
-        run.threads,
-        run.timings.triangles_s,
-        run.timings.four_cliques_s,
-        run.timings.support_s,
-        run.timings.total_s(),
-        run.speedup,
-        run.deadline_exceeded
-    )
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes) for
-/// the path and model fields of the provenance object.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The `source` provenance object shared by the bench JSON reports
-/// (`parbench` and `thetasweep`): the ingested file plus its timings, or
-/// the generator parameters.
-pub(crate) fn json_source_object(
-    input: Option<&ExternalDataset>,
-    ingest: Option<&IngestTimings>,
-    requested_vertices: usize,
-    requested_edges: usize,
-    seed: u64,
-) -> String {
-    match (input, ingest) {
-        (Some(input), Some(t)) => format!(
-            "{{ \"kind\": \"file\", \"path\": \"{}\", \"format\": \"{}\", \
-                 \"prob_model\": \"{}\",\n             \"ingest\": {{ \"parse_s\": {:.6}, \
-                 \"snapshot_write_s\": {:.6}, \"snapshot_reload_s\": {:.6}, \
-                 \"reload_speedup\": {:.3},\n                         \
-                 \"snapshot_mmap_s\": {:.6}, \"mmap_speedup\": {:.3}, \
-                 \"mmap_used\": {} }} }}",
-            json_escape(&input.path.display().to_string()),
-            input.format,
-            json_escape(&input.probability.to_string()),
-            t.parse_s,
-            t.snapshot_write_s,
-            t.snapshot_reload_s,
-            t.reload_speedup(),
-            t.snapshot_mmap_s,
-            t.mmap_speedup(),
-            t.mmap_used
-        ),
-        // Snapshot sources (or an unwritable cache) have no ingest
-        // timings, but the provenance is still the file.
-        (Some(input), None) => format!(
-            "{{ \"kind\": \"file\", \"path\": \"{}\", \"format\": \"{}\", \
-             \"prob_model\": \"{}\" }}",
-            json_escape(&input.path.display().to_string()),
-            input.format,
-            json_escape(&input.probability.to_string()),
-        ),
-        (None, _) => format!(
-            "{{ \"kind\": \"generated\", \"generator\": \"gnm-uniform\", \
-             \"requested_vertices\": {requested_vertices}, \
-             \"requested_edges\": {requested_edges}, \"seed\": {seed} }}"
-        ),
-    }
+/// The `source` members of a graph from [`generate_graph`].
+pub(crate) fn generated(vertices: usize, edges: usize, seed: u64) -> [(&'static str, Json); 4] {
+    [
+        ("generator", Json::str("gnm-uniform")),
+        ("requested_vertices", num(vertices)),
+        ("requested_edges", num(edges)),
+        ("seed", num(seed)),
+    ]
 }
 
 impl ParBenchReport {
-    /// The `source` provenance object of the JSON report.
-    fn json_source(&self) -> String {
-        json_source_object(
-            self.config.input.as_ref(),
-            self.ingest.as_ref(),
-            self.config.vertices,
-            self.config.edges,
-            self.config.seed,
-        )
-    }
-
-    /// The `peel` perf-counter object of the JSON report.  The method
-    /// counts are a sorted array — never a map in hash order — so the
-    /// serialization is byte-stable across runs and toolchains.
-    fn json_peel(&self) -> String {
-        let methods: Vec<String> = self
-            .peel
+    /// Serializes the report to the `bench-parallel/v7` JSON schema.
+    pub fn to_json(&self) -> String {
+        let c = &self.config;
+        let p = &self.peel;
+        let mut r = Report::new("bench-parallel/v7");
+        r.source(c.input.as_ref(), &generated(c.vertices, c.edges, c.seed));
+        r.ingest(self.ingest.as_ref());
+        r.gate("vertices", self.actual_vertices, Exact);
+        r.gate("edges", self.actual_edges, Exact);
+        r.set("seed", num(c.seed));
+        r.set("repeats", num(c.repeats));
+        r.set("available_parallelism", num(self.available_parallelism));
+        r.gate("counts.triangles", self.num_triangles, Exact);
+        r.gate("counts.four_cliques", self.num_four_cliques, Exact);
+        r.set("peel.theta", num(p.theta));
+        r.gate("peel.dp_calls", p.stats.dp_calls, LowerIsBetter);
+        r.gate("peel.recompute_skips", p.stats.recompute_skips, Exact);
+        r.gate("peel.buckets_touched", p.stats.buckets_touched, Exact);
+        r.gate(
+            "peel.peak_scratch_bytes",
+            p.stats.peak_scratch_bytes,
+            LowerIsBetter,
+        );
+        // The kernel's VmHWM probe: noisy across allocators and hosts, so
+        // only gross growth fails.
+        r.gate("peel.peak_rss_bytes", p.peak_rss_bytes, WithinFactor(2));
+        r.gate("peel.reference_dp_calls", p.reference_dp_calls, Exact);
+        r.set("peel.dp_calls_saved_pct", num(p.dp_calls_saved_pct()));
+        r.gate("peel.max_score", p.max_score, Exact);
+        let methods = p
             .method_counts
             .iter()
-            .map(|(name, count)| {
-                format!(
-                    "{{ \"method\": \"{}\", \"count\": {} }}",
-                    json_escape(name),
-                    count
-                )
-            })
-            .collect();
-        format!(
-            "{{ \"theta\": {:.6}, \"dp_calls\": {}, \"recompute_skips\": {}, \
-             \"buckets_touched\": {}, \"peak_scratch_bytes\": {}, \
-             \"peak_rss_bytes\": {},\n            \
-             \"reference_dp_calls\": {}, \"dp_calls_saved_pct\": {:.3}, \"max_score\": {},\n            \
-             \"method_counts\": [ {} ],\n            \
-             \"peel_s\": {:.6}, \"reference_peel_s\": {:.6} }}",
-            self.peel.theta,
-            self.peel.stats.dp_calls,
-            self.peel.stats.recompute_skips,
-            self.peel.stats.buckets_touched,
-            self.peel.stats.peak_scratch_bytes,
-            self.peel.peak_rss_bytes,
-            self.peel.reference_dp_calls,
-            self.peel.dp_calls_saved_pct(),
-            self.peel.max_score,
-            methods.join(", "),
-            self.peel.peel_s,
-            self.peel.reference_peel_s,
-        )
-    }
-
-    /// Serializes the report to the `bench-parallel/v6` JSON schema.
-    pub fn to_json(&self) -> String {
-        let runs: Vec<String> = self
-            .runs
-            .iter()
-            .map(|r| format!("    {}", json_run(r)))
-            .collect();
-        format!(
-            "{{\n  \"schema\": \"bench-parallel/v6\",\n  \"source\": {},\n  \
-             \"vertices\": {},\n  \"edges\": {},\n  \"seed\": {},\n  \"repeats\": {},\n  \
-             \"available_parallelism\": {},\n  \"counts\": {{ \"triangles\": {}, \
-             \"four_cliques\": {} }},\n  \"peel\": {},\n  \"baseline\": {},\n  \
-             \"runs\": [\n{}\n  ]\n}}\n",
-            self.json_source(),
-            self.actual_vertices,
-            self.actual_edges,
-            self.config.seed,
-            self.config.repeats,
-            self.available_parallelism,
-            self.num_triangles,
-            self.num_four_cliques,
-            self.json_peel(),
-            json_run(&self.baseline),
-            runs.join(",\n")
-        )
+            .map(|(name, count)| object([("method", Json::str(name)), ("count", num(*count))]));
+        r.set("peel.method_counts", Json::Arr(methods.collect()));
+        r.gate("peel.peel_s", p.peel_s, ReportOnly);
+        r.gate("peel.reference_peel_s", p.reference_peel_s, ReportOnly);
+        let run = |t: &ThreadRun| {
+            object([
+                ("threads", num(t.threads)),
+                ("triangles_s", num(t.timings.triangles_s)),
+                ("four_cliques_s", num(t.timings.four_cliques_s)),
+                ("support_s", num(t.timings.support_s)),
+                ("total_s", num(t.timings.total_s())),
+                ("speedup", num(t.speedup)),
+                ("deadline_exceeded", Json::Bool(t.deadline_exceeded)),
+            ])
+        };
+        r.set("baseline", run(&self.baseline));
+        r.gate(
+            "baseline.total_s",
+            self.baseline.timings.total_s(),
+            ReportOnly,
+        );
+        r.set("runs", Json::Arr(self.runs.iter().map(run).collect()));
+        r.into_json()
     }
 
     /// Human-readable table of the same measurements.
@@ -832,8 +753,8 @@ mod tests {
     fn json_has_schema_and_parses_shape() {
         let report = run(&tiny_config()).unwrap();
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"bench-parallel/v6\""));
-        assert!(json.contains("\"kind\": \"generated\""));
+        assert!(json.contains(r#""schema":"bench-parallel/v7""#));
+        assert!(json.contains(r#""kind":"generated""#));
         assert!(json.contains("\"counts\""));
         assert!(json.contains("\"peel\""));
         assert!(json.contains("\"baseline\""));
@@ -936,13 +857,15 @@ mod tests {
         assert_eq!(report.actual_edges, 400);
 
         let json = report.to_json();
-        assert!(json.contains("\"kind\": \"file\""));
-        assert!(json.contains("\"format\": \"snap\""));
-        assert!(json.contains("\"prob_model\": \"column\""));
+        assert!(json.contains(r#""kind":"file""#));
+        assert!(json.contains(r#""format":"snap""#));
+        assert!(json.contains(r#""prob_model":"column""#));
         assert!(json.contains("\"reload_speedup\""));
         assert!(json.contains("\"mmap_speedup\""));
         assert!(json.contains("\"mmap_used\""));
-        assert!(json.contains("\"schema\": \"bench-parallel/v6\""));
+        assert!(json.contains(r#""schema":"bench-parallel/v7""#));
+        assert!(json.contains(r#""source.ingest.reload_speedup":"higher-is-better""#));
+        assert!(json.contains(r#""source.ingest.mmap_speedup":"report-only""#));
         assert!(report.format().contains("ingest:"));
         assert!(report.format().contains("peel (theta"));
         std::fs::remove_dir_all(&dir).ok();
@@ -976,10 +899,37 @@ mod tests {
         );
         // Provenance still records the file, without an ingest object.
         let json = report.to_json();
-        assert!(json.contains("\"kind\": \"file\""));
-        assert!(json.contains("\"format\": \"ugsnap\""));
+        assert!(json.contains(r#""kind":"file""#));
+        assert!(json.contains(r#""format":"ugsnap""#));
         assert!(!json.contains("\"ingest\""), "{json}");
         assert!(report.format().contains("ingest: "));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn report_tags_every_gated_number() {
+        let json = run(&tiny_config()).unwrap().to_json();
+        crate::report::assert_tagged(
+            &json,
+            &[
+                ("vertices", Exact),
+                ("edges", Exact),
+                ("counts.triangles", Exact),
+                ("counts.four_cliques", Exact),
+                ("peel.dp_calls", LowerIsBetter),
+                ("peel.recompute_skips", Exact),
+                ("peel.buckets_touched", Exact),
+                ("peel.peak_scratch_bytes", LowerIsBetter),
+                ("peel.peak_rss_bytes", WithinFactor(2)),
+                ("peel.reference_dp_calls", Exact),
+                ("peel.max_score", Exact),
+                ("peel.peel_s", ReportOnly),
+                ("peel.reference_peel_s", ReportOnly),
+                ("baseline.total_s", ReportOnly),
+            ],
+        );
+        // Ingest tags appear only on ingested runs; the input-mode test
+        // checks them there.
+        assert!(!json.contains("source.ingest"), "{json}");
     }
 }

@@ -6,19 +6,19 @@
 //! a direct subcommand invocation — the differential tests pin that
 //! bit-identically (counters, counts, method_counts).
 //!
-//! After a driver finishes, the deterministic counters are extracted
-//! from its own JSON report (never from wall-clock fields —
-//! `peak_rss_bytes`, `*_s` timings and the reload/mmap speedups are
-//! deliberately absent from the probe tables below) and the spec's
-//! declared expectations are judged with the same
-//! [`Gate`](crate::compare::Gate) semantics `bench-compare` applies.
+//! After a driver finishes, its deterministic counters are read from
+//! its own JSON report: every path the report tags `exact` or
+//! `lower-is-better` ([`crate::report`]), never the walls, ratios and
+//! RSS probes tagged otherwise.  The spec's declared expectations are
+//! judged with the same [`Gate`] semantics `bench-compare` applies.
 
 use super::spec::{DatasetSpec, Spec, Workload};
+use crate::compare::Gate;
 use crate::json::Json;
 use crate::runner::ExperimentContext;
 use crate::{
-    ablation, fig4, fig5, fig6, fig7, fig8, million, parbench, serve, table1, table2, table3,
-    thetasweep, updates,
+    ablation, fig4, fig5, fig6, fig7, fig8, million, parbench, report, serve, table1, table2,
+    table3, thetasweep, updates,
 };
 use nd_datasets::{ExternalDataset, PaperDataset};
 
@@ -31,7 +31,8 @@ pub struct Executed {
     /// The driver's raw JSON report, byte-identical to what the direct
     /// subcommand would have written with `--out` (bench drivers only).
     pub raw_json: Option<String>,
-    /// Deterministic counters extracted from the report, in path order.
+    /// Deterministic counters read from the report's tags, in emission
+    /// order.
     pub counters: Vec<(String, f64)>,
     /// Every failed expectation (empty means the scenario passed).
     pub failures: Vec<String>,
@@ -303,94 +304,6 @@ pub fn header(spec: &Spec) -> Result<String, String> {
 }
 
 // ---------------------------------------------------------------------
-// Counter extraction
-// ---------------------------------------------------------------------
-
-/// One extraction probe into a report's JSON.
-enum Probe {
-    /// A single dotted path.
-    Path(&'static [&'static str]),
-    /// Every numeric direct child of one object (e.g. `stats`).
-    AllUnder(&'static str),
-}
-
-/// The deterministic counter surface of each bench report.  Wall-clock
-/// fields, `peak_rss_bytes` (process-global high-water mark) and the
-/// reload/mmap speedups are environment-dependent and stay out.
-fn probes(workload: Workload) -> &'static [Probe] {
-    use Probe::{AllUnder, Path};
-    match workload {
-        Workload::Parbench => &[
-            Path(&["vertices"]),
-            Path(&["edges"]),
-            AllUnder("counts"),
-            Path(&["peel", "dp_calls"]),
-            Path(&["peel", "recompute_skips"]),
-            Path(&["peel", "buckets_touched"]),
-            Path(&["peel", "peak_scratch_bytes"]),
-            Path(&["peel", "reference_dp_calls"]),
-            Path(&["peel", "max_score"]),
-        ],
-        Workload::Thetasweep => &[
-            Path(&["vertices"]),
-            Path(&["edges"]),
-            AllUnder("counts"),
-            Path(&["sweep", "grid_size"]),
-            Path(&["sweep", "support_builds"]),
-            Path(&["sweep", "independent_support_builds"]),
-            Path(&["sweep", "dp_calls_total"]),
-            Path(&["sweep", "independent_dp_calls_total"]),
-        ],
-        Workload::Updates => &[
-            Path(&["vertices"]),
-            Path(&["edges"]),
-            Path(&["edges_after"]),
-            AllUnder("batch"),
-            AllUnder("repair"),
-        ],
-        Workload::Serve => &[Path(&["vertices"]), Path(&["edges"]), AllUnder("stats")],
-        Workload::Million => &[
-            Path(&["vertices"]),
-            Path(&["edges"]),
-            AllUnder("counts"),
-            Path(&["million", "snapshot_bytes"]),
-            Path(&["million", "streaming_chunk_edges"]),
-            Path(&["sweep", "grid_size"]),
-            Path(&["sweep", "support_builds"]),
-            Path(&["sweep", "dp_calls_total"]),
-        ],
-        _ => &[],
-    }
-}
-
-/// Runs the probe table against a parsed report.  Extraction is
-/// presence-based (a missing path is skipped, not an error): the
-/// committed `BENCH_matrix.json` baseline pins which counters exist,
-/// and `bench-compare` regresses any that vanish.
-fn extract(report: &Json, workload: Workload) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for probe in probes(workload) {
-        match probe {
-            Probe::Path(path) => {
-                if let Some(v) = report.path(path).and_then(Json::as_f64) {
-                    out.push((path.join("."), v));
-                }
-            }
-            Probe::AllUnder(key) => {
-                if let Some(Json::Obj(members)) = report.get(key) {
-                    for (name, value) in members {
-                        if let Some(v) = value.as_f64() {
-                            out.push((format!("{key}.{name}"), v));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 // Paper experiments
 // ---------------------------------------------------------------------
 
@@ -613,9 +526,13 @@ pub fn execute(spec: &Spec) -> Result<Executed, String> {
         }
     };
     let raw = raw_json.as_deref().expect("bench drivers emit JSON");
-    let report =
-        Json::parse(raw).map_err(|e| format!("{}: emitted invalid JSON: {e}", spec.name))?;
-    let counters = extract(&report, spec.workload);
+    let doc = Json::parse(raw).map_err(|e| format!("{}: emitted invalid JSON: {e}", spec.name))?;
+    let counters: Vec<(String, f64)> = report::gates(&doc)
+        .map_err(|e| format!("{}: {e}", spec.name))?
+        .into_iter()
+        .filter(|(_, gate, _)| matches!(gate, Gate::Exact | Gate::LowerIsBetter))
+        .map(|(path, _, value)| (path, value))
+        .collect();
     let mut failures = std::mem::take(&mut extra_failures);
     check_expectations(spec, &counters, &mut failures);
     Ok(Executed {
@@ -629,7 +546,6 @@ pub fn execute(spec: &Spec) -> Result<Executed, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare::Gate;
     use crate::registry::spec;
 
     fn parse(text: &str) -> Spec {

@@ -3,27 +3,29 @@
 //!
 //! Boots an [`nd_server::Server`] on a loopback port, drives the fixed
 //! [`nd_server::oneshot`] script over real TCP, and emits a
-//! `bench-serve/v2` report.  The script is deterministic, so every
+//! `bench-serve/v3` report.  The script is deterministic, so every
 //! [`nd_server::StatsSnapshot`] counter it produces is a pure function
 //! of the script — `bench-compare` gates them all at tolerance 0 (the
 //! interesting invariants: `support_builds == 1` no matter how many
 //! sessions open, repeated-θ queries land as `cache_hits`,
 //! `protocol_errors == 0` because the script never sends a malformed
-//! frame, and since v2 the `apply_updates` counters: exactly one batch
-//! applied, exactly one support repaired — never rebuilt — and the
-//! exact number of cached points invalidated).
+//! frame, and the `apply_updates` counters: exactly one batch applied,
+//! exactly one support repaired — never rebuilt — and the exact number
+//! of cached points invalidated).
 //!
 //! ```json
 //! {
-//!   "schema": "bench-serve/v2",
+//!   "schema": "bench-serve/v3",
 //!   "source": { "kind": "generated", ... },
 //!   "vertices": 2000, "edges": 50000, "seed": 42,
-//!   "thetas": [ 0.100000, 0.300000 ],
+//!   "thetas": [ 0.1, 0.3 ],
 //!   "oneshot": { "passed": true, "bit_identical": true, "failures": [ ] },
 //!   "stats": { "requests": 28, "batches": 1, "protocol_errors": 0,
 //!              "cache_hits": 9, "cache_misses": 4, "support_builds": 1,
 //!              "updates_applied": 1, "supports_repaired": 1,
-//!              "cache_invalidations": 2, ... }
+//!              "cache_invalidations": 2, ... },
+//!   "gates": { "vertices": "exact", "edges": "exact",
+//!              "stats.requests": "exact", ... }
 //! }
 //! ```
 //!
@@ -34,9 +36,10 @@ use nd_datasets::ExternalDataset;
 use nd_server::{run_oneshot, ClientError, OneshotOptions, OneshotReport};
 use ugraph::par::Parallelism;
 
-use crate::parbench::{
-    generate_graph, ingest, json_escape, json_source_object, IngestError, IngestTimings,
-};
+use crate::compare::Gate::Exact;
+use crate::json::Json;
+use crate::parbench::{generate_graph, generated, ingest, IngestError, IngestTimings};
+use crate::report::{num, Report};
 
 /// Configuration of the serve smoke benchmark.
 #[derive(Debug, Clone)]
@@ -115,7 +118,7 @@ impl ServeBenchReport {
         self.oneshot.passed()
     }
 
-    /// Serializes the report to the `bench-serve/v2` JSON schema.
+    /// Serializes the report to the `bench-serve/v3` JSON schema.
     ///
     /// Ingest timings ([`ServeBenchReport::ingest`]) are deliberately
     /// not serialized: they are wall-clock measurements, and this
@@ -123,40 +126,24 @@ impl ServeBenchReport {
     /// parbench report already gates ingest performance for the same
     /// inputs.
     pub fn to_json(&self) -> String {
-        let thetas: Vec<String> = self
-            .oneshot
-            .thetas
-            .iter()
-            .map(|t| format!("{t:.6}"))
-            .collect();
-        let failures: Vec<String> = self
-            .oneshot
-            .failures
-            .iter()
-            .map(|f| format!("\"{}\"", json_escape(f)))
-            .collect();
-        format!(
-            "{{\n  \"schema\": \"bench-serve/v2\",\n  \"source\": {},\n  \
-             \"vertices\": {},\n  \"edges\": {},\n  \"seed\": {},\n  \
-             \"thetas\": [ {} ],\n  \
-             \"oneshot\": {{ \"passed\": {}, \"bit_identical\": {}, \"failures\": [ {} ] }},\n  \
-             \"stats\": {}\n}}\n",
-            json_source_object(
-                self.config.input.as_ref(),
-                None,
-                self.config.vertices,
-                self.config.edges,
-                self.config.seed,
-            ),
-            self.oneshot.vertices,
-            self.oneshot.edges,
-            self.config.seed,
-            thetas.join(", "),
-            self.passed(),
-            self.oneshot.bit_identical,
-            failures.join(", "),
-            self.oneshot.stats.to_json().to_json_string(),
-        )
+        let c = &self.config;
+        let o = &self.oneshot;
+        let mut r = Report::new("bench-serve/v3");
+        r.source(c.input.as_ref(), &generated(c.vertices, c.edges, c.seed));
+        r.gate("vertices", o.vertices, Exact);
+        r.gate("edges", o.edges, Exact);
+        r.set("seed", num(c.seed));
+        let thetas = o.thetas.iter().map(|&t| num(t));
+        r.set("thetas", Json::Arr(thetas.collect()));
+        r.set("oneshot.passed", Json::Bool(self.passed()));
+        r.set("oneshot.bit_identical", Json::Bool(o.bit_identical));
+        let failures = o.failures.iter().map(Json::str);
+        r.set("oneshot.failures", Json::Arr(failures.collect()));
+        // The script is fixed, so every counter is a pure function of it.
+        for (name, value) in o.stats.fields() {
+            r.gate(&format!("stats.{name}"), value, Exact);
+        }
+        r.into_json()
     }
 
     /// Human-readable summary of the same run.
@@ -242,8 +229,8 @@ mod tests {
         assert!(report.passed(), "failures: {:?}", report.oneshot.failures);
         assert!(report.oneshot.bit_identical);
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"bench-serve/v2\""));
-        assert!(json.contains("\"kind\": \"generated\""));
+        assert!(json.contains(r#""schema":"bench-serve/v3""#));
+        assert!(json.contains(r#""kind":"generated""#));
         let doc = Json::parse(&json).expect("report JSON parses");
         assert_eq!(
             doc.path(&["oneshot", "passed"]).and_then(Json::as_bool),
@@ -314,7 +301,7 @@ mod tests {
         assert!(report.ingest.is_some());
         assert_eq!(report.oneshot.edges, 400);
         let json = report.to_json();
-        assert!(json.contains("\"kind\": \"file\""));
+        assert!(json.contains(r#""kind":"file""#));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -332,5 +319,16 @@ mod tests {
             message.starts_with("cannot load /nonexistent/serve_bench.txt:"),
             "{message}"
         );
+    }
+
+    #[test]
+    fn report_tags_every_gated_number() {
+        let report = run(&tiny_config()).unwrap();
+        let fields = report.oneshot.stats.fields();
+        let stats: Vec<String> = fields.iter().map(|(n, _)| format!("stats.{n}")).collect();
+        assert_eq!(stats.len(), 14, "every counter of the scripted session");
+        let mut expected = vec![("vertices", Exact), ("edges", Exact)];
+        expected.extend(stats.iter().map(|path| (path.as_str(), Exact)));
+        crate::report::assert_tagged(&report.to_json(), &expected);
     }
 }

@@ -13,7 +13,7 @@
 //!   [`Decomposition::compute`] per threshold (support rebuilt each time,
 //!   exactly what a caller without the sweep would do), asserts every
 //!   per-threshold result is bit-identical, and emits a
-//!   `bench-parallel/v6` JSON report: the shared `counts`/`source`
+//!   `bench-parallel/v7` JSON report: the shared `counts`/`source`
 //!   objects of the parbench schema plus a top-level `rank` string and
 //!   a `sweep` object with `support_builds` (gated
 //!   `== 1` in CI), per-threshold peel counters, the summed
@@ -21,8 +21,6 @@
 //!   wall-clock amortization (reported, never gated).  The `counts`
 //!   object is rank-appropriate: triangles and 4-cliques at the nucleus
 //!   rank, triangles only at the truss rank, empty at the core rank.
-//!   (v4 reports lacked the `rank` key; `bench-compare` treats them as
-//!   nucleus sweeps.)
 //! * [`run_table`] runs the nucleus-rank sweep over the synthetic paper
 //!   datasets at a pinned context and formats a fully deterministic
 //!   table (counters only, no wall times) — the golden-snapshot surface.
@@ -51,7 +49,10 @@ use nucleus::{
     SweepConfig,
 };
 
-use crate::parbench::{generate_graph, ingest, json_source_object, IngestError, IngestTimings};
+use crate::compare::Gate::{Exact, LowerIsBetter, ReportOnly};
+use crate::json::Json;
+use crate::parbench::{generate_graph, generated, ingest, IngestError, IngestTimings};
+use crate::report::{num, object, Report};
 use crate::runner::{format_table, run_with_deadline, ExperimentContext, Timing};
 
 /// The default θ grid of the benchmark: spans the range the paper's
@@ -170,80 +171,64 @@ impl SweepBenchReport {
         self.independent_s / self.sweep_s.max(1e-9)
     }
 
-    /// The rank-appropriate `counts` JSON object (matching the v3
-    /// parbench keys where the quantities exist at this rank).
-    fn counts_json(&self) -> String {
-        match (self.num_triangles, self.num_four_cliques) {
-            (Some(t), Some(c)) => format!("{{ \"triangles\": {t}, \"four_cliques\": {c} }}"),
-            (Some(t), None) => format!("{{ \"triangles\": {t} }}"),
-            _ => "{ }".to_string(),
-        }
-    }
-
-    /// Serializes the report to the `bench-parallel/v6` JSON schema.
+    /// Serializes the report to the `bench-parallel/v7` JSON schema.
     pub fn to_json(&self) -> String {
-        let grid: Vec<String> = self
-            .per_theta
-            .iter()
-            .map(|p| format!("{:.6}", p.theta))
-            .collect();
-        let rows: Vec<String> = self
-            .per_theta
-            .iter()
-            .map(|p| {
-                format!(
-                    "      {{ \"theta\": {:.6}, \"dp_calls\": {}, \"recompute_skips\": {}, \
-                     \"buckets_touched\": {}, \"peak_scratch_bytes\": {}, \
-                     \"peak_rss_bytes\": {}, \"max_score\": {}, \
-                     \"independent_dp_calls\": {} }}",
-                    p.theta,
-                    p.stats.dp_calls,
-                    p.stats.recompute_skips,
-                    p.stats.buckets_touched,
-                    p.stats.peak_scratch_bytes,
-                    p.peak_rss_bytes,
-                    p.max_score,
-                    p.independent_dp_calls
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"schema\": \"bench-parallel/v6\",\n  \"rank\": \"{}\",\n  \
-             \"source\": {},\n  \
-             \"vertices\": {},\n  \"edges\": {},\n  \"seed\": {},\n  \"repeats\": {},\n  \
-             \"available_parallelism\": {},\n  \"counts\": {},\n  \
-             \"sweep\": {{\n    \"grid\": [ {} ],\n    \
-             \"grid_size\": {},\n    \"support_builds\": {},\n    \
-             \"independent_support_builds\": {},\n    \"dp_calls_total\": {},\n    \
-             \"independent_dp_calls_total\": {},\n    \"sweep_s\": {:.6},\n    \
-             \"independent_s\": {:.6},\n    \"amortization\": {:.3},\n    \
-             \"deadline_exceeded\": {},\n    \"per_theta\": [\n{}\n    ]\n  }}\n}}\n",
-            self.config.rank,
-            json_source_object(
-                self.config.input.as_ref(),
-                self.ingest.as_ref(),
-                self.config.vertices,
-                self.config.edges,
-                self.config.seed,
-            ),
-            self.actual_vertices,
-            self.actual_edges,
-            self.config.seed,
-            self.config.repeats,
-            self.available_parallelism,
-            self.counts_json(),
-            grid.join(", "),
-            self.per_theta.len(),
-            self.support_builds,
+        let c = &self.config;
+        let mut r = Report::new("bench-parallel/v7");
+        r.set("rank", Json::str(c.rank.to_string()));
+        r.source(c.input.as_ref(), &generated(c.vertices, c.edges, c.seed));
+        r.ingest(self.ingest.as_ref());
+        r.gate("vertices", self.actual_vertices, Exact);
+        r.gate("edges", self.actual_edges, Exact);
+        r.set("seed", num(c.seed));
+        r.set("repeats", num(c.repeats));
+        r.set("available_parallelism", num(self.available_parallelism));
+        // Rank-appropriate, with the parbench keys where the quantities
+        // exist at this rank.
+        r.set("counts", Json::Obj(Vec::new()));
+        if let Some(t) = self.num_triangles {
+            r.gate("counts.triangles", t, Exact);
+        }
+        if let Some(cliques) = self.num_four_cliques {
+            r.gate("counts.four_cliques", cliques, Exact);
+        }
+        let grid = self.per_theta.iter().map(|p| num(p.theta));
+        r.set("sweep.grid", Json::Arr(grid.collect()));
+        r.gate("sweep.grid_size", self.per_theta.len(), Exact);
+        // The tentpole invariant: one support build answers the grid.
+        r.gate("sweep.support_builds", self.support_builds, Exact);
+        r.gate(
+            "sweep.independent_support_builds",
             self.independent_support_builds,
-            self.dp_calls_total(),
+            Exact,
+        );
+        r.gate("sweep.dp_calls_total", self.dp_calls_total(), LowerIsBetter);
+        r.gate(
+            "sweep.independent_dp_calls_total",
             self.independent_dp_calls_total(),
-            self.sweep_s,
-            self.independent_s,
-            self.amortization(),
-            self.deadline_exceeded,
-            rows.join(",\n")
-        )
+            Exact,
+        );
+        r.gate("sweep.sweep_s", self.sweep_s, ReportOnly);
+        r.gate("sweep.independent_s", self.independent_s, ReportOnly);
+        r.gate("sweep.amortization", self.amortization(), ReportOnly);
+        r.set(
+            "sweep.deadline_exceeded",
+            Json::Bool(self.deadline_exceeded),
+        );
+        let rows = self.per_theta.iter().map(|p| {
+            object([
+                ("theta", num(p.theta)),
+                ("dp_calls", num(p.stats.dp_calls)),
+                ("recompute_skips", num(p.stats.recompute_skips)),
+                ("buckets_touched", num(p.stats.buckets_touched)),
+                ("peak_scratch_bytes", num(p.stats.peak_scratch_bytes)),
+                ("peak_rss_bytes", num(p.peak_rss_bytes)),
+                ("max_score", num(p.max_score)),
+                ("independent_dp_calls", num(p.independent_dp_calls)),
+            ])
+        });
+        r.set("sweep.per_theta", Json::Arr(rows.collect()));
+        r.into_json()
     }
 
     /// Human-readable table of the same measurements.
@@ -563,9 +548,9 @@ mod tests {
     fn json_has_v6_schema_and_parses_shape() {
         let report = run_bench(&tiny_config()).unwrap();
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"bench-parallel/v6\""));
-        assert!(json.contains("\"rank\": \"nucleus\""));
-        assert!(json.contains("\"kind\": \"generated\""));
+        assert!(json.contains(r#""schema":"bench-parallel/v7""#));
+        assert!(json.contains(r#""rank":"nucleus""#));
+        assert!(json.contains(r#""kind":"generated""#));
         let doc = crate::json::Json::parse(&json).expect("report JSON parses");
         assert_eq!(
             doc.path(&["sweep", "support_builds"])
@@ -639,8 +624,8 @@ mod tests {
         assert!(report.ingest.is_some());
         assert_eq!(report.actual_edges, 400);
         let json = report.to_json();
-        assert!(json.contains("\"kind\": \"file\""));
-        assert!(json.contains("\"schema\": \"bench-parallel/v6\""));
+        assert!(json.contains(r#""kind":"file""#));
+        assert!(json.contains(r#""schema":"bench-parallel/v7""#));
         assert!(report.format().contains("amortization"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -661,8 +646,8 @@ mod tests {
             assert!(w[1].max_score <= w[0].max_score);
         }
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"bench-parallel/v6\""));
-        assert!(json.contains("\"rank\": \"truss\""));
+        assert!(json.contains(r#""schema":"bench-parallel/v7""#));
+        assert!(json.contains(r#""rank":"truss""#));
         assert!(json.contains("\"triangles\""));
         assert!(!json.contains("four_cliques"));
         let doc = crate::json::Json::parse(&json).expect("report JSON parses");
@@ -684,8 +669,8 @@ mod tests {
         assert_eq!(report.num_triangles, None);
         assert_eq!(report.num_four_cliques, None);
         let json = report.to_json();
-        assert!(json.contains("\"rank\": \"core\""));
-        assert!(json.contains("\"counts\": { }"));
+        assert!(json.contains(r#""rank":"core""#));
+        assert!(json.contains(r#""counts":{}"#));
         let doc = crate::json::Json::parse(&json).expect("report JSON parses");
         assert_eq!(
             doc.path(&["sweep", "grid_size"])
@@ -693,5 +678,33 @@ mod tests {
             Some(3.0)
         );
         assert!(report.format().contains("eta"));
+    }
+
+    #[test]
+    fn report_tags_every_gated_number_at_every_rank() {
+        for rank in [Rank::Core, Rank::Truss, Rank::Nucleus] {
+            let mut config = tiny_config();
+            config.rank = rank;
+            let mut expected = vec![
+                ("vertices", Exact),
+                ("edges", Exact),
+                ("sweep.grid_size", Exact),
+                ("sweep.support_builds", Exact),
+                ("sweep.independent_support_builds", Exact),
+                ("sweep.dp_calls_total", LowerIsBetter),
+                ("sweep.independent_dp_calls_total", Exact),
+                ("sweep.sweep_s", ReportOnly),
+                ("sweep.independent_s", ReportOnly),
+                ("sweep.amortization", ReportOnly),
+            ];
+            if rank != Rank::Core {
+                expected.push(("counts.triangles", Exact));
+            }
+            if rank == Rank::Nucleus {
+                expected.push(("counts.four_cliques", Exact));
+            }
+            let json = run_bench(&config).unwrap().to_json();
+            crate::report::assert_tagged(&json, &expected);
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Incremental-update benchmark (`experiments updates`): repair vs
 //! rebuild after a seeded edge-update batch, as machine-readable
-//! `bench-updates/v1` JSON.
+//! `bench-updates/v2` JSON.
 //!
 //! The tentpole claim of the incremental-maintenance path is that
 //! [`DecompSweep::apply_updates`] answers an edge-update batch with a
@@ -25,17 +25,18 @@
 //!
 //! ```json
 //! {
-//!   "schema": "bench-updates/v1",
+//!   "schema": "bench-updates/v2",
 //!   "rank": "truss",
 //!   "source": { "kind": "generated", ... },
-//!   "vertices": 2000, "edges": 50000, "seed": 42,
+//!   "vertices": 2000, "edges": 50000, "edges_after": 50000, "seed": 42,
 //!   "thetas": [ 0.02, 0.05, 0.1, 0.25, 0.5 ],
 //!   "batch": { "inserts": 64, "deletes": 64, "reweights": 64 },
-//!   "edges_after": 50000,
 //!   "repair": { "affected_elements": 931, "region_elements": 1210,
 //!               "repaired_points": 5, "recomputed_points": 0,
 //!               "repair_dp_calls": 5063, "rebuild_dp_calls": 251172,
-//!               "dp_calls_excess": 0 }
+//!               "dp_calls_excess": 0 },
+//!   "gates": { "vertices": "exact", ...,
+//!              "repair.repair_dp_calls": "lower-is-better", ... }
 //! }
 //! ```
 //!
@@ -51,7 +52,10 @@ use ugraph::{EdgeUpdate, UncertainGraph, VertexId};
 
 use nucleus::{DecompSweep, Rank, SweepConfig, UpdateReport};
 
-use crate::parbench::{generate_graph, ingest, json_source_object, IngestError, IngestTimings};
+use crate::compare::Gate::{Exact, LowerIsBetter};
+use crate::json::Json;
+use crate::parbench::{generate_graph, generated, ingest, IngestError, IngestTimings};
+use crate::report::{num, Report};
 use crate::thetasweep::DEFAULT_GRID;
 
 /// Configuration of the incremental-update benchmark.
@@ -131,49 +135,33 @@ impl UpdateBenchReport {
             .saturating_sub(self.rebuild_dp_calls)
     }
 
-    /// Serializes the report to the `bench-updates/v1` JSON schema.
+    /// Serializes the report to the `bench-updates/v2` JSON schema.
     pub fn to_json(&self) -> String {
-        let thetas: Vec<String> = self
-            .config
-            .thetas
-            .iter()
-            .map(|t| format!("{t:.6}"))
-            .collect();
-        format!(
-            "{{\n  \"schema\": \"bench-updates/v1\",\n  \"rank\": \"{}\",\n  \
-             \"source\": {},\n  \
-             \"vertices\": {},\n  \"edges\": {},\n  \"seed\": {},\n  \
-             \"thetas\": [ {} ],\n  \
-             \"batch\": {{ \"inserts\": {}, \"deletes\": {}, \"reweights\": {} }},\n  \
-             \"edges_after\": {},\n  \
-             \"repair\": {{ \"affected_elements\": {}, \"region_elements\": {},\n    \
-             \"repaired_points\": {}, \"recomputed_points\": {},\n    \
-             \"repair_dp_calls\": {}, \"rebuild_dp_calls\": {},\n    \
-             \"dp_calls_excess\": {} }}\n}}\n",
-            self.config.rank,
-            json_source_object(
-                self.config.input.as_ref(),
-                self.ingest.as_ref(),
-                self.config.vertices,
-                self.config.edges,
-                self.config.seed,
-            ),
-            self.actual_vertices,
-            self.actual_edges,
-            self.config.seed,
-            thetas.join(", "),
-            self.inserts,
-            self.deletes,
-            self.reweights,
-            self.edges_after,
-            self.report.affected_elements,
-            self.report.region_elements,
-            self.report.repaired_points,
-            self.report.recomputed_points,
-            self.report.repair_dp_calls,
-            self.rebuild_dp_calls,
-            self.dp_calls_excess(),
-        )
+        let c = &self.config;
+        let rep = &self.report;
+        let mut r = Report::new("bench-updates/v2");
+        r.set("rank", Json::str(c.rank.to_string()));
+        r.source(c.input.as_ref(), &generated(c.vertices, c.edges, c.seed));
+        r.ingest(self.ingest.as_ref());
+        r.gate("vertices", self.actual_vertices, Exact);
+        r.gate("edges", self.actual_edges, Exact);
+        r.gate("edges_after", self.edges_after, Exact);
+        r.set("seed", num(c.seed));
+        let thetas = c.thetas.iter().map(|&t| num(t));
+        r.set("thetas", Json::Arr(thetas.collect()));
+        r.gate("batch.inserts", self.inserts, Exact);
+        r.gate("batch.deletes", self.deletes, Exact);
+        r.gate("batch.reweights", self.reweights, Exact);
+        r.gate("repair.affected_elements", rep.affected_elements, Exact);
+        r.gate("repair.region_elements", rep.region_elements, Exact);
+        r.gate("repair.repaired_points", rep.repaired_points, Exact);
+        r.gate("repair.recomputed_points", rep.recomputed_points, Exact);
+        r.gate("repair.repair_dp_calls", rep.repair_dp_calls, LowerIsBetter);
+        r.gate("repair.rebuild_dp_calls", self.rebuild_dp_calls, Exact);
+        // 0 in every committed baseline: exact at tolerance 0 *is* the
+        // "repair never costs more than a rebuild" guarantee.
+        r.gate("repair.dp_calls_excess", self.dp_calls_excess(), Exact);
+        r.into_json()
     }
 
     /// Human-readable summary of the same run.
@@ -383,9 +371,9 @@ mod tests {
     fn json_has_v1_schema_and_gated_fields() {
         let report = run(&tiny_config()).unwrap();
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"bench-updates/v1\""));
-        assert!(json.contains("\"rank\": \"truss\""));
-        assert!(json.contains("\"kind\": \"generated\""));
+        assert!(json.contains(r#""schema":"bench-updates/v2""#));
+        assert!(json.contains(r#""rank":"truss""#));
+        assert!(json.contains(r#""kind":"generated""#));
         let doc = Json::parse(&json).expect("report JSON parses");
         assert_eq!(
             doc.path(&["batch", "deletes"]).and_then(Json::as_f64),
@@ -422,5 +410,28 @@ mod tests {
             assert_eq!(a.to_json(), b.to_json(), "{rank}");
             assert!(a.report.repair_dp_calls <= a.rebuild_dp_calls, "{rank}");
         }
+    }
+
+    #[test]
+    fn report_tags_every_gated_number() {
+        let json = run(&tiny_config()).unwrap().to_json();
+        crate::report::assert_tagged(
+            &json,
+            &[
+                ("vertices", Exact),
+                ("edges", Exact),
+                ("edges_after", Exact),
+                ("batch.inserts", Exact),
+                ("batch.deletes", Exact),
+                ("batch.reweights", Exact),
+                ("repair.affected_elements", Exact),
+                ("repair.region_elements", Exact),
+                ("repair.repaired_points", Exact),
+                ("repair.recomputed_points", Exact),
+                ("repair.repair_dp_calls", LowerIsBetter),
+                ("repair.rebuild_dp_calls", Exact),
+                ("repair.dp_calls_excess", Exact),
+            ],
+        );
     }
 }

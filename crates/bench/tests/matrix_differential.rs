@@ -5,16 +5,17 @@
 //! nothing.  For each workload a scenario spec is parsed from TOML and
 //! executed through the registry, a config is built by hand exactly the
 //! way the old flag plumbing did, and the two JSON reports must agree
-//! on every deterministic field — walls, RSS probes and derived timing
-//! figures are the only keys excluded, because two honest runs of the
-//! same work differ there.
+//! on every deterministic field, their `gates` objects included — walls,
+//! RSS probes and derived timing figures are the only keys excluded,
+//! because two honest runs of the same work differ there.
 //!
-//! Covered: parbench, thetasweep at all three ranks, and updates.
+//! Covered: all five bench drivers — parbench, thetasweep at all three
+//! ranks, updates, serve and million.
 
 use nd_bench::json::Json;
 use nd_bench::registry::run;
 use nd_bench::registry::spec;
-use nd_bench::{parbench, thetasweep, updates};
+use nd_bench::{million, parbench, serve, thetasweep, updates};
 use nucleus::Rank;
 
 /// Keys whose values are measurements of the run rather than of the
@@ -66,7 +67,11 @@ fn registry_report(toml: &str) -> Json {
         executed.failures
     );
     let raw = executed.raw_json.expect("bench workloads carry raw JSON");
-    Json::parse(&raw).expect("driver JSON must parse")
+    let report = Json::parse(&raw).expect("driver JSON must parse");
+    // The top-level key sets must match, so the direct report carries
+    // its gates too.
+    assert!(report.get("gates").is_some(), "report carries no gates");
+    report
 }
 
 /// Small enough for debug-mode CI, big enough that every counter the
@@ -139,4 +144,44 @@ fn updates_matches_direct_invocation() {
     let direct = updates::run(&config).expect("direct updates run failed");
     let direct = Json::parse(&direct.to_json()).unwrap();
     assert_same_report(&registry_report(&toml), &direct, "updates");
+}
+
+#[test]
+fn serve_matches_direct_invocation() {
+    let toml = format!(
+        "name = \"diff-serve\"\nworkload = \"serve\"\n\n\
+         [dataset]\n{DIMS}\n\
+         [params]\nthetas = [0.1, 0.3]\ncache = 32\n"
+    );
+    let config = serve::ServeBenchConfig {
+        vertices: 100,
+        edges: 1000,
+        seed: 42,
+        thetas: vec![0.1, 0.3],
+        cache_capacity: 32,
+        ..Default::default()
+    };
+    let direct = serve::run(&config).expect("direct serve run failed");
+    assert!(direct.passed(), "failures: {:?}", direct.oneshot.failures);
+    let direct = Json::parse(&direct.to_json()).unwrap();
+    assert_same_report(&registry_report(&toml), &direct, "serve");
+}
+
+#[test]
+fn million_matches_direct_invocation() {
+    // The million-smoke scale: ~10k edges instead of 1M.
+    let toml = "name = \"diff-million\"\nworkload = \"million\"\n\n\
+                [dataset]\nkind = \"ba\"\nvertices = 2005\nattach = 5\nseed = 42\n\n\
+                [params]\nthetas = [0.1, 0.5]\npool = 2\nchunk_edges = 4096\n";
+    let config = million::MillionBenchConfig {
+        vertices: 2005,
+        attach: 5,
+        seed: 42,
+        threads: 2,
+        streaming_chunk_edges: 4096,
+        thetas: vec![0.1, 0.5],
+        ..Default::default()
+    };
+    let direct = Json::parse(&million::run(&config).to_json()).unwrap();
+    assert_same_report(&registry_report(toml), &direct, "million");
 }

@@ -11,7 +11,7 @@
 //! correct peel order yields the same output).
 
 use ugraph::rs::{peel_deferred, CoreSupport, RsSupport};
-use ugraph::{ConnectedComponents, EdgeSubgraph, UncertainGraph, VertexId};
+use ugraph::{UncertainGraph, VertexId};
 
 /// Result of a k-core decomposition: the core number of every vertex.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,26 +61,6 @@ impl CoreDecomposition {
             .filter_map(|(v, &c)| (c >= k).then_some(v as VertexId))
             .collect()
     }
-}
-
-/// Extracts the maximal connected k-core subgraphs of `graph` for the
-/// given `k`, as materialized subgraphs with original-vertex mappings.
-pub fn k_core_subgraphs(graph: &UncertainGraph, k: u32) -> Vec<EdgeSubgraph> {
-    let decomp = CoreDecomposition::compute(graph);
-    let members = decomp.vertices_in_k_core(k);
-    if members.is_empty() {
-        return Vec::new();
-    }
-    let in_core: Vec<bool> = (0..graph.num_vertices() as VertexId)
-        .map(|v| decomp.core_number(v) >= k)
-        .collect();
-    let components = ConnectedComponents::over_vertices(graph, |v| in_core[v as usize]);
-    components
-        .vertex_sets()
-        .into_iter()
-        .filter(|set| !set.is_empty())
-        .map(|set| EdgeSubgraph::induced_by_vertices(graph, &set))
-        .collect()
 }
 
 #[cfg(test)]
@@ -212,31 +192,5 @@ mod tests {
             crate::reference::core_numbers(&g).as_slice(),
             "generic engine must match the frozen Batagelj–Zaveršnik peel"
         );
-    }
-
-    #[test]
-    fn k_core_subgraph_extraction() {
-        // Two disjoint K4s connected by a path through a low-degree vertex.
-        let mut b = GraphBuilder::new();
-        for &(u, v) in &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
-            b.add_edge(u, v, 1.0).unwrap();
-        }
-        for &(u, v) in &[(5, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)] {
-            b.add_edge(u, v, 1.0).unwrap();
-        }
-        b.add_edge(3, 4, 1.0).unwrap();
-        b.add_edge(4, 5, 1.0).unwrap();
-        let g = b.build();
-
-        let cores3 = k_core_subgraphs(&g, 3);
-        assert_eq!(cores3.len(), 2);
-        for c in &cores3 {
-            assert_eq!(c.num_vertices(), 4);
-            assert_eq!(c.num_edges(), 6);
-        }
-        let cores1 = k_core_subgraphs(&g, 1);
-        assert_eq!(cores1.len(), 1);
-        assert_eq!(cores1[0].num_vertices(), 9);
-        assert!(k_core_subgraphs(&g, 4).is_empty());
     }
 }

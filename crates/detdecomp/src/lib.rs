@@ -5,9 +5,13 @@
 //! ignored).  These serve two roles in the reproduction of Esfahani et al.
 //! (ICDE 2022):
 //!
-//! 1. They are the **subroutines** of the probabilistic global and
-//!    weakly-global algorithms (Algorithms 2 and 3), which run a
-//!    deterministic nucleus decomposition on every sampled possible world.
+//! 1. They are the **definitional reference** for the per-world checks of
+//!    the probabilistic global and weakly-global algorithms (Algorithms 2
+//!    and 3).  The Monte-Carlo estimators judge each sampled world on a
+//!    compiled candidate (`nucleus::sampling`), not on a materialized
+//!    graph; [`is_k_nucleus_lenient`] and [`NucleusDecomposition`] judge
+//!    the materialized worlds of the exhaustive possible-world oracle
+//!    (`nucleus::exact`), against which those compiled checks are tested.
 //! 2. They are the deterministic **baselines** that the probabilistic
 //!    notions generalize: `k-(1,2)`-nucleus is the k-core and
 //!    `k-(2,3)`-nucleus is the k-truss, which the integration tests verify
@@ -24,9 +28,6 @@ pub mod nucleus;
 pub mod reference;
 pub mod truss;
 
-pub use core_decomp::{k_core_subgraphs, CoreDecomposition};
-pub use nucleus::{
-    is_k_nucleus, is_k_nucleus_lenient, k_nucleus_subgraphs, triangle_nucleusness,
-    NucleusDecomposition, NucleusSubgraph,
-};
-pub use truss::{k_truss_subgraphs, TrussDecomposition};
+pub use core_decomp::CoreDecomposition;
+pub use nucleus::{is_k_nucleus, is_k_nucleus_lenient, NucleusDecomposition, NucleusSubgraph};
+pub use truss::TrussDecomposition;

@@ -257,16 +257,6 @@ impl NucleusSubgraph {
     }
 }
 
-/// Convenience: nucleusness of every triangle of `graph`.
-pub fn triangle_nucleusness(graph: &UncertainGraph) -> NucleusDecomposition {
-    NucleusDecomposition::compute(graph)
-}
-
-/// Convenience: the maximal k-(3,4)-nuclei of `graph` for a given `k`.
-pub fn k_nucleus_subgraphs(graph: &UncertainGraph, k: u32) -> Vec<NucleusSubgraph> {
-    NucleusDecomposition::compute(graph).k_nuclei(graph, k)
-}
-
 /// Checks whether `graph` itself is a deterministic k-nucleus
 /// (Definition 3): it is a union of 4-cliques, every triangle has support
 /// ≥ k, and every pair of triangles is connected through 4-cliques.
@@ -534,9 +524,9 @@ mod tests {
     #[test]
     fn convenience_wrappers() {
         let g = complete(5);
-        let d = triangle_nucleusness(&g);
+        let d = NucleusDecomposition::compute(&g);
         assert_eq!(d.max_nucleusness(), 2);
-        let nuclei = k_nucleus_subgraphs(&g, 2);
+        let nuclei = d.k_nuclei(&g, 2);
         assert_eq!(nuclei.len(), 1);
         assert_eq!(nuclei[0].k, 2);
     }

@@ -17,7 +17,7 @@
 //! correct peel order yields the same output).
 
 use ugraph::rs::{peel_deferred, RsSupport, TrussSupport};
-use ugraph::{ConnectedComponents, EdgeId, EdgeSubgraph, Parallelism, UncertainGraph};
+use ugraph::{EdgeId, Parallelism, UncertainGraph};
 
 /// Result of a k-truss decomposition: the truss number of every edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,47 +65,6 @@ impl TrussDecomposition {
             .filter_map(|(e, &t)| (t >= k).then_some(e as EdgeId))
             .collect()
     }
-}
-
-/// Extracts the maximal connected k-truss subgraphs of `graph` for the
-/// given `k` (edges with truss number ≥ k, grouped by connectivity).
-pub fn k_truss_subgraphs(graph: &UncertainGraph, k: u32) -> Vec<EdgeSubgraph> {
-    let decomp = TrussDecomposition::compute(graph);
-    let edges = decomp.edges_in_k_truss(k);
-    if edges.is_empty() {
-        return Vec::new();
-    }
-    // Group the qualifying edges by the connectivity of their endpoints
-    // within the qualifying edge set.
-    let mut in_truss = vec![false; graph.num_vertices()];
-    for &e in &edges {
-        let edge = graph.edge(e);
-        in_truss[edge.u as usize] = true;
-        in_truss[edge.v as usize] = true;
-    }
-    // Build a filtered adjacency restricted to qualifying edges by
-    // materializing the edge-induced subgraph once, then splitting it into
-    // components.
-    let sub = EdgeSubgraph::induced_by_edges(graph, &edges);
-    let components = ConnectedComponents::new(sub.graph());
-    components
-        .vertex_sets()
-        .into_iter()
-        .filter(|set| set.len() > 1)
-        .map(|set| {
-            let original: Vec<_> = set.iter().map(|&v| sub.original_vertex(v)).collect();
-            // Keep only qualifying edges among those vertices.
-            let comp_edges: Vec<EdgeId> = edges
-                .iter()
-                .copied()
-                .filter(|&e| {
-                    let edge = graph.edge(e);
-                    original.contains(&edge.u) && original.contains(&edge.v)
-                })
-                .collect();
-            EdgeSubgraph::induced_by_edges(graph, &comp_edges)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -248,26 +207,5 @@ mod tests {
             crate::reference::truss_numbers(&g).as_slice(),
             "generic engine must match the frozen eager heap peel"
         );
-    }
-
-    #[test]
-    fn k_truss_subgraph_extraction() {
-        // Two disjoint K4s and a bridge.
-        let mut b = GraphBuilder::new();
-        for &(u, v) in &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
-            b.add_edge(u, v, 1.0).unwrap();
-        }
-        for &(u, v) in &[(4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)] {
-            b.add_edge(u, v, 1.0).unwrap();
-        }
-        b.add_edge(3, 4, 1.0).unwrap();
-        let g = b.build();
-        let trusses = k_truss_subgraphs(&g, 2);
-        assert_eq!(trusses.len(), 2);
-        for t in &trusses {
-            assert_eq!(t.num_vertices(), 4);
-            assert_eq!(t.num_edges(), 6);
-        }
-        assert!(k_truss_subgraphs(&g, 3).is_empty());
     }
 }

@@ -1,17 +1,16 @@
 //! Minimal JSON reader/writer shared by the query server and the bench
 //! harness.
 //!
-//! The workspace is offline-only (no serde); the bench harness *writes*
-//! JSON with `format!` and, since `bench-compare`, also needs to *read*
-//! its own `bench-parallel/*` files back, and the nd-server wire
-//! protocol carries JSON bodies in both directions.  This is a small
-//! recursive-descent parser covering exactly the JSON those components
-//! emit plus the standard grammar (escapes, exponents, nesting) so
-//! hand-edited baselines parse too.  Objects preserve key order in a
-//! `Vec` — iteration is deterministic, duplicate keys resolve to the
-//! first occurrence via [`Json::get`].  [`Json::to_json_string`] is the
-//! matching compact serializer (escaped strings, `null` for non-finite
-//! numbers).
+//! The workspace is offline-only (no serde); the bench harness builds
+//! its reports as [`Json`] trees and reads them back for
+//! `bench-compare`, and the nd-server wire protocol carries JSON bodies
+//! in both directions.  This is a small recursive-descent parser
+//! covering exactly the JSON those components emit plus the standard
+//! grammar (escapes, exponents, nesting) so hand-edited baselines parse
+//! too.  Objects preserve key order in a `Vec` — iteration is
+//! deterministic, duplicate keys resolve to the first occurrence via
+//! [`Json::get`].  [`Json::to_json_string`] is the matching compact
+//! serializer (escaped strings, `null` for non-finite numbers).
 
 use std::fmt;
 

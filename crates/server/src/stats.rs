@@ -2,7 +2,7 @@
 //!
 //! Same philosophy as the peeling engine's `PeelStats`: every counter is
 //! a deterministic function of the request sequence the server served,
-//! so CI can gate them at tolerance 0 (`bench-serve/v1`).  Wall-clock
+//! so CI can gate them at tolerance 0 (`bench-serve/*`).  Wall-clock
 //! timings deliberately live elsewhere — nothing here varies run to run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
