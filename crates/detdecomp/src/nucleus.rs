@@ -19,8 +19,8 @@ use ugraph::cliques::four_clique_extensions;
 use ugraph::rs::{peel_deferred, Incidence, RsSupport};
 use ugraph::triangles::TriangleTable;
 use ugraph::{
-    EdgeSubgraph, FourClique, Parallelism, Triangle, TriangleId, TriangleIndex, UncertainGraph,
-    UnionFind,
+    EdgeId, EdgeSubgraph, FourClique, Parallelism, Triangle, TriangleId, TriangleIndex,
+    UncertainGraph, UnionFind,
 };
 
 /// The triangle index of `graph` plus its 4-cliques, each with the ids of
@@ -153,75 +153,78 @@ impl NucleusDecomposition {
         self.cliques.len()
     }
 
-    /// Extracts the maximal k-(3,4)-nuclei for the given `k ≥ 1`.
-    ///
-    /// A nucleus is formed by the 4-cliques all of whose triangles have
-    /// nucleusness ≥ k; nuclei are the connected components of those
-    /// cliques under shared-triangle connectivity.
+    /// Extracts the maximal k-(3,4)-nuclei for the given `k ≥ 1`
+    /// ([`extract_k_nuclei`] over the nucleusness values).
     pub fn k_nuclei(&self, graph: &UncertainGraph, k: u32) -> Vec<NucleusSubgraph> {
-        let qualifying: Vec<usize> = self
-            .cliques
-            .iter()
-            .enumerate()
-            .filter_map(|(ci, tris)| tris.iter().all(|&t| self.nucleusness(t) >= k).then_some(ci))
-            .collect();
-        if qualifying.is_empty() {
-            return Vec::new();
-        }
-
-        // Union triangles that co-occur in a qualifying 4-clique.
-        let mut uf = UnionFind::new(self.index.len());
-        let mut in_some_clique = vec![false; self.index.len()];
-        for &ci in &qualifying {
-            let tris = self.cliques[ci];
-            for &t in &tris {
-                in_some_clique[t as usize] = true;
-            }
-            for w in tris.windows(2) {
-                uf.union(w[0], w[1]);
-            }
-        }
-
-        // Group qualifying cliques by the component of their first triangle.
-        let mut groups: std::collections::HashMap<u32, Vec<usize>> =
-            std::collections::HashMap::new();
-        for &ci in &qualifying {
-            let root = uf.find(self.cliques[ci][0]);
-            groups.entry(root).or_default().push(ci);
-        }
-
-        let mut nuclei: Vec<NucleusSubgraph> = groups
-            .into_values()
-            .map(|clique_ids| {
-                let mut triangles: Vec<Triangle> = Vec::new();
-                let mut edge_ids: Vec<ugraph::EdgeId> = Vec::new();
-                let mut cliques: Vec<FourClique> = Vec::with_capacity(clique_ids.len());
-                for &ci in &clique_ids {
-                    let cv = self.clique_vertices[ci];
-                    cliques.push(cv);
-                    for t in cv.triangles() {
-                        triangles.push(t);
-                    }
-                    for (u, v) in cv.edges() {
-                        edge_ids.push(graph.edge_id(u, v).expect("clique edge exists"));
-                    }
-                }
-                triangles.sort_unstable();
-                triangles.dedup();
-                edge_ids.sort_unstable();
-                edge_ids.dedup();
-                cliques.sort_unstable();
-                NucleusSubgraph {
-                    k,
-                    subgraph: EdgeSubgraph::induced_by_edges(graph, &edge_ids),
-                    triangles,
-                    cliques,
-                }
-            })
-            .collect();
-        nuclei.sort_by_key(|n| n.cliques.first().copied());
-        nuclei
+        let clique = |c: usize| (self.clique_vertices[c], self.cliques[c]);
+        extract_k_nuclei(graph, self.cliques.len(), clique, &self.nucleusness, k)
     }
+}
+
+/// Extracts the maximal k-(3,4)-nuclei, `k ≥ 1`, from per-triangle
+/// scores: the 4-cliques all of whose triangles score ≥ k, grouped into
+/// the connected components of shared-triangle connectivity, one
+/// [`NucleusSubgraph`] per component, ordered by first clique.
+///
+/// `clique(c)` returns 4-clique `c` of `num_cliques`, in vertices, and the
+/// dense ids of its four triangles; `scores` holds every triangle's score
+/// (nucleusness, or ℓ-nucleusness for `nucleus::local::nuclei`).
+pub fn extract_k_nuclei<C>(
+    graph: &UncertainGraph,
+    num_cliques: usize,
+    clique: C,
+    scores: &[u32],
+    k: u32,
+) -> Vec<NucleusSubgraph>
+where
+    C: Fn(usize) -> (FourClique, [TriangleId; 4]),
+{
+    let qualifying: Vec<usize> = (0..num_cliques)
+        .filter(|&c| clique(c).1.iter().all(|&t| scores[t as usize] >= k))
+        .collect();
+    if qualifying.is_empty() {
+        return Vec::new();
+    }
+
+    // Union triangles that co-occur in a qualifying 4-clique.
+    let mut uf = UnionFind::new(scores.len());
+    for &c in &qualifying {
+        for w in clique(c).1.windows(2) {
+            uf.union(w[0], w[1]);
+        }
+    }
+
+    // Group qualifying cliques by the component of their first triangle.
+    let mut groups: std::collections::HashMap<u32, Vec<usize>> = std::collections::HashMap::new();
+    for &c in &qualifying {
+        groups.entry(uf.find(clique(c).1[0])).or_default().push(c);
+    }
+
+    let mut nuclei: Vec<NucleusSubgraph> = groups
+        .into_values()
+        .map(|clique_ids| {
+            let mut cliques: Vec<FourClique> = clique_ids.iter().map(|&c| clique(c).0).collect();
+            let mut triangles: Vec<Triangle> = cliques.iter().flat_map(|q| q.triangles()).collect();
+            let mut edge_ids: Vec<EdgeId> = cliques
+                .iter()
+                .flat_map(|q| q.edges())
+                .map(|(u, v)| graph.edge_id(u, v).expect("clique edge exists"))
+                .collect();
+            triangles.sort_unstable();
+            triangles.dedup();
+            edge_ids.sort_unstable();
+            edge_ids.dedup();
+            cliques.sort_unstable();
+            NucleusSubgraph {
+                k,
+                subgraph: EdgeSubgraph::induced_by_edges(graph, &edge_ids),
+                triangles,
+                cliques,
+            }
+        })
+        .collect();
+    nuclei.sort_by_key(|n| n.cliques.first().copied());
+    nuclei
 }
 
 /// One maximal k-(3,4)-nucleus: a materialized subgraph plus the triangles

@@ -26,8 +26,10 @@
 //! tail table is the DP's own cut of the same tail), and the deferred
 //! peel reaches the same fixpoint as the eager references (the DP scorer
 //! is monotone under cell removal, which makes the peeling fixpoint
-//! schedule-independent).  Differential proptests in
-//! `tests/rs_engine_equivalence.rs` enforce this per rank.
+//! schedule-independent).  Hybrid points, whose scorer is not monotone,
+//! peel on the references' own schedule ([`rs::peel_eager`]).
+//! Differential proptests in `tests/rs_engine_equivalence.rs` and in
+//! [`crate::reference`] enforce this per rank.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -35,17 +37,19 @@ use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
 use detdecomp::NucleusSubgraph;
-use ugraph::rs::{self, CoreSupport, PeelStats, RsSupport, TailScratch, TailTable, TrussSupport};
+use ugraph::rs::{
+    self, CoreSupport, DpScratch, PeelStats, RsSupport, TailScratch, TailTable, TrussSupport,
+};
 use ugraph::update::GraphDelta;
 use ugraph::{
     apply_edge_updates, par, ConnectedComponents, EdgeId, EdgeSubgraph, EdgeUpdate, Parallelism,
     UncertainGraph,
 };
 
-use crate::approx::ApproxMethod;
-use crate::config::{validate_method, ScoreMethod, SweepConfig};
+use crate::approx::{self, ApproxMethod};
+use crate::config::{validate_method, ApproxThresholds, ScoreMethod, SweepConfig};
 use crate::error::{NucleusError, Result};
-use crate::local::{self, nuclei};
+use crate::local::nuclei;
 use crate::support::SupportStructure;
 
 /// Which member of the (r,s)-nucleus family to compute.
@@ -463,21 +467,21 @@ pub struct HandleUpdate {
 /// Everything one threshold produces: the per-point payload shared by
 /// [`Decomposition`] and [`DecompSweep`].
 #[derive(Debug, Clone)]
-pub(crate) struct Point {
-    pub(crate) scores: Vec<u32>,
-    pub(crate) initial_scores: Vec<u32>,
-    pub(crate) method_counts: HashMap<ApproxMethod, usize>,
-    pub(crate) stats: PeelStats,
+struct Point {
+    scores: Vec<u32>,
+    initial_scores: Vec<u32>,
+    method_counts: HashMap<ApproxMethod, usize>,
+    stats: PeelStats,
 }
 
-/// Runs one threshold over a borrowed support.  Exact-DP points, at every
-/// rank, read their initial scores from the support's [`TailTable`] —
-/// built into `tails` on first use, so every point computed over one
-/// support shares it — and peel on the generic engine of
-/// [`ugraph::rs`].  Hybrid points (nucleus rank only) run the eager
-/// engine of [`crate::local::peel`] and never build a table.  Either way
-/// the result is bit-identical to the frozen engines of
-/// [`crate::reference`].
+/// Runs one threshold over a borrowed support, on the generic engines of
+/// [`ugraph::rs`].  Exact-DP points read their initial scores from the
+/// support's [`TailTable`] — built into `tails` on first use, so every
+/// point computed over one support shares it — and peel deferred
+/// ([`generic_point`]).  Hybrid points score every element at the
+/// threshold and peel eagerly ([`hybrid_point`]); they never build a
+/// table.  Either way the result is bit-identical to the frozen engines
+/// of [`crate::reference`].
 fn compute_point(
     support: &RankSupport,
     tails: &OnceLock<TailTable>,
@@ -485,23 +489,26 @@ fn compute_point(
     method: ScoreMethod,
     parallelism: Parallelism,
 ) -> Point {
-    if let (RankSupport::Nucleus(s), ScoreMethod::Hybrid(_)) = (support, method) {
-        let config = DecompConfig::nucleus(threshold)
-            .with_method(method)
-            .with_parallelism(parallelism);
-        return local::peel::hybrid_point(s, &config);
-    }
-    let tails = tails.get_or_init(|| support.tail_table(parallelism));
-    match support {
-        RankSupport::Core(s) => generic_point(s, tails, threshold),
-        RankSupport::Truss(s) => generic_point(s, tails, threshold),
-        RankSupport::Nucleus(s) => generic_point(s, tails, threshold),
+    match method {
+        ScoreMethod::DynamicProgramming => {
+            let tails = tails.get_or_init(|| support.tail_table(parallelism));
+            match support {
+                RankSupport::Core(s) => generic_point(s, tails, threshold),
+                RankSupport::Truss(s) => generic_point(s, tails, threshold),
+                RankSupport::Nucleus(s) => generic_point(s, tails, threshold),
+            }
+        }
+        ScoreMethod::Hybrid(thresholds) => match support {
+            RankSupport::Core(s) => hybrid_point(s, threshold, &thresholds, parallelism),
+            RankSupport::Truss(s) => hybrid_point(s, threshold, &thresholds, parallelism),
+            RankSupport::Nucleus(s) => hybrid_point(s, threshold, &thresholds, parallelism),
+        },
     }
 }
 
 /// The exact-DP threshold run: initial scores read off `tails` (the
 /// table of `support`), then the deferred bucket-queue peel.
-pub(crate) fn generic_point<S: RsSupport>(support: &S, tails: &TailTable, threshold: f64) -> Point {
+fn generic_point<S: RsSupport>(support: &S, tails: &TailTable, threshold: f64) -> Point {
     let (kappa, init_peak) = tails.initial_scores(support, threshold);
     let initial_scores = kappa.clone();
 
@@ -526,6 +533,116 @@ pub(crate) fn generic_point<S: RsSupport>(support: &S, tails: &TailTable, thresh
     }
 }
 
+/// Every scoring method, in declaration (discriminant) order: slot `i`
+/// of the Hybrid pass's tally counts `METHODS[i]`.
+const METHODS: [ApproxMethod; 5] = [
+    ApproxMethod::Poisson,
+    ApproxMethod::TranslatedPoisson,
+    ApproxMethod::Binomial,
+    ApproxMethod::Clt,
+    ApproxMethod::DynamicProgramming,
+];
+
+/// The Hybrid threshold run: every element scored at `threshold` by the
+/// hybrid selector ([`approx::hybrid_max_k_with_scratch`]), then the
+/// eager peel.  The statistical approximations are not monotone under
+/// cell removal (dropping a low-probability event can *raise* a Binomial
+/// tail estimate) and each element's method depends on its completion
+/// probabilities, so neither the threshold-independent table nor the
+/// deferred schedule applies.
+///
+/// The scoring pass runs in ordered parallel chunks with one
+/// [`TailScratch`] each ([`par::par_map_init`]), so scores, method counts
+/// and the scratch peak are identical for every [`Parallelism`].
+fn hybrid_point<S: RsSupport + Sync>(
+    support: &S,
+    threshold: f64,
+    thresholds: &ApproxThresholds,
+    parallelism: Parallelism,
+) -> Point {
+    // The DP tables are filled only when the selector picked the DP and
+    // the element clears the threshold.
+    let kernel = |dp: &mut DpScratch, element_prob: f64, probs: &[f64]| {
+        let (k, method) =
+            approx::hybrid_max_k_with_scratch(dp, element_prob, probs, threshold, thresholds);
+        let dp_tables = method == ApproxMethod::DynamicProgramming && element_prob >= threshold;
+        ((k, method), dp_tables)
+    };
+    let scored: Vec<(u32, ApproxMethod, usize)> = par::par_map_init(
+        parallelism,
+        support.num_elements(),
+        TailScratch::new,
+        |scratch, t| {
+            let (k, method) = scratch.score_with(support, t as u32, |_| true, kernel);
+            (k, method, scratch.peak_bytes())
+        },
+    );
+    let mut kappa = Vec::with_capacity(scored.len());
+    let mut tally = [0usize; METHODS.len()];
+    let mut init_peak = 0usize;
+    for (k, method, peak) in scored {
+        kappa.push(k);
+        tally[method as usize] += 1;
+        // Per-item peaks are running per-chunk maxima; their maximum is
+        // the maximum over single evaluations, whatever the chunking.
+        init_peak = init_peak.max(peak);
+    }
+    let initial_scores = kappa.clone();
+
+    let mut scratch = TailScratch::new();
+    let (scores, mut stats) = rs::peel_eager(support, kappa, |t, cell_dead| {
+        scratch
+            .score_with(support, t, |c| !cell_dead[c as usize], kernel)
+            .0
+    });
+    stats.peak_scratch_bytes = scratch.peak_bytes().max(init_peak);
+
+    // One entry per method that scored at least one element.
+    let method_counts = METHODS
+        .into_iter()
+        .zip(tally)
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    Point {
+        scores,
+        initial_scores,
+        method_counts,
+        stats,
+    }
+}
+
+/// The parallelism inside one grid point: points run in parallel when
+/// there are several, each scoring sequentially inside (nesting parallel
+/// scans would oversubscribe without changing results); a single point
+/// gets the whole setting.
+fn point_parallelism(grid_len: usize, parallelism: Parallelism) -> Parallelism {
+    if grid_len >= 2 {
+        Parallelism::Sequential
+    } else {
+        parallelism
+    }
+}
+
+/// Every grid point of `config` over `support`, in grid order.  An
+/// exact-DP grid reads every point's initial scores from one
+/// [`TailTable`], taken from `tails` or built into it up front.
+fn grid_points(
+    support: &RankSupport,
+    tails: &OnceLock<TailTable>,
+    config: &SweepConfig,
+) -> Vec<Point> {
+    let grid_len = config.thetas.len();
+    let inner = point_parallelism(grid_len, config.parallelism);
+    if config.method == ScoreMethod::DynamicProgramming {
+        // Build the table with the sweep's own parallelism before the
+        // grid workers share it.
+        tails.get_or_init(|| support.tail_table(config.parallelism));
+    }
+    par::par_map(config.parallelism, grid_len, |gi| {
+        compute_point(support, tails, config.thetas[gi], config.method, inner)
+    })
+}
+
 /// Refreshes every grid point after a support repair through the bounded
 /// re-peel: fresh initial scores for the affected set `D` only, a
 /// [`rs::RegionSupport`] peel over the component closure `R`, and carried
@@ -539,15 +656,19 @@ pub(crate) fn generic_point<S: RsSupport>(support: &S, tails: &TailTable, thresh
 /// initial scores are bit-identical to a from-scratch sweep on the
 /// updated graph.  The per-point [`PeelStats`] describe the repair run
 /// itself (deterministic for every thread count), not the fresh peel.
-fn repair_points_generic<S: RsSupport + Sync>(
+fn repair_points<S: RsSupport + Sync>(
     support: &S,
-    new_to_old: &[Option<u32>],
-    affected: &[u32],
-    region: &[u32],
+    repair: &SupportRepair,
     old_points: &[Point],
-    thetas: &[f64],
-    parallelism: Parallelism,
+    config: &SweepConfig,
 ) -> (Vec<Point>, usize) {
+    let SupportRepair {
+        new_to_old,
+        affected,
+        region,
+        ..
+    } = repair;
+    let (thetas, parallelism) = (&config.thetas, config.parallelism);
     let n = support.num_elements();
     let mut affected_mask = vec![false; n];
     for &t in affected {
@@ -560,13 +681,7 @@ fn repair_points_generic<S: RsSupport + Sync>(
     let region_view = rs::RegionSupport::new(support, region.to_vec());
 
     let grid_len = thetas.len();
-    // Same nesting rule as `DecompSweep::over_support`: across-grid
-    // parallelism wins when there are several points.
-    let inner = if grid_len >= 2 {
-        Parallelism::Sequential
-    } else {
-        parallelism
-    };
+    let inner = point_parallelism(grid_len, parallelism);
     let points: Vec<Point> = par::par_map(parallelism, grid_len, |gi| {
         let threshold = thetas[gi];
         let old = &old_points[gi];
@@ -945,32 +1060,15 @@ impl DecompSweep {
         Ok(Self::over_support(support, &OnceLock::new(), config, 1))
     }
 
-    /// Runs the (already validated) sweep over a shared support.  An
-    /// exact-DP grid reads every point's initial scores from one
-    /// [`TailTable`], taken from `tails` or built into it up front.
+    /// Runs the (already validated) sweep over a shared support, reading
+    /// exact-DP initial scores from the table in `tails`.
     pub(crate) fn over_support(
         support: Arc<RankSupport>,
         tails: &OnceLock<TailTable>,
         config: &SweepConfig,
         support_builds: usize,
     ) -> Self {
-        let grid_len = config.thetas.len();
-        // Parallelize across grid points when there are several; inside a
-        // grid-point worker the scoring runs sequentially (nesting
-        // parallel scans would oversubscribe without changing results).
-        let inner = if grid_len >= 2 {
-            Parallelism::Sequential
-        } else {
-            config.parallelism
-        };
-        if config.method == ScoreMethod::DynamicProgramming {
-            // Build the table with the sweep's own parallelism before the
-            // grid workers share it.
-            tails.get_or_init(|| support.tail_table(config.parallelism));
-        }
-        let points: Vec<Point> = par::par_map(config.parallelism, grid_len, |gi| {
-            compute_point(&support, tails, config.thetas[gi], config.method, inner)
-        });
+        let points = grid_points(&support, tails, config);
         let sweep = DecompSweep {
             support,
             config: config.clone(),
@@ -1154,53 +1252,15 @@ impl DecompSweep {
 
         let hybrid = matches!(self.config.method, ScoreMethod::Hybrid(_));
         let (points, repair_dp_calls) = if hybrid {
-            let support = &repair.support;
-            let inner = if grid_len >= 2 {
-                Parallelism::Sequential
-            } else {
-                parallelism
-            };
-            let points: Vec<Point> = par::par_map(parallelism, grid_len, |gi| {
-                compute_point(
-                    support,
-                    &OnceLock::new(),
-                    self.config.thetas[gi],
-                    self.config.method,
-                    inner,
-                )
-            });
-            let n = support.num_elements();
+            let points = grid_points(&repair.support, &OnceLock::new(), &self.config);
+            let n = repair.support.num_elements();
             let calls = points.iter().map(|p| n + p.stats.dp_calls).sum();
             (points, calls)
         } else {
             match &repair.support {
-                RankSupport::Core(s) => repair_points_generic(
-                    s,
-                    &repair.new_to_old,
-                    &repair.affected,
-                    &repair.region,
-                    &self.points,
-                    &self.config.thetas,
-                    parallelism,
-                ),
-                RankSupport::Truss(s) => repair_points_generic(
-                    s,
-                    &repair.new_to_old,
-                    &repair.affected,
-                    &repair.region,
-                    &self.points,
-                    &self.config.thetas,
-                    parallelism,
-                ),
-                RankSupport::Nucleus(s) => repair_points_generic(
-                    s,
-                    &repair.new_to_old,
-                    &repair.affected,
-                    &repair.region,
-                    &self.points,
-                    &self.config.thetas,
-                    parallelism,
-                ),
+                RankSupport::Core(s) => repair_points(s, &repair, &self.points, &self.config),
+                RankSupport::Truss(s) => repair_points(s, &repair, &self.points, &self.config),
+                RankSupport::Nucleus(s) => repair_points(s, &repair, &self.points, &self.config),
             }
         };
 
@@ -1254,7 +1314,6 @@ impl DecompSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ApproxThresholds;
     use ugraph::generators::ProbabilityModel;
     use ugraph::GraphBuilder;
 
@@ -1910,6 +1969,157 @@ mod tests {
                     assert_eq!(n.subgraph.num_edges(), sub.num_edges());
                 }
             }
+        }
+    }
+
+    // The nucleus rank's two peels: the exact DP's deferred one against
+    // the eager schedule, and the Hybrid point across thread counts.
+
+    /// The exact-DP point every rank runs: initial κ off the support's
+    /// tail table, then the deferred peel.
+    fn exact_point(support: &SupportStructure, theta: f64) -> Point {
+        let tails = TailTable::build(support, Parallelism::Sequential);
+        generic_point(support, &tails, theta)
+    }
+
+    /// The exact DP peeled on the eager schedule from `kappa`.
+    fn eager_dp(support: &SupportStructure, theta: f64, kappa: Vec<u32>) -> (Vec<u32>, PeelStats) {
+        let mut scratch = TailScratch::new();
+        rs::peel_eager(support, kappa, |t, dead| {
+            scratch.score(support, t, theta, |c| !dead[c as usize])
+        })
+    }
+
+    #[test]
+    fn methods_are_listed_in_discriminant_order() {
+        for (i, &method) in METHODS.iter().enumerate() {
+            assert_eq!(method as usize, i, "{method}");
+        }
+    }
+
+    #[test]
+    fn deferred_engine_skips_recomputes_via_the_cheap_bound() {
+        // K5, every edge certain, θ small: every triangle has κ = 2 and
+        // the whole graph peels at level 2.  Every pop of a dirty
+        // triangle happens at level 2 with bound min(κ=2, alive) ≤ 2, so
+        // the cheap bound resolves every single one — zero DP
+        // recomputations against 5 · 3 = 15 (actually fewer after the
+        // kappa ≤ level skip) in the eager engine.
+        let g = complete(5, 1.0);
+        let support = SupportStructure::build(&g);
+        let point = exact_point(&support, 0.5);
+        assert!(point.initial_scores.iter().all(|&k| k == 2));
+        assert!(point.scores.iter().all(|&s| s == 2));
+        assert_eq!(point.stats.dp_calls, 0, "cheap bound must defeat every pop");
+        assert!(point.stats.recompute_skips > 0);
+        assert!(point.stats.buckets_touched >= 1);
+        // No recompute ran, so the peel-phase scratch was never used: the
+        // whole peak is the initial pass's, as the table scan counts it.
+        let tails = TailTable::build(&support, Parallelism::Sequential);
+        let (_, init_peak) = tails.initial_scores(&support, 0.5);
+        assert!(init_peak > 0);
+        assert_eq!(point.stats.peak_scratch_bytes, init_peak);
+
+        let (eager_scores, eager_stats) = eager_dp(&support, 0.5, point.initial_scores);
+        assert_eq!(point.scores, eager_scores);
+        // The eager engine dodges these pops through its own kappa ≤
+        // level check and counts them as skips too.
+        assert_eq!(eager_stats.dp_calls, 0);
+        assert!(eager_stats.recompute_skips > 0);
+    }
+
+    #[test]
+    fn deferred_engine_recomputes_when_the_bound_is_inconclusive() {
+        // K5 on {0,1,2,4,5} plus a pendant 4-clique {0,1,2,3}: the hub
+        // triangle (0,1,2) starts at κ = 3, the pendant's side triangles
+        // at κ = 1, the other K5 triangles at κ = 2.  Peeling the pendant
+        // at level 1 kills one hub clique, requeueing the hub at level 1
+        // where its bound min(κ=3, alive=2) = 2 > 1 is inconclusive: the
+        // engine must run one batched DP to learn the hub now sits at 2.
+        let mut b = GraphBuilder::new();
+        for &u in &[0u32, 1, 2, 4, 5] {
+            for &v in &[0u32, 1, 2, 4, 5] {
+                if u < v {
+                    b.add_edge(u, v, 1.0).unwrap();
+                }
+            }
+        }
+        for &u in &[0u32, 1, 2] {
+            b.add_edge(u, 3, 1.0).unwrap();
+        }
+        let g = b.build();
+        let support = SupportStructure::build(&g);
+        let point = exact_point(&support, 0.5);
+        // The table's initial κ is the per-triangle DP pass's.
+        let mut scratch = TailScratch::new();
+        let per_triangle: Vec<u32> = (0..support.num_triangles() as u32)
+            .map(|t| scratch.score(&support, t, 0.5, |_| true))
+            .collect();
+        assert_eq!(per_triangle, point.initial_scores);
+        let (eager, eager_stats) = eager_dp(&support, 0.5, point.initial_scores.clone());
+        assert_eq!(point.scores, eager);
+        assert!(
+            point.stats.dp_calls > 0,
+            "inconclusive bounds must recompute"
+        );
+        assert!(
+            point.stats.dp_calls <= eager_stats.dp_calls,
+            "deferral must never recompute more than the eager engine \
+             ({} vs {})",
+            point.stats.dp_calls,
+            eager_stats.dp_calls
+        );
+        assert!(point.stats.peak_scratch_bytes > 0);
+    }
+
+    #[test]
+    fn stats_are_deterministic_across_repeat_runs() {
+        let g = complete(6, 0.7);
+        let support = SupportStructure::build(&g);
+        let a = exact_point(&support, 0.2);
+        let b = exact_point(&support, 0.2);
+        assert_eq!(a.scores, b.scores);
+        assert_eq!(a.stats, b.stats);
+    }
+
+    #[test]
+    fn initial_pass_is_identical_for_every_parallelism() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
+        let cfg = ugraph::generators::PlantedCliqueConfig {
+            num_vertices: 40,
+            background_edges: 80,
+            num_communities: 4,
+            community_size: (5, 8),
+            overlap: 2,
+        };
+        let edges = ugraph::generators::planted_clique_edges(&cfg, &mut rng);
+        let g = ugraph::generators::assign_probabilities(&edges, 40, &uniform(0.2), &mut rng);
+        let support = SupportStructure::build(&g);
+        // Small A and B spread the triangles over several methods, so the
+        // per-method tally is exercised beyond its DP slot.
+        let thresholds = ApproxThresholds {
+            a: 5,
+            b: 3,
+            ..ApproxThresholds::default()
+        };
+        let base = hybrid_point(&support, 0.15, &thresholds, Parallelism::Sequential);
+        assert!(base.method_counts.len() >= 3, "{:?}", base.method_counts);
+        assert!(base.method_counts.values().all(|&n| n > 0));
+        assert_eq!(
+            base.method_counts.values().sum::<usize>(),
+            support.num_triangles()
+        );
+        let exact =
+            TailTable::build(&support, Parallelism::Sequential).initial_scores(&support, 0.15);
+        for threads in [1, 2, 8] {
+            let par = hybrid_point(&support, 0.15, &thresholds, Parallelism::fixed(threads));
+            assert_eq!(par.scores, base.scores, "threads = {threads}");
+            assert_eq!(par.initial_scores, base.initial_scores);
+            assert_eq!(par.method_counts, base.method_counts);
+            assert_eq!(par.stats, base.stats);
+            let tails = TailTable::build(&support, Parallelism::fixed(threads));
+            assert_eq!(tails.initial_scores(&support, 0.15), exact);
         }
     }
 

@@ -53,7 +53,7 @@
 //! |--------|---------------|----------|
 //! | [`support`] | 5.1 | per-triangle 4-clique completion probabilities |
 //! | [`decomp`] | 5, 7.4 | the one (r,s) surface: [`DecompConfig`], [`Decomposition`], [`DecompSweep`] (one support build amortized over a threshold grid) and [`DecompHandle`] over core/truss/nucleus |
-//! | [`local`] | 5.1–5.2 | the peeling algorithm (Algorithm 1) and ℓ-(k,θ)-nuclei extraction |
+//! | [`local`] | 5.1–5.2 | ℓ-NuDecomp (Algorithm 1) as the nucleus rank of [`decomp`], and ℓ-(k,θ)-nuclei extraction |
 //! | [`approx`] | 5.3 | Poisson / Translated-Poisson / Binomial / CLT approximations and the hybrid selector |
 //! | [`global`] | 6 | Algorithm 2 (Monte-Carlo g-(k,θ)-nuclei) |
 //! | [`weakly_global`] | 6 | Algorithm 3 (Monte-Carlo w-(k,θ)-nuclei) |
@@ -83,8 +83,8 @@ pub use decomp::{
 };
 pub use error::{NucleusError, Result, ThetaGridError};
 pub use global::{global_nuclei, GlobalConfig, GlobalNucleus};
-pub use local::PeelStats;
 pub use support::SupportStructure;
+pub use ugraph::rs::PeelStats;
 // Re-exported so update callers don't need a direct `ugraph` dependency.
 pub use ugraph::{EdgeUpdate, UpdateError};
 pub use weakly_global::{weakly_global_nuclei, WeaklyGlobalNucleus};

@@ -8,22 +8,21 @@
 //! The score at removal time is the triangle's ℓ-nucleusness ν(△).
 //!
 //! ℓ-NuDecomp is the [`Rank::Nucleus`](crate::Rank::Nucleus) instance of
-//! [`Decomposition`](crate::Decomposition): scores are computed either
-//! exactly (the Poisson-binomial DP of [`ugraph::rs::dp`]) or by the
-//! hybrid statistical approximation framework ([`crate::approx`]),
-//! selected through [`ScoreMethod`](crate::ScoreMethod).  The exact DP
-//! runs the same path as every other rank: initial κ read off the
-//! support's [`TailTable`](ugraph::rs::TailTable), then the generic
-//! deferred bucket-queue peel of [`ugraph::rs`].  The Hybrid scorer runs
-//! the eager engine of [`peel`].  Both emit deterministic [`PeelStats`]
-//! perf counters, and both are property-tested bit-identical to the
-//! frozen engine of [`crate::reference`].  [`nuclei`] extracts the
-//! maximal ℓ-(k,θ)-nuclei from the scores.
+//! [`Decomposition`](crate::Decomposition), and it runs the engines every
+//! rank runs.  Scores are computed either exactly (the Poisson-binomial
+//! DP of [`ugraph::rs::dp`]) or by the hybrid statistical approximation
+//! framework ([`crate::approx`]), selected through
+//! [`ScoreMethod`](crate::ScoreMethod).  The exact DP reads its initial κ
+//! off the support's [`TailTable`](ugraph::rs::TailTable) and peels on
+//! [`ugraph::rs::peel_deferred`]; the Hybrid scorer, which is not
+//! monotone under clique removal, scores every triangle at θ and peels
+//! on [`ugraph::rs::peel_eager`].  Both emit deterministic
+//! [`PeelStats`](crate::PeelStats) perf counters, and both are
+//! property-tested bit-identical to the frozen engine of
+//! [`crate::reference`].  [`nuclei`] extracts the maximal
+//! ℓ-(k,θ)-nuclei from the scores.
 
 pub mod nuclei;
-pub mod peel;
-
-pub use peel::PeelStats;
 
 #[cfg(test)]
 mod tests {

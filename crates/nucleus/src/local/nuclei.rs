@@ -9,83 +9,24 @@
 //! the preconditions of Definition 5).
 
 use detdecomp::NucleusSubgraph;
-use ugraph::{EdgeId, EdgeSubgraph, FourClique, Triangle, UncertainGraph, UnionFind};
+use ugraph::UncertainGraph;
 
 use crate::support::SupportStructure;
 
 /// Extracts the maximal ℓ-(k,θ)-nuclei for `k ≥ 1` given the per-triangle
-/// scores produced by the peeling.
+/// scores produced by the peeling — the deterministic extraction,
+/// [`detdecomp::nucleus::extract_k_nuclei`], over the support's cliques.
 pub fn extract_k_nuclei(
     graph: &UncertainGraph,
     support: &SupportStructure,
     scores: &[u32],
     k: u32,
 ) -> Vec<NucleusSubgraph> {
-    let qualifying: Vec<u32> = (0..support.num_cliques() as u32)
-        .filter(|&c| {
-            support
-                .clique(c)
-                .triangles
-                .iter()
-                .all(|&t| scores[t as usize] >= k)
-        })
-        .collect();
-    if qualifying.is_empty() {
-        return Vec::new();
-    }
-
-    let mut uf = UnionFind::new(support.num_triangles());
-    for &c in &qualifying {
-        let tris = support.clique(c).triangles;
-        for w in tris.windows(2) {
-            uf.union(w[0], w[1]);
-        }
-    }
-
-    let mut groups: std::collections::HashMap<u32, Vec<u32>> = std::collections::HashMap::new();
-    for &c in &qualifying {
-        let root = uf.find(support.clique(c).triangles[0]);
-        groups.entry(root).or_default().push(c);
-    }
-
-    let mut nuclei: Vec<NucleusSubgraph> = groups
-        .into_values()
-        .map(|clique_ids| build_nucleus(graph, support, &clique_ids, k))
-        .collect();
-    nuclei.sort_by_key(|n| n.cliques.first().copied());
-    nuclei
-}
-
-fn build_nucleus(
-    graph: &UncertainGraph,
-    support: &SupportStructure,
-    clique_ids: &[u32],
-    k: u32,
-) -> NucleusSubgraph {
-    let mut triangles: Vec<Triangle> = Vec::new();
-    let mut cliques: Vec<FourClique> = Vec::with_capacity(clique_ids.len());
-    let mut edge_ids: Vec<EdgeId> = Vec::new();
-    for &c in clique_ids {
-        let record = support.clique(c);
-        cliques.push(record.clique);
-        for t in record.clique.triangles() {
-            triangles.push(t);
-        }
-        for (u, v) in record.clique.edges() {
-            edge_ids.push(graph.edge_id(u, v).expect("clique edge exists"));
-        }
-    }
-    triangles.sort_unstable();
-    triangles.dedup();
-    cliques.sort_unstable();
-    edge_ids.sort_unstable();
-    edge_ids.dedup();
-    NucleusSubgraph {
-        k,
-        subgraph: EdgeSubgraph::induced_by_edges(graph, &edge_ids),
-        triangles,
-        cliques,
-    }
+    let clique = |c: usize| {
+        let record = support.clique(c as u32);
+        (record.clique, record.triangles)
+    };
+    detdecomp::nucleus::extract_k_nuclei(graph, support.num_cliques(), clique, scores, k)
 }
 
 #[cfg(test)]

@@ -2,15 +2,18 @@
 //!
 //! One engine per rank of the (r,s)-nucleus family, each the
 //! heap-based original its rank shipped before the generic
-//! [`ugraph::rs`] engine: a `BinaryHeap<Reverse<(κ, id)>>` with lazy
+//! [`ugraph::rs`] engines: a `BinaryHeap<Reverse<(κ, id)>>` with lazy
 //! deletion, an **eager** full score recomputation for every affected
 //! element, and a fresh allocation per gather and per DP table.
 //!
-//! * [`decompose`] — ℓ-NuDecomp (3,4), for both scorers.  The one
-//!   deliberate edit since it was frozen is `method_counts`, which counts
-//!   the initial pass only (one entry per triangle), matching
+//! * [`decompose`] — ℓ-NuDecomp (3,4), for both scorers: the oracle of
+//!   the deferred peel ([`ugraph::rs::peel_deferred`], exact DP) and of
+//!   the eager one ([`ugraph::rs::peel_eager`], Hybrid), whose schedule
+//!   it shares.  The one deliberate edit since it was frozen is
+//!   `method_counts`, which counts the initial pass only (one entry per
+//!   triangle), matching
 //!   [`Decomposition::method_counts`](crate::Decomposition::method_counts)
-//!   so the two engines report comparable values.
+//!   so the engines report comparable values.
 //! * [`eta_core_numbers`] — the probabilistic (k,η)-core (1,2).
 //! * [`gamma_truss_numbers`] — the local probabilistic (k,γ)-truss (2,3).
 //!
@@ -19,9 +22,10 @@
 //! cut as the DP copy they were frozen with, so their outputs are
 //! unchanged.  The engines exist for two reasons:
 //!
-//! * **bit-identity testing**: the property suites peel random graphs
-//!   with both engines and require identical scores, initial scores and
-//!   method counts;
+//! * **bit-identity testing**: the property suites (`equivalence_proptests`
+//!   below, `tests/rs_engine_equivalence.rs`) peel random graphs with the
+//!   production and frozen engines and require identical scores, initial
+//!   scores and method counts;
 //! * **perf-counter baselines**: `experiments parbench` runs
 //!   [`decompose`] next to the production engine and records
 //!   `reference_dp_calls`, the denominator of the deferred engine's
@@ -282,5 +286,95 @@ mod tests {
         // Certain K5: every edge sits in 3 triangles (support convention).
         let truss = gamma_truss_numbers(&complete(5, 1.0), 0.5);
         assert_eq!(truss, vec![3; 10]);
+    }
+}
+
+/// Property suite: the production engines must be **bit-identical** to
+/// the frozen [`decompose`] — scores, initial scores and method counts —
+/// on random graphs, across θ, both scorers and every parallelism
+/// setting.  This is the contract that lets the deferred engine skip
+/// work: any observable divergence is a bug, not a tradeoff.
+#[cfg(test)]
+mod equivalence_proptests {
+    use std::sync::Arc;
+
+    use proptest::prelude::*;
+
+    use super::decompose;
+    use crate::config::{ApproxThresholds, ScoreMethod};
+    use crate::support::SupportStructure;
+    use crate::{DecompConfig, DecompHandle, RankSupport};
+    use ugraph::{GraphBuilder, Parallelism, UncertainGraph};
+
+    /// A random probabilistic graph dense enough to grow 4-cliques.
+    fn arb_graph(max_v: u32, density: f64) -> impl Strategy<Value = UncertainGraph> {
+        (4..=max_v)
+            .prop_flat_map(move |n| {
+                let pairs: Vec<(u32, u32)> = (0..n)
+                    .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+                    .collect();
+                let m = pairs.len();
+                (
+                    Just(pairs),
+                    proptest::collection::vec(0.0f64..1.0, m),
+                    proptest::collection::vec(0.01f64..=1.0, m),
+                )
+            })
+            .prop_map(move |(pairs, coin, probs)| {
+                let mut b = GraphBuilder::new();
+                for (i, (u, v)) in pairs.into_iter().enumerate() {
+                    if coin[i] < density {
+                        b.add_edge(u, v, probs[i]).unwrap();
+                    }
+                }
+                b.build()
+            })
+    }
+
+    fn assert_engines_agree(g: &UncertainGraph, config_for: impl Fn(Parallelism) -> DecompConfig) {
+        let support = SupportStructure::build(g);
+        let oracle = decompose(&support, &config_for(Parallelism::Sequential)).unwrap();
+        for par in [
+            Parallelism::Sequential,
+            Parallelism::fixed(2),
+            Parallelism::fixed(8),
+        ] {
+            let handle =
+                DecompHandle::from_support(Arc::new(RankSupport::Nucleus(support.clone())));
+            let engine = handle.compute_at(&config_for(par)).unwrap();
+            prop_assert_eq!(engine.scores(), &oracle.scores[..], "parallelism = {}", par);
+            prop_assert_eq!(engine.initial_scores(), &oracle.initial_scores[..]);
+            prop_assert_eq!(engine.method_counts(), &oracle.method_counts);
+        }
+    }
+
+    proptest! {
+        // Default config: 64 cases, scaled up via PROPTEST_CASES in CI's
+        // thorough job.
+        #![proptest_config(ProptestConfig::default())]
+
+        /// Exact-DP scorer: the deferred bucket-queue engine against the
+        /// eager heap reference.
+        #[test]
+        fn dp_engine_bit_identical_to_reference(
+            g in arb_graph(11, 0.75),
+            theta in 0.02f64..0.95,
+        ) {
+            assert_engines_agree(&g, |par| DecompConfig::nucleus(theta).with_parallelism(par));
+        }
+
+        /// Hybrid scorer: the generic eager peel against the allocating
+        /// reference (same evaluation schedule by design).
+        #[test]
+        fn hybrid_engine_bit_identical_to_reference(
+            g in arb_graph(10, 0.8),
+            theta in 0.02f64..0.95,
+        ) {
+            assert_engines_agree(&g, |par| {
+                DecompConfig::nucleus(theta)
+                    .with_method(ScoreMethod::Hybrid(ApproxThresholds::default()))
+                    .with_parallelism(par)
+            });
+        }
     }
 }

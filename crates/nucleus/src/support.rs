@@ -224,7 +224,9 @@ impl SupportStructure {
     }
 
     /// The completion probabilities `Pr(E_i)` of triangle `t` over the
-    /// cliques accepted by `filter` (which receives the clique index).
+    /// cliques accepted by `filter` (which receives the clique index), in
+    /// clique-id order: an allocating
+    /// [`RsSupport::completion_probs_into`].
     pub fn completion_probs_filtered<F>(&self, t: TriangleId, filter: F) -> Vec<f64>
     where
         F: FnMut(u32) -> bool,
@@ -234,47 +236,10 @@ impl SupportStructure {
         out
     }
 
-    /// Allocation-free variant of
-    /// [`SupportStructure::completion_probs_filtered`]: clears `out` and
-    /// fills it with the accepted `Pr(E_i)` in clique-id order (the same
-    /// order the allocating variant returns).  The peeling engine's score
-    /// recomputations run through this with a reused buffer.
-    pub fn completion_probs_into<F>(&self, t: TriangleId, mut filter: F, out: &mut Vec<f64>)
-    where
-        F: FnMut(u32) -> bool,
-    {
-        out.clear();
-        for &c in self.cliques_of(t) {
-            if filter(c) {
-                out.push(
-                    self.cliques[c as usize]
-                        .completion_prob(t)
-                        .expect("clique listed for t contains t"),
-                );
-            }
-        }
-    }
-
     /// The completion probabilities `Pr(E_i)` of triangle `t` over all its
     /// cliques.
     pub fn completion_probs(&self, t: TriangleId) -> Vec<f64> {
         self.completion_probs_filtered(t, |_| true)
-    }
-
-    /// The triangles that share a 4-clique with `t` (its peeling
-    /// neighbours), without duplicates.
-    pub fn neighbor_triangles(&self, t: TriangleId) -> Vec<TriangleId> {
-        let mut out = Vec::new();
-        for &c in self.cliques_of(t) {
-            for &other in &self.cliques[c as usize].triangles {
-                if other != t {
-                    out.push(other);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 }
 
@@ -361,10 +326,6 @@ mod tests {
             // In K5, each triangle is in 2 of the 5 4-cliques.
             assert_eq!(s.support(t), 2);
             assert_eq!(s.completion_probs(t).len(), 2);
-            // Each neighbour list: triangles sharing a clique with t.
-            // Each of the two cliques contributes 3 other triangles, and
-            // the two sets are disjoint (they share only t).
-            assert_eq!(s.neighbor_triangles(t).len(), 6);
         }
     }
 
@@ -474,7 +435,6 @@ mod tests {
         let s = SupportStructure::build(&g);
         assert_eq!(RsSupport::num_elements(&s), s.num_triangles());
         assert_eq!(RsSupport::num_cells(&s), s.num_cliques());
-        let mut via_trait = Vec::new();
         for t in 0..s.num_triangles() as TriangleId {
             assert_eq!(
                 RsSupport::element_prob(&s, t).to_bits(),
@@ -482,13 +442,6 @@ mod tests {
             );
             assert_eq!(RsSupport::cells_of(&s, t), s.cliques_of(t));
             assert_eq!(RsSupport::support(&s, t), s.support(t));
-            let first = s.cliques_of(t)[0];
-            RsSupport::completion_probs_into(&s, t, |c| c != first, &mut via_trait);
-            let inherent = s.completion_probs_filtered(t, |c| c != first);
-            assert_eq!(via_trait.len(), inherent.len());
-            for (a, b) in via_trait.iter().zip(&inherent) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
         }
         for c in 0..s.num_cliques() as u32 {
             assert_eq!(RsSupport::cell_elements(&s, c), &s.clique(c).triangles);
@@ -607,7 +560,6 @@ mod tests {
         assert_eq!(s.num_cliques(), 0);
         assert_eq!(s.support(0), 0);
         assert!(s.completion_probs(0).is_empty());
-        assert!(s.neighbor_triangles(0).is_empty());
         assert_eq!(s.triangle(0), Triangle::new(0, 1, 2));
     }
 }

@@ -28,12 +28,15 @@
 //!   store their element → cells incidence in.
 //! * [`peel_deferred`] — the deferred bucket-queue peel, generic over the
 //!   support and the (monotone) rescoring function.
+//! * [`peel_eager`] — the eager heap peel, generic over the support and
+//!   any rescoring function: the schedule of the frozen reference engines.
 //! * [`region`] — the bounded re-peel machinery for incremental edge
 //!   updates: affected-set diffing, component closure and the
 //!   [`RegionSupport`] adapter that re-peels only the touched region on
 //!   this same engine.
-//! * [`TailScratch`] — the reusable Poisson-binomial tail scorer, which
-//!   the peels rescore through.
+//! * [`TailScratch`] — the reusable gather-and-score arena the peels
+//!   rescore through, with the Poisson-binomial tail as its default
+//!   kernel.
 //! * [`TailTable`] — every element's scaled tail, built once per support
 //!   and read at any threshold: the initial scores of every exact-DP
 //!   point come from it.
@@ -44,7 +47,10 @@
 //! never raise the score (true for the exact DP — the Poisson-binomial
 //! tail is pointwise dominated — and trivially for deterministic cell
 //! counting).  Non-monotone scorers (the hybrid statistical
-//! approximations of `nucleus`) must use an eager schedule instead.
+//! approximations of `nucleus`) must use [`peel_eager`] instead.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 pub mod core_support;
 pub mod dp;
@@ -342,16 +348,88 @@ where
     (scores, stats)
 }
 
-/// Reusable Poisson-binomial tail scorer: the probability gather buffer
-/// and the DP pmf/tail tables are shared across evaluations, so the
-/// steady state allocates nothing.  One per worker thread (initial pass)
-/// or per engine (peeling).
+/// The eager heap peel, generic over the support structure and the
+/// rescoring function: the schedule of the frozen reference engines.
 ///
-/// Scoring is the exact arithmetic of gathering the completion
-/// probabilities in cell order and running [`dp::max_k`], so scores are
-/// bit-identical to the allocating entry points — and to the frozen
-/// per-rank reference implementations, which gather the same floats in
-/// the same order.
+/// Arguments and return value are those of [`peel_deferred`]
+/// (`buckets_touched` stays 0: the heap has no buckets).  The schedule
+/// differs: each time a cell dies, every unprocessed member whose score
+/// is still above the drain level is rescored at once over the cells
+/// still alive, clamped to the level, and requeued only if its score
+/// dropped.  `dp_calls` counts those rescorings and `recompute_skips` the
+/// members skipped because their score was already at or below the
+/// level.
+///
+/// `rescore(t, cell_dead)` need not be monotone.  A non-monotone scorer's
+/// result depends on which cells are alive at each evaluation, so its
+/// output is pinned by the evaluation schedule, and the schedule by the
+/// pop order: lazy deletion in a `BinaryHeap<Reverse<(κ, id)>>`, which
+/// pops elements in ascending `(κ, id)` order — equal-κ elements in
+/// ascending id order.  The Hybrid scorer's bit-identity with
+/// `nucleus::reference::decompose` rests on that order.
+pub fn peel_eager<S, R>(support: &S, mut kappa: Vec<u32>, mut rescore: R) -> (Vec<u32>, PeelStats)
+where
+    S: RsSupport,
+    R: FnMut(u32, &[bool]) -> u32,
+{
+    let nt = kappa.len();
+    let mut stats = PeelStats::default();
+
+    let mut scores = vec![0u32; nt];
+    let mut processed = vec![false; nt];
+    let mut cell_dead = vec![false; support.num_cells()];
+    let mut heap: BinaryHeap<Reverse<(u32, u32)>> =
+        (0..nt).map(|t| Reverse((kappa[t], t as u32))).collect();
+    let mut level = 0u32;
+
+    while let Some(Reverse((s, t))) = heap.pop() {
+        let ti = t as usize;
+        if processed[ti] || s != kappa[ti] {
+            continue; // lazily deleted stale entry
+        }
+        processed[ti] = true;
+        level = level.max(s);
+        scores[ti] = level;
+
+        for &c in support.cells_of(t) {
+            if cell_dead[c as usize] {
+                continue;
+            }
+            cell_dead[c as usize] = true;
+            for &other in support.cell_elements(c) {
+                let oi = other as usize;
+                if other == t || processed[oi] {
+                    continue;
+                }
+                if kappa[oi] <= level {
+                    stats.recompute_skips += 1;
+                    continue;
+                }
+                let fresh = rescore(other, &cell_dead);
+                stats.dp_calls += 1;
+                let recomputed = fresh.max(level);
+                if recomputed < kappa[oi] {
+                    kappa[oi] = recomputed;
+                    heap.push(Reverse((recomputed, other)));
+                }
+            }
+        }
+    }
+
+    (scores, stats)
+}
+
+/// Reusable scoring arena: the probability gather buffer and the DP
+/// pmf/tail tables are shared across evaluations, so the steady state
+/// allocates nothing.  One per worker thread (initial pass) or per engine
+/// (peeling).
+///
+/// [`score`](Self::score) is the exact arithmetic of gathering the
+/// completion probabilities in cell order and running [`dp::max_k`], so
+/// scores are bit-identical to the allocating entry points — and to the
+/// frozen per-rank reference implementations, which gather the same
+/// floats in the same order.  [`score_with`](Self::score_with) runs any
+/// other kernel over the same gather.
 #[derive(Debug, Clone, Default)]
 pub struct TailScratch {
     probs: Vec<f64>,
@@ -372,18 +450,33 @@ impl TailScratch {
         S: RsSupport,
         F: FnMut(u32) -> bool,
     {
+        self.score_with(support, t, filter, |dp, element_prob, probs| {
+            let k = dp::max_k_with_scratch(dp, element_prob, probs, threshold);
+            // `max_k` returns early for sub-threshold elements without
+            // touching the tables.
+            (k, element_prob >= threshold)
+        })
+    }
+
+    /// Gathers the completion probabilities of element `t` over the
+    /// cells accepted by `filter` and scores them with
+    /// `kernel(dp_scratch, element_prob, probs)`, which returns its score
+    /// and whether it filled the DP tables.  The gather buffer, plus the
+    /// tables when filled, count towards [`peak_bytes`](Self::peak_bytes).
+    #[inline]
+    pub fn score_with<S, F, K, T>(&mut self, support: &S, t: u32, filter: F, kernel: K) -> T
+    where
+        S: RsSupport,
+        F: FnMut(u32) -> bool,
+        K: FnOnce(&mut DpScratch, f64, &[f64]) -> (T, bool),
+    {
         support.completion_probs_into(t, filter, &mut self.probs);
-        let element_prob = support.element_prob(t);
-        let k = dp::max_k_with_scratch(&mut self.dp, element_prob, &self.probs, threshold);
-        // The DP tables are only materialized when the DP actually ran
-        // (`max_k` returns early for sub-threshold elements without
-        // touching them).
+        let (score, dp_tables) = kernel(&mut self.dp, support.element_prob(t), &self.probs);
         let c = self.probs.len();
-        let dp_tables = element_prob >= threshold;
         let needed =
             c * std::mem::size_of::<f64>() + if dp_tables { dp::table_bytes(c) } else { 0 };
         self.peak_bytes = self.peak_bytes.max(needed);
-        k
+        score
     }
 
     /// Running maximum of the per-evaluation logical scratch requirement.
@@ -395,6 +488,68 @@ impl TailScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
+    use crate::generators::{self, ProbabilityModel};
+    use crate::par::Parallelism;
+    use rand::SeedableRng;
+
+    /// The deterministic (monotone) rescore: the number of alive cells.
+    fn alive_cells<S: RsSupport>(support: &S, t: u32, cell_dead: &[bool]) -> u32 {
+        let cells = support.cells_of(t);
+        cells.iter().filter(|&&c| !cell_dead[c as usize]).count() as u32
+    }
+
+    fn assert_eager_matches_deferred<S: RsSupport>(support: &S) {
+        let kappa: Vec<u32> = (0..support.num_elements() as u32)
+            .map(|t| support.support(t) as u32)
+            .collect();
+        let (deferred, deferred_stats) = peel_deferred(support, kappa.clone(), |t, dead| {
+            alive_cells(support, t, dead)
+        });
+        let (eager, eager_stats) =
+            peel_eager(support, kappa, |t, dead| alive_cells(support, t, dead));
+        assert_eq!(eager, deferred);
+        assert!(eager_stats.dp_calls > 0);
+        assert!(
+            eager_stats.dp_calls >= deferred_stats.dp_calls,
+            "deferral must never rescore more than the eager schedule ({} vs {})",
+            deferred_stats.dp_calls,
+            eager_stats.dp_calls
+        );
+        assert_eq!(eager_stats.buckets_touched, 0);
+    }
+
+    #[test]
+    fn eager_peel_matches_the_deferred_peel_on_a_monotone_rescore() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let edges = generators::gnm_edges(30, 120, &mut rng);
+        let model = ProbabilityModel::Constant(1.0);
+        let g = generators::assign_probabilities(&edges, 30, &model, &mut rng);
+        assert_eager_matches_deferred(&CoreSupport::deterministic(&g));
+        assert_eager_matches_deferred(&TrussSupport::deterministic(&g, Parallelism::Sequential));
+    }
+
+    #[test]
+    fn eager_peel_pops_equal_scores_in_ascending_id_order() {
+        // Edges {0,1}, {0,3} and {2,4}; vertices 1 and 2 start at κ = 1,
+        // the rest at 9.  Popping 1 drops 0 to the level, so 0 and 2 both
+        // wait at κ = 1, 2 queued first.  Ascending ids pop 0 first, whose
+        // death rescores 3 before the death of 2 rescores 4.
+        let mut b = GraphBuilder::new();
+        for (u, v) in [(0, 1), (0, 3), (2, 4)] {
+            b.add_edge(u, v, 1.0).unwrap();
+        }
+        let support = CoreSupport::deterministic(&b.build());
+        let mut rescored = Vec::new();
+        let (scores, stats) = peel_eager(&support, vec![9, 1, 1, 9, 9], |t, dead| {
+            rescored.push(t);
+            alive_cells(&support, t, dead)
+        });
+        assert_eq!(rescored, vec![0, 3, 4]);
+        assert_eq!(scores, vec![1; 5]);
+        assert_eq!(stats.dp_calls, 3);
+        assert_eq!(stats.recompute_skips, 0);
+    }
 
     #[test]
     fn bucket_queue_pops_in_priority_then_fifo_order() {

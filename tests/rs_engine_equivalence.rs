@@ -7,8 +7,8 @@
 //! proptests pin the generic engine **bit-identical** to the core, truss
 //! and deterministic ones on random graphs, at 1, 2 and 8 worker threads
 //! (the engine's counters and scores must not depend on the thread
-//! count).  The nucleus rank is pinned to its frozen engine by the
-//! `equivalence_proptests` of `nucleus::local::peel`.
+//! count).  The nucleus rank, both scorers, is pinned to its frozen
+//! engine by the `equivalence_proptests` of `nucleus::reference`.
 //!
 //! Case count scales with `PROPTEST_CASES` (64 by default, 1024 in the
 //! thorough CI job).
