@@ -26,7 +26,7 @@
 //! experiments million [--vertices N] [--attach K] [--seed N] [--threads T]
 //!                     [--chunk-edges C] [--thetas GRID] [--out PATH]
 //!
-//! experiments matrix [--scenarios DIR] [--only NAME[,NAME...]] [--tag TAG]
+//! experiments matrix [--only NAME[,NAME...]] [--tag TAG]
 //!                    [--dry-run] [--out BENCH_matrix.json]
 //!
 //! experiments bench-compare OLD.json NEW.json [--tolerance F]
@@ -51,17 +51,16 @@
 //! Every bench subcommand and every paper experiment is declared in the
 //! scenario registry (`nd_bench::registry`); the subcommand arms here
 //! only translate flags into a [`Spec`] and hand it to the registry's
-//! single dispatch path.  `experiments matrix` enumerates the whole
-//! registry — builtins plus `crates/bench/scenarios/*.toml` — runs it,
-//! and emits the `bench-matrix/v1` report CI gates.
+//! single dispatch path.  `experiments matrix` runs every registered
+//! scenario (the `Spec` values in `nd_bench::registry`) and emits the
+//! `bench-matrix/v1` report CI gates.
 
 use nd_bench::json::Json;
 use nd_bench::registry::spec::{DatasetSpec, Params, Spec, Workload};
-use nd_bench::registry::{matrix, run, Registry};
+use nd_bench::registry::{self, matrix, run};
 use nd_bench::runner::ExperimentContext;
 use nd_bench::{cli, compare, million, parbench};
 use nd_datasets::Scale;
-use std::path::{Path, PathBuf};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -107,16 +106,8 @@ fn main() {
             }
         }
     };
-    let scale = parse_flag(&args, "--scale")
-        .map(|s| match s.as_str() {
-            "tiny" => Scale::Tiny,
-            "small" => Scale::Small,
-            "medium" => Scale::Medium,
-            other => {
-                eprintln!("unknown scale '{other}', using small");
-                Scale::Small
-            }
-        })
+    let scale = cli::parse_scale(&args)
+        .unwrap_or_else(|e| fail(&e))
         .unwrap_or(Scale::Small);
     let seed = parse_num_flag(&args, "--seed").unwrap_or(42u64);
     let mut ctx = ExperimentContext::new(scale, seed);
@@ -188,13 +179,12 @@ fn print_usage() {
          \x20   triangle phase, streaming index build, truss sweep; emits\n\
          \x20   bench-million/v2 JSON with peak_rss_bytes\n\
          \n\
-         experiments matrix [--scenarios DIR] [--only NAME[,NAME...]] [--tag TAG]\n\
+         experiments matrix [--only NAME[,NAME...]] [--tag TAG]\n\
          \x20               [--dry-run] [--out BENCH_matrix.json]\n\
-         \x20   enumerate the scenario registry (builtins + scenarios/*.toml),\n\
-         \x20   run every selected scenario through its driver, judge declared\n\
-         \x20   counter expectations, and emit one bench-matrix/v1 report that\n\
-         \x20   bench-compare gates at tolerance 0; --dry-run lists without\n\
-         \x20   running\n\
+         \x20   run every selected registered scenario through its driver,\n\
+         \x20   check its expected counters exactly, and emit one\n\
+         \x20   bench-matrix/v1 report that bench-compare gates at\n\
+         \x20   tolerance 0; --dry-run lists without running\n\
          \n\
          experiments bench-compare OLD.json NEW.json [--tolerance F]\n\
          \x20   diffs two bench-parallel/*, bench-serve/*, bench-updates/*,\n\
@@ -371,13 +361,12 @@ fn bench_spec(workload: Workload, args: &[String]) -> Spec {
         _ => unreachable!("bench_spec is only called for bench workloads"),
     }
     Spec {
-        name: workload.to_string(),
+        name: workload.name(),
         workload,
-        tags: Vec::new(),
-        tolerance: 0.0,
+        tags: &[],
         dataset: bench_dataset(workload, args),
         params,
-        expect: Vec::new(),
+        expect: &[],
     }
 }
 
@@ -417,18 +406,9 @@ fn run_bench_arm(workload: Workload, args: &[String]) {
     }
 }
 
-/// The default scenarios directory: `crates/bench/scenarios/` in this
-/// checkout (compiled in, like the golden-test paths).
-fn default_scenarios_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios")
-}
-
 /// Enumerates and runs the scenario registry.
 fn run_matrix_cmd(args: &[String]) {
-    let dir = parse_flag(args, "--scenarios")
-        .map(PathBuf::from)
-        .unwrap_or_else(default_scenarios_dir);
-    let registry = Registry::load(&dir).unwrap_or_else(|e| fail(&format!("matrix: {e}")));
+    let scenarios = registry::scenarios();
     let only: Vec<String> = parse_flag(args, "--only")
         .map(|list| {
             list.split(',')
@@ -438,8 +418,7 @@ fn run_matrix_cmd(args: &[String]) {
         })
         .unwrap_or_default();
     let tag = parse_flag(args, "--tag");
-    let selected = registry
-        .select(&only, tag.as_deref())
+    let selected = registry::select(&scenarios, &only, tag.as_deref())
         .unwrap_or_else(|e| fail(&format!("matrix: {e}")));
 
     if args.iter().any(|a| a == "--dry-run") {

@@ -2,14 +2,14 @@
 //!
 //! Every subcommand used to re-implement the same flag plumbing inline:
 //! the `--input/--format/--prob-model` ingestion trio, the
-//! `--edges/--vertices` density rule, the `--thetas` and `--threads`
-//! list grammars.  This module is the single home for that logic so the
-//! subcommand arms stay thin and the parsing behaviour (and its error
-//! wording) cannot drift between them.  Everything returns `Result`
-//! rather than exiting, so it is unit-testable; the binary maps errors
-//! to its uniform `fail()`.
+//! `--edges/--vertices` density rule, the `--scale` names, the
+//! `--thetas` and `--threads` list grammars.  This module is the single
+//! home for that logic so the subcommand arms stay thin and the parsing
+//! behaviour (and its error wording) cannot drift between them.
+//! Everything returns `Result` rather than exiting, so it is
+//! unit-testable; the binary maps errors to its uniform `fail()`.
 
-use nd_datasets::ExternalDataset;
+use nd_datasets::{ExternalDataset, Scale};
 use ugraph::io::EdgeProbabilityModel;
 use ugraph::InputFormat;
 
@@ -40,6 +40,20 @@ pub fn parse_num_flag<T: std::str::FromStr>(
             .parse::<T>()
             .map(Some)
             .map_err(|_| format!("invalid {flag} value '{spec}'")),
+    }
+}
+
+/// Parses the paper experiments' `--scale tiny|small|medium` flag; any
+/// other value is an error.
+pub fn parse_scale(args: &[String]) -> Result<Option<Scale>, String> {
+    match parse_flag(args, "--scale")?.as_deref() {
+        None => Ok(None),
+        Some("tiny") => Ok(Some(Scale::Tiny)),
+        Some("small") => Ok(Some(Scale::Small)),
+        Some("medium") => Ok(Some(Scale::Medium)),
+        Some(other) => Err(format!(
+            "invalid --scale value '{other}' (expected tiny, small or medium)"
+        )),
     }
 }
 
@@ -173,6 +187,18 @@ mod tests {
         let a = args(&["parbench", "--edges", "many"]);
         let err = parse_num_flag::<usize>(&a, "--edges").unwrap_err();
         assert!(err.contains("invalid --edges value 'many'"), "{err}");
+    }
+
+    #[test]
+    fn scale_parses_the_three_scales_and_rejects_the_rest() {
+        let a = args(&["table1", "--scale", "medium"]);
+        assert_eq!(parse_scale(&a).unwrap(), Some(Scale::Medium));
+        assert_eq!(parse_scale(&args(&["table1"])).unwrap(), None);
+        let err = parse_scale(&args(&["table1", "--scale", "huge"])).unwrap_err();
+        assert_eq!(
+            err,
+            "invalid --scale value 'huge' (expected tiny, small or medium)"
+        );
     }
 
     #[test]

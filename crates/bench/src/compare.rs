@@ -43,11 +43,10 @@ use Gate::ReportOnly;
 
 /// Whether and how a tracked value participates in the gate.
 ///
-/// Public because scenario specs ([`crate::registry`]) declare their
-/// expected-counter gates in exactly these modes; the spec format's
-/// `[gates]` section round-trips through [`Gate`]'s `FromStr`/`Display`
-/// pair (`exact`, `lower-is-better`, `higher-is-better`,
-/// `within-factor:N`, `report-only`).
+/// Reports tag their numbers with these modes ([`crate::report`]), and
+/// the tags round-trip through the `gates` object by [`Gate`]'s
+/// `FromStr`/`Display` pair (`exact`, `lower-is-better`,
+/// `higher-is-better`, `within-factor:N`, `report-only`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate {
     /// Deterministic; any change beyond tolerance fails.
@@ -458,10 +457,8 @@ fn compare_matrix(
     }
 }
 
-/// Applies the gate to one value pair.  Crate-visible so the scenario
-/// registry can reuse the exact gate semantics for its declared
-/// expected-counter checks.
-pub(crate) fn judge(
+/// Applies the gate to one value pair.
+fn judge(
     gate: Gate,
     old: Option<f64>,
     new: Option<f64>,

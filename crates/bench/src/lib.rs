@@ -22,7 +22,7 @@
 //! | [`million`] | (extra) | million-edge memory-scaling baseline: snapshot mmap vs owned reload, streaming index, truss sweep, as `bench-million/v2` JSON |
 //! | [`serve`] | (extra) | `nd-server` smoke: scripted TCP session vs direct library calls, counters as `bench-serve/v3` JSON |
 //! | [`updates`] | (extra) | incremental edge-update maintenance: repair vs rebuild work counters as `bench-updates/v2` JSON |
-//! | [`registry`] | (extra) | declarative scenario registry: TOML-subset specs + builtins behind `experiments matrix`, emitted as `bench-matrix/v1` JSON |
+//! | [`registry`] | (extra) | scenario registry: the `Spec` values behind `experiments matrix`, emitted as `bench-matrix/v1` JSON |
 //! | [`cli`] | (extra) | shared flag parsing (`--input/--format/--prob-model`, θ-grids, thread lists) for the `experiments` binary |
 //!
 //! Run them through the `experiments` binary:

@@ -9,8 +9,7 @@
 //! replacing the per-family python gate blocks.
 
 use super::run;
-use super::spec::Workload;
-use super::Scenario;
+use super::spec::{Spec, Workload};
 use crate::json::Json;
 
 /// One executed (or failed-to-execute) scenario in the matrix.
@@ -20,8 +19,6 @@ pub struct ScenarioOutcome {
     pub name: String,
     /// Its workload.
     pub workload: Workload,
-    /// Builtin or source file name (display form of the origin).
-    pub origin: String,
     /// Whether the run completed with every expectation met.
     pub passed: bool,
     /// Failed expectations, or the driver error when it could not run.
@@ -62,7 +59,6 @@ impl MatrixReport {
                 Json::Obj(vec![
                     ("name".to_string(), Json::Str(o.name.clone())),
                     ("workload".to_string(), Json::Str(o.workload.to_string())),
-                    ("origin".to_string(), Json::Str(o.origin.clone())),
                     ("passed".to_string(), Json::Bool(o.passed)),
                     (
                         "failures".to_string(),
@@ -133,20 +129,14 @@ impl MatrixReport {
 
 /// The `--dry-run` enumeration listing: deterministic, sorted by name
 /// (registry order), golden-tested.
-pub fn format_listing(scenarios: &[&Scenario]) -> String {
-    let mut rows: Vec<[String; 4]> = vec![[
+pub fn format_listing(scenarios: &[&Spec]) -> String {
+    let mut rows: Vec<[String; 3]> = vec![[
         "scenario".to_string(),
         "workload".to_string(),
-        "origin".to_string(),
         "tags".to_string(),
     ]];
     for s in scenarios {
-        rows.push([
-            s.spec.name.clone(),
-            s.spec.workload.to_string(),
-            s.origin.to_string(),
-            s.spec.tags.join(","),
-        ]);
+        rows.push([s.name.to_string(), s.workload.to_string(), s.tags.join(",")]);
     }
     let mut out = align(&rows);
     out.push_str(&format!("matrix: {} scenario(s)\n", scenarios.len()));
@@ -154,8 +144,8 @@ pub fn format_listing(scenarios: &[&Scenario]) -> String {
 }
 
 /// Column-aligns rows with two-space gutters.
-fn align(rows: &[[String; 4]]) -> String {
-    let mut widths = [0usize; 4];
+fn align<const N: usize>(rows: &[[String; N]]) -> String {
+    let mut widths = [0usize; N];
     for row in rows {
         for (w, cell) in widths.iter_mut().zip(row.iter()) {
             *w = (*w).max(cell.len());
@@ -177,24 +167,21 @@ fn align(rows: &[[String; 4]]) -> String {
 /// `progress` (one line before each run, one after).  A driver that
 /// cannot run at all becomes a failed outcome, not an abort — the
 /// matrix always reports the full registry surface.
-pub fn run_matrix(scenarios: &[&Scenario], progress: &mut dyn FnMut(&str)) -> MatrixReport {
+pub fn run_matrix(scenarios: &[&Spec], progress: &mut dyn FnMut(&str)) -> MatrixReport {
     let mut outcomes = Vec::with_capacity(scenarios.len());
-    for scenario in scenarios {
-        let spec = &scenario.spec;
+    for spec in scenarios {
         progress(&format!("running {} ({}) ...", spec.name, spec.workload));
         let outcome = match run::execute(spec) {
             Ok(executed) => ScenarioOutcome {
-                name: spec.name.clone(),
+                name: spec.name.to_string(),
                 workload: spec.workload,
-                origin: scenario.origin.to_string(),
                 passed: executed.passed(),
                 failures: executed.failures,
                 counters: executed.counters,
             },
             Err(message) => ScenarioOutcome {
-                name: spec.name.clone(),
+                name: spec.name.to_string(),
                 workload: spec.workload,
-                origin: scenario.origin.to_string(),
                 passed: false,
                 failures: vec![message],
                 counters: Vec::new(),
@@ -219,7 +206,6 @@ mod tests {
         ScenarioOutcome {
             name: name.to_string(),
             workload: Workload::Parbench,
-            origin: "builtin".to_string(),
             passed,
             failures: if passed {
                 Vec::new()

@@ -1,269 +1,262 @@
-//! The declarative scenario registry behind `experiments matrix`.
+//! The scenario registry behind `experiments matrix`.
 //!
 //! Every workload the `experiments` binary can run — the five bench
 //! drivers and the nine paper tables/figures — is *declared* here as a
-//! [`Spec`] instead of hand-wired flag plumbing.  The
-//! registry is the union of two sources:
+//! [`Spec`] value instead of hand-wired flag plumbing; [`scenarios`]
+//! lists them all.  Adding a scenario means adding a value below.
 //!
-//! * **builtins** — one spec per existing subcommand, embedded in the
-//!   binary so the matrix always covers the full workload surface even
-//!   with no scenario files on disk;
-//! * **scenario files** — `crates/bench/scenarios/*.toml`, loaded in
-//!   sorted order, so adding a scenario is a data change, not a code
-//!   change (probe-rs's target registry is the model).
-//!
-//! Scenario names are unique across both sources; a collision is a
-//! typed [`SpecError::DuplicateName`].
 //! Execution ([`run`]) drives the existing driver entry points and
-//! judges declared counter expectations with the same
-//! [`Gate`](crate::compare::Gate) machinery `bench-compare` uses; the
-//! matrix report ([`matrix`]) is one `bench-matrix/v1` JSON document
-//! that `bench-compare` gates at tolerance 0 in CI.
+//! checks each declared counter expectation exactly; the matrix report
+//! ([`matrix`]) is one `bench-matrix/v1` JSON document that
+//! `bench-compare` gates at tolerance 0 in CI.
 
 pub mod matrix;
 pub mod run;
 pub mod spec;
 
-use std::path::{Path, PathBuf};
+use nd_datasets::Scale;
+use nucleus::Rank;
+use spec::{DatasetSpec, Params, Spec, Workload};
+use ugraph::io::EdgeProbabilityModel;
+use ugraph::InputFormat;
 
-use spec::{DatasetSpec, ParsedSpec, Spec, SpecError};
+/// The generated graph every bench smoke scenario runs on.
+const SMOKE: DatasetSpec = DatasetSpec::Generated {
+    edges: 4000,
+    vertices: None,
+    seed: 42,
+};
 
-/// Where a scenario came from.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Origin {
-    /// Embedded in the binary, mirroring an `experiments` subcommand.
-    Builtin,
-    /// Loaded from a `scenarios/*.toml` file.
-    File(PathBuf),
+/// The committed 21-edge file (10 vertices, 20 triangles, 10 4-cliques,
+/// counted by hand) that keeps the file → snapshot-cache → driver path
+/// under the matrix.
+fn tiny_file(prob_model: EdgeProbabilityModel) -> DatasetSpec {
+    DatasetSpec::File {
+        path: concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/data/tiny.txt").to_string(),
+        format: InputFormat::Snap,
+        prob_model,
+    }
 }
 
-impl std::fmt::Display for Origin {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Origin::Builtin => write!(f, "builtin"),
-            // Just the file name: stable across checkouts, so the
-            // dry-run listing stays golden-testable.
-            Origin::File(path) => match path.file_name() {
-                Some(name) => write!(f, "{}", name.to_string_lossy()),
-                None => write!(f, "{}", path.display()),
+/// A θ-sweep smoke at one rank.
+fn sweep_smoke(name: &'static str, rank: Rank) -> Spec {
+    Spec {
+        name,
+        workload: Workload::Thetasweep,
+        tags: &["bench", "sweep"],
+        dataset: SMOKE,
+        params: Params {
+            rank: Some(rank),
+            thetas: Some(vec![0.05, 0.1, 0.3]),
+            repeats: Some(1),
+            ..Params::default()
+        },
+        expect: &[("sweep.support_builds", 1.0)],
+    }
+}
+
+/// A paper table/figure at tiny scale, seed 42.
+fn paper_tiny(name: &'static str, workload: Workload, tags: &'static [&'static str]) -> Spec {
+    Spec {
+        name,
+        workload,
+        tags,
+        dataset: DatasetSpec::Paper {
+            scale: Scale::Tiny,
+            seed: 42,
+        },
+        params: Params::default(),
+        expect: &[],
+    }
+}
+
+/// Every registered scenario, sorted by name: each `experiments`
+/// subcommand workload, smoke-sized so the whole matrix runs in CI
+/// wall-clock.  Expectations carry the drivers' enforced invariants —
+/// one shared support build per sweep, repair never out-working a
+/// rebuild, a clean protocol run for the server — and the hand-counted
+/// structure of the committed file; every other counter is pinned by
+/// the committed `BENCH_matrix.json`.
+pub fn scenarios() -> Vec<Spec> {
+    let mut specs = vec![
+        // -- bench drivers ---------------------------------------------
+        Spec {
+            name: "parbench-smoke",
+            workload: Workload::Parbench,
+            tags: &["bench", "parallel"],
+            dataset: SMOKE,
+            params: Params {
+                repeats: Some(1),
+                threads: Some(vec![2]),
+                ..Params::default()
             },
-        }
-    }
+            expect: &[],
+        },
+        sweep_smoke("thetasweep-core-smoke", Rank::Core),
+        sweep_smoke("thetasweep-truss-smoke", Rank::Truss),
+        sweep_smoke("thetasweep-nucleus-smoke", Rank::Nucleus),
+        Spec {
+            name: "updates-truss-smoke",
+            workload: Workload::Updates,
+            tags: &["bench", "updates"],
+            dataset: SMOKE,
+            params: Params {
+                rank: Some(Rank::Truss),
+                thetas: Some(vec![0.05, 0.1, 0.3]),
+                batch: Some(16),
+                ..Params::default()
+            },
+            expect: &[("repair.dp_calls_excess", 0.0)],
+        },
+        Spec {
+            name: "serve-smoke",
+            workload: Workload::Serve,
+            tags: &["bench", "serve"],
+            dataset: SMOKE,
+            params: Params {
+                thetas: Some(vec![0.1, 0.3]),
+                cache: Some(32),
+                ..Params::default()
+            },
+            // The oneshot script deliberately probes six request error
+            // paths.
+            expect: &[
+                ("stats.protocol_errors", 0.0),
+                ("stats.request_errors", 6.0),
+            ],
+        },
+        Spec {
+            name: "million-smoke",
+            workload: Workload::Million,
+            tags: &["bench", "million"],
+            dataset: DatasetSpec::Ba {
+                vertices: 2005,
+                attach: 5,
+                seed: 42,
+            },
+            params: Params {
+                thetas: Some(vec![0.1, 0.5]),
+                pool: Some(2),
+                chunk_edges: Some(4096),
+                ..Params::default()
+            },
+            expect: &[("sweep.support_builds", 1.0)],
+        },
+        // -- the committed file ----------------------------------------
+        Spec {
+            name: "file-parbench-tiny",
+            workload: Workload::Parbench,
+            tags: &["bench", "file"],
+            dataset: tiny_file(EdgeProbabilityModel::Constant(0.9)),
+            params: Params {
+                repeats: Some(1),
+                threads: Some(vec![2]),
+                ..Params::default()
+            },
+            expect: &[
+                ("counts.four_cliques", 10.0),
+                ("counts.triangles", 20.0),
+                ("edges", 21.0),
+                ("vertices", 10.0),
+            ],
+        },
+        Spec {
+            name: "file-thetasweep-tiny",
+            workload: Workload::Thetasweep,
+            tags: &["bench", "file", "sweep"],
+            dataset: tiny_file(EdgeProbabilityModel::UniformSeeded {
+                seed: 7,
+                low: 0.5,
+                high: 1.0,
+            }),
+            params: Params {
+                rank: Some(Rank::Truss),
+                thetas: Some(vec![0.1, 0.5]),
+                repeats: Some(1),
+                ..Params::default()
+            },
+            expect: &[
+                ("counts.triangles", 20.0),
+                ("edges", 21.0),
+                ("sweep.support_builds", 1.0),
+            ],
+        },
+        // -- paper tables and figures ----------------------------------
+        paper_tiny("table1-tiny", Workload::Table1, &["paper", "table"]),
+        paper_tiny("table2-tiny", Workload::Table2, &["paper", "table"]),
+        paper_tiny("table3-tiny", Workload::Table3, &["paper", "table"]),
+        paper_tiny("fig4-tiny", Workload::Fig4, &["paper", "figure"]),
+        paper_tiny("fig5-tiny", Workload::Fig5, &["paper", "figure"]),
+        paper_tiny("fig6-tiny", Workload::Fig6, &["paper", "figure"]),
+        paper_tiny("fig7-tiny", Workload::Fig7, &["paper", "figure"]),
+        paper_tiny("fig8-tiny", Workload::Fig8, &["paper", "figure"]),
+        paper_tiny("ablation-tiny", Workload::Ablation, &["paper", "ablation"]),
+    ];
+    specs.sort_by_key(|s| s.name);
+    specs
 }
 
-/// One registered scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
-    /// The validated spec.
-    pub spec: Spec,
-    /// Builtin or the file it was loaded from.
-    pub origin: Origin,
-}
-
-/// The full scenario collection, sorted by name.
-#[derive(Debug, Clone, Default)]
-pub struct Registry {
-    scenarios: Vec<Scenario>,
-}
-
-/// The embedded scenarios: every existing `experiments` subcommand
-/// workload, smoke-sized so the whole matrix runs in CI wall-clock.
-/// Expectations carry the invariants the per-family CI gates used to
-/// assert in python: one shared support build per sweep, repair never
-/// out-working a rebuild, a clean protocol run for the server.
-const BUILTINS: &[&str] = &[
-    // -- bench drivers -------------------------------------------------
-    "name = \"parbench-smoke\"\nworkload = \"parbench\"\ntags = [\"bench\", \"parallel\"]\n\n\
-     [dataset]\nkind = \"generated\"\nedges = 4000\nseed = 42\n\n\
-     [params]\nrepeats = 1\nthreads = [2]\n",
-    "name = \"thetasweep-core-smoke\"\nworkload = \"thetasweep\"\ntags = [\"bench\", \"sweep\"]\n\n\
-     [dataset]\nkind = \"generated\"\nedges = 4000\nseed = 42\n\n\
-     [params]\nrank = \"core\"\nthetas = [0.05, 0.1, 0.3]\nrepeats = 1\n\n\
-     [expect]\n\"sweep.support_builds\" = 1\n",
-    "name = \"thetasweep-truss-smoke\"\nworkload = \"thetasweep\"\ntags = [\"bench\", \"sweep\"]\n\n\
-     [dataset]\nkind = \"generated\"\nedges = 4000\nseed = 42\n\n\
-     [params]\nrank = \"truss\"\nthetas = [0.05, 0.1, 0.3]\nrepeats = 1\n\n\
-     [expect]\n\"sweep.support_builds\" = 1\n",
-    "name = \"thetasweep-nucleus-smoke\"\nworkload = \"thetasweep\"\ntags = [\"bench\", \"sweep\"]\n\n\
-     [dataset]\nkind = \"generated\"\nedges = 4000\nseed = 42\n\n\
-     [params]\nrank = \"nucleus\"\nthetas = [0.05, 0.1, 0.3]\nrepeats = 1\n\n\
-     [expect]\n\"sweep.support_builds\" = 1\n",
-    "name = \"updates-truss-smoke\"\nworkload = \"updates\"\ntags = [\"bench\", \"updates\"]\n\n\
-     [dataset]\nkind = \"generated\"\nedges = 4000\nseed = 42\n\n\
-     [params]\nrank = \"truss\"\nthetas = [0.05, 0.1, 0.3]\nbatch = 16\n\n\
-     [expect]\n\"repair.dp_calls_excess\" = 0\n",
-    "name = \"serve-smoke\"\nworkload = \"serve\"\ntags = [\"bench\", \"serve\"]\n\n\
-     [dataset]\nkind = \"generated\"\nedges = 4000\nseed = 42\n\n\
-     [params]\nthetas = [0.1, 0.3]\ncache = 32\n\n\
-     # The oneshot script deliberately probes six request error paths.\n\
-     [expect]\n\"stats.protocol_errors\" = 0\n\"stats.request_errors\" = 6\n",
-    "name = \"million-smoke\"\nworkload = \"million\"\ntags = [\"bench\", \"million\"]\n\n\
-     [dataset]\nkind = \"ba\"\nvertices = 2005\nattach = 5\nseed = 42\n\n\
-     [params]\nthetas = [0.1, 0.5]\npool = 2\nchunk_edges = 4096\n\n\
-     [expect]\n\"sweep.support_builds\" = 1\n",
-    // -- paper tables and figures --------------------------------------
-    "name = \"table1-tiny\"\nworkload = \"table1\"\ntags = [\"paper\", \"table\"]\n\n\
-     [dataset]\nkind = \"paper\"\nscale = \"tiny\"\nseed = 42\n",
-    "name = \"table2-tiny\"\nworkload = \"table2\"\ntags = [\"paper\", \"table\"]\n\n\
-     [dataset]\nkind = \"paper\"\nscale = \"tiny\"\nseed = 42\n",
-    "name = \"table3-tiny\"\nworkload = \"table3\"\ntags = [\"paper\", \"table\"]\n\n\
-     [dataset]\nkind = \"paper\"\nscale = \"tiny\"\nseed = 42\n",
-    "name = \"fig4-tiny\"\nworkload = \"fig4\"\ntags = [\"paper\", \"figure\"]\n\n\
-     [dataset]\nkind = \"paper\"\nscale = \"tiny\"\nseed = 42\n",
-    "name = \"fig5-tiny\"\nworkload = \"fig5\"\ntags = [\"paper\", \"figure\"]\n\n\
-     [dataset]\nkind = \"paper\"\nscale = \"tiny\"\nseed = 42\n",
-    "name = \"fig6-tiny\"\nworkload = \"fig6\"\ntags = [\"paper\", \"figure\"]\n\n\
-     [dataset]\nkind = \"paper\"\nscale = \"tiny\"\nseed = 42\n",
-    "name = \"fig7-tiny\"\nworkload = \"fig7\"\ntags = [\"paper\", \"figure\"]\n\n\
-     [dataset]\nkind = \"paper\"\nscale = \"tiny\"\nseed = 42\n",
-    "name = \"fig8-tiny\"\nworkload = \"fig8\"\ntags = [\"paper\", \"figure\"]\n\n\
-     [dataset]\nkind = \"paper\"\nscale = \"tiny\"\nseed = 42\n",
-    "name = \"ablation-tiny\"\nworkload = \"ablation\"\ntags = [\"paper\", \"ablation\"]\n\n\
-     [dataset]\nkind = \"paper\"\nscale = \"tiny\"\nseed = 42\n",
-];
-
-impl Registry {
-    /// The embedded scenarios only (what the matrix falls back to when
-    /// no scenarios directory exists).
-    pub fn builtin() -> Registry {
-        let mut registry = Registry::default();
-        for text in BUILTINS {
-            let parsed = spec::parse(text).expect("builtin scenario specs parse");
-            registry
-                .add(parsed, Origin::Builtin)
-                .expect("builtin scenario names are unique");
-        }
-        registry
-    }
-
-    /// Builtins plus every `*.toml` under `dir`, loaded in sorted file
-    /// order.  A missing directory is not an error — the builtins alone
-    /// are a valid registry (and the matrix total-count gate in
-    /// `BENCH_matrix.json` catches an accidentally dropped directory).
-    pub fn load(dir: &Path) -> Result<Registry, SpecError> {
-        let mut registry = Registry::builtin();
-        let entries = match std::fs::read_dir(dir) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(registry),
-            Err(e) => {
-                return Err(SpecError::Io {
-                    path: dir.to_path_buf(),
-                    message: e.to_string(),
-                })
-            }
-        };
-        let mut paths: Vec<PathBuf> = entries
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let text = std::fs::read_to_string(&path).map_err(|e| SpecError::Io {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
-            let mut parsed = spec::parse(&text).map_err(|e| annotate_file(e, &path))?;
-            resolve_relative_input(&mut parsed.spec, &path);
-            registry
-                .add(parsed, Origin::File(path.clone()))
-                .map_err(|e| annotate_file(e, &path))?;
-        }
-        Ok(registry)
-    }
-
-    fn add(&mut self, parsed: ParsedSpec, origin: Origin) -> Result<(), SpecError> {
-        if self
-            .scenarios
-            .iter()
-            .any(|s| s.spec.name == parsed.spec.name)
-        {
-            return Err(SpecError::DuplicateName {
-                line: parsed.name_line,
-                name: parsed.spec.name,
-            });
-        }
-        let scenario = Scenario {
-            spec: parsed.spec,
-            origin,
-        };
-        let pos = self
-            .scenarios
-            .partition_point(|s| s.spec.name < scenario.spec.name);
-        self.scenarios.insert(pos, scenario);
-        Ok(())
-    }
-
-    /// Every scenario, sorted by name.
-    pub fn scenarios(&self) -> &[Scenario] {
-        &self.scenarios
-    }
-
-    /// The scenarios selected by `--only` names and `--tag` filters.
-    /// Both empty selects everything; an unknown `--only` name is an
-    /// error (a typo would otherwise silently skip the scenario).
-    pub fn select(&self, only: &[String], tag: Option<&str>) -> Result<Vec<&Scenario>, String> {
-        for name in only {
-            if !self.scenarios.iter().any(|s| &s.spec.name == name) {
-                return Err(format!("unknown scenario '{name}'"));
-            }
-        }
-        Ok(self
-            .scenarios
-            .iter()
-            .filter(|s| only.is_empty() || only.contains(&s.spec.name))
-            .filter(|s| tag.map_or(true, |t| s.spec.tags.iter().any(|have| have == t)))
-            .collect())
-    }
-}
-
-/// Attaches the file path to errors surfaced while loading it, so a
-/// broken scenario file names itself.
-fn annotate_file(e: SpecError, path: &Path) -> SpecError {
-    SpecError::Io {
-        path: path.to_path_buf(),
-        message: e.to_string(),
-    }
-}
-
-/// Rewrites a relative `kind = "file"` dataset path to be relative to
-/// the spec file's directory, so scenario files work from any cwd.
-fn resolve_relative_input(spec: &mut Spec, spec_path: &Path) {
-    if let DatasetSpec::File { path, .. } = &mut spec.dataset {
-        if !Path::new(path.as_str()).is_absolute() {
-            if let Some(parent) = spec_path.parent() {
-                *path = parent.join(path.as_str()).to_string_lossy().into_owned();
-            }
+/// The scenarios selected by `--only` names and `--tag` filters.
+/// Both empty selects everything; an unknown `--only` name is an
+/// error (a typo would otherwise silently skip the scenario).
+pub fn select<'a>(
+    scenarios: &'a [Spec],
+    only: &[String],
+    tag: Option<&str>,
+) -> Result<Vec<&'a Spec>, String> {
+    for name in only {
+        if !scenarios.iter().any(|s| s.name == name) {
+            return Err(format!("unknown scenario '{name}'"));
         }
     }
+    Ok(scenarios
+        .iter()
+        .filter(|s| only.is_empty() || only.iter().any(|name| name == s.name))
+        .filter(|s| tag.map_or(true, |t| s.tags.contains(&t)))
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spec::Workload;
 
     #[test]
     fn builtins_cover_every_workload() {
-        let registry = Registry::builtin();
+        let scenarios = scenarios();
         for workload in Workload::ALL {
             assert!(
-                registry
-                    .scenarios()
-                    .iter()
-                    .any(|s| s.spec.workload == workload),
+                scenarios.iter().any(|s| s.workload == workload),
                 "no builtin scenario for workload {workload}"
             );
         }
     }
 
     #[test]
+    fn duplicate_names_across_sources_are_refused() {
+        // The builtins are the one scenario source, and `--only` and the
+        // report key scenarios by name: each must be unique and
+        // `[a-z0-9._-]+`.
+        let scenarios = scenarios();
+        for (i, s) in scenarios.iter().enumerate() {
+            assert!(
+                !s.name.is_empty()
+                    && s.name.bytes().all(|b| {
+                        b.is_ascii_lowercase() || b.is_ascii_digit() || b".-_".contains(&b)
+                    }),
+                "scenario name '{}' is not [a-z0-9._-]+",
+                s.name
+            );
+            assert!(
+                scenarios[i + 1..].iter().all(|t| t.name != s.name),
+                "duplicate scenario name '{}'",
+                s.name
+            );
+        }
+    }
+
+    #[test]
     fn scenarios_come_out_sorted_by_name() {
-        let registry = Registry::builtin();
-        let names: Vec<&str> = registry
-            .scenarios()
-            .iter()
-            .map(|s| s.spec.name.as_str())
-            .collect();
+        let names: Vec<&str> = scenarios().iter().map(|s| s.name).collect();
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
@@ -271,72 +264,15 @@ mod tests {
 
     #[test]
     fn select_filters_by_name_and_tag_and_rejects_typos() {
-        let registry = Registry::builtin();
-        let all = registry.select(&[], None).unwrap();
-        assert_eq!(all.len(), registry.scenarios().len());
-        let only = registry
-            .select(&["parbench-smoke".to_string()], None)
-            .unwrap();
+        let scenarios = scenarios();
+        let all = select(&scenarios, &[], None).unwrap();
+        assert_eq!(all.len(), scenarios.len());
+        let only = select(&scenarios, &["parbench-smoke".to_string()], None).unwrap();
         assert_eq!(only.len(), 1);
-        assert_eq!(only[0].spec.name, "parbench-smoke");
-        let sweeps = registry.select(&[], Some("sweep")).unwrap();
-        assert_eq!(sweeps.len(), 3);
-        let err = registry.select(&["nope".to_string()], None).unwrap_err();
+        assert_eq!(only[0].name, "parbench-smoke");
+        let sweeps = select(&scenarios, &[], Some("sweep")).unwrap();
+        assert_eq!(sweeps.len(), 4);
+        let err = select(&scenarios, &["nope".to_string()], None).unwrap_err();
         assert!(err.contains("unknown scenario 'nope'"), "{err}");
-    }
-
-    #[test]
-    fn duplicate_names_across_sources_are_refused() {
-        let dir =
-            std::env::temp_dir().join(format!("nd_bench_registry_dup_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("dup.toml"),
-            "name = \"parbench-smoke\"\nworkload = \"parbench\"\n\n\
-             [dataset]\nkind = \"generated\"\nedges = 100\n",
-        )
-        .unwrap();
-        let err = Registry::load(&dir).unwrap_err();
-        let text = err.to_string();
-        assert!(
-            text.contains("duplicate scenario name 'parbench-smoke'"),
-            "{text}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn missing_scenarios_dir_falls_back_to_builtins() {
-        let registry = Registry::load(Path::new("/nonexistent/nd-bench-scenarios")).unwrap();
-        assert_eq!(
-            registry.scenarios().len(),
-            Registry::builtin().scenarios().len()
-        );
-    }
-
-    #[test]
-    fn relative_file_paths_resolve_against_the_spec_dir() {
-        let dir =
-            std::env::temp_dir().join(format!("nd_bench_registry_rel_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("file.toml"),
-            "name = \"zz-file\"\nworkload = \"parbench\"\n\n\
-             [dataset]\nkind = \"file\"\npath = \"data/g.txt\"\nprob_model = \"const:0.5\"\n",
-        )
-        .unwrap();
-        let registry = Registry::load(&dir).unwrap();
-        let scenario = registry
-            .scenarios()
-            .iter()
-            .find(|s| s.spec.name == "zz-file")
-            .unwrap();
-        match &scenario.spec.dataset {
-            DatasetSpec::File { path, .. } => {
-                assert_eq!(Path::new(path), dir.join("data/g.txt"));
-            }
-            other => panic!("expected a file dataset, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

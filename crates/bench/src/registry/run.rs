@@ -9,8 +9,8 @@
 //! After a driver finishes, its deterministic counters are read from
 //! its own JSON report: every path the report tags `exact` or
 //! `lower-is-better` ([`crate::report`]), never the walls, ratios and
-//! RSS probes tagged otherwise.  The spec's declared expectations are
-//! judged with the same [`Gate`] semantics `bench-compare` applies.
+//! RSS probes tagged otherwise.  Each expectation the spec declares
+//! must match its counter exactly.
 
 use super::spec::{DatasetSpec, Spec, Workload};
 use crate::compare::Gate;
@@ -433,19 +433,10 @@ pub fn run_paper(ctx: &ExperimentContext, workload: Workload) -> PaperOutput {
     }
 }
 
-/// Builds the experiment context a paper spec describes (loading the
-/// external graph through the snapshot cache for `kind = "file"`).
+/// Builds the experiment context a paper spec describes.
 pub fn paper_context(spec: &Spec) -> Result<ExperimentContext, String> {
     match &spec.dataset {
         DatasetSpec::Paper { scale, seed } => Ok(ExperimentContext::new(*scale, *seed)),
-        DatasetSpec::File { .. } => {
-            let input = file_dataset(&spec.dataset).expect("file dataset");
-            let graph = input
-                .load_cached()
-                .map_err(|e| format!("cannot load {}: {e}", input.path.display()))?;
-            Ok(ExperimentContext::new(nd_datasets::Scale::Tiny, 42)
-                .with_external_graph(input.name.clone(), graph))
-        }
         other => Err(format!("paper workloads cannot run on {other:?}")),
     }
 }
@@ -454,22 +445,19 @@ pub fn paper_context(spec: &Spec) -> Result<ExperimentContext, String> {
 // Execution + expectation judging
 // ---------------------------------------------------------------------
 
-/// Judges every declared expectation against the extracted counters,
-/// with the same gate semantics `bench-compare` applies (expected value
-/// as the baseline side, at the spec's tolerance).
+/// Checks every declared expectation against the extracted counters:
+/// a counter that is missing or differs from its expected value is a
+/// failure.
 fn check_expectations(spec: &Spec, counters: &[(String, f64)], failures: &mut Vec<String>) {
-    for e in &spec.expect {
-        let Some(&(_, actual)) = counters.iter().find(|(path, _)| *path == e.path) else {
-            failures.push(format!(
-                "{}: expected counter is missing from the report",
-                e.path
-            ));
-            continue;
-        };
-        let (regression, _) =
-            crate::compare::judge(e.gate, Some(e.value), Some(actual), spec.tolerance);
-        if let Some(reason) = regression {
-            failures.push(format!("{}: {reason}", e.path));
+    for &(path, expected) in spec.expect {
+        match counters.iter().find(|(p, _)| p == path) {
+            None => failures.push(format!(
+                "{path}: expected counter is missing from the report"
+            )),
+            Some(&(_, actual)) if actual != expected => {
+                failures.push(format!("{path}: expected {expected}, got {actual}"))
+            }
+            Some(_) => {}
         }
     }
 }
@@ -546,25 +534,44 @@ pub fn execute(spec: &Spec) -> Result<Executed, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::spec;
+    use crate::registry::spec::Params;
+    use nucleus::Rank;
 
-    fn parse(text: &str) -> Spec {
-        spec::parse(text).unwrap().spec
+    /// A bench spec on a generated graph with the given knobs.
+    fn generated(workload: Workload, edges: usize, seed: u64, params: Params) -> Spec {
+        Spec {
+            name: "x",
+            workload,
+            tags: &[],
+            dataset: DatasetSpec::Generated {
+                edges,
+                vertices: None,
+                seed,
+            },
+            params,
+            expect: &[],
+        }
     }
 
     #[test]
     fn generated_specs_build_the_cli_equivalent_configs() {
-        let spec = parse(
-            "name = \"x\"\nworkload = \"thetasweep\"\n\n\
-             [dataset]\nkind = \"generated\"\nedges = 5000\nseed = 7\n\n\
-             [params]\nrank = \"truss\"\nthetas = [0.1, 0.5]\nrepeats = 2\n",
+        let spec = generated(
+            Workload::Thetasweep,
+            5000,
+            7,
+            Params {
+                rank: Some(Rank::Truss),
+                thetas: Some(vec![0.1, 0.5]),
+                repeats: Some(2),
+                ..Params::default()
+            },
         );
         let config = thetasweep_config(&spec).unwrap();
         // Same derivation the CLI applies for --edges without --vertices.
         assert_eq!(config.vertices, 200);
         assert_eq!(config.edges, 5000);
         assert_eq!(config.seed, 7);
-        assert_eq!(config.rank, nucleus::Rank::Truss);
+        assert_eq!(config.rank, Rank::Truss);
         assert_eq!(config.thetas, vec![0.1, 0.5]);
         assert_eq!(config.repeats, 2);
         assert!(config.input.is_none());
@@ -572,10 +579,7 @@ mod tests {
 
     #[test]
     fn unset_params_keep_driver_defaults() {
-        let spec = parse(
-            "name = \"x\"\nworkload = \"parbench\"\n\n\
-             [dataset]\nkind = \"generated\"\nedges = 50000\n",
-        );
+        let spec = generated(Workload::Parbench, 50_000, 42, Params::default());
         let config = parbench_config(&spec).unwrap();
         let default = parbench::ParBenchConfig::default();
         assert_eq!(config.repeats, default.repeats);
@@ -584,29 +588,35 @@ mod tests {
     }
 
     #[test]
-    fn expectations_judge_with_gate_semantics() {
-        let spec = parse(
-            "name = \"x\"\nworkload = \"thetasweep\"\n\n\
-             [dataset]\nkind = \"generated\"\nedges = 100\n\n\
-             [expect]\n\"sweep.support_builds\" = 1\n\"sweep.dp_calls_total\" = 500\n\n\
-             [gates]\n\"sweep.dp_calls_total\" = \"lower-is-better\"\n",
-        );
-        assert_eq!(spec.expect[0].gate, Gate::LowerIsBetter);
+    fn expectations_match_mismatch_or_go_missing() {
+        let spec = Spec {
+            expect: &[
+                ("sweep.dp_calls_total", 500.0),
+                ("sweep.support_builds", 1.0),
+            ],
+            ..generated(Workload::Thetasweep, 100, 42, Params::default())
+        };
         let counters = vec![
             ("sweep.support_builds".to_string(), 1.0),
-            ("sweep.dp_calls_total".to_string(), 400.0),
+            ("sweep.dp_calls_total".to_string(), 500.0),
         ];
         let mut failures = Vec::new();
         check_expectations(&spec, &counters, &mut failures);
         assert!(failures.is_empty(), "{failures:?}");
-        // Exact mismatch and a lower-is-better increase both fail.
+        // Any difference fails, a decrease as much as an increase.
         let counters = vec![
             ("sweep.support_builds".to_string(), 2.0),
-            ("sweep.dp_calls_total".to_string(), 600.0),
+            ("sweep.dp_calls_total".to_string(), 400.0),
         ];
         let mut failures = Vec::new();
         check_expectations(&spec, &counters, &mut failures);
-        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert_eq!(
+            failures,
+            [
+                "sweep.dp_calls_total: expected 500, got 400",
+                "sweep.support_builds: expected 1, got 2"
+            ]
+        );
         // A missing counter is its own failure.
         let mut failures = Vec::new();
         check_expectations(&spec, &[], &mut failures);
@@ -616,10 +626,16 @@ mod tests {
 
     #[test]
     fn headers_match_the_subcommand_format() {
-        let spec = parse(
-            "name = \"x\"\nworkload = \"updates\"\n\n\
-             [dataset]\nkind = \"generated\"\nedges = 4000\nseed = 42\n\n\
-             [params]\nrank = \"truss\"\nthetas = [0.05, 0.1, 0.3]\nbatch = 16\n",
+        let spec = generated(
+            Workload::Updates,
+            4000,
+            42,
+            Params {
+                rank: Some(Rank::Truss),
+                thetas: Some(vec![0.05, 0.1, 0.3]),
+                batch: Some(16),
+                ..Params::default()
+            },
         );
         assert_eq!(
             header(&spec).unwrap(),

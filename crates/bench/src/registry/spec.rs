@@ -1,190 +1,14 @@
-//! The declarative scenario spec format: a zero-dependency TOML subset
-//! with typed, line-numbered errors and a canonical serializer.
+//! The scenario types: one runnable scenario is a [`Spec`] value,
+//! dataset × workload × knobs × expected counters.
 //!
-//! A spec describes one runnable scenario as dataset × prob-model ×
-//! rank/algorithm × θ-grid × expected-counters × gate:
-//!
-//! ```toml
-//! name = "thetasweep-truss-smoke"
-//! workload = "thetasweep"
-//! tags = ["bench", "sweep"]
-//!
-//! [dataset]
-//! kind = "generated"
-//! edges = 4000
-//! seed = 42
-//!
-//! [params]
-//! rank = "truss"
-//! thetas = [0.05, 0.1, 0.3]
-//! repeats = 1
-//!
-//! [expect]
-//! "sweep.support_builds" = 1
-//!
-//! [gates]
-//! "sweep.support_builds" = "exact"
-//! ```
-//!
-//! The grammar is the TOML subset the registry needs and nothing more:
-//! `#` comments, `[section]` headers, `key = value` pairs with bare or
-//! quoted keys, and string / number / boolean / flat-array values.
-//! Every parse error is a typed [`SpecError`] carrying the 1-based line
-//! it was found on, so a typo in a scenario file points at itself.
-//!
-//! [`Spec::to_toml`] renders the canonical form (fixed key order,
-//! defaults omitted, `[expect]`/`[gates]` sorted by counter path);
-//! `parse(to_toml(spec))` reproduces the spec exactly, and
-//! `to_toml(parse(text))` is a fixpoint — the round-trip property the
-//! proptests pin.
+//! Specs are plain Rust values.  The builtins live in
+//! [`crate::registry::scenarios`]; the `experiments` subcommands build
+//! one from their flags.
 
-use std::path::PathBuf;
-
-use crate::compare::Gate;
 use nd_datasets::Scale;
 use nucleus::Rank;
 use ugraph::io::EdgeProbabilityModel;
 use ugraph::InputFormat;
-
-/// Everything that can be wrong with a scenario spec, each variant
-/// carrying the 1-based line number it was detected on.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SpecError {
-    /// The line is not a comment, section header or `key = value` pair.
-    Syntax {
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong.
-        message: String,
-    },
-    /// A `[section]` header this format does not define.
-    UnknownSection {
-        /// 1-based line number.
-        line: usize,
-        /// The unrecognized section name.
-        name: String,
-    },
-    /// A key this section does not define.
-    UnknownKey {
-        /// 1-based line number.
-        line: usize,
-        /// The unrecognized key.
-        key: String,
-        /// The section it appeared in (`top` for the preamble).
-        section: String,
-    },
-    /// The same key (or section header) appeared twice.
-    DuplicateKey {
-        /// 1-based line number of the second occurrence.
-        line: usize,
-        /// The duplicated key.
-        key: String,
-        /// The section it appeared in.
-        section: String,
-    },
-    /// A required key is absent.
-    MissingField {
-        /// The section the key belongs to.
-        section: String,
-        /// The missing key.
-        key: String,
-    },
-    /// `workload` names no known workload.
-    UnknownWorkload {
-        /// 1-based line number.
-        line: usize,
-        /// The unrecognized value.
-        value: String,
-    },
-    /// `rank` names no known (r,s) rank.
-    BadRank {
-        /// 1-based line number.
-        line: usize,
-        /// The unrecognized value.
-        value: String,
-    },
-    /// The θ-grid is not strictly increasing.
-    UnsortedThetaGrid {
-        /// 1-based line number of the `thetas` key.
-        line: usize,
-    },
-    /// `tolerance` is outside `[0, 1]`.
-    ToleranceOutOfRange {
-        /// 1-based line number.
-        line: usize,
-        /// The offending value.
-        value: f64,
-    },
-    /// A key's value has the wrong type or an invalid content.
-    BadValue {
-        /// 1-based line number.
-        line: usize,
-        /// The key whose value is bad.
-        key: String,
-        /// What was wrong.
-        message: String,
-    },
-    /// Two scenarios (across files and builtins) share one name.
-    DuplicateName {
-        /// 1-based line of the `name` key of the *second* spec.
-        line: usize,
-        /// The colliding scenario name.
-        name: String,
-    },
-    /// A scenario file could not be read.
-    Io {
-        /// The file that failed.
-        path: PathBuf,
-        /// The underlying error.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpecError::Syntax { line, message } => write!(f, "line {line}: {message}"),
-            SpecError::UnknownSection { line, name } => {
-                write!(f, "line {line}: unknown section [{name}]")
-            }
-            SpecError::UnknownKey { line, key, section } => {
-                write!(f, "line {line}: unknown key '{key}' in [{section}]")
-            }
-            SpecError::DuplicateKey { line, key, section } => {
-                write!(f, "line {line}: duplicate key '{key}' in [{section}]")
-            }
-            SpecError::MissingField { section, key } => {
-                write!(f, "missing required key '{key}' in [{section}]")
-            }
-            SpecError::UnknownWorkload { line, value } => {
-                write!(f, "line {line}: unknown workload '{value}'")
-            }
-            SpecError::BadRank { line, value } => {
-                write!(
-                    f,
-                    "line {line}: unknown rank '{value}' (expected core, truss or nucleus)"
-                )
-            }
-            SpecError::UnsortedThetaGrid { line } => {
-                write!(f, "line {line}: thetas must be strictly increasing")
-            }
-            SpecError::ToleranceOutOfRange { line, value } => {
-                write!(f, "line {line}: tolerance {value} outside [0, 1]")
-            }
-            SpecError::BadValue { line, key, message } => {
-                write!(f, "line {line}: bad value for '{key}': {message}")
-            }
-            SpecError::DuplicateName { line, name } => {
-                write!(f, "line {line}: duplicate scenario name '{name}'")
-            }
-            SpecError::Io { path, message } => {
-                write!(f, "cannot read {}: {message}", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
 
 /// The workload a scenario drives — one per `experiments` subcommand
 /// (bench drivers) or paper experiment id.
@@ -251,11 +75,10 @@ impl Workload {
                 | Workload::Million
         )
     }
-}
 
-impl std::fmt::Display for Workload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
+    /// The subcommand (or paper experiment id) that runs this workload.
+    pub fn name(&self) -> &'static str {
+        match self {
             Workload::Parbench => "parbench",
             Workload::Thetasweep => "thetasweep",
             Workload::Updates => "updates",
@@ -270,8 +93,13 @@ impl std::fmt::Display for Workload {
             Workload::Fig7 => "fig7",
             Workload::Fig8 => "fig8",
             Workload::Ablation => "ablation",
-        };
-        write!(f, "{name}")
+        }
+    }
+}
+
+impl std::fmt::Display for Workload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.name())
     }
 }
 
@@ -281,7 +109,7 @@ impl std::str::FromStr for Workload {
     fn from_str(s: &str) -> Result<Workload, String> {
         Workload::ALL
             .iter()
-            .find(|w| w.to_string() == s)
+            .find(|w| w.name() == s)
             .copied()
             .ok_or_else(|| format!("unknown workload '{s}'"))
     }
@@ -290,9 +118,8 @@ impl std::str::FromStr for Workload {
 /// The graph a scenario runs on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DatasetSpec {
-    /// A seeded uniform G(n, m) graph (`kind = "generated"`), the shape
-    /// the bench drivers default to.  `vertices = None` derives the
-    /// average-degree-50 count.
+    /// A seeded uniform G(n, m) graph, the shape the bench drivers
+    /// default to.
     Generated {
         /// Edge count.
         edges: usize,
@@ -301,8 +128,7 @@ pub enum DatasetSpec {
         /// RNG seed.
         seed: u64,
     },
-    /// A seeded Barabási–Albert graph (`kind = "ba"`), the million
-    /// driver's generator.
+    /// A seeded Barabási–Albert graph, the million driver's generator.
     Ba {
         /// Vertex count.
         vertices: usize,
@@ -311,15 +137,15 @@ pub enum DatasetSpec {
         /// RNG seed.
         seed: u64,
     },
-    /// The paper's six synthetic datasets at a scale (`kind = "paper"`).
+    /// The paper's six synthetic datasets at a scale.
     Paper {
         /// Dataset scale.
         scale: Scale,
         /// RNG seed.
         seed: u64,
     },
-    /// An ingested graph file (`kind = "file"`).  A relative path is
-    /// resolved against the spec file's directory at load time.
+    /// An ingested graph file (bench drivers only), loaded through the
+    /// snapshot cache.
     File {
         /// Path to the edge-list or snapshot file.
         path: String,
@@ -352,1173 +178,66 @@ pub struct Params {
     pub chunk_edges: Option<usize>,
 }
 
-/// One declared counter expectation: after the run, the counter at
-/// `path` is judged against `value` under `gate` (at the spec's
-/// tolerance).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Expectation {
-    /// Dotted counter path (e.g. `sweep.support_builds`).
-    pub path: String,
-    /// The expected value.
-    pub value: f64,
-    /// How the actual value is judged against the expectation.
-    pub gate: Gate,
-}
-
-/// One fully validated scenario spec.
+/// One runnable scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Spec {
     /// Unique scenario name (`[a-z0-9._-]+`).
-    pub name: String,
+    pub name: &'static str,
     /// The workload it drives.
     pub workload: Workload,
     /// Free-form tags for `matrix --tag` filtering.
-    pub tags: Vec<String>,
-    /// Relative tolerance of the expectation gates (default 0).
-    pub tolerance: f64,
+    pub tags: &'static [&'static str],
     /// The graph.
     pub dataset: DatasetSpec,
     /// Workload knobs.
     pub params: Params,
-    /// Declared counter expectations, sorted by path.
-    pub expect: Vec<Expectation>,
-}
-
-/// A parsed spec plus the source line its `name` key sits on (kept out
-/// of [`Spec`] so round-tripped specs compare equal).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedSpec {
-    /// The validated spec.
-    pub spec: Spec,
-    /// 1-based line of the `name` key, for duplicate-name reporting.
-    pub name_line: usize,
-}
-
-// ---------------------------------------------------------------------
-// Tokenizer
-// ---------------------------------------------------------------------
-
-/// A raw scalar or flat-array value.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Arr(Vec<Value>),
-}
-
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Str(_) => "string",
-            Value::Num(_) => "number",
-            Value::Bool(_) => "boolean",
-            Value::Arr(_) => "array",
-        }
-    }
-}
-
-/// One `key = value` line, tagged with its section and line number.
-#[derive(Debug, Clone)]
-struct RawItem {
-    section: String,
-    key: String,
-    value: Value,
-    line: usize,
-}
-
-/// Strips a `#` comment, honouring quotes (a `#` inside a string is
-/// content, not a comment).
-fn strip_comment(line: &str) -> &str {
-    let bytes = line.as_bytes();
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-        } else if b == b'"' {
-            in_str = true;
-        } else if b == b'#' {
-            return &line[..i];
-        }
-    }
-    line
-}
-
-/// Scans a double-quoted string starting at `s[0] == '"'`; returns the
-/// unescaped content and the byte length consumed (including quotes).
-fn scan_string(s: &str, line: usize) -> Result<(String, usize), SpecError> {
-    debug_assert!(s.starts_with('"'));
-    let mut out = String::new();
-    let mut chars = s.char_indices().skip(1);
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, i + 1)),
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, other)) => {
-                    return Err(SpecError::Syntax {
-                        line,
-                        message: format!("unknown escape '\\{other}' in string"),
-                    })
-                }
-                None => break,
-            },
-            _ => out.push(c),
-        }
-    }
-    Err(SpecError::Syntax {
-        line,
-        message: "unterminated string".to_string(),
-    })
-}
-
-/// Parses one scalar token (string, number or boolean).
-fn parse_scalar(token: &str, line: usize) -> Result<Value, SpecError> {
-    let token = token.trim();
-    if token.starts_with('"') {
-        let (s, consumed) = scan_string(token, line)?;
-        if !token[consumed..].trim().is_empty() {
-            return Err(SpecError::Syntax {
-                line,
-                message: format!("trailing content after string: '{}'", &token[consumed..]),
-            });
-        }
-        return Ok(Value::Str(s));
-    }
-    match token {
-        "true" => return Ok(Value::Bool(true)),
-        "false" => return Ok(Value::Bool(false)),
-        "" => {
-            return Err(SpecError::Syntax {
-                line,
-                message: "missing value".to_string(),
-            })
-        }
-        _ => {}
-    }
-    // Numbers: restrict the alphabet before f64::from_str so "inf",
-    // "NaN" and stray words fail as syntax, not parse as non-finite.
-    if token
-        .bytes()
-        .all(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        if let Ok(n) = token.parse::<f64>() {
-            if n.is_finite() {
-                return Ok(Value::Num(n));
-            }
-        }
-    }
-    Err(SpecError::Syntax {
-        line,
-        message: format!("cannot parse value '{token}'"),
-    })
-}
-
-/// Parses a value: scalar or a single-line flat array of scalars.
-fn parse_value(text: &str, line: usize) -> Result<Value, SpecError> {
-    let text = text.trim();
-    let Some(inner) = text.strip_prefix('[') else {
-        return parse_scalar(text, line);
-    };
-    let Some(inner) = inner.strip_suffix(']') else {
-        return Err(SpecError::Syntax {
-            line,
-            message: "unterminated array (arrays must be single-line)".to_string(),
-        });
-    };
-    let mut items = Vec::new();
-    // Split at top-level commas, honouring quotes.
-    let mut start = 0usize;
-    let bytes = inner.as_bytes();
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-        } else if b == b'"' {
-            in_str = true;
-        } else if b == b',' {
-            items.push(&inner[start..i]);
-            start = i + 1;
-        }
-    }
-    items.push(&inner[start..]);
-    if items.len() == 1 && items[0].trim().is_empty() {
-        return Ok(Value::Arr(Vec::new()));
-    }
-    items
-        .into_iter()
-        .map(|token| parse_scalar(token, line))
-        .collect::<Result<Vec<_>, _>>()
-        .map(Value::Arr)
-}
-
-/// Parses a key: bare (`[A-Za-z0-9_-]+`) or double-quoted (for dotted
-/// counter paths).  Returns the key and the remainder after it.
-fn parse_key(text: &str, line: usize) -> Result<(String, &str), SpecError> {
-    let text = text.trim_start();
-    if text.starts_with('"') {
-        let (key, consumed) = scan_string(text, line)?;
-        return Ok((key, &text[consumed..]));
-    }
-    let end = text
-        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '-'))
-        .unwrap_or(text.len());
-    if end == 0 {
-        return Err(SpecError::Syntax {
-            line,
-            message: format!("expected a key, found '{text}'"),
-        });
-    }
-    Ok((text[..end].to_string(), &text[end..]))
-}
-
-const SECTIONS: &[&str] = &["dataset", "params", "expect", "gates"];
-
-/// Tokenizes a spec into raw items, detecting duplicate keys and
-/// sections as it goes.
-fn tokenize(text: &str) -> Result<Vec<RawItem>, SpecError> {
-    let mut items: Vec<RawItem> = Vec::new();
-    let mut seen_sections: Vec<String> = Vec::new();
-    let mut section = String::new();
-    for (idx, raw_line) in text.lines().enumerate() {
-        let line = idx + 1;
-        let content = strip_comment(raw_line).trim();
-        if content.is_empty() {
-            continue;
-        }
-        if let Some(header) = content.strip_prefix('[') {
-            let Some(name) = header.strip_suffix(']') else {
-                return Err(SpecError::Syntax {
-                    line,
-                    message: "unterminated section header".to_string(),
-                });
-            };
-            let name = name.trim();
-            if !SECTIONS.contains(&name) {
-                return Err(SpecError::UnknownSection {
-                    line,
-                    name: name.to_string(),
-                });
-            }
-            if seen_sections.iter().any(|s| s == name) {
-                return Err(SpecError::DuplicateKey {
-                    line,
-                    key: format!("[{name}]"),
-                    section: name.to_string(),
-                });
-            }
-            seen_sections.push(name.to_string());
-            section = name.to_string();
-            continue;
-        }
-        let (key, rest) = parse_key(content, line)?;
-        let rest = rest.trim_start();
-        let Some(value_text) = rest.strip_prefix('=') else {
-            return Err(SpecError::Syntax {
-                line,
-                message: format!("expected '=' after key '{key}'"),
-            });
-        };
-        let value = parse_value(value_text, line)?;
-        if items
-            .iter()
-            .any(|item| item.section == section && item.key == key)
-        {
-            return Err(SpecError::DuplicateKey {
-                line,
-                key,
-                section: if section.is_empty() {
-                    "top".to_string()
-                } else {
-                    section.clone()
-                },
-            });
-        }
-        items.push(RawItem {
-            section: section.clone(),
-            key,
-            value,
-            line,
-        });
-    }
-    Ok(items)
-}
-
-// ---------------------------------------------------------------------
-// Validation
-// ---------------------------------------------------------------------
-
-/// The items of one section, with take-and-check-leftovers access.
-struct Fields<'a> {
-    section: &'static str,
-    items: Vec<&'a RawItem>,
-    taken: Vec<bool>,
-}
-
-impl<'a> Fields<'a> {
-    fn of(items: &'a [RawItem], section: &'static str) -> Fields<'a> {
-        let key = if section == "top" { "" } else { section };
-        let items: Vec<&RawItem> = items.iter().filter(|i| i.section == key).collect();
-        let taken = vec![false; items.len()];
-        Fields {
-            section,
-            items,
-            taken,
-        }
-    }
-
-    fn take(&mut self, key: &str) -> Option<&'a RawItem> {
-        let pos = self.items.iter().position(|i| i.key == key)?;
-        self.taken[pos] = true;
-        Some(self.items[pos])
-    }
-
-    /// Takes every remaining item, in source order (`[expect]`/`[gates]`).
-    fn take_all(&mut self) -> Vec<&'a RawItem> {
-        let mut out = Vec::new();
-        for (pos, item) in self.items.iter().enumerate() {
-            if !self.taken[pos] {
-                self.taken[pos] = true;
-                out.push(*item);
-            }
-        }
-        out
-    }
-
-    /// Errors on the first key nothing consumed.
-    fn finish(self) -> Result<(), SpecError> {
-        for (pos, item) in self.items.iter().enumerate() {
-            if !self.taken[pos] {
-                return Err(SpecError::UnknownKey {
-                    line: item.line,
-                    key: item.key.clone(),
-                    section: self.section.to_string(),
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-fn bad(item: &RawItem, message: impl Into<String>) -> SpecError {
-    SpecError::BadValue {
-        line: item.line,
-        key: item.key.clone(),
-        message: message.into(),
-    }
-}
-
-fn as_str(item: &RawItem) -> Result<&str, SpecError> {
-    match &item.value {
-        Value::Str(s) => Ok(s),
-        other => Err(bad(
-            item,
-            format!("expected a string, got {}", other.type_name()),
-        )),
-    }
-}
-
-fn as_f64(item: &RawItem) -> Result<f64, SpecError> {
-    match &item.value {
-        Value::Num(n) => Ok(*n),
-        other => Err(bad(
-            item,
-            format!("expected a number, got {}", other.type_name()),
-        )),
-    }
-}
-
-fn num_to_usize(item: &RawItem, n: f64) -> Result<usize, SpecError> {
-    if n.fract() != 0.0 || !(0.0..9_007_199_254_740_992.0).contains(&n) {
-        return Err(bad(
-            item,
-            format!("expected a non-negative integer, got {n}"),
-        ));
-    }
-    Ok(n as usize)
-}
-
-fn as_usize(item: &RawItem) -> Result<usize, SpecError> {
-    num_to_usize(item, as_f64(item)?)
-}
-
-fn as_u64(item: &RawItem) -> Result<u64, SpecError> {
-    Ok(as_usize(item)? as u64)
-}
-
-fn as_str_array(item: &RawItem) -> Result<Vec<String>, SpecError> {
-    match &item.value {
-        Value::Arr(items) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => Ok(s.clone()),
-                other => Err(bad(
-                    item,
-                    format!("expected strings, got {}", other.type_name()),
-                )),
-            })
-            .collect(),
-        other => Err(bad(
-            item,
-            format!("expected an array, got {}", other.type_name()),
-        )),
-    }
-}
-
-fn as_num_array(item: &RawItem) -> Result<Vec<f64>, SpecError> {
-    match &item.value {
-        Value::Arr(items) => items
-            .iter()
-            .map(|v| match v {
-                Value::Num(n) => Ok(*n),
-                other => Err(bad(
-                    item,
-                    format!("expected numbers, got {}", other.type_name()),
-                )),
-            })
-            .collect(),
-        other => Err(bad(
-            item,
-            format!("expected an array, got {}", other.type_name()),
-        )),
-    }
-}
-
-fn as_usize_array(item: &RawItem) -> Result<Vec<usize>, SpecError> {
-    as_num_array(item)?
-        .into_iter()
-        .map(|n| num_to_usize(item, n))
-        .collect()
-}
-
-/// Validates a θ-grid: every point finite in (0, 1], strictly
-/// increasing (the sweep engine's own precondition, surfaced with the
-/// spec line number instead of at run time).
-fn validate_thetas(item: &RawItem) -> Result<Vec<f64>, SpecError> {
-    let thetas = as_num_array(item)?;
-    if thetas.is_empty() {
-        return Err(bad(item, "the grid needs at least one threshold"));
-    }
-    for &t in &thetas {
-        if !(t > 0.0 && t <= 1.0) {
-            return Err(bad(item, format!("threshold {t} outside (0, 1]")));
-        }
-    }
-    if thetas.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(SpecError::UnsortedThetaGrid { line: item.line });
-    }
-    Ok(thetas)
-}
-
-/// Parses and validates one spec.
-pub fn parse(text: &str) -> Result<ParsedSpec, SpecError> {
-    let items = tokenize(text)?;
-
-    // --- preamble -----------------------------------------------------
-    let mut top = Fields::of(&items, "top");
-    let name_item = top.take("name").ok_or(SpecError::MissingField {
-        section: "top".to_string(),
-        key: "name".to_string(),
-    })?;
-    let name = as_str(name_item)?.to_string();
-    if name.is_empty()
-        || !name.bytes().all(|b| {
-            b.is_ascii_lowercase() || b.is_ascii_digit() || matches!(b, b'-' | b'_' | b'.')
-        })
-    {
-        return Err(bad(name_item, "names are non-empty [a-z0-9._-]+"));
-    }
-    let name_line = name_item.line;
-    let workload_item = top.take("workload").ok_or(SpecError::MissingField {
-        section: "top".to_string(),
-        key: "workload".to_string(),
-    })?;
-    let workload =
-        as_str(workload_item)?
-            .parse::<Workload>()
-            .map_err(|_| SpecError::UnknownWorkload {
-                line: workload_item.line,
-                value: as_str(workload_item).unwrap_or_default().to_string(),
-            })?;
-    let tags = match top.take("tags") {
-        Some(item) => as_str_array(item)?,
-        None => Vec::new(),
-    };
-    let tolerance = match top.take("tolerance") {
-        Some(item) => {
-            let t = as_f64(item)?;
-            if !(0.0..=1.0).contains(&t) {
-                return Err(SpecError::ToleranceOutOfRange {
-                    line: item.line,
-                    value: t,
-                });
-            }
-            t
-        }
-        None => 0.0,
-    };
-    top.finish()?;
-
-    // --- [dataset] ----------------------------------------------------
-    let mut ds = Fields::of(&items, "dataset");
-    let kind_item = ds.take("kind").ok_or(SpecError::MissingField {
-        section: "dataset".to_string(),
-        key: "kind".to_string(),
-    })?;
-    let kind = as_str(kind_item)?.to_string();
-    let dataset = match kind.as_str() {
-        "generated" => {
-            let edges_item = ds.take("edges").ok_or(SpecError::MissingField {
-                section: "dataset".to_string(),
-                key: "edges".to_string(),
-            })?;
-            DatasetSpec::Generated {
-                edges: as_usize(edges_item)?,
-                vertices: ds.take("vertices").map(as_usize).transpose()?,
-                seed: ds.take("seed").map(as_u64).transpose()?.unwrap_or(42),
-            }
-        }
-        "ba" => {
-            let vertices_item = ds.take("vertices").ok_or(SpecError::MissingField {
-                section: "dataset".to_string(),
-                key: "vertices".to_string(),
-            })?;
-            let attach = ds.take("attach").map(as_usize).transpose()?.unwrap_or(5);
-            if attach == 0 {
-                return Err(bad(kind_item, "attach must be at least 1"));
-            }
-            DatasetSpec::Ba {
-                vertices: as_usize(vertices_item)?,
-                attach,
-                seed: ds.take("seed").map(as_u64).transpose()?.unwrap_or(42),
-            }
-        }
-        "paper" => {
-            let scale = match ds.take("scale") {
-                Some(item) => match as_str(item)? {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "medium" => Scale::Medium,
-                    other => {
-                        return Err(bad(
-                            item,
-                            format!("unknown scale '{other}' (expected tiny, small or medium)"),
-                        ))
-                    }
-                },
-                None => Scale::Tiny,
-            };
-            DatasetSpec::Paper {
-                scale,
-                seed: ds.take("seed").map(as_u64).transpose()?.unwrap_or(42),
-            }
-        }
-        "file" => {
-            let path_item = ds.take("path").ok_or(SpecError::MissingField {
-                section: "dataset".to_string(),
-                key: "path".to_string(),
-            })?;
-            let format = match ds.take("format") {
-                Some(item) => as_str(item)?
-                    .parse::<InputFormat>()
-                    .map_err(|e| bad(item, e.to_string()))?,
-                None => InputFormat::Snap,
-            };
-            let prob_model = match ds.take("prob_model") {
-                Some(item) => as_str(item)?
-                    .parse::<EdgeProbabilityModel>()
-                    .map_err(|e| bad(item, e.to_string()))?,
-                None => EdgeProbabilityModel::Column,
-            };
-            DatasetSpec::File {
-                path: as_str(path_item)?.to_string(),
-                format,
-                prob_model,
-            }
-        }
-        other => {
-            return Err(bad(
-                kind_item,
-                format!("unknown dataset kind '{other}' (expected generated, ba, paper or file)"),
-            ))
-        }
-    };
-    ds.finish()?;
-
-    // Workload × dataset compatibility.
-    let kind_err = |msg: &str| -> SpecError { bad(kind_item, msg) };
-    match workload {
-        Workload::Million => {
-            if !matches!(dataset, DatasetSpec::Ba { .. }) {
-                return Err(kind_err("the million workload runs on kind = \"ba\" only"));
-            }
-        }
-        Workload::Parbench | Workload::Thetasweep | Workload::Updates | Workload::Serve => {
-            if !matches!(
-                dataset,
-                DatasetSpec::Generated { .. } | DatasetSpec::File { .. }
-            ) {
-                return Err(kind_err(
-                    "bench workloads run on kind = \"generated\" or \"file\"",
-                ));
-            }
-        }
-        _ => {
-            if !matches!(
-                dataset,
-                DatasetSpec::Paper { .. } | DatasetSpec::File { .. }
-            ) {
-                return Err(kind_err(
-                    "paper workloads run on kind = \"paper\" or \"file\"",
-                ));
-            }
-        }
-    }
-
-    // --- [params] -----------------------------------------------------
-    let mut ps = Fields::of(&items, "params");
-    let mut params = Params::default();
-    // Which keys this workload accepts; anything else is UnknownKey.
-    let allowed: &[&str] = match workload {
-        Workload::Parbench => &["repeats", "threads"],
-        Workload::Thetasweep => &["rank", "thetas", "repeats"],
-        Workload::Updates => &["rank", "thetas", "batch"],
-        Workload::Serve => &["thetas", "cache", "pool"],
-        Workload::Million => &["thetas", "pool", "chunk_edges"],
-        _ => &[],
-    };
-    if allowed.contains(&"rank") {
-        if let Some(item) = ps.take("rank") {
-            params.rank = Some(
-                as_str(item)?
-                    .parse::<Rank>()
-                    .map_err(|_| SpecError::BadRank {
-                        line: item.line,
-                        value: as_str(item).unwrap_or_default().to_string(),
-                    })?,
-            );
-        }
-    }
-    if allowed.contains(&"thetas") {
-        if let Some(item) = ps.take("thetas") {
-            params.thetas = Some(validate_thetas(item)?);
-        }
-    }
-    if allowed.contains(&"repeats") {
-        if let Some(item) = ps.take("repeats") {
-            params.repeats = Some(as_usize(item)?);
-        }
-    }
-    if allowed.contains(&"threads") {
-        if let Some(item) = ps.take("threads") {
-            let threads = as_usize_array(item)?;
-            if threads.contains(&0) {
-                return Err(bad(item, "thread counts must be at least 1"));
-            }
-            params.threads = Some(threads);
-        }
-    }
-    if allowed.contains(&"batch") {
-        if let Some(item) = ps.take("batch") {
-            params.batch = Some(as_usize(item)?);
-        }
-    }
-    if allowed.contains(&"cache") {
-        if let Some(item) = ps.take("cache") {
-            params.cache = Some(as_usize(item)?);
-        }
-    }
-    if allowed.contains(&"pool") {
-        if let Some(item) = ps.take("pool") {
-            let pool = as_usize(item)?;
-            if pool == 0 {
-                return Err(bad(item, "pool must be at least 1"));
-            }
-            params.pool = Some(pool);
-        }
-    }
-    if allowed.contains(&"chunk_edges") {
-        if let Some(item) = ps.take("chunk_edges") {
-            let chunk = as_usize(item)?;
-            if chunk == 0 {
-                return Err(bad(item, "chunk_edges must be at least 1"));
-            }
-            params.chunk_edges = Some(chunk);
-        }
-    }
-    ps.finish()?;
-
-    // --- [expect] + [gates] -------------------------------------------
-    let mut gates = Fields::of(&items, "gates");
-    let gate_items = gates.take_all();
-    gates.finish()?;
-    let mut ex = Fields::of(&items, "expect");
-    let mut expect = Vec::new();
-    for item in ex.take_all() {
-        let value = as_f64(item)?;
-        let gate = match gate_items.iter().find(|g| g.key == item.key) {
-            Some(gate_item) => as_str(gate_item)?
-                .parse::<Gate>()
-                .map_err(|e| bad(gate_item, e))?,
-            None => Gate::Exact,
-        };
-        expect.push(Expectation {
-            path: item.key.clone(),
-            value,
-            gate,
-        });
-    }
-    ex.finish()?;
-    // A gate for a counter nothing expects is a typo.
-    for gate_item in &gate_items {
-        if !expect.iter().any(|e| e.path == gate_item.key) {
-            return Err(SpecError::UnknownKey {
-                line: gate_item.line,
-                key: gate_item.key.clone(),
-                section: "gates".to_string(),
-            });
-        }
-    }
-    expect.sort_by(|a, b| a.path.cmp(&b.path));
-
-    Ok(ParsedSpec {
-        spec: Spec {
-            name,
-            workload,
-            tags,
-            tolerance,
-            dataset,
-            params,
-            expect,
-        },
-        name_line,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Canonical serializer
-// ---------------------------------------------------------------------
-
-/// Formats a number the way the parser reads it back bit-identically:
-/// integral values without a decimal point, everything else through
-/// `f64`'s shortest round-trip `Display`.
-fn fmt_num(x: f64) -> String {
-    if x.fract() == 0.0 && x.abs() < 1e15 {
-        format!("{}", x as i64)
-    } else {
-        format!("{x}")
-    }
-}
-
-fn fmt_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-impl Spec {
-    /// Renders the canonical TOML form: fixed key order, defaults
-    /// omitted, `[expect]` and `[gates]` sorted by counter path.
-    /// `parse(spec.to_toml())` reproduces `spec` exactly.
-    pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("name = {}\n", fmt_str(&self.name)));
-        out.push_str(&format!(
-            "workload = {}\n",
-            fmt_str(&self.workload.to_string())
-        ));
-        if !self.tags.is_empty() {
-            let tags: Vec<String> = self.tags.iter().map(|t| fmt_str(t)).collect();
-            out.push_str(&format!("tags = [{}]\n", tags.join(", ")));
-        }
-        if self.tolerance != 0.0 {
-            out.push_str(&format!("tolerance = {}\n", fmt_num(self.tolerance)));
-        }
-
-        out.push_str("\n[dataset]\n");
-        match &self.dataset {
-            DatasetSpec::Generated {
-                edges,
-                vertices,
-                seed,
-            } => {
-                out.push_str("kind = \"generated\"\n");
-                out.push_str(&format!("edges = {edges}\n"));
-                if let Some(v) = vertices {
-                    out.push_str(&format!("vertices = {v}\n"));
-                }
-                out.push_str(&format!("seed = {seed}\n"));
-            }
-            DatasetSpec::Ba {
-                vertices,
-                attach,
-                seed,
-            } => {
-                out.push_str("kind = \"ba\"\n");
-                out.push_str(&format!("vertices = {vertices}\n"));
-                out.push_str(&format!("attach = {attach}\n"));
-                out.push_str(&format!("seed = {seed}\n"));
-            }
-            DatasetSpec::Paper { scale, seed } => {
-                out.push_str("kind = \"paper\"\n");
-                let scale = match scale {
-                    Scale::Tiny => "tiny",
-                    Scale::Small => "small",
-                    Scale::Medium => "medium",
-                };
-                out.push_str(&format!("scale = {}\n", fmt_str(scale)));
-                out.push_str(&format!("seed = {seed}\n"));
-            }
-            DatasetSpec::File {
-                path,
-                format,
-                prob_model,
-            } => {
-                out.push_str("kind = \"file\"\n");
-                out.push_str(&format!("path = {}\n", fmt_str(path)));
-                out.push_str(&format!("format = {}\n", fmt_str(&format.to_string())));
-                out.push_str(&format!(
-                    "prob_model = {}\n",
-                    fmt_str(&prob_model.to_string())
-                ));
-            }
-        }
-
-        let p = &self.params;
-        if *p != Params::default() {
-            out.push_str("\n[params]\n");
-            if let Some(rank) = p.rank {
-                out.push_str(&format!("rank = {}\n", fmt_str(&rank.to_string())));
-            }
-            if let Some(thetas) = &p.thetas {
-                let grid: Vec<String> = thetas.iter().map(|t| fmt_num(*t)).collect();
-                out.push_str(&format!("thetas = [{}]\n", grid.join(", ")));
-            }
-            if let Some(repeats) = p.repeats {
-                out.push_str(&format!("repeats = {repeats}\n"));
-            }
-            if let Some(threads) = &p.threads {
-                let list: Vec<String> = threads.iter().map(|t| t.to_string()).collect();
-                out.push_str(&format!("threads = [{}]\n", list.join(", ")));
-            }
-            if let Some(batch) = p.batch {
-                out.push_str(&format!("batch = {batch}\n"));
-            }
-            if let Some(cache) = p.cache {
-                out.push_str(&format!("cache = {cache}\n"));
-            }
-            if let Some(pool) = p.pool {
-                out.push_str(&format!("pool = {pool}\n"));
-            }
-            if let Some(chunk) = p.chunk_edges {
-                out.push_str(&format!("chunk_edges = {chunk}\n"));
-            }
-        }
-
-        if !self.expect.is_empty() {
-            let mut sorted: Vec<&Expectation> = self.expect.iter().collect();
-            sorted.sort_by(|a, b| a.path.cmp(&b.path));
-            out.push_str("\n[expect]\n");
-            for e in &sorted {
-                out.push_str(&format!("{} = {}\n", fmt_str(&e.path), fmt_num(e.value)));
-            }
-            let gated: Vec<&&Expectation> =
-                sorted.iter().filter(|e| e.gate != Gate::Exact).collect();
-            if !gated.is_empty() {
-                out.push_str("\n[gates]\n");
-                for e in gated {
-                    out.push_str(&format!(
-                        "{} = {}\n",
-                        fmt_str(&e.path),
-                        fmt_str(&e.gate.to_string())
-                    ));
-                }
-            }
-        }
-        out
-    }
+    /// Expected counters: after the run, the counter at each dotted path
+    /// must equal its value exactly.
+    pub expect: &'static [(&'static str, f64)],
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{run, scenarios};
 
-    const FULL: &str = r#"
-# A full-surface scenario.
-name = "thetasweep-truss-smoke"
-workload = "thetasweep"
-tags = ["bench", "sweep"]
-tolerance = 0.05
-
-[dataset]
-kind = "generated"
-edges = 4000
-vertices = 160
-seed = 7
-
-[params]
-rank = "truss"
-thetas = [0.05, 0.1, 0.3]
-repeats = 1
-
-[expect]
-"sweep.support_builds" = 1
-"counts.triangles" = 12345   # counts survive the gate too
-
-[gates]
-"counts.triangles" = "lower-is-better"
-"#;
-
-    #[test]
-    fn full_spec_parses_every_field() {
-        let parsed = parse(FULL).unwrap();
-        let spec = parsed.spec;
-        assert_eq!(spec.name, "thetasweep-truss-smoke");
-        assert_eq!(parsed.name_line, 3);
-        assert_eq!(spec.workload, Workload::Thetasweep);
-        assert_eq!(spec.tags, vec!["bench", "sweep"]);
-        assert_eq!(spec.tolerance, 0.05);
-        assert_eq!(
-            spec.dataset,
-            DatasetSpec::Generated {
-                edges: 4000,
-                vertices: Some(160),
-                seed: 7
-            }
-        );
-        assert_eq!(spec.params.rank, Some(Rank::Truss));
-        assert_eq!(spec.params.thetas, Some(vec![0.05, 0.1, 0.3]));
-        assert_eq!(spec.params.repeats, Some(1));
-        // Expectations come out sorted by path, with gates attached.
-        assert_eq!(spec.expect.len(), 2);
-        assert_eq!(spec.expect[0].path, "counts.triangles");
-        assert_eq!(spec.expect[0].gate, Gate::LowerIsBetter);
-        assert_eq!(spec.expect[1].path, "sweep.support_builds");
-        assert_eq!(spec.expect[1].gate, Gate::Exact);
-    }
-
-    #[test]
-    fn canonical_form_round_trips_bit_identically() {
-        let first = parse(FULL).unwrap().spec;
-        let rendered = first.to_toml();
-        let second = parse(&rendered).unwrap().spec;
-        assert_eq!(first, second);
-        assert_eq!(rendered, second.to_toml());
-    }
-
-    #[test]
-    fn unknown_key_errors_carry_section_and_line() {
-        let text = "name = \"x\"\nworkload = \"parbench\"\nbogus = 1\n\n[dataset]\nkind = \"generated\"\nedges = 100\n";
-        assert_eq!(
-            parse(text).unwrap_err(),
-            SpecError::UnknownKey {
-                line: 3,
-                key: "bogus".to_string(),
-                section: "top".to_string()
-            }
-        );
-        let text = "name = \"x\"\nworkload = \"parbench\"\n\n[dataset]\nkind = \"generated\"\nedges = 100\n\n[params]\nbatch = 4\n";
-        // batch is an updates param; parbench does not accept it.
-        assert_eq!(
-            parse(text).unwrap_err(),
-            SpecError::UnknownKey {
-                line: 9,
-                key: "batch".to_string(),
-                section: "params".to_string()
-            }
-        );
-    }
-
-    #[test]
-    fn bad_rank_and_unknown_workload_are_typed() {
-        let text = "name = \"x\"\nworkload = \"frobnicate\"\n\n[dataset]\nkind = \"generated\"\nedges = 100\n";
-        assert_eq!(
-            parse(text).unwrap_err(),
-            SpecError::UnknownWorkload {
-                line: 2,
-                value: "frobnicate".to_string()
-            }
-        );
-        let text = "name = \"x\"\nworkload = \"thetasweep\"\n\n[dataset]\nkind = \"generated\"\nedges = 100\n\n[params]\nrank = \"quux\"\n";
-        assert_eq!(
-            parse(text).unwrap_err(),
-            SpecError::BadRank {
-                line: 9,
-                value: "quux".to_string()
-            }
-        );
-    }
-
-    #[test]
-    fn unsorted_grid_and_bad_tolerance_are_typed() {
-        let text = "name = \"x\"\nworkload = \"thetasweep\"\n\n[dataset]\nkind = \"generated\"\nedges = 100\n\n[params]\nthetas = [0.5, 0.1]\n";
-        assert_eq!(
-            parse(text).unwrap_err(),
-            SpecError::UnsortedThetaGrid { line: 9 }
-        );
-        let text = "name = \"x\"\nworkload = \"parbench\"\ntolerance = 1.5\n\n[dataset]\nkind = \"generated\"\nedges = 100\n";
-        assert_eq!(
-            parse(text).unwrap_err(),
-            SpecError::ToleranceOutOfRange {
-                line: 3,
-                value: 1.5
-            }
-        );
-    }
-
-    #[test]
-    fn duplicate_keys_and_sections_are_typed() {
-        let text = "name = \"x\"\nname = \"y\"\n";
-        assert_eq!(
-            parse(text).unwrap_err(),
-            SpecError::DuplicateKey {
-                line: 2,
-                key: "name".to_string(),
-                section: "top".to_string()
-            }
-        );
-        let text =
-            "name = \"x\"\nworkload = \"parbench\"\n\n[dataset]\nkind = \"generated\"\nedges = 1\n\n[dataset]\n";
-        assert_eq!(
-            parse(text).unwrap_err(),
-            SpecError::DuplicateKey {
-                line: 8,
-                key: "[dataset]".to_string(),
-                section: "dataset".to_string()
-            }
-        );
+    /// Whether a workload's driver reads this kind of dataset: the bench
+    /// drivers take a generated graph or a file, `million` its
+    /// Barabási–Albert generator, the paper workloads a paper scale.
+    fn runs_on(workload: Workload, dataset: &DatasetSpec) -> bool {
+        match workload {
+            Workload::Million => matches!(dataset, DatasetSpec::Ba { .. }),
+            w if w.is_paper() => matches!(dataset, DatasetSpec::Paper { .. }),
+            _ => matches!(
+                dataset,
+                DatasetSpec::Generated { .. } | DatasetSpec::File { .. }
+            ),
+        }
     }
 
     #[test]
     fn workload_dataset_compatibility_is_enforced() {
-        // million on a G(n, m) graph: refused.
-        let text = "name = \"x\"\nworkload = \"million\"\n\n[dataset]\nkind = \"generated\"\nedges = 100\n";
-        assert!(matches!(
-            parse(text).unwrap_err(),
-            SpecError::BadValue { line: 5, .. }
-        ));
-        // paper experiment on a BA graph: refused.
-        let text =
-            "name = \"x\"\nworkload = \"table1\"\n\n[dataset]\nkind = \"ba\"\nvertices = 100\n";
-        assert!(matches!(
-            parse(text).unwrap_err(),
-            SpecError::BadValue { line: 5, .. }
-        ));
-    }
-
-    #[test]
-    fn gates_must_reference_expected_counters() {
-        let text = "name = \"x\"\nworkload = \"parbench\"\n\n[dataset]\nkind = \"generated\"\nedges = 100\n\n[gates]\n\"peel.dp_calls\" = \"lower-is-better\"\n";
-        assert_eq!(
-            parse(text).unwrap_err(),
-            SpecError::UnknownKey {
-                line: 9,
-                key: "peel.dp_calls".to_string(),
-                section: "gates".to_string()
-            }
-        );
-    }
-
-    #[test]
-    fn missing_required_fields_are_typed() {
-        assert_eq!(
-            parse("workload = \"parbench\"\n").unwrap_err(),
-            SpecError::MissingField {
-                section: "top".to_string(),
-                key: "name".to_string()
-            }
-        );
-        let text = "name = \"x\"\nworkload = \"parbench\"\n";
-        assert_eq!(
-            parse(text).unwrap_err(),
-            SpecError::MissingField {
-                section: "dataset".to_string(),
-                key: "kind".to_string()
-            }
-        );
-        let text = "name = \"x\"\nworkload = \"parbench\"\n\n[dataset]\nkind = \"generated\"\n";
-        assert_eq!(
-            parse(text).unwrap_err(),
-            SpecError::MissingField {
-                section: "dataset".to_string(),
-                key: "edges".to_string()
-            }
-        );
-    }
-
-    #[test]
-    fn comments_and_strings_interact_correctly() {
-        // '#' inside a string is content; after it, comment.
-        let text = "name = \"a#b\" # trailing\nworkload = \"parbench\"\n\n[dataset]\nkind = \"generated\"\nedges = 100\n";
-        // '#' is not in the name alphabet → BadValue, proving the string
-        // survived comment stripping intact.
-        assert!(matches!(
-            parse(text).unwrap_err(),
-            SpecError::BadValue { line: 1, .. }
-        ));
-    }
-
-    #[test]
-    fn syntax_errors_carry_lines() {
-        assert_eq!(
-            parse("name \"x\"\n").unwrap_err(),
-            SpecError::Syntax {
-                line: 1,
-                message: "expected '=' after key 'name'".to_string()
-            }
-        );
-        assert!(matches!(
-            parse("name = \"x\nworkload = \"parbench\"\n").unwrap_err(),
-            SpecError::Syntax { line: 1, .. }
-        ));
-        assert!(matches!(
-            parse("name = nope\n").unwrap_err(),
-            SpecError::Syntax { line: 1, .. }
-        ));
-        assert!(matches!(
-            parse("[frobnicate]\n").unwrap_err(),
-            SpecError::UnknownSection { line: 1, .. }
-        ));
-    }
-
-    #[test]
-    fn file_datasets_parse_formats_and_models() {
-        let text = "name = \"x\"\nworkload = \"parbench\"\n\n[dataset]\nkind = \"file\"\npath = \"data/tiny.txt\"\nformat = \"konect\"\nprob_model = \"const:0.5\"\n";
-        let spec = parse(text).unwrap().spec;
-        assert_eq!(
-            spec.dataset,
-            DatasetSpec::File {
-                path: "data/tiny.txt".to_string(),
-                format: InputFormat::Konect,
-                prob_model: EdgeProbabilityModel::Constant(0.5),
-            }
-        );
+        for s in scenarios() {
+            assert!(
+                runs_on(s.workload, &s.dataset),
+                "{}: workload {} cannot run on {:?}",
+                s.name,
+                s.workload,
+                s.dataset
+            );
+        }
+        // A paper workload on a bench dataset is refused before any work.
+        let mut misplaced = scenarios()
+            .into_iter()
+            .find(|s| s.workload == Workload::Table1)
+            .expect("a table1 scenario");
+        misplaced.dataset = DatasetSpec::Generated {
+            edges: 10,
+            vertices: None,
+            seed: 1,
+        };
+        assert!(!runs_on(misplaced.workload, &misplaced.dataset));
+        let err = run::execute(&misplaced).unwrap_err();
+        assert!(err.contains("paper workloads cannot run on"), "{err}");
     }
 }

@@ -2,7 +2,9 @@
 //! missing or unreadable file the same way: one `cannot load <path>: …`
 //! line on stderr and a non-zero exit — no panics, no backtraces, no
 //! subcommand-specific wording.  One malformed invocation per
-//! subcommand, driven through the real binary.
+//! subcommand, driven through the real binary.  A bad selector value
+//! (`matrix --only`, `--scale`) is refused the same clean way, naming
+//! the value.
 
 use std::process::Command;
 
@@ -86,5 +88,33 @@ fn matrix_reports_unknown_scenario_selection() {
     assert!(
         !stderr.contains("panicked"),
         "must fail cleanly, not panic: {stderr}"
+    );
+}
+
+#[test]
+fn unknown_scale_is_refused_not_replaced() {
+    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["table1", "--scale", "huge"])
+        .output()
+        .expect("experiments binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "an unknown --scale must exit 1, got {:?}\nstderr: {stderr}",
+        output.status.code()
+    );
+    assert!(
+        stderr.contains("invalid --scale value 'huge' (expected tiny, small or medium)"),
+        "must name the bad value, got: {stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "must fail cleanly, not panic: {stderr}"
+    );
+    assert!(
+        output.stdout.is_empty(),
+        "nothing may run on a refused scale, got: {}",
+        String::from_utf8_lossy(&output.stdout)
     );
 }

@@ -184,11 +184,10 @@ fn golden_fig8() {
 
 #[test]
 fn golden_matrix_dry_run() {
-    // The scenario listing is the registry's public face: builtin
-    // scenarios plus the committed `scenarios/*.toml` files, in name
-    // order.  Pinning it makes adding/renaming a scenario a reviewed,
-    // visible diff.  Origins print as bare file names, so the snapshot
-    // is independent of where the checkout lives.
+    // The scenario listing is the registry's public face: every
+    // registered scenario in name order, with its workload and tags.
+    // Pinning it makes adding/renaming a scenario a reviewed, visible
+    // diff.
     let output = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(["matrix", "--dry-run"])
         .output()

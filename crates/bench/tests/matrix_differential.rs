@@ -2,8 +2,8 @@
 //!
 //! The `experiments` subcommands now route through
 //! `nd_bench::registry::run`; these tests pin that the rewiring added
-//! nothing.  For each workload a scenario spec is parsed from TOML and
-//! executed through the registry, a config is built by hand exactly the
+//! nothing.  For each workload a scenario `Spec` value is executed
+//! through the registry, a config is built by hand exactly the
 //! way the old flag plumbing did, and the two JSON reports must agree
 //! on every deterministic field, their `gates` objects included — walls,
 //! RSS probes and derived timing figures are the only keys excluded,
@@ -14,7 +14,7 @@
 
 use nd_bench::json::Json;
 use nd_bench::registry::run;
-use nd_bench::registry::spec;
+use nd_bench::registry::spec::{DatasetSpec, Params, Spec, Workload};
 use nd_bench::{million, parbench, serve, thetasweep, updates};
 use nucleus::Rank;
 
@@ -58,9 +58,8 @@ fn assert_same_report(a: &Json, b: &Json, path: &str) {
     }
 }
 
-fn registry_report(toml: &str) -> Json {
-    let parsed = spec::parse(toml).expect("differential spec must parse");
-    let executed = run::execute(&parsed.spec).expect("registry execution failed");
+fn registry_report(spec: &Spec) -> Json {
+    let executed = run::execute(spec).expect("registry execution failed");
     assert!(
         executed.failures.is_empty(),
         "registry run failed its own expectations: {:?}",
@@ -74,16 +73,33 @@ fn registry_report(toml: &str) -> Json {
     report
 }
 
-/// Small enough for debug-mode CI, big enough that every counter the
-/// reports carry is nonzero: 1000 edges over 100 vertices.
-const DIMS: &str = "kind = \"generated\"\nedges = 1000\nvertices = 100\nseed = 42\n";
+/// A spec of `workload` on the differential graph: small enough for
+/// debug-mode CI, big enough that every counter the reports carry is
+/// nonzero — 1000 edges over 100 vertices.
+fn diff_spec(workload: Workload, params: Params) -> Spec {
+    Spec {
+        name: "diff",
+        workload,
+        tags: &[],
+        dataset: DatasetSpec::Generated {
+            edges: 1000,
+            vertices: Some(100),
+            seed: 42,
+        },
+        params,
+        expect: &[],
+    }
+}
 
 #[test]
 fn parbench_matches_direct_invocation() {
-    let toml = format!(
-        "name = \"diff-parbench\"\nworkload = \"parbench\"\n\n\
-         [dataset]\n{DIMS}\n\
-         [params]\nrepeats = 1\nthreads = [2]\n"
+    let spec = diff_spec(
+        Workload::Parbench,
+        Params {
+            repeats: Some(1),
+            threads: Some(vec![2]),
+            ..Params::default()
+        },
     );
     let config = parbench::ParBenchConfig {
         vertices: 100,
@@ -95,16 +111,20 @@ fn parbench_matches_direct_invocation() {
     };
     let direct = parbench::run(&config).expect("direct parbench run failed");
     let direct = Json::parse(&direct.to_json()).unwrap();
-    assert_same_report(&registry_report(&toml), &direct, "parbench");
+    assert_same_report(&registry_report(&spec), &direct, "parbench");
 }
 
 #[test]
 fn thetasweep_matches_direct_invocation_at_every_rank() {
     for rank in [Rank::Core, Rank::Truss, Rank::Nucleus] {
-        let toml = format!(
-            "name = \"diff-thetasweep\"\nworkload = \"thetasweep\"\n\n\
-             [dataset]\n{DIMS}\n\
-             [params]\nrank = \"{rank}\"\nthetas = [0.05, 0.1, 0.3]\nrepeats = 1\n"
+        let spec = diff_spec(
+            Workload::Thetasweep,
+            Params {
+                rank: Some(rank),
+                thetas: Some(vec![0.05, 0.1, 0.3]),
+                repeats: Some(1),
+                ..Params::default()
+            },
         );
         let config = thetasweep::SweepBenchConfig {
             rank,
@@ -118,7 +138,7 @@ fn thetasweep_matches_direct_invocation_at_every_rank() {
         let direct = thetasweep::run_bench(&config).expect("direct thetasweep run failed");
         let direct = Json::parse(&direct.to_json()).unwrap();
         assert_same_report(
-            &registry_report(&toml),
+            &registry_report(&spec),
             &direct,
             &format!("thetasweep/{rank}"),
         );
@@ -127,10 +147,14 @@ fn thetasweep_matches_direct_invocation_at_every_rank() {
 
 #[test]
 fn updates_matches_direct_invocation() {
-    let toml = format!(
-        "name = \"diff-updates\"\nworkload = \"updates\"\n\n\
-         [dataset]\n{DIMS}\n\
-         [params]\nrank = \"truss\"\nthetas = [0.05, 0.1, 0.3]\nbatch = 8\n"
+    let spec = diff_spec(
+        Workload::Updates,
+        Params {
+            rank: Some(Rank::Truss),
+            thetas: Some(vec![0.05, 0.1, 0.3]),
+            batch: Some(8),
+            ..Params::default()
+        },
     );
     let config = updates::UpdateBenchConfig {
         rank: Rank::Truss,
@@ -143,15 +167,18 @@ fn updates_matches_direct_invocation() {
     };
     let direct = updates::run(&config).expect("direct updates run failed");
     let direct = Json::parse(&direct.to_json()).unwrap();
-    assert_same_report(&registry_report(&toml), &direct, "updates");
+    assert_same_report(&registry_report(&spec), &direct, "updates");
 }
 
 #[test]
 fn serve_matches_direct_invocation() {
-    let toml = format!(
-        "name = \"diff-serve\"\nworkload = \"serve\"\n\n\
-         [dataset]\n{DIMS}\n\
-         [params]\nthetas = [0.1, 0.3]\ncache = 32\n"
+    let spec = diff_spec(
+        Workload::Serve,
+        Params {
+            thetas: Some(vec![0.1, 0.3]),
+            cache: Some(32),
+            ..Params::default()
+        },
     );
     let config = serve::ServeBenchConfig {
         vertices: 100,
@@ -164,15 +191,28 @@ fn serve_matches_direct_invocation() {
     let direct = serve::run(&config).expect("direct serve run failed");
     assert!(direct.passed(), "failures: {:?}", direct.oneshot.failures);
     let direct = Json::parse(&direct.to_json()).unwrap();
-    assert_same_report(&registry_report(&toml), &direct, "serve");
+    assert_same_report(&registry_report(&spec), &direct, "serve");
 }
 
 #[test]
 fn million_matches_direct_invocation() {
     // The million-smoke scale: ~10k edges instead of 1M.
-    let toml = "name = \"diff-million\"\nworkload = \"million\"\n\n\
-                [dataset]\nkind = \"ba\"\nvertices = 2005\nattach = 5\nseed = 42\n\n\
-                [params]\nthetas = [0.1, 0.5]\npool = 2\nchunk_edges = 4096\n";
+    let spec = Spec {
+        dataset: DatasetSpec::Ba {
+            vertices: 2005,
+            attach: 5,
+            seed: 42,
+        },
+        ..diff_spec(
+            Workload::Million,
+            Params {
+                thetas: Some(vec![0.1, 0.5]),
+                pool: Some(2),
+                chunk_edges: Some(4096),
+                ..Params::default()
+            },
+        )
+    };
     let config = million::MillionBenchConfig {
         vertices: 2005,
         attach: 5,
@@ -183,5 +223,5 @@ fn million_matches_direct_invocation() {
         ..Default::default()
     };
     let direct = Json::parse(&million::run(&config).to_json()).unwrap();
-    assert_same_report(&registry_report(toml), &direct, "million");
+    assert_same_report(&registry_report(&spec), &direct, "million");
 }
