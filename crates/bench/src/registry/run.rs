@@ -162,6 +162,7 @@ pub fn serve_config(spec: &Spec) -> Result<serve::ServeBenchConfig, String> {
         if thetas.len() < 2 {
             return Err("serve: --thetas needs a grid of at least 2 points".to_string());
         }
+        validate_grid("serve", thetas)?;
         config.thetas = thetas.clone();
     }
     config.input = file_dataset(&spec.dataset);

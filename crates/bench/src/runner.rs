@@ -107,6 +107,22 @@ impl Timing {
         )
     }
 
+    /// Runs `f` `repeats` times (at least once) and returns the last
+    /// result with the best (shortest) timing.  Each earlier result is
+    /// dropped before the next run starts.
+    pub fn best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (T, Timing) {
+        let (mut out, mut best) = Timing::measure(&mut f);
+        for _ in 1..repeats {
+            drop(out);
+            let (next, timing) = Timing::measure(&mut f);
+            out = next;
+            best = Timing {
+                elapsed: best.elapsed.min(timing.elapsed),
+            };
+        }
+        (out, best)
+    }
+
     /// Elapsed seconds as a float.
     pub fn seconds(&self) -> f64 {
         self.elapsed.as_secs_f64()

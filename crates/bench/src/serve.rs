@@ -187,7 +187,7 @@ impl ServeBenchReport {
 /// server, drive the scripted session, collect the drained counters.
 pub fn run(config: &ServeBenchConfig) -> Result<ServeBenchReport, ServeBenchError> {
     let (graph, ingest_timings) = match &config.input {
-        Some(input) => ingest(input).map_err(ServeBenchError::Ingest)?,
+        Some(input) => ingest(input, 1).map_err(ServeBenchError::Ingest)?,
         None => (
             generate_graph(config.vertices, config.edges, config.seed),
             None,

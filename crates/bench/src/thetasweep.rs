@@ -296,7 +296,7 @@ impl SweepBenchReport {
 /// benchmark doubles as a CI-enforced differential check at real scale.
 pub fn run_bench(config: &SweepBenchConfig) -> Result<SweepBenchReport, IngestError> {
     let (graph, ingest_timings) = match &config.input {
-        Some(input) => ingest(input)?,
+        Some(input) => ingest(input, config.repeats)?,
         None => (
             generate_graph(config.vertices, config.edges, config.seed),
             None,

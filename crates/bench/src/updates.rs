@@ -257,7 +257,7 @@ pub fn seeded_batch(graph: &UncertainGraph, batch: usize, seed: u64) -> Vec<Edge
 /// CI-enforced differential check at real scale.
 pub fn run(config: &UpdateBenchConfig) -> Result<UpdateBenchReport, IngestError> {
     let (graph, ingest_timings) = match &config.input {
-        Some(input) => ingest(input)?,
+        Some(input) => ingest(input, 1)?,
         None => (
             generate_graph(config.vertices, config.edges, config.seed),
             None,

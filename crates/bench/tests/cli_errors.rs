@@ -118,3 +118,33 @@ fn unknown_scale_is_refused_not_replaced() {
         String::from_utf8_lossy(&output.stdout)
     );
 }
+
+#[test]
+fn serve_oneshot_refuses_an_unsorted_theta_grid() {
+    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["serve", "--oneshot", "--thetas", "0.3,0.1"])
+        .output()
+        .expect("experiments binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "an unsorted --thetas grid must exit 1, got {:?}\nstderr: {stderr}",
+        output.status.code()
+    );
+    assert!(
+        stderr.contains(
+            "serve: invalid theta grid: theta grid entry 1 is smaller than its predecessor"
+        ),
+        "must name the grid problem, got: {stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "must fail cleanly, not panic: {stderr}"
+    );
+    assert!(
+        output.stdout.is_empty(),
+        "nothing may run on a refused grid, got: {}",
+        String::from_utf8_lossy(&output.stdout)
+    );
+}

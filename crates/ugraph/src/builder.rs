@@ -1,17 +1,17 @@
 //! Incremental construction of [`UncertainGraph`]s.
 
-use std::collections::HashMap;
-
 use crate::error::GraphError;
-use crate::graph::{Edge, EdgeId, UncertainGraph, VertexId};
+use crate::graph::{Edge, UncertainGraph, VertexId};
 use crate::Result;
 
 /// Builds an [`UncertainGraph`] from a stream of probabilistic edges.
 ///
 /// The builder
 /// * rejects self-loops and probabilities outside `(0, 1]`,
-/// * de-duplicates parallel edges (the *last* probability supplied wins,
-///   mirroring how dataset loaders typically treat repeated lines), and
+/// * holds one entry per accepted call until [`GraphBuilder::build`],
+///   which sorts them and keeps the *last* entry for each undirected
+///   edge (mirroring how dataset loaders typically treat repeated
+///   lines), and
 /// * produces a graph whose adjacency lists are sorted and whose canonical
 ///   edge table is ordered lexicographically by `(min(u,v), max(u,v))`.
 ///
@@ -30,8 +30,8 @@ use crate::Result;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct GraphBuilder {
-    edges: HashMap<(VertexId, VertexId), f64>,
-    max_vertex: Option<VertexId>,
+    /// Canonical (`u < v`) entries in call order, repeats included.
+    edges: Vec<Edge>,
     /// When set, the built graph has at least this many vertices even if
     /// the trailing ones are isolated.
     min_num_vertices: usize,
@@ -52,11 +52,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of distinct edges added so far.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds (or overrides) the undirected edge `{u, v}` with probability `p`.
     ///
     /// Returns an error for self-loops and for probabilities outside
@@ -71,23 +66,12 @@ impl GraphBuilder {
                 probability: p,
             });
         }
-        let key = if u < v { (u, v) } else { (v, u) };
-        self.edges.insert(key, p);
-        let m = u.max(v);
-        self.max_vertex = Some(self.max_vertex.map_or(m, |cur| cur.max(m)));
+        self.edges.push(Edge {
+            u: u.min(v),
+            v: u.max(v),
+            p,
+        });
         Ok(())
-    }
-
-    /// Like [`GraphBuilder::add_edge`] but rejects edges that were already
-    /// added instead of overriding them — the behaviour dataset loaders
-    /// need so a repeated line in an input file surfaces as a typed
-    /// [`GraphError::DuplicateEdge`] rather than silently winning.
-    pub fn add_edge_strict(&mut self, u: VertexId, v: VertexId, p: f64) -> Result<()> {
-        let key = if u < v { (u, v) } else { (v, u) };
-        if self.edges.contains_key(&key) {
-            return Err(GraphError::DuplicateEdge { edge: key });
-        }
-        self.add_edge(u, v, p)
     }
 
     /// Adds a deterministic edge (probability `1.0`).
@@ -108,79 +92,24 @@ impl GraphBuilder {
 
     /// Finalizes the builder into a CSR [`UncertainGraph`].
     pub fn build(self) -> UncertainGraph {
-        let n = self
-            .max_vertex
-            .map(|m| m as usize + 1)
+        let mut edges = self.edges;
+        // Stable, so each run of equal keys stays in call order and the
+        // last entry of the run is the last call.
+        edges.sort_by_key(|e| (e.u, e.v));
+        edges.dedup_by(|later, kept| {
+            let same = (later.u, later.v) == (kept.u, kept.v);
+            if same {
+                kept.p = later.p;
+            }
+            same
+        });
+        let n = edges
+            .iter()
+            .map(|e| e.v as usize + 1)
+            .max()
             .unwrap_or(0)
             .max(self.min_num_vertices);
-
-        // Canonical edge table sorted by (u, v).
-        let mut edge_list: Vec<Edge> = self
-            .edges
-            .into_iter()
-            .map(|((u, v), p)| Edge { u, v, p })
-            .collect();
-        edge_list.sort_unstable_by_key(|e| (e.u, e.v));
-
-        // Degree counting pass.
-        let mut degrees = vec![0usize; n];
-        for e in &edge_list {
-            degrees[e.u as usize] += 1;
-            degrees[e.v as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        for d in &degrees {
-            offsets.push(offsets.last().unwrap() + d);
-        }
-
-        let total = offsets[n];
-        let mut neighbors = vec![0 as VertexId; total];
-        let mut neighbor_probs = vec![0.0f64; total];
-        let mut neighbor_edges = vec![0 as EdgeId; total];
-        let mut cursor = offsets[..n].to_vec();
-
-        for (idx, e) in edge_list.iter().enumerate() {
-            let eid = idx as EdgeId;
-            let cu = cursor[e.u as usize];
-            neighbors[cu] = e.v;
-            neighbor_probs[cu] = e.p;
-            neighbor_edges[cu] = eid;
-            cursor[e.u as usize] += 1;
-
-            let cv = cursor[e.v as usize];
-            neighbors[cv] = e.u;
-            neighbor_probs[cv] = e.p;
-            neighbor_edges[cv] = eid;
-            cursor[e.v as usize] += 1;
-        }
-
-        // Each adjacency run must be sorted by neighbour id for binary
-        // search and merge-intersection.  Because the canonical edge list
-        // is processed in (u, v) order, the "forward" half (u -> v) is
-        // already sorted, but the "backward" half (v -> u) interleaves, so
-        // sort each run explicitly.
-        for v in 0..n {
-            let range = offsets[v]..offsets[v + 1];
-            let mut entries: Vec<(VertexId, f64, EdgeId)> = range
-                .clone()
-                .map(|i| (neighbors[i], neighbor_probs[i], neighbor_edges[i]))
-                .collect();
-            entries.sort_unstable_by_key(|&(w, _, _)| w);
-            for (slot, (w, p, eid)) in range.zip(entries) {
-                neighbors[slot] = w;
-                neighbor_probs[slot] = p;
-                neighbor_edges[slot] = eid;
-            }
-        }
-
-        UncertainGraph::from_csr(
-            offsets,
-            neighbors,
-            neighbor_probs,
-            neighbor_edges,
-            edge_list,
-        )
+        UncertainGraph::from_sorted_edges(n, edges)
     }
 }
 
@@ -216,22 +145,23 @@ mod tests {
     }
 
     #[test]
-    fn strict_insert_rejects_duplicates_but_validates_first() {
+    fn interleaved_repeats_keep_the_last_call_per_edge() {
         let mut b = GraphBuilder::new();
-        b.add_edge_strict(0, 1, 0.3).unwrap();
-        let err = b.add_edge_strict(1, 0, 0.9).unwrap_err();
-        assert!(matches!(err, GraphError::DuplicateEdge { edge: (0, 1) }));
-        assert!(matches!(
-            b.add_edge_strict(2, 2, 0.5).unwrap_err(),
-            GraphError::SelfLoop { vertex: 2 }
-        ));
-        assert!(matches!(
-            b.add_edge_strict(0, 2, 1.5).unwrap_err(),
-            GraphError::InvalidProbability { .. }
-        ));
-        // The duplicate attempt did not override the stored probability.
+        b.extend_edges([
+            (0, 1, 0.1),
+            (3, 2, 0.2),
+            (1, 0, 0.3),
+            (2, 3, 0.4),
+            (0, 1, 0.5),
+            (1, 2, 0.6),
+        ])
+        .unwrap();
         let g = b.build();
-        assert_eq!(g.edge_probability(0, 1), Some(0.3));
+        assert_eq!(g.num_edges(), 3);
+        assert_eq!(g.edge_probability(0, 1), Some(0.5));
+        assert_eq!(g.edge_probability(2, 3), Some(0.4));
+        assert_eq!(g.edge_probability(1, 2), Some(0.6));
+        assert_eq!(g.edges().len(), g.num_edges());
     }
 
     #[test]

@@ -94,17 +94,47 @@ pub struct UncertainGraph {
 }
 
 impl UncertainGraph {
-    /// Constructs a graph directly from CSR parts.  Intended for use by
-    /// [`GraphBuilder`](crate::GraphBuilder) and the subgraph machinery;
-    /// invariants (sorted adjacency, symmetric edges, canonical edge table)
-    /// must already hold.
-    pub(crate) fn from_csr(
-        offsets: Vec<usize>,
-        neighbors: Vec<VertexId>,
-        neighbor_probs: Vec<f64>,
-        neighbor_edges: Vec<EdgeId>,
-        edges: Vec<Edge>,
-    ) -> Self {
+    /// Builds the CSR of `n` vertices from a canonical edge table: every
+    /// edge has `u < v < n`, and the table is sorted by `(u, v)` with no
+    /// repeated key.  Edge ids are table positions.
+    ///
+    /// Two passes, no per-vertex allocation and no sort: count degrees,
+    /// then fill each vertex's run in table order.  That order already
+    /// sorts every run — vertex `w` first receives its smaller
+    /// neighbours (as the `v` of earlier rows, ascending in `u`), then
+    /// its larger ones (its own rows, ascending in `v`).
+    ///
+    /// Every graph constructor funnels through here, except the snapshot
+    /// reader, which restores stored CSR arrays.  The table is kept at
+    /// its exact length.
+    pub(crate) fn from_sorted_edges(n: usize, mut edges: Vec<Edge>) -> Self {
+        debug_assert!(edges.iter().all(|e| e.u < e.v && (e.v as usize) < n));
+        debug_assert!(edges
+            .windows(2)
+            .all(|w| (w[0].u, w[0].v) < (w[1].u, w[1].v)));
+        edges.shrink_to_fit();
+        let mut offsets = vec![0usize; n + 1];
+        for e in &edges {
+            offsets[e.u as usize + 1] += 1;
+            offsets[e.v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let total = 2 * edges.len();
+        let mut neighbors = vec![0 as VertexId; total];
+        let mut neighbor_probs = vec![0.0f64; total];
+        let mut neighbor_edges = vec![0 as EdgeId; total];
+        let mut cursor = offsets[..n].to_vec();
+        for (id, e) in edges.iter().enumerate() {
+            for (from, to) in [(e.u, e.v), (e.v, e.u)] {
+                let slot = &mut cursor[from as usize];
+                neighbors[*slot] = to;
+                neighbor_probs[*slot] = e.p;
+                neighbor_edges[*slot] = id as EdgeId;
+                *slot += 1;
+            }
+        }
         Self::from_sections(
             offsets.into(),
             neighbors.into(),
@@ -114,9 +144,10 @@ impl UncertainGraph {
         )
     }
 
-    /// Constructs a graph from already-wrapped sections — the zero-copy
-    /// snapshot reader hands in [`Section::Mapped`] windows here.  The
-    /// same invariants as [`Self::from_csr`] must hold.
+    /// Constructs a graph from already-wrapped sections — the snapshot
+    /// reader hands in decoded vectors or zero-copy [`Section::Mapped`]
+    /// windows here.  The CSR invariants (sorted adjacency, symmetric
+    /// edges, canonical edge table) must already hold.
     pub(crate) fn from_sections(
         offsets: Section<usize>,
         neighbors: Section<VertexId>,
@@ -160,13 +191,7 @@ impl UncertainGraph {
 
     /// An empty graph with `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
-        UncertainGraph::from_csr(
-            vec![0; n + 1],
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-        )
+        UncertainGraph::from_sorted_edges(n, Vec::new())
     }
 
     /// Number of vertices (including isolated ones).

@@ -7,23 +7,33 @@
 //! two-column `u v` line is accepted and treated as a deterministic edge
 //! under the default [`EdgeProbabilityModel::Column`].
 //!
-//! The parser is streaming (line-at-a-time over any [`Read`]) and strict
-//! by default: self-loops and repeated edges are rejected with typed
-//! [`GraphError`] variants instead of being
+//! The parser is strict by default: self-loops and repeated edges are
+//! rejected with typed [`GraphError`] variants instead of being
 //! silently dropped or overridden.  Because many published SNAP datasets
 //! are *directed* lists carrying both orientations of every edge,
 //! [`DuplicatePolicy::MergeIdentical`] (what the ingestion dispatcher
 //! uses) accepts repeats that agree on the value column and only rejects
 //! conflicting ones.
+//!
+//! The reader borrows each line from one reused buffer and keeps one row
+//! per data line in memory until it sorts the rows by canonical edge.
+//! Repeats and probabilities are judged on the sorted rows, and the
+//! de-duplicated table goes straight to the CSR constructor.  Errors are
+//! still the ones a line-at-a-time reader reports: the first offending
+//! line in file order decides, whether it holds a parse error, a
+//! self-loop, an I/O or UTF-8 error, a rejected repeat (under
+//! `MergeIdentical`, the first repeat whose value bits differ from the
+//! edge's first occurrence), or an invalid probability on an edge's
+//! first occurrence.  A repeat is judged as a duplicate before its
+//! probability is looked at, and seeded probability models draw once per
+//! distinct edge, in first-occurrence order.
 
-use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::builder::GraphBuilder;
 use crate::error::GraphError;
-use crate::graph::UncertainGraph;
+use crate::graph::{Edge, UncertainGraph};
 use crate::io::prob_model::EdgeProbabilityModel;
 use crate::Result;
 
@@ -67,53 +77,186 @@ pub fn read_edge_list_with_policy<R: Read>(
     model: &EdgeProbabilityModel,
     policy: DuplicatePolicy,
 ) -> Result<UncertainGraph> {
-    let reader = BufReader::new(reader);
-    let mut builder = GraphBuilder::new();
-    let mut assigner = model.assigner();
-    // Value column of each edge seen so far (`None` = bare `u v` row),
-    // keyed by canonical pair — duplicates are resolved *before* the
-    // probability model runs, so seeded models draw exactly once per
-    // distinct edge no matter how often it is listed.
-    let mut seen: HashMap<(u32, u32), Option<u64>> = HashMap::new();
-    for (line_no, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line_no = line_no + 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
+    let mut reader = BufReader::new(reader);
+    let mut line = Vec::new();
+    let mut rows = Rows::default();
+    let mut line_no = 0usize;
+    // The error that ended the scan, if a line (or the stream) failed.
+    let stopped = loop {
+        line.clear();
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) => break None,
+            Ok(_) => line_no += 1,
+            Err(e) => break Some(GraphError::from(e)),
         }
-        let mut parts = trimmed.split_whitespace();
-        let u = parse_field(parts.next(), line_no, "source vertex")?;
-        let v = parse_field(parts.next(), line_no, "target vertex")?;
-        let value = match parts.next() {
-            Some(tok) => Some(tok.parse::<f64>().map_err(|_| GraphError::Parse {
-                line: line_no,
-                message: format!("invalid probability '{tok}'"),
-            })?),
-            None => None,
+        let parsed = std::str::from_utf8(&line)
+            .map_err(|_| invalid_utf8())
+            .and_then(|text| parse_line(text, line_no));
+        match parsed {
+            Ok(Some((u, v, value))) => rows.push(u, v, value),
+            Ok(None) => {}
+            Err(e) => break Some(e),
+        }
+    };
+    // Any error among the rows before the stop comes first in file order.
+    let edges = rows.resolve(model, policy)?;
+    if let Some(error) = stopped {
+        return Err(error);
+    }
+    let n = edges.iter().map(|e| e.v as usize + 1).max().unwrap_or(0);
+    Ok(UncertainGraph::from_sorted_edges(n, edges))
+}
+
+/// The error `BufRead::lines` reports for a line that is not UTF-8.
+fn invalid_utf8() -> GraphError {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        "stream did not contain valid UTF-8",
+    )
+    .into()
+}
+
+/// Parses one line: `None` for blank and comment lines, otherwise the
+/// canonical endpoints (`u < v`) and the value column.
+fn parse_line(line: &str, line_no: usize) -> Result<Option<(u32, u32, Option<f64>)>> {
+    let mut parts = Fields::new(line).peekable();
+    match parts.peek() {
+        None => return Ok(None),
+        Some(first) if first.starts_with('#') || first.starts_with('%') => return Ok(None),
+        Some(_) => {}
+    }
+    let u = parse_field(parts.next(), line_no, "source vertex")?;
+    let v = parse_field(parts.next(), line_no, "target vertex")?;
+    let value = match parts.next() {
+        Some(tok) => Some(tok.parse::<f64>().map_err(|_| GraphError::Parse {
+            line: line_no,
+            message: format!("invalid probability '{tok}'"),
+        })?),
+        None => None,
+    };
+    if parts.next().is_some() {
+        return Err(GraphError::Parse {
+            line: line_no,
+            message: "expected at most three columns (u v p)".to_string(),
+        });
+    }
+    if u == v {
+        return Err(GraphError::SelfLoop { vertex: u });
+    }
+    Ok(Some((u.min(v), u.max(v), value)))
+}
+
+/// The fields of a line, split exactly as `str::split_whitespace` splits
+/// them: Unicode White_Space separates.  An ASCII line, where that is
+/// just the six bytes of [`is_space`], is split byte by byte.
+struct Fields<'a> {
+    rest: &'a str,
+    ascii: bool,
+}
+
+impl<'a> Fields<'a> {
+    fn new(line: &'a str) -> Self {
+        Fields {
+            rest: line,
+            ascii: line.is_ascii(),
+        }
+    }
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.rest;
+        let (start, end) = if self.ascii {
+            let bytes = rest.as_bytes();
+            let start = bytes.iter().position(|&b| !is_space(b))?;
+            let len = bytes[start..].iter().position(|&b| is_space(b));
+            (start, len.map_or(bytes.len(), |len| start + len))
+        } else {
+            let start = rest.find(|c: char| !c.is_whitespace())?;
+            let len = rest[start..].find(char::is_whitespace);
+            (start, len.map_or(rest.len(), |len| start + len))
         };
-        if parts.next().is_some() {
-            return Err(GraphError::Parse {
-                line: line_no,
-                message: "expected at most three columns (u v p)".to_string(),
-            });
+        self.rest = &rest[end..];
+        Some(&rest[start..end])
+    }
+}
+
+/// The ASCII characters with the Unicode White_Space property: tab, LF,
+/// VT, FF, CR and space.
+fn is_space(byte: u8) -> bool {
+    matches!(byte, b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ')
+}
+
+/// The data rows of a file, in file order.
+#[derive(Default)]
+struct Rows {
+    /// `(u << 32 | v, ordinal)` per row, with `u < v`.
+    keys: Vec<(u64, usize)>,
+    /// The value column of each row, by ordinal (`None` = bare `u v`).
+    values: Vec<Option<f64>>,
+}
+
+impl Rows {
+    fn push(&mut self, u: u32, v: u32, value: Option<f64>) {
+        self.keys
+            .push(((u as u64) << 32 | v as u64, self.values.len()));
+        self.values.push(value);
+    }
+
+    /// Sorts the rows and resolves them into the canonical edge table,
+    /// or into the error a line-at-a-time reader would have met first:
+    /// the earliest of the first rejected repeat and the first invalid
+    /// probability.
+    fn resolve(self, model: &EdgeProbabilityModel, policy: DuplicatePolicy) -> Result<Vec<Edge>> {
+        let Rows { mut keys, values } = self;
+        // Ordinals are unique, so each key's run comes out in file order.
+        keys.sort_unstable();
+        let bits = |ord: usize| values[ord].map(f64::to_bits);
+        // Collapse each run to its first occurrence, noting the earliest
+        // repeat the policy rejects.
+        let mut rejected: Option<(usize, u64)> = None;
+        keys.dedup_by(|&mut (key, ord), &mut (kept, first)| {
+            if key != kept {
+                return false;
+            }
+            let conflict = policy == DuplicatePolicy::Reject || bits(ord) != bits(first);
+            if conflict && rejected.map_or(true, |(at, _)| ord < at) {
+                rejected = Some((ord, key));
+            }
+            true
+        });
+        let mut edges: Vec<Edge> = keys
+            .iter()
+            .map(|&(key, _)| Edge {
+                u: (key >> 32) as u32,
+                v: key as u32,
+                p: 0.0,
+            })
+            .collect();
+        // Edge index by ordinal (`usize::MAX` on a repeat), so the
+        // probability model meets the edges in the order the file
+        // introduces them.
+        let mut introduced = vec![usize::MAX; values.len()];
+        for (index, &(_, first)) in keys.iter().enumerate() {
+            introduced[first] = index;
         }
-        if u == v {
-            return Err(GraphError::SelfLoop { vertex: u });
-        }
-        let key = (u.min(v), u.max(v));
-        let value_bits = value.map(f64::to_bits);
-        if let Some(&previous) = seen.get(&key) {
-            match policy {
-                DuplicatePolicy::MergeIdentical if previous == value_bits => continue,
-                _ => return Err(GraphError::DuplicateEdge { edge: key }),
+        // A line-at-a-time reader never gets past the rejected repeat.
+        let stop = rejected.map_or(values.len(), |(at, _)| at);
+        let mut assigner = model.assigner();
+        for (ord, &index) in introduced[..stop].iter().enumerate() {
+            if let Some(e) = edges.get_mut(index) {
+                e.p = assigner.probability((e.u, e.v), values[ord])?;
             }
         }
-        seen.insert(key, value_bits);
-        let p = assigner.probability(key, value)?;
-        builder.add_edge_strict(u, v, p)?;
+        match rejected {
+            Some((_, key)) => Err(GraphError::DuplicateEdge {
+                edge: ((key >> 32) as u32, key as u32),
+            }),
+            None => Ok(edges),
+        }
     }
-    Ok(builder.build())
 }
 
 /// Reads a probabilistic edge list from any reader, with an explicit

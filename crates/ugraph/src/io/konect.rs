@@ -108,7 +108,7 @@ pub fn read_konect<R: Read>(reader: R, model: &EdgeProbabilityModel) -> Result<U
             None
         };
         let p = assigner.probability(key, value)?;
-        builder.add_edge_strict(key.0, key.1, p)?;
+        builder.add_edge(key.0, key.1, p)?;
     }
     Ok(builder.build())
 }

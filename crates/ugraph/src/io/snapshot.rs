@@ -63,6 +63,15 @@
 //! returning a typed [`SnapshotError`] for every failure mode — corrupt
 //! input can never panic, produce an invariant-violating graph, or
 //! reach the zero-copy fast path.
+//!
+//! The owned reader ([`read_snapshot_file`], [`read_snapshot_bytes`] and
+//! the fallback of [`open_snapshot`]) streams: it checks the header
+//! against the input length (a file's from its metadata) before
+//! allocating, then reads each section through one fixed 64 KiB buffer
+//! straight into its typed vector, hashing it on the way with the
+//! incremental [`Xxh64`].  The checks and their order are the same as
+//! over a mapped file, so both paths return the same error for the same
+//! bytes.
 
 use std::fs::File;
 use std::io::{Read, Write};
@@ -71,7 +80,7 @@ use std::sync::Arc;
 
 use crate::error::{GraphError, SnapshotError};
 use crate::graph::{Edge, EdgeId, UncertainGraph, VertexId};
-use crate::io::hash::xxh64;
+use crate::io::hash::{xxh64, Xxh64};
 use crate::mem::{mapped_section, Mapping};
 use crate::Result;
 
@@ -232,53 +241,64 @@ fn corrupt(message: impl Into<String>) -> GraphError {
     GraphError::Snapshot(SnapshotError::Corrupt(message.into()))
 }
 
-/// Checks everything about `data` that does not require looking inside
-/// the sections: magic, version, reserved field, count plausibility,
-/// exact length and the trailer checksum.  Returns `(source_tag, n, m)`.
-fn check_envelope(data: &[u8]) -> Result<(u64, usize, usize)> {
-    if data.len() < HEADER_LEN + 8 {
+/// Checks everything the header and the input's total length `len` can
+/// tell, before anything is allocated: the length floor, magic, version,
+/// reserved field, count plausibility and exact length.  `header` holds
+/// the input's first [`HEADER_LEN`] bytes; it is not read when `len` is
+/// below the floor.  Returns `(source_tag, n, m)`.
+fn check_header(header: &[u8], len: usize) -> Result<(u64, usize, usize)> {
+    if len < HEADER_LEN + 8 {
         return Err(SnapshotError::Truncated {
             expected: HEADER_LEN + 8,
-            actual: data.len(),
+            actual: len,
         }
         .into());
     }
-    if data[..8] != SNAPSHOT_MAGIC {
+    if header[..8] != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic.into());
     }
-    let version = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
+    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion(version).into());
     }
-    if data[12..16] != [0, 0, 0, 0] {
+    if header[12..16] != [0, 0, 0, 0] {
         return Err(corrupt("reserved header bytes are nonzero"));
     }
-    let source_tag = u64::from_le_bytes(data[16..24].try_into().expect("8 bytes"));
-    let n = u64::from_le_bytes(data[24..32].try_into().expect("8 bytes"));
-    let m = u64::from_le_bytes(data[32..40].try_into().expect("8 bytes"));
+    let source_tag = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
+    let n = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
+    let m = u64::from_le_bytes(header[32..40].try_into().expect("8 bytes"));
     // Bound the counts by what the input could possibly hold before
     // allocating anything, so a corrupt header cannot trigger an OOM.
-    let max_conceivable = (data.len() as u64).saturating_add(1);
+    let max_conceivable = (len as u64).saturating_add(1);
     if n > max_conceivable || m > max_conceivable || n > u32::MAX as u64 || m > u32::MAX as u64 {
         return Err(corrupt(format!("implausible counts n={n} m={m}")));
     }
     let (n, m) = (n as usize, m as usize);
     let expected = layout(n, m).total;
-    if data.len() < expected {
+    if len < expected {
         return Err(SnapshotError::Truncated {
             expected,
-            actual: data.len(),
+            actual: len,
         }
         .into());
     }
-    if data.len() > expected {
+    if len > expected {
         return Err(corrupt(format!(
             "{} trailing bytes after the checksum",
-            data.len() - expected
+            len - expected
         )));
     }
-    let stored = u64::from_le_bytes(data[expected - 8..].try_into().expect("8 bytes"));
-    let computed = xxh64(&data[..expected - 8], CHECKSUM_SEED);
+    Ok((source_tag, n, m))
+}
+
+/// [`check_header`] plus the trailer checksum, over a whole snapshot
+/// in memory (the mapped file).  Returns `(source_tag, n, m)`.
+fn check_envelope(data: &[u8]) -> Result<(u64, usize, usize)> {
+    let header = &data[..HEADER_LEN.min(data.len())];
+    let (source_tag, n, m) = check_header(header, data.len())?;
+    let body = data.len() - 8;
+    let stored = u64::from_le_bytes(data[body..].try_into().expect("8 bytes"));
+    let computed = xxh64(&data[..body], CHECKSUM_SEED);
     if stored != computed {
         return Err(SnapshotError::ChecksumMismatch { stored, computed }.into());
     }
@@ -296,40 +316,47 @@ pub fn read_snapshot_bytes(data: &[u8]) -> Result<UncertainGraph> {
 /// snapshot really derives from the source they are about to stand in
 /// for.
 pub fn read_snapshot_bytes_tagged(data: &[u8]) -> Result<(UncertainGraph, u64)> {
-    let (source_tag, n, m) = check_envelope(data)?;
-    let graph = decode_owned(data, n, m)?;
-    Ok((graph, source_tag))
+    read_owned(data, data.len())
 }
 
-/// Bulk little-endian decode into owned buffers, section by section,
-/// followed by full structural validation.  `check_envelope` must have
-/// passed on `data`.
-fn decode_owned(data: &[u8], n: usize, m: usize) -> Result<UncertainGraph> {
-    let lay = layout(n, m);
-    let offsets: Vec<usize> = data[lay.offsets..lay.neighbors]
-        .chunks_exact(8)
-        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")) as usize)
-        .collect();
-    let neighbors: Vec<VertexId> = data[lay.neighbors..lay.neighbor_edges]
-        .chunks_exact(4)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-        .collect();
-    let neighbor_edges: Vec<EdgeId> = data[lay.neighbor_edges..lay.neighbor_probs]
-        .chunks_exact(4)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-        .collect();
-    let neighbor_probs: Vec<f64> = data[lay.neighbor_probs..lay.edges]
-        .chunks_exact(8)
-        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
-        .collect();
-    let edges: Vec<Edge> = data[lay.edges..lay.total - 8]
-        .chunks_exact(16)
-        .map(|b| Edge {
-            u: u32::from_le_bytes(b[0..4].try_into().expect("4 bytes")),
-            v: u32::from_le_bytes(b[4..8].try_into().expect("4 bytes")),
-            p: f64::from_bits(u64::from_le_bytes(b[8..16].try_into().expect("8 bytes"))),
-        })
-        .collect();
+/// Bytes the owned decoder reads, hashes and decodes at a time.  A
+/// multiple of every element size, so no element straddles two reads.
+const STREAM_CHUNK: usize = 64 * 1024;
+
+/// The owned decoder, for files and byte slices alike: reads a snapshot
+/// of `len` bytes from `input`.  The header is checked before anything
+/// is allocated; each section then streams through one fixed buffer into
+/// its typed vector, hashed on the way; the trailer checksum is compared
+/// next, and the structural validation runs last — the same checks in
+/// the same order as over a mapped file.
+fn read_owned<R: Read>(mut input: R, len: usize) -> Result<(UncertainGraph, u64)> {
+    let mut header = [0u8; HEADER_LEN];
+    if len >= HEADER_LEN + 8 {
+        input.read_exact(&mut header)?;
+    }
+    let (source_tag, n, m) = check_header(&header, len)?;
+    let mut stream = SectionStream {
+        input,
+        hasher: Xxh64::new(CHECKSUM_SEED),
+        buf: vec![0u8; STREAM_CHUNK],
+    };
+    stream.hasher.update(&header);
+    let offsets = stream.section(n + 1, 8, |b| le_u64(b) as usize)?;
+    let neighbors = stream.section(2 * m, 4, le_u32)?;
+    let neighbor_edges = stream.section(2 * m, 4, le_u32)?;
+    let neighbor_probs = stream.section(2 * m, 8, |b| f64::from_bits(le_u64(b)))?;
+    let edges = stream.section(m, 16, |b| Edge {
+        u: le_u32(&b[0..4]),
+        v: le_u32(&b[4..8]),
+        p: f64::from_bits(le_u64(&b[8..16])),
+    })?;
+    let computed = stream.hasher.digest();
+    let mut trailer = [0u8; 8];
+    stream.input.read_exact(&mut trailer)?;
+    let stored = u64::from_le_bytes(trailer);
+    if stored != computed {
+        return Err(SnapshotError::ChecksumMismatch { stored, computed }.into());
+    }
     validate(
         n,
         m,
@@ -339,13 +366,65 @@ fn decode_owned(data: &[u8], n: usize, m: usize) -> Result<UncertainGraph> {
         &neighbor_probs,
         &edges,
     )?;
-    Ok(UncertainGraph::from_csr(
-        offsets,
-        neighbors,
-        neighbor_probs,
-        neighbor_edges,
-        edges,
-    ))
+    let graph = UncertainGraph::from_sections(
+        offsets.into(),
+        neighbors.into(),
+        neighbor_probs.into(),
+        neighbor_edges.into(),
+        edges.into(),
+    );
+    Ok((graph, source_tag))
+}
+
+/// Sections streaming through the owned decoder's fixed buffer.
+struct SectionStream<R> {
+    input: R,
+    hasher: Xxh64,
+    buf: Vec<u8>,
+}
+
+impl<R: Read> SectionStream<R> {
+    /// Reads `count` elements of `size` bytes each, hashing the bytes and
+    /// decoding every element with `decode`.
+    fn section<T>(
+        &mut self,
+        count: usize,
+        size: usize,
+        decode: impl Fn(&[u8]) -> T,
+    ) -> Result<Vec<T>> {
+        let mut out = Vec::with_capacity(count);
+        let mut remaining = count * size;
+        while remaining > 0 {
+            let chunk = &mut self.buf[..remaining.min(STREAM_CHUNK)];
+            self.input.read_exact(chunk)?;
+            self.hasher.update(chunk);
+            out.extend(chunk.chunks_exact(size).map(&decode));
+            remaining -= chunk.len();
+        }
+        Ok(out)
+    }
+}
+
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("4 bytes"))
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
+/// Streams a snapshot file through the owned decoder, its length taken
+/// from the file's metadata.  Anything but a regular file (a pipe, say)
+/// has no such length and is read whole first.
+fn read_owned_file(mut file: File) -> Result<(UncertainGraph, u64)> {
+    let meta = file.metadata()?;
+    if meta.is_file() {
+        let len = usize::try_from(meta.len()).unwrap_or(usize::MAX);
+        return read_owned(file, len);
+    }
+    let mut data = Vec::new();
+    file.read_to_end(&mut data)?;
+    read_snapshot_bytes_tagged(&data)
 }
 
 /// Structural validation of a decoded (or mapped) payload — everything
@@ -438,7 +517,7 @@ pub fn open_snapshot<P: AsRef<Path>>(path: P) -> Result<SnapshotSource> {
 /// is the same typed [`SnapshotError`] the byte reader produces;
 /// corrupt input never reaches the zero-copy fast path.
 pub fn open_snapshot_tagged<P: AsRef<Path>>(path: P) -> Result<(SnapshotSource, u64)> {
-    let mut file = File::open(path)?;
+    let file = File::open(path)?;
     match Mapping::map_file(&file) {
         Ok(map) => {
             let map = Arc::new(map);
@@ -449,17 +528,15 @@ pub fn open_snapshot_tagged<P: AsRef<Path>>(path: P) -> Result<(SnapshotSource, 
                 // module wrote, but the check is what makes the unsafe
                 // view sound): decode from the mapping instead.
                 None => {
-                    let graph = decode_owned(map.bytes(), n, m)?;
+                    let (graph, _) = read_owned(map.bytes(), map.len())?;
                     Ok((SnapshotSource::Owned(graph), source_tag))
                 }
             }
         }
-        // No mmap on this platform (or an empty/unmappable file): read
-        // the bytes and take the owned path, surfacing its typed errors.
+        // No mmap on this platform (or an empty/unmappable file): take
+        // the owned path, surfacing its typed errors.
         Err(_) => {
-            let mut data = Vec::new();
-            file.read_to_end(&mut data)?;
-            let (graph, source_tag) = read_snapshot_bytes_tagged(&data)?;
+            let (graph, source_tag) = read_owned_file(file)?;
             Ok((SnapshotSource::Owned(graph), source_tag))
         }
     }
@@ -510,16 +587,14 @@ pub fn read_snapshot<R: Read>(reader: R) -> Result<UncertainGraph> {
 /// Prefer [`open_snapshot`] where a borrowed, zero-copy graph is
 /// acceptable.
 pub fn read_snapshot_file<P: AsRef<Path>>(path: P) -> Result<UncertainGraph> {
-    let file = File::open(path)?;
-    read_snapshot(file)
+    read_snapshot_file_tagged(path).map(|(graph, _)| graph)
 }
 
 /// Reads a `.ugsnap` snapshot and its source tag from a file path into
-/// owned buffers.
+/// owned buffers, streaming the sections rather than reading the file
+/// whole.
 pub fn read_snapshot_file_tagged<P: AsRef<Path>>(path: P) -> Result<(UncertainGraph, u64)> {
-    let mut data = Vec::new();
-    File::open(path)?.read_to_end(&mut data)?;
-    read_snapshot_bytes_tagged(&data)
+    read_owned_file(File::open(path)?)
 }
 
 #[cfg(test)]

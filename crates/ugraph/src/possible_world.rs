@@ -13,8 +13,7 @@
 
 use rand::Rng;
 
-use crate::builder::GraphBuilder;
-use crate::graph::{EdgeId, UncertainGraph, VertexId};
+use crate::graph::{Edge, EdgeId, UncertainGraph, VertexId};
 
 /// One deterministic instantiation of an uncertain graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,15 +92,18 @@ impl PossibleWorld {
     /// Materializes this world as a deterministic graph (every kept edge
     /// has probability `1.0`); vertex count is preserved.
     pub fn materialize(&self, graph: &UncertainGraph) -> UncertainGraph {
-        let mut b = GraphBuilder::with_vertices(graph.num_vertices());
-        for (e, kept) in self.kept.iter().enumerate() {
-            if *kept {
-                let edge = graph.edge(e as EdgeId);
-                b.add_edge(edge.u, edge.v, 1.0)
-                    .expect("reference edges are always valid");
-            }
-        }
-        b.build()
+        debug_assert_eq!(self.kept.len(), graph.num_edges());
+        // The kept edges, in the reference table's (sorted) order.
+        let mut edges = Vec::with_capacity(self.num_kept_edges());
+        edges.extend(
+            graph
+                .edges()
+                .iter()
+                .zip(&self.kept)
+                .filter(|&(_, &kept)| kept)
+                .map(|(e, _)| Edge { p: 1.0, ..*e }),
+        );
+        UncertainGraph::from_sorted_edges(graph.num_vertices(), edges)
     }
 }
 

@@ -7,17 +7,24 @@
 //! ids, so that quality metrics can run on the compact graph and results
 //! can still be reported in the original id space.
 
-use std::collections::HashMap;
-
-use crate::graph::{EdgeId, UncertainGraph, VertexId};
+use crate::graph::{Edge, EdgeId, UncertainGraph, VertexId};
 
 /// A materialized subgraph of a parent [`UncertainGraph`] together with
 /// the mapping from its dense vertex ids back to the parent's ids.
+///
+/// Dense ids follow the parent's order, so the parent's canonical edge
+/// order carries over and both constructors hand their edges, already
+/// sorted, straight to the CSR constructor.
 #[derive(Debug, Clone)]
 pub struct EdgeSubgraph {
     graph: UncertainGraph,
     /// `original_ids[new]` is the parent-graph id of subgraph vertex `new`.
     original_ids: Vec<VertexId>,
+}
+
+/// Dense id of parent vertex `old` within the sorted `vertices`.
+fn dense(vertices: &[VertexId], old: VertexId) -> Option<VertexId> {
+    vertices.binary_search(&old).ok().map(|i| i as VertexId)
 }
 
 impl EdgeSubgraph {
@@ -27,26 +34,22 @@ impl EdgeSubgraph {
         let mut sorted: Vec<VertexId> = vertices.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let index: HashMap<VertexId, VertexId> = sorted
-            .iter()
-            .enumerate()
-            .map(|(new, &old)| (old, new as VertexId))
-            .collect();
-
-        let mut b = crate::GraphBuilder::with_vertices(sorted.len());
-        for &old_u in &sorted {
+        let mut edges = Vec::new();
+        for (new_u, &old_u) in sorted.iter().enumerate() {
             for (old_v, p, _) in parent.neighbor_entries(old_u) {
                 if old_u < old_v {
-                    if let Some(&new_v) = index.get(&old_v) {
-                        let new_u = index[&old_u];
-                        b.add_edge(new_u, new_v, p)
-                            .expect("parent edges are always valid");
+                    if let Some(new_v) = dense(&sorted, old_v) {
+                        edges.push(Edge {
+                            u: new_u as VertexId,
+                            v: new_v,
+                            p,
+                        });
                     }
                 }
             }
         }
         EdgeSubgraph {
-            graph: b.build(),
+            graph: UncertainGraph::from_sorted_edges(sorted.len(), edges),
             original_ids: sorted,
         }
     }
@@ -54,31 +57,31 @@ impl EdgeSubgraph {
     /// Subgraph induced by a set of *edges* of `parent`: exactly the given
     /// edges are kept, and the vertex set is the set of their endpoints.
     pub fn induced_by_edges(parent: &UncertainGraph, edges: &[EdgeId]) -> Self {
-        let mut vertex_set: Vec<VertexId> = Vec::new();
-        for &e in edges {
+        let mut unique_edges: Vec<EdgeId> = edges.to_vec();
+        unique_edges.sort_unstable();
+        unique_edges.dedup();
+        let mut vertex_set: Vec<VertexId> = Vec::with_capacity(2 * unique_edges.len());
+        for &e in &unique_edges {
             let edge = parent.edge(e);
             vertex_set.push(edge.u);
             vertex_set.push(edge.v);
         }
         vertex_set.sort_unstable();
         vertex_set.dedup();
-        let index: HashMap<VertexId, VertexId> = vertex_set
+        let table = unique_edges
             .iter()
-            .enumerate()
-            .map(|(new, &old)| (old, new as VertexId))
+            .map(|&e| {
+                let edge = parent.edge(e);
+                let id = |old| dense(&vertex_set, old).expect("endpoint of a kept edge");
+                Edge {
+                    u: id(edge.u),
+                    v: id(edge.v),
+                    p: edge.p,
+                }
+            })
             .collect();
-
-        let mut b = crate::GraphBuilder::with_vertices(vertex_set.len());
-        let mut unique_edges: Vec<EdgeId> = edges.to_vec();
-        unique_edges.sort_unstable();
-        unique_edges.dedup();
-        for e in unique_edges {
-            let edge = parent.edge(e);
-            b.add_edge(index[&edge.u], index[&edge.v], edge.p)
-                .expect("parent edges are always valid");
-        }
         EdgeSubgraph {
-            graph: b.build(),
+            graph: UncertainGraph::from_sorted_edges(vertex_set.len(), table),
             original_ids: vertex_set,
         }
     }
@@ -115,10 +118,7 @@ impl EdgeSubgraph {
 
     /// Subgraph id of parent vertex `old`, if present.
     pub fn local_vertex(&self, old: VertexId) -> Option<VertexId> {
-        self.original_ids
-            .binary_search(&old)
-            .ok()
-            .map(|i| i as VertexId)
+        dense(&self.original_ids, old)
     }
 }
 

@@ -26,14 +26,13 @@
 //! repair paths only care about how the final edge set differs from the
 //! original one.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::builder::GraphBuilder;
-use crate::graph::{EdgeId, UncertainGraph, VertexId};
+use crate::graph::{Edge, EdgeId, UncertainGraph, VertexId};
 
 /// One edge mutation.  Endpoints are unordered (`{u, v}`); probabilities
-/// obey the same `(0, 1]` contract as [`GraphBuilder::add_edge`].
+/// obey the same `(0, 1]` contract as [`GraphBuilder::add_edge`](crate::GraphBuilder::add_edge).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EdgeUpdate {
     /// Add the edge `{u, v}` with existence probability `p`.
@@ -208,13 +207,19 @@ impl GraphDelta {
 /// new graph and the net [`GraphDelta`].  The batch is atomic: any
 /// invalid update rejects the whole batch with a typed [`UpdateError`]
 /// carrying its index.
+///
+/// The batch is validated against an overlay that holds only the keys it
+/// touches; any other key is looked up in `graph`.  One merge of the old
+/// edge table with the overlay then yields the new table, both id maps
+/// and the net counts.
 pub fn apply_edge_updates(
     graph: &UncertainGraph,
     updates: &[EdgeUpdate],
 ) -> Result<GraphDelta, UpdateError> {
     let n = graph.num_vertices();
-    let mut edges: HashMap<(VertexId, VertexId), f64> =
-        graph.edges().iter().map(|e| ((e.u, e.v), e.p)).collect();
+    // Each touched key's probability before the batch and after the
+    // updates so far (`None` = absent).
+    let mut overlay: BTreeMap<(VertexId, VertexId), (Option<f64>, Option<f64>)> = BTreeMap::new();
 
     for (index, update) in updates.iter().enumerate() {
         let (u, v) = update.endpoints();
@@ -230,25 +235,23 @@ pub fn apply_edge_updates(
                 });
             }
         }
+        let (_, now) = overlay.entry((u, v)).or_insert_with(|| {
+            let p = graph.edge_probability(u, v);
+            (p, p)
+        });
         match *update {
             EdgeUpdate::Insert { p, .. } => {
-                if !(p > 0.0 && p <= 1.0) || p.is_nan() {
-                    return Err(UpdateError::InvalidProbability {
-                        index,
-                        edge: (u, v),
-                        p,
-                    });
-                }
-                if edges.contains_key(&(u, v)) {
+                check_probability(index, (u, v), p)?;
+                if now.is_some() {
                     return Err(UpdateError::EdgeExists {
                         index,
                         edge: (u, v),
                     });
                 }
-                edges.insert((u, v), p);
+                *now = Some(p);
             }
             EdgeUpdate::Delete { .. } => {
-                if edges.remove(&(u, v)).is_none() {
+                if now.take().is_none() {
                     return Err(UpdateError::EdgeMissing {
                         index,
                         edge: (u, v),
@@ -256,76 +259,78 @@ pub fn apply_edge_updates(
                 }
             }
             EdgeUpdate::Reweight { p, .. } => {
-                if !(p > 0.0 && p <= 1.0) || p.is_nan() {
-                    return Err(UpdateError::InvalidProbability {
+                check_probability(index, (u, v), p)?;
+                if now.is_none() {
+                    return Err(UpdateError::EdgeMissing {
                         index,
                         edge: (u, v),
-                        p,
                     });
                 }
-                match edges.get_mut(&(u, v)) {
-                    Some(slot) => *slot = p,
-                    None => {
-                        return Err(UpdateError::EdgeMissing {
-                            index,
-                            edge: (u, v),
-                        })
-                    }
-                }
+                *now = Some(p);
             }
         }
     }
 
-    let mut builder = GraphBuilder::with_vertices(n);
-    for (&(u, v), &p) in &edges {
-        builder
-            .add_edge(u, v, p)
-            .expect("validated update batch produces a buildable edge set");
-    }
-    let new_graph = builder.build();
-
-    // Both edge tables are sorted lexicographically by canonical pair
-    // (the builder's id assignment), so one merge pass yields the id
-    // correspondence and the net insert/remove/re-weight sets.
+    // The net counts come first, so the new table has its exact length.
+    let removed = overlay
+        .values()
+        .filter(|(before, after)| before.is_some() && after.is_none())
+        .count();
+    let inserted: Vec<(VertexId, VertexId)> = overlay
+        .iter()
+        .filter(|(_, (before, after))| before.is_none() && after.is_some())
+        .map(|(&key, _)| key)
+        .collect();
     let old_edges = graph.edges();
-    let new_edges = new_graph.edges();
-    let mut old_to_new = vec![None; old_edges.len()];
-    let mut new_to_old = vec![None; new_edges.len()];
-    let mut inserted = Vec::new();
-    let mut removed = 0usize;
+    let new_len = old_edges.len() - removed + inserted.len();
+    let mut edges = Vec::with_capacity(new_len);
+    let mut old_to_new = Vec::with_capacity(old_edges.len());
+    let mut new_to_old = Vec::with_capacity(new_len);
     let mut reweighted = 0usize;
-    let (mut oi, mut ni) = (0usize, 0usize);
-    while oi < old_edges.len() || ni < new_edges.len() {
-        let old_key = old_edges.get(oi).map(|e| (e.u, e.v));
-        let new_key = new_edges.get(ni).map(|e| (e.u, e.v));
-        match (old_key, new_key) {
-            (Some(ok), Some(nk)) if ok == nk => {
-                old_to_new[oi] = Some(ni as EdgeId);
-                new_to_old[ni] = Some(oi as EdgeId);
-                if old_edges[oi].p.to_bits() != new_edges[ni].p.to_bits() {
+
+    // Both the old table and the overlay are sorted by canonical pair.
+    // Before each touched key (and after the last), the untouched run of
+    // old edges carries over whole.
+    let mut oi = 0usize;
+    for touched in overlay.iter().map(Some).chain([None]) {
+        let end = match touched {
+            Some((key, _)) => oi + old_edges[oi..].partition_point(|e| (e.u, e.v) < *key),
+            None => old_edges.len(),
+        };
+        let first = edges.len();
+        old_to_new.extend((first..first + end - oi).map(|id| Some(id as EdgeId)));
+        new_to_old.extend((oi..end).map(|id| Some(id as EdgeId)));
+        edges.extend_from_slice(&old_edges[oi..end]);
+        oi = end;
+        let Some((&(u, v), &(before, after))) = touched else {
+            break;
+        };
+        match (before, after) {
+            (Some(old_p), Some(p)) => {
+                if old_p.to_bits() != p.to_bits() {
                     reweighted += 1;
                 }
-                oi += 1;
-                ni += 1;
-            }
-            (Some(ok), Some(nk)) if ok < nk => {
-                removed += 1;
+                old_to_new.push(Some(edges.len() as EdgeId));
+                new_to_old.push(Some(oi as EdgeId));
+                edges.push(Edge { u, v, p });
                 oi += 1;
             }
             (Some(_), None) => {
-                removed += 1;
+                old_to_new.push(None);
                 oi += 1;
             }
-            (_, Some(nk)) => {
-                inserted.push(nk);
-                ni += 1;
+            (None, Some(p)) => {
+                new_to_old.push(None);
+                edges.push(Edge { u, v, p });
             }
-            (None, None) => unreachable!(),
+            // Inserted, then deleted again within the batch.
+            (None, None) => {}
         }
     }
+    debug_assert_eq!(edges.len(), new_len);
 
     Ok(GraphDelta {
-        graph: new_graph,
+        graph: UncertainGraph::from_sorted_edges(n, edges),
         old_to_new,
         new_to_old,
         inserted,
@@ -334,9 +339,18 @@ pub fn apply_edge_updates(
     })
 }
 
+/// The `(0, 1]` contract of inserted and re-weighted probabilities.
+fn check_probability(index: usize, edge: (VertexId, VertexId), p: f64) -> Result<(), UpdateError> {
+    if !(p > 0.0 && p <= 1.0) || p.is_nan() {
+        return Err(UpdateError::InvalidProbability { index, edge, p });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphBuilder;
 
     fn diamond() -> UncertainGraph {
         // Two triangles sharing edge {1, 2}.

@@ -8,15 +8,20 @@
 //! * snapshot: graph → `.ugsnap` → graph is bit-identical, and the
 //!   encoding is canonical (equal graphs produce equal bytes);
 //! * konect: a graph serialized as weighted TSV re-parses identically
-//!   under the column model.
+//!   under the column model;
+//! * the sorting SNAP reader agrees with a line-at-a-time reference on
+//!   random texts with injected faults: the same graph or the same error;
+//! * the streaming snapshot file readers fail exactly as the byte reader
+//!   does on truncated, corrupted and over-long files.
 
 use proptest::prelude::*;
 
 use prob_nucleus_repro::ugraph::io::{
-    open_snapshot, read_edge_list, read_konect, read_snapshot_bytes, write_edge_list,
-    write_snapshot, EdgeProbabilityModel,
+    open_snapshot, read_edge_list, read_edge_list_with_policy, read_konect, read_snapshot_bytes,
+    read_snapshot_file, read_snapshot_file_tagged, write_edge_list, write_snapshot,
+    DuplicatePolicy, EdgeProbabilityModel,
 };
-use prob_nucleus_repro::ugraph::{GraphBuilder, GraphError, SnapshotError, UncertainGraph};
+use prob_nucleus_repro::ugraph::{Edge, GraphBuilder, GraphError, SnapshotError, UncertainGraph};
 
 /// Writes `bytes` to a unique temp file and returns its path; callers
 /// remove it when done.
@@ -72,6 +77,242 @@ fn to_snapshot(graph: &UncertainGraph) -> Vec<u8> {
     buf
 }
 
+/// Separators between fields: every Unicode White_Space the reader must
+/// split on, ASCII and not.
+const SEPARATORS: [&str; 8] = [
+    " ", "\t", "  ", " \t ", "\x0B", "\x0C", "\u{00A0}", "\u{3000}",
+];
+
+/// Value columns: the first eight are valid probabilities (four spell
+/// the same 0.5), the rest are not (though some are valid weights).
+const VALUES: [&str; 13] = [
+    "0.5", "+0.5", "5e-1", ".5", "0.25", "1", "0.125", "1e-300", "1.5", "0", "-0.5", "nan", "-0",
+];
+
+/// Lines that are wrong on their own, whatever came before them.
+const FAULTS: [&[u8]; 10] = [
+    b"0 1 0.5 9",
+    b"a b",
+    b"0 x 0.5",
+    b"1 2 0.5x",
+    b"4294967296 1",
+    b"3 3 0.5",
+    b"5",
+    b"+ 1",
+    b"0 1 \xff",
+    b"# comment \xc3",
+];
+
+/// Renders raw draws into an edge-list text: data lines over a few
+/// vertices (so repeats are common, in both orientations, with equal and
+/// with differing values), comments, blank lines, awkward whitespace,
+/// CRLF endings and — when `faults` allows — lines that are wrong on
+/// their own.  `faults`: 0 = none, 1 = invalid values, 2 = also bad lines.
+fn render_text(lines: &[(u32, u32, u32, u32, u32)], faults: u32) -> Vec<u8> {
+    let mut text = Vec::new();
+    let mut data: Vec<(u32, u32, usize)> = Vec::new();
+    let value_count = if faults == 0 { 8 } else { VALUES.len() };
+    for &(kind, a, b, c, d) in lines {
+        let sep = SEPARATORS[d as usize % SEPARATORS.len()];
+        let mut line = String::new();
+        if d & 8 != 0 {
+            line.push_str(sep);
+        }
+        let field_line = |u: u32, v: u32, value: usize, line: &mut String| {
+            line.push_str(&format!("{u}{sep}{v}"));
+            if value < value_count {
+                line.push_str(sep);
+                line.push_str(VALUES[value]);
+            }
+        };
+        match kind {
+            // A data line (value index past `value_count` = no value).
+            0..=54 => {
+                let (u, v) = (a % 8, (a % 8 + 1 + b % 7) % 8);
+                let value = c as usize % (value_count + 3);
+                field_line(u, v, value, &mut line);
+                data.push((u, v, value));
+            }
+            // A repeat of an earlier data line, either orientation, with
+            // the same value or another one.
+            55..=69 if !data.is_empty() => {
+                let (u, v, value) = data[a as usize % data.len()];
+                let (u, v) = if b % 2 == 0 { (u, v) } else { (v, u) };
+                let value = if c < 8 {
+                    value
+                } else {
+                    c as usize % (value_count + 3)
+                };
+                field_line(u, v, value, &mut line);
+            }
+            // A `+`-signed data line.
+            55..=72 => line.push_str(&format!("+{}{sep}+{}", a % 8 + 10, b % 8 + 20)),
+            73..=78 => line.push_str(if a % 2 == 0 { "# comment" } else { "% 3 3" }),
+            79..=84 => {}
+            _ if faults == 2 => {
+                text.extend_from_slice(line.as_bytes());
+                text.extend_from_slice(FAULTS[a as usize % FAULTS.len()]);
+                text.extend_from_slice(if d & 4 != 0 { b"\r\n" } else { b"\n" });
+                continue;
+            }
+            _ => line.push_str(&format!("{}{sep}{}", a % 8 + 30, b % 8 + 40)),
+        }
+        if d & 16 != 0 {
+            line.push_str(sep);
+        }
+        text.extend_from_slice(line.as_bytes());
+        text.extend_from_slice(if d & 4 != 0 { b"\r\n" } else { b"\n" });
+    }
+    text
+}
+
+/// Serves `bytes` in `chunk`-byte reads, then fails with an I/O error at
+/// byte `fail_at` if it lies inside the input.
+struct ChunkedReader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    chunk: usize,
+    fail_at: usize,
+}
+
+impl std::io::Read for ChunkedReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.at >= self.fail_at && self.at < self.bytes.len() {
+            return Err(std::io::Error::other("injected read failure"));
+        }
+        let end = self
+            .bytes
+            .len()
+            .min(self.at + self.chunk.min(buf.len()))
+            .min(self.fail_at.max(self.at + 1));
+        let n = end - self.at;
+        buf[..n].copy_from_slice(&self.bytes[self.at..end]);
+        self.at = end;
+        Ok(n)
+    }
+}
+
+/// The line-at-a-time reader, kept as the reference the sorting reader
+/// must agree with: `BufRead::lines`, a `seen` map checked per line,
+/// the probability model on each first occurrence.  Returns the
+/// canonical edge table and the vertex count.
+fn reference_read<R: std::io::Read>(
+    reader: R,
+    model: &EdgeProbabilityModel,
+    policy: DuplicatePolicy,
+) -> Result<(Vec<Edge>, usize), GraphError> {
+    use std::collections::BTreeMap;
+    use std::io::BufRead;
+
+    let field = |tok: Option<&str>, line: usize, what: &str| -> Result<u32, GraphError> {
+        let tok = tok.ok_or_else(|| GraphError::Parse {
+            line,
+            message: format!("missing {what}"),
+        })?;
+        tok.parse::<u32>().map_err(|_| GraphError::Parse {
+            line,
+            message: format!("invalid {what} '{tok}'"),
+        })
+    };
+    let mut assigner = model.assigner();
+    let mut seen: BTreeMap<(u32, u32), Option<u64>> = BTreeMap::new();
+    let mut table: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+    for (index, line) in std::io::BufReader::new(reader).lines().enumerate() {
+        let line = line?;
+        let line_no = index + 1;
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+            continue;
+        }
+        let mut parts = trimmed.split_whitespace();
+        let u = field(parts.next(), line_no, "source vertex")?;
+        let v = field(parts.next(), line_no, "target vertex")?;
+        let value = match parts.next() {
+            Some(tok) => Some(tok.parse::<f64>().map_err(|_| GraphError::Parse {
+                line: line_no,
+                message: format!("invalid probability '{tok}'"),
+            })?),
+            None => None,
+        };
+        if parts.next().is_some() {
+            return Err(GraphError::Parse {
+                line: line_no,
+                message: "expected at most three columns (u v p)".to_string(),
+            });
+        }
+        if u == v {
+            return Err(GraphError::SelfLoop { vertex: u });
+        }
+        let key = (u.min(v), u.max(v));
+        let bits = value.map(f64::to_bits);
+        if let Some(&previous) = seen.get(&key) {
+            match policy {
+                DuplicatePolicy::MergeIdentical if previous == bits => continue,
+                _ => return Err(GraphError::DuplicateEdge { edge: key }),
+            }
+        }
+        seen.insert(key, bits);
+        table.insert(key, assigner.probability(key, value)?);
+    }
+    let n = table
+        .keys()
+        .map(|&(_, v)| v as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let edges = table
+        .into_iter()
+        .map(|((u, v), p)| Edge { u, v, p })
+        .collect();
+    Ok((edges, n))
+}
+
+/// An error as a comparable string; probabilities compare by their bits
+/// (NaN never equals itself).
+fn error_key(error: &GraphError) -> String {
+    match error {
+        GraphError::InvalidProbability { edge, probability } => {
+            format!("InvalidProbability {edge:?} {:#x}", probability.to_bits())
+        }
+        other => format!("{other:?}"),
+    }
+}
+
+/// `graph` holds exactly `table` (bit for bit) over `n` vertices, and
+/// each adjacency run is the one rebuilt from the table independently.
+fn assert_graph_is_table(graph: &UncertainGraph, table: &[Edge], n: usize) {
+    assert_eq!(graph.num_vertices(), n);
+    let got: Vec<(u32, u32, u64)> = graph
+        .edges()
+        .iter()
+        .map(|e| (e.u, e.v, e.p.to_bits()))
+        .collect();
+    let want: Vec<(u32, u32, u64)> = table.iter().map(|e| (e.u, e.v, e.p.to_bits())).collect();
+    assert_eq!(got, want);
+    let mut runs: Vec<Vec<(u32, u64, u32)>> = vec![Vec::new(); n];
+    for (id, e) in table.iter().enumerate() {
+        runs[e.u as usize].push((e.v, e.p.to_bits(), id as u32));
+        runs[e.v as usize].push((e.u, e.p.to_bits(), id as u32));
+    }
+    for (w, run) in runs.iter_mut().enumerate() {
+        run.sort_unstable();
+        let got: Vec<(u32, u64, u32)> = graph
+            .neighbor_entries(w as u32)
+            .map(|(x, p, id)| (x, p.to_bits(), id))
+            .collect();
+        assert_eq!(&got, run, "adjacency of vertex {w}");
+    }
+}
+
+/// The file readers must fail on `bytes` exactly as the byte reader did.
+fn assert_file_readers_fail_alike(bytes: &[u8], expected: &GraphError) {
+    let path = temp_snapshot("file_err", bytes);
+    let plain = read_snapshot_file(&path).unwrap_err();
+    let tagged = read_snapshot_file_tagged(&path).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(&plain, expected);
+    assert_eq!(&tagged, expected);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::default())]
 
@@ -116,7 +357,7 @@ proptest! {
     }
 
     /// Truncating a snapshot anywhere yields a typed error, never a panic
-    /// or a wrong graph.
+    /// or a wrong graph — the same one from the byte and file readers.
     #[test]
     fn truncated_snapshots_error_cleanly(g in arb_graph(8), cut in 0.0f64..1.0) {
         let bytes = to_snapshot(&g);
@@ -128,15 +369,83 @@ proptest! {
                 SnapshotError::Truncated { .. } | SnapshotError::ChecksumMismatch { .. }
             )
         ), "{err:?}");
+        assert_file_readers_fail_alike(&bytes[..len], &err);
     }
 
-    /// Flipping any single byte of a snapshot is detected.
+    /// Flipping any single byte of a snapshot is detected, with the same
+    /// error from the byte and file readers.
     #[test]
     fn corrupted_snapshots_error_cleanly(g in arb_graph(8), pos in 0.0f64..1.0, bit in 0u8..8) {
         let mut bytes = to_snapshot(&g);
         let at = ((bytes.len() - 1) as f64 * pos) as usize;
         bytes[at] ^= 1 << bit;
-        prop_assert!(read_snapshot_bytes(&bytes).is_err(), "flip at {at} undetected");
+        let err = read_snapshot_bytes(&bytes).expect_err("a flipped bit must be detected");
+        assert_file_readers_fail_alike(&bytes, &err);
+    }
+
+    /// Bytes after the checksum are refused, with the same error from the
+    /// byte and file readers.
+    #[test]
+    fn overlong_snapshots_error_cleanly(g in arb_graph(8), extra in 1usize..24) {
+        let mut bytes = to_snapshot(&g);
+        bytes.resize(bytes.len() + extra, 0);
+        let err = read_snapshot_bytes(&bytes).unwrap_err();
+        prop_assert!(matches!(err, GraphError::Snapshot(SnapshotError::Corrupt(_))), "{err:?}");
+        assert_file_readers_fail_alike(&bytes, &err);
+    }
+
+    /// The sorting reader agrees with the line-at-a-time reference on
+    /// random texts with injected faults, read in random chunk sizes and
+    /// sometimes cut short by an I/O error: the same canonical edge table
+    /// and adjacency, or the same error — under both duplicate policies
+    /// and all four probability models.
+    #[test]
+    fn edge_list_reader_matches_the_line_at_a_time_reference(
+        lines in proptest::collection::vec(
+            (0u32..100, 0u32..16, 0u32..16, 0u32..16, 0u32..32),
+            0..24,
+        ),
+        faults in 0u32..3,
+        chunk in 1usize..48,
+        fail in 0u32..8,
+        fail_pos in 0.0f64..1.0,
+    ) {
+        let text = render_text(&lines, faults);
+        // One case in eight also fails the stream partway through.
+        let fail_at = if fail == 0 {
+            (text.len() as f64 * fail_pos) as usize
+        } else {
+            usize::MAX
+        };
+        let reader = || ChunkedReader { bytes: &text, at: 0, chunk, fail_at };
+        let models = [
+            EdgeProbabilityModel::Column,
+            EdgeProbabilityModel::Constant(0.7),
+            EdgeProbabilityModel::UniformSeeded { seed: 7, low: 0.1, high: 0.9 },
+            EdgeProbabilityModel::ExponentialWeight { scale: 2.0 },
+        ];
+        for policy in [DuplicatePolicy::Reject, DuplicatePolicy::MergeIdentical] {
+            for model in &models {
+                let got = read_edge_list_with_policy(reader(), model, policy);
+                let want = reference_read(reader(), model, policy);
+                let text = String::from_utf8_lossy(&text);
+                match (got, want) {
+                    (Ok(graph), Ok((table, n))) => assert_graph_is_table(&graph, &table, n),
+                    (Err(got), Err(want)) => prop_assert_eq!(
+                        error_key(&got),
+                        error_key(&want),
+                        "{:?} {} on {:?}",
+                        policy,
+                        model,
+                        text
+                    ),
+                    (got, want) => prop_assert!(
+                        false,
+                        "{policy:?} {model} on {text:?}: got {got:?}, want {want:?}"
+                    ),
+                }
+            }
+        }
     }
 
     /// The zero-copy reader produces the same graph as the owned decoder,

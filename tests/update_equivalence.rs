@@ -23,6 +23,12 @@
 //! every edge, a rejected batch that must leave the sweep untouched,
 //! and the empty batch as a true noop.
 //!
+//! Underneath all of it, [`apply_edge_updates`] itself is checked
+//! against a one-update-at-a-time reference over an ordered map, on
+//! batches with invalid updates at random positions and with a key
+//! deleted and re-inserted (or inserted and deleted) within one batch:
+//! the same new graph, id maps and net counts, or the same typed error.
+//!
 //! Case counts scale with `PROPTEST_CASES` (64 locally, 1024 in the
 //! thorough CI job).
 
@@ -32,7 +38,7 @@ use prob_nucleus_repro::nucleus::{
     DecompConfig, DecompHandle, DecompSweep, NucleusError, Rank, SweepConfig,
 };
 use prob_nucleus_repro::ugraph::{
-    EdgeUpdate, GraphBuilder, Parallelism, UncertainGraph, UpdateError,
+    apply_edge_updates, EdgeUpdate, GraphBuilder, Parallelism, UncertainGraph, UpdateError,
 };
 
 /// Thread counts every property is exercised at.
@@ -120,6 +126,239 @@ fn arb_graph_and_batch(
                 (g, batch)
             })
     })
+}
+
+/// Probabilities the rendered batches draw from.
+const VALID_P: [f64; 6] = [0.5, 0.25, 0.9, 1.0, 0.125, 0.05];
+/// Probabilities outside `(0, 1]`.
+const INVALID_P: [f64; 4] = [0.0, -0.5, 1.5, f64::NAN];
+
+/// Renders raw draws into a batch over `g` that is valid update by
+/// update: inserts of absent pairs, deletes and re-weights of present
+/// ones (sometimes to the same probability), a delete followed by a
+/// re-insert of one key, an insert followed by a delete of one key,
+/// either orientation.  When `messy`,
+/// some draws become an invalid update instead — an off-graph endpoint,
+/// a self-loop, an out-of-range probability, an insert of a present key
+/// or a delete of an absent one — wherever they land in the batch.
+fn render_batch(g: &UncertainGraph, raw: &[(u32, u32, u32, u32)], messy: bool) -> Vec<EdgeUpdate> {
+    let n = g.num_vertices() as u32;
+    let pairs: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+        .collect();
+    let mut present: std::collections::BTreeSet<(u32, u32)> =
+        g.edges().iter().map(|e| (e.u, e.v)).collect();
+    let mut batch = Vec::new();
+    for &(kind, a, b, c) in raw {
+        let p = VALID_P[c as usize % VALID_P.len()];
+        let start = (a * 10 + b) as usize;
+        let orient = |(u, v): (u32, u32)| if a % 2 == 0 { (u, v) } else { (v, u) };
+        let existing = (!present.is_empty())
+            .then(|| orient(*present.iter().nth(start % present.len()).unwrap()));
+        let absent = (0..pairs.len())
+            .map(|i| pairs[(start + i) % pairs.len()])
+            .find(|pair| !present.contains(pair))
+            .map(orient);
+        if messy && kind >= 10 {
+            let update = match (c % 5, existing, absent) {
+                (0, _, _) => EdgeUpdate::Insert {
+                    u: a % n,
+                    v: n + b,
+                    p,
+                },
+                (1, _, _) => EdgeUpdate::Delete { u: a % n, v: a % n },
+                (2, Some((u, v)), _) => EdgeUpdate::Reweight {
+                    u,
+                    v,
+                    p: INVALID_P[b as usize % INVALID_P.len()],
+                },
+                (3, Some((u, v)), _) => EdgeUpdate::Insert { u, v, p },
+                (_, _, Some((u, v))) => EdgeUpdate::Delete { u, v },
+                _ => continue,
+            };
+            batch.push(update);
+            continue;
+        }
+        let canonical = |(u, v): (u32, u32)| (u.min(v), u.max(v));
+        // Now and then a present edge keeps its old probability, which
+        // does not count as a re-weight.
+        let keep_or = |u: u32, v: u32, p: f64| match g.edge_probability(u, v) {
+            Some(old) if c == 0 => old,
+            _ => p,
+        };
+        match (kind % 5, existing, absent) {
+            (0, _, Some((u, v))) => {
+                batch.push(EdgeUpdate::Insert { u, v, p });
+                present.insert(canonical((u, v)));
+            }
+            (1, Some((u, v)), _) => {
+                batch.push(EdgeUpdate::Delete { u, v });
+                present.remove(&canonical((u, v)));
+            }
+            (2, Some((u, v)), _) => batch.push(EdgeUpdate::Reweight {
+                u,
+                v,
+                p: keep_or(u, v, p),
+            }),
+            (3, Some((u, v)), _) => {
+                batch.push(EdgeUpdate::Delete { u, v });
+                batch.push(EdgeUpdate::Insert {
+                    u,
+                    v,
+                    p: keep_or(u, v, p),
+                });
+            }
+            (4, _, Some((u, v))) => {
+                batch.push(EdgeUpdate::Insert { u, v, p });
+                batch.push(EdgeUpdate::Delete { u, v });
+            }
+            _ => {}
+        }
+    }
+    batch
+}
+
+/// A small graph plus a rendered batch.
+fn arb_graph_and_messy_batch() -> impl Strategy<Value = (UncertainGraph, Vec<EdgeUpdate>)> {
+    arb_graph(8, 0.5)
+        .prop_flat_map(|g| {
+            (
+                Just(g),
+                proptest::collection::vec((0u32..12, 0u32..10, 0u32..10, 0u32..8), 0..12),
+                0u32..2,
+            )
+        })
+        .prop_map(|(g, raw, messy)| {
+            let batch = render_batch(&g, &raw, messy == 1);
+            (g, batch)
+        })
+}
+
+/// What a batch must produce, computed the slow way.
+#[derive(Debug, PartialEq)]
+struct ExpectedDelta {
+    /// `(u, v, probability bits)` of the new edge table.
+    table: Vec<(u32, u32, u64)>,
+    old_to_new: Vec<Option<u32>>,
+    new_to_old: Vec<Option<u32>>,
+    inserted: Vec<(u32, u32)>,
+    removed: usize,
+    reweighted: usize,
+}
+
+/// Applies `batch` one update at a time over an ordered map of every
+/// edge, with the checks in the documented order.
+fn reference_apply(g: &UncertainGraph, batch: &[EdgeUpdate]) -> Result<ExpectedDelta, UpdateError> {
+    use std::collections::BTreeMap;
+
+    let n = g.num_vertices();
+    let old: BTreeMap<(u32, u32), f64> = g.edges().iter().map(|e| ((e.u, e.v), e.p)).collect();
+    let mut edges = old.clone();
+    for (index, update) in batch.iter().enumerate() {
+        let (u, v) = update.endpoints();
+        if u == v {
+            return Err(UpdateError::SelfLoop { index, vertex: u });
+        }
+        if let Some(vertex) = [u, v].into_iter().find(|&x| x as usize >= n) {
+            return Err(UpdateError::OffGraphEndpoint {
+                index,
+                vertex,
+                num_vertices: n,
+            });
+        }
+        let invalid = |p: f64| !(p > 0.0 && p <= 1.0) || p.is_nan();
+        match *update {
+            EdgeUpdate::Insert { p, .. } | EdgeUpdate::Reweight { p, .. } if invalid(p) => {
+                return Err(UpdateError::InvalidProbability {
+                    index,
+                    edge: (u, v),
+                    p,
+                });
+            }
+            EdgeUpdate::Insert { p, .. } => {
+                if edges.insert((u, v), p).is_some() {
+                    return Err(UpdateError::EdgeExists {
+                        index,
+                        edge: (u, v),
+                    });
+                }
+            }
+            EdgeUpdate::Delete { .. } => {
+                if edges.remove(&(u, v)).is_none() {
+                    return Err(UpdateError::EdgeMissing {
+                        index,
+                        edge: (u, v),
+                    });
+                }
+            }
+            EdgeUpdate::Reweight { p, .. } => match edges.get_mut(&(u, v)) {
+                Some(slot) => *slot = p,
+                None => {
+                    return Err(UpdateError::EdgeMissing {
+                        index,
+                        edge: (u, v),
+                    })
+                }
+            },
+        }
+    }
+    let new_ids: BTreeMap<(u32, u32), u32> = edges
+        .keys()
+        .enumerate()
+        .map(|(id, &k)| (k, id as u32))
+        .collect();
+    let old_ids: BTreeMap<(u32, u32), u32> = old
+        .keys()
+        .enumerate()
+        .map(|(id, &k)| (k, id as u32))
+        .collect();
+    Ok(ExpectedDelta {
+        table: edges
+            .iter()
+            .map(|(&(u, v), p)| (u, v, p.to_bits()))
+            .collect(),
+        old_to_new: old.keys().map(|k| new_ids.get(k).copied()).collect(),
+        new_to_old: edges.keys().map(|k| old_ids.get(k).copied()).collect(),
+        inserted: edges
+            .keys()
+            .filter(|k| !old.contains_key(k))
+            .copied()
+            .collect(),
+        removed: old.keys().filter(|k| !edges.contains_key(k)).count(),
+        reweighted: edges
+            .iter()
+            .filter(|(k, p)| old.get(k).is_some_and(|q| q.to_bits() != p.to_bits()))
+            .count(),
+    })
+}
+
+/// An update error as a comparable string; probabilities compare by
+/// their bits (NaN never equals itself).
+fn update_error_key(error: &UpdateError) -> String {
+    match error {
+        UpdateError::InvalidProbability { index, edge, p } => {
+            format!("InvalidProbability {index} {edge:?} {:#x}", p.to_bits())
+        }
+        other => format!("{other:?}"),
+    }
+}
+
+/// Each adjacency run of `graph` is the one rebuilt independently from
+/// its own edge table.
+fn assert_adjacency_follows_the_table(graph: &UncertainGraph) {
+    let mut runs: Vec<Vec<(u32, u64, u32)>> = vec![Vec::new(); graph.num_vertices()];
+    for (id, e) in graph.edges().iter().enumerate() {
+        runs[e.u as usize].push((e.v, e.p.to_bits(), id as u32));
+        runs[e.v as usize].push((e.u, e.p.to_bits(), id as u32));
+    }
+    for (w, run) in runs.iter_mut().enumerate() {
+        run.sort_unstable();
+        let got: Vec<(u32, u64, u32)> = graph
+            .neighbor_entries(w as u32)
+            .map(|(x, p, id)| (x, p.to_bits(), id))
+            .collect();
+        assert_eq!(&got, run, "adjacency of vertex {w}");
+    }
 }
 
 /// The differential check at one rank: apply the batch incrementally at
@@ -281,6 +520,47 @@ proptest! {
                 );
                 prop_assert_eq!(a.initial_scores(), b.initial_scores());
             }
+        }
+    }
+
+    /// `apply_edge_updates` matches the sequential reference: the same
+    /// new table and adjacency, id maps and net counts, or the same typed
+    /// error.
+    #[test]
+    fn apply_edge_updates_matches_a_sequential_reference(
+        case in arb_graph_and_messy_batch(),
+    ) {
+        let (g, batch) = case;
+        match (apply_edge_updates(&g, &batch), reference_apply(&g, &batch)) {
+            (Ok(delta), Ok(want)) => {
+                prop_assert_eq!(delta.graph.num_vertices(), g.num_vertices());
+                let got = ExpectedDelta {
+                    table: delta
+                        .graph
+                        .edges()
+                        .iter()
+                        .map(|e| (e.u, e.v, e.p.to_bits()))
+                        .collect(),
+                    old_to_new: delta.old_to_new.clone(),
+                    new_to_old: delta.new_to_old.clone(),
+                    inserted: delta.inserted.clone(),
+                    removed: delta.removed,
+                    reweighted: delta.reweighted,
+                };
+                prop_assert_eq!(got, want, "batch {:?}", batch);
+                assert_adjacency_follows_the_table(&delta.graph);
+            }
+            (Err(got), Err(want)) => prop_assert_eq!(
+                update_error_key(&got),
+                update_error_key(&want),
+                "batch {:?}",
+                batch
+            ),
+            (got, want) => prop_assert!(
+                false,
+                "batch {batch:?}: got {:?}, want {want:?}",
+                got.map(|delta| delta.graph.num_edges())
+            ),
         }
     }
 
