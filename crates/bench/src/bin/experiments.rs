@@ -48,18 +48,18 @@
 //! (and optionally a snapshot), so CI can exercise the full
 //! generate → ingest → snapshot → benchmark loop.
 //!
-//! Every bench subcommand and every paper experiment is declared in the
-//! scenario registry (`nd_bench::registry`); the subcommand arms here
-//! only translate flags into a [`Spec`] and hand it to the registry's
-//! single dispatch path.  `experiments matrix` runs every registered
-//! scenario (the `Spec` values in `nd_bench::registry`) and emits the
-//! `bench-matrix/v1` report CI gates.
+//! A bench subcommand's flags parse to the [`Job`] it runs
+//! (`nd_bench::cli::parse_job`), which goes through the scenario
+//! registry's single dispatch path (`nd_bench::registry::run`), as
+//! every paper experiment does.  `experiments matrix` runs every
+//! registered scenario (the `Spec` values in `nd_bench::registry`) and
+//! emits the `bench-matrix/v1` report CI gates.
 
 use nd_bench::json::Json;
-use nd_bench::registry::spec::{DatasetSpec, Params, Spec, Workload};
+use nd_bench::registry::spec::{Job, Spec, Workload};
 use nd_bench::registry::{self, matrix, run};
 use nd_bench::runner::ExperimentContext;
-use nd_bench::{cli, compare, million, parbench};
+use nd_bench::{cli, compare, million, source};
 use nd_datasets::Scale;
 
 fn main() {
@@ -70,10 +70,7 @@ fn main() {
     }
     let id = args[0].clone();
     match id.as_str() {
-        "parbench" => return run_bench_arm(Workload::Parbench, &args),
-        "thetasweep" => return run_bench_arm(Workload::Thetasweep, &args),
-        "updates" => return run_bench_arm(Workload::Updates, &args),
-        "million" => return run_bench_arm(Workload::Million, &args),
+        "parbench" | "thetasweep" | "updates" | "million" => return run_bench_arm(&args),
         "matrix" => return run_matrix_cmd(&args),
         "gen" => return run_gen(&args),
         "bench-compare" => return run_bench_compare(&args),
@@ -98,7 +95,8 @@ fn main() {
         ]
     } else {
         match id.parse::<Workload>() {
-            Ok(workload) if workload.is_paper() => vec![workload],
+            // The bench workloads' subcommands were dispatched above.
+            Ok(workload) => vec![workload],
             _ => {
                 eprintln!("unknown experiment '{id}'");
                 print_usage();
@@ -111,7 +109,7 @@ fn main() {
         .unwrap_or(Scale::Small);
     let seed = parse_num_flag(&args, "--seed").unwrap_or(42u64);
     let mut ctx = ExperimentContext::new(scale, seed);
-    if let Some(input) = parse_input(&args) {
+    if let Some(input) = cli::parse_input(&args).unwrap_or_else(|e| fail(&e)) {
         let start = std::time::Instant::now();
         let graph = input
             .load_cached()
@@ -264,134 +262,27 @@ fn parse_num_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T
     cli::parse_num_flag(args, flag).unwrap_or_else(|e| fail(&e))
 }
 
-/// The `--input/--format/--prob-model` trio as a loader-facing dataset.
-fn parse_input(args: &[String]) -> Option<nd_datasets::ExternalDataset> {
-    cli::IngestArgs::from_args(args)
-        .unwrap_or_else(|e| fail(&e))
-        .map(|ingest| ingest.to_dataset())
-}
-
-/// The dataset a bench subcommand's flags describe: `--input` wins;
-/// otherwise a seeded generated graph (`gen`'s G(n, m) for the 50k
-/// benches, BA for `million`).
-fn bench_dataset(workload: Workload, args: &[String]) -> DatasetSpec {
-    let seed = parse_num_flag(args, "--seed").unwrap_or(42u64);
-    if workload == Workload::Million {
-        // million never took --input; its graph is always the seeded BA.
-        let default = million::MillionBenchConfig::default();
-        let attach = parse_num_flag::<usize>(args, "--attach").unwrap_or(default.attach);
-        if attach == 0 {
-            fail("million: --attach must be at least 1");
-        }
-        return DatasetSpec::Ba {
-            vertices: parse_num_flag(args, "--vertices").unwrap_or(default.vertices),
-            attach,
-            seed,
-        };
-    }
-    if let Some(ingest) = cli::IngestArgs::from_args(args).unwrap_or_else(|e| fail(&e)) {
-        return DatasetSpec::File {
-            path: ingest.path,
-            format: ingest.format,
-            prob_model: ingest.prob_model,
-        };
-    }
-    match parse_num_flag::<usize>(args, "--edges") {
-        Some(edges) => DatasetSpec::Generated {
-            edges,
-            // --vertices overrides the average-degree-50 derivation.
-            vertices: parse_num_flag(args, "--vertices"),
-            seed,
-        },
-        None => {
-            let default = parbench::ParBenchConfig::default();
-            DatasetSpec::Generated {
-                edges: default.edges,
-                vertices: Some(parse_num_flag(args, "--vertices").unwrap_or(default.vertices)),
-                seed,
-            }
-        }
-    }
-}
-
-/// Translates one bench subcommand's flags into its registry spec —
-/// after this point the run is identical to a matrix-driven one.
-fn bench_spec(workload: Workload, args: &[String]) -> Spec {
-    let mut params = Params::default();
-    match workload {
-        Workload::Parbench => {
-            params.repeats = parse_num_flag(args, "--repeats");
-            params.threads = cli::parse_threads(args).unwrap_or_else(|e| fail(&e));
-        }
-        Workload::Thetasweep => {
-            params.rank = parse_rank(args, "thetasweep");
-            params.thetas = cli::parse_thetas(args).unwrap_or_else(|e| fail(&e));
-            params.repeats = parse_num_flag(args, "--repeats");
-        }
-        Workload::Updates => {
-            params.rank = parse_rank(args, "updates");
-            params.thetas = cli::parse_thetas(args).unwrap_or_else(|e| fail(&e));
-            params.batch = parse_num_flag(args, "--batch");
-        }
-        Workload::Serve => {
-            params.thetas = cli::parse_thetas(args).unwrap_or_else(|e| fail(&e));
-            params.cache = parse_num_flag(args, "--cache");
-            params.pool = parse_num_flag::<usize>(args, "--threads").map(|t| {
-                if t == 0 {
-                    fail("serve: --threads must be at least 1");
-                }
-                t
-            });
-        }
-        Workload::Million => {
-            params.thetas = cli::parse_thetas(args).unwrap_or_else(|e| fail(&e));
-            params.pool = parse_num_flag::<usize>(args, "--threads").map(|t| {
-                if t == 0 {
-                    fail("million: --threads must be at least 1");
-                }
-                t
-            });
-            params.chunk_edges = parse_num_flag::<usize>(args, "--chunk-edges").map(|c| {
-                if c == 0 {
-                    fail("million: --chunk-edges must be at least 1");
-                }
-                c
-            });
-        }
-        _ => unreachable!("bench_spec is only called for bench workloads"),
-    }
-    Spec {
-        name: workload.name(),
-        workload,
-        tags: &[],
-        dataset: bench_dataset(workload, args),
-        params,
-        expect: &[],
-    }
-}
-
-fn parse_rank(args: &[String], subcommand: &str) -> Option<nucleus::Rank> {
-    parse_flag(args, "--rank").map(|spec| {
-        spec.parse::<nucleus::Rank>()
-            .unwrap_or_else(|e| fail(&format!("{subcommand}: {e}")))
-    })
-}
-
 /// Runs one bench subcommand through the registry dispatch: header,
-/// driver, report table, JSON file — exactly the output the hand-wired
-/// arms produced.
-fn run_bench_arm(workload: Workload, args: &[String]) {
-    let spec = bench_spec(workload, args);
+/// driver, report table, JSON file.
+fn run_bench_arm(args: &[String]) {
+    let job = cli::parse_job(args).unwrap_or_else(|e| fail(&e));
+    let workload = job.workload();
     let out_default = match workload {
         Workload::Parbench => "BENCH_parallel.json",
         Workload::Thetasweep => "BENCH_thetasweep.json",
         Workload::Updates => "BENCH_updates.json",
         Workload::Serve => "BENCH_serve.json",
         Workload::Million => "BENCH_million.json",
-        _ => unreachable!(),
+        paper => unreachable!("{paper} is not a bench subcommand"),
     };
     let out_path = parse_flag(args, "--out").unwrap_or_else(|| out_default.to_string());
-    println!("{}", run::header(&spec).unwrap_or_else(|e| fail(&e)));
+    println!("{}", job.header());
+    let spec = Spec {
+        name: workload.name(),
+        tags: &[],
+        job,
+        expect: &[],
+    };
     let executed = run::execute(&spec).unwrap_or_else(|e| fail(&e));
     println!("{}", executed.text);
     let json = executed
@@ -457,7 +348,7 @@ fn run_gen(args: &[String]) {
             let edges: usize = parse_num_flag(args, "--edges").unwrap_or(50_000);
             let vertices: usize =
                 parse_num_flag(args, "--vertices").unwrap_or_else(|| cli::derive_vertices(edges));
-            parbench::generate_graph(vertices, edges, seed)
+            source::generate_graph(vertices, edges, seed)
         }
         "ba" => {
             let attach: usize = parse_num_flag(args, "--attach").unwrap_or(5);
@@ -506,32 +397,27 @@ fn run_gen(args: &[String]) {
 /// and writes the `bench-serve/v3` report (the CI `serve-smoke`
 /// surface).
 fn run_serve(args: &[String]) {
-    let spec = bench_spec(Workload::Serve, args);
     if args.iter().any(|a| a == "--oneshot") {
-        run_bench_arm(Workload::Serve, args);
+        run_bench_arm(args);
         return;
     }
 
     // Resident mode: load once (through the snapshot cache, like the
     // generic experiments), bind, and serve until a client asks for
     // shutdown.
-    let config = run::serve_config(&spec).unwrap_or_else(|e| fail(&e));
-    let graph = match &config.input {
-        Some(input) => input
-            .load_cached()
-            .unwrap_or_else(|e| fail(&format!("cannot load {}: {e}", input.path.display()))),
-        None => parbench::generate_graph(config.vertices, config.edges, config.seed),
+    let Job::Serve(config) = cli::parse_job(args).unwrap_or_else(|e| fail(&e)) else {
+        unreachable!("serve flags parse to a serve job");
     };
+    let graph = config
+        .source
+        .load(config.seed)
+        .unwrap_or_else(|e| fail(&e.to_string()));
     let port: u16 = parse_num_flag(args, "--port").unwrap_or(0);
-    let parallelism = match config.threads {
-        Some(t) => ugraph::par::Parallelism::fixed(t),
-        None => ugraph::par::Parallelism::Auto,
-    };
     let core = nd_server::ServerCore::new(
         graph,
         nd_server::ServerConfig {
             cache_capacity: config.cache_capacity,
-            parallelism,
+            parallelism: config.parallelism,
             ..nd_server::ServerConfig::default()
         },
     );

@@ -1,17 +1,25 @@
-//! Shared command-line parsing for the `experiments` binary.
+//! Command-line parsing for the `experiments` binary.
 //!
-//! Every subcommand used to re-implement the same flag plumbing inline:
-//! the `--input/--format/--prob-model` ingestion trio, the
-//! `--edges/--vertices` density rule, the `--scale` names, the
-//! `--thetas` and `--threads` list grammars.  This module is the single
-//! home for that logic so the subcommand arms stay thin and the parsing
-//! behaviour (and its error wording) cannot drift between them.
+//! The one home of the flag grammar: the `--input/--format/--prob-model`
+//! ingestion trio, the `--edges/--vertices` density rule, the `--scale`
+//! names, the `--thetas` and `--threads` lists, and [`parse_job`],
+//! which turns a bench subcommand's flags into the [`Job`] it runs.
 //! Everything returns `Result` rather than exiting, so it is
 //! unit-testable; the binary maps errors to its uniform `fail()`.
 
 use nd_datasets::{ExternalDataset, Scale};
+use nucleus::Rank;
 use ugraph::io::EdgeProbabilityModel;
+use ugraph::par::Parallelism;
 use ugraph::InputFormat;
+
+use crate::million::MillionBenchConfig;
+use crate::parbench::ParBenchConfig;
+use crate::registry::spec::Job;
+use crate::serve::ServeBenchConfig;
+use crate::source::GraphSource;
+use crate::thetasweep::SweepBenchConfig;
+use crate::updates::UpdateBenchConfig;
 
 /// Looks up the value following `flag`.  `Ok(None)` when the flag is
 /// absent; an error when the flag is present but dangling without a
@@ -109,53 +117,133 @@ pub fn derive_vertices(edges: usize) -> usize {
     (edges / 25).max(4)
 }
 
-/// The parsed `--input PATH [--format F] [--prob-model M]` ingestion
-/// trio, shared verbatim by every subcommand that accepts a file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IngestArgs {
-    /// The input path (`--input`).
-    pub path: String,
-    /// The on-disk format (`--format`, default `snap`).
-    pub format: InputFormat,
-    /// The edge-probability model (`--prob-model`, default `column`).
-    pub prob_model: EdgeProbabilityModel,
+/// Parses the `--input PATH [--format F] [--prob-model M]` ingestion
+/// trio every subcommand that accepts a file shares (`--format`
+/// defaults to `snap`, `--prob-model` to `column`).  `Ok(None)` when no
+/// `--input` is present; `--format`/`--prob-model` without `--input`
+/// are rejected (they would otherwise be dead flags whose typos go
+/// unnoticed).
+pub fn parse_input(args: &[String]) -> Result<Option<ExternalDataset>, String> {
+    let path = parse_flag(args, "--input")?;
+    let format = parse_flag(args, "--format")?;
+    let prob_model = parse_flag(args, "--prob-model")?;
+    let Some(path) = path else {
+        if format.is_some() || prob_model.is_some() {
+            return Err("--format/--prob-model require --input".to_string());
+        }
+        return Ok(None);
+    };
+    let format = match format {
+        Some(spec) => spec.parse::<InputFormat>()?,
+        None => InputFormat::Snap,
+    };
+    let prob_model = match prob_model {
+        Some(spec) => spec.parse::<EdgeProbabilityModel>()?,
+        None => EdgeProbabilityModel::Column,
+    };
+    Ok(Some(ExternalDataset::new(path, format, prob_model)))
 }
 
-impl IngestArgs {
-    /// Parses the trio from a raw argument list.  `Ok(None)` when no
-    /// `--input` is present; `--format`/`--prob-model` without
-    /// `--input` are rejected (they would otherwise be dead flags whose
-    /// typos go unnoticed).
-    pub fn from_args(args: &[String]) -> Result<Option<IngestArgs>, String> {
-        let path = parse_flag(args, "--input")?;
-        let format = parse_flag(args, "--format")?;
-        let prob_model = parse_flag(args, "--prob-model")?;
-        let Some(path) = path else {
-            if format.is_some() || prob_model.is_some() {
-                return Err("--format/--prob-model require --input".to_string());
-            }
-            return Ok(None);
-        };
-        let format = match format {
-            Some(spec) => spec.parse::<InputFormat>()?,
-            None => InputFormat::Snap,
-        };
-        let prob_model = match prob_model {
-            Some(spec) => spec.parse::<EdgeProbabilityModel>()?,
-            None => EdgeProbabilityModel::Column,
-        };
-        Ok(Some(IngestArgs {
-            path,
-            format,
-            prob_model,
-        }))
+/// The graph of a 50k-edge bench subcommand: `--input` wins; otherwise a
+/// generated graph of `--edges` (default 50,000) over `--vertices`
+/// (default: derived from the edge count).
+fn parse_source(args: &[String]) -> Result<GraphSource, String> {
+    if let Some(input) = parse_input(args)? {
+        return Ok(GraphSource::File(input));
     }
+    let edges = parse_num_flag(args, "--edges")?.unwrap_or(50_000);
+    let vertices = parse_num_flag(args, "--vertices")?.unwrap_or_else(|| derive_vertices(edges));
+    Ok(GraphSource::Generated { vertices, edges })
+}
 
-    /// The loader-facing dataset (named after the file stem, loaded
-    /// through the snapshot cache).
-    pub fn to_dataset(&self) -> ExternalDataset {
-        ExternalDataset::new(self.path.clone(), self.format, self.prob_model.clone())
+/// A count flag that must be at least 1 when given.
+fn parse_positive(args: &[String], flag: &str, subcommand: &str) -> Result<Option<usize>, String> {
+    match parse_num_flag(args, flag)? {
+        Some(0) => Err(format!("{subcommand}: {flag} must be at least 1")),
+        count => Ok(count),
     }
+}
+
+fn parse_rank(args: &[String], subcommand: &str) -> Result<Option<Rank>, String> {
+    let rank = parse_flag(args, "--rank")?.map(|spec| spec.parse::<Rank>());
+    rank.transpose().map_err(|e| format!("{subcommand}: {e}"))
+}
+
+/// Validates a θ-grid through the sweep engine, so a malformed grid
+/// fails with the typed validation message before any work.
+fn validate_grid(subcommand: &str, thetas: &[f64]) -> Result<(), String> {
+    nucleus::SweepConfig::exact(thetas.to_vec())
+        .validate()
+        .map_err(|e| format!("{subcommand}: {e}"))
+}
+
+/// Parses a bench subcommand's arguments (`args[0]` is `parbench`,
+/// `thetasweep`, `updates`, `serve` or `million`) into the job it runs.
+/// Absent flags keep the driver defaults; `--seed` defaults to 42.
+pub fn parse_job(args: &[String]) -> Result<Job, String> {
+    let subcommand = args.first().map_or("", String::as_str);
+    let seed = || Ok::<u64, String>(parse_num_flag(args, "--seed")?.unwrap_or(42));
+    Ok(match subcommand {
+        "parbench" => {
+            let mut c = ParBenchConfig::default();
+            c.repeats = parse_num_flag(args, "--repeats")?.unwrap_or(c.repeats);
+            c.threads = parse_threads(args)?.unwrap_or(c.threads);
+            c.seed = seed()?;
+            c.source = parse_source(args)?;
+            Job::Parbench(c)
+        }
+        "thetasweep" => {
+            let mut c = SweepBenchConfig::default();
+            c.rank = parse_rank(args, subcommand)?.unwrap_or(c.rank);
+            c.thetas = parse_thetas(args)?.unwrap_or(c.thetas);
+            c.repeats = parse_num_flag(args, "--repeats")?.unwrap_or(c.repeats);
+            c.seed = seed()?;
+            c.source = parse_source(args)?;
+            validate_grid(subcommand, &c.thetas)?;
+            Job::Thetasweep(c)
+        }
+        "updates" => {
+            let mut c = UpdateBenchConfig::default();
+            c.rank = parse_rank(args, subcommand)?.unwrap_or(c.rank);
+            c.thetas = parse_thetas(args)?.unwrap_or(c.thetas);
+            c.batch = parse_num_flag(args, "--batch")?.unwrap_or(c.batch);
+            c.seed = seed()?;
+            c.source = parse_source(args)?;
+            validate_grid(subcommand, &c.thetas)?;
+            Job::Updates(c)
+        }
+        "serve" => {
+            let mut c = ServeBenchConfig::default();
+            let thetas = parse_thetas(args)?;
+            c.cache_capacity = parse_num_flag(args, "--cache")?.unwrap_or(c.cache_capacity);
+            let threads = parse_positive(args, "--threads", subcommand)?;
+            c.parallelism = threads.map_or(c.parallelism, Parallelism::fixed);
+            c.seed = seed()?;
+            c.source = parse_source(args)?;
+            if let Some(thetas) = thetas {
+                if thetas.len() < 2 {
+                    return Err("serve: --thetas needs a grid of at least 2 points".to_string());
+                }
+                validate_grid(subcommand, &thetas)?;
+                c.thetas = thetas;
+            }
+            Job::Serve(c)
+        }
+        "million" => {
+            // million never took --input; its graph is always the seeded BA.
+            let mut c = MillionBenchConfig::default();
+            c.thetas = parse_thetas(args)?.unwrap_or(c.thetas);
+            c.threads = parse_positive(args, "--threads", subcommand)?.unwrap_or(c.threads);
+            let chunk = parse_positive(args, "--chunk-edges", subcommand)?;
+            c.streaming_chunk_edges = chunk.unwrap_or(c.streaming_chunk_edges);
+            c.seed = seed()?;
+            c.attach = parse_positive(args, "--attach", subcommand)?.unwrap_or(c.attach);
+            c.vertices = parse_num_flag(args, "--vertices")?.unwrap_or(c.vertices);
+            validate_grid(subcommand, &c.thetas)?;
+            Job::Million(c)
+        }
+        other => return Err(format!("'{other}' is not a bench subcommand")),
+    })
 }
 
 #[cfg(test)]
@@ -173,7 +261,7 @@ mod tests {
         assert_eq!(parse_num_flag::<u64>(&a, "--edges").unwrap(), None);
         assert_eq!(parse_thetas(&a).unwrap(), None);
         assert_eq!(parse_threads(&a).unwrap(), None);
-        assert_eq!(IngestArgs::from_args(&a).unwrap(), None);
+        assert_eq!(parse_input(&a).unwrap(), None);
     }
 
     #[test]
@@ -236,31 +324,30 @@ mod tests {
             "--prob-model",
             "const:0.5",
         ]);
-        let ingest = IngestArgs::from_args(&a).unwrap().unwrap();
-        assert_eq!(ingest.path, "graph.txt");
-        assert_eq!(ingest.format, InputFormat::Konect);
-        assert_eq!(ingest.prob_model, EdgeProbabilityModel::Constant(0.5));
-        let dataset = ingest.to_dataset();
+        let dataset = parse_input(&a).unwrap().unwrap();
+        assert_eq!(dataset.path, std::path::Path::new("graph.txt"));
+        assert_eq!(dataset.format, InputFormat::Konect);
+        assert_eq!(dataset.probability, EdgeProbabilityModel::Constant(0.5));
         assert_eq!(dataset.name, "graph");
     }
 
     #[test]
     fn ingest_args_default_format_and_model() {
         let a = args(&["parbench", "--input", "g.txt"]);
-        let ingest = IngestArgs::from_args(&a).unwrap().unwrap();
-        assert_eq!(ingest.format, InputFormat::Snap);
-        assert_eq!(ingest.prob_model, EdgeProbabilityModel::Column);
+        let dataset = parse_input(&a).unwrap().unwrap();
+        assert_eq!(dataset.format, InputFormat::Snap);
+        assert_eq!(dataset.probability, EdgeProbabilityModel::Column);
     }
 
     #[test]
     fn ingest_args_reject_orphaned_modifiers_and_bad_values() {
         let orphan = args(&["parbench", "--format", "snap"]);
-        assert!(IngestArgs::from_args(&orphan)
+        assert!(parse_input(&orphan)
             .unwrap_err()
             .contains("require --input"));
         let bad_format = args(&["parbench", "--input", "g", "--format", "xml"]);
-        assert!(IngestArgs::from_args(&bad_format).is_err());
+        assert!(parse_input(&bad_format).is_err());
         let bad_model = args(&["parbench", "--input", "g", "--prob-model", "magic"]);
-        assert!(IngestArgs::from_args(&bad_model).is_err());
+        assert!(parse_input(&bad_model).is_err());
     }
 }

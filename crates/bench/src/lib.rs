@@ -23,7 +23,8 @@
 //! | [`serve`] | (extra) | `nd-server` smoke: scripted TCP session vs direct library calls, counters as `bench-serve/v3` JSON |
 //! | [`updates`] | (extra) | incremental edge-update maintenance: repair vs rebuild work counters as `bench-updates/v2` JSON |
 //! | [`registry`] | (extra) | scenario registry: the `Spec` values behind `experiments matrix`, emitted as `bench-matrix/v1` JSON |
-//! | [`cli`] | (extra) | shared flag parsing (`--input/--format/--prob-model`, θ-grids, thread lists) for the `experiments` binary |
+//! | [`source`] | (extra) | the 50k-edge drivers' graph: a seeded G(n, m) graph or a file through the snapshot cache, and its timed ingest |
+//! | [`cli`] | (extra) | the `experiments` binary's flag parsing: the input trio, θ-grids, thread lists, and each bench subcommand's flags into the `Job` it runs |
 //!
 //! Run them through the `experiments` binary:
 //!
@@ -46,6 +47,7 @@ pub mod registry;
 pub mod report;
 pub mod runner;
 pub mod serve;
+pub mod source;
 pub mod table1;
 pub mod table2;
 pub mod table3;

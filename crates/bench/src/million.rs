@@ -50,8 +50,11 @@ use crate::json::Json;
 use crate::report::{num, object, Report};
 use crate::runner::{run_with_deadline, Timing};
 
+/// Wall-clock budget for the sweep phase.
+const DEADLINE: Duration = Duration::from_secs(1_800);
+
 /// Configuration of the million-edge baseline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MillionBenchConfig {
     /// Number of vertices of the Barabási–Albert graph.
     pub vertices: usize,
@@ -65,8 +68,6 @@ pub struct MillionBenchConfig {
     pub streaming_chunk_edges: usize,
     /// The γ grid of the truss-rank sweep.
     pub thetas: Vec<f64>,
-    /// Wall-clock budget for the sweep phase.
-    pub deadline: Duration,
 }
 
 impl Default for MillionBenchConfig {
@@ -81,7 +82,6 @@ impl Default for MillionBenchConfig {
             threads: 4,
             streaming_chunk_edges: 65_536,
             thetas: vec![0.1, 0.5],
-            deadline: Duration::from_secs(1_800),
         }
     }
 }
@@ -96,6 +96,20 @@ impl MillionBenchConfig {
             return self.vertices * self.vertices.saturating_sub(1) / 2;
         }
         k * (k + 1) / 2 + k * (self.vertices - k - 1)
+    }
+
+    /// The `# experiment:` line the `million` subcommand prints.
+    pub fn header(&self) -> String {
+        format!(
+            "# experiment: million  vertices: {}  attach: {}  (~{} edges)  threads: {}  \
+             grid: {:?}  seed: {}\n",
+            self.vertices,
+            self.attach,
+            self.expected_edges(),
+            self.threads,
+            self.thetas,
+            self.seed
+        )
     }
 }
 
@@ -177,13 +191,14 @@ impl MillionBenchReport {
         let c = &self.config;
         let mut r = Report::new("bench-million/v2");
         r.set("rank", Json::str("truss"));
-        let generator = [
+        let source = object([
+            ("kind", Json::str("generated")),
             ("generator", Json::str(GENERATOR_NAME)),
             ("requested_vertices", num(c.vertices)),
             ("attach", num(c.attach)),
             ("seed", num(c.seed)),
-        ];
-        r.source(None, &generator);
+        ]);
+        r.set("source", source);
         r.gate("vertices", self.vertices, Exact);
         r.gate("edges", self.edges, Exact);
         r.set("seed", num(c.seed));
@@ -385,7 +400,7 @@ pub fn run(config: &MillionBenchConfig) -> MillionBenchReport {
     let sweep_config = SweepConfig::exact(config.thetas.clone()).with_rank(Rank::Truss);
     let mut index = None;
     let mut sweep_s = f64::INFINITY;
-    let (_, _, deadline_exceeded) = run_with_deadline(config.deadline, || {
+    let (_, _, deadline_exceeded) = run_with_deadline(DEADLINE, || {
         let (built, t) = Timing::measure(|| {
             DecompSweep::compute(&graph, &sweep_config).expect("valid sweep config")
         });
@@ -442,7 +457,6 @@ mod tests {
             threads: 2,
             streaming_chunk_edges: 64,
             thetas: vec![0.1, 0.5],
-            deadline: Duration::from_secs(120),
         }
     }
 

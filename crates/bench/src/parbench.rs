@@ -76,12 +76,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use nd_datasets::ExternalDataset;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use ugraph::cliques::FourCliqueEnumerator;
-use ugraph::generators::{assign_probabilities, gnm_edges, ProbabilityModel};
-use ugraph::io;
 use ugraph::par::Parallelism;
 use ugraph::triangles::enumerate_triangles_with;
 use ugraph::UncertainGraph;
@@ -93,116 +88,43 @@ use crate::compare::Gate::{Exact, LowerIsBetter, ReportOnly, WithinFactor};
 use crate::json::Json;
 use crate::report::{num, object, Report};
 use crate::runner::{format_table, run_with_deadline, Timing};
+use crate::source::{GraphSource, IngestError, IngestTimings};
+
+/// Wall-clock budget per measured configuration.
+const DEADLINE: Duration = Duration::from_secs(600);
 
 /// Configuration of the parallel-substrate benchmark.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParBenchConfig {
-    /// Number of vertices of the generated G(n, m) graph.
-    pub vertices: usize,
-    /// Number of edges of the generated G(n, m) graph.
-    pub edges: usize,
-    /// RNG seed for structure and probability generation.
+    /// The measured graph.  A file's ingest is measured too (text parse
+    /// vs snapshot reload) and recorded as the dataset provenance.
+    pub source: GraphSource,
+    /// RNG seed of a generated graph.
     pub seed: u64,
     /// Thread counts to measure (the sequential baseline always runs).
     pub threads: Vec<usize>,
     /// Repetitions per configuration; best (minimum) time is reported.
     pub repeats: usize,
-    /// Wall-clock budget per measured configuration.
-    pub deadline: Duration,
-    /// Ingested input overriding the generator: the benchmark then also
-    /// measures text-parse vs snapshot-reload and records the file as the
-    /// dataset provenance.
-    pub input: Option<ExternalDataset>,
 }
 
 impl Default for ParBenchConfig {
-    /// 50k edges over 2k vertices (average degree 50, so triangles *and*
-    /// 4-cliques are plentiful) — the scale the acceptance bar of the
+    /// The default 50k-edge graph: the scale the acceptance bar of the
     /// parallel substrate is measured at.
     fn default() -> Self {
         ParBenchConfig {
-            vertices: 2_000,
-            edges: 50_000,
+            source: GraphSource::default(),
             seed: 42,
             threads: vec![2, 4],
             repeats: 3,
-            deadline: Duration::from_secs(600),
-            input: None,
         }
     }
 }
 
-/// Why ingesting an `--input` file failed.  Every `experiments`
-/// subcommand that takes `--input` funnels through this one type, so a
-/// missing or unreadable file produces the same message and the same
-/// non-zero exit no matter which subcommand it was passed to.
-#[derive(Debug)]
-pub enum IngestError {
-    /// The input file could not be parsed or read.
-    Load {
-        /// The file that failed.
-        path: std::path::PathBuf,
-        /// The underlying parse/IO error.
-        error: ugraph::GraphError,
-    },
-    /// A snapshot cache we just wrote failed to read back.
-    SnapshotReload {
-        /// The cache file that failed.
-        path: std::path::PathBuf,
-        /// The underlying reload error.
-        error: ugraph::GraphError,
-    },
-}
-
-impl std::fmt::Display for IngestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            // Same wording as the generic experiments' --input path, so
-            // the operator-visible message is subcommand-independent.
-            IngestError::Load { path, error } => {
-                write!(f, "cannot load {}: {error}", path.display())
-            }
-            IngestError::SnapshotReload { path, error } => {
-                write!(f, "cannot reload snapshot {}: {error}", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for IngestError {}
-
-/// Wall-clock costs of ingesting the `--input` file.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IngestTimings {
-    /// Seconds to parse the source file (text parse for SNAP/Konect,
-    /// snapshot read when the source already is a snapshot).
-    pub parse_s: f64,
-    /// Seconds to write the `.ugsnap` snapshot cache.
-    pub snapshot_write_s: f64,
-    /// Seconds to reload the graph from that snapshot through the owned
-    /// byte-copying decoder.
-    pub snapshot_reload_s: f64,
-    /// Seconds to open the same snapshot through
-    /// [`ugraph::io::open_snapshot`], which memory-maps and borrows the
-    /// sections in place when the platform allows it.
-    pub snapshot_mmap_s: f64,
-    /// Whether the open actually took the zero-copy mapped path (`false`
-    /// means the platform or file forced the owned fallback, so
-    /// `snapshot_mmap_s` measures a second owned decode).
-    pub mmap_used: bool,
-}
-
-impl IngestTimings {
-    /// How much faster the snapshot reload is than the original parse —
-    /// the figure of merit of the snapshot cache.
-    pub fn reload_speedup(&self) -> f64 {
-        self.parse_s / self.snapshot_reload_s.max(1e-9)
-    }
-
-    /// How much faster the zero-copy open is than the owned decode —
-    /// the figure of merit of the mmap reader.
-    pub fn mmap_speedup(&self) -> f64 {
-        self.snapshot_reload_s / self.snapshot_mmap_s.max(1e-9)
+impl ParBenchConfig {
+    /// The `# experiment:` line the `parbench` subcommand prints.
+    pub fn header(&self) -> String {
+        let knobs = format!("threads: {:?}  repeats: {}", self.threads, self.repeats);
+        self.source.header("parbench", &knobs, self.seed)
     }
 }
 
@@ -307,27 +229,10 @@ pub struct ParBenchReport {
     pub runs: Vec<ThreadRun>,
 }
 
-/// Generates the benchmark graph: G(n, m) structure with uniform edge
-/// probabilities in `[0.2, 1.0]`, fully determined by `seed`.
-pub fn generate_graph(vertices: usize, edges: usize, seed: u64) -> UncertainGraph {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let structure = gnm_edges(vertices, edges, &mut rng);
-    assign_probabilities(
-        &structure,
-        vertices,
-        &ProbabilityModel::Uniform {
-            low: 0.2,
-            high: 1.0,
-        },
-        &mut rng,
-    )
-}
-
 fn measure_config(
     graph: &UncertainGraph,
     parallelism: Parallelism,
     repeats: usize,
-    deadline: Duration,
 ) -> (PhaseTimings, bool, usize, usize) {
     let mut best = PhaseTimings {
         triangles_s: f64::INFINITY,
@@ -336,7 +241,7 @@ fn measure_config(
     };
     let mut num_triangles = 0usize;
     let mut num_cliques = 0usize;
-    let ((), _total, exceeded) = run_with_deadline(deadline, || {
+    let ((), _total, exceeded) = run_with_deadline(DEADLINE, || {
         for _ in 0..repeats.max(1) {
             let (tris, t1) = Timing::measure(|| enumerate_triangles_with(graph, parallelism));
             let (cliques, t2) =
@@ -424,111 +329,13 @@ fn measure_peel(graph: &UncertainGraph, repeats: usize) -> PeelBench {
     }
 }
 
-/// Ingests `input`, measuring text parse, snapshot-cache write, owned
-/// snapshot reload and mapped snapshot open, and verifying both reloaded
-/// graphs are identical.  Each step runs `repeats` times (at least once)
-/// and keeps its best time, like every other measured phase.
-///
-/// Sources that already are snapshots skip the cache round-trip (it would
-/// measure snapshot-vs-snapshot and litter the dataset directory), and an
-/// unwritable dataset directory degrades to a temp-dir cache — or, if
-/// even that fails, to running the benchmark without ingest timings.
-pub(crate) fn ingest(
-    input: &ExternalDataset,
-    repeats: usize,
-) -> Result<(UncertainGraph, Option<IngestTimings>), IngestError> {
-    let (parsed, parse_t) = Timing::best_of(repeats, || input.load());
-    let graph = parsed.map_err(|error| IngestError::Load {
-        path: input.path.clone(),
-        error,
-    })?;
-    if input.format == ugraph::InputFormat::Snapshot {
-        return Ok((graph, None));
-    }
-    let preferred = input.snapshot_cache_path();
-    let (written, write_t) =
-        Timing::best_of(repeats, || io::write_snapshot_file(&graph, &preferred));
-    let (cache, write_t) = match written {
-        Ok(()) => (preferred, write_t),
-        Err(_) => {
-            // Read-only dataset directory (load_cached tolerates this
-            // too); fall back to the temp dir before giving up.
-            let fallback = std::env::temp_dir().join(
-                preferred
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| "parbench_cache.ugsnap".to_string()),
-            );
-            let (retried, retry_t) =
-                Timing::best_of(repeats, || io::write_snapshot_file(&graph, &fallback));
-            match retried {
-                Ok(()) => (fallback, retry_t),
-                Err(e) => {
-                    eprintln!(
-                        "warning: cannot write a snapshot cache for {} ({e}); \
-                         benchmarking without ingest timings",
-                        input.path.display()
-                    );
-                    return Ok((graph, None));
-                }
-            }
-        }
-    };
-    let (reloaded, reload_t) = Timing::best_of(repeats, || io::read_snapshot_file(&cache));
-    let reloaded = reloaded.map_err(|error| IngestError::SnapshotReload {
-        path: cache.clone(),
-        error,
-    })?;
-    assert_eq!(
-        graph,
-        reloaded,
-        "snapshot reload of {} diverged from the parsed graph",
-        input.path.display()
-    );
-    // Differential check of the zero-copy path: the mapped graph must be
-    // bit-identical to the parsed one, and its open time is the tracked
-    // figure of merit of the mmap reader.
-    let (mapped, mmap_t) = Timing::best_of(repeats, || io::open_snapshot(&cache));
-    let mapped = mapped.map_err(|error| IngestError::SnapshotReload {
-        path: cache.clone(),
-        error,
-    })?;
-    let mmap_used = mapped.is_mapped();
-    assert_eq!(
-        graph,
-        *mapped.graph(),
-        "zero-copy snapshot open of {} diverged from the parsed graph",
-        cache.display()
-    );
-    Ok((
-        graph,
-        Some(IngestTimings {
-            parse_s: parse_t.seconds(),
-            snapshot_write_s: write_t.seconds(),
-            snapshot_reload_s: reload_t.seconds(),
-            snapshot_mmap_s: mmap_t.seconds(),
-            mmap_used,
-        }),
-    ))
-}
-
 /// Runs the benchmark: sequential baseline first, then every requested
 /// thread count, verifying on the way that the parallel results agree with
 /// the sequential ones.
 pub fn run(config: &ParBenchConfig) -> Result<ParBenchReport, IngestError> {
-    let (graph, ingest_timings) = match &config.input {
-        Some(input) => ingest(input, config.repeats)?,
-        None => (
-            generate_graph(config.vertices, config.edges, config.seed),
-            None,
-        ),
-    };
-    let (baseline_timings, baseline_exceeded, num_triangles, num_four_cliques) = measure_config(
-        &graph,
-        Parallelism::Sequential,
-        config.repeats,
-        config.deadline,
-    );
+    let (graph, ingest_timings) = config.source.ingest(config.seed, config.repeats)?;
+    let (baseline_timings, baseline_exceeded, num_triangles, num_four_cliques) =
+        measure_config(&graph, Parallelism::Sequential, config.repeats);
     let baseline_total = baseline_timings.total_s();
     let baseline = ThreadRun {
         threads: 1,
@@ -539,12 +346,8 @@ pub fn run(config: &ParBenchConfig) -> Result<ParBenchReport, IngestError> {
 
     let mut runs = Vec::with_capacity(config.threads.len());
     for &threads in &config.threads {
-        let (timings, exceeded, tris, cliques) = measure_config(
-            &graph,
-            Parallelism::fixed(threads),
-            config.repeats,
-            config.deadline,
-        );
+        let (timings, exceeded, tris, cliques) =
+            measure_config(&graph, Parallelism::fixed(threads), config.repeats);
         assert_eq!(tris, num_triangles, "parallel triangle count diverged");
         assert_eq!(
             cliques, num_four_cliques,
@@ -579,23 +382,13 @@ pub fn run(config: &ParBenchConfig) -> Result<ParBenchReport, IngestError> {
     })
 }
 
-/// The `source` members of a graph from [`generate_graph`].
-pub(crate) fn generated(vertices: usize, edges: usize, seed: u64) -> [(&'static str, Json); 4] {
-    [
-        ("generator", Json::str("gnm-uniform")),
-        ("requested_vertices", num(vertices)),
-        ("requested_edges", num(edges)),
-        ("seed", num(seed)),
-    ]
-}
-
 impl ParBenchReport {
     /// Serializes the report to the `bench-parallel/v7` JSON schema.
     pub fn to_json(&self) -> String {
         let c = &self.config;
         let p = &self.peel;
         let mut r = Report::new("bench-parallel/v7");
-        r.source(c.input.as_ref(), &generated(c.vertices, c.edges, c.seed));
+        r.source(&c.source, c.seed);
         r.ingest(self.ingest.as_ref());
         r.gate("vertices", self.actual_vertices, Exact);
         r.gate("edges", self.actual_edges, Exact);
@@ -661,8 +454,8 @@ impl ParBenchReport {
                 if run.deadline_exceeded { "YES" } else { "no" }.to_string(),
             ]);
         }
-        let source = match (&self.config.input, &self.ingest) {
-            (Some(input), Some(t)) => format!(
+        let source = match (&self.config.source, &self.ingest) {
+            (GraphSource::File(input), Some(t)) => format!(
                 "\ningest: {} ({}, {}) — parse {:.3}s, snapshot write {:.3}s, \
                  reload {:.3}s ({:.1}x faster than parsing), \
                  mmap open {:.3}s ({:.1}x faster than the owned reload{})",
@@ -677,13 +470,13 @@ impl ParBenchReport {
                 t.mmap_speedup(),
                 if t.mmap_used { "" } else { "; owned fallback" }
             ),
-            (Some(input), None) => format!(
+            (GraphSource::File(input), None) => format!(
                 "\ningest: {} ({}, {})",
                 input.path.display(),
                 input.format,
                 input.probability
             ),
-            (None, _) => String::new(),
+            (GraphSource::Generated { .. }, _) => String::new(),
         };
         let peel = format!(
             "\npeel (theta {:.2}): dp_calls {} vs reference {} ({:.1}% saved), \
@@ -731,15 +524,17 @@ impl ParBenchReport {
 mod tests {
     use super::*;
 
+    use crate::source::generate_graph;
+
     fn tiny_config() -> ParBenchConfig {
         ParBenchConfig {
-            vertices: 60,
-            edges: 400,
+            source: GraphSource::Generated {
+                vertices: 60,
+                edges: 400,
+            },
             seed: 7,
             threads: vec![2],
             repeats: 1,
-            deadline: Duration::from_secs(120),
-            input: None,
         }
     }
 
@@ -845,13 +640,23 @@ mod tests {
         let path = dir.join("bench.txt");
         ugraph::io::write_edge_list_file(&generate_graph(60, 400, 7), &path).unwrap();
 
-        let mut config = tiny_config();
-        config.input = Some(nd_datasets::ExternalDataset::new(
+        let input = nd_datasets::ExternalDataset::new(
             &path,
             InputFormat::Snap,
             EdgeProbabilityModel::Column,
-        ));
+        );
+        let mut config = tiny_config();
+        config.source = GraphSource::File(input.clone());
         let report = run(&config).unwrap();
+        // The cache the ingest writes is the one the loader serves: it
+        // carries the loader's tag and is reused as it stands.
+        let (cache, tag) = input.snapshot_cache(&std::fs::read(&path).unwrap());
+        let (_, written_tag) = ugraph::io::read_snapshot_file_tagged(&cache).unwrap();
+        assert_ne!(written_tag, ugraph::io::UNTAGGED);
+        assert_eq!(written_tag, tag);
+        let written = std::fs::read(&cache).unwrap();
+        input.load_cached().unwrap();
+        assert_eq!(std::fs::read(&cache).unwrap(), written);
         let ingest = report.ingest.expect("input mode records ingest timings");
         assert!(ingest.parse_s > 0.0);
         assert!(ingest.snapshot_reload_s > 0.0);
@@ -890,7 +695,7 @@ mod tests {
         ugraph::io::write_snapshot_file(&generate_graph(60, 400, 7), &path).unwrap();
 
         let mut config = tiny_config();
-        config.input = Some(nd_datasets::ExternalDataset::new(
+        config.source = GraphSource::File(nd_datasets::ExternalDataset::new(
             &path,
             InputFormat::Snapshot,
             EdgeProbabilityModel::Column,

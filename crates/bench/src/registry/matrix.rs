@@ -136,7 +136,8 @@ pub fn format_listing(scenarios: &[&Spec]) -> String {
         "tags".to_string(),
     ]];
     for s in scenarios {
-        rows.push([s.name.to_string(), s.workload.to_string(), s.tags.join(",")]);
+        let workload = s.job.workload().to_string();
+        rows.push([s.name.to_string(), workload, s.tags.join(",")]);
     }
     let mut out = align(&rows);
     out.push_str(&format!("matrix: {} scenario(s)\n", scenarios.len()));
@@ -170,18 +171,19 @@ fn align<const N: usize>(rows: &[[String; N]]) -> String {
 pub fn run_matrix(scenarios: &[&Spec], progress: &mut dyn FnMut(&str)) -> MatrixReport {
     let mut outcomes = Vec::with_capacity(scenarios.len());
     for spec in scenarios {
-        progress(&format!("running {} ({}) ...", spec.name, spec.workload));
+        let workload = spec.job.workload();
+        progress(&format!("running {} ({workload}) ...", spec.name));
         let outcome = match run::execute(spec) {
             Ok(executed) => ScenarioOutcome {
                 name: spec.name.to_string(),
-                workload: spec.workload,
+                workload,
                 passed: executed.passed(),
                 failures: executed.failures,
                 counters: executed.counters,
             },
             Err(message) => ScenarioOutcome {
                 name: spec.name.to_string(),
-                workload: spec.workload,
+                workload,
                 passed: false,
                 failures: vec![message],
                 counters: Vec::new(),

@@ -14,43 +14,50 @@ pub mod matrix;
 pub mod run;
 pub mod spec;
 
-use nd_datasets::Scale;
+use nd_datasets::{ExternalDataset, Scale};
 use nucleus::Rank;
-use spec::{DatasetSpec, Params, Spec, Workload};
+use spec::{Job, Spec, Workload};
 use ugraph::io::EdgeProbabilityModel;
 use ugraph::InputFormat;
 
-/// The generated graph every bench smoke scenario runs on.
-const SMOKE: DatasetSpec = DatasetSpec::Generated {
+use crate::million::MillionBenchConfig;
+use crate::parbench::ParBenchConfig;
+use crate::serve::ServeBenchConfig;
+use crate::source::GraphSource;
+use crate::thetasweep::SweepBenchConfig;
+use crate::updates::UpdateBenchConfig;
+
+/// The generated graph every bench smoke scenario runs on, at each
+/// config's default seed (42): 4000 edges over the vertex count the
+/// CLI derives for them.
+const SMOKE: GraphSource = GraphSource::Generated {
+    vertices: 160,
     edges: 4000,
-    vertices: None,
-    seed: 42,
 };
 
 /// The committed 21-edge file (10 vertices, 20 triangles, 10 4-cliques,
 /// counted by hand) that keeps the file → snapshot-cache → driver path
 /// under the matrix.
-fn tiny_file(prob_model: EdgeProbabilityModel) -> DatasetSpec {
-    DatasetSpec::File {
-        path: concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/data/tiny.txt").to_string(),
-        format: InputFormat::Snap,
+fn tiny_file(prob_model: EdgeProbabilityModel) -> GraphSource {
+    GraphSource::File(ExternalDataset::new(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/data/tiny.txt"),
+        InputFormat::Snap,
         prob_model,
-    }
+    ))
 }
 
 /// A θ-sweep smoke at one rank.
 fn sweep_smoke(name: &'static str, rank: Rank) -> Spec {
     Spec {
         name,
-        workload: Workload::Thetasweep,
         tags: &["bench", "sweep"],
-        dataset: SMOKE,
-        params: Params {
-            rank: Some(rank),
-            thetas: Some(vec![0.05, 0.1, 0.3]),
-            repeats: Some(1),
-            ..Params::default()
-        },
+        job: Job::Thetasweep(SweepBenchConfig {
+            rank,
+            source: SMOKE,
+            thetas: vec![0.05, 0.1, 0.3],
+            repeats: 1,
+            ..SweepBenchConfig::default()
+        }),
         expect: &[("sweep.support_builds", 1.0)],
     }
 }
@@ -59,13 +66,12 @@ fn sweep_smoke(name: &'static str, rank: Rank) -> Spec {
 fn paper_tiny(name: &'static str, workload: Workload, tags: &'static [&'static str]) -> Spec {
     Spec {
         name,
-        workload,
         tags,
-        dataset: DatasetSpec::Paper {
+        job: Job::Paper {
+            workload,
             scale: Scale::Tiny,
             seed: 42,
         },
-        params: Params::default(),
         expect: &[],
     }
 }
@@ -82,14 +88,13 @@ pub fn scenarios() -> Vec<Spec> {
         // -- bench drivers ---------------------------------------------
         Spec {
             name: "parbench-smoke",
-            workload: Workload::Parbench,
             tags: &["bench", "parallel"],
-            dataset: SMOKE,
-            params: Params {
-                repeats: Some(1),
-                threads: Some(vec![2]),
-                ..Params::default()
-            },
+            job: Job::Parbench(ParBenchConfig {
+                source: SMOKE,
+                repeats: 1,
+                threads: vec![2],
+                ..ParBenchConfig::default()
+            }),
             expect: &[],
         },
         sweep_smoke("thetasweep-core-smoke", Rank::Core),
@@ -97,27 +102,25 @@ pub fn scenarios() -> Vec<Spec> {
         sweep_smoke("thetasweep-nucleus-smoke", Rank::Nucleus),
         Spec {
             name: "updates-truss-smoke",
-            workload: Workload::Updates,
             tags: &["bench", "updates"],
-            dataset: SMOKE,
-            params: Params {
-                rank: Some(Rank::Truss),
-                thetas: Some(vec![0.05, 0.1, 0.3]),
-                batch: Some(16),
-                ..Params::default()
-            },
+            job: Job::Updates(UpdateBenchConfig {
+                rank: Rank::Truss,
+                source: SMOKE,
+                thetas: vec![0.05, 0.1, 0.3],
+                batch: 16,
+                ..UpdateBenchConfig::default()
+            }),
             expect: &[("repair.dp_calls_excess", 0.0)],
         },
         Spec {
             name: "serve-smoke",
-            workload: Workload::Serve,
             tags: &["bench", "serve"],
-            dataset: SMOKE,
-            params: Params {
-                thetas: Some(vec![0.1, 0.3]),
-                cache: Some(32),
-                ..Params::default()
-            },
+            job: Job::Serve(ServeBenchConfig {
+                source: SMOKE,
+                thetas: vec![0.1, 0.3],
+                cache_capacity: 32,
+                ..ServeBenchConfig::default()
+            }),
             // The oneshot script deliberately probes six request error
             // paths.
             expect: &[
@@ -127,32 +130,26 @@ pub fn scenarios() -> Vec<Spec> {
         },
         Spec {
             name: "million-smoke",
-            workload: Workload::Million,
             tags: &["bench", "million"],
-            dataset: DatasetSpec::Ba {
+            job: Job::Million(MillionBenchConfig {
                 vertices: 2005,
                 attach: 5,
-                seed: 42,
-            },
-            params: Params {
-                thetas: Some(vec![0.1, 0.5]),
-                pool: Some(2),
-                chunk_edges: Some(4096),
-                ..Params::default()
-            },
+                threads: 2,
+                streaming_chunk_edges: 4096,
+                ..MillionBenchConfig::default()
+            }),
             expect: &[("sweep.support_builds", 1.0)],
         },
         // -- the committed file ----------------------------------------
         Spec {
             name: "file-parbench-tiny",
-            workload: Workload::Parbench,
             tags: &["bench", "file"],
-            dataset: tiny_file(EdgeProbabilityModel::Constant(0.9)),
-            params: Params {
-                repeats: Some(1),
-                threads: Some(vec![2]),
-                ..Params::default()
-            },
+            job: Job::Parbench(ParBenchConfig {
+                source: tiny_file(EdgeProbabilityModel::Constant(0.9)),
+                repeats: 1,
+                threads: vec![2],
+                ..ParBenchConfig::default()
+            }),
             expect: &[
                 ("counts.four_cliques", 10.0),
                 ("counts.triangles", 20.0),
@@ -162,19 +159,18 @@ pub fn scenarios() -> Vec<Spec> {
         },
         Spec {
             name: "file-thetasweep-tiny",
-            workload: Workload::Thetasweep,
             tags: &["bench", "file", "sweep"],
-            dataset: tiny_file(EdgeProbabilityModel::UniformSeeded {
-                seed: 7,
-                low: 0.5,
-                high: 1.0,
+            job: Job::Thetasweep(SweepBenchConfig {
+                rank: Rank::Truss,
+                source: tiny_file(EdgeProbabilityModel::UniformSeeded {
+                    seed: 7,
+                    low: 0.5,
+                    high: 1.0,
+                }),
+                thetas: vec![0.1, 0.5],
+                repeats: 1,
+                ..SweepBenchConfig::default()
             }),
-            params: Params {
-                rank: Some(Rank::Truss),
-                thetas: Some(vec![0.1, 0.5]),
-                repeats: Some(1),
-                ..Params::default()
-            },
             expect: &[
                 ("counts.triangles", 20.0),
                 ("edges", 21.0),
@@ -225,7 +221,7 @@ mod tests {
         let scenarios = scenarios();
         for workload in Workload::ALL {
             assert!(
-                scenarios.iter().any(|s| s.workload == workload),
+                scenarios.iter().any(|s| s.job.workload() == workload),
                 "no builtin scenario for workload {workload}"
             );
         }

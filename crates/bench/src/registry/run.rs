@@ -1,10 +1,11 @@
-//! Scenario execution: one dispatch path from a validated
-//! [`Spec`] to the existing driver entry points.
+//! Scenario execution: one dispatch path from a [`Spec`]'s [`Job`] to
+//! the driver entry points.
 //!
-//! The `experiments` binary's subcommand arms and the matrix runner
-//! both go through here, so a registry-driven run is *the same run* as
-//! a direct subcommand invocation — the differential tests pin that
-//! bit-identically (counters, counts, method_counts).
+//! The `experiments` binary's bench subcommands and the matrix runner
+//! both run a [`Job`] through here, so a registered scenario and a
+//! subcommand whose flags parse to the same job are the same run —
+//! `tests/matrix_differential.rs` pins that each builtin is what its
+//! subcommand's flags parse to.
 //!
 //! After a driver finishes, its deterministic counters are read from
 //! its own JSON report: every path the report tags `exact` or
@@ -12,7 +13,7 @@
 //! RSS probes tagged otherwise.  Each expectation the spec declares
 //! must match its counter exactly.
 
-use super::spec::{DatasetSpec, Spec, Workload};
+use super::spec::{Job, Spec, Workload};
 use crate::compare::Gate;
 use crate::json::Json;
 use crate::runner::ExperimentContext;
@@ -20,7 +21,7 @@ use crate::{
     ablation, fig4, fig5, fig6, fig7, fig8, million, parbench, report, serve, table1, table2,
     table3, thetasweep, updates,
 };
-use nd_datasets::{ExternalDataset, PaperDataset};
+use nd_datasets::PaperDataset;
 
 /// The result of executing one scenario.
 #[derive(Debug, Clone)]
@@ -43,265 +44,6 @@ impl Executed {
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
-}
-
-// ---------------------------------------------------------------------
-// Spec -> driver config
-// ---------------------------------------------------------------------
-
-fn file_dataset(dataset: &DatasetSpec) -> Option<ExternalDataset> {
-    match dataset {
-        DatasetSpec::File {
-            path,
-            format,
-            prob_model,
-        } => Some(ExternalDataset::new(
-            path.clone(),
-            *format,
-            prob_model.clone(),
-        )),
-        _ => None,
-    }
-}
-
-/// Applies a `kind = "generated"` dataset's size to a config's
-/// vertices/edges/seed fields (the `--edges`-derives-vertices rule of
-/// the CLI lives in the spec layer too, via [`crate::cli::derive_vertices`]).
-fn generated_dims(dataset: &DatasetSpec) -> Option<(usize, usize, u64)> {
-    match dataset {
-        DatasetSpec::Generated {
-            edges,
-            vertices,
-            seed,
-        } => Some((
-            vertices.unwrap_or_else(|| crate::cli::derive_vertices(*edges)),
-            *edges,
-            *seed,
-        )),
-        _ => None,
-    }
-}
-
-/// The parallel-substrate config a spec describes.
-pub fn parbench_config(spec: &Spec) -> Result<parbench::ParBenchConfig, String> {
-    let mut config = parbench::ParBenchConfig::default();
-    if let Some((vertices, edges, seed)) = generated_dims(&spec.dataset) {
-        config.vertices = vertices;
-        config.edges = edges;
-        config.seed = seed;
-    }
-    if let Some(repeats) = spec.params.repeats {
-        config.repeats = repeats;
-    }
-    if let Some(threads) = &spec.params.threads {
-        config.threads = threads.clone();
-    }
-    config.input = file_dataset(&spec.dataset);
-    Ok(config)
-}
-
-/// The θ-sweep config a spec describes.
-pub fn thetasweep_config(spec: &Spec) -> Result<thetasweep::SweepBenchConfig, String> {
-    let mut config = thetasweep::SweepBenchConfig::default();
-    if let Some(rank) = spec.params.rank {
-        config.rank = rank;
-    }
-    if let Some((vertices, edges, seed)) = generated_dims(&spec.dataset) {
-        config.vertices = vertices;
-        config.edges = edges;
-        config.seed = seed;
-    }
-    if let Some(thetas) = &spec.params.thetas {
-        config.thetas = thetas.clone();
-    }
-    if let Some(repeats) = spec.params.repeats {
-        config.repeats = repeats;
-    }
-    validate_grid("thetasweep", &config.thetas)?;
-    config.input = file_dataset(&spec.dataset);
-    Ok(config)
-}
-
-/// The incremental-update config a spec describes.
-pub fn updates_config(spec: &Spec) -> Result<updates::UpdateBenchConfig, String> {
-    let mut config = updates::UpdateBenchConfig::default();
-    if let Some(rank) = spec.params.rank {
-        config.rank = rank;
-    }
-    if let Some((vertices, edges, seed)) = generated_dims(&spec.dataset) {
-        config.vertices = vertices;
-        config.edges = edges;
-        config.seed = seed;
-    }
-    if let Some(thetas) = &spec.params.thetas {
-        config.thetas = thetas.clone();
-    }
-    if let Some(batch) = spec.params.batch {
-        config.batch = batch;
-    }
-    validate_grid("updates", &config.thetas)?;
-    config.input = file_dataset(&spec.dataset);
-    Ok(config)
-}
-
-/// The oneshot serve config a spec describes.
-pub fn serve_config(spec: &Spec) -> Result<serve::ServeBenchConfig, String> {
-    let mut config = serve::ServeBenchConfig::default();
-    if let Some((vertices, edges, seed)) = generated_dims(&spec.dataset) {
-        config.vertices = vertices;
-        config.edges = edges;
-        config.seed = seed;
-    }
-    if let Some(cache) = spec.params.cache {
-        config.cache_capacity = cache;
-    }
-    if let Some(pool) = spec.params.pool {
-        config.threads = Some(pool);
-    }
-    if let Some(thetas) = &spec.params.thetas {
-        if thetas.len() < 2 {
-            return Err("serve: --thetas needs a grid of at least 2 points".to_string());
-        }
-        validate_grid("serve", thetas)?;
-        config.thetas = thetas.clone();
-    }
-    config.input = file_dataset(&spec.dataset);
-    Ok(config)
-}
-
-/// The million-edge baseline config a spec describes.
-pub fn million_config(spec: &Spec) -> Result<million::MillionBenchConfig, String> {
-    let mut config = million::MillionBenchConfig::default();
-    if let DatasetSpec::Ba {
-        vertices,
-        attach,
-        seed,
-    } = &spec.dataset
-    {
-        config.vertices = *vertices;
-        config.attach = *attach;
-        config.seed = *seed;
-    }
-    if let Some(pool) = spec.params.pool {
-        config.threads = pool;
-    }
-    if let Some(chunk) = spec.params.chunk_edges {
-        config.streaming_chunk_edges = chunk;
-    }
-    if let Some(thetas) = &spec.params.thetas {
-        config.thetas = thetas.clone();
-    }
-    validate_grid("million", &config.thetas)?;
-    Ok(config)
-}
-
-/// Pre-validates a θ-grid through the sweep engine so malformed grids
-/// fail with the typed validation message before any work — the same
-/// check (and error prefix) the subcommand arms always applied.
-fn validate_grid(subcommand: &str, thetas: &[f64]) -> Result<(), String> {
-    nucleus::SweepConfig::exact(thetas.to_vec())
-        .validate()
-        .map_err(|e| format!("{subcommand}: {e}"))
-}
-
-// ---------------------------------------------------------------------
-// Headers (the exact `# experiment: …` lines the subcommands print)
-// ---------------------------------------------------------------------
-
-/// The `# experiment:` header a bench spec's run prints — reproduced
-/// from the built config so the registry-driven subcommands emit the
-/// same lines they always did.
-pub fn header(spec: &Spec) -> Result<String, String> {
-    Ok(match spec.workload {
-        Workload::Parbench => {
-            let config = parbench_config(spec)?;
-            match &config.input {
-                Some(input) => format!(
-                    "# experiment: parbench  input: {} ({})  threads: {:?}  repeats: {}\n",
-                    input.path.display(),
-                    input.format,
-                    config.threads,
-                    config.repeats
-                ),
-                None => format!(
-                    "# experiment: parbench  vertices: {}  edges: {}  threads: {:?}  repeats: {}  seed: {}\n",
-                    config.vertices, config.edges, config.threads, config.repeats, config.seed
-                ),
-            }
-        }
-        Workload::Thetasweep => {
-            let config = thetasweep_config(spec)?;
-            match &config.input {
-                Some(input) => format!(
-                    "# experiment: thetasweep  rank: {}  input: {} ({})  grid: {:?}  repeats: {}\n",
-                    config.rank,
-                    input.path.display(),
-                    input.format,
-                    config.thetas,
-                    config.repeats
-                ),
-                None => format!(
-                    "# experiment: thetasweep  rank: {}  vertices: {}  edges: {}  grid: {:?}  repeats: {}  seed: {}\n",
-                    config.rank,
-                    config.vertices,
-                    config.edges,
-                    config.thetas,
-                    config.repeats,
-                    config.seed
-                ),
-            }
-        }
-        Workload::Updates => {
-            let config = updates_config(spec)?;
-            match &config.input {
-                Some(input) => format!(
-                    "# experiment: updates  rank: {}  input: {} ({})  grid: {:?}  batch: {}\n",
-                    config.rank,
-                    input.path.display(),
-                    input.format,
-                    config.thetas,
-                    config.batch
-                ),
-                None => format!(
-                    "# experiment: updates  rank: {}  vertices: {}  edges: {}  grid: {:?}  batch: {}  seed: {}\n",
-                    config.rank,
-                    config.vertices,
-                    config.edges,
-                    config.thetas,
-                    config.batch,
-                    config.seed
-                ),
-            }
-        }
-        Workload::Serve => {
-            let config = serve_config(spec)?;
-            match &config.input {
-                Some(input) => format!(
-                    "# experiment: serve --oneshot  input: {} ({})  grid: {:?}\n",
-                    input.path.display(),
-                    input.format,
-                    config.thetas
-                ),
-                None => format!(
-                    "# experiment: serve --oneshot  vertices: {}  edges: {}  grid: {:?}  seed: {}\n",
-                    config.vertices, config.edges, config.thetas, config.seed
-                ),
-            }
-        }
-        Workload::Million => {
-            let config = million_config(spec)?;
-            format!(
-                "# experiment: million  vertices: {}  attach: {}  (~{} edges)  threads: {}  grid: {:?}  seed: {}\n",
-                config.vertices,
-                config.attach,
-                config.expected_edges(),
-                config.threads,
-                config.thetas,
-                config.seed
-            )
-        }
-        paper => format!("# experiment: {paper}\n"),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -434,14 +176,6 @@ pub fn run_paper(ctx: &ExperimentContext, workload: Workload) -> PaperOutput {
     }
 }
 
-/// Builds the experiment context a paper spec describes.
-pub fn paper_context(spec: &Spec) -> Result<ExperimentContext, String> {
-    match &spec.dataset {
-        DatasetSpec::Paper { scale, seed } => Ok(ExperimentContext::new(*scale, *seed)),
-        other => Err(format!("paper workloads cannot run on {other:?}")),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Execution + expectation judging
 // ---------------------------------------------------------------------
@@ -464,47 +198,44 @@ fn check_expectations(spec: &Spec, counters: &[(String, f64)], failures: &mut Ve
 }
 
 /// Executes one scenario through its driver.  `Err` means the driver
-/// could not run at all (bad config, unloadable input); a run that
-/// completes but misses an expectation is `Ok` with `failures`.
+/// could not run at all (unloadable input); a run that completes but
+/// misses an expectation is `Ok` with `failures`.
 pub fn execute(spec: &Spec) -> Result<Executed, String> {
-    let (text, raw_json, mut extra_failures) = match spec.workload {
-        Workload::Parbench => {
-            let config = parbench_config(spec)?;
-            let report = parbench::run(&config).map_err(|e| e.to_string())?;
-            (report.format(), Some(report.to_json()), Vec::new())
+    let mut failures = Vec::new();
+    let (text, raw_json) = match &spec.job {
+        Job::Parbench(config) => {
+            let report = parbench::run(config).map_err(|e| e.to_string())?;
+            (report.format(), report.to_json())
         }
-        Workload::Thetasweep => {
-            let config = thetasweep_config(spec)?;
-            let report = thetasweep::run_bench(&config).map_err(|e| e.to_string())?;
-            (report.format(), Some(report.to_json()), Vec::new())
+        Job::Thetasweep(config) => {
+            let report = thetasweep::run_bench(config).map_err(|e| e.to_string())?;
+            (report.format(), report.to_json())
         }
-        Workload::Updates => {
-            let config = updates_config(spec)?;
-            let report = updates::run(&config).map_err(|e| e.to_string())?;
-            (report.format(), Some(report.to_json()), Vec::new())
+        Job::Updates(config) => {
+            let report = updates::run(config).map_err(|e| e.to_string())?;
+            (report.format(), report.to_json())
         }
-        Workload::Serve => {
-            let config = serve_config(spec)?;
-            let report = serve::run(&config).map_err(|e| e.to_string())?;
-            let mut failures = Vec::new();
+        Job::Serve(config) => {
+            let report = serve::run(config).map_err(|e| e.to_string())?;
             if !report.passed() {
                 failures.push("serve oneshot self-test failed (see report failures)".to_string());
             }
-            (report.format(), Some(report.to_json()), failures)
+            (report.format(), report.to_json())
         }
-        Workload::Million => {
-            let config = million_config(spec)?;
-            let report = million::run(&config);
-            (report.format(), Some(report.to_json()), Vec::new())
+        Job::Million(config) => {
+            let report = million::run(config);
+            (report.format(), report.to_json())
         }
-        paper => {
-            let ctx = paper_context(spec)?;
-            let output = run_paper(&ctx, paper);
+        Job::Paper {
+            workload,
+            scale,
+            seed,
+        } => {
+            let output = run_paper(&ExperimentContext::new(*scale, *seed), *workload);
             let mut counters = vec![("rows".to_string(), output.rows as f64)];
             if let Some(violations) = output.shape_violations {
                 counters.push(("shape_violations".to_string(), violations as f64));
             }
-            let mut failures = Vec::new();
             check_expectations(spec, &counters, &mut failures);
             return Ok(Executed {
                 text: output.text,
@@ -514,19 +245,18 @@ pub fn execute(spec: &Spec) -> Result<Executed, String> {
             });
         }
     };
-    let raw = raw_json.as_deref().expect("bench drivers emit JSON");
-    let doc = Json::parse(raw).map_err(|e| format!("{}: emitted invalid JSON: {e}", spec.name))?;
+    let doc =
+        Json::parse(&raw_json).map_err(|e| format!("{}: emitted invalid JSON: {e}", spec.name))?;
     let counters: Vec<(String, f64)> = report::gates(&doc)
         .map_err(|e| format!("{}: {e}", spec.name))?
         .into_iter()
         .filter(|(_, gate, _)| matches!(gate, Gate::Exact | Gate::LowerIsBetter))
         .map(|(path, _, value)| (path, value))
         .collect();
-    let mut failures = std::mem::take(&mut extra_failures);
     check_expectations(spec, &counters, &mut failures);
     Ok(Executed {
         text,
-        raw_json,
+        raw_json: Some(raw_json),
         counters,
         failures,
     })
@@ -535,67 +265,18 @@ pub fn execute(spec: &Spec) -> Result<Executed, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::spec::Params;
-    use nucleus::Rank;
-
-    /// A bench spec on a generated graph with the given knobs.
-    fn generated(workload: Workload, edges: usize, seed: u64, params: Params) -> Spec {
-        Spec {
-            name: "x",
-            workload,
-            tags: &[],
-            dataset: DatasetSpec::Generated {
-                edges,
-                vertices: None,
-                seed,
-            },
-            params,
-            expect: &[],
-        }
-    }
-
-    #[test]
-    fn generated_specs_build_the_cli_equivalent_configs() {
-        let spec = generated(
-            Workload::Thetasweep,
-            5000,
-            7,
-            Params {
-                rank: Some(Rank::Truss),
-                thetas: Some(vec![0.1, 0.5]),
-                repeats: Some(2),
-                ..Params::default()
-            },
-        );
-        let config = thetasweep_config(&spec).unwrap();
-        // Same derivation the CLI applies for --edges without --vertices.
-        assert_eq!(config.vertices, 200);
-        assert_eq!(config.edges, 5000);
-        assert_eq!(config.seed, 7);
-        assert_eq!(config.rank, Rank::Truss);
-        assert_eq!(config.thetas, vec![0.1, 0.5]);
-        assert_eq!(config.repeats, 2);
-        assert!(config.input.is_none());
-    }
-
-    #[test]
-    fn unset_params_keep_driver_defaults() {
-        let spec = generated(Workload::Parbench, 50_000, 42, Params::default());
-        let config = parbench_config(&spec).unwrap();
-        let default = parbench::ParBenchConfig::default();
-        assert_eq!(config.repeats, default.repeats);
-        assert_eq!(config.threads, default.threads);
-        assert_eq!(config.vertices, default.vertices);
-    }
+    use crate::registry::scenarios;
 
     #[test]
     fn expectations_match_mismatch_or_go_missing() {
         let spec = Spec {
+            name: "x",
+            tags: &[],
+            job: Job::Thetasweep(thetasweep::SweepBenchConfig::default()),
             expect: &[
                 ("sweep.dp_calls_total", 500.0),
                 ("sweep.support_builds", 1.0),
             ],
-            ..generated(Workload::Thetasweep, 100, 42, Params::default())
         };
         let counters = vec![
             ("sweep.support_builds".to_string(), 1.0),
@@ -627,21 +308,22 @@ mod tests {
 
     #[test]
     fn headers_match_the_subcommand_format() {
-        let spec = generated(
-            Workload::Updates,
-            4000,
-            42,
-            Params {
-                rank: Some(Rank::Truss),
-                thetas: Some(vec![0.05, 0.1, 0.3]),
-                batch: Some(16),
-                ..Params::default()
-            },
-        );
+        let header = |name: &str| {
+            let spec = scenarios().into_iter().find(|s| s.name == name);
+            spec.expect("a builtin scenario").job.header()
+        };
         assert_eq!(
-            header(&spec).unwrap(),
+            header("updates-truss-smoke"),
             "# experiment: updates  rank: truss  vertices: 160  edges: 4000  \
              grid: [0.05, 0.1, 0.3]  batch: 16  seed: 42\n"
+        );
+        assert_eq!(
+            header("file-parbench-tiny"),
+            concat!(
+                "# experiment: parbench  input: ",
+                env!("CARGO_MANIFEST_DIR"),
+                "/scenarios/data/tiny.txt (snap)  threads: [2]  repeats: 1\n"
+            )
         );
     }
 }

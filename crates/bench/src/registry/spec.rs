@@ -1,14 +1,17 @@
-//! The scenario types: one runnable scenario is a [`Spec`] value,
-//! dataset × workload × knobs × expected counters.
+//! The scenario types: one runnable scenario is a [`Spec`] value, a
+//! named [`Job`] with tags and expected counters.
 //!
 //! Specs are plain Rust values.  The builtins live in
-//! [`crate::registry::scenarios`]; the `experiments` subcommands build
-//! one from their flags.
+//! [`crate::registry::scenarios`]; the `experiments` bench subcommands
+//! parse their flags into a [`Job`] ([`crate::cli::parse_job`]).
 
 use nd_datasets::Scale;
-use nucleus::Rank;
-use ugraph::io::EdgeProbabilityModel;
-use ugraph::InputFormat;
+
+use crate::million::MillionBenchConfig;
+use crate::parbench::ParBenchConfig;
+use crate::serve::ServeBenchConfig;
+use crate::thetasweep::SweepBenchConfig;
+use crate::updates::UpdateBenchConfig;
 
 /// The workload a scenario drives — one per `experiments` subcommand
 /// (bench drivers) or paper experiment id.
@@ -63,19 +66,6 @@ impl Workload {
         Workload::Ablation,
     ];
 
-    /// Whether this is a paper table/figure (runs through
-    /// [`crate::runner::ExperimentContext`]) rather than a bench driver.
-    pub fn is_paper(&self) -> bool {
-        !matches!(
-            self,
-            Workload::Parbench
-                | Workload::Thetasweep
-                | Workload::Updates
-                | Workload::Serve
-                | Workload::Million
-        )
-    }
-
     /// The subcommand (or paper experiment id) that runs this workload.
     pub fn name(&self) -> &'static str {
         match self {
@@ -115,67 +105,55 @@ impl std::str::FromStr for Workload {
     }
 }
 
-/// The graph a scenario runs on.
+/// What a scenario runs: a bench driver with the config it runs, or a
+/// paper table/figure on the paper's synthetic datasets.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DatasetSpec {
-    /// A seeded uniform G(n, m) graph, the shape the bench drivers
-    /// default to.
-    Generated {
-        /// Edge count.
-        edges: usize,
-        /// Vertex count; `None` derives `(edges / 25).max(4)`.
-        vertices: Option<usize>,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// A seeded Barabási–Albert graph, the million driver's generator.
-    Ba {
-        /// Vertex count.
-        vertices: usize,
-        /// Edges each new vertex attaches with.
-        attach: usize,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// The paper's six synthetic datasets at a scale.
+pub enum Job {
+    /// The parallel-substrate benchmark.
+    Parbench(ParBenchConfig),
+    /// The θ-sweep amortization benchmark.
+    Thetasweep(SweepBenchConfig),
+    /// The incremental-update benchmark.
+    Updates(UpdateBenchConfig),
+    /// The query-service scripted self-test.
+    Serve(ServeBenchConfig),
+    /// The million-edge memory-scaling baseline.
+    Million(MillionBenchConfig),
+    /// A paper table or figure.
     Paper {
+        /// Which one: `Table1` to `Ablation`.
+        workload: Workload,
         /// Dataset scale.
         scale: Scale,
-        /// RNG seed.
+        /// RNG seed of the datasets.
         seed: u64,
-    },
-    /// An ingested graph file (bench drivers only), loaded through the
-    /// snapshot cache.
-    File {
-        /// Path to the edge-list or snapshot file.
-        path: String,
-        /// On-disk format.
-        format: InputFormat,
-        /// Edge-probability model.
-        prob_model: EdgeProbabilityModel,
     },
 }
 
-/// Optional per-workload knobs (each maps to one driver-config field;
-/// `None` keeps the driver default).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Params {
-    /// The (r,s) rank (`thetasweep`, `updates`).
-    pub rank: Option<Rank>,
-    /// The threshold grid (`thetasweep`, `updates`, `serve`, `million`).
-    pub thetas: Option<Vec<f64>>,
-    /// Repetitions (`parbench`, `thetasweep`).
-    pub repeats: Option<usize>,
-    /// Thread counts to measure (`parbench`; 1 is the implicit baseline).
-    pub threads: Option<Vec<usize>>,
-    /// Updates per operation kind (`updates`).
-    pub batch: Option<usize>,
-    /// Result-cache capacity (`serve`).
-    pub cache: Option<usize>,
-    /// Worker-pool size (`serve`, `million`).
-    pub pool: Option<usize>,
-    /// Streaming-build chunk size in edges (`million`).
-    pub chunk_edges: Option<usize>,
+impl Job {
+    /// The workload the job runs.
+    pub fn workload(&self) -> Workload {
+        match self {
+            Job::Parbench(_) => Workload::Parbench,
+            Job::Thetasweep(_) => Workload::Thetasweep,
+            Job::Updates(_) => Workload::Updates,
+            Job::Serve(_) => Workload::Serve,
+            Job::Million(_) => Workload::Million,
+            Job::Paper { workload, .. } => *workload,
+        }
+    }
+
+    /// The `# experiment:` line the job's subcommand prints.
+    pub fn header(&self) -> String {
+        match self {
+            Job::Parbench(config) => config.header(),
+            Job::Thetasweep(config) => config.header(),
+            Job::Updates(config) => config.header(),
+            Job::Serve(config) => config.header(),
+            Job::Million(config) => config.header(),
+            Job::Paper { workload, .. } => format!("# experiment: {workload}\n"),
+        }
+    }
 }
 
 /// One runnable scenario.
@@ -183,61 +161,11 @@ pub struct Params {
 pub struct Spec {
     /// Unique scenario name (`[a-z0-9._-]+`).
     pub name: &'static str,
-    /// The workload it drives.
-    pub workload: Workload,
     /// Free-form tags for `matrix --tag` filtering.
     pub tags: &'static [&'static str],
-    /// The graph.
-    pub dataset: DatasetSpec,
-    /// Workload knobs.
-    pub params: Params,
+    /// What it runs.
+    pub job: Job,
     /// Expected counters: after the run, the counter at each dotted path
     /// must equal its value exactly.
     pub expect: &'static [(&'static str, f64)],
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::registry::{run, scenarios};
-
-    /// Whether a workload's driver reads this kind of dataset: the bench
-    /// drivers take a generated graph or a file, `million` its
-    /// Barabási–Albert generator, the paper workloads a paper scale.
-    fn runs_on(workload: Workload, dataset: &DatasetSpec) -> bool {
-        match workload {
-            Workload::Million => matches!(dataset, DatasetSpec::Ba { .. }),
-            w if w.is_paper() => matches!(dataset, DatasetSpec::Paper { .. }),
-            _ => matches!(
-                dataset,
-                DatasetSpec::Generated { .. } | DatasetSpec::File { .. }
-            ),
-        }
-    }
-
-    #[test]
-    fn workload_dataset_compatibility_is_enforced() {
-        for s in scenarios() {
-            assert!(
-                runs_on(s.workload, &s.dataset),
-                "{}: workload {} cannot run on {:?}",
-                s.name,
-                s.workload,
-                s.dataset
-            );
-        }
-        // A paper workload on a bench dataset is refused before any work.
-        let mut misplaced = scenarios()
-            .into_iter()
-            .find(|s| s.workload == Workload::Table1)
-            .expect("a table1 scenario");
-        misplaced.dataset = DatasetSpec::Generated {
-            edges: 10,
-            vertices: None,
-            seed: 1,
-        };
-        assert!(!runs_on(misplaced.workload, &misplaced.dataset));
-        let err = run::execute(&misplaced).unwrap_err();
-        assert!(err.contains("paper workloads cannot run on"), "{err}");
-    }
 }

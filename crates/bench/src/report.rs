@@ -18,11 +18,9 @@
 //! [`gates`] instead of keeping tables of their own, so adding a counter
 //! to a report is one `gate` call.
 
-use nd_datasets::ExternalDataset;
-
 use crate::compare::Gate::{self, HigherIsBetter, ReportOnly};
 use crate::json::Json;
-use crate::parbench::IngestTimings;
+use crate::source::{GraphSource, IngestTimings};
 
 /// A bench report under construction.
 #[derive(Debug)]
@@ -71,22 +69,25 @@ impl Report {
         self.gates.push((path.to_string(), gate));
     }
 
-    /// The `source` provenance object: the ingested file, or for a
-    /// generated graph `kind: "generated"` followed by `generator`'s
-    /// members.
-    pub fn source(&mut self, input: Option<&ExternalDataset>, generator: &[(&str, Json)]) {
-        let Some(input) = input else {
-            self.set("source.kind", Json::str("generated"));
-            for (key, value) in generator {
-                self.set(&format!("source.{key}"), value.clone());
-            }
-            return;
+    /// The `source` provenance object: the ingested file, or the
+    /// generator and its inputs (`seed` is the generator's).
+    pub fn source(&mut self, source: &GraphSource, seed: u64) {
+        let provenance = match source {
+            GraphSource::Generated { vertices, edges } => object([
+                ("kind", Json::str("generated")),
+                ("generator", Json::str("gnm-uniform")),
+                ("requested_vertices", num(*vertices)),
+                ("requested_edges", num(*edges)),
+                ("seed", num(seed)),
+            ]),
+            GraphSource::File(input) => object([
+                ("kind", Json::str("file")),
+                ("path", Json::str(input.path.display().to_string())),
+                ("format", Json::str(input.format.to_string())),
+                ("prob_model", Json::str(input.probability.to_string())),
+            ]),
         };
-        self.set("source.kind", Json::str("file"));
-        self.set("source.path", Json::str(input.path.display().to_string()));
-        self.set("source.format", Json::str(input.format.to_string()));
-        let model = input.probability.to_string();
-        self.set("source.prob_model", Json::str(model));
+        self.set("source", provenance);
     }
 
     /// The `source.ingest` timings of an ingested file, when the

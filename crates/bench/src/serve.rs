@@ -32,56 +32,57 @@
 //! Wall-clock timings are deliberately absent: the whole report is
 //! deterministic, so the diff gate needs no tolerance carve-outs.
 
-use nd_datasets::ExternalDataset;
 use nd_server::{run_oneshot, ClientError, OneshotOptions, OneshotReport};
 use ugraph::par::Parallelism;
 
 use crate::compare::Gate::Exact;
 use crate::json::Json;
-use crate::parbench::{generate_graph, generated, ingest, IngestError, IngestTimings};
 use crate::report::{num, Report};
+use crate::source::{GraphSource, IngestError};
 
 /// Configuration of the serve smoke benchmark.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeBenchConfig {
-    /// Number of vertices of the generated G(n, m) graph.
-    pub vertices: usize,
-    /// Number of edges of the generated G(n, m) graph.
-    pub edges: usize,
-    /// RNG seed for structure and probability generation.
+    /// The served graph, loaded through the snapshot cache when it is a
+    /// file.
+    pub source: GraphSource,
+    /// RNG seed of a generated graph.
     pub seed: u64,
     /// The θ grid the scripted session pins (≥ 2 points).
     pub thetas: Vec<f64>,
     /// LRU capacity of the server under test.
     pub cache_capacity: usize,
-    /// Worker-pool size; `None` means [`Parallelism::Auto`].
-    pub threads: Option<usize>,
-    /// Ingested input overriding the generator (same semantics as
-    /// `parbench --input`).
-    pub input: Option<ExternalDataset>,
+    /// Worker-pool size and support-build parallelism of the server.
+    pub parallelism: Parallelism,
 }
 
 impl Default for ServeBenchConfig {
-    /// Same graph shape as the parbench/thetasweep defaults (average
-    /// degree 50), so the three reports describe the same workload.
+    /// The parbench/thetasweep default graph, so the three reports
+    /// describe the same workload.
     fn default() -> Self {
         let defaults = OneshotOptions::default();
         ServeBenchConfig {
-            vertices: 2_000,
-            edges: 50_000,
+            source: GraphSource::default(),
             seed: 42,
             thetas: defaults.thetas,
             cache_capacity: defaults.cache_capacity,
-            threads: None,
-            input: None,
+            parallelism: defaults.parallelism,
         }
+    }
+}
+
+impl ServeBenchConfig {
+    /// The `# experiment:` line the `serve --oneshot` subcommand prints.
+    pub fn header(&self) -> String {
+        let knobs = format!("grid: {:?}", self.thetas);
+        self.source.header("serve --oneshot", &knobs, self.seed)
     }
 }
 
 /// Why the serve benchmark failed before producing a report.
 #[derive(Debug)]
 pub enum ServeBenchError {
-    /// The `--input` graph could not be ingested.
+    /// The `--input` graph could not be loaded.
     Ingest(IngestError),
     /// The scripted client lost its connection or got a malformed
     /// response — a transport failure, not a failed check (failed checks
@@ -105,8 +106,6 @@ impl std::error::Error for ServeBenchError {}
 pub struct ServeBenchReport {
     /// The configuration the report was produced with.
     pub config: ServeBenchConfig,
-    /// Ingestion timings when the graph came from `--input`.
-    pub ingest: Option<IngestTimings>,
     /// The scripted session's verdicts and final counters.
     pub oneshot: OneshotReport,
 }
@@ -119,17 +118,11 @@ impl ServeBenchReport {
     }
 
     /// Serializes the report to the `bench-serve/v3` JSON schema.
-    ///
-    /// Ingest timings ([`ServeBenchReport::ingest`]) are deliberately
-    /// not serialized: they are wall-clock measurements, and this
-    /// report carries only counters that diff at tolerance 0 — the
-    /// parbench report already gates ingest performance for the same
-    /// inputs.
     pub fn to_json(&self) -> String {
         let c = &self.config;
         let o = &self.oneshot;
         let mut r = Report::new("bench-serve/v3");
-        r.source(c.input.as_ref(), &generated(c.vertices, c.edges, c.seed));
+        r.source(&c.source, c.seed);
         r.gate("vertices", o.vertices, Exact);
         r.gate("edges", o.edges, Exact);
         r.set("seed", num(c.seed));
@@ -183,28 +176,21 @@ impl ServeBenchReport {
     }
 }
 
-/// Runs the smoke benchmark: ingest or generate the graph, boot a
-/// server, drive the scripted session, collect the drained counters.
+/// Runs the smoke benchmark: load the graph, boot a server, drive the
+/// scripted session, collect the drained counters.
 pub fn run(config: &ServeBenchConfig) -> Result<ServeBenchReport, ServeBenchError> {
-    let (graph, ingest_timings) = match &config.input {
-        Some(input) => ingest(input, 1).map_err(ServeBenchError::Ingest)?,
-        None => (
-            generate_graph(config.vertices, config.edges, config.seed),
-            None,
-        ),
-    };
+    let graph = config
+        .source
+        .load(config.seed)
+        .map_err(ServeBenchError::Ingest)?;
     let options = OneshotOptions {
         thetas: config.thetas.clone(),
         cache_capacity: config.cache_capacity,
-        parallelism: match config.threads {
-            Some(t) => Parallelism::fixed(t),
-            None => Parallelism::Auto,
-        },
+        parallelism: config.parallelism,
     };
     let oneshot = run_oneshot(&graph, &options).map_err(ServeBenchError::Client)?;
     Ok(ServeBenchReport {
         config: config.clone(),
-        ingest: ingest_timings,
         oneshot,
     })
 }
@@ -213,11 +199,15 @@ pub fn run(config: &ServeBenchConfig) -> Result<ServeBenchReport, ServeBenchErro
 mod tests {
     use super::*;
     use crate::json::Json;
+    use crate::source::generate_graph;
+    use nd_datasets::ExternalDataset;
 
     fn tiny_config() -> ServeBenchConfig {
         ServeBenchConfig {
-            vertices: 60,
-            edges: 400,
+            source: GraphSource::Generated {
+                vertices: 60,
+                edges: 400,
+            },
             seed: 7,
             ..ServeBenchConfig::default()
         }
@@ -290,25 +280,35 @@ mod tests {
         let path = dir.join("bench.txt");
         ugraph::io::write_edge_list_file(&generate_graph(60, 400, 7), &path).unwrap();
 
+        let input = ExternalDataset::new(&path, InputFormat::Snap, EdgeProbabilityModel::Column);
         let mut config = tiny_config();
-        config.input = Some(ExternalDataset::new(
-            &path,
-            InputFormat::Snap,
-            EdgeProbabilityModel::Column,
-        ));
+        config.source = GraphSource::File(input.clone());
         let report = run(&config).unwrap();
         assert!(report.passed(), "failures: {:?}", report.oneshot.failures);
-        assert!(report.ingest.is_some());
         assert_eq!(report.oneshot.edges, 400);
-        let json = report.to_json();
-        assert!(json.contains(r#""kind":"file""#));
+        // The script's counters do not depend on where the graph came from.
+        assert_eq!(
+            report.oneshot.stats,
+            run(&tiny_config()).unwrap().oneshot.stats
+        );
+        let doc = Json::parse(&report.to_json()).expect("report JSON parses");
+        let source = |key| doc.path(&["source", key]).and_then(Json::as_str);
+        assert_eq!(source("kind"), Some("file"));
+        assert_eq!(source("path"), path.to_str());
+        assert_eq!(source("format"), Some("snap"));
+        assert_eq!(source("prob_model"), Some("column"));
+        assert_eq!(doc.path(&["source", "ingest"]), None);
+        // Loaded through the snapshot cache the other loaders serve.
+        let (cache, tag) = input.snapshot_cache(&std::fs::read(&path).unwrap());
+        let (_, written) = ugraph::io::read_snapshot_file_tagged(&cache).unwrap();
+        assert_eq!(written, tag);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_input_surfaces_the_unified_error() {
         let mut config = tiny_config();
-        config.input = Some(ExternalDataset::new(
+        config.source = GraphSource::File(ExternalDataset::new(
             "/nonexistent/serve_bench.txt",
             ugraph::InputFormat::Snap,
             ugraph::io::EdgeProbabilityModel::Column,

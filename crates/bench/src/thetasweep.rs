@@ -40,7 +40,7 @@
 
 use std::time::Duration;
 
-use nd_datasets::{ExternalDataset, PaperDataset};
+use nd_datasets::PaperDataset;
 use ugraph::par::Parallelism;
 use ugraph::rs::RsSupport;
 
@@ -51,51 +51,53 @@ use nucleus::{
 
 use crate::compare::Gate::{Exact, LowerIsBetter, ReportOnly};
 use crate::json::Json;
-use crate::parbench::{generate_graph, generated, ingest, IngestError, IngestTimings};
 use crate::report::{num, object, Report};
 use crate::runner::{format_table, run_with_deadline, ExperimentContext, Timing};
+use crate::source::{GraphSource, IngestError, IngestTimings};
 
 /// The default θ grid of the benchmark: spans the range the paper's
 /// figures sweep, anchored on the parbench θ (0.1).
 pub const DEFAULT_GRID: [f64; 5] = [0.02, 0.05, 0.1, 0.25, 0.5];
 
+/// Wall-clock budget per measured phase (sweep / independent loop).
+const DEADLINE: Duration = Duration::from_secs(600);
+
 /// Configuration of the threshold-sweep benchmark.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepBenchConfig {
     /// The (r,s) rank to sweep: core, truss or nucleus.
     pub rank: Rank,
-    /// Number of vertices of the generated G(n, m) graph.
-    pub vertices: usize,
-    /// Number of edges of the generated G(n, m) graph.
-    pub edges: usize,
-    /// RNG seed for structure and probability generation.
+    /// The measured graph (a file's ingest is timed as in `parbench`).
+    pub source: GraphSource,
+    /// RNG seed of a generated graph.
     pub seed: u64,
     /// The threshold grid — θ, or η/γ at the other ranks (validated by
     /// the sweep engine).
     pub thetas: Vec<f64>,
     /// Repetitions; best (minimum) wall time is reported.
     pub repeats: usize,
-    /// Wall-clock budget per measured phase (sweep / independent loop).
-    pub deadline: Duration,
-    /// Ingested input overriding the generator (same semantics as
-    /// `parbench --input`).
-    pub input: Option<ExternalDataset>,
 }
 
 impl Default for SweepBenchConfig {
-    /// Same graph shape as the parbench default (average degree 50), so
-    /// the two reports describe the same workload.
+    /// The parbench default graph, so the two reports describe the same
+    /// workload.
     fn default() -> Self {
         SweepBenchConfig {
             rank: Rank::Nucleus,
-            vertices: 2_000,
-            edges: 50_000,
+            source: GraphSource::default(),
             seed: 42,
             thetas: DEFAULT_GRID.to_vec(),
             repeats: 3,
-            deadline: Duration::from_secs(600),
-            input: None,
         }
+    }
+}
+
+impl SweepBenchConfig {
+    /// The `# experiment:` line the `thetasweep` subcommand prints.
+    pub fn header(&self) -> String {
+        let knobs = format!("grid: {:?}  repeats: {}", self.thetas, self.repeats);
+        let experiment = format!("thetasweep  rank: {}", self.rank);
+        self.source.header(&experiment, &knobs, self.seed)
     }
 }
 
@@ -176,7 +178,7 @@ impl SweepBenchReport {
         let c = &self.config;
         let mut r = Report::new("bench-parallel/v7");
         r.set("rank", Json::str(c.rank.to_string()));
-        r.source(c.input.as_ref(), &generated(c.vertices, c.edges, c.seed));
+        r.source(&c.source, c.seed);
         r.ingest(self.ingest.as_ref());
         r.gate("vertices", self.actual_vertices, Exact);
         r.gate("edges", self.actual_edges, Exact);
@@ -295,13 +297,7 @@ impl SweepBenchReport {
 /// single score, initial score, method count or perf counter — the
 /// benchmark doubles as a CI-enforced differential check at real scale.
 pub fn run_bench(config: &SweepBenchConfig) -> Result<SweepBenchReport, IngestError> {
-    let (graph, ingest_timings) = match &config.input {
-        Some(input) => ingest(input, config.repeats)?,
-        None => (
-            generate_graph(config.vertices, config.edges, config.seed),
-            None,
-        ),
-    };
+    let (graph, ingest_timings) = config.source.ingest(config.seed, config.repeats)?;
     let rank = config.rank;
     let sweep_config = SweepConfig::exact(config.thetas.clone()).with_rank(rank);
     let repeats = config.repeats.max(1);
@@ -309,7 +305,7 @@ pub fn run_bench(config: &SweepBenchConfig) -> Result<SweepBenchReport, IngestEr
     let mut sweep_s = f64::INFINITY;
     let mut index = None;
     let mut peak_rss_bytes = 0;
-    let (_, _, sweep_exceeded) = run_with_deadline(config.deadline, || {
+    let (_, _, sweep_exceeded) = run_with_deadline(DEADLINE, || {
         for _ in 0..repeats {
             let (built, t) = Timing::measure(|| {
                 DecompSweep::compute(&graph, &sweep_config).expect("valid sweep config")
@@ -324,7 +320,7 @@ pub fn run_bench(config: &SweepBenchConfig) -> Result<SweepBenchReport, IngestEr
 
     let mut independent_s = f64::INFINITY;
     let mut independents = None;
-    let (_, _, indep_exceeded) = run_with_deadline(config.deadline, || {
+    let (_, _, indep_exceeded) = run_with_deadline(DEADLINE, || {
         for _ in 0..repeats {
             let (solo, t) = Timing::measure(|| {
                 config
@@ -511,18 +507,19 @@ pub fn run_table(ctx: &ExperimentContext, datasets: &[PaperDataset], thetas: &[f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nd_datasets::Scale;
+    use crate::source::generate_graph;
+    use nd_datasets::{ExternalDataset, Scale};
 
     fn tiny_config() -> SweepBenchConfig {
         SweepBenchConfig {
             rank: Rank::Nucleus,
-            vertices: 60,
-            edges: 400,
+            source: GraphSource::Generated {
+                vertices: 60,
+                edges: 400,
+            },
             seed: 7,
             thetas: vec![0.05, 0.1, 0.3],
             repeats: 1,
-            deadline: Duration::from_secs(120),
-            input: None,
         }
     }
 
@@ -615,7 +612,7 @@ mod tests {
         ugraph::io::write_edge_list_file(&generate_graph(60, 400, 7), &path).unwrap();
 
         let mut config = tiny_config();
-        config.input = Some(ExternalDataset::new(
+        config.source = GraphSource::File(ExternalDataset::new(
             &path,
             InputFormat::Snap,
             EdgeProbabilityModel::Column,

@@ -45,7 +45,6 @@
 
 use std::collections::HashSet;
 
-use nd_datasets::ExternalDataset;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use ugraph::{EdgeUpdate, UncertainGraph, VertexId};
@@ -54,48 +53,50 @@ use nucleus::{DecompSweep, Rank, SweepConfig, UpdateReport};
 
 use crate::compare::Gate::{Exact, LowerIsBetter};
 use crate::json::Json;
-use crate::parbench::{generate_graph, generated, ingest, IngestError, IngestTimings};
 use crate::report::{num, Report};
+use crate::source::{GraphSource, IngestError, IngestTimings};
 use crate::thetasweep::DEFAULT_GRID;
 
 /// Configuration of the incremental-update benchmark.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateBenchConfig {
     /// The (r,s) rank to maintain: core, truss or nucleus.
     pub rank: Rank,
-    /// Number of vertices of the generated G(n, m) graph.
-    pub vertices: usize,
-    /// Number of edges of the generated G(n, m) graph.
-    pub edges: usize,
-    /// RNG seed for structure and probability generation; the batch is
-    /// drawn from an independent stream seeded `seed + 1`.
+    /// The graph the batch applies to (a file's ingest is timed as in
+    /// `parbench`).
+    pub source: GraphSource,
+    /// RNG seed of a generated graph; the batch is drawn from an
+    /// independent stream seeded `seed + 1`, whatever the source.
     pub seed: u64,
     /// The threshold grid the sweep maintains across the update.
     pub thetas: Vec<f64>,
     /// Target number of updates *per operation kind* (clamped on small
     /// or saturated graphs; the report records the realized sizes).
     pub batch: usize,
-    /// Ingested input overriding the generator (same semantics as
-    /// `parbench --input`).
-    pub input: Option<ExternalDataset>,
 }
 
 impl Default for UpdateBenchConfig {
-    /// Same graph shape as the parbench/thetasweep/serve defaults
-    /// (average degree 50), so every report describes the same
-    /// workload.  The truss rank is the default: its elements are the
-    /// edges the batch touches directly, the densest interplay between
-    /// batch and damage region.
+    /// The graph of the parbench/thetasweep/serve defaults, so every
+    /// report describes the same workload.  The truss rank is the
+    /// default: its elements are the edges the batch touches directly,
+    /// the densest interplay between batch and damage region.
     fn default() -> Self {
         UpdateBenchConfig {
             rank: Rank::Truss,
-            vertices: 2_000,
-            edges: 50_000,
+            source: GraphSource::default(),
             seed: 42,
             thetas: DEFAULT_GRID.to_vec(),
             batch: 64,
-            input: None,
         }
+    }
+}
+
+impl UpdateBenchConfig {
+    /// The `# experiment:` line the `updates` subcommand prints.
+    pub fn header(&self) -> String {
+        let knobs = format!("grid: {:?}  batch: {}", self.thetas, self.batch);
+        let experiment = format!("updates  rank: {}", self.rank);
+        self.source.header(&experiment, &knobs, self.seed)
     }
 }
 
@@ -141,7 +142,7 @@ impl UpdateBenchReport {
         let rep = &self.report;
         let mut r = Report::new("bench-updates/v2");
         r.set("rank", Json::str(c.rank.to_string()));
-        r.source(c.input.as_ref(), &generated(c.vertices, c.edges, c.seed));
+        r.source(&c.source, c.seed);
         r.ingest(self.ingest.as_ref());
         r.gate("vertices", self.actual_vertices, Exact);
         r.gate("edges", self.actual_edges, Exact);
@@ -256,13 +257,7 @@ pub fn seeded_batch(graph: &UncertainGraph, batch: usize, seed: u64) -> Vec<Edge
 /// single score or initial score — the benchmark doubles as a
 /// CI-enforced differential check at real scale.
 pub fn run(config: &UpdateBenchConfig) -> Result<UpdateBenchReport, IngestError> {
-    let (graph, ingest_timings) = match &config.input {
-        Some(input) => ingest(input, 1)?,
-        None => (
-            generate_graph(config.vertices, config.edges, config.seed),
-            None,
-        ),
-    };
+    let (graph, ingest_timings) = config.source.ingest(config.seed, 1)?;
     let sweep_config = SweepConfig::exact(config.thetas.clone()).with_rank(config.rank);
     let mut sweep = DecompSweep::compute(&graph, &sweep_config).expect("valid sweep config");
 
@@ -316,16 +311,18 @@ pub fn run(config: &UpdateBenchConfig) -> Result<UpdateBenchReport, IngestError>
 mod tests {
     use super::*;
     use crate::json::Json;
+    use crate::source::generate_graph;
 
     fn tiny_config() -> UpdateBenchConfig {
         UpdateBenchConfig {
             rank: Rank::Truss,
-            vertices: 60,
-            edges: 400,
+            source: GraphSource::Generated {
+                vertices: 60,
+                edges: 400,
+            },
             seed: 7,
             thetas: vec![0.05, 0.1, 0.3],
             batch: 8,
-            input: None,
         }
     }
 

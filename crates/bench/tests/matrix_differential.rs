@@ -1,227 +1,113 @@
-//! Registry-driven runs are bit-identical to direct driver invocations.
+//! Every bench builtin of the scenario matrix is what its subcommand's
+//! flags parse to.
 //!
-//! The `experiments` subcommands now route through
-//! `nd_bench::registry::run`; these tests pin that the rewiring added
-//! nothing.  For each workload a scenario `Spec` value is executed
-//! through the registry, a config is built by hand exactly the
-//! way the old flag plumbing did, and the two JSON reports must agree
-//! on every deterministic field, their `gates` objects included — walls,
-//! RSS probes and derived timing figures are the only keys excluded,
-//! because two honest runs of the same work differ there.
-//!
-//! Covered: all five bench drivers — parbench, thetasweep at all three
-//! ranks, updates, serve and million.
+//! A scenario holds the `Job` its driver runs, and a bench subcommand
+//! parses its flags into a `Job` with `cli::parse_job`; both then run
+//! through the same `registry::run::execute`.  A registered scenario and
+//! a direct invocation are therefore the same run exactly when the two
+//! jobs are equal, which these tests check for every bench builtin.  The
+//! file scenarios are built through `ExternalDataset::new`, as `--input`
+//! builds them.
 
-use nd_bench::json::Json;
-use nd_bench::registry::run;
-use nd_bench::registry::spec::{DatasetSpec, Params, Spec, Workload};
-use nd_bench::{million, parbench, serve, thetasweep, updates};
-use nucleus::Rank;
+use nd_bench::cli::parse_job;
+use nd_bench::registry::scenarios;
+use nd_bench::registry::spec::Job;
+use nd_bench::source::GraphSource;
 
-/// Keys whose values are measurements of the run rather than of the
-/// input: wall clocks (`*_s`), RSS probes, and figures derived from
-/// walls.  Everything else must match bit-for-bit.
-fn nondeterministic(key: &str) -> bool {
-    key.ends_with("_s")
-        || key.contains("rss")
-        || key.contains("speedup")
-        || key == "dp_calls_saved_pct"
-        || key == "amortization"
-        || key == "deadline_exceeded"
+/// The committed file the two file scenarios read.
+const TINY: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/data/tiny.txt");
+
+/// Parses a whitespace-separated argument list; the token `TINY` stands
+/// for the committed file's path.
+fn parse(args: &str) -> Result<Job, String> {
+    let args = args
+        .split_whitespace()
+        .map(|a| if a == "TINY" { TINY } else { a });
+    parse_job(&args.map(String::from).collect::<Vec<_>>())
 }
 
-/// Recursively asserts the two reports agree everywhere outside the
-/// measurement keys.  Object key *sets* must match exactly — a field
-/// added or dropped by the registry path is a failure even if it is a
-/// wall clock.
-fn assert_same_report(a: &Json, b: &Json, path: &str) {
-    match (a, b) {
-        (Json::Obj(xs), Json::Obj(ys)) => {
-            let keys = |m: &[(String, Json)]| -> Vec<String> {
-                m.iter().map(|(k, _)| k.clone()).collect()
-            };
-            assert_eq!(keys(xs), keys(ys), "object keys diverge at '{path}'");
-            for ((k, x), (_, y)) in xs.iter().zip(ys) {
-                if nondeterministic(k) {
-                    continue;
-                }
-                assert_same_report(x, y, &format!("{path}.{k}"));
-            }
-        }
-        (Json::Arr(xs), Json::Arr(ys)) => {
-            assert_eq!(xs.len(), ys.len(), "array lengths diverge at '{path}'");
-            for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
-                assert_same_report(x, y, &format!("{path}[{i}]"));
-            }
-        }
-        _ => assert_eq!(a, b, "values diverge at '{path}'"),
-    }
-}
-
-fn registry_report(spec: &Spec) -> Json {
-    let executed = run::execute(spec).expect("registry execution failed");
-    assert!(
-        executed.failures.is_empty(),
-        "registry run failed its own expectations: {:?}",
-        executed.failures
-    );
-    let raw = executed.raw_json.expect("bench workloads carry raw JSON");
-    let report = Json::parse(&raw).expect("driver JSON must parse");
-    // The top-level key sets must match, so the direct report carries
-    // its gates too.
-    assert!(report.get("gates").is_some(), "report carries no gates");
-    report
-}
-
-/// A spec of `workload` on the differential graph: small enough for
-/// debug-mode CI, big enough that every counter the reports carry is
-/// nonzero — 1000 edges over 100 vertices.
-fn diff_spec(workload: Workload, params: Params) -> Spec {
-    Spec {
-        name: "diff",
-        workload,
-        tags: &[],
-        dataset: DatasetSpec::Generated {
-            edges: 1000,
-            vertices: Some(100),
-            seed: 42,
-        },
-        params,
-        expect: &[],
-    }
+/// Asserts that the builtin scenario `name` runs the job `args` parse to.
+fn assert_builtin_is(name: &str, args: &str) {
+    let builtin = scenarios().into_iter().find(|s| s.name == name);
+    let builtin = builtin.unwrap_or_else(|| panic!("no builtin scenario '{name}'"));
+    assert_eq!(parse(args), Ok(builtin.job), "{name} vs {args}");
 }
 
 #[test]
 fn parbench_matches_direct_invocation() {
-    let spec = diff_spec(
-        Workload::Parbench,
-        Params {
-            repeats: Some(1),
-            threads: Some(vec![2]),
-            ..Params::default()
-        },
+    assert_builtin_is(
+        "parbench-smoke",
+        "parbench --edges 4000 --repeats 1 --threads 2",
     );
-    let config = parbench::ParBenchConfig {
-        vertices: 100,
-        edges: 1000,
-        seed: 42,
-        threads: vec![2],
-        repeats: 1,
-        ..Default::default()
-    };
-    let direct = parbench::run(&config).expect("direct parbench run failed");
-    let direct = Json::parse(&direct.to_json()).unwrap();
-    assert_same_report(&registry_report(&spec), &direct, "parbench");
+    assert_builtin_is(
+        "file-parbench-tiny",
+        "parbench --input TINY --prob-model const:0.9 --repeats 1 --threads 1,2",
+    );
 }
 
 #[test]
 fn thetasweep_matches_direct_invocation_at_every_rank() {
-    for rank in [Rank::Core, Rank::Truss, Rank::Nucleus] {
-        let spec = diff_spec(
-            Workload::Thetasweep,
-            Params {
-                rank: Some(rank),
-                thetas: Some(vec![0.05, 0.1, 0.3]),
-                repeats: Some(1),
-                ..Params::default()
-            },
-        );
-        let config = thetasweep::SweepBenchConfig {
-            rank,
-            vertices: 100,
-            edges: 1000,
-            seed: 42,
-            thetas: vec![0.05, 0.1, 0.3],
-            repeats: 1,
-            ..Default::default()
-        };
-        let direct = thetasweep::run_bench(&config).expect("direct thetasweep run failed");
-        let direct = Json::parse(&direct.to_json()).unwrap();
-        assert_same_report(
-            &registry_report(&spec),
-            &direct,
-            &format!("thetasweep/{rank}"),
+    for rank in ["core", "truss", "nucleus"] {
+        assert_builtin_is(
+            &format!("thetasweep-{rank}-smoke"),
+            &format!("thetasweep --rank {rank} --edges 4000 --thetas 0.05,0.1,0.3 --repeats 1"),
         );
     }
+    assert_builtin_is(
+        "file-thetasweep-tiny",
+        "thetasweep --rank truss --input TINY --format snap --prob-model uniform:7:0.5:1 \
+         --thetas 0.1,0.5 --repeats 1",
+    );
 }
 
 #[test]
 fn updates_matches_direct_invocation() {
-    let spec = diff_spec(
-        Workload::Updates,
-        Params {
-            rank: Some(Rank::Truss),
-            thetas: Some(vec![0.05, 0.1, 0.3]),
-            batch: Some(8),
-            ..Params::default()
-        },
+    assert_builtin_is(
+        "updates-truss-smoke",
+        "updates --rank truss --edges 4000 --thetas 0.05,0.1,0.3 --batch 16",
     );
-    let config = updates::UpdateBenchConfig {
-        rank: Rank::Truss,
-        vertices: 100,
-        edges: 1000,
-        seed: 42,
-        thetas: vec![0.05, 0.1, 0.3],
-        batch: 8,
-        ..Default::default()
-    };
-    let direct = updates::run(&config).expect("direct updates run failed");
-    let direct = Json::parse(&direct.to_json()).unwrap();
-    assert_same_report(&registry_report(&spec), &direct, "updates");
 }
 
 #[test]
 fn serve_matches_direct_invocation() {
-    let spec = diff_spec(
-        Workload::Serve,
-        Params {
-            thetas: Some(vec![0.1, 0.3]),
-            cache: Some(32),
-            ..Params::default()
-        },
+    assert_builtin_is(
+        "serve-smoke",
+        "serve --oneshot --edges 4000 --thetas 0.1,0.3 --cache 32",
     );
-    let config = serve::ServeBenchConfig {
-        vertices: 100,
-        edges: 1000,
-        seed: 42,
-        thetas: vec![0.1, 0.3],
-        cache_capacity: 32,
-        ..Default::default()
-    };
-    let direct = serve::run(&config).expect("direct serve run failed");
-    assert!(direct.passed(), "failures: {:?}", direct.oneshot.failures);
-    let direct = Json::parse(&direct.to_json()).unwrap();
-    assert_same_report(&registry_report(&spec), &direct, "serve");
 }
 
 #[test]
 fn million_matches_direct_invocation() {
-    // The million-smoke scale: ~10k edges instead of 1M.
-    let spec = Spec {
-        dataset: DatasetSpec::Ba {
-            vertices: 2005,
-            attach: 5,
-            seed: 42,
-        },
-        ..diff_spec(
-            Workload::Million,
-            Params {
-                thetas: Some(vec![0.1, 0.5]),
-                pool: Some(2),
-                chunk_edges: Some(4096),
-                ..Params::default()
-            },
-        )
+    assert_builtin_is(
+        "million-smoke",
+        "million --vertices 2005 --attach 5 --threads 2 --chunk-edges 4096 --thetas 0.1,0.5",
+    );
+}
+
+/// The graph `parbench` runs on with these flags.
+fn source(args: &str) -> GraphSource {
+    match parse(args) {
+        Ok(Job::Parbench(config)) => config.source,
+        other => panic!("{args} parsed to {other:?}"),
+    }
+}
+
+#[test]
+fn edges_alone_derive_the_vertex_count() {
+    let generated = |vertices, edges| GraphSource::Generated { vertices, edges };
+    assert_eq!(source("parbench --edges 5000"), generated(200, 5000));
+    // --vertices overrides the derivation, and --input wins over both.
+    let both = source("parbench --edges 5000 --vertices 70");
+    assert_eq!(both, generated(70, 5000));
+    let file = source("parbench --edges 5000 --input TINY");
+    assert!(matches!(file, GraphSource::File(_)), "{file:?}");
+}
+
+#[test]
+fn no_size_flags_give_the_50k_edge_default() {
+    let default = GraphSource::Generated {
+        vertices: 2000,
+        edges: 50_000,
     };
-    let config = million::MillionBenchConfig {
-        vertices: 2005,
-        attach: 5,
-        seed: 42,
-        threads: 2,
-        streaming_chunk_edges: 4096,
-        thetas: vec![0.1, 0.5],
-        ..Default::default()
-    };
-    let direct = Json::parse(&million::run(&config).to_json()).unwrap();
-    assert_same_report(&registry_report(&spec), &direct, "million");
+    assert_eq!(source("parbench --seed 7"), default);
 }

@@ -83,31 +83,35 @@ impl ExternalDataset {
         }
     }
 
-    /// Cache fingerprint: format, probability model and the XXH64 of the
-    /// source bytes, so no stale cache can ever be addressed.
-    fn fingerprint(&self, content_hash: u64) -> u64 {
-        let config = format!("{}|{}|{content_hash:016x}", self.format, self.probability);
-        io::xxh64(config.as_bytes(), 0)
-    }
-
-    fn cache_path_for(&self, fingerprint: u64) -> PathBuf {
+    /// The snapshot cache of this dataset when its file holds `source`:
+    /// the cache path and the source tag the cache is written with.
+    /// Both derive from a fingerprint of the format, the probability
+    /// model and the XXH64 of `source`, so no stale cache can ever be
+    /// addressed, and [`Self::load_cached`] serves only a cache that
+    /// carries the tag.
+    pub fn snapshot_cache(&self, source: &[u8]) -> (PathBuf, u64) {
+        let config = format!(
+            "{}|{}|{:016x}",
+            self.format,
+            self.probability,
+            io::xxh64(source, 0)
+        );
+        let tag = io::xxh64(config.as_bytes(), 0);
         let mut name = self
             .path
             .file_name()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "graph".to_string());
-        name.push_str(&format!(".{fingerprint:016x}.ugsnap"));
-        self.path.with_file_name(name)
+        name.push_str(&format!(".{tag:016x}.ugsnap"));
+        (self.path.with_file_name(name), tag)
     }
 
     /// Path of the cached snapshot for this (file content, format, model)
     /// triple.  Reads the source file to hash it; an unreadable source
-    /// yields the configuration-only cache name.
+    /// yields the cache name of empty content.
     pub fn snapshot_cache_path(&self) -> PathBuf {
-        let content_hash = std::fs::read(&self.path)
-            .map(|bytes| io::xxh64(&bytes, 0))
-            .unwrap_or(0);
-        self.cache_path_for(self.fingerprint(content_hash))
+        let source = std::fs::read(&self.path).unwrap_or_default();
+        self.snapshot_cache(&source).0
     }
 
     /// Loads through the snapshot cache: reuses the cached snapshot
@@ -134,8 +138,7 @@ impl ExternalDataset {
             return self.load();
         }
         let bytes = std::fs::read(&self.path)?;
-        let fingerprint = self.fingerprint(io::xxh64(&bytes, 0));
-        let cache = self.cache_path_for(fingerprint);
+        let (cache, fingerprint) = self.snapshot_cache(&bytes);
         if let Ok((source, tag)) = io::open_snapshot_tagged(&cache) {
             if tag == fingerprint {
                 return Ok(source.into_graph());
@@ -378,7 +381,10 @@ mod tests {
         );
         assert!(matches!(
             ds.load_cached().unwrap_err(),
-            ugraph::GraphError::Io(_)
+            ugraph::GraphError::Io {
+                kind: std::io::ErrorKind::NotFound,
+                ..
+            }
         ));
     }
 }

@@ -48,7 +48,13 @@ pub enum GraphError {
     /// A structure count overflowed the packed 32-bit id space.
     IdOverflow(IdOverflow),
     /// Wrapper around I/O failures while reading or writing edge lists.
-    Io(String),
+    Io {
+        /// The kind of the wrapped [`std::io::Error`], so callers can
+        /// tell a missing file from invalid data without parsing text.
+        kind: std::io::ErrorKind,
+        /// The wrapped error's message.
+        message: String,
+    },
 }
 
 /// A structure count exceeded the 32-bit id space the packed records
@@ -175,7 +181,7 @@ impl fmt::Display for GraphError {
             }
             GraphError::Snapshot(err) => write!(f, "snapshot error: {err}"),
             GraphError::IdOverflow(err) => write!(f, "id overflow: {err}"),
-            GraphError::Io(msg) => write!(f, "I/O error: {msg}"),
+            GraphError::Io { message, .. } => write!(f, "I/O error: {message}"),
         }
     }
 }
@@ -190,7 +196,10 @@ impl From<SnapshotError> for GraphError {
 
 impl From<std::io::Error> for GraphError {
     fn from(err: std::io::Error) -> Self {
-        GraphError::Io(err.to_string())
+        GraphError::Io {
+            kind: err.kind(),
+            message: err.to_string(),
+        }
     }
 }
 
@@ -294,7 +303,13 @@ mod tests {
     fn io_error_converts() {
         let io = std::io::Error::new(std::io::ErrorKind::NotFound, "nope");
         let err: GraphError = io.into();
-        assert!(matches!(err, GraphError::Io(_)));
-        assert!(err.to_string().contains("nope"));
+        assert!(matches!(
+            err,
+            GraphError::Io {
+                kind: std::io::ErrorKind::NotFound,
+                ..
+            }
+        ));
+        assert_eq!(err.to_string(), "I/O error: nope");
     }
 }

@@ -506,6 +506,28 @@ mod tests {
     #[test]
     fn missing_file_is_io_error() {
         let err = read_edge_list_file("/nonexistent/definitely/missing.txt").unwrap_err();
-        assert!(matches!(err, GraphError::Io(_)));
+        assert!(matches!(
+            err,
+            GraphError::Io {
+                kind: io::ErrorKind::NotFound,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn non_utf8_line_is_invalid_data() {
+        let err = read_edge_list(&b"0 1 0.5\n1 \xff 0.5\n"[..]).unwrap_err();
+        assert!(matches!(
+            err,
+            GraphError::Io {
+                kind: io::ErrorKind::InvalidData,
+                ..
+            }
+        ));
+        assert_eq!(
+            err.to_string(),
+            "I/O error: stream did not contain valid UTF-8"
+        );
     }
 }

@@ -207,6 +207,12 @@ mod tests {
     #[test]
     fn file_reader_reports_missing_files() {
         let err = read_konect_file("/nonexistent/missing.tsv", &exp_model()).unwrap_err();
-        assert!(matches!(err, GraphError::Io(_)));
+        assert!(matches!(
+            err,
+            GraphError::Io {
+                kind: std::io::ErrorKind::NotFound,
+                ..
+            }
+        ));
     }
 }

@@ -764,7 +764,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert!(matches!(
             open_snapshot(&path).unwrap_err(),
-            GraphError::Io(_)
+            GraphError::Io {
+                kind: std::io::ErrorKind::NotFound,
+                ..
+            }
         ));
     }
 

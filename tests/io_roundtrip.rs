@@ -481,7 +481,7 @@ proptest! {
             err,
             GraphError::Snapshot(
                 SnapshotError::Truncated { .. } | SnapshotError::ChecksumMismatch { .. }
-            ) | GraphError::Io(_)
+            ) | GraphError::Io { .. }
         ), "{err:?}");
         std::fs::remove_file(&path).ok();
     }
