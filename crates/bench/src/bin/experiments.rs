@@ -51,9 +51,18 @@
 //! A bench subcommand's flags parse to the [`Job`] it runs
 //! (`nd_bench::cli::parse_job`), which goes through the scenario
 //! registry's single dispatch path (`nd_bench::registry::run`), as
-//! every paper experiment does.  `experiments matrix` runs every
-//! registered scenario (the `Spec` values in `nd_bench::registry`) and
-//! emits the `bench-matrix/v1` report CI gates.
+//! every paper experiment does; it prints its report through
+//! `nd_bench::report::render` and writes the JSON to `--out`.
+//! `experiments matrix` runs every registered scenario (the `Spec`
+//! values in `nd_bench::registry`) and emits the tagged
+//! `bench-matrix/v2` report CI gates.
+//!
+//! A flag a subcommand does not take, or a flag given twice, is refused
+//! before any work.  Output to a pipe its reader has closed is dropped
+//! and the run goes on, so the `--out` file is still written.
+
+use std::io::Write as _;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use nd_bench::json::Json;
 use nd_bench::registry::spec::{Job, Spec, Workload};
@@ -62,12 +71,47 @@ use nd_bench::runner::ExperimentContext;
 use nd_bench::{cli, compare, million, source};
 use nd_datasets::Scale;
 
+/// Set once a write to stdout finds the pipe closed.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes `text` to stdout: every line the binary prints goes through
+/// here.  Once the reader has closed the pipe, later output is dropped
+/// and the run goes on, so a subcommand still writes its `--out` file and
+/// exits with its usual status; any other write error ends the run.
+fn emit(text: &str) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed)
+        }
+        Err(e) => fail(&format!("cannot write to stdout: {e}")),
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! say {
+    () => {
+        emit("\n")
+    };
+    ($($arg:tt)*) => {
+        emit(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         print_usage();
         return;
     }
+    cli::check_flags(&args).unwrap_or_else(|e| fail(&e));
     let id = args[0].clone();
     match id.as_str() {
         "parbench" | "thetasweep" | "updates" | "million" => return run_bench_arm(&args),
@@ -114,7 +158,7 @@ fn main() {
         let graph = input
             .load_cached()
             .unwrap_or_else(|e| fail(&format!("cannot load {}: {e}", input.path.display())));
-        println!(
+        say!(
             "# input: {} ({} vertices, {} edges, loaded in {:.3}s via snapshot cache)",
             input.path.display(),
             graph.num_vertices(),
@@ -124,19 +168,19 @@ fn main() {
         ctx = ctx.with_external_graph(input.name.clone(), graph);
     }
 
-    println!("# experiment: {id}  scale: {scale:?}  seed: {seed}\n");
+    say!("# experiment: {id}  scale: {scale:?}  seed: {seed}\n");
     let start = std::time::Instant::now();
     for workload in experiments {
-        print!("{}", run::run_paper(&ctx, workload).text);
+        emit(&run::run_paper(&ctx, workload).text);
     }
-    println!(
+    say!(
         "\n# total wall-clock: {:.1}s",
         start.elapsed().as_secs_f64()
     );
 }
 
 fn print_usage() {
-    println!(
+    say!(
         "usage: experiments <id> [--scale tiny|small|medium] [--seed N]\n\
          \x20               [--input PATH [--format snap|konect|ugsnap] [--prob-model M]]\n\
          ids: table1 fig4 fig5 table2 fig6 table3 fig7 fig8 ablation all\n\
@@ -180,8 +224,8 @@ fn print_usage() {
          experiments matrix [--only NAME[,NAME...]] [--tag TAG]\n\
          \x20               [--dry-run] [--out BENCH_matrix.json]\n\
          \x20   run every selected registered scenario through its driver,\n\
-         \x20   check its expected counters exactly, and emit one\n\
-         \x20   bench-matrix/v1 report that bench-compare gates at\n\
+         \x20   check its expected counters exactly, and emit one tagged\n\
+         \x20   bench-matrix/v2 report that bench-compare gates at\n\
          \x20   tolerance 0; --dry-run lists without running\n\
          \n\
          experiments bench-compare OLD.json NEW.json [--tolerance F]\n\
@@ -240,8 +284,8 @@ fn run_bench_compare(args: &[String]) {
     };
     let report =
         compare::compare(&read(old_path), &read(new_path), tolerance).unwrap_or_else(|e| fail(&e));
-    println!("# bench-compare  old: {old_path}  new: {new_path}  tolerance: {tolerance}\n");
-    println!("{}", report.format());
+    say!("# bench-compare  old: {old_path}  new: {new_path}  tolerance: {tolerance}\n");
+    say!("{}", report.format());
     if !report.regressions().is_empty() {
         std::process::exit(1);
     }
@@ -276,7 +320,7 @@ fn run_bench_arm(args: &[String]) {
         paper => unreachable!("{paper} is not a bench subcommand"),
     };
     let out_path = parse_flag(args, "--out").unwrap_or_else(|| out_default.to_string());
-    println!("{}", job.header());
+    say!("{}", job.header());
     let spec = Spec {
         name: workload.name(),
         tags: &[],
@@ -284,14 +328,14 @@ fn run_bench_arm(args: &[String]) {
         expect: &[],
     };
     let executed = run::execute(&spec).unwrap_or_else(|e| fail(&e));
-    println!("{}", executed.text);
+    emit(&executed.text);
     let json = executed
         .raw_json
         .as_deref()
         .expect("bench drivers emit JSON");
     std::fs::write(&out_path, json)
         .unwrap_or_else(|e| fail(&format!("cannot write {out_path}: {e}")));
-    println!("wrote {out_path}");
+    say!("wrote {out_path}");
     if workload == Workload::Serve && !executed.passed() {
         std::process::exit(1);
     }
@@ -313,20 +357,20 @@ fn run_matrix_cmd(args: &[String]) {
         .unwrap_or_else(|e| fail(&format!("matrix: {e}")));
 
     if args.iter().any(|a| a == "--dry-run") {
-        print!("{}", matrix::format_listing(&selected));
+        emit(&matrix::format_listing(&selected));
         return;
     }
 
     let out_path = parse_flag(args, "--out").unwrap_or_else(|| "BENCH_matrix.json".to_string());
-    println!("# experiment: matrix  {} scenario(s)\n", selected.len());
+    say!("# experiment: matrix  {} scenario(s)\n", selected.len());
     let start = std::time::Instant::now();
-    let report = matrix::run_matrix(&selected, &mut |line| println!("{line}"));
-    println!();
-    print!("{}", report.format());
-    println!("# total wall-clock: {:.1}s", start.elapsed().as_secs_f64());
-    std::fs::write(&out_path, report.to_json())
+    let report = matrix::run_matrix(&selected, &mut |line| say!("{line}"));
+    say!();
+    emit(&report.format());
+    say!("# total wall-clock: {:.1}s", start.elapsed().as_secs_f64());
+    std::fs::write(&out_path, report.report().into_json())
         .unwrap_or_else(|e| fail(&format!("cannot write {out_path}: {e}")));
-    println!("wrote {out_path}");
+    say!("wrote {out_path}");
     if !report.passed() {
         std::process::exit(1);
     }
@@ -380,7 +424,7 @@ fn run_gen(args: &[String]) {
     };
     ugraph::io::write_edge_list_file(&graph, &out)
         .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-    println!(
+    say!(
         "wrote {out}: {} vertices, {} edges ({generator}, seed {seed})",
         graph.num_vertices(),
         graph.num_edges()
@@ -388,7 +432,7 @@ fn run_gen(args: &[String]) {
     if let Some(snap) = parse_flag(args, "--snapshot") {
         ugraph::io::write_snapshot_file(&graph, &snap)
             .unwrap_or_else(|e| fail(&format!("cannot write {snap}: {e}")));
-        println!("wrote {snap} (ugsnap v{})", ugraph::io::SNAPSHOT_VERSION);
+        say!("wrote {snap} (ugsnap v{})", ugraph::io::SNAPSHOT_VERSION);
     }
 }
 
@@ -424,13 +468,13 @@ fn run_serve(args: &[String]) {
     let server = nd_server::Server::bind(format!("127.0.0.1:{port}"), core)
         .unwrap_or_else(|e| fail(&format!("cannot bind 127.0.0.1:{port}: {e}")));
     match server.local_addr() {
-        Ok(addr) => println!("serving on {addr} (send a 'shutdown' call to stop)"),
+        Ok(addr) => say!("serving on {addr} (send a 'shutdown' call to stop)"),
         Err(e) => fail(&format!("cannot read the bound address: {e}")),
     }
     let stats = server.run();
-    println!("server drained; final counters:");
+    say!("server drained; final counters:");
     for (name, value) in stats.fields() {
-        println!("  {name}: {value}");
+        say!("  {name}: {value}");
     }
 }
 
@@ -451,7 +495,7 @@ fn run_serve_client(args: &[String]) {
     let mut client = nd_server::Client::connect(addr.as_str())
         .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
     match client.call_with_deadline(&method, params, deadline_ms) {
-        Ok(result) => println!("{}", result.to_json_string()),
+        Ok(result) => say!("{}", result.to_json_string()),
         Err(e) => fail(&e.to_string()),
     }
 }

@@ -1,11 +1,12 @@
 //! Command-line parsing for the `experiments` binary.
 //!
-//! The one home of the flag grammar: the `--input/--format/--prob-model`
-//! ingestion trio, the `--edges/--vertices` density rule, the `--scale`
-//! names, the `--thetas` and `--threads` lists, and [`parse_job`],
-//! which turns a bench subcommand's flags into the [`Job`] it runs.
-//! Everything returns `Result` rather than exiting, so it is
-//! unit-testable; the binary maps errors to its uniform `fail()`.
+//! The one home of the flag grammar: the flags each subcommand takes
+//! ([`check_flags`]), the `--input/--format/--prob-model` ingestion
+//! trio, the `--edges/--vertices` density rule, the `--scale` names, the
+//! `--thetas` and `--threads` lists, and [`parse_job`], which turns a
+//! bench subcommand's flags into the [`Job`] it runs.  Everything
+//! returns `Result` rather than exiting, so it is unit-testable; the
+//! binary maps errors to its uniform `fail()`.
 
 use nd_datasets::{ExternalDataset, Scale};
 use nucleus::Rank;
@@ -20,6 +21,97 @@ use crate::serve::ServeBenchConfig;
 use crate::source::GraphSource;
 use crate::thetasweep::SweepBenchConfig;
 use crate::updates::UpdateBenchConfig;
+
+/// The flags of a 50k-edge bench subcommand's graph: a file with its
+/// format and probability model, or a generated graph's size and seed.
+const GRAPH_FLAGS: [&str; 6] = [
+    "--input",
+    "--format",
+    "--prob-model",
+    "--edges",
+    "--vertices",
+    "--seed",
+];
+
+/// The flags that take no value.
+const SWITCHES: [&str; 2] = ["--oneshot", "--dry-run"];
+
+/// Checks the flags of a command line (`args[0]` is the subcommand or
+/// paper experiment id) before any work: a flag the subcommand does not
+/// take, a flag given twice, or a flag missing its value is an error
+/// naming it.  Tokens that are not flags (a flag's value,
+/// `bench-compare`'s files) pass.
+pub fn check_flags(args: &[String]) -> Result<(), String> {
+    let subcommand = args.first().map_or("", String::as_str);
+    let (own, graph): (&[&str], bool) = match subcommand {
+        "parbench" => (&["--threads", "--repeats", "--out"], true),
+        "thetasweep" => (&["--rank", "--thetas", "--repeats", "--out"], true),
+        "updates" => (&["--rank", "--thetas", "--batch", "--out"], true),
+        "serve" => (
+            &[
+                "--oneshot",
+                "--port",
+                "--cache",
+                "--threads",
+                "--thetas",
+                "--out",
+            ],
+            true,
+        ),
+        "million" => (
+            &[
+                "--vertices",
+                "--attach",
+                "--seed",
+                "--threads",
+                "--chunk-edges",
+                "--thetas",
+                "--out",
+            ],
+            false,
+        ),
+        "gen" => (
+            &[
+                "--gen",
+                "--edges",
+                "--vertices",
+                "--seed",
+                "--attach",
+                "--out",
+                "--snapshot",
+            ],
+            false,
+        ),
+        "matrix" => (&["--only", "--tag", "--dry-run", "--out"], false),
+        "bench-compare" => (&["--tolerance"], false),
+        "serve-client" => (&["--addr", "--call", "--params", "--deadline-ms"], false),
+        // The paper experiments: their datasets come from the registry
+        // or from `--input`.
+        _ => (
+            &["--scale", "--seed", "--input", "--format", "--prob-model"],
+            false,
+        ),
+    };
+    let mut seen: Vec<&str> = Vec::new();
+    let mut rest = args.iter().skip(1).map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        let takes = own.contains(&arg) || (graph && GRAPH_FLAGS.contains(&arg));
+        if !takes {
+            return Err(format!("{subcommand}: unknown flag {arg}"));
+        }
+        if seen.contains(&arg) {
+            return Err(format!("{subcommand}: {arg} given more than once"));
+        }
+        seen.push(arg);
+        if !SWITCHES.contains(&arg) && rest.next().is_none() {
+            return Err(format!("{arg} requires a value"));
+        }
+    }
+    Ok(())
+}
 
 /// Looks up the value following `flag`.  `Ok(None)` when the flag is
 /// absent; an error when the flag is present but dangling without a
@@ -262,6 +354,55 @@ mod tests {
         assert_eq!(parse_thetas(&a).unwrap(), None);
         assert_eq!(parse_threads(&a).unwrap(), None);
         assert_eq!(parse_input(&a).unwrap(), None);
+    }
+
+    #[test]
+    fn every_subcommand_takes_its_own_flags_once() {
+        for line in [
+            "parbench --edges 50000 --vertices 1000 --threads 1,2,4 --repeats 3 --out B.json",
+            "parbench --input g.txt --format snap --prob-model column --seed 7",
+            "thetasweep --rank truss --edges 50000 --seed 42 --thetas 0.1,0.5 --repeats 3",
+            "updates --rank truss --edges 50000 --vertices 2000 --seed 42 --batch 64 --out U",
+            "serve --oneshot --input g.txt --cache 32 --threads 2 --thetas 0.1,0.3 --out S",
+            "serve --port 7391 --edges 20000",
+            "million --vertices 2005 --attach 5 --threads 2 --chunk-edges 4096 --out M",
+            "gen --gen ba --edges 1000000 --seed 42 --out g.txt --snapshot g.ugsnap",
+            "matrix --only a,b --tag bench --dry-run --out X.json",
+            "bench-compare OLD.json NEW.json --tolerance 0",
+            "serve-client --addr 127.0.0.1:7391 --call info --params {} --deadline-ms 5",
+            "table1 --scale tiny --seed 42 --input g.txt --format snap --prob-model column",
+            "all --scale small",
+        ] {
+            let a: Vec<String> = line.split(' ').map(String::from).collect();
+            assert_eq!(check_flags(&a), Ok(()), "{line}");
+        }
+    }
+
+    #[test]
+    fn unknown_and_repeated_flags_are_refused_by_name() {
+        let refused = |list: &[&str]| check_flags(&args(list)).unwrap_err();
+        assert_eq!(
+            refused(&["parbench", "--edges", "400", "--edgse", "800"]),
+            "parbench: unknown flag --edgse"
+        );
+        assert_eq!(
+            refused(&["thetasweep", "--edges", "400", "--edges", "800"]),
+            "thetasweep: --edges given more than once"
+        );
+        // A flag of another subcommand is unknown here.
+        assert_eq!(
+            refused(&["million", "--input", "g.txt"]),
+            "million: unknown flag --input"
+        );
+        assert_eq!(
+            refused(&["table1", "--edges", "400"]),
+            "table1: unknown flag --edges"
+        );
+        assert_eq!(
+            refused(&["matrix", "--dry-run", "--dry-run"]),
+            "matrix: --dry-run given more than once"
+        );
+        assert_eq!(refused(&["gen", "--out"]), "--out requires a value");
     }
 
     #[test]

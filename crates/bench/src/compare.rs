@@ -29,15 +29,14 @@
 //! For two reports of the same kind, a path tagged by only one of them
 //! fails unless its tag is `report-only`, and a path whose tag differs
 //! between the two fails, so neither a refactor that stops emitting a
-//! counter nor a hand-edited baseline can loosen a gate.  A parbench
-//! report against a sweep report (the one report with no `rank`) is the
-//! one cross-kind case: the two describe the same graph, so only the
-//! paths both tag are gated and the rest are noted.  `bench-matrix/*`
-//! reports carry no tags; every counter of every scenario is gated
-//! exactly.
+//! counter nor a hand-edited baseline can loosen a gate.  The matrix
+//! report is no exception: a scenario or counter on one side only
+//! fails.  A parbench report against a sweep report (the one report
+//! with no `rank`) is the one cross-kind case: the two describe the same
+//! graph, so only the paths both tag are gated and the rest are noted.
 
 use crate::json::Json;
-use crate::report;
+use crate::report::{self, fmt_num};
 use crate::runner::format_table;
 use Gate::ReportOnly;
 
@@ -123,7 +122,7 @@ pub struct CompareReport {
     pub schema: String,
     /// Every tracked value.
     pub rows: Vec<DiffRow>,
-    /// Context notes (counters one kind of report lacks, new scenarios).
+    /// Context notes (the counters one kind of report lacks).
     pub notes: Vec<String>,
 }
 
@@ -140,12 +139,7 @@ impl CompareReport {
     pub fn format(&self) -> String {
         let mut rows = Vec::new();
         for row in &self.rows {
-            let fmt = |v: Option<f64>| match v {
-                // Counters are integers; ratios and seconds keep decimals.
-                Some(x) if x.fract() == 0.0 && x.abs() < 1e15 => format!("{}", x as i64),
-                Some(x) => format!("{x:.4}"),
-                None => "-".to_string(),
-            };
+            let fmt = |v: Option<f64>| v.map_or_else(|| "-".to_string(), fmt_num);
             rows.push(vec![
                 row.name.clone(),
                 fmt(row.old),
@@ -245,14 +239,10 @@ pub fn compare(old: &Json, new: &Json, tolerance: f64) -> Result<CompareReport, 
 
     let mut rows = Vec::new();
     let mut notes = Vec::new();
-    if old_family == "bench-matrix" {
-        compare_matrix(old, new, tolerance, &mut rows, &mut notes);
-    } else {
-        // Exactly one report carrying `rank` means a parbench report
-        // against a sweep report of the same graph.
-        let cross_kind = old_rank.is_none() != new_rank.is_none();
-        compare_tagged(old, new, tolerance, cross_kind, &mut rows, &mut notes)?;
-    }
+    // Exactly one report carrying `rank` means a parbench report against
+    // a sweep report of the same graph.
+    let cross_kind = old_rank.is_none() != new_rank.is_none();
+    compare_tagged(old, new, tolerance, cross_kind, &mut rows, &mut notes)?;
     Ok(CompareReport {
         schema: old_schema,
         rows,
@@ -294,9 +284,7 @@ fn compare_tagged(
                 )),
                 "REGRESSED".to_string(),
             ),
-            (Some((gate, old_v)), Some((_, new_v))) => {
-                judge(gate, Some(old_v), Some(new_v), tolerance)
-            }
+            (Some((gate, old_v)), Some((_, new_v))) => judge(gate, old_v, new_v, tolerance),
             (Some((gate, _)), _) | (_, Some((gate, _))) if cross_kind || gate == ReportOnly => {
                 if cross_kind {
                     notes.push(format!(
@@ -305,13 +293,14 @@ fn compare_tagged(
                 }
                 (None, "skipped".to_string())
             }
-            // The report shape changed without a schema bump: failing
-            // keeps the gate from being silently neutered by a refactor
-            // that stops emitting a counter.
+            // The report shape changed: failing keeps the gate from being
+            // silently neutered by a refactor that stops emitting a
+            // counter, or by a matrix run that drops a scenario.
             _ => (
                 Some(
-                    "gated counter present in only one report; bump the schema version if \
-                     this is intentional"
+                    "gated counter present in only one report; if this is intentional, bump \
+                     the schema version of a driver's report, or regenerate the baseline of \
+                     the matrix"
                         .to_string(),
                 ),
                 "REGRESSED".to_string(),
@@ -328,147 +317,8 @@ fn compare_tagged(
     Ok(())
 }
 
-/// The `scenarios` array of a `bench-matrix/*` report, keyed by name.
-fn matrix_scenarios(doc: &Json) -> Vec<(&str, &Json)> {
-    doc.get("scenarios")
-        .and_then(Json::as_array)
-        .map(|items| {
-            items
-                .iter()
-                .filter_map(|item| item.get("name").and_then(Json::as_str).map(|n| (n, item)))
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// The flat `counters` object of one matrix scenario entry.
-fn matrix_counters(item: &Json) -> Vec<(&str, f64)> {
-    match item.get("counters") {
-        Some(Json::Obj(members)) => members
-            .iter()
-            .filter_map(|(k, v)| v.as_f64().map(|x| (k.as_str(), x)))
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// The `passed` flag of one matrix scenario entry, as a gateable number.
-fn matrix_passed(item: &Json) -> Option<f64> {
-    item.get("passed")
-        .and_then(Json::as_bool)
-        .map(|b| if b { 1.0 } else { 0.0 })
-}
-
-/// Diffs two `bench-matrix/*` reports.  Unlike the tagged families,
-/// the gated surface here is *dynamic*: every scenario and every counter
-/// the baseline recorded must still be present and Exact-equal (within
-/// tolerance) in the new run.  New scenarios/counters are noted, not
-/// gated — they become live on the next baseline regeneration.
-fn compare_matrix(
-    old: &Json,
-    new: &Json,
-    tolerance: f64,
-    rows: &mut Vec<DiffRow>,
-    notes: &mut Vec<String>,
-) {
-    for key in ["total", "passed", "failed"] {
-        let old_v = old.get(key).and_then(Json::as_f64);
-        let new_v = new.get(key).and_then(Json::as_f64);
-        if old_v.is_none() && new_v.is_none() {
-            continue;
-        }
-        let (regression, verdict) = judge(Gate::Exact, old_v, new_v, tolerance);
-        rows.push(DiffRow {
-            name: key.to_string(),
-            old: old_v,
-            new: new_v,
-            regression,
-            verdict,
-        });
-    }
-    let old_items = matrix_scenarios(old);
-    let new_items = matrix_scenarios(new);
-    for (name, old_item) in &old_items {
-        let Some((_, new_item)) = new_items.iter().find(|(n, _)| n == name) else {
-            rows.push(DiffRow {
-                name: format!("{name}.passed"),
-                old: matrix_passed(old_item),
-                new: None,
-                regression: Some(
-                    "scenario missing from the new report; regenerate the baseline if it \
-                     was removed deliberately"
-                        .to_string(),
-                ),
-                verdict: "REGRESSED".to_string(),
-            });
-            continue;
-        };
-        let old_p = matrix_passed(old_item);
-        let new_p = matrix_passed(new_item);
-        let (regression, verdict) = judge(Gate::Exact, old_p, new_p, tolerance);
-        rows.push(DiffRow {
-            name: format!("{name}.passed"),
-            old: old_p,
-            new: new_p,
-            regression,
-            verdict,
-        });
-        let new_counters = matrix_counters(new_item);
-        for (counter, old_v) in matrix_counters(old_item) {
-            let new_v = new_counters
-                .iter()
-                .find(|(k, _)| *k == counter)
-                .map(|(_, v)| *v);
-            let (mut regression, mut verdict) = judge(Gate::Exact, Some(old_v), new_v, tolerance);
-            if new_v.is_none() {
-                // A counter the baseline gates vanished: same failure
-                // mode as a same-schema gated counter disappearing.
-                regression = Some(
-                    "gated counter missing from the new report; regenerate the baseline \
-                     if the scenario's counter set changed deliberately"
-                        .to_string(),
-                );
-                verdict = "REGRESSED".to_string();
-            }
-            rows.push(DiffRow {
-                name: format!("{name}.{counter}"),
-                old: Some(old_v),
-                new: new_v,
-                regression,
-                verdict,
-            });
-        }
-        for (counter, _) in new_counters {
-            if !matrix_counters(old_item).iter().any(|(k, _)| *k == counter) {
-                notes.push(format!(
-                    "{name}.{counter}: new counter, not gated until the baseline is \
-                     regenerated"
-                ));
-            }
-        }
-    }
-    for (name, _) in &new_items {
-        if !old_items.iter().any(|(n, _)| n == name) {
-            notes.push(format!(
-                "scenario {name}: new in this run, not gated until the baseline is \
-                 regenerated"
-            ));
-        }
-    }
-}
-
 /// Applies the gate to one value pair.
-fn judge(
-    gate: Gate,
-    old: Option<f64>,
-    new: Option<f64>,
-    tolerance: f64,
-) -> (Option<String>, String) {
-    let (old_v, new_v) = match (old, new) {
-        (Some(o), Some(n)) => (o, n),
-        // A counter only one side carries cannot be gated.
-        _ => return (None, "skipped".to_string()),
-    };
+fn judge(gate: Gate, old_v: f64, new_v: f64, tolerance: f64) -> (Option<String>, String) {
     let slack = tolerance * old_v.abs().max(1.0);
     match gate {
         Gate::ReportOnly => (None, "info".to_string()),
@@ -534,6 +384,8 @@ fn judge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::matrix::{MatrixReport, ScenarioOutcome};
+    use crate::registry::spec::Workload;
     use crate::report::Report;
     use Gate::{Exact, HigherIsBetter, LowerIsBetter, ReportOnly, WithinFactor};
 
@@ -616,7 +468,7 @@ mod tests {
 
     #[test]
     fn tolerance_slack_is_relative_to_the_baseline_for_every_gate() {
-        let fails = |gate, old, new| judge(gate, Some(old), Some(new), 0.05).0.is_some();
+        let fails = |gate, old, new| judge(gate, old, new, 0.05).0.is_some();
         // Exact drifts by tolerance · max(|old|, 1) in both directions.
         assert!(!fails(Exact, 100.0, 96.0) && !fails(Exact, 100.0, 104.0));
         assert!(fails(Exact, 100.0, 94.0) && fails(Exact, 100.0, 106.0));
@@ -931,133 +783,83 @@ mod tests {
         assert!("within-factor:x".parse::<Gate>().is_err());
     }
 
-    fn matrix(triangles: u64, passed: bool, extra_scenario: bool) -> Json {
-        let second = if extra_scenario {
-            r#", { "name": "z-extra", "workload": "parbench", "tags": [],
-                   "passed": true, "failures": [],
-                   "counters": { "counts.triangles": 7 } }"#
-        } else {
-            ""
+    /// A matrix scenario: its name, whether it passed, its counters.
+    type Scenario<'a> = (&'a str, bool, &'a [(&'a str, f64)]);
+
+    /// A `bench-matrix/v2` report of `scenarios`.
+    fn matrix(scenarios: &[Scenario]) -> Json {
+        let outcomes = scenarios
+            .iter()
+            .map(|&(name, passed, counters)| ScenarioOutcome {
+                name: name.to_string(),
+                workload: Workload::Parbench,
+                passed,
+                failures: Vec::new(),
+                counters: counters.iter().map(|&(p, v)| (p.to_string(), v)).collect(),
+            });
+        let report = MatrixReport {
+            outcomes: outcomes.collect(),
         };
-        let (p, failed) = if passed { ("true", 0) } else { ("false", 1) };
-        let total = if extra_scenario { 2 } else { 1 };
-        Json::parse(&format!(
-            r#"{{ "schema": "bench-matrix/v1",
-                  "total": {total}, "passed": {}, "failed": {failed},
-                  "scenarios": [
-                    {{ "name": "parbench-smoke", "workload": "parbench",
-                       "tags": ["bench"], "passed": {p}, "failures": [],
-                       "counters": {{ "counts.triangles": {triangles},
-                                      "peel.dp_calls": 400 }} }}{second}
-                  ] }}"#,
-            total - failed
-        ))
-        .unwrap()
+        Json::parse(&report.report().into_json()).unwrap()
     }
+
+    const SMOKE: &[(&str, f64)] = &[("counts.triangles", 20821.0), ("peel.dp_calls", 400.0)];
 
     #[test]
     fn matrix_reports_gate_every_scenario_counter_exactly() {
-        let ok = compare(
-            &matrix(20821, true, false),
-            &matrix(20821, true, false),
-            0.0,
-        )
-        .unwrap();
-        assert!(ok.regressions().is_empty(), "{}", ok.format());
+        let base = matrix(&[("parbench-smoke", true, SMOKE)]);
+        assert!(fails(&base, &base, 0.0).is_empty());
         // A drifted counter and a newly failing scenario each trip gates.
-        let drifted = compare(
-            &matrix(20821, true, false),
-            &matrix(20822, true, false),
-            0.0,
-        )
-        .unwrap();
-        let failing: Vec<_> = drifted
-            .regressions()
-            .iter()
-            .map(|r| r.name.clone())
-            .collect();
-        assert_eq!(failing, vec!["parbench-smoke.counts.triangles"]);
-        let failed = compare(
-            &matrix(20821, true, false),
-            &matrix(20821, false, false),
-            0.0,
-        )
-        .unwrap();
-        let failing: Vec<_> = failed
-            .regressions()
-            .iter()
-            .map(|r| r.name.clone())
-            .collect();
-        assert_eq!(failing, vec!["passed", "failed", "parbench-smoke.passed"]);
+        let drifted = [("counts.triangles", 20822.0), ("peel.dp_calls", 400.0)];
+        assert_eq!(
+            fails(&base, &matrix(&[("parbench-smoke", true, &drifted)]), 0.0),
+            vec!["scenarios.parbench-smoke.counters.counts.triangles"]
+        );
+        assert_eq!(
+            fails(&base, &matrix(&[("parbench-smoke", false, SMOKE)]), 0.0),
+            vec!["passed", "failed", "scenarios.parbench-smoke.passed"]
+        );
     }
 
     #[test]
-    fn matrix_dropped_scenario_regresses_and_new_scenario_notes() {
-        let dropped =
-            compare(&matrix(20821, true, true), &matrix(20821, true, false), 0.0).unwrap();
-        let failing: Vec<_> = dropped
-            .regressions()
-            .iter()
-            .map(|r| r.name.clone())
-            .collect();
-        // total changed AND the scenario itself is reported missing.
-        assert!(failing.contains(&"total".to_string()), "{failing:?}");
-        assert!(
-            failing.contains(&"z-extra.passed".to_string()),
-            "{failing:?}"
-        );
-        let added = compare(&matrix(20821, true, false), &matrix(20821, true, true), 0.0).unwrap();
-        assert!(added
-            .notes
-            .iter()
-            .any(|n| n.contains("scenario z-extra: new in this run")));
-        // The new scenario itself is not gated, but totals still are.
-        let failing: Vec<_> = added.regressions().iter().map(|r| r.name.clone()).collect();
-        assert_eq!(failing, vec!["total", "passed"]);
+    fn matrix_dropped_or_new_scenarios_regress() {
+        let one = matrix(&[("parbench-smoke", true, SMOKE)]);
+        let extra = &[("counts.triangles", 7.0)][..];
+        let two = matrix(&[("parbench-smoke", true, SMOKE), ("z-extra", true, extra)]);
+        // Totals change, and the scenario on one side only fails on its
+        // own, whichever side that is: a new scenario is gated once the
+        // baseline is regenerated with it.
+        let expect = vec![
+            "total",
+            "passed",
+            "scenarios.z-extra.passed",
+            "scenarios.z-extra.counters.counts.triangles",
+        ];
+        assert_eq!(fails(&two, &one, 0.0), expect);
+        assert_eq!(fails(&one, &two, 0.0), expect);
     }
 
     #[test]
     fn matrix_vanished_counter_regresses() {
-        let mut new = matrix(20821, true, false);
-        if let Some(Json::Arr(items)) = {
-            // Navigate mutably: strip one counter from the only scenario.
-            if let Json::Obj(members) = &mut new {
-                members
-                    .iter_mut()
-                    .find(|(k, _)| k == "scenarios")
-                    .map(|(_, v)| v)
-            } else {
-                None
-            }
-        } {
-            if let Json::Obj(sc) = &mut items[0] {
-                for (k, v) in sc.iter_mut() {
-                    if k == "counters" {
-                        if let Json::Obj(counters) = v {
-                            counters.retain(|(name, _)| name != "peel.dp_calls");
-                        }
-                    }
-                }
-            }
-        }
-        let report = compare(&matrix(20821, true, false), &new, 0.0).unwrap();
+        let base = matrix(&[("parbench-smoke", true, SMOKE)]);
+        let trimmed = matrix(&[("parbench-smoke", true, &SMOKE[..1])]);
+        let report = compare(&base, &trimmed, 0.0).unwrap();
         let failing: Vec<_> = report
             .regressions()
             .iter()
             .map(|r| r.name.clone())
             .collect();
-        assert_eq!(failing, vec!["parbench-smoke.peel.dp_calls"]);
+        assert_eq!(
+            failing,
+            vec!["scenarios.parbench-smoke.counters.peel.dp_calls"]
+        );
         assert!(report.format().contains("regenerate the baseline"));
     }
 
     #[test]
     fn matrix_vs_other_families_is_refused() {
-        let err = compare(
-            &matrix(20821, true, false),
-            &parbench(100, 20821, None),
-            0.0,
-        )
-        .unwrap_err();
+        let matrix = matrix(&[("parbench-smoke", true, SMOKE)]);
+        let err = compare(&matrix, &parbench(100, 20821, None), 0.0).unwrap_err();
         assert!(err.contains("schema family mismatch"), "{err}");
     }
 }

@@ -17,14 +17,14 @@
 //! | [`ablation`] | (extra) | Monte-Carlo sample count vs estimation error; per-method scoring cost |
 //! | [`parbench`] | (extra) | parallel-substrate speedups + peeling-engine perf counters, emitted as machine-readable `BENCH_parallel.json` |
 //! | [`thetasweep`] | (extra) | θ-sweep amortization: one support build vs per-θ rebuilds, `support_builds` + per-θ counters as `bench-parallel/v7` JSON |
-//! | [`report`] | (extra) | the one report model of the five bench drivers: a JSON tree whose numbers carry their `bench-compare` gate tags |
+//! | [`report`] | (extra) | the one report model the five bench drivers return and the matrix emits: a JSON tree whose numbers carry their `bench-compare` gate tags, its counters and its one text rendering |
 //! | [`compare`] | (extra) | `bench-compare`: diff two bench JSONs, gate CI on deterministic counters by their tags |
 //! | [`million`] | (extra) | million-edge memory-scaling baseline: snapshot mmap vs owned reload, streaming index, truss sweep, as `bench-million/v2` JSON |
 //! | [`serve`] | (extra) | `nd-server` smoke: scripted TCP session vs direct library calls, counters as `bench-serve/v3` JSON |
 //! | [`updates`] | (extra) | incremental edge-update maintenance: repair vs rebuild work counters as `bench-updates/v2` JSON |
-//! | [`registry`] | (extra) | scenario registry: the `Spec` values behind `experiments matrix`, emitted as `bench-matrix/v1` JSON |
+//! | [`registry`] | (extra) | scenario registry: the `Spec` values behind `experiments matrix`, emitted as a tagged `bench-matrix/v2` report |
 //! | [`source`] | (extra) | the 50k-edge drivers' graph: a seeded G(n, m) graph or a file through the snapshot cache, and its timed ingest |
-//! | [`cli`] | (extra) | the `experiments` binary's flag parsing: the input trio, θ-grids, thread lists, and each bench subcommand's flags into the `Job` it runs |
+//! | [`cli`] | (extra) | the `experiments` binary's flag parsing: the flags each subcommand takes, the input trio, θ-grids, thread lists, and each bench subcommand's flags into the `Job` it runs |
 //!
 //! Run them through the `experiments` binary:
 //!
@@ -58,4 +58,4 @@ pub mod updates;
 /// in `nd-server`; this re-export keeps `nd_bench::json` paths working.
 pub use nd_server::json;
 
-pub use runner::{run_with_deadline, ExperimentContext, Timing};
+pub use runner::{ExperimentContext, Timing};

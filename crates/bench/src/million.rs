@@ -19,11 +19,11 @@
 //!   the all-at-once index, so the bounded-scratch path is exercised at
 //!   a scale where the bound matters.
 //! * **Truss-rank sweep** — one [`DecompSweep`] over a small γ grid,
-//!   recording the deterministic [`PeelStats`] per threshold.  Unlike
-//!   `experiments thetasweep` there is no independent per-threshold
-//!   rerun: at this scale the comparison engine would dominate the
-//!   budget, and the sweep-vs-independent identity is already pinned by
-//!   the 50k bench.
+//!   recording the deterministic [`nucleus::PeelStats`] per threshold.
+//!   Unlike `experiments thetasweep` there is no independent
+//!   per-threshold rerun: at this scale the comparison engine would
+//!   dominate the budget, and the sweep-vs-independent identity is
+//!   already pinned by the 50k bench.
 //!
 //! The report (`bench-million/v2`) reuses the `counts` and `sweep`
 //! objects of the parallel family with the same gates, and adds a
@@ -43,12 +43,12 @@ use ugraph::par::Parallelism;
 use ugraph::triangles::enumerate_triangles_with;
 use ugraph::{TriangleIndex, UncertainGraph};
 
-use nucleus::{DecompSweep, PeelStats, Rank, SweepConfig};
+use nucleus::{DecompSweep, Rank, SweepConfig};
 
 use crate::compare::Gate::{Exact, LowerIsBetter, ReportOnly, WithinFactor};
 use crate::json::Json;
 use crate::report::{num, object, Report};
-use crate::runner::{run_with_deadline, Timing};
+use crate::runner::Timing;
 
 /// Wall-clock budget for the sweep phase.
 const DEADLINE: Duration = Duration::from_secs(1_800);
@@ -113,210 +113,6 @@ impl MillionBenchConfig {
     }
 }
 
-/// Counters of one sweep grid point (same keys as the thetasweep rows).
-#[derive(Debug, Clone, Copy)]
-pub struct MillionPerTheta {
-    /// The threshold.
-    pub theta: f64,
-    /// Deterministic peel counters at this threshold.
-    pub stats: PeelStats,
-    /// The process's peak resident set size in bytes, read right after
-    /// the sweep (an environment probe; 0 where unsupported).
-    pub peak_rss_bytes: u64,
-    /// Largest truss score at this threshold.
-    pub max_score: u32,
-}
-
-/// Full report of a million-edge baseline run.
-#[derive(Debug, Clone)]
-pub struct MillionBenchReport {
-    /// The configuration the report was produced with.
-    pub config: MillionBenchConfig,
-    /// Actual vertex count of the generated graph.
-    pub vertices: usize,
-    /// Actual edge count of the generated graph.
-    pub edges: usize,
-    /// Number of triangles.
-    pub num_triangles: usize,
-    /// `std::thread::available_parallelism()` of the measuring host.
-    pub available_parallelism: usize,
-    /// Seconds to generate the graph (reported only).
-    pub generate_s: f64,
-    /// Size of the written `.ugsnap` file in bytes — a pure function of
-    /// the vertex and edge counts, so it gates exactly.
-    pub snapshot_bytes: u64,
-    /// Seconds to write the snapshot.
-    pub snapshot_write_s: f64,
-    /// Seconds to reload it through the owned byte-copying decoder.
-    pub owned_reload_s: f64,
-    /// Seconds to open it through the zero-copy path.
-    pub mmap_open_s: f64,
-    /// Whether the open actually mapped (false: owned fallback).
-    pub mmap_used: bool,
-    /// Seconds of the 1-thread triangle enumeration.
-    pub triangles_1t_s: f64,
-    /// Seconds of the `config.threads`-thread enumeration.
-    pub triangles_nt_s: f64,
-    /// Deterministic truss-sweep counters, in grid order.
-    pub per_theta: Vec<MillionPerTheta>,
-    /// Support builds of the sweep (must be 1).
-    pub support_builds: usize,
-    /// Wall seconds of the sweep phase.
-    pub sweep_s: f64,
-    /// Whether the sweep blew its deadline.
-    pub deadline_exceeded: bool,
-    /// Process-wide peak RSS at the end of the run (`VmHWM`; 0 when the
-    /// platform lacks the probe).
-    pub peak_rss_bytes: u64,
-}
-
-impl MillionBenchReport {
-    /// Owned-reload time over mmap-open time.
-    pub fn mmap_speedup(&self) -> f64 {
-        self.owned_reload_s / self.mmap_open_s.max(1e-9)
-    }
-
-    /// 1-thread enumeration time over the scaled run's time.
-    pub fn triangle_speedup(&self) -> f64 {
-        self.triangles_1t_s / self.triangles_nt_s.max(1e-9)
-    }
-
-    /// Summed `dp_calls` across the grid.
-    pub fn dp_calls_total(&self) -> usize {
-        self.per_theta.iter().map(|p| p.stats.dp_calls).sum()
-    }
-
-    /// Serializes the report to the `bench-million/v2` JSON schema.
-    pub fn to_json(&self) -> String {
-        let c = &self.config;
-        let mut r = Report::new("bench-million/v2");
-        r.set("rank", Json::str("truss"));
-        let source = object([
-            ("kind", Json::str("generated")),
-            ("generator", Json::str(GENERATOR_NAME)),
-            ("requested_vertices", num(c.vertices)),
-            ("attach", num(c.attach)),
-            ("seed", num(c.seed)),
-        ]);
-        r.set("source", source);
-        r.gate("vertices", self.vertices, Exact);
-        r.gate("edges", self.edges, Exact);
-        r.set("seed", num(c.seed));
-        r.set("available_parallelism", num(self.available_parallelism));
-        r.gate("counts.triangles", self.num_triangles, Exact);
-        // A pure function of (n, m): a format change shows up as a byte
-        // drift.
-        r.gate("million.snapshot_bytes", self.snapshot_bytes, Exact);
-        let chunk = c.streaming_chunk_edges;
-        r.gate("million.streaming_chunk_edges", chunk, Exact);
-        // Walls and their ratios are gated by CI on a fresh run, never
-        // against a baseline measured on other hardware.
-        r.set("million.generate_s", num(self.generate_s));
-        r.gate(
-            "million.snapshot_write_s",
-            self.snapshot_write_s,
-            ReportOnly,
-        );
-        r.gate("million.owned_reload_s", self.owned_reload_s, ReportOnly);
-        r.gate("million.mmap_open_s", self.mmap_open_s, ReportOnly);
-        r.gate("million.mmap_speedup", self.mmap_speedup(), ReportOnly);
-        r.set("million.mmap_used", Json::Bool(self.mmap_used));
-        r.set("million.threads", num(c.threads));
-        r.gate("million.triangles_1t_s", self.triangles_1t_s, ReportOnly);
-        r.gate("million.triangles_nt_s", self.triangles_nt_s, ReportOnly);
-        r.gate(
-            "million.triangle_speedup",
-            self.triangle_speedup(),
-            ReportOnly,
-        );
-        r.gate(
-            "million.peak_rss_bytes",
-            self.peak_rss_bytes,
-            WithinFactor(2),
-        );
-        let grid = self.per_theta.iter().map(|p| num(p.theta));
-        r.set("sweep.grid", Json::Arr(grid.collect()));
-        r.gate("sweep.grid_size", self.per_theta.len(), Exact);
-        r.gate("sweep.support_builds", self.support_builds, Exact);
-        r.gate("sweep.dp_calls_total", self.dp_calls_total(), LowerIsBetter);
-        r.gate("sweep.sweep_s", self.sweep_s, ReportOnly);
-        r.set(
-            "sweep.deadline_exceeded",
-            Json::Bool(self.deadline_exceeded),
-        );
-        let rows = self.per_theta.iter().map(|p| {
-            object([
-                ("theta", num(p.theta)),
-                ("dp_calls", num(p.stats.dp_calls)),
-                ("recompute_skips", num(p.stats.recompute_skips)),
-                ("buckets_touched", num(p.stats.buckets_touched)),
-                ("peak_scratch_bytes", num(p.stats.peak_scratch_bytes)),
-                ("peak_rss_bytes", num(p.peak_rss_bytes)),
-                ("max_score", num(p.max_score)),
-            ])
-        });
-        r.set("sweep.per_theta", Json::Arr(rows.collect()));
-        r.into_json()
-    }
-
-    /// Human-readable summary of the same measurements.
-    pub fn format(&self) -> String {
-        let mut out = format!(
-            "million-edge baseline — {} vertices, {} edges (BA attach {}, seed {}), \
-             {} triangles, host parallelism {}\n\
-             snapshot: {} bytes, write {:.3}s, owned reload {:.3}s, \
-             mmap open {:.3}s ({:.1}x faster{})\n\
-             triangles: {:.3}s at 1 thread, {:.3}s at {} threads ({:.2}x)\n\
-             peak RSS: {} bytes",
-            self.vertices,
-            self.edges,
-            self.config.attach,
-            self.config.seed,
-            self.num_triangles,
-            self.available_parallelism,
-            self.snapshot_bytes,
-            self.snapshot_write_s,
-            self.owned_reload_s,
-            self.mmap_open_s,
-            self.mmap_speedup(),
-            if self.mmap_used {
-                ""
-            } else {
-                "; owned fallback"
-            },
-            self.triangles_1t_s,
-            self.triangles_nt_s,
-            self.config.threads,
-            self.triangle_speedup(),
-            self.peak_rss_bytes,
-        );
-        out.push_str(&format!(
-            "\ntruss sweep ({} thresholds, {} support build(s), {:.3}s{}):",
-            self.per_theta.len(),
-            self.support_builds,
-            self.sweep_s,
-            if self.deadline_exceeded {
-                ", DEADLINE EXCEEDED"
-            } else {
-                ""
-            }
-        ));
-        for p in &self.per_theta {
-            out.push_str(&format!(
-                "\n  gamma {:.2}: dp_calls {}, skips {}, buckets {}, \
-                 scratch peak {} bytes, max score {}",
-                p.theta,
-                p.stats.dp_calls,
-                p.stats.recompute_skips,
-                p.stats.buckets_touched,
-                p.stats.peak_scratch_bytes,
-                p.max_score,
-            ));
-        }
-        out
-    }
-}
-
 const GENERATOR_NAME: &str = "barabasi-albert-uniform";
 
 /// Generates the baseline graph: BA structure, uniform probabilities in
@@ -338,7 +134,7 @@ pub fn generate_million_graph(config: &MillionBenchConfig) -> UncertainGraph {
 /// Runs the baseline.  Every differential assertion (snapshot reloads,
 /// parallel counts, streaming index) panics on divergence — the bench
 /// doubles as a correctness check at a scale the unit tests never reach.
-pub fn run(config: &MillionBenchConfig) -> MillionBenchReport {
+pub fn run(config: &MillionBenchConfig) -> Report {
     let (graph, generate_t) = Timing::measure(|| generate_million_graph(config));
 
     // Snapshot round trip: owned decode vs zero-copy open, both asserted
@@ -398,56 +194,93 @@ pub fn run(config: &MillionBenchConfig) -> MillionBenchReport {
 
     // Truss-rank sweep: one support build over the whole grid.
     let sweep_config = SweepConfig::exact(config.thetas.clone()).with_rank(Rank::Truss);
-    let mut index = None;
-    let mut sweep_s = f64::INFINITY;
-    let (_, _, deadline_exceeded) = run_with_deadline(DEADLINE, || {
-        let (built, t) = Timing::measure(|| {
-            DecompSweep::compute(&graph, &sweep_config).expect("valid sweep config")
-        });
-        sweep_s = t.seconds();
-        index = Some(built);
+    let (index, sweep_t) = Timing::measure(|| {
+        DecompSweep::compute(&graph, &sweep_config).expect("valid sweep config")
     });
     let sweep_peak_rss = ugraph::metrics::peak_rss_bytes();
-    let index = index.expect("the sweep ran");
     assert_eq!(index.support_builds(), 1, "sweep must build support once");
     let stats_grid = index.peel_stats();
-    let per_theta: Vec<MillionPerTheta> = config
-        .thetas
-        .iter()
-        .enumerate()
-        .map(|(gi, &theta)| MillionPerTheta {
-            theta,
-            stats: stats_grid[gi],
-            peak_rss_bytes: sweep_peak_rss,
-            max_score: index.scores_at_index(gi).iter().copied().max().unwrap_or(0),
-        })
-        .collect();
+    // The thetasweep row keys, with the process's peak RSS read right
+    // after the sweep (an environment probe; 0 where unsupported).
+    let rows = config.thetas.iter().enumerate().map(|(gi, &theta)| {
+        let stats = stats_grid[gi];
+        let max_score = index.scores_at_index(gi).iter().copied().max();
+        object([
+            ("theta", num(theta)),
+            ("dp_calls", num(stats.dp_calls)),
+            ("recompute_skips", num(stats.recompute_skips)),
+            ("buckets_touched", num(stats.buckets_touched)),
+            ("peak_scratch_bytes", num(stats.peak_scratch_bytes)),
+            ("peak_rss_bytes", num(sweep_peak_rss)),
+            ("max_score", num(max_score.unwrap_or(0))),
+        ])
+    });
+    let rows: Vec<Json> = rows.collect();
 
-    MillionBenchReport {
-        config: config.clone(),
-        vertices: graph.num_vertices(),
-        edges: graph.num_edges(),
-        num_triangles,
-        available_parallelism: Parallelism::Auto.num_threads(),
-        generate_s: generate_t.seconds(),
-        snapshot_bytes,
-        snapshot_write_s: write_t.seconds(),
-        owned_reload_s: owned_t.seconds(),
-        mmap_open_s: mmap_t.seconds(),
-        mmap_used,
-        triangles_1t_s: t1.seconds(),
-        triangles_nt_s: tn.seconds(),
-        per_theta,
-        support_builds: index.support_builds(),
-        sweep_s,
-        deadline_exceeded,
-        peak_rss_bytes: ugraph::metrics::peak_rss_bytes(),
-    }
+    let c = config;
+    let mut r = Report::new("bench-million/v2");
+    r.set("rank", Json::str("truss"));
+    let source = object([
+        ("kind", Json::str("generated")),
+        ("generator", Json::str(GENERATOR_NAME)),
+        ("requested_vertices", num(c.vertices)),
+        ("attach", num(c.attach)),
+        ("seed", num(c.seed)),
+    ]);
+    r.set("source", source);
+    r.gate("vertices", graph.num_vertices(), Exact);
+    r.gate("edges", graph.num_edges(), Exact);
+    r.set("seed", num(c.seed));
+    let available = Parallelism::Auto.num_threads();
+    r.set("available_parallelism", num(available));
+    r.gate("counts.triangles", num_triangles, Exact);
+    // A pure function of (n, m): a format change shows up as a byte
+    // drift.
+    r.gate("million.snapshot_bytes", snapshot_bytes, Exact);
+    let chunk = c.streaming_chunk_edges;
+    r.gate("million.streaming_chunk_edges", chunk, Exact);
+    // Walls and their ratios are gated by CI on a fresh run, never
+    // against a baseline measured on other hardware.
+    r.set("million.generate_s", num(generate_t.seconds()));
+    r.gate("million.snapshot_write_s", write_t.seconds(), ReportOnly);
+    r.gate("million.owned_reload_s", owned_t.seconds(), ReportOnly);
+    r.gate("million.mmap_open_s", mmap_t.seconds(), ReportOnly);
+    let mmap_speedup = owned_t.seconds() / mmap_t.seconds().max(1e-9);
+    r.gate("million.mmap_speedup", mmap_speedup, ReportOnly);
+    r.set("million.mmap_used", Json::Bool(mmap_used));
+    r.set("million.threads", num(c.threads));
+    r.gate("million.triangles_1t_s", t1.seconds(), ReportOnly);
+    r.gate("million.triangles_nt_s", tn.seconds(), ReportOnly);
+    let triangle_speedup = t1.seconds() / tn.seconds().max(1e-9);
+    r.gate("million.triangle_speedup", triangle_speedup, ReportOnly);
+    // Process-wide peak RSS at the end of the run (`VmHWM`).
+    r.gate(
+        "million.peak_rss_bytes",
+        ugraph::metrics::peak_rss_bytes(),
+        WithinFactor(2),
+    );
+    let grid = c.thetas.iter().map(|&theta| num(theta));
+    r.set("sweep.grid", Json::Arr(grid.collect()));
+    r.gate("sweep.grid_size", rows.len(), Exact);
+    r.gate("sweep.support_builds", index.support_builds(), Exact);
+    r.gate(
+        "sweep.dp_calls_total",
+        index.total_dp_calls(),
+        LowerIsBetter,
+    );
+    r.gate("sweep.sweep_s", sweep_t.seconds(), ReportOnly);
+    r.set(
+        "sweep.deadline_exceeded",
+        Json::Bool(sweep_t.exceeded(DEADLINE)),
+    );
+    r.set("sweep.per_theta", Json::Arr(rows));
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{assert_tagged, at, counters, num_at, parsed};
 
     fn tiny_config() -> MillionBenchConfig {
         MillionBenchConfig {
@@ -481,60 +314,57 @@ mod tests {
 
     #[test]
     fn report_is_consistent_and_gated_paths_parse() {
-        let report = run(&tiny_config());
-        assert_eq!(report.edges, tiny_config().expected_edges());
-        assert!(report.num_triangles > 0, "BA graphs are triangle-rich");
-        assert_eq!(report.support_builds, 1);
-        assert_eq!(report.per_theta.len(), 2);
-        assert!(!report.deadline_exceeded);
+        let doc = parsed(run(&tiny_config()));
+        assert_eq!(num_at(&doc, "edges"), tiny_config().expected_edges() as f64);
+        assert!(
+            num_at(&doc, "counts.triangles") > 0.0,
+            "BA graphs are triangle-rich"
+        );
+        assert_eq!(num_at(&doc, "sweep.support_builds"), 1.0);
+        assert_eq!(num_at(&doc, "sweep.grid_size"), 2.0);
+        let flag = |path| at(&doc, path).and_then(Json::as_bool);
+        assert_eq!(flag("sweep.deadline_exceeded"), Some(false));
         if cfg!(target_os = "linux") {
-            assert!(report.mmap_used, "mmap open fell back to the owned path");
-            assert!(report.peak_rss_bytes > 0);
-            assert!(report.per_theta.iter().all(|p| p.peak_rss_bytes > 0));
+            assert_eq!(flag("million.mmap_used"), Some(true), "mmap fell back");
+            assert!(num_at(&doc, "million.peak_rss_bytes") > 0.0);
+            let rows = at(&doc, "sweep.per_theta").and_then(Json::as_array);
+            assert!(rows
+                .unwrap()
+                .iter()
+                .all(|p| num_at(p, "peak_rss_bytes") > 0.0));
         }
-
-        let json = report.to_json();
-        assert!(json.contains(r#""schema":"bench-million/v2""#));
-        assert!(json.contains(r#""rank":"truss""#));
-        let doc = crate::json::Json::parse(&json).expect("report JSON parses");
         assert_eq!(
-            doc.path(&["sweep", "support_builds"])
-                .and_then(crate::json::Json::as_f64),
-            Some(1.0)
+            at(&doc, "schema").and_then(Json::as_str),
+            Some("bench-million/v2")
         );
-        assert_eq!(
-            doc.path(&["edges"]).and_then(crate::json::Json::as_f64),
-            Some(report.edges as f64)
-        );
-        assert!(report.format().contains("truss sweep"));
+        assert_eq!(at(&doc, "rank").and_then(Json::as_str), Some("truss"));
     }
 
     #[test]
     fn counters_are_deterministic_across_runs() {
-        let a = run(&tiny_config());
-        let b = run(&tiny_config());
-        assert_eq!(a.num_triangles, b.num_triangles);
-        assert_eq!(a.snapshot_bytes, b.snapshot_bytes);
-        assert_eq!(a.dp_calls_total(), b.dp_calls_total());
-        for (x, y) in a.per_theta.iter().zip(&b.per_theta) {
-            assert_eq!(x.stats, y.stats);
-            assert_eq!(x.max_score, y.max_score);
-        }
+        let a = parsed(run(&tiny_config()));
+        let b = parsed(run(&tiny_config()));
+        assert_eq!(counters(&a).unwrap(), counters(&b).unwrap());
+        let scores = |doc: &Json| {
+            let rows = at(doc, "sweep.per_theta").and_then(Json::as_array);
+            let rows = rows.expect("per_theta rows").iter();
+            rows.map(|row| num_at(row, "max_score")).collect::<Vec<_>>()
+        };
+        assert_eq!(scores(&a), scores(&b));
     }
 
     #[test]
     fn report_compares_cleanly_against_itself() {
-        let report = run(&tiny_config());
-        let doc = crate::json::Json::parse(&report.to_json()).unwrap();
+        let doc = parsed(run(&tiny_config()));
         let compared = crate::compare::compare(&doc, &doc, 0.0).unwrap();
         assert!(compared.regressions().is_empty(), "{}", compared.format());
     }
 
     #[test]
     fn report_tags_every_gated_number() {
-        let json = run(&tiny_config()).to_json();
-        crate::report::assert_tagged(
-            &json,
+        let doc = parsed(run(&tiny_config()));
+        assert_tagged(
+            &doc,
             &[
                 ("vertices", Exact),
                 ("edges", Exact),
@@ -556,7 +386,6 @@ mod tests {
             ],
         );
         // The top-level vertex and edge counts are the gated ones.
-        let doc = Json::parse(&json).unwrap();
         assert_eq!(doc.path(&["million", "vertices"]), None);
         assert_eq!(doc.path(&["million", "edges"]), None);
     }

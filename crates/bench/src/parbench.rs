@@ -68,10 +68,9 @@
 //! `triangles_s` and `four_cliques_s` are standalone enumeration probes;
 //! the support build runs its own triangle pass and 4-clique extension,
 //! so `total_s` is the support build alone (`support_s`) and `speedup`
-//! is the sequential `total_s` divided by the run's.  Every run is
-//! guarded by a condvar-based deadline watchdog
-//! ([`crate::runner::run_with_deadline`]) whose overrun flag lands in the
-//! JSON rather than hanging CI.
+//! is the sequential `total_s` divided by the run's.  A run's
+//! `deadline_exceeded` flag records whether its repeats outlived a
+//! wall-clock budget; the run itself is never interrupted.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -82,13 +81,13 @@ use ugraph::triangles::enumerate_triangles_with;
 use ugraph::UncertainGraph;
 
 use nucleus::reference;
-use nucleus::{DecompConfig, DecompHandle, PeelStats, RankSupport, SupportStructure};
+use nucleus::{DecompConfig, DecompHandle, RankSupport, SupportStructure};
 
 use crate::compare::Gate::{Exact, LowerIsBetter, ReportOnly, WithinFactor};
 use crate::json::Json;
 use crate::report::{num, object, Report};
-use crate::runner::{format_table, run_with_deadline, Timing};
-use crate::source::{GraphSource, IngestError, IngestTimings};
+use crate::runner::Timing;
+use crate::source::{GraphSource, IngestError};
 
 /// Wall-clock budget per measured configuration.
 const DEADLINE: Duration = Duration::from_secs(600);
@@ -128,120 +127,18 @@ impl ParBenchConfig {
     }
 }
 
-/// Perf-counter measurement of the peeling engine: the production engine
-/// and the frozen reference engine run on the same support structure
-/// (sanity-asserting bit-identical scores on the way), so the report can
-/// record the deferred engine's DP savings as a tracked number.
-#[derive(Debug, Clone)]
-pub struct PeelBench {
-    /// θ the decomposition ran at (0.1).
-    pub theta: f64,
-    /// Deterministic counters of the production engine.
-    pub stats: PeelStats,
-    /// The process's peak resident set size in bytes
-    /// ([`ugraph::metrics::peak_rss_bytes`]), read right after the
-    /// production engine's decomposition: an environment probe, not a
-    /// counter (0 where the platform has no `VmHWM`).
-    pub peak_rss_bytes: u64,
-    /// Peeling-time score recomputations of the reference engine — the
-    /// denominator of the advertised savings.
-    pub reference_dp_calls: usize,
-    /// Largest ℓ-nucleusness in the graph.
-    pub max_score: u32,
-    /// Initial-pass evaluation methods, sorted by method name so the
-    /// JSON is byte-stable.
-    pub method_counts: Vec<(String, usize)>,
-    /// Wall-clock seconds of the production engine (reported, not gated).
-    pub peel_s: f64,
-    /// Wall-clock seconds of the reference engine (reported, not gated).
-    pub reference_peel_s: f64,
-}
-
-impl PeelBench {
-    /// Percentage of the reference engine's recomputations the deferred
-    /// engine avoided (0 when the reference did none).
-    pub fn dp_calls_saved_pct(&self) -> f64 {
-        if self.reference_dp_calls == 0 {
-            return 0.0;
-        }
-        100.0 * (1.0 - self.stats.dp_calls as f64 / self.reference_dp_calls as f64)
-    }
-}
-
-/// Best-of-repeats wall-clock seconds for each measured phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseTimings {
-    /// Standalone triangle enumeration probe.
-    pub triangles_s: f64,
-    /// Standalone 4-clique enumeration probe.
-    pub four_cliques_s: f64,
-    /// Full support-structure construction: its own triangle pass,
-    /// 4-clique extension and assembly.
-    pub support_s: f64,
-}
-
-impl PhaseTimings {
-    /// The support build alone.  The two enumeration probes measure work
-    /// the build does itself, so adding them would count it twice.
-    pub fn total_s(&self) -> f64 {
-        self.support_s
-    }
-}
-
-/// One measured configuration.
-#[derive(Debug, Clone)]
-pub struct ThreadRun {
-    /// Worker threads used (1 = the sequential baseline).
-    pub threads: usize,
-    /// Best-of-repeats phase timings.
-    pub timings: PhaseTimings,
-    /// Sequential total divided by this run's total.
-    pub speedup: f64,
-    /// `true` when the configuration blew its wall-clock budget.
-    pub deadline_exceeded: bool,
-}
-
-/// Full report of a parallel-substrate benchmark run.
-#[derive(Debug, Clone)]
-pub struct ParBenchReport {
-    /// The configuration the report was produced with.
-    pub config: ParBenchConfig,
-    /// Actual number of vertices of the measured graph.
-    pub actual_vertices: usize,
-    /// Actual number of edges of the measured graph (G(n, m) can emit
-    /// slightly fewer than requested on dense inputs; files have whatever
-    /// they have).
-    pub actual_edges: usize,
-    /// Ingestion timings when the graph came from `--input`.
-    pub ingest: Option<IngestTimings>,
-    /// Number of triangles of the graph.
-    pub num_triangles: usize,
-    /// Number of 4-cliques of the graph.
-    pub num_four_cliques: usize,
-    /// `std::thread::available_parallelism()` of the measuring host —
-    /// needed to interpret speedups (a 1-core host cannot speed up).
-    pub available_parallelism: usize,
-    /// Peeling-engine perf counters (production vs reference engine).
-    pub peel: PeelBench,
-    /// The sequential baseline.
-    pub baseline: ThreadRun,
-    /// The parallel runs, in the order of `config.threads`.
-    pub runs: Vec<ThreadRun>,
-}
-
+/// Measures one configuration: the best-of-`repeats` seconds of the
+/// triangle probe, the 4-clique probe and the support build, whether the
+/// repeats outlived [`DEADLINE`], and the triangle and 4-clique counts.
 fn measure_config(
     graph: &UncertainGraph,
     parallelism: Parallelism,
     repeats: usize,
-) -> (PhaseTimings, bool, usize, usize) {
-    let mut best = PhaseTimings {
-        triangles_s: f64::INFINITY,
-        four_cliques_s: f64::INFINITY,
-        support_s: f64::INFINITY,
-    };
+) -> ([f64; 3], bool, usize, usize) {
+    let mut best = [f64::INFINITY; 3];
     let mut num_triangles = 0usize;
     let mut num_cliques = 0usize;
-    let ((), _total, exceeded) = run_with_deadline(DEADLINE, || {
+    let ((), total) = Timing::measure(|| {
         for _ in 0..repeats.max(1) {
             let (tris, t1) = Timing::measure(|| enumerate_triangles_with(graph, parallelism));
             let (cliques, t2) =
@@ -255,28 +152,28 @@ fn measure_config(
                 num_triangles,
                 "support structure disagrees with the triangle enumeration"
             );
-            best.triangles_s = best.triangles_s.min(t1.seconds());
-            best.four_cliques_s = best.four_cliques_s.min(t2.seconds());
-            best.support_s = best.support_s.min(t3.seconds());
+            for (slot, t) in best.iter_mut().zip([t1, t2, t3]) {
+                *slot = slot.min(t.seconds());
+            }
         }
     });
-    (best, exceeded, num_triangles, num_cliques)
+    (best, total.exceeded(DEADLINE), num_triangles, num_cliques)
 }
 
 /// Runs the ℓ-NuDecomp peeling engine and the frozen reference engine on
-/// the benchmark graph at θ = 0.1 (exact DP) and returns their perf
-/// counters.  Wall times are best-of-`repeats` like every other phase,
-/// so neither engine is billed for cold caches.
+/// the benchmark graph at θ = 0.1 (exact DP) and places their perf
+/// counters under `peel`.  Wall times are best-of-`repeats` like every
+/// other phase, so neither engine is billed for cold caches.
 /// Panics if the engines disagree on a single score — the benchmark
 /// doubles as a CI-enforced bit-identity check at real scale.
-fn measure_peel(graph: &UncertainGraph, repeats: usize) -> PeelBench {
+fn measure_peel(graph: &UncertainGraph, repeats: usize, r: &mut Report) {
     let config = DecompConfig::nucleus(0.1);
     let mut support = Some(SupportStructure::build_with(graph, Parallelism::Auto));
     let mut reference_s = f64::INFINITY;
     let mut engine_s = f64::INFINITY;
     let mut peak_rss_bytes = 0;
     let mut last = None;
-    for r in 0..repeats.max(1) {
+    for rep in 0..repeats.max(1) {
         let borrowed = support
             .as_ref()
             .expect("support consumed only on the last repeat");
@@ -287,7 +184,7 @@ fn measure_peel(graph: &UncertainGraph, repeats: usize) -> PeelBench {
         // The last repeat moves the support into the engine; earlier
         // repeats clone it *outside* the measured closure.  Each repeat
         // gets a fresh handle, so each builds its own tail table.
-        let engine_input = if r + 1 == repeats.max(1) {
+        let engine_input = if rep + 1 == repeats.max(1) {
             support.take().expect("support still present")
         } else {
             borrowed.clone()
@@ -297,6 +194,9 @@ fn measure_peel(graph: &UncertainGraph, repeats: usize) -> PeelBench {
                 .compute_at(&config)
                 .expect("default config is valid")
         });
+        // The process's peak RSS right after the production engine's
+        // decomposition: an environment probe, not a counter (0 where
+        // the platform has no `VmHWM`).
         peak_rss_bytes = ugraph::metrics::peak_rss_bytes();
         engine_s = engine_s.min(engine_t.seconds());
         last = Some((decomp, oracle));
@@ -310,6 +210,7 @@ fn measure_peel(graph: &UncertainGraph, repeats: usize) -> PeelBench {
     assert_eq!(decomp.initial_scores(), &oracle.initial_scores[..]);
     assert_eq!(decomp.method_counts(), &oracle.method_counts);
 
+    // Sorted by method name, so the JSON is byte-stable.
     let mut method_counts: Vec<(String, usize)> = decomp
         .method_counts()
         .iter()
@@ -317,31 +218,61 @@ fn measure_peel(graph: &UncertainGraph, repeats: usize) -> PeelBench {
         .collect();
     method_counts.sort();
 
-    PeelBench {
-        theta: config.threshold,
-        stats: *decomp.peel_stats(),
-        peak_rss_bytes,
-        reference_dp_calls: oracle.dp_calls,
-        max_score: decomp.max_score(),
-        method_counts,
-        peel_s: engine_s,
-        reference_peel_s: reference_s,
-    }
+    let stats = decomp.peel_stats();
+    r.set("peel.theta", num(config.threshold));
+    r.gate("peel.dp_calls", stats.dp_calls, LowerIsBetter);
+    r.gate("peel.recompute_skips", stats.recompute_skips, Exact);
+    r.gate("peel.buckets_touched", stats.buckets_touched, Exact);
+    r.gate(
+        "peel.peak_scratch_bytes",
+        stats.peak_scratch_bytes,
+        LowerIsBetter,
+    );
+    // The kernel's VmHWM probe: noisy across allocators and hosts, so
+    // only gross growth fails.
+    r.gate("peel.peak_rss_bytes", peak_rss_bytes, WithinFactor(2));
+    r.gate("peel.reference_dp_calls", oracle.dp_calls, Exact);
+    // The share of the reference engine's recomputations the deferred
+    // engine avoided (0 when the reference did none).
+    let saved_pct = if oracle.dp_calls == 0 {
+        0.0
+    } else {
+        100.0 * (1.0 - stats.dp_calls as f64 / oracle.dp_calls as f64)
+    };
+    r.set("peel.dp_calls_saved_pct", num(saved_pct));
+    r.gate("peel.max_score", decomp.max_score(), Exact);
+    let methods = method_counts
+        .iter()
+        .map(|(name, count)| object([("method", Json::str(name)), ("count", num(*count))]));
+    r.set("peel.method_counts", Json::Arr(methods.collect()));
+    r.gate("peel.peel_s", engine_s, ReportOnly);
+    r.gate("peel.reference_peel_s", reference_s, ReportOnly);
 }
 
 /// Runs the benchmark: sequential baseline first, then every requested
 /// thread count, verifying on the way that the parallel results agree with
-/// the sequential ones.
-pub fn run(config: &ParBenchConfig) -> Result<ParBenchReport, IngestError> {
+/// the sequential ones, then the peeling engines.
+pub fn run(config: &ParBenchConfig) -> Result<Report, IngestError> {
     let (graph, ingest_timings) = config.source.ingest(config.seed, config.repeats)?;
-    let (baseline_timings, baseline_exceeded, num_triangles, num_four_cliques) =
+    let (baseline, baseline_exceeded, num_triangles, num_four_cliques) =
         measure_config(&graph, Parallelism::Sequential, config.repeats);
-    let baseline_total = baseline_timings.total_s();
-    let baseline = ThreadRun {
-        threads: 1,
-        timings: baseline_timings,
-        speedup: 1.0,
-        deadline_exceeded: baseline_exceeded,
+    let run = |threads: usize, [triangles_s, four_cliques_s, support_s]: [f64; 3], exceeded| {
+        // The support build alone is the total: the two probes measure
+        // work the build does itself.
+        let speedup = if support_s > 0.0 {
+            baseline[2] / support_s
+        } else {
+            1.0
+        };
+        object([
+            ("threads", num(threads)),
+            ("triangles_s", num(triangles_s)),
+            ("four_cliques_s", num(four_cliques_s)),
+            ("support_s", num(support_s)),
+            ("total_s", num(support_s)),
+            ("speedup", num(speedup)),
+            ("deadline_exceeded", Json::Bool(exceeded)),
+        ])
     };
 
     let mut runs = Vec::with_capacity(config.threads.len());
@@ -353,177 +284,34 @@ pub fn run(config: &ParBenchConfig) -> Result<ParBenchReport, IngestError> {
             cliques, num_four_cliques,
             "parallel 4-clique count diverged"
         );
-        let total = timings.total_s();
-        runs.push(ThreadRun {
-            threads,
-            timings,
-            speedup: if total > 0.0 {
-                baseline_total / total
-            } else {
-                1.0
-            },
-            deadline_exceeded: exceeded,
-        });
+        runs.push(run(threads, timings, exceeded));
     }
 
-    let peel = measure_peel(&graph, config.repeats);
-
-    Ok(ParBenchReport {
-        config: config.clone(),
-        actual_vertices: graph.num_vertices(),
-        actual_edges: graph.num_edges(),
-        ingest: ingest_timings,
-        num_triangles,
-        num_four_cliques,
-        available_parallelism: Parallelism::Auto.num_threads(),
-        peel,
-        baseline,
-        runs,
-    })
-}
-
-impl ParBenchReport {
-    /// Serializes the report to the `bench-parallel/v7` JSON schema.
-    pub fn to_json(&self) -> String {
-        let c = &self.config;
-        let p = &self.peel;
-        let mut r = Report::new("bench-parallel/v7");
-        r.source(&c.source, c.seed);
-        r.ingest(self.ingest.as_ref());
-        r.gate("vertices", self.actual_vertices, Exact);
-        r.gate("edges", self.actual_edges, Exact);
-        r.set("seed", num(c.seed));
-        r.set("repeats", num(c.repeats));
-        r.set("available_parallelism", num(self.available_parallelism));
-        r.gate("counts.triangles", self.num_triangles, Exact);
-        r.gate("counts.four_cliques", self.num_four_cliques, Exact);
-        r.set("peel.theta", num(p.theta));
-        r.gate("peel.dp_calls", p.stats.dp_calls, LowerIsBetter);
-        r.gate("peel.recompute_skips", p.stats.recompute_skips, Exact);
-        r.gate("peel.buckets_touched", p.stats.buckets_touched, Exact);
-        r.gate(
-            "peel.peak_scratch_bytes",
-            p.stats.peak_scratch_bytes,
-            LowerIsBetter,
-        );
-        // The kernel's VmHWM probe: noisy across allocators and hosts, so
-        // only gross growth fails.
-        r.gate("peel.peak_rss_bytes", p.peak_rss_bytes, WithinFactor(2));
-        r.gate("peel.reference_dp_calls", p.reference_dp_calls, Exact);
-        r.set("peel.dp_calls_saved_pct", num(p.dp_calls_saved_pct()));
-        r.gate("peel.max_score", p.max_score, Exact);
-        let methods = p
-            .method_counts
-            .iter()
-            .map(|(name, count)| object([("method", Json::str(name)), ("count", num(*count))]));
-        r.set("peel.method_counts", Json::Arr(methods.collect()));
-        r.gate("peel.peel_s", p.peel_s, ReportOnly);
-        r.gate("peel.reference_peel_s", p.reference_peel_s, ReportOnly);
-        let run = |t: &ThreadRun| {
-            object([
-                ("threads", num(t.threads)),
-                ("triangles_s", num(t.timings.triangles_s)),
-                ("four_cliques_s", num(t.timings.four_cliques_s)),
-                ("support_s", num(t.timings.support_s)),
-                ("total_s", num(t.timings.total_s())),
-                ("speedup", num(t.speedup)),
-                ("deadline_exceeded", Json::Bool(t.deadline_exceeded)),
-            ])
-        };
-        r.set("baseline", run(&self.baseline));
-        r.gate(
-            "baseline.total_s",
-            self.baseline.timings.total_s(),
-            ReportOnly,
-        );
-        r.set("runs", Json::Arr(self.runs.iter().map(run).collect()));
-        r.into_json()
-    }
-
-    /// Human-readable table of the same measurements.
-    pub fn format(&self) -> String {
-        let mut rows = Vec::new();
-        for run in std::iter::once(&self.baseline).chain(self.runs.iter()) {
-            rows.push(vec![
-                run.threads.to_string(),
-                format!("{:.4}", run.timings.triangles_s),
-                format!("{:.4}", run.timings.four_cliques_s),
-                format!("{:.4}", run.timings.support_s),
-                format!("{:.4}", run.timings.total_s()),
-                format!("{:.2}x", run.speedup),
-                if run.deadline_exceeded { "YES" } else { "no" }.to_string(),
-            ]);
-        }
-        let source = match (&self.config.source, &self.ingest) {
-            (GraphSource::File(input), Some(t)) => format!(
-                "\ningest: {} ({}, {}) — parse {:.3}s, snapshot write {:.3}s, \
-                 reload {:.3}s ({:.1}x faster than parsing), \
-                 mmap open {:.3}s ({:.1}x faster than the owned reload{})",
-                input.path.display(),
-                input.format,
-                input.probability,
-                t.parse_s,
-                t.snapshot_write_s,
-                t.snapshot_reload_s,
-                t.reload_speedup(),
-                t.snapshot_mmap_s,
-                t.mmap_speedup(),
-                if t.mmap_used { "" } else { "; owned fallback" }
-            ),
-            (GraphSource::File(input), None) => format!(
-                "\ningest: {} ({}, {})",
-                input.path.display(),
-                input.format,
-                input.probability
-            ),
-            (GraphSource::Generated { .. }, _) => String::new(),
-        };
-        let peel = format!(
-            "\npeel (theta {:.2}): dp_calls {} vs reference {} ({:.1}% saved), \
-             {} skips, {} buckets, {} scratch bytes peak, max score {} — \
-             {:.3}s vs {:.3}s",
-            self.peel.theta,
-            self.peel.stats.dp_calls,
-            self.peel.reference_dp_calls,
-            self.peel.dp_calls_saved_pct(),
-            self.peel.stats.recompute_skips,
-            self.peel.stats.buckets_touched,
-            self.peel.stats.peak_scratch_bytes,
-            self.peel.max_score,
-            self.peel.peel_s,
-            self.peel.reference_peel_s,
-        );
-        format!(
-            "parallel substrate bench — {} vertices, {} edges (seed {}), \
-             {} triangles, {} 4-cliques, host parallelism {}{}{}\n{}",
-            self.actual_vertices,
-            self.actual_edges,
-            self.config.seed,
-            self.num_triangles,
-            self.num_four_cliques,
-            self.available_parallelism,
-            source,
-            peel,
-            format_table(
-                &[
-                    "threads",
-                    "triangles_s",
-                    "4cliques_s",
-                    "support_s",
-                    "total_s",
-                    "speedup",
-                    "overrun"
-                ],
-                &rows,
-            )
-        )
-    }
+    let mut r = Report::new("bench-parallel/v7");
+    r.source(&config.source, config.seed);
+    r.ingest(ingest_timings.as_ref());
+    r.gate("vertices", graph.num_vertices(), Exact);
+    r.gate("edges", graph.num_edges(), Exact);
+    r.set("seed", num(config.seed));
+    r.set("repeats", num(config.repeats));
+    // Needed to interpret speedups: a 1-core host cannot speed up.
+    let available = Parallelism::Auto.num_threads();
+    r.set("available_parallelism", num(available));
+    r.gate("counts.triangles", num_triangles, Exact);
+    r.gate("counts.four_cliques", num_four_cliques, Exact);
+    measure_peel(&graph, config.repeats, &mut r);
+    r.set("baseline", run(1, baseline, baseline_exceeded));
+    r.gate("baseline.total_s", baseline[2], ReportOnly);
+    r.set("runs", Json::Arr(runs));
+    Ok(r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::compare::Gate::HigherIsBetter;
+    use crate::report::{assert_tagged, at, counters, num_at, parsed, render};
     use crate::source::generate_graph;
 
     fn tiny_config() -> ParBenchConfig {
@@ -538,88 +326,78 @@ mod tests {
         }
     }
 
+    fn runs(doc: &Json) -> &[Json] {
+        doc.get("runs")
+            .and_then(Json::as_array)
+            .expect("runs array")
+    }
+
     #[test]
     fn report_is_consistent() {
-        let report = run(&tiny_config()).unwrap();
-        assert!(report.actual_edges > 0);
-        assert!(report.num_triangles > 0);
-        assert_eq!(report.baseline.threads, 1);
-        assert_eq!(report.baseline.speedup, 1.0);
-        assert_eq!(report.runs.len(), 1);
-        assert_eq!(report.runs[0].threads, 2);
-        assert!(report.runs[0].speedup > 0.0);
-        assert!(!report.baseline.deadline_exceeded);
+        let doc = parsed(run(&tiny_config()).unwrap());
+        assert!(num_at(&doc, "edges") > 0.0);
+        assert!(num_at(&doc, "counts.triangles") > 0.0);
+        assert_eq!(num_at(&doc, "baseline.threads"), 1.0);
+        assert_eq!(num_at(&doc, "baseline.speedup"), 1.0);
+        let runs = runs(&doc);
+        assert_eq!(runs.len(), 1);
+        assert_eq!(num_at(&runs[0], "threads"), 2.0);
+        assert!(num_at(&runs[0], "speedup") > 0.0);
+        let exceeded = at(&doc, "baseline.deadline_exceeded").and_then(Json::as_bool);
+        assert_eq!(exceeded, Some(false));
     }
 
     #[test]
     fn json_has_schema_and_parses_shape() {
-        let report = run(&tiny_config()).unwrap();
-        let json = report.to_json();
+        let json = run(&tiny_config()).unwrap().into_json();
         assert!(json.contains(r#""schema":"bench-parallel/v7""#));
         assert!(json.contains(r#""kind":"generated""#));
-        assert!(json.contains("\"counts\""));
-        assert!(json.contains("\"peel\""));
-        assert!(json.contains("\"baseline\""));
-        assert!(json.contains("\"runs\""));
         // The report must parse with the crate's own JSON reader — the
         // bench-compare gate depends on it.
-        let doc = crate::json::Json::parse(&json).expect("report JSON parses");
-        assert_eq!(
-            doc.path(&["counts", "triangles"])
-                .and_then(crate::json::Json::as_f64),
-            Some(report.num_triangles as f64)
-        );
-        assert_eq!(
-            doc.path(&["peel", "dp_calls"])
-                .and_then(crate::json::Json::as_f64),
-            Some(report.peel.stats.dp_calls as f64)
-        );
-        assert_eq!(
-            doc.path(&["peel", "peak_rss_bytes"])
-                .and_then(crate::json::Json::as_f64),
-            Some(report.peel.peak_rss_bytes as f64)
-        );
-        if cfg!(target_os = "linux") {
-            assert!(report.peel.peak_rss_bytes > 0, "parbench reads the probe");
+        let doc = Json::parse(&json).expect("report JSON parses");
+        for key in ["counts", "peel", "baseline", "runs"] {
+            assert!(doc.get(key).is_some(), "{key}");
         }
-        assert_eq!(
-            doc.path(&["peel", "reference_dp_calls"])
-                .and_then(crate::json::Json::as_f64),
-            Some(report.peel.reference_dp_calls as f64)
-        );
+        if cfg!(target_os = "linux") {
+            let rss = num_at(&doc, "peel.peak_rss_bytes");
+            assert!(rss > 0.0, "parbench reads the probe");
+        }
     }
 
     #[test]
     fn peel_counters_are_deterministic_and_method_counts_sorted() {
-        let a = run(&tiny_config()).unwrap();
-        let b = run(&tiny_config()).unwrap();
-        assert_eq!(a.peel.stats, b.peel.stats);
-        assert_eq!(a.peel.reference_dp_calls, b.peel.reference_dp_calls);
-        assert_eq!(a.peel.method_counts, b.peel.method_counts);
+        let a = parsed(run(&tiny_config()).unwrap());
+        let b = parsed(run(&tiny_config()).unwrap());
+        assert_eq!(counters(&a).unwrap(), counters(&b).unwrap());
+        assert_eq!(at(&a, "peel.method_counts"), at(&b, "peel.method_counts"));
         // Exact-DP default: every triangle counted once, as DP.
+        let methods = at(&a, "peel.method_counts").and_then(Json::as_array);
+        let triangles = num_at(&a, "counts.triangles");
         assert_eq!(
-            a.peel.method_counts,
-            vec![("DP".to_string(), a.num_triangles)]
+            methods,
+            Some(
+                &[object([
+                    ("method", Json::str("DP")),
+                    ("count", num(triangles))
+                ])][..]
+            )
         );
-        let sorted = {
-            let mut s = a.peel.method_counts.clone();
-            s.sort();
-            s
-        };
-        assert_eq!(a.peel.method_counts, sorted);
         // The deferred engine never does more work than the reference.
-        assert!(a.peel.stats.dp_calls <= a.peel.reference_dp_calls);
-        assert!(a.peel.dp_calls_saved_pct() >= 0.0);
+        assert!(num_at(&a, "peel.dp_calls") <= num_at(&a, "peel.reference_dp_calls"));
+        assert!(num_at(&a, "peel.dp_calls_saved_pct") >= 0.0);
     }
 
     #[test]
     fn table_lists_every_run() {
-        let report = run(&tiny_config()).unwrap();
-        let text = report.format();
-        assert!(text.contains("threads"));
-        assert!(text.contains("speedup"));
-        // Header + separator + baseline + one run.
-        assert!(text.lines().count() >= 4);
+        let text = render(&parsed(run(&tiny_config()).unwrap()));
+        assert!(text.contains("peel.dp_calls: "), "{text}");
+        let table = &text[text.find("\nruns:\n").expect("a runs table")..];
+        assert!(
+            table.contains("threads") && table.contains("speedup"),
+            "{text}"
+        );
+        // Heading + header + separator + one run.
+        assert_eq!(table.trim_start().lines().count(), 4, "{text}");
     }
 
     #[test]
@@ -647,7 +425,7 @@ mod tests {
         );
         let mut config = tiny_config();
         config.source = GraphSource::File(input.clone());
-        let report = run(&config).unwrap();
+        let doc = parsed(run(&config).unwrap());
         // The cache the ingest writes is the one the loader serves: it
         // carries the loader's tag and is reused as it stands.
         let (cache, tag) = input.snapshot_cache(&std::fs::read(&path).unwrap());
@@ -657,29 +435,30 @@ mod tests {
         let written = std::fs::read(&cache).unwrap();
         input.load_cached().unwrap();
         assert_eq!(std::fs::read(&cache).unwrap(), written);
-        let ingest = report.ingest.expect("input mode records ingest timings");
-        assert!(ingest.parse_s > 0.0);
-        assert!(ingest.snapshot_reload_s > 0.0);
-        assert!(ingest.snapshot_mmap_s > 0.0);
+        for step in ["parse_s", "snapshot_reload_s", "snapshot_mmap_s"] {
+            assert!(
+                num_at(&doc, &format!("source.ingest.{step}")) > 0.0,
+                "{step}"
+            );
+        }
         // Linux hosts must exercise the zero-copy path, not the fallback.
         if cfg!(target_os = "linux") {
-            assert!(ingest.mmap_used, "mmap open fell back to the owned path");
+            let mapped = at(&doc, "source.ingest.mmap_used").and_then(Json::as_bool);
+            assert_eq!(mapped, Some(true), "mmap open fell back to the owned path");
         }
         // The measured graph is the file's, not the generator's.
-        assert_eq!(report.actual_edges, 400);
-
-        let json = report.to_json();
-        assert!(json.contains(r#""kind":"file""#));
-        assert!(json.contains(r#""format":"snap""#));
-        assert!(json.contains(r#""prob_model":"column""#));
-        assert!(json.contains("\"reload_speedup\""));
-        assert!(json.contains("\"mmap_speedup\""));
-        assert!(json.contains("\"mmap_used\""));
-        assert!(json.contains(r#""schema":"bench-parallel/v7""#));
-        assert!(json.contains(r#""source.ingest.reload_speedup":"higher-is-better""#));
-        assert!(json.contains(r#""source.ingest.mmap_speedup":"report-only""#));
-        assert!(report.format().contains("ingest:"));
-        assert!(report.format().contains("peel (theta"));
+        assert_eq!(num_at(&doc, "edges"), 400.0);
+        let source = |key: &str| at(&doc, &format!("source.{key}")).and_then(Json::as_str);
+        assert_eq!(source("kind"), Some("file"));
+        assert_eq!(source("format"), Some("snap"));
+        assert_eq!(source("prob_model"), Some("column"));
+        assert_tagged(
+            &doc,
+            &[
+                ("source.ingest.reload_speedup", HigherIsBetter),
+                ("source.ingest.mmap_speedup", ReportOnly),
+            ],
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -700,29 +479,31 @@ mod tests {
             InputFormat::Snapshot,
             EdgeProbabilityModel::Column,
         ));
-        let report = run(&config).unwrap();
-        assert!(report.ingest.is_none(), "no snapshot-vs-snapshot timing");
-        assert_eq!(report.actual_edges, 400);
+        let doc = parsed(run(&config).unwrap());
+        assert_eq!(
+            at(&doc, "source.ingest"),
+            None,
+            "no snapshot-vs-snapshot timing"
+        );
+        assert_eq!(num_at(&doc, "edges"), 400.0);
         // No second snapshot appears beside the source.
         assert_eq!(
             std::fs::read_dir(&dir).unwrap().count(),
             1,
             "dataset directory must not be littered"
         );
-        // Provenance still records the file, without an ingest object.
-        let json = report.to_json();
-        assert!(json.contains(r#""kind":"file""#));
-        assert!(json.contains(r#""format":"ugsnap""#));
-        assert!(!json.contains("\"ingest\""), "{json}");
-        assert!(report.format().contains("ingest: "));
+        // Provenance still records the file.
+        assert_eq!(at(&doc, "source.kind").and_then(Json::as_str), Some("file"));
+        let format = at(&doc, "source.format").and_then(Json::as_str);
+        assert_eq!(format, Some("ugsnap"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn report_tags_every_gated_number() {
-        let json = run(&tiny_config()).unwrap().to_json();
-        crate::report::assert_tagged(
-            &json,
+        let doc = parsed(run(&tiny_config()).unwrap());
+        assert_tagged(
+            &doc,
             &[
                 ("vertices", Exact),
                 ("edges", Exact),
@@ -742,6 +523,6 @@ mod tests {
         );
         // Ingest tags appear only on ingested runs; the input-mode test
         // checks them there.
-        assert!(!json.contains("source.ingest"), "{json}");
+        assert_eq!(at(&doc, "source.ingest"), None);
     }
 }

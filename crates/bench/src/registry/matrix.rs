@@ -1,16 +1,18 @@
-//! The matrix runner and its `bench-matrix/v1` report.
+//! The matrix runner and its `bench-matrix/v2` report.
 //!
 //! `experiments matrix` executes every selected scenario through
-//! [`run::execute`] and emits one JSON document
-//! with per-scenario pass/fail, the extracted deterministic counters
-//! and the registry totals.  `bench-compare` knows the family: the
-//! committed `BENCH_matrix.json` baseline gates every recorded counter
-//! of every scenario at tolerance 0 in CI (the `matrix-smoke` job),
-//! replacing the per-family python gate blocks.
+//! [`run::execute`] and emits one tagged [`Report`] with the registry
+//! totals and, per scenario, its pass flag and the deterministic
+//! counters of its run, every number tagged `exact`.  `bench-compare`
+//! gates it like any other report: the committed `BENCH_matrix.json`
+//! baseline pins every scenario and every counter at tolerance 0 in CI
+//! (the `matrix-smoke` job).
 
 use super::run;
 use super::spec::{Spec, Workload};
+use crate::compare::Gate::Exact;
 use crate::json::Json;
+use crate::report::Report;
 
 /// One executed (or failed-to-execute) scenario in the matrix.
 #[derive(Debug, Clone)]
@@ -50,45 +52,25 @@ impl MatrixReport {
         self.failed_count() == 0
     }
 
-    /// The `bench-matrix/v1` JSON document.
-    pub fn to_json(&self) -> String {
-        let scenarios: Vec<Json> = self
-            .outcomes
-            .iter()
-            .map(|o| {
-                Json::Obj(vec![
-                    ("name".to_string(), Json::Str(o.name.clone())),
-                    ("workload".to_string(), Json::Str(o.workload.to_string())),
-                    ("passed".to_string(), Json::Bool(o.passed)),
-                    (
-                        "failures".to_string(),
-                        Json::Arr(o.failures.iter().cloned().map(Json::Str).collect()),
-                    ),
-                    (
-                        "counters".to_string(),
-                        Json::Obj(
-                            o.counters
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        let doc = Json::Obj(vec![
-            (
-                "schema".to_string(),
-                Json::Str("bench-matrix/v1".to_string()),
-            ),
-            ("total".to_string(), Json::Num(self.outcomes.len() as f64)),
-            ("passed".to_string(), Json::Num(self.passed_count() as f64)),
-            ("failed".to_string(), Json::Num(self.failed_count() as f64)),
-            ("scenarios".to_string(), Json::Arr(scenarios)),
-        ]);
-        let mut text = doc.to_json_string();
-        text.push('\n');
-        text
+    /// The `bench-matrix/v2` report: `total`, `passed` and `failed`,
+    /// then per scenario `scenarios.<name>.workload`, `.passed` (1 or
+    /// 0), `.failures` and `.counters.<path>`.
+    pub fn report(&self) -> Report {
+        let mut r = Report::new("bench-matrix/v2");
+        r.gate("total", self.outcomes.len(), Exact);
+        r.gate("passed", self.passed_count(), Exact);
+        r.gate("failed", self.failed_count(), Exact);
+        for o in &self.outcomes {
+            let at = format!("scenarios.{}", o.name);
+            r.set(&format!("{at}.workload"), Json::str(o.workload.to_string()));
+            r.gate(&format!("{at}.passed"), u32::from(o.passed), Exact);
+            let failures = o.failures.iter().map(Json::str);
+            r.set(&format!("{at}.failures"), Json::Arr(failures.collect()));
+            for (path, value) in &o.counters {
+                r.gate(&format!("{at}.counters.{path}"), *value, Exact);
+            }
+        }
+        r
     }
 
     /// Human-readable verdict table.
@@ -202,7 +184,7 @@ pub fn run_matrix(scenarios: &[&Spec], progress: &mut dyn FnMut(&str)) -> Matrix
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare;
+    use crate::{compare, report};
 
     fn outcome(name: &str, passed: bool) -> ScenarioOutcome {
         ScenarioOutcome {
@@ -226,21 +208,30 @@ mod tests {
         let report = MatrixReport {
             outcomes: vec![outcome("a", true), outcome("b", false)],
         };
-        let doc = Json::parse(&report.to_json()).unwrap();
+        let doc = Json::parse(&report.report().into_json()).unwrap();
+        let text = |path| report::at(&doc, path).and_then(Json::as_str);
+        assert_eq!(text("schema"), Some("bench-matrix/v2"));
+        assert_eq!(text("scenarios.b.workload"), Some("parbench"));
+        let failures = report::at(&doc, "scenarios.b.failures").and_then(Json::as_array);
+        assert_eq!(failures, Some(&[Json::str("x: expected 1, got 2")][..]));
+        // Every number is a counter, tagged exact.
+        let gates = report::gates(&doc).unwrap();
+        assert!(gates.iter().all(|(_, gate, _)| *gate == Exact), "{gates:?}");
+        let counters = report::counters(&doc).unwrap();
+        let counters: Vec<(&str, f64)> = counters.iter().map(|(p, v)| (p.as_str(), *v)).collect();
         assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some("bench-matrix/v1")
-        );
-        assert_eq!(doc.get("total").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(doc.get("passed").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(doc.get("failed").and_then(Json::as_f64), Some(1.0));
-        let scenarios = doc.get("scenarios").and_then(Json::as_array).unwrap();
-        assert_eq!(scenarios.len(), 2);
-        assert_eq!(
-            scenarios[0]
-                .path(&["counters", "peel.dp_calls"])
-                .and_then(Json::as_f64),
-            Some(400.0)
+            counters,
+            [
+                ("total", 2.0),
+                ("passed", 1.0),
+                ("failed", 1.0),
+                ("scenarios.a.passed", 1.0),
+                ("scenarios.a.counters.counts.triangles", 1234.0),
+                ("scenarios.a.counters.peel.dp_calls", 400.0),
+                ("scenarios.b.passed", 0.0),
+                ("scenarios.b.counters.counts.triangles", 1234.0),
+                ("scenarios.b.counters.peel.dp_calls", 400.0),
+            ]
         );
         // The document gates against itself cleanly through bench-compare.
         let diff = compare::compare(&doc, &doc, 0.0).unwrap();

@@ -7,14 +7,14 @@
 //! `tests/matrix_differential.rs` pins that each builtin is what its
 //! subcommand's flags parse to.
 //!
-//! After a driver finishes, its deterministic counters are read from
-//! its own JSON report: every path the report tags `exact` or
-//! `lower-is-better` ([`crate::report`]), never the walls, ratios and
+//! A bench driver returns its [`Report`](crate::report::Report); its
+//! text is that report through [`report::render`], and its
+//! deterministic counters are [`report::counters`]: every path the
+//! report tags `exact` or `lower-is-better`, never the walls, ratios and
 //! RSS probes tagged otherwise.  Each expectation the spec declares
 //! must match its counter exactly.
 
 use super::spec::{Job, Spec, Workload};
-use crate::compare::Gate;
 use crate::json::Json;
 use crate::runner::ExperimentContext;
 use crate::{
@@ -26,8 +26,8 @@ use nd_datasets::PaperDataset;
 /// The result of executing one scenario.
 #[derive(Debug, Clone)]
 pub struct Executed {
-    /// Human-readable driver output (`format()`, or the paper
-    /// experiment's full printed block).
+    /// Human-readable driver output: the rendered report, or the paper
+    /// experiment's full printed block.
     pub text: String,
     /// The driver's raw JSON report, byte-identical to what the direct
     /// subcommand would have written with `--out` (bench drivers only).
@@ -199,33 +199,15 @@ fn check_expectations(spec: &Spec, counters: &[(String, f64)], failures: &mut Ve
 
 /// Executes one scenario through its driver.  `Err` means the driver
 /// could not run at all (unloadable input); a run that completes but
-/// misses an expectation is `Ok` with `failures`.
+/// misses an expectation, or a serve run whose `oneshot.passed` is
+/// false, is `Ok` with `failures`.
 pub fn execute(spec: &Spec) -> Result<Executed, String> {
-    let mut failures = Vec::new();
-    let (text, raw_json) = match &spec.job {
-        Job::Parbench(config) => {
-            let report = parbench::run(config).map_err(|e| e.to_string())?;
-            (report.format(), report.to_json())
-        }
-        Job::Thetasweep(config) => {
-            let report = thetasweep::run_bench(config).map_err(|e| e.to_string())?;
-            (report.format(), report.to_json())
-        }
-        Job::Updates(config) => {
-            let report = updates::run(config).map_err(|e| e.to_string())?;
-            (report.format(), report.to_json())
-        }
-        Job::Serve(config) => {
-            let report = serve::run(config).map_err(|e| e.to_string())?;
-            if !report.passed() {
-                failures.push("serve oneshot self-test failed (see report failures)".to_string());
-            }
-            (report.format(), report.to_json())
-        }
-        Job::Million(config) => {
-            let report = million::run(config);
-            (report.format(), report.to_json())
-        }
+    let report = match &spec.job {
+        Job::Parbench(config) => parbench::run(config).map_err(|e| e.to_string())?,
+        Job::Thetasweep(config) => thetasweep::run_bench(config).map_err(|e| e.to_string())?,
+        Job::Updates(config) => updates::run(config).map_err(|e| e.to_string())?,
+        Job::Serve(config) => serve::run(config).map_err(|e| e.to_string())?,
+        Job::Million(config) => million::run(config),
         Job::Paper {
             workload,
             scale,
@@ -236,6 +218,7 @@ pub fn execute(spec: &Spec) -> Result<Executed, String> {
             if let Some(violations) = output.shape_violations {
                 counters.push(("shape_violations".to_string(), violations as f64));
             }
+            let mut failures = Vec::new();
             check_expectations(spec, &counters, &mut failures);
             return Ok(Executed {
                 text: output.text,
@@ -245,17 +228,17 @@ pub fn execute(spec: &Spec) -> Result<Executed, String> {
             });
         }
     };
+    let raw_json = report.into_json();
     let doc =
         Json::parse(&raw_json).map_err(|e| format!("{}: emitted invalid JSON: {e}", spec.name))?;
-    let counters: Vec<(String, f64)> = report::gates(&doc)
-        .map_err(|e| format!("{}: {e}", spec.name))?
-        .into_iter()
-        .filter(|(_, gate, _)| matches!(gate, Gate::Exact | Gate::LowerIsBetter))
-        .map(|(path, _, value)| (path, value))
-        .collect();
+    let counters = report::counters(&doc).map_err(|e| format!("{}: {e}", spec.name))?;
+    let mut failures = Vec::new();
+    if doc.path(&["oneshot", "passed"]).and_then(Json::as_bool) == Some(false) {
+        failures.push("serve oneshot self-test failed (see report failures)".to_string());
+    }
     check_expectations(spec, &counters, &mut failures);
     Ok(Executed {
-        text,
+        text: report::render(&doc),
         raw_json: Some(raw_json),
         counters,
         failures,

@@ -159,7 +159,8 @@ impl Job {
 /// One runnable scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Spec {
-    /// Unique scenario name (`[a-z0-9._-]+`).
+    /// Unique scenario name (`[a-z0-9_-]+`): one segment of the matrix
+    /// report's dotted paths.
     pub name: &'static str,
     /// Free-form tags for `matrix --tag` filtering.
     pub tags: &'static [&'static str],

@@ -15,11 +15,14 @@
 //! ```
 //!
 //! `bench-compare` and the scenario matrix read those tags through
-//! [`gates`] instead of keeping tables of their own, so adding a counter
-//! to a report is one `gate` call.
+//! [`gates`] and [`counters`] instead of keeping tables of their own, so
+//! adding a counter to a report is one `gate` call.  Every driver returns
+//! the `Report` it fills, and [`render`] is the one text form of all of
+//! them.
 
 use crate::compare::Gate::{self, HigherIsBetter, ReportOnly};
 use crate::json::Json;
+use crate::runner::format_table;
 use crate::source::{GraphSource, IngestTimings};
 
 /// A bench report under construction.
@@ -148,6 +151,11 @@ pub fn object<const N: usize>(members: [(&str, Json); N]) -> Json {
     )
 }
 
+/// The value at the dotted `path` of a parsed report.
+pub(crate) fn at<'a>(doc: &'a Json, path: &str) -> Option<&'a Json> {
+    path.split('.').try_fold(doc, |v, key| v.get(key))
+}
+
 /// Every tagged path of a parsed report, with its gate and its value, in
 /// emission order.  A report without a `gates` object, a tag that does
 /// not parse, or a tagged path that names no number is an error.
@@ -163,9 +171,7 @@ pub fn gates(doc: &Json) -> Result<Vec<(String, Gate, f64)>, String> {
                 .ok_or_else(|| format!("gate of {path} is not a string"))?
                 .parse::<Gate>()
                 .map_err(|e| format!("gate of {path}: {e}"))?;
-            let value = path
-                .split('.')
-                .try_fold(doc, |v, key| v.get(key))
+            let value = at(doc, path)
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("gated path {path} names no number in the report"))?;
             Ok((path.clone(), gate, value))
@@ -173,12 +179,107 @@ pub fn gates(doc: &Json) -> Result<Vec<(String, Gate, f64)>, String> {
         .collect()
 }
 
-/// Asserts that every tag of a driver's `json` report parses and names a
-/// number, and that each `expected` path carries its gate.
+/// The deterministic counters of a parsed report: every path tagged
+/// `exact` or `lower-is-better`, in emission order.  The walls, ratios
+/// and RSS probes tagged otherwise stay out.
+pub fn counters(doc: &Json) -> Result<Vec<(String, f64)>, String> {
+    Ok(gates(doc)?
+        .into_iter()
+        .filter(|(_, gate, _)| matches!(gate, Gate::Exact | Gate::LowerIsBetter))
+        .map(|(path, _, value)| (path, value))
+        .collect())
+}
+
+/// A number as text: integers exactly, anything else to four decimals.
+pub(crate) fn fmt_num(x: f64) -> String {
+    if x.fract() == 0.0 && x.abs() < 1e15 {
+        format!("{}", x as i64)
+    } else {
+        format!("{x:.4}")
+    }
+}
+
+/// A parsed report as text: one `path: value` line per leaf, in emission
+/// order, with the gate tag of a tagged number after it.  An array of
+/// objects (`runs`, `per_theta`, `method_counts`) prints as one table
+/// under its path.
+pub fn render(doc: &Json) -> String {
+    let tags = match doc.get("gates") {
+        Some(Json::Obj(members)) => members.as_slice(),
+        _ => &[],
+    };
+    let mut out = String::new();
+    if let Json::Obj(members) = doc {
+        for (key, value) in members.iter().filter(|(key, _)| key != "gates") {
+            render_at(key, value, tags, &mut out);
+        }
+    }
+    out
+}
+
+fn render_at(path: &str, value: &Json, tags: &[(String, Json)], out: &mut String) {
+    match value {
+        Json::Obj(members) if !members.is_empty() => {
+            for (key, child) in members {
+                render_at(&format!("{path}.{key}"), child, tags, out);
+            }
+        }
+        Json::Arr(items) if matches!(items.first(), Some(Json::Obj(_))) => {
+            let Some(Json::Obj(first)) = items.first() else {
+                return;
+            };
+            let header: Vec<&str> = first.iter().map(|(key, _)| key.as_str()).collect();
+            let rows: Vec<Vec<String>> = items
+                .iter()
+                .map(|item| {
+                    let cell = |key: &&str| item.get(key).map_or_else(String::new, text);
+                    header.iter().map(cell).collect()
+                })
+                .collect();
+            out.push_str(&format!("{path}:\n{}", format_table(&header, &rows)));
+        }
+        _ => {
+            let tag = tags.iter().find(|(tagged, _)| tagged == path);
+            let tag = tag.and_then(|(_, gate)| gate.as_str());
+            let tag = tag.map_or_else(String::new, |gate| format!("  [{gate}]"));
+            out.push_str(&format!("{path}: {}{tag}\n", text(value)));
+        }
+    }
+}
+
+/// One value as text: a string bare, a number by [`fmt_num`], an array
+/// of values in brackets.
+fn text(value: &Json) -> String {
+    match value {
+        Json::Str(s) => s.clone(),
+        Json::Num(x) => fmt_num(*x),
+        Json::Arr(items) => {
+            let items: Vec<String> = items.iter().map(text).collect();
+            format!("[{}]", items.join(", "))
+        }
+        other => other.to_json_string(),
+    }
+}
+
+/// A driver's report, parsed back as a bench report is read.
 #[cfg(test)]
-pub(crate) fn assert_tagged(json: &str, expected: &[(&str, Gate)]) {
-    let doc = Json::parse(json).expect("report JSON parses");
-    let gates = gates(&doc).expect("every tag parses and names a number");
+pub(crate) fn parsed(report: Report) -> Json {
+    Json::parse(&report.into_json()).expect("report JSON parses")
+}
+
+/// The number at `path` of a parsed report.
+#[cfg(test)]
+pub(crate) fn num_at(doc: &Json, path: &str) -> f64 {
+    at(doc, path)
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("{path} names no number"))
+}
+
+/// Asserts that every tag of a parsed report parses and names a number,
+/// and that each `expected` path carries its gate.
+#[cfg(test)]
+pub(crate) fn assert_tagged(doc: &Json, expected: &[(&str, Gate)]) {
+    let gates = gates(doc).expect("every tag parses and names a number");
     for &(path, gate) in expected {
         let found = gates.iter().find(|(p, _, _)| p == path).map(|g| g.1);
         assert_eq!(found, Some(gate), "gate of {path}");
@@ -203,6 +304,38 @@ mod tests {
             "{\"schema\":\"bench-test/v1\",\"counts\":{\"triangles\":20,\"four_cliques\":3},\
              \"seed\":8,\"runs\":[{\"threads\":2}],\"gates\":{\"counts.triangles\":\"exact\",\
              \"counts.four_cliques\":\"lower-is-better\"}}\n"
+        );
+    }
+
+    #[test]
+    fn render_prints_leaves_with_their_tags_and_object_arrays_as_tables() {
+        let mut report = Report::new("bench-test/v1");
+        report.set("source.kind", Json::str("generated"));
+        report.gate("counts.triangles", 20.0, Gate::Exact);
+        report.gate("peel.peel_s", 0.123456, Gate::ReportOnly);
+        report.set("grid", Json::Arr(vec![num(0.5), num(1.0)]));
+        report.set("counts.empty", Json::Obj(Vec::new()));
+        let rows = [(1, 0.25), (4, 0.0625)]
+            .map(|(threads, s)| object([("threads", num(threads as u32)), ("support_s", num(s))]));
+        report.set("runs", Json::Arr(Vec::from(rows)));
+        let doc = parsed(report);
+        assert_eq!(
+            render(&doc),
+            "schema: bench-test/v1\n\
+             source.kind: generated\n\
+             counts.triangles: 20  [exact]\n\
+             counts.empty: {}\n\
+             peel.peel_s: 0.1235  [report-only]\n\
+             grid: [0.5000, 1]\n\
+             runs:\n\
+             threads  support_s\n\
+             ------------------\n\
+             \x20     1     0.2500\n\
+             \x20     4     0.0625\n"
+        );
+        assert_eq!(
+            counters(&doc).unwrap(),
+            [("counts.triangles".to_string(), 20.0)]
         );
     }
 

@@ -32,7 +32,7 @@
 //! Wall-clock timings are deliberately absent: the whole report is
 //! deterministic, so the diff gate needs no tolerance carve-outs.
 
-use nd_server::{run_oneshot, ClientError, OneshotOptions, OneshotReport};
+use nd_server::{run_oneshot, ClientError, OneshotOptions};
 use ugraph::par::Parallelism;
 
 use crate::compare::Gate::Exact;
@@ -86,7 +86,7 @@ pub enum ServeBenchError {
     Ingest(IngestError),
     /// The scripted client lost its connection or got a malformed
     /// response — a transport failure, not a failed check (failed checks
-    /// land in [`OneshotReport::failures`]).
+    /// land in the report's `oneshot.failures`).
     Client(ClientError),
 }
 
@@ -101,84 +101,11 @@ impl std::fmt::Display for ServeBenchError {
 
 impl std::error::Error for ServeBenchError {}
 
-/// Full report of a serve smoke run.
-#[derive(Debug, Clone)]
-pub struct ServeBenchReport {
-    /// The configuration the report was produced with.
-    pub config: ServeBenchConfig,
-    /// The scripted session's verdicts and final counters.
-    pub oneshot: OneshotReport,
-}
-
-impl ServeBenchReport {
-    /// `true` when every scripted check (bit-identity, typed errors,
-    /// cache behaviour) passed.
-    pub fn passed(&self) -> bool {
-        self.oneshot.passed()
-    }
-
-    /// Serializes the report to the `bench-serve/v3` JSON schema.
-    pub fn to_json(&self) -> String {
-        let c = &self.config;
-        let o = &self.oneshot;
-        let mut r = Report::new("bench-serve/v3");
-        r.source(&c.source, c.seed);
-        r.gate("vertices", o.vertices, Exact);
-        r.gate("edges", o.edges, Exact);
-        r.set("seed", num(c.seed));
-        let thetas = o.thetas.iter().map(|&t| num(t));
-        r.set("thetas", Json::Arr(thetas.collect()));
-        r.set("oneshot.passed", Json::Bool(self.passed()));
-        r.set("oneshot.bit_identical", Json::Bool(o.bit_identical));
-        let failures = o.failures.iter().map(Json::str);
-        r.set("oneshot.failures", Json::Arr(failures.collect()));
-        // The script is fixed, so every counter is a pure function of it.
-        for (name, value) in o.stats.fields() {
-            r.gate(&format!("stats.{name}"), value, Exact);
-        }
-        r.into_json()
-    }
-
-    /// Human-readable summary of the same run.
-    pub fn format(&self) -> String {
-        let stats = &self.oneshot.stats;
-        let verdict = if self.passed() {
-            "PASSED".to_string()
-        } else {
-            format!("FAILED ({})", self.oneshot.failures.join("; "))
-        };
-        format!(
-            "serve oneshot — {} vertices, {} edges, grid {:?}\n\
-             verdict: {verdict} (bit-identical to library calls: {})\n\
-             requests: {} ({} batch), typed request errors: {}, protocol errors: {}\n\
-             cache: {} hits / {} misses / {} evictions; support builds: {}\n\
-             sessions: {} opened / {} closed; deadline hits: {}\n\
-             updates: {} applied; supports repaired: {}; cache invalidations: {}",
-            self.oneshot.vertices,
-            self.oneshot.edges,
-            self.oneshot.thetas,
-            self.oneshot.bit_identical,
-            stats.requests,
-            stats.batches,
-            stats.request_errors,
-            stats.protocol_errors,
-            stats.cache_hits,
-            stats.cache_misses,
-            stats.cache_evictions,
-            stats.support_builds,
-            stats.sessions_opened,
-            stats.sessions_closed,
-            stats.deadlines_exceeded,
-            stats.updates_applied,
-            stats.supports_repaired,
-            stats.cache_invalidations,
-        )
-    }
-}
-
 /// Runs the smoke benchmark: load the graph, boot a server, drive the
-/// scripted session, collect the drained counters.
-pub fn run(config: &ServeBenchConfig) -> Result<ServeBenchReport, ServeBenchError> {
+/// scripted session, collect the drained counters.  `oneshot.passed` is
+/// the verdict: `true` when every scripted check (bit-identity, typed
+/// errors, cache behaviour) passed.
+pub fn run(config: &ServeBenchConfig) -> Result<Report, ServeBenchError> {
     let graph = config
         .source
         .load(config.seed)
@@ -188,17 +115,29 @@ pub fn run(config: &ServeBenchConfig) -> Result<ServeBenchReport, ServeBenchErro
         cache_capacity: config.cache_capacity,
         parallelism: config.parallelism,
     };
-    let oneshot = run_oneshot(&graph, &options).map_err(ServeBenchError::Client)?;
-    Ok(ServeBenchReport {
-        config: config.clone(),
-        oneshot,
-    })
+    let o = run_oneshot(&graph, &options).map_err(ServeBenchError::Client)?;
+    let mut r = Report::new("bench-serve/v3");
+    r.source(&config.source, config.seed);
+    r.gate("vertices", o.vertices, Exact);
+    r.gate("edges", o.edges, Exact);
+    r.set("seed", num(config.seed));
+    let thetas = o.thetas.iter().map(|&t| num(t));
+    r.set("thetas", Json::Arr(thetas.collect()));
+    r.set("oneshot.passed", Json::Bool(o.passed()));
+    r.set("oneshot.bit_identical", Json::Bool(o.bit_identical));
+    let failures = o.failures.iter().map(Json::str);
+    r.set("oneshot.failures", Json::Arr(failures.collect()));
+    // The script is fixed, so every counter is a pure function of it.
+    for (name, value) in o.stats.fields() {
+        r.gate(&format!("stats.{name}"), value, Exact);
+    }
+    Ok(r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
+    use crate::report::{assert_tagged, at, counters, num_at, parsed};
     use crate::source::generate_graph;
     use nd_datasets::ExternalDataset;
 
@@ -215,58 +154,37 @@ mod tests {
 
     #[test]
     fn report_passes_and_has_v2_schema() {
-        let report = run(&tiny_config()).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.oneshot.failures);
-        assert!(report.oneshot.bit_identical);
-        let json = report.to_json();
-        assert!(json.contains(r#""schema":"bench-serve/v3""#));
-        assert!(json.contains(r#""kind":"generated""#));
-        let doc = Json::parse(&json).expect("report JSON parses");
+        let doc = parsed(run(&tiny_config()).unwrap());
+        let flag = |path| at(&doc, path).and_then(Json::as_bool);
         assert_eq!(
-            doc.path(&["oneshot", "passed"]).and_then(Json::as_bool),
-            Some(true)
+            flag("oneshot.passed"),
+            Some(true),
+            "{:?}",
+            at(&doc, "oneshot.failures")
+        );
+        assert_eq!(flag("oneshot.bit_identical"), Some(true));
+        assert_eq!(
+            at(&doc, "schema").and_then(Json::as_str),
+            Some("bench-serve/v3")
         );
         assert_eq!(
-            doc.path(&["stats", "support_builds"])
-                .and_then(Json::as_f64),
-            Some(1.0)
+            at(&doc, "source.kind").and_then(Json::as_str),
+            Some("generated")
         );
-        assert_eq!(
-            doc.path(&["stats", "protocol_errors"])
-                .and_then(Json::as_f64),
-            Some(0.0)
-        );
+        assert_eq!(num_at(&doc, "stats.support_builds"), 1.0);
+        assert_eq!(num_at(&doc, "stats.protocol_errors"), 0.0);
         // The v2 script queries both θ before and after its update batch:
         // 2 pre-update misses, 2 post-update misses on the repaired rank.
-        assert_eq!(
-            doc.path(&["stats", "cache_misses"]).and_then(Json::as_f64),
-            Some(4.0)
-        );
-        assert_eq!(
-            doc.path(&["stats", "updates_applied"])
-                .and_then(Json::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(
-            doc.path(&["stats", "supports_repaired"])
-                .and_then(Json::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(
-            doc.path(&["stats", "cache_invalidations"])
-                .and_then(Json::as_f64),
-            Some(2.0)
-        );
-        assert!(report.format().contains("PASSED"));
-        assert!(report.format().contains("supports repaired: 1"));
+        assert_eq!(num_at(&doc, "stats.cache_misses"), 4.0);
+        assert_eq!(num_at(&doc, "stats.updates_applied"), 1.0);
+        assert_eq!(num_at(&doc, "stats.supports_repaired"), 1.0);
+        assert_eq!(num_at(&doc, "stats.cache_invalidations"), 2.0);
     }
 
     #[test]
     fn counters_are_deterministic_across_runs() {
-        let a = run(&tiny_config()).unwrap();
-        let b = run(&tiny_config()).unwrap();
-        assert_eq!(a.oneshot.stats, b.oneshot.stats);
-        assert_eq!(a.to_json(), b.to_json());
+        let a = run(&tiny_config()).unwrap().into_json();
+        assert_eq!(a, run(&tiny_config()).unwrap().into_json());
     }
 
     #[test]
@@ -283,15 +201,18 @@ mod tests {
         let input = ExternalDataset::new(&path, InputFormat::Snap, EdgeProbabilityModel::Column);
         let mut config = tiny_config();
         config.source = GraphSource::File(input.clone());
-        let report = run(&config).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.oneshot.failures);
-        assert_eq!(report.oneshot.edges, 400);
+        let doc = parsed(run(&config).unwrap());
+        let passed = at(&doc, "oneshot.passed").and_then(Json::as_bool);
+        assert_eq!(passed, Some(true), "{:?}", at(&doc, "oneshot.failures"));
+        assert_eq!(num_at(&doc, "edges"), 400.0);
         // The script's counters do not depend on where the graph came from.
-        assert_eq!(
-            report.oneshot.stats,
-            run(&tiny_config()).unwrap().oneshot.stats
-        );
-        let doc = Json::parse(&report.to_json()).expect("report JSON parses");
+        let stats = |doc: &Json| {
+            let counters = counters(doc).unwrap().into_iter();
+            counters
+                .filter(|(path, _)| path.starts_with("stats."))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(stats(&doc), stats(&parsed(run(&tiny_config()).unwrap())));
         let source = |key| doc.path(&["source", key]).and_then(Json::as_str);
         assert_eq!(source("kind"), Some("file"));
         assert_eq!(source("path"), path.to_str());
@@ -323,12 +244,15 @@ mod tests {
 
     #[test]
     fn report_tags_every_gated_number() {
-        let report = run(&tiny_config()).unwrap();
-        let fields = report.oneshot.stats.fields();
+        let doc = parsed(run(&tiny_config()).unwrap());
+        let stats = doc.get("stats").expect("a stats object");
+        let Json::Obj(fields) = stats else {
+            panic!("stats is an object")
+        };
         let stats: Vec<String> = fields.iter().map(|(n, _)| format!("stats.{n}")).collect();
         assert_eq!(stats.len(), 14, "every counter of the scripted session");
         let mut expected = vec![("vertices", Exact), ("edges", Exact)];
         expected.extend(stats.iter().map(|path| (path.as_str(), Exact)));
-        crate::report::assert_tagged(&report.to_json(), &expected);
+        assert_tagged(&doc, &expected);
     }
 }

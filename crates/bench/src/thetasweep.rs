@@ -52,8 +52,8 @@ use nucleus::{
 use crate::compare::Gate::{Exact, LowerIsBetter, ReportOnly};
 use crate::json::Json;
 use crate::report::{num, object, Report};
-use crate::runner::{format_table, run_with_deadline, ExperimentContext, Timing};
-use crate::source::{GraphSource, IngestError, IngestTimings};
+use crate::runner::{format_table, ExperimentContext, Timing};
+use crate::source::{GraphSource, IngestError};
 
 /// The default θ grid of the benchmark: spans the range the paper's
 /// figures sweep, anchored on the parbench θ (0.1).
@@ -101,193 +101,6 @@ impl SweepBenchConfig {
     }
 }
 
-/// Deterministic counters of one grid point.
-#[derive(Debug, Clone, Copy)]
-pub struct PerThetaCounters {
-    /// The threshold.
-    pub theta: f64,
-    /// Peel counters of the sweep at this θ (asserted identical to the
-    /// independent run's).
-    pub stats: PeelStats,
-    /// The process's peak resident set size in bytes
-    /// ([`ugraph::metrics::peak_rss_bytes`]), read right after the sweep
-    /// that produced this point: an environment probe, not a counter
-    /// (0 where the platform has no `VmHWM`).
-    pub peak_rss_bytes: u64,
-    /// Largest ℓ-nucleusness at this θ.
-    pub max_score: u32,
-    /// Peeling-time recomputations of the independent per-θ run
-    /// (bit-identical to `stats.dp_calls` by the engine contract; both
-    /// are recorded so the report states the ≤ relation explicitly).
-    pub independent_dp_calls: usize,
-}
-
-/// Full report of a θ-sweep benchmark run.
-#[derive(Debug, Clone)]
-pub struct SweepBenchReport {
-    /// The configuration the report was produced with.
-    pub config: SweepBenchConfig,
-    /// Actual vertex count of the measured graph.
-    pub actual_vertices: usize,
-    /// Actual edge count of the measured graph.
-    pub actual_edges: usize,
-    /// Ingestion timings when the graph came from `--input`.
-    pub ingest: Option<IngestTimings>,
-    /// Number of triangles (the nucleus rank's elements and the truss
-    /// rank's cells; `None` at the core rank, whose element and cell
-    /// counts are the top-level vertex and edge counts).
-    pub num_triangles: Option<usize>,
-    /// Number of 4-cliques (nucleus-rank cells; `None` elsewhere).
-    pub num_four_cliques: Option<usize>,
-    /// `std::thread::available_parallelism()` of the measuring host.
-    pub available_parallelism: usize,
-    /// Support-structure builds of the sweep (the tentpole number: 1).
-    pub support_builds: usize,
-    /// Support-structure builds of the independent loop (grid size).
-    pub independent_support_builds: usize,
-    /// Per-θ counters, in grid order.
-    pub per_theta: Vec<PerThetaCounters>,
-    /// Best-of-repeats wall seconds of the whole sweep (one support
-    /// build + every peel).
-    pub sweep_s: f64,
-    /// Best-of-repeats wall seconds of the independent per-θ loop.
-    pub independent_s: f64,
-    /// `true` when a measured phase blew its wall-clock budget.
-    pub deadline_exceeded: bool,
-}
-
-impl SweepBenchReport {
-    /// Sum of peeling-time recomputations across the grid (sweep side).
-    pub fn dp_calls_total(&self) -> usize {
-        self.per_theta.iter().map(|p| p.stats.dp_calls).sum()
-    }
-
-    /// Sum of the independent runs' recomputations.
-    pub fn independent_dp_calls_total(&self) -> usize {
-        self.per_theta.iter().map(|p| p.independent_dp_calls).sum()
-    }
-
-    /// Wall-clock amortization: independent-loop time over sweep time
-    /// (> 1 means the shared support build paid off).
-    pub fn amortization(&self) -> f64 {
-        self.independent_s / self.sweep_s.max(1e-9)
-    }
-
-    /// Serializes the report to the `bench-parallel/v7` JSON schema.
-    pub fn to_json(&self) -> String {
-        let c = &self.config;
-        let mut r = Report::new("bench-parallel/v7");
-        r.set("rank", Json::str(c.rank.to_string()));
-        r.source(&c.source, c.seed);
-        r.ingest(self.ingest.as_ref());
-        r.gate("vertices", self.actual_vertices, Exact);
-        r.gate("edges", self.actual_edges, Exact);
-        r.set("seed", num(c.seed));
-        r.set("repeats", num(c.repeats));
-        r.set("available_parallelism", num(self.available_parallelism));
-        // Rank-appropriate, with the parbench keys where the quantities
-        // exist at this rank.
-        r.set("counts", Json::Obj(Vec::new()));
-        if let Some(t) = self.num_triangles {
-            r.gate("counts.triangles", t, Exact);
-        }
-        if let Some(cliques) = self.num_four_cliques {
-            r.gate("counts.four_cliques", cliques, Exact);
-        }
-        let grid = self.per_theta.iter().map(|p| num(p.theta));
-        r.set("sweep.grid", Json::Arr(grid.collect()));
-        r.gate("sweep.grid_size", self.per_theta.len(), Exact);
-        // The tentpole invariant: one support build answers the grid.
-        r.gate("sweep.support_builds", self.support_builds, Exact);
-        r.gate(
-            "sweep.independent_support_builds",
-            self.independent_support_builds,
-            Exact,
-        );
-        r.gate("sweep.dp_calls_total", self.dp_calls_total(), LowerIsBetter);
-        r.gate(
-            "sweep.independent_dp_calls_total",
-            self.independent_dp_calls_total(),
-            Exact,
-        );
-        r.gate("sweep.sweep_s", self.sweep_s, ReportOnly);
-        r.gate("sweep.independent_s", self.independent_s, ReportOnly);
-        r.gate("sweep.amortization", self.amortization(), ReportOnly);
-        r.set(
-            "sweep.deadline_exceeded",
-            Json::Bool(self.deadline_exceeded),
-        );
-        let rows = self.per_theta.iter().map(|p| {
-            object([
-                ("theta", num(p.theta)),
-                ("dp_calls", num(p.stats.dp_calls)),
-                ("recompute_skips", num(p.stats.recompute_skips)),
-                ("buckets_touched", num(p.stats.buckets_touched)),
-                ("peak_scratch_bytes", num(p.stats.peak_scratch_bytes)),
-                ("peak_rss_bytes", num(p.peak_rss_bytes)),
-                ("max_score", num(p.max_score)),
-                ("independent_dp_calls", num(p.independent_dp_calls)),
-            ])
-        });
-        r.set("sweep.per_theta", Json::Arr(rows.collect()));
-        r.into_json()
-    }
-
-    /// Human-readable table of the same measurements.
-    pub fn format(&self) -> String {
-        let mut rows = Vec::new();
-        for p in &self.per_theta {
-            rows.push(vec![
-                format!("{:.3}", p.theta),
-                p.stats.dp_calls.to_string(),
-                p.stats.recompute_skips.to_string(),
-                p.stats.buckets_touched.to_string(),
-                p.stats.peak_scratch_bytes.to_string(),
-                p.max_score.to_string(),
-            ]);
-        }
-        let counts = match (self.num_triangles, self.num_four_cliques) {
-            (Some(t), Some(c)) => format!(", {t} triangles, {c} 4-cliques"),
-            (Some(t), None) => format!(", {t} triangles"),
-            _ => String::new(),
-        };
-        format!(
-            "{} sweep bench — {} vertices, {} edges (seed {}){}, host parallelism {}\n\
-             support builds: {} (sweep) vs {} (independent); dp_calls {} vs {}\n\
-             wall: sweep {:.3}s vs independent {:.3}s ({:.2}x amortization){}\n{}",
-            self.config.rank,
-            self.actual_vertices,
-            self.actual_edges,
-            self.config.seed,
-            counts,
-            self.available_parallelism,
-            self.support_builds,
-            self.independent_support_builds,
-            self.dp_calls_total(),
-            self.independent_dp_calls_total(),
-            self.sweep_s,
-            self.independent_s,
-            self.amortization(),
-            if self.deadline_exceeded {
-                " [DEADLINE EXCEEDED]"
-            } else {
-                ""
-            },
-            format_table(
-                &[
-                    self.config.rank.threshold_name(),
-                    "dp_calls",
-                    "skips",
-                    "buckets",
-                    "scratch_B",
-                    "max_score"
-                ],
-                &rows,
-            )
-        )
-    }
-}
-
 /// Runs the benchmark at the configured rank: best-of-`repeats`
 /// [`DecompSweep`] builds, then best-of-`repeats` independent
 /// per-threshold [`Decomposition::compute`] loops, verifying bit-identity
@@ -296,7 +109,7 @@ impl SweepBenchReport {
 /// Panics if the sweep and an independent decomposition disagree on a
 /// single score, initial score, method count or perf counter — the
 /// benchmark doubles as a CI-enforced differential check at real scale.
-pub fn run_bench(config: &SweepBenchConfig) -> Result<SweepBenchReport, IngestError> {
+pub fn run_bench(config: &SweepBenchConfig) -> Result<Report, IngestError> {
     let (graph, ingest_timings) = config.source.ingest(config.seed, config.repeats)?;
     let rank = config.rank;
     let sweep_config = SweepConfig::exact(config.thetas.clone()).with_rank(rank);
@@ -304,8 +117,10 @@ pub fn run_bench(config: &SweepBenchConfig) -> Result<SweepBenchReport, IngestEr
 
     let mut sweep_s = f64::INFINITY;
     let mut index = None;
+    // The process's peak RSS right after the sweep: an environment
+    // probe, not a counter (0 where the platform has no `VmHWM`).
     let mut peak_rss_bytes = 0;
-    let (_, _, sweep_exceeded) = run_with_deadline(DEADLINE, || {
+    let ((), sweep_t) = Timing::measure(|| {
         for _ in 0..repeats {
             let (built, t) = Timing::measure(|| {
                 DecompSweep::compute(&graph, &sweep_config).expect("valid sweep config")
@@ -320,7 +135,7 @@ pub fn run_bench(config: &SweepBenchConfig) -> Result<SweepBenchReport, IngestEr
 
     let mut independent_s = f64::INFINITY;
     let mut independents = None;
-    let (_, _, indep_exceeded) = run_with_deadline(DEADLINE, || {
+    let ((), independent_t) = Timing::measure(|| {
         for _ in 0..repeats {
             let (solo, t) = Timing::measure(|| {
                 config
@@ -343,60 +158,87 @@ pub fn run_bench(config: &SweepBenchConfig) -> Result<SweepBenchReport, IngestEr
     });
     let independents = independents.expect("at least one repeat ran");
 
-    let per_theta: Vec<PerThetaCounters> = config
-        .thetas
-        .iter()
-        .enumerate()
-        .zip(&independents)
-        .map(|((gi, &theta), solo)| {
-            assert_eq!(
-                index.scores_at_index(gi),
-                solo.scores(),
-                "{rank} sweep diverged from the independent decomposition at threshold {theta}"
-            );
-            assert_eq!(
-                index.initial_scores_at_index(gi),
-                solo.initial_scores(),
-                "{rank} initial scores diverged at threshold {theta}"
-            );
-            assert_eq!(index.method_counts_at_index(gi), solo.method_counts());
-            let stats = *index.peel_stats_at_index(gi);
-            assert_eq!(&stats, solo.peel_stats(), "perf counters diverged");
-            PerThetaCounters {
-                theta,
-                stats,
-                peak_rss_bytes,
-                max_score: index.max_score_at_index(gi),
-                independent_dp_calls: solo.peel_stats().dp_calls,
-            }
-        })
-        .collect();
+    // The per-threshold peel counters, the sweep's asserted identical to
+    // the independent run's; `independent_dp_calls` is recorded beside
+    // `dp_calls` so the report states the ≤ relation explicitly.
+    let rows = config.thetas.iter().enumerate().zip(&independents);
+    let rows = rows.map(|((gi, &theta), solo)| {
+        assert_eq!(
+            index.scores_at_index(gi),
+            solo.scores(),
+            "{rank} sweep diverged from the independent decomposition at threshold {theta}"
+        );
+        assert_eq!(
+            index.initial_scores_at_index(gi),
+            solo.initial_scores(),
+            "{rank} initial scores diverged at threshold {theta}"
+        );
+        assert_eq!(index.method_counts_at_index(gi), solo.method_counts());
+        let stats = *index.peel_stats_at_index(gi);
+        assert_eq!(&stats, solo.peel_stats(), "perf counters diverged");
+        object([
+            ("theta", num(theta)),
+            ("dp_calls", num(stats.dp_calls)),
+            ("recompute_skips", num(stats.recompute_skips)),
+            ("buckets_touched", num(stats.buckets_touched)),
+            ("peak_scratch_bytes", num(stats.peak_scratch_bytes)),
+            ("peak_rss_bytes", num(peak_rss_bytes)),
+            ("max_score", num(index.max_score_at_index(gi))),
+            ("independent_dp_calls", num(solo.peel_stats().dp_calls)),
+        ])
+    });
+    let rows: Vec<Json> = rows.collect();
 
-    // The cell counts the `counts` object can carry at this rank: the
-    // nucleus rank's elements and cells, the truss rank's cells
-    // (triangles); the core rank's elements and cells (vertices, edges)
-    // are already top-level report fields.
-    let (num_triangles, num_four_cliques) = match &**index.support() {
-        RankSupport::Nucleus(s) => (Some(s.num_triangles()), Some(s.num_cliques())),
-        RankSupport::Truss(s) => (Some(s.num_cells()), None),
-        RankSupport::Core(_) => (None, None),
-    };
-
-    Ok(SweepBenchReport {
-        config: config.clone(),
-        actual_vertices: graph.num_vertices(),
-        actual_edges: graph.num_edges(),
-        ingest: ingest_timings,
-        num_triangles,
-        num_four_cliques,
-        available_parallelism: Parallelism::Auto.num_threads(),
-        support_builds: index.support_builds(),
-        independent_support_builds: config.thetas.len(),
-        per_theta,
-        sweep_s,
-        independent_s,
-        deadline_exceeded: sweep_exceeded || indep_exceeded,
-    })
+    let mut r = Report::new("bench-parallel/v7");
+    r.set("rank", Json::str(rank.to_string()));
+    r.source(&config.source, config.seed);
+    r.ingest(ingest_timings.as_ref());
+    r.gate("vertices", graph.num_vertices(), Exact);
+    r.gate("edges", graph.num_edges(), Exact);
+    r.set("seed", num(config.seed));
+    r.set("repeats", num(config.repeats));
+    let available = Parallelism::Auto.num_threads();
+    r.set("available_parallelism", num(available));
+    // Rank-appropriate, with the parbench keys where the quantities
+    // exist at this rank: the nucleus rank's elements and cells, the
+    // truss rank's cells (triangles); the core rank's elements and cells
+    // (vertices, edges) are already top-level report fields.
+    r.set("counts", Json::Obj(Vec::new()));
+    match &**index.support() {
+        RankSupport::Nucleus(s) => {
+            r.gate("counts.triangles", s.num_triangles(), Exact);
+            r.gate("counts.four_cliques", s.num_cliques(), Exact);
+        }
+        RankSupport::Truss(s) => r.gate("counts.triangles", s.num_cells(), Exact),
+        RankSupport::Core(_) => {}
+    }
+    let grid = config.thetas.iter().map(|&theta| num(theta));
+    r.set("sweep.grid", Json::Arr(grid.collect()));
+    r.gate("sweep.grid_size", rows.len(), Exact);
+    // The tentpole invariant: one support build answers the grid.
+    r.gate("sweep.support_builds", index.support_builds(), Exact);
+    r.gate(
+        "sweep.independent_support_builds",
+        config.thetas.len(),
+        Exact,
+    );
+    r.gate(
+        "sweep.dp_calls_total",
+        index.total_dp_calls(),
+        LowerIsBetter,
+    );
+    let independent_total: usize = independents.iter().map(|d| d.peel_stats().dp_calls).sum();
+    r.gate("sweep.independent_dp_calls_total", independent_total, Exact);
+    r.gate("sweep.sweep_s", sweep_s, ReportOnly);
+    r.gate("sweep.independent_s", independent_s, ReportOnly);
+    // Independent-loop time over sweep time: > 1 means the shared
+    // support build paid off.
+    let amortization = independent_s / sweep_s.max(1e-9);
+    r.gate("sweep.amortization", amortization, ReportOnly);
+    let exceeded = sweep_t.exceeded(DEADLINE) || independent_t.exceeded(DEADLINE);
+    r.set("sweep.deadline_exceeded", Json::Bool(exceeded));
+    r.set("sweep.per_theta", Json::Arr(rows));
+    Ok(r)
 }
 
 /// One row of the deterministic sweep table.
@@ -507,6 +349,7 @@ pub fn run_table(ctx: &ExperimentContext, datasets: &[PaperDataset], thetas: &[f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{assert_tagged, at, counters, num_at, parsed, render};
     use crate::source::generate_graph;
     use nd_datasets::{ExternalDataset, Scale};
 
@@ -523,69 +366,59 @@ mod tests {
         }
     }
 
+    fn max_scores(doc: &Json) -> Vec<f64> {
+        let rows = at(doc, "sweep.per_theta").and_then(Json::as_array);
+        let rows = rows.expect("per_theta rows");
+        rows.iter().map(|row| num_at(row, "max_score")).collect()
+    }
+
+    fn str_at<'a>(doc: &'a Json, path: &str) -> Option<&'a str> {
+        at(doc, path).and_then(Json::as_str)
+    }
+
     #[test]
     fn report_is_consistent_and_support_built_once() {
-        let report = run_bench(&tiny_config()).unwrap();
-        assert_eq!(report.support_builds, 1);
-        assert_eq!(report.independent_support_builds, 3);
-        assert_eq!(report.per_theta.len(), 3);
-        assert!(report.num_triangles.unwrap() > 0);
-        assert!(!report.deadline_exceeded);
+        let doc = parsed(run_bench(&tiny_config()).unwrap());
+        assert_eq!(num_at(&doc, "sweep.support_builds"), 1.0);
+        assert_eq!(num_at(&doc, "sweep.independent_support_builds"), 3.0);
+        assert_eq!(num_at(&doc, "sweep.grid_size"), 3.0);
+        assert!(num_at(&doc, "counts.triangles") > 0.0);
+        let exceeded = at(&doc, "sweep.deadline_exceeded").and_then(Json::as_bool);
+        assert_eq!(exceeded, Some(false));
         // Same engine per θ on both sides: the sums are equal, so the ≤
         // gate holds with slack zero.
-        assert_eq!(report.dp_calls_total(), report.independent_dp_calls_total());
-        assert!(report.amortization() > 0.0);
+        assert_eq!(
+            num_at(&doc, "sweep.dp_calls_total"),
+            num_at(&doc, "sweep.independent_dp_calls_total")
+        );
+        assert!(num_at(&doc, "sweep.amortization") > 0.0);
         // Monotone max scores across the grid.
-        for w in report.per_theta.windows(2) {
-            assert!(w[1].max_score <= w[0].max_score);
-        }
+        assert!(max_scores(&doc).windows(2).all(|w| w[1] <= w[0]));
     }
 
     #[test]
     fn json_has_v6_schema_and_parses_shape() {
-        let report = run_bench(&tiny_config()).unwrap();
-        let json = report.to_json();
-        assert!(json.contains(r#""schema":"bench-parallel/v7""#));
-        assert!(json.contains(r#""rank":"nucleus""#));
-        assert!(json.contains(r#""kind":"generated""#));
-        let doc = crate::json::Json::parse(&json).expect("report JSON parses");
-        assert_eq!(
-            doc.path(&["sweep", "support_builds"])
-                .and_then(crate::json::Json::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(
-            doc.path(&["sweep", "grid_size"])
-                .and_then(crate::json::Json::as_f64),
-            Some(3.0)
-        );
-        assert_eq!(
-            doc.path(&["sweep", "dp_calls_total"])
-                .and_then(crate::json::Json::as_f64),
-            Some(report.dp_calls_total() as f64)
-        );
-        assert_eq!(
-            doc.path(&["counts", "triangles"])
-                .and_then(crate::json::Json::as_f64),
-            Some(report.num_triangles.unwrap() as f64)
-        );
+        let doc = parsed(run_bench(&tiny_config()).unwrap());
+        assert_eq!(str_at(&doc, "schema"), Some("bench-parallel/v7"));
+        assert_eq!(str_at(&doc, "rank"), Some("nucleus"));
+        assert_eq!(str_at(&doc, "source.kind"), Some("generated"));
+        let grid = at(&doc, "sweep.grid").and_then(Json::as_array).unwrap();
+        assert_eq!(grid, [Json::num(0.05), Json::num(0.1), Json::num(0.3)]);
         // Every per-theta row carries the RSS probe next to the
         // deterministic scratch peak, read by the bench itself.
-        assert!(json.contains("\"peak_rss_bytes\""));
-        if cfg!(target_os = "linux") {
-            assert!(report.per_theta.iter().all(|p| p.peak_rss_bytes > 0));
+        let rows = at(&doc, "sweep.per_theta").and_then(Json::as_array);
+        for row in rows.unwrap() {
+            let rss = num_at(row, "peak_rss_bytes");
+            assert!(!cfg!(target_os = "linux") || rss > 0.0, "{rss}");
         }
     }
 
     #[test]
     fn counters_are_deterministic_across_runs() {
-        let a = run_bench(&tiny_config()).unwrap();
-        let b = run_bench(&tiny_config()).unwrap();
-        assert_eq!(a.dp_calls_total(), b.dp_calls_total());
-        for (x, y) in a.per_theta.iter().zip(&b.per_theta) {
-            assert_eq!(x.stats, y.stats);
-            assert_eq!(x.max_score, y.max_score);
-        }
+        let a = parsed(run_bench(&tiny_config()).unwrap());
+        let b = parsed(run_bench(&tiny_config()).unwrap());
+        assert_eq!(counters(&a).unwrap(), counters(&b).unwrap());
+        assert_eq!(max_scores(&a), max_scores(&b));
     }
 
     #[test]
@@ -617,13 +450,11 @@ mod tests {
             InputFormat::Snap,
             EdgeProbabilityModel::Column,
         ));
-        let report = run_bench(&config).unwrap();
-        assert!(report.ingest.is_some());
-        assert_eq!(report.actual_edges, 400);
-        let json = report.to_json();
-        assert!(json.contains(r#""kind":"file""#));
-        assert!(json.contains(r#""schema":"bench-parallel/v7""#));
-        assert!(report.format().contains("amortization"));
+        let doc = parsed(run_bench(&config).unwrap());
+        assert!(at(&doc, "source.ingest").is_some());
+        assert_eq!(num_at(&doc, "edges"), 400.0);
+        assert_eq!(str_at(&doc, "source.kind"), Some("file"));
+        assert!(render(&doc).contains("sweep.amortization: "));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -631,50 +462,30 @@ mod tests {
     fn truss_rank_sweeps_with_one_support_build() {
         let mut config = tiny_config();
         config.rank = Rank::Truss;
-        let report = run_bench(&config).unwrap();
-        assert_eq!(report.support_builds, 1);
-        assert_eq!(report.per_theta.len(), 3);
+        let doc = parsed(run_bench(&config).unwrap());
+        assert_eq!(num_at(&doc, "sweep.support_builds"), 1.0);
+        assert_eq!(num_at(&doc, "sweep.grid_size"), 3.0);
         // The truss rank peels edges; triangles are the cells.
-        assert_eq!(report.per_theta.len(), config.thetas.len());
-        assert!(report.num_triangles.unwrap() > 0);
-        assert_eq!(report.num_four_cliques, None);
-        assert_eq!(report.dp_calls_total(), report.independent_dp_calls_total());
-        for w in report.per_theta.windows(2) {
-            assert!(w[1].max_score <= w[0].max_score);
-        }
-        let json = report.to_json();
-        assert!(json.contains(r#""schema":"bench-parallel/v7""#));
-        assert!(json.contains(r#""rank":"truss""#));
-        assert!(json.contains("\"triangles\""));
-        assert!(!json.contains("four_cliques"));
-        let doc = crate::json::Json::parse(&json).expect("report JSON parses");
+        assert!(num_at(&doc, "counts.triangles") > 0.0);
+        assert_eq!(at(&doc, "counts.four_cliques"), None);
         assert_eq!(
-            doc.path(&["sweep", "support_builds"])
-                .and_then(crate::json::Json::as_f64),
-            Some(1.0)
+            num_at(&doc, "sweep.dp_calls_total"),
+            num_at(&doc, "sweep.independent_dp_calls_total")
         );
-        assert!(report.format().starts_with("truss sweep bench"));
-        assert!(report.format().contains("gamma"));
+        assert!(max_scores(&doc).windows(2).all(|w| w[1] <= w[0]));
+        assert_eq!(str_at(&doc, "rank"), Some("truss"));
     }
 
     #[test]
     fn core_rank_sweeps_with_empty_counts() {
         let mut config = tiny_config();
         config.rank = Rank::Core;
-        let report = run_bench(&config).unwrap();
-        assert_eq!(report.support_builds, 1);
-        assert_eq!(report.num_triangles, None);
-        assert_eq!(report.num_four_cliques, None);
-        let json = report.to_json();
+        let json = run_bench(&config).unwrap().into_json();
         assert!(json.contains(r#""rank":"core""#));
         assert!(json.contains(r#""counts":{}"#));
-        let doc = crate::json::Json::parse(&json).expect("report JSON parses");
-        assert_eq!(
-            doc.path(&["sweep", "grid_size"])
-                .and_then(crate::json::Json::as_f64),
-            Some(3.0)
-        );
-        assert!(report.format().contains("eta"));
+        let doc = Json::parse(&json).expect("report JSON parses");
+        assert_eq!(num_at(&doc, "sweep.support_builds"), 1.0);
+        assert_eq!(num_at(&doc, "sweep.grid_size"), 3.0);
     }
 
     #[test]
@@ -700,8 +511,7 @@ mod tests {
             if rank == Rank::Nucleus {
                 expected.push(("counts.four_cliques", Exact));
             }
-            let json = run_bench(&config).unwrap().to_json();
-            crate::report::assert_tagged(&json, &expected);
+            assert_tagged(&parsed(run_bench(&config).unwrap()), &expected);
         }
     }
 }

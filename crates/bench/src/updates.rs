@@ -49,12 +49,12 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use ugraph::{EdgeUpdate, UncertainGraph, VertexId};
 
-use nucleus::{DecompSweep, Rank, SweepConfig, UpdateReport};
+use nucleus::{DecompSweep, Rank, SweepConfig};
 
 use crate::compare::Gate::{Exact, LowerIsBetter};
 use crate::json::Json;
 use crate::report::{num, Report};
-use crate::source::{GraphSource, IngestError, IngestTimings};
+use crate::source::{GraphSource, IngestError};
 use crate::thetasweep::DEFAULT_GRID;
 
 /// Configuration of the incremental-update benchmark.
@@ -97,97 +97,6 @@ impl UpdateBenchConfig {
         let knobs = format!("grid: {:?}  batch: {}", self.thetas, self.batch);
         let experiment = format!("updates  rank: {}", self.rank);
         self.source.header(&experiment, &knobs, self.seed)
-    }
-}
-
-/// Full report of an update-benchmark run.
-#[derive(Debug, Clone)]
-pub struct UpdateBenchReport {
-    /// The configuration the report was produced with.
-    pub config: UpdateBenchConfig,
-    /// Actual vertex count of the measured graph.
-    pub actual_vertices: usize,
-    /// Actual edge count before the batch.
-    pub actual_edges: usize,
-    /// Edge count after the batch.
-    pub edges_after: usize,
-    /// Ingestion timings when the graph came from `--input`.
-    pub ingest: Option<IngestTimings>,
-    /// Realized insert count of the batch.
-    pub inserts: usize,
-    /// Realized delete count of the batch.
-    pub deletes: usize,
-    /// Realized reweight count of the batch.
-    pub reweights: usize,
-    /// The repair's deterministic counters.
-    pub report: UpdateReport,
-    /// What the verifying rebuild spent: `grid · elements` initial
-    /// score evaluations plus its peeling recomputations.
-    pub rebuild_dp_calls: usize,
-}
-
-impl UpdateBenchReport {
-    /// Score evaluations the repair spent beyond a full rebuild — 0
-    /// whenever the bounded re-peel actually pays off, and the Exact
-    /// `bench-compare` gate keeping it that way.
-    pub fn dp_calls_excess(&self) -> usize {
-        self.report
-            .repair_dp_calls
-            .saturating_sub(self.rebuild_dp_calls)
-    }
-
-    /// Serializes the report to the `bench-updates/v2` JSON schema.
-    pub fn to_json(&self) -> String {
-        let c = &self.config;
-        let rep = &self.report;
-        let mut r = Report::new("bench-updates/v2");
-        r.set("rank", Json::str(c.rank.to_string()));
-        r.source(&c.source, c.seed);
-        r.ingest(self.ingest.as_ref());
-        r.gate("vertices", self.actual_vertices, Exact);
-        r.gate("edges", self.actual_edges, Exact);
-        r.gate("edges_after", self.edges_after, Exact);
-        r.set("seed", num(c.seed));
-        let thetas = c.thetas.iter().map(|&t| num(t));
-        r.set("thetas", Json::Arr(thetas.collect()));
-        r.gate("batch.inserts", self.inserts, Exact);
-        r.gate("batch.deletes", self.deletes, Exact);
-        r.gate("batch.reweights", self.reweights, Exact);
-        r.gate("repair.affected_elements", rep.affected_elements, Exact);
-        r.gate("repair.region_elements", rep.region_elements, Exact);
-        r.gate("repair.repaired_points", rep.repaired_points, Exact);
-        r.gate("repair.recomputed_points", rep.recomputed_points, Exact);
-        r.gate("repair.repair_dp_calls", rep.repair_dp_calls, LowerIsBetter);
-        r.gate("repair.rebuild_dp_calls", self.rebuild_dp_calls, Exact);
-        // 0 in every committed baseline: exact at tolerance 0 *is* the
-        // "repair never costs more than a rebuild" guarantee.
-        r.gate("repair.dp_calls_excess", self.dp_calls_excess(), Exact);
-        r.into_json()
-    }
-
-    /// Human-readable summary of the same run.
-    pub fn format(&self) -> String {
-        format!(
-            "{} update bench — {} vertices, {} edges -> {} after batch \
-             ({} inserts, {} deletes, {} reweights), grid {:?}\n\
-             damage: {} affected elements, {} re-peeled (region)\n\
-             work: repair {} dp_calls vs rebuild {} ({}x saved, excess {})\n\
-             bit-identity vs fresh sweep on the updated graph: verified at every grid point",
-            self.config.rank,
-            self.actual_vertices,
-            self.actual_edges,
-            self.edges_after,
-            self.inserts,
-            self.deletes,
-            self.reweights,
-            self.config.thetas,
-            self.report.affected_elements,
-            self.report.region_elements,
-            self.report.repair_dp_calls,
-            self.rebuild_dp_calls,
-            self.rebuild_dp_calls / self.report.repair_dp_calls.max(1),
-            self.dp_calls_excess(),
-        )
     }
 }
 
@@ -256,17 +165,20 @@ pub fn seeded_batch(graph: &UncertainGraph, batch: usize, seed: u64) -> Vec<Edge
 /// Panics if the repaired sweep and the fresh rebuild disagree on a
 /// single score or initial score — the benchmark doubles as a
 /// CI-enforced differential check at real scale.
-pub fn run(config: &UpdateBenchConfig) -> Result<UpdateBenchReport, IngestError> {
+pub fn run(config: &UpdateBenchConfig) -> Result<Report, IngestError> {
     let (graph, ingest_timings) = config.source.ingest(config.seed, 1)?;
     let sweep_config = SweepConfig::exact(config.thetas.clone()).with_rank(config.rank);
     let mut sweep = DecompSweep::compute(&graph, &sweep_config).expect("valid sweep config");
 
     let batch = seeded_batch(&graph, config.batch, config.seed + 1);
-    let (inserts, deletes, reweights) = batch.iter().fold((0, 0, 0), |(i, d, r), u| match u {
-        EdgeUpdate::Insert { .. } => (i + 1, d, r),
-        EdgeUpdate::Delete { .. } => (i, d + 1, r),
-        EdgeUpdate::Reweight { .. } => (i, d, r + 1),
-    });
+    let (inserts, deletes, reweights) =
+        batch
+            .iter()
+            .fold((0usize, 0usize, 0usize), |(i, d, r), u| match u {
+                EdgeUpdate::Insert { .. } => (i + 1, d, r),
+                EdgeUpdate::Delete { .. } => (i, d + 1, r),
+                EdgeUpdate::Reweight { .. } => (i, d, r + 1),
+            });
     let outcome = sweep
         .apply_updates(&graph, &batch)
         .expect("seeded batch is valid by construction");
@@ -293,24 +205,39 @@ pub fn run(config: &UpdateBenchConfig) -> Result<UpdateBenchReport, IngestError>
     }
     let rebuild_dp_calls = config.thetas.len() * rebuilt.num_elements() + rebuilt.total_dp_calls();
 
-    Ok(UpdateBenchReport {
-        config: config.clone(),
-        actual_vertices: graph.num_vertices(),
-        actual_edges: graph.num_edges(),
-        edges_after: outcome.graph.num_edges(),
-        ingest: ingest_timings,
-        inserts,
-        deletes,
-        reweights,
-        report: outcome.report,
-        rebuild_dp_calls,
-    })
+    let c = config;
+    let rep = &outcome.report;
+    let mut r = Report::new("bench-updates/v2");
+    r.set("rank", Json::str(c.rank.to_string()));
+    r.source(&c.source, c.seed);
+    r.ingest(ingest_timings.as_ref());
+    r.gate("vertices", graph.num_vertices(), Exact);
+    r.gate("edges", graph.num_edges(), Exact);
+    r.gate("edges_after", outcome.graph.num_edges(), Exact);
+    r.set("seed", num(c.seed));
+    let thetas = c.thetas.iter().map(|&t| num(t));
+    r.set("thetas", Json::Arr(thetas.collect()));
+    r.gate("batch.inserts", inserts, Exact);
+    r.gate("batch.deletes", deletes, Exact);
+    r.gate("batch.reweights", reweights, Exact);
+    r.gate("repair.affected_elements", rep.affected_elements, Exact);
+    r.gate("repair.region_elements", rep.region_elements, Exact);
+    r.gate("repair.repaired_points", rep.repaired_points, Exact);
+    r.gate("repair.recomputed_points", rep.recomputed_points, Exact);
+    r.gate("repair.repair_dp_calls", rep.repair_dp_calls, LowerIsBetter);
+    r.gate("repair.rebuild_dp_calls", rebuild_dp_calls, Exact);
+    // Score evaluations the repair spent beyond a full rebuild: 0 in
+    // every committed baseline, so exact at tolerance 0 *is* the "repair
+    // never costs more than a rebuild" guarantee.
+    let excess = rep.repair_dp_calls.saturating_sub(rebuild_dp_calls);
+    r.gate("repair.dp_calls_excess", excess, Exact);
+    Ok(r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
+    use crate::report::{assert_tagged, num_at, parsed};
     use crate::source::generate_graph;
 
     fn tiny_config() -> UpdateBenchConfig {
@@ -346,52 +273,28 @@ mod tests {
 
     #[test]
     fn report_is_bit_identical_and_repair_beats_rebuild() {
-        let report = run(&tiny_config()).unwrap();
-        assert_eq!(report.inserts, 8);
-        assert_eq!(report.deletes, 8);
-        assert_eq!(report.reweights, 8);
-        assert_eq!(report.edges_after, 400);
-        assert_eq!(report.report.repaired_points, 3);
-        assert_eq!(report.report.recomputed_points, 0);
+        let doc = parsed(run(&tiny_config()).unwrap());
+        for kind in ["inserts", "deletes", "reweights"] {
+            assert_eq!(num_at(&doc, &format!("batch.{kind}")), 8.0, "{kind}");
+        }
+        assert_eq!(num_at(&doc, "edges_after"), 400.0);
+        assert_eq!(num_at(&doc, "repair.repaired_points"), 3.0);
+        assert_eq!(num_at(&doc, "repair.recomputed_points"), 0.0);
         // The acceptance inequality itself, at test scale.
-        assert!(
-            report.report.repair_dp_calls <= report.rebuild_dp_calls,
-            "repair {} > rebuild {}",
-            report.report.repair_dp_calls,
-            report.rebuild_dp_calls
-        );
-        assert_eq!(report.dp_calls_excess(), 0);
-        assert!(report.format().contains("bit-identity"));
+        let repair = num_at(&doc, "repair.repair_dp_calls");
+        let rebuild = num_at(&doc, "repair.rebuild_dp_calls");
+        assert!(repair <= rebuild, "repair {repair} > rebuild {rebuild}");
+        assert_eq!(num_at(&doc, "repair.dp_calls_excess"), 0.0);
     }
 
     #[test]
     fn json_has_v1_schema_and_gated_fields() {
-        let report = run(&tiny_config()).unwrap();
-        let json = report.to_json();
+        let json = run(&tiny_config()).unwrap().into_json();
         assert!(json.contains(r#""schema":"bench-updates/v2""#));
         assert!(json.contains(r#""rank":"truss""#));
         assert!(json.contains(r#""kind":"generated""#));
-        let doc = Json::parse(&json).expect("report JSON parses");
-        assert_eq!(
-            doc.path(&["batch", "deletes"]).and_then(Json::as_f64),
-            Some(8.0)
-        );
-        assert_eq!(
-            doc.path(&["repair", "dp_calls_excess"])
-                .and_then(Json::as_f64),
-            Some(0.0)
-        );
-        assert_eq!(
-            doc.path(&["repair", "repair_dp_calls"])
-                .and_then(Json::as_f64),
-            Some(report.report.repair_dp_calls as f64)
-        );
-        assert_eq!(
-            doc.path(&["repair", "rebuild_dp_calls"])
-                .and_then(Json::as_f64),
-            Some(report.rebuild_dp_calls as f64)
-        );
         // The emitted report self-compares clean under the gate.
+        let doc = Json::parse(&json).expect("report JSON parses");
         let diff = crate::compare::compare(&doc, &doc, 0.0).unwrap();
         assert!(diff.regressions().is_empty(), "{}", diff.format());
     }
@@ -401,19 +304,17 @@ mod tests {
         for rank in [Rank::Core, Rank::Truss, Rank::Nucleus] {
             let mut config = tiny_config();
             config.rank = rank;
-            let a = run(&config).unwrap();
-            let b = run(&config).unwrap();
-            assert_eq!(a.report, b.report, "{rank}");
-            assert_eq!(a.to_json(), b.to_json(), "{rank}");
-            assert!(a.report.repair_dp_calls <= a.rebuild_dp_calls, "{rank}");
+            let a = run(&config).unwrap().into_json();
+            assert_eq!(a, run(&config).unwrap().into_json(), "{rank}");
+            let doc = Json::parse(&a).unwrap();
+            assert_eq!(num_at(&doc, "repair.dp_calls_excess"), 0.0, "{rank}");
         }
     }
 
     #[test]
     fn report_tags_every_gated_number() {
-        let json = run(&tiny_config()).unwrap().to_json();
-        crate::report::assert_tagged(
-            &json,
+        assert_tagged(
+            &parsed(run(&tiny_config()).unwrap()),
             &[
                 ("vertices", Exact),
                 ("edges", Exact),

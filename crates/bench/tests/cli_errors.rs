@@ -3,10 +3,12 @@
 //! line on stderr and a non-zero exit — no panics, no backtraces, no
 //! subcommand-specific wording.  One malformed invocation per
 //! subcommand, driven through the real binary.  A bad selector value
-//! (`matrix --only`, `--scale`) is refused the same clean way, naming
-//! the value.
+//! (`matrix --only`, `--scale`), an unknown flag and a repeated flag are
+//! refused the same clean way, naming the value or the flag.  A reader
+//! that closes stdout early stops the printing, not the run.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 const MISSING: &str = "/nonexistent/cli_errors_test_graph.txt";
 
@@ -147,4 +149,85 @@ fn serve_oneshot_refuses_an_unsorted_theta_grid() {
         "nothing may run on a refused grid, got: {}",
         String::from_utf8_lossy(&output.stdout)
     );
+}
+
+/// Runs the experiments binary with `args`, asserting that it exits 1
+/// before any work, with `message` on stderr and nothing on stdout.
+fn assert_refused_before_any_work(args: &[&str], message: &str) {
+    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .output()
+        .expect("experiments binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "{args:?} must exit 1, got {:?}\nstderr: {stderr}",
+        output.status.code()
+    );
+    assert!(stderr.contains(message), "{args:?}: got {stderr}");
+    assert!(
+        output.stdout.is_empty(),
+        "{args:?} must not run, got: {}",
+        String::from_utf8_lossy(&output.stdout)
+    );
+}
+
+#[test]
+fn a_repeated_flag_is_refused_not_resolved() {
+    assert_refused_before_any_work(
+        &[
+            "thetasweep",
+            "--edges",
+            "400",
+            "--edges",
+            "800",
+            "--repeats",
+            "1",
+        ],
+        "thetasweep: --edges given more than once",
+    );
+}
+
+#[test]
+fn an_unknown_flag_is_refused_not_ignored() {
+    assert_refused_before_any_work(
+        &[
+            "parbench",
+            "--edges",
+            "400",
+            "--edgse",
+            "800",
+            "--repeats",
+            "1",
+            "--threads",
+            "1",
+        ],
+        "parbench: unknown flag --edgse",
+    );
+}
+
+#[test]
+fn a_closed_stdout_stops_the_printing_not_the_run() {
+    let out = std::env::temp_dir().join(format!("cli_errors_pipe_{}.json", std::process::id()));
+    std::fs::remove_file(&out).ok();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["thetasweep", "--edges", "20000", "--repeats", "1", "--out"])
+        .arg(&out)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("experiments binary runs");
+    // Read the header line, then close the pipe while the run goes on.
+    let mut first = String::new();
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    stdout.read_line(&mut first).expect("a first line");
+    assert!(first.starts_with("# experiment: thetasweep"), "{first}");
+    drop(stdout);
+    let output = child.wait_with_output().expect("the run finishes");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.exists(), "the --out file is still written");
+    std::fs::remove_file(&out).ok();
 }
