@@ -57,8 +57,9 @@
 //! values in `nd_bench::registry`) and emits the tagged
 //! `bench-matrix/v2` report CI gates.
 //!
-//! A flag a subcommand does not take, or a flag given twice, is refused
-//! before any work.  Output to a pipe its reader has closed is dropped
+//! A flag a subcommand does not take, a flag given twice, or an argument
+//! that is neither a flag, a flag's value nor one of `bench-compare`'s
+//! two files is refused before any work.  Output to a pipe its reader has closed is dropped
 //! and the run goes on, so the `--out` file is still written.
 
 use std::io::Write as _;

@@ -38,9 +38,9 @@ const SWITCHES: [&str; 2] = ["--oneshot", "--dry-run"];
 
 /// Checks the flags of a command line (`args[0]` is the subcommand or
 /// paper experiment id) before any work: a flag the subcommand does not
-/// take, a flag given twice, or a flag missing its value is an error
-/// naming it.  Tokens that are not flags (a flag's value,
-/// `bench-compare`'s files) pass.
+/// take, a flag given twice, a flag missing its value, or a token that
+/// is neither a flag nor a flag's value is an error naming it.  Only
+/// `bench-compare` takes such tokens: its two files.
 pub fn check_flags(args: &[String]) -> Result<(), String> {
     let subcommand = args.first().map_or("", String::as_str);
     let (own, graph): (&[&str], bool) = match subcommand {
@@ -92,10 +92,15 @@ pub fn check_flags(args: &[String]) -> Result<(), String> {
             false,
         ),
     };
+    let mut operands = if subcommand == "bench-compare" { 2 } else { 0 };
     let mut seen: Vec<&str> = Vec::new();
     let mut rest = args.iter().skip(1).map(String::as_str);
     while let Some(arg) = rest.next() {
         if !arg.starts_with("--") {
+            if operands == 0 {
+                return Err(format!("{subcommand}: unexpected argument {arg}"));
+            }
+            operands -= 1;
             continue;
         }
         let takes = own.contains(&arg) || (graph && GRAPH_FLAGS.contains(&arg));
@@ -369,6 +374,7 @@ mod tests {
             "gen --gen ba --edges 1000000 --seed 42 --out g.txt --snapshot g.ugsnap",
             "matrix --only a,b --tag bench --dry-run --out X.json",
             "bench-compare OLD.json NEW.json --tolerance 0",
+            "bench-compare OLD.json --tolerance 0 NEW.json",
             "serve-client --addr 127.0.0.1:7391 --call info --params {} --deadline-ms 5",
             "table1 --scale tiny --seed 42 --input g.txt --format snap --prob-model column",
             "all --scale small",
@@ -403,6 +409,19 @@ mod tests {
             "matrix: --dry-run given more than once"
         );
         assert_eq!(refused(&["gen", "--out"]), "--out requires a value");
+        // A token that is neither a flag nor a flag's value is refused too.
+        assert_eq!(
+            refused(&["parbench", "800", "--edges", "400"]),
+            "parbench: unexpected argument 800"
+        );
+        assert_eq!(
+            refused(&["matrix", "--dry-run", "X.json"]),
+            "matrix: unexpected argument X.json"
+        );
+        assert_eq!(
+            refused(&["bench-compare", "A.json", "B.json", "C.json"]),
+            "bench-compare: unexpected argument C.json"
+        );
     }
 
     #[test]

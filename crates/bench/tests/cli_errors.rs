@@ -3,9 +3,10 @@
 //! line on stderr and a non-zero exit — no panics, no backtraces, no
 //! subcommand-specific wording.  One malformed invocation per
 //! subcommand, driven through the real binary.  A bad selector value
-//! (`matrix --only`, `--scale`), an unknown flag and a repeated flag are
-//! refused the same clean way, naming the value or the flag.  A reader
-//! that closes stdout early stops the printing, not the run.
+//! (`matrix --only`, `--scale`), an unknown flag, a repeated flag and a
+//! stray argument are refused the same clean way, naming the value, the
+//! flag or the argument.  A reader that closes stdout early stops the
+//! printing, not the run.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -204,6 +205,14 @@ fn an_unknown_flag_is_refused_not_ignored() {
             "1",
         ],
         "parbench: unknown flag --edgse",
+    );
+}
+
+#[test]
+fn a_stray_argument_is_refused_not_ignored() {
+    assert_refused_before_any_work(
+        &["table1", "fig4", "--scale", "tiny"],
+        "table1: unexpected argument fig4",
     );
 }
 

@@ -3,9 +3,7 @@
 //! [`ExternalDataset`] wraps a file path, an [`InputFormat`], and an
 //! [`EdgeProbabilityModel`]: everything needed to turn a downloaded SNAP
 //! or Konect file (or a previously written `.ugsnap` snapshot) into an
-//! [`UncertainGraph`].  [`DatasetSource`] puts external files and the six
-//! synthetic [`PaperDataset`]s behind one enum so the experiment harness
-//! can run any figure or table on either.
+//! [`UncertainGraph`].
 //!
 //! Loading goes through a **snapshot cache**: the first load parses the
 //! text file and writes `<file>.<fingerprint>.ugsnap` next to it; later
@@ -20,9 +18,6 @@ use std::path::PathBuf;
 
 use ugraph::io::{self, EdgeProbabilityModel, InputFormat};
 use ugraph::UncertainGraph;
-
-use crate::registry::PaperDataset;
-use crate::spec::Scale;
 
 /// A dataset ingested from a file on disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,48 +142,6 @@ impl ExternalDataset {
         let graph = self.parse_bytes(&bytes)?;
         let _ = io::write_snapshot_file_tagged(&graph, &cache, fingerprint);
         Ok(graph)
-    }
-}
-
-/// Any dataset the experiment harness can run on: a synthetic paper
-/// stand-in or an ingested file.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DatasetSource {
-    /// One of the six synthetic Table 1 datasets.
-    Paper(PaperDataset),
-    /// A file on disk.
-    External(ExternalDataset),
-}
-
-impl DatasetSource {
-    /// Display name.
-    pub fn name(&self) -> String {
-        match self {
-            DatasetSource::Paper(ds) => ds.name().to_string(),
-            DatasetSource::External(ds) => ds.name.clone(),
-        }
-    }
-
-    /// Materializes the graph.  `scale` and `seed` drive the synthetic
-    /// generators and are ignored for external files (their size is fixed
-    /// by the file, and seeded models carry their own seed).
-    pub fn load(&self, scale: Scale, seed: u64) -> ugraph::Result<UncertainGraph> {
-        match self {
-            DatasetSource::Paper(ds) => Ok(ds.generate(scale, seed)),
-            DatasetSource::External(ds) => ds.load_cached(),
-        }
-    }
-}
-
-impl From<PaperDataset> for DatasetSource {
-    fn from(ds: PaperDataset) -> Self {
-        DatasetSource::Paper(ds)
-    }
-}
-
-impl From<ExternalDataset> for DatasetSource {
-    fn from(ds: ExternalDataset) -> Self {
-        DatasetSource::External(ds)
     }
 }
 
@@ -354,22 +307,6 @@ mod tests {
         assert_eq!(snap.load_cached().unwrap(), graph);
         // No extra cache file appears beside a snapshot source.
         assert!(!snap.snapshot_cache_path().exists());
-    }
-
-    #[test]
-    fn source_enum_spans_both_worlds() {
-        let tmp = TempDir::new("source");
-        let external: DatasetSource = ExternalDataset::new(
-            write_sample(&tmp.0),
-            InputFormat::Snap,
-            EdgeProbabilityModel::Column,
-        )
-        .into();
-        let paper: DatasetSource = PaperDataset::Krogan.into();
-        assert_eq!(external.name(), "tiny");
-        assert_eq!(paper.name(), "krogan");
-        assert_eq!(external.load(Scale::Tiny, 1).unwrap().num_edges(), 3);
-        assert!(paper.load(Scale::Tiny, 1).unwrap().num_edges() > 100);
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //! Real on-disk graphs sit beside the synthetic registry: an
 //! [`ExternalDataset`] wraps a file path, input format and
 //! edge-probability model (with cached `.ugsnap` snapshot
-//! materialization), and [`DatasetSource`] unifies both kinds behind one
-//! enum for the experiment harness.
+//! materialization).
 //!
 //! ```
 //! use nd_datasets::{PaperDataset, Scale};
@@ -38,7 +37,7 @@ pub mod registry;
 pub mod spec;
 pub mod stats;
 
-pub use external::{DatasetSource, ExternalDataset};
+pub use external::ExternalDataset;
 pub use registry::PaperDataset;
 pub use spec::{DatasetSpec, Scale, StructureModel};
 pub use stats::{stats_row, table1_row, Table1Row};

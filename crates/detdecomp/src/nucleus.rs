@@ -1,22 +1,20 @@
-//! Deterministic k-(3,4)-nucleus decomposition (Sarıyüce et al., WWW 2015).
+//! Deterministic k-(3,4)-nuclei (Sarıyüce et al., WWW 2015).
 //!
 //! The *support* of a triangle is the number of 4-cliques containing it.
 //! A k-(3,4)-nucleus is a maximal subgraph that is a union of 4-cliques,
 //! in which every triangle has support ≥ k and every pair of triangles is
 //! connected through a chain of 4-cliques (Definition 3 of the paper).
+//! A triangle's *nucleusness* κ(△) is the largest `k` such that △ belongs
+//! to a k-(3,4)-nucleus: the p = 1 case of ℓ-nucleusness, which
+//! `nucleus::Decomposition` at θ = 1.0 computes on the certain view of a
+//! graph (every edge at p = 1), and which [`crate::reference::nucleusness`]
+//! freezes as an oracle.
 //!
-//! The decomposition assigns every triangle its *nucleusness* κ(△): the
-//! largest `k` such that △ belongs to a k-(3,4)-nucleus.  It is computed
-//! by support peeling over triangles; since the (r,s)-nucleus API
-//! redesign the peel runs on the generic deferred bucket-queue engine of
-//! `ugraph::rs` at rank (3,4), with a cell-counting rescore.  The
-//! pre-redesign eager heap loop is frozen in
-//! [`crate::reference::nucleusness`] and the two are pinned identical by
-//! the differential test suite (nucleusness values are canonical, so any
-//! correct peel order yields the same output).
+//! This module turns per-triangle scores into the maximal k-nuclei
+//! ([`extract_k_nuclei`]) and checks whether a whole graph is a k-nucleus
+//! ([`is_k_nucleus`], [`is_k_nucleus_lenient`]).
 
 use ugraph::cliques::four_clique_extensions;
-use ugraph::rs::{peel_deferred, Incidence, RsSupport};
 use ugraph::triangles::TriangleTable;
 use ugraph::{
     EdgeId, EdgeSubgraph, FourClique, Parallelism, Triangle, TriangleId, TriangleIndex,
@@ -40,125 +38,6 @@ fn triangles_and_cliques(
         });
     }
     (table.into_parts().0, vertices, ids)
-}
-
-/// Rank-(3,4) deterministic support structure: triangles are the
-/// elements, enumerated 4-cliques the cells.  All probabilities are 1;
-/// only the incidence accessors are exercised by the counting rescore.
-struct DetNucleusSupport {
-    cliques: Vec<[TriangleId; 4]>,
-    cliques_of: Incidence,
-}
-
-impl RsSupport for DetNucleusSupport {
-    fn num_elements(&self) -> usize {
-        self.cliques_of.len()
-    }
-
-    fn num_cells(&self) -> usize {
-        self.cliques.len()
-    }
-
-    fn element_prob(&self, _t: u32) -> f64 {
-        1.0
-    }
-
-    fn cells_of(&self, t: u32) -> &[u32] {
-        self.cliques_of.list(t)
-    }
-
-    fn cell_elements(&self, c: u32) -> &[u32] {
-        &self.cliques[c as usize]
-    }
-
-    fn completion_prob(&self, _c: u32, _t: u32) -> f64 {
-        1.0
-    }
-}
-
-/// Result of the deterministic (3,4)-nucleus decomposition.
-#[derive(Debug, Clone)]
-pub struct NucleusDecomposition {
-    index: TriangleIndex,
-    cliques: Vec<[TriangleId; 4]>,
-    clique_vertices: Vec<FourClique>,
-    nucleusness: Vec<u32>,
-}
-
-impl NucleusDecomposition {
-    /// Runs the decomposition on the structure of `graph`.
-    pub fn compute(graph: &UncertainGraph) -> Self {
-        let (index, clique_vertices, cliques) = triangles_and_cliques(graph);
-        // The reverse triangle → cliques adjacency, ascending clique ids.
-        let cliques_of =
-            Incidence::transpose(index.len(), cliques.len(), "4-clique", |c| cliques[c]);
-
-        // Support peeling over triangles via the generic engine.
-        let support = DetNucleusSupport {
-            cliques,
-            cliques_of,
-        };
-        let kappa: Vec<u32> = (0..support.num_elements())
-            .map(|t| support.support(t as u32) as u32)
-            .collect();
-        let (nucleusness, _stats) = peel_deferred(&support, kappa, |t, clique_dead| {
-            support
-                .cells_of(t)
-                .iter()
-                .filter(|&&c| !clique_dead[c as usize])
-                .count() as u32
-        });
-
-        NucleusDecomposition {
-            index,
-            cliques: support.cliques,
-            clique_vertices,
-            nucleusness,
-        }
-    }
-
-    /// The triangle index the decomposition is expressed over.
-    pub fn triangle_index(&self) -> &TriangleIndex {
-        &self.index
-    }
-
-    /// Nucleusness κ(△) of triangle id `t`.
-    pub fn nucleusness(&self, t: TriangleId) -> u32 {
-        self.nucleusness[t as usize]
-    }
-
-    /// Nucleusness of the triangle with the given vertices, or `None` if
-    /// the triangle does not exist in the graph.
-    pub fn nucleusness_of(&self, triangle: &Triangle) -> Option<u32> {
-        self.index.id_of(triangle).map(|id| self.nucleusness(id))
-    }
-
-    /// Nucleusness of every triangle, indexed by triangle id.
-    pub fn nucleusness_values(&self) -> &[u32] {
-        &self.nucleusness
-    }
-
-    /// Largest nucleusness in the graph; `0` when there are no 4-cliques.
-    pub fn max_nucleusness(&self) -> u32 {
-        self.nucleusness.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Number of triangles.
-    pub fn num_triangles(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Number of 4-cliques.
-    pub fn num_cliques(&self) -> usize {
-        self.cliques.len()
-    }
-
-    /// Extracts the maximal k-(3,4)-nuclei for the given `k ≥ 1`
-    /// ([`extract_k_nuclei`] over the nucleusness values).
-    pub fn k_nuclei(&self, graph: &UncertainGraph, k: u32) -> Vec<NucleusSubgraph> {
-        let clique = |c: usize| (self.clique_vertices[c], self.cliques[c]);
-        extract_k_nuclei(graph, self.cliques.len(), clique, &self.nucleusness, k)
-    }
 }
 
 /// Extracts the maximal k-(3,4)-nuclei, `k ≥ 1`, from per-triangle
@@ -350,7 +229,7 @@ pub fn is_k_nucleus_lenient(graph: &UncertainGraph, k: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugraph::{FourCliqueEnumerator, GraphBuilder};
+    use ugraph::GraphBuilder;
 
     fn complete(n: u32) -> UncertainGraph {
         let mut b = GraphBuilder::new();
@@ -362,85 +241,12 @@ mod tests {
         b.build()
     }
 
-    /// Brute-force nucleusness by iterative filtering for each k.
-    fn naive_nucleusness(graph: &UncertainGraph) -> Vec<u32> {
-        let index = TriangleIndex::build(graph);
-        let cliques = FourCliqueEnumerator::new(graph).into_cliques();
-        let clique_tris: Vec<Vec<TriangleId>> = cliques
-            .iter()
-            .map(|c| {
-                c.triangles()
-                    .iter()
-                    .map(|t| index.id_of(t).unwrap())
-                    .collect()
-            })
-            .collect();
-        let nt = index.len();
-        let mut result = vec![0u32; nt];
-        let max_k = cliques.len() as u32;
-        for k in 1..=max_k {
-            let mut alive = vec![true; nt];
-            loop {
-                let mut changed = false;
-                for t in 0..nt {
-                    if !alive[t] {
-                        continue;
-                    }
-                    let sup = clique_tris
-                        .iter()
-                        .filter(|tris| {
-                            tris.iter().all(|&x| alive[x as usize])
-                                && tris.contains(&(t as TriangleId))
-                        })
-                        .count() as u32;
-                    if sup < k {
-                        alive[t] = false;
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            for t in 0..nt {
-                if alive[t] {
-                    result[t] = k;
-                }
-            }
-        }
-        result
-    }
-
-    #[test]
-    fn k4_nucleusness_is_one() {
-        let g = complete(4);
-        let d = NucleusDecomposition::compute(&g);
-        assert_eq!(d.num_triangles(), 4);
-        assert_eq!(d.num_cliques(), 1);
-        assert!(d.nucleusness_values().iter().all(|&x| x == 1));
-        assert_eq!(d.max_nucleusness(), 1);
-    }
-
-    #[test]
-    fn k6_nucleusness_is_three() {
-        // In K6 every triangle is in C(3,1)=3 4-cliques.
-        let g = complete(6);
-        let d = NucleusDecomposition::compute(&g);
-        assert!(d.nucleusness_values().iter().all(|&x| x == 3));
-    }
-
-    #[test]
-    fn triangle_without_clique_has_zero_nucleusness() {
-        let mut b = GraphBuilder::new();
-        for &(u, v) in &[(0, 1), (1, 2), (0, 2)] {
-            b.add_edge(u, v, 1.0).unwrap();
-        }
-        let g = b.build();
-        let d = NucleusDecomposition::compute(&g);
-        assert_eq!(d.num_triangles(), 1);
-        assert_eq!(d.max_nucleusness(), 0);
-        assert_eq!(d.nucleusness_of(&Triangle::new(0, 1, 2)), Some(0));
-        assert_eq!(d.nucleusness_of(&Triangle::new(0, 1, 3)), None);
+    /// The maximal k-nuclei of `graph` under its deterministic
+    /// nucleusness, read off the frozen reference peel.
+    fn k_nuclei(graph: &UncertainGraph, k: u32) -> Vec<NucleusSubgraph> {
+        let (_, cliques, ids) = triangles_and_cliques(graph);
+        let scores = crate::reference::nucleusness(graph);
+        extract_k_nuclei(graph, cliques.len(), |c| (cliques[c], ids[c]), &scores, k)
     }
 
     #[test]
@@ -454,10 +260,9 @@ mod tests {
             b.add_edge(u, v, 1.0).unwrap();
         }
         let g = b.build();
-        let d = NucleusDecomposition::compute(&g);
         // Every triangle lies in exactly one K4, so nucleusness is 1.
-        assert!(d.nucleusness_values().iter().all(|&x| x == 1));
-        let nuclei = d.k_nuclei(&g, 1);
+        assert!(crate::reference::nucleusness(&g).iter().all(|&x| x == 1));
+        let nuclei = k_nuclei(&g, 1);
         // The two K4s only share an edge (no shared triangle), so they are
         // two distinct 1-nuclei.
         assert_eq!(nuclei.len(), 2);
@@ -470,66 +275,22 @@ mod tests {
     }
 
     #[test]
-    fn k5_minus_edge_nuclei() {
-        // K5 missing edge (3,4): triangles containing both 3 and 4 vanish.
-        let mut b = GraphBuilder::new();
-        for u in 0..5u32 {
-            for v in (u + 1)..5u32 {
-                if (u, v) != (3, 4) {
-                    b.add_edge(u, v, 1.0).unwrap();
-                }
-            }
-        }
-        let g = b.build();
-        let d = NucleusDecomposition::compute(&g);
-        let naive = naive_nucleusness(&g);
-        assert_eq!(d.nucleusness_values(), naive.as_slice());
-    }
-
-    #[test]
-    fn matches_naive_on_random_graphs() {
-        use rand::SeedableRng;
-        for seed in [3u64, 5, 11] {
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let edges = ugraph::generators::gnm_edges(18, 70, &mut rng);
-            let g = ugraph::generators::assign_probabilities(
-                &edges,
-                18,
-                &ugraph::generators::ProbabilityModel::Constant(1.0),
-                &mut rng,
-            );
-            let fast = NucleusDecomposition::compute(&g);
-            let naive = naive_nucleusness(&g);
-            assert_eq!(fast.nucleusness_values(), naive.as_slice(), "seed {seed}");
-            assert_eq!(
-                fast.nucleusness_values(),
-                crate::reference::nucleusness(&g).as_slice(),
-                "generic engine must match the frozen eager heap peel (seed {seed})"
-            );
-        }
-    }
-
-    #[test]
     fn nuclei_extraction_respects_k() {
         let g = complete(6);
-        let d = NucleusDecomposition::compute(&g);
-        let n3 = d.k_nuclei(&g, 3);
+        let n3 = k_nuclei(&g, 3);
         assert_eq!(n3.len(), 1);
         assert_eq!(n3[0].num_vertices(), 6);
         assert_eq!(n3[0].num_edges(), 15);
-        assert!(d.k_nuclei(&g, 4).is_empty());
-        let n1 = d.k_nuclei(&g, 1);
+        assert!(k_nuclei(&g, 4).is_empty());
+        let n1 = k_nuclei(&g, 1);
         assert_eq!(n1.len(), 1);
         assert!(n1[0].contains_triangle(&Triangle::new(0, 1, 2)));
         assert!(!n1[0].contains_triangle(&Triangle::new(0, 1, 7)));
     }
 
     #[test]
-    fn convenience_wrappers() {
-        let g = complete(5);
-        let d = NucleusDecomposition::compute(&g);
-        assert_eq!(d.max_nucleusness(), 2);
-        let nuclei = d.k_nuclei(&g, 2);
+    fn k5_is_one_2_nucleus() {
+        let nuclei = k_nuclei(&complete(5), 2);
         assert_eq!(nuclei.len(), 1);
         assert_eq!(nuclei[0].k, 2);
     }

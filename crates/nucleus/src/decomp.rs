@@ -1311,13 +1311,16 @@ impl DecompSweep {
     }
 }
 
+// The `pub(crate)` helpers (graph builders, the brute-force oracles and
+// the certain view) are shared with the deterministic-number tests of
+// `core_decomp`, `truss`, `nucleus` and `local`.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ugraph::generators::ProbabilityModel;
-    use ugraph::GraphBuilder;
+    use ugraph::{FourCliqueEnumerator, GraphBuilder, TriangleId, TriangleIndex};
 
-    fn complete(n: u32, p: f64) -> UncertainGraph {
+    pub(crate) fn complete(n: u32, p: f64) -> UncertainGraph {
         let mut b = GraphBuilder::new();
         for u in 0..n {
             for v in (u + 1)..n {
@@ -2301,7 +2304,12 @@ mod tests {
     }
 
     /// A G(n, m) graph whose edge probabilities are drawn from `model`.
-    fn random_graph(seed: u64, n: usize, m: usize, model: ProbabilityModel) -> UncertainGraph {
+    pub(crate) fn random_graph(
+        seed: u64,
+        n: usize,
+        m: usize,
+        model: ProbabilityModel,
+    ) -> UncertainGraph {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let edges = ugraph::generators::gnm_edges(n, m, &mut rng);
@@ -2310,12 +2318,12 @@ mod tests {
 
     const CERTAIN: ProbabilityModel = ProbabilityModel::Constant(1.0);
 
-    fn uniform(low: f64) -> ProbabilityModel {
+    pub(crate) fn uniform(low: f64) -> ProbabilityModel {
         ProbabilityModel::Uniform { low, high: 1.0 }
     }
 
     /// Deterministic core numbers via the naive iterative algorithm.
-    fn naive_core(graph: &UncertainGraph) -> Vec<u32> {
+    pub(crate) fn naive_core(graph: &UncertainGraph) -> Vec<u32> {
         let n = graph.num_vertices();
         let mut core = vec![0u32; n];
         for k in 1..=graph.max_degree() as u32 {
@@ -2348,7 +2356,7 @@ mod tests {
 
     /// Deterministic truss numbers via naive iterative filtering (support
     /// convention).
-    fn naive_truss(graph: &UncertainGraph) -> Vec<u32> {
+    pub(crate) fn naive_truss(graph: &UncertainGraph) -> Vec<u32> {
         let m = graph.num_edges();
         let mut truss = vec![0u32; m];
         for k in 1..=graph.max_degree() as u32 {
@@ -2381,6 +2389,74 @@ mod tests {
             }
         }
         truss
+    }
+
+    /// Deterministic nucleusness via naive iterative filtering: for each
+    /// k, drop the triangles in fewer than k 4-cliques of surviving
+    /// triangles until none is short.
+    pub(crate) fn naive_nucleusness(graph: &UncertainGraph) -> Vec<u32> {
+        let index = TriangleIndex::build(graph);
+        let cliques = FourCliqueEnumerator::new(graph).into_cliques();
+        let clique_tris: Vec<Vec<TriangleId>> = cliques
+            .iter()
+            .map(|c| {
+                c.triangles()
+                    .iter()
+                    .map(|t| index.id_of(t).unwrap())
+                    .collect()
+            })
+            .collect();
+        let nt = index.len();
+        let mut result = vec![0u32; nt];
+        for k in 1..=cliques.len() as u32 {
+            let mut alive = vec![true; nt];
+            loop {
+                let mut changed = false;
+                for t in 0..nt {
+                    if !alive[t] {
+                        continue;
+                    }
+                    let sup = clique_tris
+                        .iter()
+                        .filter(|tris| {
+                            tris.iter().all(|&x| alive[x as usize])
+                                && tris.contains(&(t as TriangleId))
+                        })
+                        .count() as u32;
+                    if sup < k {
+                        alive[t] = false;
+                        changed = true;
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+            for t in 0..nt {
+                if alive[t] {
+                    result[t] = k;
+                }
+            }
+        }
+        result
+    }
+
+    /// The decomposition at threshold 1.0 of the certain view of `g`
+    /// (every edge at p = 1): its scores are the deterministic core, truss
+    /// or nucleus numbers of `g`.
+    pub(crate) fn certain(g: &UncertainGraph, rank: Rank) -> Decomposition {
+        let certain = ugraph::PossibleWorld::full(g).materialize(g);
+        Decomposition::compute(&certain, &DecompConfig::new(rank, 1.0)).unwrap()
+    }
+
+    /// K4 on {0,1,2,3} plus the `extra` edges, every edge at p = 1.
+    pub(crate) fn k4_plus(extra: &[(u32, u32)]) -> UncertainGraph {
+        let k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
+        let mut b = GraphBuilder::new();
+        for &(u, v) in k4.iter().chain(extra) {
+            b.add_edge(u, v, 1.0).unwrap();
+        }
+        b.build()
     }
 
     fn assert_malformed_threshold_rejected(config: fn(f64) -> DecompConfig, name: &str) {

@@ -8,8 +8,9 @@
 //! executable on small instances.
 
 use ugraph::possible_world::{enumerate_all_worlds, MAX_EXHAUSTIVE_EDGES};
-use ugraph::{ConnectedComponents, Triangle, UncertainGraph};
+use ugraph::{ConnectedComponents, Parallelism, PossibleWorld, Triangle, UncertainGraph};
 
+use crate::decomp::{DecompConfig, Decomposition};
 use crate::error::{NucleusError, Result};
 
 fn check_size(graph: &UncertainGraph) -> Result<()> {
@@ -102,22 +103,31 @@ pub fn exact_weakly_global_tail(
     Ok(total)
 }
 
-/// `true` when `graph` (deterministic structure) contains a k-(3,4)-nucleus
-/// that includes `triangle`: some 4-clique through the triangle has all
-/// four of its triangles with deterministic nucleusness ≥ k.
+/// `true` when `graph` (deterministic structure: edge probabilities are
+/// ignored) contains a k-(3,4)-nucleus that includes `triangle`: some
+/// 4-clique through the triangle has all four of its triangles with
+/// deterministic nucleusness ≥ k.  Nucleusness is the ℓ-NuDecomp at
+/// θ = 1.0 of the certain view of `graph` (every edge at p = 1).
 pub fn triangle_in_k_nucleus(graph: &UncertainGraph, triangle: &Triangle, k: u32) -> bool {
-    let decomp = detdecomp::NucleusDecomposition::compute(graph);
-    let Some(id) = decomp.triangle_index().id_of(triangle) else {
+    let certain = PossibleWorld::full(graph).materialize(graph);
+    let config = DecompConfig::nucleus(1.0).with_parallelism(Parallelism::Sequential);
+    let decomp = Decomposition::compute(&certain, &config).expect("θ = 1.0 is valid");
+    let index = decomp
+        .nucleus_support()
+        .expect("nucleus rank")
+        .triangle_index();
+    let Some(id) = index.id_of(triangle) else {
         return false;
     };
-    if decomp.nucleusness(id) < k {
+    if decomp.score(id) < k {
         return false;
     }
     // Nucleusness ≥ k guarantees membership in a k-nucleus whenever the
     // triangle has at least one qualifying clique; verify explicitly so
     // that the k = 0 corner case (triangle in no 4-clique) is handled.
     decomp
-        .k_nuclei(graph, k)
+        .k_nuclei(&certain, k)
+        .expect("nucleus rank")
         .iter()
         .any(|n| n.contains_triangle(triangle))
 }
@@ -350,6 +360,8 @@ mod tests {
         let t = Triangle::new(0, 1, 2);
         assert!(triangle_in_k_nucleus(&g, &t, 1));
         assert!(!triangle_in_k_nucleus(&g, &t, 2));
+        // Edge probabilities are ignored.
+        assert!(triangle_in_k_nucleus(&k4(0.3), &t, 1));
         assert!(!triangle_in_k_nucleus(&g, &Triangle::new(0, 1, 9), 1));
         // Plain triangle: no 4-clique, so not even in a 0-nucleus.
         let mut b = GraphBuilder::new();

@@ -30,7 +30,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use ugraph::{EdgeId, EdgeSubgraph, Parallelism, Triangle, TriangleId, UncertainGraph};
 
-use crate::config::{SamplingConfig, ScoreMethod};
+use crate::config::SamplingConfig;
 use crate::decomp::{DecompConfig, Decomposition};
 use crate::error::{NucleusError, Result};
 use crate::sampling::CompiledCandidate;
@@ -41,8 +41,6 @@ use crate::support::SupportStructure;
 pub struct GlobalConfig {
     /// Probability threshold θ of Definition 5.
     pub theta: f64,
-    /// Score method for the local pruning step.
-    pub score_method: ScoreMethod,
     /// Monte-Carlo sampling parameters.
     pub sampling: SamplingConfig,
     /// Parallelism of the local pruning step's support construction.
@@ -54,7 +52,6 @@ impl GlobalConfig {
     pub fn new(theta: f64) -> Self {
         GlobalConfig {
             theta,
-            score_method: ScoreMethod::DynamicProgramming,
             sampling: SamplingConfig::default(),
             parallelism: Parallelism::Auto,
         }
@@ -66,23 +63,16 @@ impl GlobalConfig {
         self
     }
 
-    /// Sets the local score method used for pruning.
-    pub fn with_score_method(mut self, method: ScoreMethod) -> Self {
-        self.score_method = method;
-        self
-    }
-
     /// Sets the parallelism of the local pruning step.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
     }
 
-    /// The ℓ-NuDecomp configuration of the local pruning step.
+    /// The ℓ-NuDecomp configuration of the local pruning step: the
+    /// exact DP at θ.
     pub(crate) fn local_config(&self) -> DecompConfig {
-        DecompConfig::nucleus(self.theta)
-            .with_method(self.score_method)
-            .with_parallelism(self.parallelism)
+        DecompConfig::nucleus(self.theta).with_parallelism(self.parallelism)
     }
 
     /// Checks the sampling parameters and that `local` is a nucleus-rank
@@ -161,7 +151,7 @@ pub fn global_nuclei(
 /// `local` must be a nucleus-rank [`Decomposition`], or
 /// [`NucleusError::RankMismatch`] is returned, computed at
 /// `config.theta`, or [`NucleusError::LocalThetaMismatch`] is returned;
-/// its score method may differ from `config.score_method`.
+/// it may use any score method.
 pub fn global_nuclei_with_local(
     graph: &UncertainGraph,
     k: u32,
@@ -409,7 +399,7 @@ mod tests {
             }
         );
         // The same θ under another score method is accepted.
-        let hybrid = ScoreMethod::Hybrid(crate::config::ApproxThresholds::default());
+        let hybrid = crate::ScoreMethod::Hybrid(crate::ApproxThresholds::default());
         let approx =
             Decomposition::compute(&g, &DecompConfig::nucleus(0.42).with_method(hybrid)).unwrap();
         assert!(global_nuclei_with_local(&g, 1, &config, &approx).is_ok());

@@ -75,6 +75,15 @@ pub mod sampling;
 pub mod support;
 pub mod weakly_global;
 
+// Tests of the deterministic core, truss and (3,4)-nucleus numbers: the
+// scores at threshold 1.0 of the certain view of a graph.
+#[cfg(test)]
+mod core_decomp;
+#[cfg(test)]
+mod nucleus;
+#[cfg(test)]
+mod truss;
+
 pub use approx::ApproxMethod;
 pub use config::{ApproxThresholds, SamplingConfig, ScoreMethod, SweepConfig};
 pub use decomp::{

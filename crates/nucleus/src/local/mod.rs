@@ -28,8 +28,10 @@ pub mod nuclei;
 mod tests {
     use crate::approx::ApproxMethod;
     use crate::config::{ApproxThresholds, ScoreMethod};
+    use crate::decomp::tests::{naive_nucleusness, random_graph};
     use crate::{DecompConfig, Decomposition};
-    use ugraph::{GraphBuilder, Triangle, TriangleId, UncertainGraph};
+    use ugraph::generators::ProbabilityModel;
+    use ugraph::{GraphBuilder, Triangle, UncertainGraph};
 
     fn exact(g: &UncertainGraph, theta: f64) -> Decomposition {
         Decomposition::compute(g, &DecompConfig::nucleus(theta)).unwrap()
@@ -43,10 +45,6 @@ mod tests {
     fn score_of(d: &Decomposition, triangle: &Triangle) -> Option<u32> {
         let index = d.nucleus_support().unwrap().triangle_index();
         index.id_of(triangle).map(|t| d.score(t))
-    }
-
-    fn triangle(d: &Decomposition, t: TriangleId) -> Triangle {
-        d.nucleus_support().unwrap().triangle_index().triangle(t)
     }
 
     fn complete(n: u32, p: f64) -> UncertainGraph {
@@ -82,25 +80,8 @@ mod tests {
     fn certain_graph_matches_deterministic_nucleusness() {
         // With all probabilities 1 and θ ≤ 1, ℓ-nucleusness equals the
         // deterministic nucleusness.
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(71);
-        let edges = ugraph::generators::gnm_edges(20, 80, &mut rng);
-        let g = ugraph::generators::assign_probabilities(
-            &edges,
-            20,
-            &ugraph::generators::ProbabilityModel::Constant(1.0),
-            &mut rng,
-        );
-        let local = exact(&g, 0.8);
-        let det = detdecomp::NucleusDecomposition::compute(&g);
-        for t in 0..local.num_elements() as TriangleId {
-            let tri = triangle(&local, t);
-            assert_eq!(
-                local.score(t),
-                det.nucleusness_of(&tri).unwrap(),
-                "triangle {tri}"
-            );
-        }
+        let g = random_graph(71, 20, 80, ProbabilityModel::Constant(1.0));
+        assert_eq!(exact(&g, 0.8).scores(), naive_nucleusness(&g).as_slice());
     }
 
     #[test]
@@ -170,10 +151,11 @@ mod tests {
             &mut rng,
         );
         let local = exact(&g, 0.2);
-        let det = detdecomp::NucleusDecomposition::compute(&g);
-        for t in 0..local.num_elements() as TriangleId {
-            let tri = triangle(&local, t);
-            assert!(local.score(t) <= det.nucleusness_of(&tri).unwrap());
+        // Deterministic nucleusness, indexed by the same triangle ids.
+        let det = detdecomp::reference::nucleusness(&g);
+        assert_eq!(local.num_elements(), det.len());
+        for (t, &d) in det.iter().enumerate() {
+            assert!(local.scores()[t] <= d, "triangle {t}");
         }
     }
 

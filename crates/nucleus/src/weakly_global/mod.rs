@@ -67,7 +67,7 @@ pub fn weakly_global_nuclei(
 /// [`NucleusError::RankMismatch`](crate::NucleusError::RankMismatch) is
 /// returned, computed at `config.theta`, or
 /// [`NucleusError::LocalThetaMismatch`](crate::NucleusError::LocalThetaMismatch)
-/// is returned; its score method may differ from `config.score_method`.
+/// is returned; it may use any score method.
 pub fn weakly_global_nuclei_with_local(
     graph: &UncertainGraph,
     k: u32,

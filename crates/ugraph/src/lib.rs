@@ -25,7 +25,7 @@
 //! * Generic (r,s)-nucleus engine ([`rs`]) — the support-structure trait
 //!   ([`rs::RsSupport`]), its (1,2) and (2,3) implementations, the shared
 //!   Poisson-binomial DP ([`rs::dp`]) and the deferred bucket-queue peel
-//!   that `detdecomp` and `nucleus` instantiate.
+//!   that `nucleus` instantiates at every rank.
 //! * Random generators ([`generators`]) and ingestion/persistence
 //!   ([`io`]) — SNAP edge lists, Konect TSV, versioned `.ugsnap` binary
 //!   snapshots with checksums, and pluggable edge-probability models.

@@ -1,10 +1,11 @@
 //! The (1,2) support structure: vertices scored by their incident edges.
 //!
 //! This is the substrate of the probabilistic (k,η)-core (Bonchi et al.,
-//! "Core decomposition of uncertain graphs") and of the deterministic
-//! k-core.  A vertex's completion events are its incident edges, the
-//! vertex itself always exists (`element_prob = 1`), and the η-degree is
-//! the largest `k` with `Pr[at least k incident edges exist] ≥ η`.
+//! "Core decomposition of uncertain graphs"); on a graph whose edges all
+//! have p = 1 its scores are the deterministic core numbers.  A vertex's
+//! completion events are its incident edges, the vertex itself always
+//! exists (`element_prob = 1`), and the η-degree is the largest `k` with
+//! `Pr[at least k incident edges exist] ≥ η`.
 
 use crate::graph::UncertainGraph;
 
@@ -26,8 +27,7 @@ pub struct CoreSupport {
     offsets: Vec<usize>,
     /// Endpoints of every edge (canonical `u < v`).
     cell_elements: Vec<[u32; 2]>,
-    /// Existence probability of every edge (`1.0` in the deterministic
-    /// variant).
+    /// Existence probability of every edge.
     cell_probs: Vec<f64>,
 }
 
@@ -35,17 +35,6 @@ impl CoreSupport {
     /// Builds the (1,2) support of `graph` with the graph's edge
     /// probabilities.
     pub fn build(graph: &UncertainGraph) -> Self {
-        Self::build_inner(graph, false)
-    }
-
-    /// Builds the (1,2) support of a *deterministic* view of `graph`:
-    /// every edge exists with probability 1, so the Poisson-binomial
-    /// scorer degenerates to degree counting.
-    pub fn deterministic(graph: &UncertainGraph) -> Self {
-        Self::build_inner(graph, true)
-    }
-
-    fn build_inner(graph: &UncertainGraph, deterministic: bool) -> Self {
         let nv = graph.num_vertices();
         let mut cells = Vec::with_capacity(2 * graph.num_edges());
         let mut offsets = Vec::with_capacity(nv + 1);
@@ -57,11 +46,7 @@ impl CoreSupport {
             offsets.push(cells.len());
         }
         let cell_elements = graph.edges().iter().map(|e| [e.u, e.v]).collect();
-        let cell_probs = if deterministic {
-            vec![1.0; graph.num_edges()]
-        } else {
-            graph.edges().iter().map(|e| e.p).collect()
-        };
+        let cell_probs = graph.edges().iter().map(|e| e.p).collect();
         CoreSupport {
             cells,
             offsets,
@@ -143,15 +128,6 @@ mod tests {
             let reference: Vec<f64> = g.neighbor_entries(v).map(|(_, p, _)| p).collect();
             assert_eq!(probs, reference, "vertex {v}");
         }
-    }
-
-    #[test]
-    fn deterministic_variant_has_unit_probs() {
-        let g = path_graph();
-        let s = CoreSupport::deterministic(&g);
-        let mut probs = Vec::new();
-        s.completion_probs_into(2, |_| true, &mut probs);
-        assert_eq!(probs, vec![1.0, 1.0]);
     }
 
     #[test]

@@ -14,10 +14,14 @@
 //!
 //! All three share one scoring shape — the largest `k` such that
 //! `Pr(e) · Pr[ζ ≥ k] ≥ θ`, with `ζ` the Poisson-binomial sum of the
-//! cell-completion events ([`dp`]) — and one peeling shape.  This module
-//! hosts the shared machinery so that every engine optimization (monotone
-//! bucket queue, deferred batched recompute, scratch arenas, perf
-//! counters) lands on every rank at once:
+//! cell-completion events ([`dp`]) — and one peeling shape.  On a graph
+//! whose edges all have p = 1 (the certain view,
+//! [`PossibleWorld::full`](crate::PossibleWorld::full) materialized) the
+//! tail is 1 up to the alive-cell count, so at any threshold the scores
+//! are the deterministic k-core, k-truss and k-(3,4)-nucleus numbers.
+//! This module hosts the shared machinery so that every engine
+//! optimization (monotone bucket queue, deferred batched recompute,
+//! scratch arenas, perf counters) lands on every rank at once:
 //!
 //! * [`RsSupport`] — the support-structure abstraction: cells per
 //!   element, members per cell, completion probabilities, element
@@ -525,8 +529,8 @@ mod tests {
         let edges = generators::gnm_edges(30, 120, &mut rng);
         let model = ProbabilityModel::Constant(1.0);
         let g = generators::assign_probabilities(&edges, 30, &model, &mut rng);
-        assert_eager_matches_deferred(&CoreSupport::deterministic(&g));
-        assert_eager_matches_deferred(&TrussSupport::deterministic(&g, Parallelism::Sequential));
+        assert_eager_matches_deferred(&CoreSupport::build(&g));
+        assert_eager_matches_deferred(&TrussSupport::build(&g, Parallelism::Sequential));
     }
 
     #[test]
@@ -539,7 +543,7 @@ mod tests {
         for (u, v) in [(0, 1), (0, 3), (2, 4)] {
             b.add_edge(u, v, 1.0).unwrap();
         }
-        let support = CoreSupport::deterministic(&b.build());
+        let support = CoreSupport::build(&b.build());
         let mut rescored = Vec::new();
         let (scores, stats) = peel_eager(&support, vec![9, 1, 1, 9, 9], |t, dead| {
             rescored.push(t);

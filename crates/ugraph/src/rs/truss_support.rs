@@ -1,11 +1,12 @@
 //! The (2,3) support structure: edges scored by their triangles.
 //!
 //! This is the substrate of the local probabilistic (k,γ)-truss (Huang,
-//! Lu, Lakshmanan, "Truss decomposition of probabilistic graphs") and of
-//! the deterministic k-truss.  An edge's completion events are the wedge
-//! closures of its triangles: given edge `{u, v}`, triangle `{u, v, w}`
-//! materializes with probability `p(u,w) · p(v,w)`, and the γ-support is
-//! the largest `k` with `p(u,v) · Pr[at least k triangles close] ≥ γ`.
+//! Lu, Lakshmanan, "Truss decomposition of probabilistic graphs"); on a
+//! graph whose edges all have p = 1 its scores are the deterministic
+//! truss numbers.  An edge's completion events are the wedge closures of
+//! its triangles: given edge `{u, v}`, triangle `{u, v, w}` materializes
+//! with probability `p(u,w) · p(v,w)`, and the γ-support is the largest
+//! `k` with `p(u,v) · Pr[at least k triangles close] ≥ γ`.
 //!
 //! The structure is assembled from the edge-ordered
 //! [`TriangleTable`]: a triangle's cell members are
@@ -32,8 +33,7 @@ use super::{Incidence, RsSupport};
 /// implementation gathers in.  DP scores are therefore bit-identical.
 #[derive(Debug, Clone)]
 pub struct TrussSupport {
-    /// Existence probability of every edge (`1.0` in the deterministic
-    /// variant).
+    /// Existence probability of every edge.
     element_probs: Vec<f64>,
     /// Triangle ids of every edge, in ascending id (= ascending third
     /// vertex) order.
@@ -52,24 +52,7 @@ impl TrussSupport {
     /// probabilities.  The triangle pass and the per-triangle
     /// probability work run under `parallelism`.
     pub fn build(graph: &UncertainGraph, parallelism: Parallelism) -> Self {
-        Self::assemble(
-            graph,
-            TriangleTable::build(graph, parallelism),
-            parallelism,
-            false,
-        )
-    }
-
-    /// Builds the (2,3) support of a *deterministic* view of `graph`:
-    /// every edge exists with probability 1, so the Poisson-binomial
-    /// scorer degenerates to triangle counting.
-    pub fn deterministic(graph: &UncertainGraph, parallelism: Parallelism) -> Self {
-        Self::assemble(
-            graph,
-            TriangleTable::build(graph, parallelism),
-            parallelism,
-            true,
-        )
+        Self::assemble(graph, TriangleTable::build(graph, parallelism), parallelism)
     }
 
     /// Repairs the support after an edge-update batch: `old_graph` is
@@ -80,11 +63,6 @@ impl TrussSupport {
     /// records go through the same assembly as a fresh
     /// [`TrussSupport::build`] — the same arithmetic on the same floats,
     /// so the result is bit-identical to one.
-    ///
-    /// Only supports built by [`build`](Self::build) (probabilistic
-    /// completion probabilities) are repairable; the
-    /// [`deterministic`](Self::deterministic) variant is rebuilt by its
-    /// owners instead.
     pub fn repair(
         &self,
         old_graph: &UncertainGraph,
@@ -104,28 +82,19 @@ impl TrussSupport {
             .collect();
         let table = TriangleTable::repair(&old_triangles, new_graph, inserted, parallelism);
         drop(old_triangles);
-        Self::assemble(new_graph, table, parallelism, false)
+        Self::assemble(new_graph, table, parallelism)
     }
 
     /// Builds the records from a triangle table — shared by the fresh
     /// build and the repair.
-    fn assemble(
-        graph: &UncertainGraph,
-        table: TriangleTable,
-        parallelism: Parallelism,
-        deterministic: bool,
-    ) -> Self {
+    fn assemble(graph: &UncertainGraph, table: TriangleTable, parallelism: Parallelism) -> Self {
         let (_, cell_elements, probs) = table.into_parts();
-        let completion = if deterministic {
-            vec![[1.0; 3]; probs.len()]
-        } else {
-            // Slot i conditions on member edge i; the two other edges
-            // close the wedge.
-            crate::par::par_map(parallelism, probs.len(), |t| {
-                let [pab, pac, pbc] = probs[t];
-                [pac * pbc, pab * pbc, pab * pac]
-            })
-        };
+        // Slot i conditions on member edge i; the two other edges close
+        // the wedge.
+        let completion = crate::par::par_map(parallelism, probs.len(), |t| {
+            let [pab, pac, pbc] = probs[t];
+            [pac * pbc, pab * pbc, pab * pac]
+        });
         drop(probs);
         // Ascending triangle id per edge = ascending third vertex,
         // because triangle ids are lexicographic on the triple.
@@ -133,11 +102,7 @@ impl TrussSupport {
             Incidence::transpose(graph.num_edges(), cell_elements.len(), "triangle", |t| {
                 cell_elements[t]
             });
-        let element_probs = if deterministic {
-            vec![1.0; graph.num_edges()]
-        } else {
-            graph.edges().iter().map(|e| e.p).collect()
-        };
+        let element_probs = graph.edges().iter().map(|e| e.p).collect();
 
         TrussSupport {
             element_probs,
@@ -270,15 +235,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn deterministic_variant_counts_triangles() {
-        let g = bowtie();
-        let s = TrussSupport::deterministic(&g, Parallelism::Sequential);
-        let e12 = g.edge_id(1, 2).unwrap();
-        assert_eq!(s.support(e12), 2);
-        assert_eq!(s.element_prob(e12), 1.0);
-        assert_eq!(s.completion_prob(s.cells_of(e12)[0], e12), 1.0);
     }
 }

@@ -7,8 +7,10 @@
 //!
 //! * [`ugraph`] — probabilistic graph substrate (representation, cliques,
 //!   possible worlds, metrics, generators, I/O),
-//! * [`detdecomp`] — deterministic k-core / k-truss / (3,4)-nucleus
-//!   decompositions,
+//! * [`detdecomp`] — deterministic k-(3,4)-nuclei: extraction, the
+//!   per-world nucleus checks and the frozen deterministic peels (the
+//!   deterministic numbers are [`Decomposition`] at threshold 1.0 on the
+//!   certain view of a graph),
 //! * [`nucleus`] — the paper's contribution: local (exact DP + statistical
 //!   approximations), global and weakly-global nucleus decompositions, and
 //!   the same engine's probabilistic (k,η)-core and (k,γ)-truss baselines,

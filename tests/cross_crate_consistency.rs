@@ -1,12 +1,12 @@
 //! Cross-crate integration tests: the probabilistic decompositions must be
 //! consistent with the deterministic ones and with each other.
 
-use prob_nucleus_repro::detdecomp::{CoreDecomposition, NucleusDecomposition, TrussDecomposition};
+use prob_nucleus_repro::detdecomp::reference;
 use prob_nucleus_repro::ugraph::generators::{
     assign_probabilities, planted_clique_edges, PlantedCliqueConfig, ProbabilityModel,
 };
 use prob_nucleus_repro::ugraph::rs::dp;
-use prob_nucleus_repro::ugraph::UncertainGraph;
+use prob_nucleus_repro::ugraph::{EdgeId, PossibleWorld, UncertainGraph, VertexId};
 use prob_nucleus_repro::{DecompConfig, Decomposition};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -29,29 +29,20 @@ fn decompose(g: &UncertainGraph, config: DecompConfig) -> Decomposition {
 }
 
 /// With all edge probabilities equal to 1, every probabilistic
-/// decomposition must coincide with its deterministic counterpart.
+/// decomposition must coincide with its deterministic counterpart (the
+/// frozen deterministic peels; triangle ids are lexicographic in both).
 #[test]
 fn certain_graph_probabilistic_equals_deterministic() {
     let g = clique_rich_graph(1, ProbabilityModel::Constant(1.0));
 
-    let det_core = CoreDecomposition::compute(&g);
     let prob_core = decompose(&g, DecompConfig::core(0.9));
-    assert_eq!(det_core.core_numbers(), prob_core.scores());
+    assert_eq!(reference::core_numbers(&g), prob_core.scores());
 
-    let det_truss = TrussDecomposition::compute(&g);
     let prob_truss = decompose(&g, DecompConfig::truss(0.9));
-    assert_eq!(det_truss.truss_numbers(), prob_truss.scores());
+    assert_eq!(reference::truss_numbers(&g), prob_truss.scores());
 
-    let det_nucleus = NucleusDecomposition::compute(&g);
     let prob_nucleus = decompose(&g, DecompConfig::nucleus(0.9));
-    let index = prob_nucleus.nucleus_support().unwrap().triangle_index();
-    for (id, tri) in index.iter() {
-        assert_eq!(
-            prob_nucleus.score(id),
-            det_nucleus.nucleusness_of(&tri).unwrap(),
-            "triangle {tri}"
-        );
-    }
+    assert_eq!(reference::nucleusness(&g), prob_nucleus.scores());
 }
 
 /// The probabilistic scores are upper-bounded by the deterministic ones
@@ -65,13 +56,13 @@ fn probabilistic_scores_bounded_by_deterministic() {
             high: 1.0,
         },
     );
-    let det = NucleusDecomposition::compute(&g);
+    let det = reference::nucleusness(&g);
     let loose = decompose(&g, DecompConfig::nucleus(0.05));
     let tight = decompose(&g, DecompConfig::nucleus(0.6));
-    for (id, tri) in loose.nucleus_support().unwrap().triangle_index().iter() {
-        let d = det.nucleusness_of(&tri).unwrap();
-        assert!(loose.score(id) <= d);
-        assert!(tight.score(id) <= loose.score(id));
+    assert_eq!(loose.num_elements(), det.len());
+    for (id, &d) in det.iter().enumerate() {
+        assert!(loose.scores()[id] <= d);
+        assert!(tight.scores()[id] <= loose.scores()[id]);
     }
 }
 
@@ -119,9 +110,12 @@ fn nucleus_subgraphs_are_inside_truss_and_core() {
 #[test]
 fn deterministic_hierarchy_sanity() {
     let g = clique_rich_graph(4, ProbabilityModel::Constant(1.0));
-    let core = CoreDecomposition::compute(&g);
-    let kmax = core.max_core();
-    let members = core.vertices_in_k_core(kmax);
+    let certain = PossibleWorld::full(&g).materialize(&g);
+    let core = decompose(&certain, DecompConfig::core(1.0));
+    let kmax = core.max_score();
+    let members: Vec<VertexId> = (0..g.num_vertices() as VertexId)
+        .filter(|&v| core.score(v) >= kmax)
+        .collect();
     for &v in &members {
         let degree_in_core = g
             .neighbors(v)
@@ -131,9 +125,11 @@ fn deterministic_hierarchy_sanity() {
         assert!(degree_in_core >= kmax);
     }
 
-    let truss = TrussDecomposition::compute(&g);
-    let tmax = truss.max_truss();
-    let edges = truss.edges_in_k_truss(tmax);
+    let truss = decompose(&certain, DecompConfig::truss(1.0));
+    let tmax = truss.max_score();
+    let edges: Vec<EdgeId> = (0..g.num_edges() as EdgeId)
+        .filter(|&e| truss.score(e) >= tmax)
+        .collect();
     for &e in &edges {
         let edge = g.edge(e);
         let support_in_truss = g

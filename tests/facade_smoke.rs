@@ -1,9 +1,10 @@
 //! End-to-end smoke test of the `prob_nucleus_repro` facade re-exports:
 //! builds a small probabilistic graph through `ugraph`, runs decompositions
-//! from `nucleus` and `detdecomp`, and touches a synthetic dataset from
-//! `nd_datasets` — all through the umbrella crate's paths.
+//! from `nucleus` against the deterministic oracle of `detdecomp`, and
+//! touches a synthetic dataset from `nd_datasets` — all through the
+//! umbrella crate's paths.
 
-use prob_nucleus_repro::detdecomp::NucleusDecomposition;
+use prob_nucleus_repro::detdecomp;
 use prob_nucleus_repro::nd_datasets::{PaperDataset, Scale};
 use prob_nucleus_repro::nucleus::{NucleusError, SweepConfig, ThetaGridError};
 use prob_nucleus_repro::ugraph::{GraphBuilder, Triangle};
@@ -42,10 +43,7 @@ fn facade_local_decomposition_known_score() {
 
     // The probabilistic scores coincide with the deterministic nucleusness
     // here, and the single extracted 2-nucleus is the whole K5.
-    let det = NucleusDecomposition::compute(&graph);
-    for (id, tri) in index.iter() {
-        assert_eq!(local.score(id), det.nucleusness_of(&tri).unwrap());
-    }
+    assert_eq!(local.scores(), detdecomp::reference::nucleusness(&graph));
     let nuclei = local.k_nuclei(&graph, 2).unwrap();
     assert_eq!(nuclei.len(), 1);
     assert_eq!(nuclei[0].num_vertices(), 5);

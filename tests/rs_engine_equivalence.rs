@@ -1,11 +1,13 @@
 //! Differential tests of the generic (r,s) peeling engine.
 //!
 //! The API redesign moved every decomposition — probabilistic (k,η)-core,
-//! local (k,γ)-truss, ℓ-NuDecomp and the three deterministic peels — onto
-//! one generic engine (`ugraph::rs`).  The pre-redesign peeling loops are
-//! frozen in `nucleus::reference` and `detdecomp::reference`; these
-//! proptests pin the generic engine **bit-identical** to the core, truss
-//! and deterministic ones on random graphs, at 1, 2 and 8 worker threads
+//! local (k,γ)-truss and ℓ-NuDecomp — onto one generic engine
+//! (`ugraph::rs`), and deterministic core, truss and nucleus numbers are
+//! that engine at threshold 1.0 on the certain view of a graph (every
+//! edge at p = 1).  The pre-redesign peeling loops are frozen in
+//! `nucleus::reference` and `detdecomp::reference`; these proptests pin
+//! the generic engine **bit-identical** to the core, truss and
+//! deterministic ones on random graphs, at 1, 2 and 8 worker threads
 //! (the engine's counters and scores must not depend on the thread
 //! count).  The nucleus rank, both scorers, is pinned to its frozen
 //! engine by the `equivalence_proptests` of `nucleus::reference`.
@@ -19,7 +21,7 @@ use prob_nucleus_repro::detdecomp;
 use prob_nucleus_repro::nucleus::{
     reference, DecompConfig, DecompSweep, Decomposition, Rank, SweepConfig,
 };
-use prob_nucleus_repro::ugraph::{GraphBuilder, Parallelism, UncertainGraph};
+use prob_nucleus_repro::ugraph::{GraphBuilder, Parallelism, PossibleWorld, UncertainGraph};
 
 /// Strategy: a random probabilistic graph with a biased-dense edge set so
 /// triangles and 4-cliques actually appear.
@@ -93,25 +95,23 @@ proptest! {
         prop_assert_eq!(generic, frozen);
     }
 
-    /// The deterministic peels (rewritten over the same engine) reproduce
-    /// their frozen references: Batagelj–Zaveršnik core, eager heap truss
-    /// and eager heap (3,4)-nucleus.
+    /// The certain view at threshold 1.0 reproduces the frozen
+    /// deterministic peels at every thread count: Batagelj–Zaveršnik
+    /// core, eager heap truss and eager heap (3,4)-nucleus.
     #[test]
     fn deterministic_peels_match_frozen_references(g in arb_graph(12, 0.6)) {
-        let core = detdecomp::CoreDecomposition::compute(&g);
+        let certain = PossibleWorld::full(&g).materialize(&g);
         prop_assert_eq!(
-            core.core_numbers(),
-            detdecomp::reference::core_numbers(&g).as_slice()
+            thread_independent_scores(&certain, DecompConfig::core(1.0)),
+            detdecomp::reference::core_numbers(&g)
         );
-        let truss = detdecomp::TrussDecomposition::compute(&g);
         prop_assert_eq!(
-            truss.truss_numbers(),
-            detdecomp::reference::truss_numbers(&g).as_slice()
+            thread_independent_scores(&certain, DecompConfig::truss(1.0)),
+            detdecomp::reference::truss_numbers(&g)
         );
-        let nucleus = detdecomp::NucleusDecomposition::compute(&g);
         prop_assert_eq!(
-            nucleus.nucleusness_values(),
-            detdecomp::reference::nucleusness(&g).as_slice()
+            thread_independent_scores(&certain, DecompConfig::nucleus(1.0)),
+            detdecomp::reference::nucleusness(&g)
         );
     }
 

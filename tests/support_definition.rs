@@ -302,16 +302,6 @@ proptest! {
             assert_nucleus_matches(&SupportStructure::build_with(&g, par), &nucleus, &what);
             assert_truss_matches(&TrussSupport::build(&g, par), &truss, &what);
         }
-        // The deterministic truss view keeps the incidence and drops
-        // every probability to 1.
-        let det = TrussSupport::deterministic(&g, Parallelism::Sequential);
-        for e in 0..det.num_elements() as u32 {
-            prop_assert_eq!(det.cells_of(e), truss.cells_of[e as usize].as_slice());
-            prop_assert_eq!(det.element_prob(e), 1.0);
-            for &c in det.cells_of(e) {
-                prop_assert_eq!(det.completion_prob(c, e), 1.0);
-            }
-        }
     }
 
     /// Repairs after a random batch equal the definition on the updated
