@@ -20,8 +20,10 @@
 //! [`PeelStats`](crate::PeelStats) perf counters, and both are
 //! property-tested bit-identical to the frozen engine of
 //! [`crate::reference`].  [`nuclei`] extracts the maximal
-//! ℓ-(k,θ)-nuclei from the scores.
+//! ℓ-(k,θ)-nuclei of one `k` from the scores; [`forest`] builds the
+//! hierarchy of the nuclei of every `k` at once.
 
+pub mod forest;
 pub mod nuclei;
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use ugraph::{apply_edge_updates, EdgeUpdate, Parallelism, UncertainGraph};
 use crate::client::{obj, Client, ClientError};
 use crate::json::Json;
 use crate::proto::ErrorCode;
-use crate::server::{Server, ServerConfig, ServerCore};
+use crate::server::{nucleus_json, Server, ServerConfig, ServerCore};
 use crate::stats::StatsSnapshot;
 
 /// Options of a oneshot run.
@@ -85,6 +85,18 @@ fn scores_from_json(result: &Json) -> Option<Vec<u32>> {
         .iter()
         .map(|v| v.as_f64().map(|n| n as u32))
         .collect()
+}
+
+/// A `top_nuclei` entry split into its nucleus and its trailing density.
+fn split_density(entry: &Json) -> Option<(Json, f64)> {
+    let Json::Obj(members) = entry else {
+        return None;
+    };
+    let ((key, density), nucleus) = members.split_last()?;
+    if key != "density" {
+        return None;
+    }
+    Some((Json::Obj(nucleus.to_vec()), density.as_f64()?))
 }
 
 /// Runs the scripted session against a freshly booted server and
@@ -324,31 +336,58 @@ fn run_script(
     c.check("bit-identity: batch max_score theta1", batch_max_ok);
     c.check("bit-identity: batch element subset", batch_subset_ok);
 
-    // 9: nuclei extraction matches the library.
-    let lib_nuclei = sweep
-        .k_nuclei_at(graph, theta0, 1)
-        .expect("nucleus sweep extracts nuclei");
+    // 9-11: the nucleus answers match the library's extraction: every
+    // nucleus at k = 1, each ranked entry (an extracted nucleus at its
+    // k, densest first) and the highest-k nucleus holding vertex 0.
+    let extracted = |k: u32| -> Vec<Json> {
+        let nuclei = sweep
+            .k_nuclei_at(graph, theta0, k)
+            .expect("nucleus sweep extracts nuclei");
+        nuclei
+            .iter()
+            .map(|n| nucleus_json(n.k, n.subgraph.original_vertices(), n.num_edges()))
+            .collect()
+    };
+    let lib_nuclei = extracted(1);
     let wire_nuclei = client.call(
         "k_nuclei_at",
         with_session(vec![("theta", Json::num(theta0)), ("k", Json::num(1.0))]),
     )?;
     c.check(
-        "bit-identity: k_nuclei count",
-        wire_nuclei.get("count").and_then(Json::as_f64) == Some(lib_nuclei.len() as f64),
+        "bit-identity: k_nuclei_at",
+        wire_nuclei.get("count").and_then(Json::as_f64) == Some(lib_nuclei.len() as f64)
+            && wire_nuclei.get("nuclei").and_then(Json::as_array) == Some(&lib_nuclei[..]),
     );
 
-    // 10-11: the ranked/denominated views answer without error.
+    let max0 = sweep.max_score_at(theta0).unwrap_or(0);
+    let by_k: Vec<Vec<Json>> = (1..=max0).map(extracted).collect();
+    let limit = 3;
     let top = client.call(
         "top_nuclei",
         with_session(vec![
             ("theta", Json::num(theta0)),
-            ("limit", Json::num(3.0)),
+            ("limit", Json::num(limit as f64)),
         ]),
     )?;
+    let entries = top.get("nuclei").and_then(Json::as_array).unwrap_or(&[]);
+    let densities: Vec<Option<f64>> = entries
+        .iter()
+        .map(|entry| {
+            let (nucleus, density) = split_density(entry)?;
+            let k = nucleus.get("k")?.as_f64()? as usize;
+            let count = |key| nucleus.get(key).and_then(Json::as_f64);
+            let exact = density == count("num_edges")? / count("num_vertices")?;
+            (exact && by_k.get(k.checked_sub(1)?)?.contains(&nucleus)).then_some(density)
+        })
+        .collect();
+    let candidates: usize = by_k.iter().map(Vec::len).sum();
     c.check(
-        "top_nuclei",
-        top.get("nuclei").and_then(Json::as_array).is_some(),
+        "bit-identity: top_nuclei",
+        entries.len() == candidates.min(limit)
+            && densities.iter().all(Option::is_some)
+            && densities.windows(2).all(|w| w[0] >= w[1]),
     );
+
     let community = client.call(
         "community",
         with_session(vec![
@@ -356,9 +395,17 @@ fn run_script(
             ("vertex", Json::num(0.0)),
         ]),
     )?;
+    let home = by_k.iter().rev().find_map(|nuclei| {
+        let holds_zero = |n: &&Json| {
+            let vertices = n.get("vertices").and_then(Json::as_array);
+            vertices.is_some_and(|vs| vs.contains(&Json::num(0.0)))
+        };
+        nuclei.iter().find(holds_zero)
+    });
     c.check(
-        "community",
-        community.get("found").and_then(Json::as_bool).is_some(),
+        "bit-identity: community",
+        community.get("found").and_then(Json::as_bool) == Some(home.is_some())
+            && community.get("community") == home,
     );
 
     // 12: typed errors, none of which may kill the connection.

@@ -17,6 +17,13 @@
 //! miss), an untouched one keeps its handle and table.
 //! Queries resolve graph, support and generation under a single lock
 //! acquisition, so no request can ever observe a half-applied update.
+//! The nucleus answers (`k_nuclei_at`, `top_nuclei`, `community`) come
+//! from one [`NucleusForest`] per cached point: the hierarchy of the
+//! point's maximal nuclei of every `k` (Sarıyüce, Seshadhri, Pinar and
+//! Çatalyürek, WWW 2015), built in one pass after Sarıyüce and Pinar
+//! (PVLDB 10(3), 2016).  The point's first nucleus query builds it,
+//! outside every lock; `scores_at` and `max_score_at` never pay for it,
+//! and it is evicted with its point.
 //! It is transport-independent: [`ServerCore::handle_body`] maps one
 //! request frame body to one response body, so tests can drive it
 //! without sockets.
@@ -33,11 +40,12 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use nucleus::local::forest::NucleusForest;
 use nucleus::{ApproxThresholds, DecompConfig, DecompHandle, Rank, ScoreMethod, SweepConfig};
-use ugraph::{apply_edge_updates, EdgeUpdate, Parallelism, UncertainGraph};
+use ugraph::{apply_edge_updates, EdgeUpdate, Parallelism, UncertainGraph, VertexId};
 
 use crate::frame::{read_frame_while, write_frame, FrameError, ReadOutcome};
 use crate::json::Json;
@@ -107,6 +115,8 @@ struct Session {
 struct CachedPoint {
     scores: Vec<u32>,
     max_score: u32,
+    /// The point's nucleus forest, built by its first nucleus query.
+    forest: OnceLock<NucleusForest>,
 }
 
 /// Cache key: rank + method + exact threshold bits + the rank's world
@@ -364,6 +374,7 @@ impl ServerCore {
         let point = Arc::new(CachedPoint {
             max_score: decomp.max_score(),
             scores: decomp.scores().to_vec(),
+            forest: OnceLock::new(),
         });
         for _ in 0..cache.lru.insert(key, Arc::clone(&point)) {
             ServerStats::bump(&self.stats.cache_evictions);
@@ -632,24 +643,20 @@ impl ServerCore {
         })
     }
 
-    fn nucleus_summary(nucleus: &detdecomp::NucleusSubgraph) -> Json {
-        let mut vertices: Vec<u32> = nucleus.subgraph.original_vertices().to_vec();
-        vertices.sort_unstable();
-        Json::Obj(vec![
-            ("k".to_string(), Json::num(nucleus.k as f64)),
-            (
-                "num_vertices".to_string(),
-                Json::num(nucleus.num_vertices() as f64),
-            ),
-            (
-                "num_edges".to_string(),
-                Json::num(nucleus.num_edges() as f64),
-            ),
-            (
-                "vertices".to_string(),
-                Json::Arr(vertices.into_iter().map(|v| Json::num(v as f64)).collect()),
-            ),
-        ])
+    /// The point's nucleus forest, built over `support` by the point's
+    /// first nucleus query.  The build runs under no lock; a concurrent
+    /// query on the same point waits for it.
+    fn forest<'p>(
+        point: &'p CachedPoint,
+        support: &nucleus::SupportStructure,
+        deadline: &Deadline,
+    ) -> Result<&'p NucleusForest, RequestError> {
+        deadline.check()?;
+        let forest = point
+            .forest
+            .get_or_init(|| NucleusForest::build(support, &point.scores));
+        deadline.check()?;
+        Ok(forest)
     }
 
     fn do_k_nuclei_at(&self, params: &Json, deadline: &Deadline) -> Result<Json, RequestError> {
@@ -661,24 +668,25 @@ impl ServerCore {
             .map_err(|_| RequestError::new(ErrorCode::InvalidParams, "'k' does not fit u32"))?;
         deadline.check()?;
         let point = self.point(&session, theta, &view)?;
-        deadline.check()?;
-        let nuclei =
-            nucleus::local::nuclei::extract_k_nuclei(&view.graph, support, &point.scores, k);
+        let forest = Self::forest(&point, support, deadline)?;
+        let nuclei: Vec<Json> = forest
+            .at(k)
+            .map(|node| nucleus_json(k, &forest.vertices(node), forest.num_edges(node)))
+            .collect();
         Ok(Json::Obj(vec![
             ("theta".to_string(), Json::num(theta)),
             ("k".to_string(), Json::num(k as f64)),
             ("count".to_string(), Json::num(nuclei.len() as f64)),
-            (
-                "nuclei".to_string(),
-                Json::Arr(nuclei.iter().map(Self::nucleus_summary).collect()),
-            ),
+            ("nuclei".to_string(), Json::Arr(nuclei)),
         ]))
     }
 
-    /// The densest maximal nuclei at `theta` across every `k`, sorted by
-    /// descending edge density (`num_edges / num_vertices`), ties broken
-    /// by higher `k`, then more edges, then the smallest vertex id — a
-    /// total, deterministic order.
+    /// The densest maximal nuclei at `theta` across every `k ≥ 1`, sorted
+    /// by descending edge density (`num_edges / num_vertices`), ties
+    /// broken by higher `k`, then more edges, then the smallest vertex
+    /// id, then the smallest 4-clique — a total, deterministic order
+    /// ([`NucleusForest::ranked`]).  A nucleus that is maximal at several
+    /// `k` is listed once per `k`.
     fn do_top_nuclei(&self, params: &Json, deadline: &Deadline) -> Result<Json, RequestError> {
         let session = self.session(params)?;
         let view = self.resolve(session.rank);
@@ -687,44 +695,19 @@ impl ServerCore {
         let limit = require_u64(params, "limit")? as usize;
         deadline.check()?;
         let point = self.point(&session, theta, &view)?;
-        let mut ranked: Vec<(f64, u32, usize, u32, Json)> = Vec::new();
-        for k in 1..=point.max_score {
-            deadline.check()?;
-            for nucleus in
-                nucleus::local::nuclei::extract_k_nuclei(&view.graph, support, &point.scores, k)
-            {
-                let density = nucleus.num_edges() as f64 / nucleus.num_vertices() as f64;
-                let first_vertex = nucleus
-                    .subgraph
-                    .original_vertices()
-                    .iter()
-                    .copied()
-                    .min()
-                    .unwrap_or(0);
-                ranked.push((
-                    density,
-                    k,
-                    nucleus.num_edges(),
-                    first_vertex,
-                    Self::nucleus_summary(&nucleus),
-                ));
-            }
-        }
-        ranked.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.1.cmp(&a.1))
-                .then(b.2.cmp(&a.2))
-                .then(a.3.cmp(&b.3))
-        });
-        ranked.truncate(limit);
-        let nuclei: Vec<Json> = ranked
+        let forest = Self::forest(&point, support, deadline)?;
+        let nuclei: Vec<Json> = forest
+            .ranked()
             .into_iter()
-            .map(|(density, _, _, _, mut summary)| {
-                if let Json::Obj(members) = &mut summary {
+            .take(limit)
+            .map(|(node, k)| {
+                let (vertices, num_edges) = (forest.vertices(node), forest.num_edges(node));
+                let mut entry = nucleus_json(k, &vertices, num_edges);
+                if let Json::Obj(members) = &mut entry {
+                    let density = num_edges as f64 / vertices.len() as f64;
                     members.push(("density".to_string(), Json::num(density)));
                 }
-                summary
+                entry
             })
             .collect();
         Ok(Json::Obj(vec![
@@ -735,8 +718,8 @@ impl ServerCore {
     }
 
     /// The most cohesive community of a vertex at `theta`: the maximal
-    /// nucleus containing the vertex with the largest `k` (ties broken
-    /// by the extraction order, which is deterministic).
+    /// nucleus containing the vertex with the largest `k ≥ 1`, ties
+    /// broken by the smallest 4-clique (the extraction order).
     fn do_community(&self, params: &Json, deadline: &Deadline) -> Result<Json, RequestError> {
         let session = self.session(params)?;
         let view = self.resolve(session.rank);
@@ -756,27 +739,23 @@ impl ServerCore {
         }
         deadline.check()?;
         let point = self.point(&session, theta, &view)?;
-        for k in (1..=point.max_score).rev() {
-            deadline.check()?;
-            let nuclei =
-                nucleus::local::nuclei::extract_k_nuclei(&view.graph, support, &point.scores, k);
-            if let Some(home) = nuclei
-                .iter()
-                .find(|n| n.subgraph.original_vertices().contains(&vertex))
-            {
-                return Ok(Json::Obj(vec![
-                    ("theta".to_string(), Json::num(theta)),
-                    ("vertex".to_string(), Json::num(vertex as f64)),
-                    ("found".to_string(), Json::Bool(true)),
-                    ("community".to_string(), Self::nucleus_summary(home)),
-                ]));
-            }
-        }
-        Ok(Json::Obj(vec![
+        let forest = Self::forest(&point, support, deadline)?;
+        let mut answer = vec![
             ("theta".to_string(), Json::num(theta)),
             ("vertex".to_string(), Json::num(vertex as f64)),
-            ("found".to_string(), Json::Bool(false)),
-        ]))
+        ];
+        match forest
+            .home(vertex)
+            .map(|node| (node, *forest.k_range(node).end()))
+        {
+            Some((node, k)) if k >= 1 => {
+                answer.push(("found".to_string(), Json::Bool(true)));
+                let community = nucleus_json(k, &forest.vertices(node), forest.num_edges(node));
+                answer.push(("community".to_string(), community));
+            }
+            _ => answer.push(("found".to_string(), Json::Bool(false))),
+        }
+        Ok(Json::Obj(answer))
     }
 
     /// Prefixes a parameter error with the position of the offending
@@ -941,6 +920,20 @@ impl ServerCore {
             ),
         ]))
     }
+}
+
+/// One nucleus as the nucleus answers print it: its `k`, its vertex and
+/// edge counts, then its vertices in ascending order.
+pub(crate) fn nucleus_json(k: u32, vertices: &[VertexId], num_edges: usize) -> Json {
+    Json::Obj(vec![
+        ("k".to_string(), Json::num(k as f64)),
+        ("num_vertices".to_string(), Json::num(vertices.len() as f64)),
+        ("num_edges".to_string(), Json::num(num_edges as f64)),
+        (
+            "vertices".to_string(),
+            Json::Arr(vertices.iter().map(|&v| Json::num(v as f64)).collect()),
+        ),
+    ])
 }
 
 /// The TCP layer around a [`ServerCore`].
