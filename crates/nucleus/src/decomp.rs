@@ -313,83 +313,30 @@ impl RankSupport {
     /// re-peel.
     ///
     /// `old_graph` must be the graph this support was built from and
-    /// `delta` the result of [`apply_edge_updates`] on it.  The repaired
-    /// support is bit-identical to `RankSupport::build(&delta.graph, …)`;
-    /// `affected` / `region` are the seed set and its component closure
-    /// as computed by [`rs::affected_elements`] and
-    /// [`rs::component_closure`].
-    pub fn repair(
-        &self,
-        old_graph: &UncertainGraph,
-        delta: &GraphDelta,
-        parallelism: Parallelism,
-    ) -> SupportRepair {
+    /// `delta` the result of [`apply_edge_updates`] on it.  The truss and
+    /// nucleus supports are patched around the batch
+    /// ([`TrussSupport::repair`], [`SupportStructure::repair`]); the core
+    /// support, a plain scan of the edge table, is rebuilt
+    /// ([`CoreSupport::repair`]).  The repaired support is bit-identical
+    /// to `RankSupport::build(&delta.graph, …)`.
+    /// `affected` is the seed set, found by [`rs::affected_elements`]
+    /// among the patch's candidates — the elements within one cell of a
+    /// touched edge — and `region` its [`rs::component_closure`].
+    pub fn repair(&self, old_graph: &UncertainGraph, delta: &GraphDelta) -> SupportRepair {
         match self {
-            RankSupport::Core(old) => {
-                // The (1,2) support is a plain scan of the edge table —
-                // rebuilding it is as cheap as any repair.  Elements are
-                // vertices and the vertex set is fixed, so the element
-                // map is the identity.
-                let new = CoreSupport::build(&delta.graph);
-                let new_to_old: Vec<Option<u32>> =
-                    (0..new.num_elements() as u32).map(Some).collect();
-                let affected = rs::affected_elements(old, &new, &new_to_old);
-                let region = rs::component_closure(&new, &affected);
-                SupportRepair {
-                    support: RankSupport::Core(new),
-                    new_to_old,
-                    affected,
-                    region,
-                }
-            }
+            RankSupport::Core(old) => SupportRepair::new(
+                old,
+                CoreSupport::repair(old_graph, delta),
+                RankSupport::Core,
+            ),
             RankSupport::Truss(old) => {
-                let new = old.repair(old_graph, &delta.graph, &delta.inserted, parallelism);
-                // (2,3) elements are edges: the delta's edge remap is the
-                // element map.
-                let new_to_old = delta.new_to_old.clone();
-                let affected = rs::affected_elements(old, &new, &new_to_old);
-                let region = rs::component_closure(&new, &affected);
-                SupportRepair {
-                    support: RankSupport::Truss(new),
-                    new_to_old,
-                    affected,
-                    region,
-                }
+                SupportRepair::new(old, old.repair(old_graph, delta), RankSupport::Truss)
             }
             RankSupport::Nucleus(old) => {
-                let new = old.repair(&delta.graph, &delta.inserted, parallelism);
-                // (3,4) elements are triangles, which keep their vertex
-                // triple: both id orders are lexicographic, so one
-                // linear merge maps every new id to its old one.
-                let new_to_old = merge_ids(
-                    old.triangle_index().triangles(),
-                    new.triangle_index().triangles(),
-                );
-                let affected = rs::affected_elements(old, &new, &new_to_old);
-                let region = rs::component_closure(&new, &affected);
-                SupportRepair {
-                    support: RankSupport::Nucleus(new),
-                    new_to_old,
-                    affected,
-                    region,
-                }
+                SupportRepair::new(old, old.repair(old_graph, delta), RankSupport::Nucleus)
             }
         }
     }
-}
-
-/// For every element of the sorted `new` list, its position in the
-/// sorted `old` list, or `None` when it is not there.
-fn merge_ids<T: Ord>(old: &[T], new: &[T]) -> Vec<Option<u32>> {
-    let mut i = 0;
-    new.iter()
-        .map(|t| {
-            while old.get(i).is_some_and(|o| o < t) {
-                i += 1;
-            }
-            (old.get(i) == Some(t)).then_some(i as u32)
-        })
-        .collect()
 }
 
 /// Result of [`RankSupport::repair`]: the repaired support plus the
@@ -409,6 +356,38 @@ pub struct SupportRepair {
     /// re-peel actually re-scores (sorted new ids).  Scores outside `R`
     /// carry over bitwise.
     pub region: Vec<u32>,
+}
+
+impl SupportRepair {
+    /// Tests the patch's candidates against `old`, closes the affected
+    /// set and wraps the patched support.
+    fn new<S: RsSupport>(old: &S, patch: rs::SupportPatch<S>, wrap: fn(S) -> RankSupport) -> Self {
+        let rs::SupportPatch {
+            support,
+            new_to_old,
+            candidates,
+        } = patch;
+        let affected = rs::affected_elements(old, &support, &new_to_old, &candidates);
+        let region = rs::component_closure(&support, &affected);
+        SupportRepair {
+            support: wrap(support),
+            new_to_old,
+            affected,
+            region,
+        }
+    }
+
+    /// The repaired support's [`TailTable`], carried over from `old`,
+    /// the table of the support before the batch
+    /// ([`TailTable::repair`]).
+    fn tail_table(&self, old: &TailTable) -> TailTable {
+        let (ids, affected) = (&self.new_to_old, &self.affected);
+        match &self.support {
+            RankSupport::Core(s) => old.repair(s, ids, affected),
+            RankSupport::Truss(s) => old.repair(s, ids, affected),
+            RankSupport::Nucleus(s) => old.repair(s, ids, affected),
+        }
+    }
 }
 
 /// Deterministic counters of one [`DecompSweep::apply_updates`] /
@@ -768,8 +747,10 @@ fn repair_points<S: RsSupport + Sync>(
 /// 0.7 MB for a 44k-edge graph at the nucleus rank (41k triangles, 17k
 /// 4-cliques), and about 2.4 MB for the nucleus and truss ranks of a
 /// 74k-edge graph together.  Hybrid points never build it.  A handle
-/// returned by [`apply_updates`](Self::apply_updates) starts with an
-/// empty cache and rebuilds the table on its first exact-DP point.
+/// over a repaired support ([`repaired`](Self::repaired), which
+/// [`apply_updates`](Self::apply_updates) returns) starts with the old
+/// handle's table carried over when that one was built — clean rows
+/// copied, affected rows run again — and otherwise with an empty cache.
 #[derive(Debug, Clone)]
 pub struct DecompHandle {
     support: Arc<RankSupport>,
@@ -788,6 +769,23 @@ impl DecompHandle {
         DecompHandle {
             support,
             tails: Arc::new(OnceLock::new()),
+        }
+    }
+
+    /// A handle over `repair`'s support, which must be a repair of this
+    /// handle's ([`RankSupport::repair`]).  When this handle has built its
+    /// [`TailTable`], the new handle starts with it carried over
+    /// ([`TailTable::repair`]), bit-identical to the table its first
+    /// exact-DP point would otherwise build; otherwise its cache starts
+    /// empty.
+    pub fn repaired(&self, repair: SupportRepair) -> Self {
+        let tails = OnceLock::new();
+        if let Some(old) = self.tails.get() {
+            let _ = tails.set(repair.tail_table(old));
+        }
+        DecompHandle {
+            support: Arc::new(repair.support),
+            tails: Arc::new(tails),
         }
     }
 
@@ -856,17 +854,17 @@ impl DecompHandle {
     /// Applies an edge-update batch: validates it against `graph` (which
     /// must be the graph this handle's support was built from), repairs
     /// the support incrementally and returns a new handle over it
-    /// together with the updated graph.  The batch is atomic — on any
-    /// [`NucleusError::Update`] nothing is modified — and the repaired
-    /// support is bit-identical to a fresh build on the updated graph.
+    /// ([`repaired`](Self::repaired)) together with the updated graph.
+    /// The batch is atomic — on any [`NucleusError::Update`] nothing is
+    /// modified — and the repaired support is bit-identical to a fresh
+    /// build on the updated graph.
     pub fn apply_updates(
         &self,
         graph: &UncertainGraph,
         updates: &[EdgeUpdate],
-        parallelism: Parallelism,
     ) -> Result<HandleUpdate> {
         let delta = apply_edge_updates(graph, updates)?;
-        let repair = self.support.repair(graph, &delta, parallelism);
+        let repair = self.support.repair(graph, &delta);
         let report = UpdateReport {
             inserted_edges: delta.inserted.len(),
             removed_edges: delta.removed,
@@ -878,7 +876,7 @@ impl DecompHandle {
             recomputed_points: 0,
         };
         Ok(HandleUpdate {
-            handle: DecompHandle::from_support(Arc::new(repair.support)),
+            handle: self.repaired(repair),
             graph: delta.graph,
             report,
         })
@@ -1246,8 +1244,7 @@ impl DecompSweep {
         updates: &[EdgeUpdate],
     ) -> Result<UpdateOutcome> {
         let delta = apply_edge_updates(graph, updates)?;
-        let parallelism = self.config.parallelism;
-        let repair = self.support.repair(graph, &delta, parallelism);
+        let repair = self.support.repair(graph, &delta);
         let grid_len = self.config.thetas.len();
 
         let hybrid = matches!(self.config.method, ScoreMethod::Hybrid(_));
@@ -1843,9 +1840,7 @@ pub(crate) mod tests {
         let g = complete(6, 0.7);
         let handle = DecompHandle::build(&g, Rank::Truss, Parallelism::Sequential);
         let batch = [EdgeUpdate::Delete { u: 0, v: 1 }];
-        let update = handle
-            .apply_updates(&g, &batch, Parallelism::Sequential)
-            .unwrap();
+        let update = handle.apply_updates(&g, &batch).unwrap();
         assert_eq!(update.report.removed_edges, 1);
         assert_eq!(update.report.repaired_points, 0);
         assert_eq!(update.graph.num_edges(), g.num_edges() - 1);
@@ -1856,6 +1851,36 @@ pub(crate) mod tests {
         assert_eq!(repaired.scores(), fresh.scores());
         assert_eq!(repaired.initial_scores(), fresh.initial_scores());
         assert_eq!(repaired.peel_stats(), fresh.peel_stats());
+    }
+
+    #[test]
+    fn a_repaired_handle_carries_a_built_table_at_every_rank() {
+        let g = complete(7, 0.65);
+        let batch = [
+            EdgeUpdate::Delete { u: 0, v: 1 },
+            EdgeUpdate::Reweight { u: 2, v: 3, p: 0.3 },
+        ];
+        for rank in [Rank::Core, Rank::Truss, Rank::Nucleus] {
+            let handle = DecompHandle::build(&g, rank, Parallelism::Sequential);
+            let lazy = handle.apply_updates(&g, &batch).unwrap().handle;
+            assert!(lazy.tails.get().is_none(), "{rank}: nothing to carry");
+
+            let config = DecompConfig::new(rank, 0.2);
+            handle.compute_at(&config).unwrap();
+            let update = handle.apply_updates(&g, &batch).unwrap();
+            let carried = update.handle.tails.get().expect("carried over");
+            let fresh = DecompHandle::build(&update.graph, rank, Parallelism::Sequential);
+            let built = fresh.support.tail_table(Parallelism::Sequential);
+            assert_eq!(carried.len(), built.len(), "{rank}");
+            for t in 0..built.len() as u32 {
+                let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(carried.row(t)), bits(built.row(t)), "{rank}: row {t}");
+            }
+            let repaired = update.handle.compute_at(&config).unwrap();
+            let fresh = fresh.compute_at(&config).unwrap();
+            assert_eq!(repaired.scores(), fresh.scores(), "{rank}");
+            assert_eq!(repaired.initial_scores(), fresh.initial_scores(), "{rank}");
+        }
     }
 
     #[test]

@@ -42,17 +42,32 @@
 //!
 //! # Repair
 //!
-//! [`SupportStructure::repair`] repairs the triangle table around the
-//! net-inserted edges of an update batch ([`TriangleTable::repair`]) and
-//! runs the same assembly; the 4-cliques of the updated graph are the
-//! extensions of the repaired table, so no clique is carried over or
-//! looked up.
+//! [`SupportStructure::repair`] patches the old structure around the
+//! touched edges of an update batch instead of re-enumerating the graph:
+//!
+//! * the old triangles on a removed edge die, and those on a re-weighted
+//!   edge keep their place but not their probability — both found
+//!   through the old common neighbours of the touched edge;
+//! * the survivors are merged with the triangles around the inserted
+//!   edges, in lexicographic order; the merge yields the new → old
+//!   triangle map;
+//! * every 4-clique whose four triangles survive is kept, with its
+//!   triangle ids remapped and its completion probabilities recomputed
+//!   only when it holds a re-weighted triangle;
+//! * the cliques around the inserted edges (an inserted edge plus two
+//!   adjacent common neighbours of it) are merged in, in clique order;
+//! * the incidence is transposed again.
+//!
+//! Every recomputed probability is the product a build forms (the ones
+//! listed under *Build*), through the same helpers and in the same
+//! order, so the result is bit-identical to a fresh build.
 
 use ugraph::cliques::four_clique_extensions;
 use ugraph::par::{self, Parallelism};
-use ugraph::rs::{Incidence, RsSupport};
+use ugraph::rs::{Incidence, RsSupport, SupportPatch};
 use ugraph::triangles::TriangleTable;
-use ugraph::{FourClique, Triangle, TriangleId, TriangleIndex, UncertainGraph};
+use ugraph::update::{GraphDelta, TouchedEdges};
+use ugraph::{Edge, EdgeId, FourClique, Triangle, TriangleId, TriangleIndex, UncertainGraph};
 
 /// One 4-clique, expressed through the dense ids of its four triangles and
 /// the completion probability `Pr(E_i)` associated with each of them.
@@ -109,35 +124,150 @@ impl SupportStructure {
         Self::assemble(TriangleTable::build(graph, parallelism), parallelism)
     }
 
-    /// Repairs the structure after an edge-update batch instead of
-    /// re-enumerating the whole graph.
+    /// Repairs the structure after an edge-update batch by patching it
+    /// (see the module docs): `old_graph` is the graph this structure was
+    /// built from and `delta` the batch's [`GraphDelta`] against it.
     ///
-    /// `new_graph` is the post-update graph and `inserted` the canonical
-    /// `(u, v)` pairs of the net-inserted edges (as reported by
-    /// [`ugraph::update::GraphDelta::inserted`]).  The surviving
-    /// triangles are those whose edges all still exist; new ones contain
-    /// an inserted edge, so a local enumeration around `inserted`
-    /// completes the set ([`TriangleTable::repair`]).  The repaired table
-    /// goes through the same assembly as a fresh build, so the result is
-    /// bit-identical to `SupportStructure::build_with(new_graph, _)`.
-    pub fn repair(
-        &self,
-        new_graph: &UncertainGraph,
-        inserted: &[(u32, u32)],
-        parallelism: Parallelism,
-    ) -> Self {
-        let table = TriangleTable::repair(self.index.triangles(), new_graph, inserted, parallelism);
-        Self::assemble(table, parallelism)
+    /// The result is bit-identical to `SupportStructure::build(&delta.graph)`.
+    /// Its element map comes out of the triangle merge, and its
+    /// candidates are the added and re-weighted triangles plus the
+    /// surviving triangles of every dead, added or re-weighted 4-clique.
+    pub fn repair(&self, old_graph: &UncertainGraph, delta: &GraphDelta) -> SupportPatch<Self> {
+        let graph = &delta.graph;
+        let touched = delta.touched_edges(old_graph);
+        let fate = self.fates(old_graph, &touched);
+        let (added_triangles, added_cliques) = around_inserted(graph, &touched.inserted);
+
+        // Survivors and added triangles are disjoint sorted runs: the merge
+        // is the new id order.
+        let mut candidates: Vec<u32> = Vec::new();
+        let capacity = self.num_triangles() + added_triangles.len();
+        let (mut triangles, mut triangle_probs) =
+            (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
+        let mut new_to_old = Vec::with_capacity(capacity);
+        let mut old_to_new: Vec<Option<TriangleId>> = vec![None; self.num_triangles()];
+        // Appends a triangle; one with no kept probability is a candidate.
+        let mut push = |t: Triangle, old: Option<TriangleId>, kept: Option<f64>| {
+            let id = triangles.len() as TriangleId;
+            triangle_probs.push(kept.unwrap_or_else(|| {
+                candidates.push(id);
+                let [a, b, c] = t.vertices();
+                let p = |x, y| probability(graph, x, y);
+                triangle_prob(p(a, b), p(a, c), p(b, c))
+            }));
+            triangles.push(t);
+            new_to_old.push(old);
+            id
+        };
+        let mut added = added_triangles.into_iter().peekable();
+        for (t, &old) in self.index.triangles().iter().enumerate() {
+            if fate[t] == Fate::Dead {
+                continue;
+            }
+            while let Some(fresh) = added.next_if(|fresh| *fresh < old) {
+                push(fresh, None, None);
+            }
+            let kept = (fate[t] == Fate::Kept).then(|| self.triangle_probs[t]);
+            old_to_new[t] = Some(push(old, Some(t as TriangleId), kept));
+        }
+        for fresh in added {
+            push(fresh, None, None);
+        }
+        let index =
+            TriangleIndex::from_sorted(triangles).expect("triangle count exceeds the u32 id space");
+
+        // The same merge over 4-cliques, in clique order.  A clique dies
+        // with any of its triangles.
+        let record = |clique: FourClique| CliqueRecord {
+            clique,
+            triangles: clique
+                .triangles()
+                .map(|t| index.id_of(&t).expect("a 4-clique's triangles exist")),
+            completion_probs: clique_completion(graph, clique),
+        };
+        let mut cliques = Vec::with_capacity(self.num_cliques() + added_cliques.len());
+        let mut added = added_cliques.into_iter().map(record).peekable();
+        for old in &self.cliques {
+            let mapped = old.triangles.map(|t| old_to_new[t as usize]);
+            if mapped.contains(&None) {
+                candidates.extend(mapped.into_iter().flatten());
+                continue;
+            }
+            while let Some(fresh) = added.next_if(|fresh| fresh.clique < old.clique) {
+                candidates.extend(fresh.triangles);
+                cliques.push(fresh);
+            }
+            let triangles = mapped.map(|t| t.expect("checked above"));
+            let reweighted = old
+                .triangles
+                .iter()
+                .any(|&t| fate[t as usize] == Fate::Reweighted);
+            let completion_probs = if reweighted {
+                candidates.extend(triangles);
+                clique_completion(graph, old.clique)
+            } else {
+                old.completion_probs
+            };
+            cliques.push(CliqueRecord {
+                clique: old.clique,
+                triangles,
+                completion_probs,
+            });
+        }
+        for fresh in added {
+            candidates.extend(fresh.triangles);
+            cliques.push(fresh);
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+
+        let cliques_of = Incidence::transpose(index.len(), cliques.len(), "4-clique", |c| {
+            cliques[c].triangles
+        });
+        SupportPatch {
+            support: SupportStructure {
+                index,
+                triangle_probs,
+                cliques,
+                cliques_of,
+            },
+            new_to_old,
+            candidates,
+        }
     }
 
-    /// Shared tail of [`SupportStructure::build_with`] and
-    /// [`SupportStructure::repair`]: triangle probabilities, clique
-    /// records and the CSR incidence, all read off the table.
+    /// What the batch did to every old triangle, found through the old
+    /// common neighbours of each removed or re-weighted edge: a triangle
+    /// on a removed edge dies, one on a re-weighted edge only keeps its
+    /// place.
+    fn fates(&self, old_graph: &UncertainGraph, touched: &TouchedEdges) -> Vec<Fate> {
+        let mut fate = vec![Fate::Kept; self.num_triangles()];
+        // Removed edges last: death overrides a re-weight.
+        for (edges, mark) in [
+            (&touched.reweighted, Fate::Reweighted),
+            (&touched.removed, Fate::Dead),
+        ] {
+            for &e in edges {
+                let Edge { u, v, .. } = *old_graph.edge(e);
+                for w in old_graph.common_neighbors(u, v) {
+                    let t = self
+                        .index
+                        .id_of(&Triangle::new(u, v, w))
+                        .expect("every old triangle is indexed");
+                    fate[t as usize] = mark;
+                }
+            }
+        }
+        fate
+    }
+
+    /// Triangle probabilities, clique records and the CSR incidence, all
+    /// read off the table.
     fn assemble(table: TriangleTable, parallelism: Parallelism) -> Self {
         let nt = table.len();
         let triangle_probs: Vec<f64> = par::par_map(parallelism, nt, |t| {
             let [pab, pac, pbc] = table.probs(t as TriangleId);
-            pab * pbc * pac
+            triangle_prob(pab, pac, pbc)
         });
 
         let cliques: Vec<CliqueRecord> = par::par_extend(parallelism, nt, |range, out| {
@@ -151,12 +281,7 @@ impl SupportStructure {
                     out.push(CliqueRecord {
                         clique: FourClique::new(a, b, c, d),
                         triangles: [t, abd, acd, bcd],
-                        completion_probs: [
-                            pad * pbd * pcd,
-                            pac * pbc * pcd,
-                            pab * pbc * pbd,
-                            pab * pac * pad,
-                        ],
+                        completion_probs: completion_probs([pab, pac, pad, pbc, pbd, pcd]),
                     });
                 });
             }
@@ -241,6 +366,77 @@ impl SupportStructure {
     pub fn completion_probs(&self, t: TriangleId) -> Vec<f64> {
         self.completion_probs_filtered(t, |_| true)
     }
+}
+
+/// What a batch did to an old triangle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    /// All three edges survive with their probabilities.
+    Kept,
+    /// All three edges survive, one with a new probability.
+    Reweighted,
+    /// An edge was removed.
+    Dead,
+}
+
+/// The triangles and 4-cliques of `graph` that hold one of the
+/// `inserted` edges, each sorted and distinct: an inserted edge `(u, v)`
+/// closes a triangle with every common neighbour of `u` and `v`, and a
+/// 4-clique with every adjacent pair of them.  A triangle or clique that
+/// holds two inserted edges is found twice.
+fn around_inserted(
+    graph: &UncertainGraph,
+    inserted: &[EdgeId],
+) -> (Vec<Triangle>, Vec<FourClique>) {
+    let (mut triangles, mut cliques) = (Vec::new(), Vec::new());
+    for &e in inserted {
+        let Edge { u, v, .. } = *graph.edge(e);
+        let common = graph.common_neighbors(u, v);
+        for (i, &w) in common.iter().enumerate() {
+            triangles.push(Triangle::new(u, v, w));
+            for &x in &common[i + 1..] {
+                if graph.has_edge(w, x) {
+                    cliques.push(FourClique::new(u, v, w, x));
+                }
+            }
+        }
+    }
+    triangles.sort_unstable();
+    triangles.dedup();
+    cliques.sort_unstable();
+    cliques.dedup();
+    (triangles, cliques)
+}
+
+/// `Pr(△(a,b,c))` from `p(a,b)`, `p(a,c)` and `p(b,c)`.
+fn triangle_prob(pab: f64, pac: f64, pbc: f64) -> f64 {
+    pab * pbc * pac
+}
+
+/// The completion probabilities of the 4-clique `(a, b, c, d)` from its
+/// six edge probabilities `[p(a,b), p(a,c), p(a,d), p(b,c), p(b,d),
+/// p(c,d)]`, in slot order `[abc, abd, acd, bcd]`: each triangle's three
+/// vertices joined to the completing vertex, multiplied left to right.
+fn completion_probs([pab, pac, pad, pbc, pbd, pcd]: [f64; 6]) -> [f64; 4] {
+    [
+        pad * pbd * pcd,
+        pac * pbc * pcd,
+        pab * pbc * pbd,
+        pab * pac * pad,
+    ]
+}
+
+/// The probability of the edge `{x, y}` of `graph`, which must exist.
+fn probability(graph: &UncertainGraph, x: u32, y: u32) -> f64 {
+    graph
+        .edge_probability(x, y)
+        .expect("a triangle's edges exist")
+}
+
+/// [`completion_probs`] of `clique` with its edge probabilities looked
+/// up in `graph`.
+fn clique_completion(graph: &UncertainGraph, clique: FourClique) -> [f64; 4] {
+    completion_probs(clique.edges().map(|(x, y)| probability(graph, x, y)))
 }
 
 /// The (3,4) instance of the generic engine: elements are triangles,
@@ -521,30 +717,33 @@ mod tests {
         for batch in batches {
             let delta = apply_edge_updates(&g, &batch).unwrap();
             let fresh = SupportStructure::build(&delta.graph);
-            for threads in [1, 2, 8] {
-                let repaired = s.repair(&delta.graph, &delta.inserted, Parallelism::fixed(threads));
-                assert_eq!(repaired.num_triangles(), fresh.num_triangles());
-                assert_eq!(repaired.num_cliques(), fresh.num_cliques());
-                for t in 0..fresh.num_triangles() as TriangleId {
-                    assert_eq!(repaired.triangle(t), fresh.triangle(t));
+            let patch = s.repair(&g, &delta);
+            let repaired = &patch.support;
+            assert_eq!(repaired.num_triangles(), fresh.num_triangles());
+            assert_eq!(repaired.num_cliques(), fresh.num_cliques());
+            for t in 0..fresh.num_triangles() as TriangleId {
+                assert_eq!(repaired.triangle(t), fresh.triangle(t));
+                assert_eq!(
+                    repaired.triangle_prob(t).to_bits(),
+                    fresh.triangle_prob(t).to_bits()
+                );
+                assert_eq!(repaired.cliques_of(t), fresh.cliques_of(t));
+                // The element map follows the vertex triples.
+                let old = patch.new_to_old[t as usize];
+                assert_eq!(old, s.triangle_index().id_of(&fresh.triangle(t)));
+            }
+            for c in 0..fresh.num_cliques() as u32 {
+                let (a, b) = (repaired.clique(c), fresh.clique(c));
+                assert_eq!(a.clique, b.clique);
+                assert_eq!(a.triangles, b.triangles);
+                for slot in 0..4 {
                     assert_eq!(
-                        repaired.triangle_prob(t).to_bits(),
-                        fresh.triangle_prob(t).to_bits()
+                        a.completion_probs[slot].to_bits(),
+                        b.completion_probs[slot].to_bits()
                     );
-                    assert_eq!(repaired.cliques_of(t), fresh.cliques_of(t));
-                }
-                for c in 0..fresh.num_cliques() as u32 {
-                    let (a, b) = (repaired.clique(c), fresh.clique(c));
-                    assert_eq!(a.clique, b.clique);
-                    assert_eq!(a.triangles, b.triangles);
-                    for slot in 0..4 {
-                        assert_eq!(
-                            a.completion_probs[slot].to_bits(),
-                            b.completion_probs[slot].to_bits()
-                        );
-                    }
                 }
             }
+            assert!(patch.candidates.windows(2).all(|w| w[0] < w[1]));
         }
     }
 

@@ -13,8 +13,9 @@
 //! one atomic transition: the graph is swapped, every resident support
 //! is repaired incrementally (never rebuilt), and exactly the cache
 //! entries whose rank the batch actually changed are invalidated — a
-//! changed rank gets a new handle (its table is rebuilt on the next
-//! miss), an untouched one keeps its handle and table.
+//! changed rank gets a new handle, which carries the old handle's table
+//! over with only the affected rows run again, and an untouched one
+//! keeps its handle and table.
 //! Queries resolve graph, support and generation under a single lock
 //! acquisition, so no request can ever observe a half-applied update.
 //! The nucleus answers (`k_nuclei_at`, `top_nuclei`, `community`) come
@@ -839,7 +840,9 @@ impl ServerCore {
     /// cached points and its handle: every element's scoring inputs are
     /// bitwise unchanged, so the resident support and its tail table
     /// still describe the updated graph.  A touched rank gets a handle
-    /// over the repaired support, whose table the next miss rebuilds.
+    /// over the repaired support ([`DecompHandle::repaired`]), which
+    /// carries the old handle's tail table over when it was built, so the
+    /// next miss reads its initial scores without a rebuild.
     fn do_apply_updates(&self, params: &Json) -> Result<Json, RequestError> {
         let updates = Self::parse_updates(params)?;
         let mut world = self.world.lock().unwrap();
@@ -854,8 +857,7 @@ impl ServerCore {
         let mut invalidated = 0usize;
         let mut ranks = HashMap::with_capacity(world.ranks.len());
         for (&rank, state) in &world.ranks {
-            let support = state.handle.support();
-            let repair = support.repair(&world.graph, &delta, self.config.parallelism);
+            let repair = state.handle.support().repair(&world.graph, &delta);
             ServerStats::bump(&self.stats.supports_repaired);
             repaired_ranks += 1;
             affected_elements += repair.affected.len();
@@ -883,10 +885,7 @@ impl ServerCore {
                     ServerStats::bump(&self.stats.cache_invalidations);
                 }
                 invalidated += stale;
-                (
-                    DecompHandle::from_support(Arc::new(repair.support)),
-                    state.generation + 1,
-                )
+                (state.handle.repaired(repair), state.generation + 1)
             };
             ranks.insert(rank, RankState { handle, generation });
         }

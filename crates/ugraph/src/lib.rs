@@ -73,7 +73,7 @@ pub use par::Parallelism;
 pub use possible_world::{PossibleWorld, WorldSampler};
 pub use subgraph::EdgeSubgraph;
 pub use triangles::{Triangle, TriangleId, TriangleIndex};
-pub use update::{apply_edge_updates, EdgeUpdate, GraphDelta, UpdateError};
+pub use update::{apply_edge_updates, EdgeUpdate, GraphDelta, TouchedEdges, UpdateError};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -8,8 +8,9 @@
 //! `Pr[at least k incident edges exist] ≥ η`.
 
 use crate::graph::UncertainGraph;
+use crate::update::GraphDelta;
 
-use super::RsSupport;
+use super::{RsSupport, SupportPatch};
 
 /// Support structure of the (1,2) rank: elements are vertices, cells are
 /// edges.
@@ -52,6 +53,35 @@ impl CoreSupport {
             offsets,
             cell_elements,
             cell_probs,
+        }
+    }
+
+    /// The support of `delta.graph`, the graph `old_graph` became under an
+    /// update batch.  The support is a plain scan of the edge table, so
+    /// it is rebuilt.  Elements are vertices and the vertex set is fixed,
+    /// so the element map is the identity; a vertex's gather can change
+    /// only when one of its edges was touched, so the candidates are the
+    /// endpoints of the touched edges.
+    pub fn repair(old_graph: &UncertainGraph, delta: &GraphDelta) -> SupportPatch<Self> {
+        let touched = delta.touched_edges(old_graph);
+        let old_edges = touched
+            .removed
+            .iter()
+            .chain(&touched.reweighted)
+            .map(|&e| old_graph.edge(e));
+        let new_edges = touched.inserted.iter().map(|&e| delta.graph.edge(e));
+        let mut candidates: Vec<u32> = old_edges
+            .chain(new_edges)
+            .flat_map(|e| [e.u, e.v])
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        let support = CoreSupport::build(&delta.graph);
+        let new_to_old = (0..support.num_elements() as u32).map(Some).collect();
+        SupportPatch {
+            support,
+            new_to_old,
+            candidates,
         }
     }
 }

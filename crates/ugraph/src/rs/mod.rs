@@ -35,15 +35,16 @@
 //! * [`peel_eager`] — the eager heap peel, generic over the support and
 //!   any rescoring function: the schedule of the frozen reference engines.
 //! * [`region`] — the bounded re-peel machinery for incremental edge
-//!   updates: affected-set diffing, component closure and the
+//!   updates: the [`SupportPatch`] a support repair returns, the
+//!   affected-set test over its candidates, component closure and the
 //!   [`RegionSupport`] adapter that re-peels only the touched region on
 //!   this same engine.
 //! * [`TailScratch`] — the reusable gather-and-score arena the peels
 //!   rescore through, with the Poisson-binomial tail as its default
 //!   kernel.
 //! * [`TailTable`] — every element's scaled tail, built once per support
-//!   and read at any threshold: the initial scores of every exact-DP
-//!   point come from it.
+//!   (and carried over a repair) and read at any threshold: the initial
+//!   scores of every exact-DP point come from it.
 //! * [`PeelStats`] — deterministic perf counters, identical for every
 //!   thread count, gated in CI via committed bench baselines.
 //!
@@ -66,7 +67,7 @@ pub mod truss_support;
 pub use core_support::CoreSupport;
 pub use dp::DpScratch;
 pub use incidence::Incidence;
-pub use region::{affected_elements, component_closure, RegionSupport};
+pub use region::{affected_elements, component_closure, RegionSupport, SupportPatch};
 pub use tail_table::TailTable;
 pub use truss_support::TrussSupport;
 

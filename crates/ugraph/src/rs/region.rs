@@ -5,10 +5,15 @@
 //! peel would be correct but wasteful; this module computes how far the
 //! damage can propagate and restricts the re-peel to that region:
 //!
-//! 1. [`affected_elements`] diffs the old and new supports element by
-//!    element (existence-probability bits, cell lists, completion-
-//!    probability bits) and returns the set `D` of elements whose
-//!    *initial* score could differ.
+//! 1. A support repair patches the old support around the batch and
+//!    returns a [`SupportPatch`]: the new support, the element id map
+//!    and the sorted *candidates* — the new elements, the elements whose
+//!    own probability changed, and the surviving members of every cell
+//!    the batch killed, added or re-weighted.  Every other element keeps
+//!    a bitwise identical gather.  [`affected_elements`] tests the
+//!    candidates alone (existence-probability bits, cell lists,
+//!    completion-probability bits) and returns the set `D` of elements
+//!    whose *initial* score could differ.
 //! 2. [`component_closure`] expands `D` to the union `R` of its
 //!    connected components in the element–cell hypergraph.  Peeling is a
 //!    component-local fixpoint: an element's final score depends only on
@@ -27,22 +32,47 @@
 
 use super::RsSupport;
 
-/// The elements of `new` whose initial score is not guaranteed to equal
-/// their old score — the seed set `D` of the bounded re-peel, sorted
-/// ascending.
+/// A support patched around an update batch, with what the bounded
+/// re-peel needs to find its seed set.
+#[derive(Debug, Clone)]
+pub struct SupportPatch<S> {
+    /// The patched support, bit-identical to a fresh build on the
+    /// updated graph.
+    pub support: S,
+    /// For every new element id: its old id, or `None` for elements the
+    /// batch created.
+    pub new_to_old: Vec<Option<u32>>,
+    /// The only elements whose gather can differ from the old support's
+    /// (sorted new ids, no repeats): every element outside the list has
+    /// an old counterpart with the same probability and a positionally
+    /// identical cell list.
+    pub candidates: Vec<u32>,
+}
+
+/// The `candidates` of `new` whose initial score is not guaranteed to
+/// equal their old score — the seed set `D` of the bounded re-peel,
+/// sorted ascending.
 ///
 /// `new_to_old[t]` maps a new element id to its old id (`None` for
-/// elements with no old counterpart).  An element is *clean* (excluded)
+/// elements with no old counterpart).  A candidate is *clean* (excluded)
 /// iff it has an old counterpart with identical existence-probability
 /// bits and a positionally identical cell list: same length, and at every
 /// position the same cell (member elements map to the old member
 /// elements, in order) with identical completion-probability bits.
 /// Everything else — new elements, elements that gained or lost a cell,
-/// elements touched by a re-weight — is affected.
-pub fn affected_elements<S: RsSupport>(old: &S, new: &S, new_to_old: &[Option<u32>]) -> Vec<u32> {
+/// elements touched by a re-weight — is affected.  The elements outside
+/// `candidates` must be clean (a [`SupportPatch`] guarantees it), so the
+/// result equals the same test over every element.
+pub fn affected_elements<S: RsSupport>(
+    old: &S,
+    new: &S,
+    new_to_old: &[Option<u32>],
+    candidates: &[u32],
+) -> Vec<u32> {
     debug_assert_eq!(new_to_old.len(), new.num_elements());
+    debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]));
     let mut affected = Vec::new();
-    'elements: for t in 0..new.num_elements() as u32 {
+    'elements: for &t in candidates {
         let Some(ot) = new_to_old[t as usize] else {
             affected.push(t);
             continue;
@@ -253,9 +283,9 @@ mod tests {
         let g = two_components();
         let old = TrussSupport::build(&g, Parallelism::Sequential);
         let delta = apply_edge_updates(&g, &[EdgeUpdate::Reweight { u: 0, v: 1, p: 0.4 }]).unwrap();
-        let new = old.repair(&g, &delta.graph, &delta.inserted, Parallelism::Sequential);
-        let new_to_old: Vec<Option<u32>> = delta.new_to_old.clone();
-        let affected = affected_elements(&old, &new, &new_to_old);
+        let patch = old.repair(&g, &delta);
+        let new = patch.support;
+        let affected = affected_elements(&old, &new, &patch.new_to_old, &patch.candidates);
         // All three triangle edges see changed bits (element prob for
         // {0,1}, completion probs for the others); the path edges are
         // clean.
@@ -332,13 +362,17 @@ mod tests {
         let old = CoreSupport::build(&g);
         let delta = apply_edge_updates(&g, &[EdgeUpdate::Delete { u: 4, v: 5 }]).unwrap();
         let new = CoreSupport::build(&delta.graph);
-        // (1,2) elements are vertices: the identity map.
-        let ids: Vec<Option<u32>> = (0..new.num_elements() as u32).map(Some).collect();
-        let affected = affected_elements(&old, &new, &ids);
+        // (1,2) elements are vertices: the identity map.  Every vertex
+        // is a candidate, so the test runs over all of them.
+        let all: Vec<u32> = (0..new.num_elements() as u32).collect();
+        let ids: Vec<Option<u32>> = all.iter().copied().map(Some).collect();
+        let affected = affected_elements(&old, &new, &ids, &all);
         // Vertices 4 and 5 lost their shared edge; 3 keeps {3,4} but its
         // cell (edge) ids shifted — cell identity is tracked through the
         // member elements, which are unchanged vertices, so 3 is clean.
         assert_eq!(affected, vec![4, 5]);
+        // The repair's candidates are the deleted edge's endpoints.
+        assert_eq!(CoreSupport::repair(&g, &delta).candidates, affected);
         let region = component_closure(&new, &affected);
         assert_eq!(region, vec![3, 4, 5]);
     }

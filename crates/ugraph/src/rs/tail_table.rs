@@ -6,7 +6,10 @@
 //! to cut it — so a caller that scores one support at several thresholds
 //! (a sweep, a resident server answering cache misses) can run every
 //! element's DP once, keep the scaled tails in a [`TailTable`], and read
-//! each threshold's initial scores off it by binary search.
+//! each threshold's initial scores off it by binary search.  After an
+//! update batch the table is carried over to the repaired support
+//! ([`TailTable::repair`]): only the affected elements' rows are run
+//! again.
 
 use super::dp::{self, DpScratch};
 use super::RsSupport;
@@ -41,18 +44,8 @@ impl TailTable {
     /// Panics when the support holds more than `u32::MAX` element–cell
     /// incidences.
     pub fn build<S: RsSupport + Sync>(support: &S, parallelism: Parallelism) -> Self {
-        let n = support.num_elements();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut total = 0;
-        offsets.push(0);
-        for t in 0..n as u32 {
-            total += support.support(t);
-            offsets.push(
-                checked_id("tail-table entry", total)
-                    .expect("tail-table entry count exceeds the packed 32-bit offset space"),
-            );
-        }
-        let values = par::par_extend(parallelism, n, |range, out| {
+        let offsets = Self::offsets(support);
+        let values = par::par_extend(parallelism, offsets.len() - 1, |range, out| {
             // Exact capacity: the sequential path is one chunk, and the
             // parallel merge sizes its output from the chunk lengths.
             out.reserve_exact((offsets[range.end] - offsets[range.start]) as usize);
@@ -66,6 +59,78 @@ impl TailTable {
             }
         });
         TailTable { offsets, values }
+    }
+
+    /// The table of a repaired support, carried over from `self` (the
+    /// table of the support before the batch).  `new_to_old` and the
+    /// sorted `affected` set are those of the repair (see
+    /// [`affected_elements`](super::affected_elements)): a clean element
+    /// has an old counterpart with a bitwise identical gather, so its row
+    /// is copied — a run of clean elements with consecutive old ids in
+    /// one slice — and only the affected rows run the DP.  The result is
+    /// bit-identical to [`TailTable::build`] on `support`.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`TailTable::build`] does, or when an element outside
+    /// `affected` has no old counterpart.
+    pub fn repair<S: RsSupport>(
+        &self,
+        support: &S,
+        new_to_old: &[Option<u32>],
+        affected: &[u32],
+    ) -> Self {
+        let offsets = Self::offsets(support);
+        let n = offsets.len() - 1;
+        debug_assert_eq!(new_to_old.len(), n);
+        let mut values = Vec::with_capacity(offsets[n] as usize);
+        let (mut probs, mut dp) = (Vec::new(), DpScratch::new());
+        let mut affected = affected.iter().map(|&t| t as usize).peekable();
+        let mut t = 0;
+        while t < n {
+            let stop = affected.peek().copied().unwrap_or(n);
+            if t == stop {
+                // The row `build` computes.
+                support.completion_probs_into(t as u32, |_| true, &mut probs);
+                let element_prob = support.element_prob(t as u32);
+                values.extend(dp.tail(&probs)[1..].iter().map(|&tail| element_prob * tail));
+                affected.next();
+                t += 1;
+                continue;
+            }
+            let first = new_to_old[t].expect("a clean element has an old counterpart") as usize;
+            let mut end = t + 1;
+            while end < stop && new_to_old[end] == Some((first + end - t) as u32) {
+                end += 1;
+            }
+            let span = self.offsets[first] as usize..self.offsets[first + end - t] as usize;
+            values.extend_from_slice(&self.values[span]);
+            t = end;
+        }
+        debug_assert_eq!(values.len(), offsets[n] as usize);
+        TailTable { offsets, values }
+    }
+
+    /// The row offsets of `support`'s table.
+    fn offsets<S: RsSupport>(support: &S) -> Vec<u32> {
+        let n = support.num_elements();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut total = 0;
+        offsets.push(0);
+        for t in 0..n as u32 {
+            total += support.support(t);
+            offsets.push(
+                checked_id("tail-table entry", total)
+                    .expect("tail-table entry count exceeds the packed 32-bit offset space"),
+            );
+        }
+        offsets
+    }
+
+    /// Element `t`'s row: `Pr(e) · Pr[ζ ≥ k]` for `k = 1..=c`.
+    pub fn row(&self, t: u32) -> &[f64] {
+        let span = &self.offsets[t as usize..t as usize + 2];
+        &self.values[span[0] as usize..span[1] as usize]
     }
 
     /// Number of elements.
@@ -186,11 +251,6 @@ mod tests {
         (table.offsets.clone(), values)
     }
 
-    fn row(table: &TailTable, t: u32) -> &[f64] {
-        let span = &table.offsets[t as usize..t as usize + 2];
-        &table.values[span[0] as usize..span[1] as usize]
-    }
-
     /// The table against the DP at `threshold`: every score, the scan's
     /// scratch peak against a full [`TailScratch`] pass.
     fn assert_matches_dp(support: &Lists, table: &TailTable, threshold: f64) {
@@ -210,9 +270,9 @@ mod tests {
         let table = TailTable::build(&support, Parallelism::Sequential);
         assert_eq!(table.len(), 3);
         assert!(!table.is_empty());
-        assert_eq!(row(&table, 0), &[0.5, 0.5]);
-        assert!(row(&table, 1).is_empty());
-        assert_eq!(row(&table, 2), &[0.8 * 0.5]);
+        assert_eq!(table.row(0), &[0.5, 0.5]);
+        assert!(table.row(1).is_empty());
+        assert_eq!(table.row(2), &[0.8 * 0.5]);
         // θ equal to a stored entry counts it; just above it does not.
         assert_eq!(table.initial_scores(&support, 0.5).0, [2, 0, 0]);
         assert_eq!(table.initial_scores(&support, above(0.5)).0, [0, 0, 0]);
@@ -291,7 +351,7 @@ mod tests {
                     thresholds.push(above(element_prob));
                     // θ equal to stored entries: the first, a middle one
                     // and the last of the row.
-                    let row = row(&table, t);
+                    let row = table.row(t);
                     for i in [0, row.len() / 2, row.len().saturating_sub(1)] {
                         if let Some(&x) = row.get(i) {
                             if x > 0.0 {

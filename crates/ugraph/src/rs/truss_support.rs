@@ -13,15 +13,21 @@
 //! the table's three edge ids, its wedge-closure probabilities are
 //! products of the table's three edge probabilities, and the per-edge
 //! cell lists are the CSR transpose ([`Incidence`]) of the member
-//! arrays.  Nothing is looked up in the graph.  A repair rebuilds the
-//! old triangle list from the stored members, repairs the table
-//! ([`TriangleTable::repair`]) and runs the same assembly.
+//! arrays.  Nothing is looked up in the graph.
+//!
+//! A repair ([`TrussSupport::repair`]) patches the old structure around
+//! the touched edges of an update batch instead: the triangles on a
+//! removed edge are dropped, every survivor keeps its row with its edge
+//! ids remapped (and its products recomputed only when it holds a
+//! re-weighted edge), the triangles around the inserted edges are merged
+//! in, and the cell lists are transposed again.
 
-use crate::graph::UncertainGraph;
+use crate::graph::{Edge, UncertainGraph};
 use crate::par::Parallelism;
 use crate::triangles::{Triangle, TriangleTable};
+use crate::update::GraphDelta;
 
-use super::{Incidence, RsSupport};
+use super::{Incidence, RsSupport, SupportPatch};
 
 /// Support structure of the (2,3) rank: elements are edges, cells are
 /// triangles.
@@ -47,63 +53,133 @@ pub struct TrussSupport {
     completion: Vec<[f64; 3]>,
 }
 
+/// The wedge-closure products of a triangle with edge probabilities
+/// `[p(a,b), p(a,c), p(b,c)]`: slot `i` conditions on member edge `i`,
+/// the two other edges close the wedge.
+fn wedge_closures([pab, pac, pbc]: [f64; 3]) -> [f64; 3] {
+    [pac * pbc, pab * pbc, pab * pac]
+}
+
 impl TrussSupport {
     /// Builds the (2,3) support of `graph` with the graph's edge
     /// probabilities.  The triangle pass and the per-triangle
     /// probability work run under `parallelism`.
     pub fn build(graph: &UncertainGraph, parallelism: Parallelism) -> Self {
-        Self::assemble(graph, TriangleTable::build(graph, parallelism), parallelism)
-    }
-
-    /// Repairs the support after an edge-update batch: `old_graph` is
-    /// the graph this support was built from, `new_graph` and `inserted`
-    /// come from the batch's [`crate::update::GraphDelta`].  The old
-    /// triangles are read back from the stored member edges, the
-    /// triangle table is repaired around the inserted edges, and the
-    /// records go through the same assembly as a fresh
-    /// [`TrussSupport::build`] — the same arithmetic on the same floats,
-    /// so the result is bit-identical to one.
-    pub fn repair(
-        &self,
-        old_graph: &UncertainGraph,
-        new_graph: &UncertainGraph,
-        inserted: &[(u32, u32)],
-        parallelism: Parallelism,
-    ) -> Self {
-        // Cells are in lexicographic triple order already: edge {a,b}
-        // and edge {a,c} name all three vertices.
-        let old_triangles: Vec<Triangle> = self
-            .cell_elements
-            .iter()
-            .map(|&[eab, eac, _]| {
-                let (ab, ac) = (old_graph.edge(eab), old_graph.edge(eac));
-                Triangle::new(ab.u, ab.v, ac.v)
-            })
-            .collect();
-        let table = TriangleTable::repair(&old_triangles, new_graph, inserted, parallelism);
-        drop(old_triangles);
-        Self::assemble(new_graph, table, parallelism)
-    }
-
-    /// Builds the records from a triangle table — shared by the fresh
-    /// build and the repair.
-    fn assemble(graph: &UncertainGraph, table: TriangleTable, parallelism: Parallelism) -> Self {
-        let (_, cell_elements, probs) = table.into_parts();
-        // Slot i conditions on member edge i; the two other edges close
-        // the wedge.
-        let completion = crate::par::par_map(parallelism, probs.len(), |t| {
-            let [pab, pac, pbc] = probs[t];
-            [pac * pbc, pab * pbc, pab * pac]
-        });
+        let (_, cell_elements, probs) = TriangleTable::build(graph, parallelism).into_parts();
+        let completion =
+            crate::par::par_map(parallelism, probs.len(), |t| wedge_closures(probs[t]));
         drop(probs);
-        // Ascending triangle id per edge = ascending third vertex,
-        // because triangle ids are lexicographic on the triple.
+        Self::from_cells(graph, cell_elements, completion)
+    }
+
+    /// Repairs the support after an edge-update batch: `old_graph` is the
+    /// graph this support was built from and `delta` the batch's
+    /// [`GraphDelta`] against it.  The old structure is patched around
+    /// the touched edges ([`GraphDelta::touched_edges`]):
+    ///
+    /// * the triangles on a removed edge (its old cell list) are dropped;
+    /// * every surviving triangle keeps its row, its member edge ids
+    ///   mapped through `delta.old_to_new`, and its wedge-closure
+    ///   products — recomputed, as a build computes them, when it holds
+    ///   a re-weighted edge;
+    /// * the triangles around the inserted edges are merged in.  Triangle
+    ///   order is the lexicographic order of the member edge ids, which
+    ///   both kinds of row carry, so the merge needs no vertex triple;
+    /// * the per-edge cell lists are transposed again.
+    ///
+    /// The result is bit-identical to a [`TrussSupport::build`] on
+    /// `delta.graph`.  Its element map is `delta.new_to_old`, and its
+    /// candidates are the inserted and re-weighted edges plus the
+    /// surviving members of every dropped, added or re-weighted triangle.
+    pub fn repair(&self, old_graph: &UncertainGraph, delta: &GraphDelta) -> SupportPatch<Self> {
+        let graph = &delta.graph;
+        let touched = delta.touched_edges(old_graph);
+        let new_id = |e: u32| delta.old_to_new[e as usize];
+
+        // Old triangles on a removed edge die; the others on a
+        // re-weighted edge keep their row but not their products.
+        let (mut dead, mut reweighted) =
+            (vec![false; self.num_cells()], vec![false; self.num_cells()]);
+        for &e in &touched.removed {
+            for &c in self.cells_of.list(e) {
+                dead[c as usize] = true;
+            }
+        }
+        for &e in &touched.reweighted {
+            for &c in self.cells_of.list(e) {
+                reweighted[c as usize] = true;
+            }
+        }
+
+        // Every new triangle holds an inserted edge; one holding two is
+        // found twice.
+        let probability = |e: u32| graph.edge(e).p;
+        let id = |x, y| graph.edge_id(x, y).expect("a triangle's edges exist");
+        let mut added: Vec<[u32; 3]> = Vec::new();
+        for &e in &touched.inserted {
+            let Edge { u, v, .. } = *graph.edge(e);
+            for w in graph.common_neighbors(u, v) {
+                let [a, b, c] = Triangle::new(u, v, w).vertices();
+                added.push([id(a, b), id(a, c), id(b, c)]);
+            }
+        }
+        added.sort_unstable();
+        added.dedup();
+
+        let mut candidates: Vec<u32> = touched.inserted.clone();
+        candidates.extend(touched.reweighted.iter().filter_map(|&e| new_id(e)));
+        let capacity = self.num_cells() + added.len();
+        let mut cell_elements = Vec::with_capacity(capacity);
+        let mut completion = Vec::with_capacity(capacity);
+        let mut added = added.into_iter().peekable();
+        for (c, old_members) in self.cell_elements.iter().enumerate() {
+            if dead[c] {
+                candidates.extend(old_members.iter().filter_map(|&e| new_id(e)));
+                continue;
+            }
+            let members = old_members.map(|e| new_id(e).expect("a live triangle's edges survive"));
+            while let Some(fresh) = added.next_if(|fresh| *fresh < members) {
+                candidates.extend(fresh);
+                cell_elements.push(fresh);
+                completion.push(wedge_closures(fresh.map(probability)));
+            }
+            cell_elements.push(members);
+            completion.push(if reweighted[c] {
+                candidates.extend(members);
+                wedge_closures(members.map(probability))
+            } else {
+                self.completion[c]
+            });
+        }
+        for fresh in added {
+            candidates.extend(fresh);
+            cell_elements.push(fresh);
+            completion.push(wedge_closures(fresh.map(probability)));
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+
+        SupportPatch {
+            support: Self::from_cells(graph, cell_elements, completion),
+            new_to_old: delta.new_to_old.clone(),
+            candidates,
+        }
+    }
+
+    /// The structure over `graph` from its triangle rows in id order —
+    /// shared by the fresh build and the repair.  Ascending triangle id
+    /// per edge is ascending third vertex, because triangle ids are
+    /// lexicographic on the triple.
+    fn from_cells(
+        graph: &UncertainGraph,
+        cell_elements: Vec<[u32; 3]>,
+        completion: Vec<[f64; 3]>,
+    ) -> Self {
         let cells_of =
             Incidence::transpose(graph.num_edges(), cell_elements.len(), "triangle", |t| {
                 cell_elements[t]
             });
         let element_probs = graph.edges().iter().map(|e| e.p).collect();
-
         TrussSupport {
             element_probs,
             cells_of,
@@ -221,9 +297,19 @@ mod tests {
                 EdgeUpdate::Delete { u: 2, v: 3 },
             ],
         ];
-        for batch in batches {
-            let delta = apply_edge_updates(&g, &batch).unwrap();
-            let repaired = s.repair(&g, &delta.graph, &delta.inserted, Parallelism::Sequential);
+        for (i, batch) in batches.iter().enumerate() {
+            let delta = apply_edge_updates(&g, batch).unwrap();
+            let patch = s.repair(&g, &delta);
+            assert_eq!(patch.new_to_old, delta.new_to_old);
+            if i == 0 {
+                // {0,3} closes (0,1,3) and (0,2,3): every edge but {1,2}
+                // is a member of an added triangle.
+                let id = |u, v| delta.graph.edge_id(u, v).unwrap();
+                let mut expected = vec![id(0, 1), id(0, 2), id(0, 3), id(1, 3), id(2, 3)];
+                expected.sort_unstable();
+                assert_eq!(patch.candidates, expected);
+            }
+            let repaired = patch.support;
             let fresh = TrussSupport::build(&delta.graph, Parallelism::Sequential);
             assert_eq!(repaired.cells_of, fresh.cells_of);
             assert_eq!(repaired.cell_elements, fresh.cell_elements);

@@ -27,11 +27,6 @@
 //!   ([`crate::cliques::four_clique_extensions`]), so no triangle id or
 //!   edge probability is ever looked up again.
 //!
-//! An update batch repairs a table instead of rebuilding it
-//! ([`TriangleTable::repair`]): the old triangles whose three edges
-//! survived are merged with the triangles around the net-inserted edges,
-//! and the merged list goes through the same table assembly.
-//!
 //! Dense ids are `u32` and every narrowing from a `usize` count goes
 //! through the checked constructor ([`crate::error::checked_id`]), so a
 //! graph with more than `2^32` triangles surfaces a typed [`IdOverflow`]
@@ -237,7 +232,6 @@ impl TriangleIndex {
         for start in (0..m).step_by(chunk) {
             push_triangles(graph, start..(start + chunk).min(m), &mut triangles);
         }
-        debug_assert!(triangles.windows(2).all(|w| w[0] < w[1]));
         Self::from_sorted(triangles)
     }
 
@@ -253,9 +247,10 @@ impl TriangleIndex {
         Self::from_sorted(triangles).expect("triangle count exceeds the u32 id space")
     }
 
-    /// Wraps an already-sorted, deduplicated triangle array, applying
-    /// the checked id narrowing.
-    fn from_sorted(triangles: Vec<Triangle>) -> Result<Self, IdOverflow> {
+    /// Wraps an already-sorted, deduplicated triangle array (checked in
+    /// debug builds), applying the checked id narrowing.
+    pub fn from_sorted(triangles: Vec<Triangle>) -> Result<Self, IdOverflow> {
+        debug_assert!(triangles.windows(2).all(|w| w[0] < w[1]));
         if let Some(last) = triangles.len().checked_sub(1) {
             checked_id("triangle", last)?;
         }
@@ -386,77 +381,6 @@ impl TriangleTable {
             out.push(part);
         });
         Self::concat(parts, graph.num_edges())
-    }
-
-    /// Repairs a table after an edge-update batch.
-    ///
-    /// `old_triangles` are the triangles of the graph before the batch,
-    /// in id order; `new_graph` and `inserted` (canonical pairs of the
-    /// net-inserted edges) come from the batch's
-    /// [`crate::update::GraphDelta`].  The old triangles whose three edges
-    /// still exist survive; new triangles must contain an inserted edge,
-    /// so every common neighbour of every inserted edge is taken (no
-    /// `w > v` restriction — the inserted edge can be any of the three)
-    /// and the duplicates of triangles holding two inserted edges are
-    /// removed.  Survivors and additions are disjoint sorted runs; one
-    /// merge restores the global id order, and each triangle's edge ids
-    /// and probabilities are read from `new_graph`'s adjacency slots —
-    /// the same slots the edge-ordered pass reads.  The result equals
-    /// [`TriangleTable::build`] on `new_graph`, at a cost proportional to
-    /// the old triangles plus the inserted edges' neighbourhoods.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the repaired graph holds more than `2^32` triangles.
-    pub fn repair(
-        old_triangles: &[Triangle],
-        new_graph: &UncertainGraph,
-        inserted: &[(VertexId, VertexId)],
-        parallelism: Parallelism,
-    ) -> Self {
-        let mut added: Vec<Triangle> = Vec::new();
-        for &(u, v) in inserted {
-            for w in new_graph.common_neighbors(u, v) {
-                added.push(Triangle::new(u, v, w));
-            }
-        }
-        added.sort_unstable();
-        added.dedup();
-
-        // A candidate whose edges are not all present is an old triangle
-        // the batch destroyed; it is dropped by the lookups below.
-        let mut candidates = Vec::with_capacity(old_triangles.len() + added.len());
-        let mut add = added.into_iter().peekable();
-        for &t in old_triangles {
-            while add.peek().is_some_and(|a| *a < t) {
-                candidates.extend(add.next());
-            }
-            candidates.push(t);
-        }
-        candidates.extend(add);
-
-        let (_, _, probs, edges) = new_graph.csr_parts();
-        let parts = par::par_extend(parallelism, candidates.len(), |range, out| {
-            let mut part = Rows::default();
-            for &t in &candidates[range] {
-                let [a, b, c] = t.vertices;
-                let slots = [
-                    new_graph.edge_index(a, b),
-                    new_graph.edge_index(a, c),
-                    new_graph.edge_index(b, c),
-                ];
-                if let [Some(iab), Some(iac), Some(ibc)] = slots {
-                    part.push(
-                        t,
-                        [edges[iab], edges[iac], edges[ibc]],
-                        [probs[iab], probs[iac], probs[ibc]],
-                    );
-                }
-            }
-            out.push(part);
-        });
-        drop(candidates);
-        Self::concat(parts, new_graph.num_edges())
     }
 
     /// Concatenates per-chunk rows in chunk order (a single part — the
@@ -679,70 +603,6 @@ mod tests {
             assert_eq!(par, sequential, "threads = {threads}");
             let idx = TriangleIndex::build_with(&g, Parallelism::fixed(threads));
             assert_eq!(idx.triangles(), TriangleIndex::build(&g).triangles());
-        }
-    }
-
-    #[test]
-    fn repair_matches_fresh_build_after_updates() {
-        use crate::update::{apply_edge_updates, EdgeUpdate};
-        // Dense-ish 7-vertex graph so updates create and destroy
-        // triangles in bulk.
-        let mut b = GraphBuilder::new();
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (1, 2),
-            (1, 3),
-            (2, 3),
-            (2, 4),
-            (3, 4),
-            (4, 5),
-            (1, 4),
-            (0, 5),
-            (2, 5),
-            (5, 6),
-        ];
-        for &(u, v) in &edges {
-            b.add_edge(u, v, 0.8).unwrap();
-        }
-        let g = b.build();
-        let table = TriangleTable::build(&g, Parallelism::Sequential);
-
-        let batches: Vec<Vec<EdgeUpdate>> = vec![
-            // Pure inserts creating new triangles (including at the
-            // previously triangle-free vertex 6).
-            vec![
-                EdgeUpdate::Insert { u: 4, v: 6, p: 0.5 },
-                EdgeUpdate::Insert { u: 4, v: 0, p: 0.5 },
-            ],
-            // Pure deletes destroying triangles.
-            vec![
-                EdgeUpdate::Delete { u: 1, v: 2 },
-                EdgeUpdate::Delete { u: 3, v: 4 },
-            ],
-            // Mixed batch with a re-weight (structure-neutral) and an
-            // insert-then-delete that nets out.
-            vec![
-                EdgeUpdate::Reweight { u: 0, v: 1, p: 0.3 },
-                EdgeUpdate::Insert { u: 3, v: 5, p: 0.9 },
-                EdgeUpdate::Delete { u: 0, v: 2 },
-                EdgeUpdate::Insert { u: 0, v: 6, p: 0.2 },
-                EdgeUpdate::Delete { u: 0, v: 6 },
-            ],
-        ];
-        for batch in batches {
-            let delta = apply_edge_updates(&g, &batch).unwrap();
-            let fresh = TriangleTable::build(&delta.graph, Parallelism::Sequential);
-            for threads in [1, 2, 8] {
-                let repaired = TriangleTable::repair(
-                    table.triangles(),
-                    &delta.graph,
-                    &delta.inserted,
-                    Parallelism::fixed(threads),
-                );
-                assert_same_table(&repaired, &fresh);
-            }
         }
     }
 

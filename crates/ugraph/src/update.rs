@@ -201,6 +201,47 @@ impl GraphDelta {
     pub fn is_noop(&self) -> bool {
         self.inserted.is_empty() && self.removed == 0 && self.reweighted == 0
     }
+
+    /// The edges the batch touched, by id: one scan of
+    /// [`old_to_new`](Self::old_to_new) against `old_graph` (the graph
+    /// the batch was applied to) finds the removed and re-weighted ones;
+    /// the inserted ones are [`inserted`](Self::inserted).
+    pub fn touched_edges(&self, old_graph: &UncertainGraph) -> TouchedEdges {
+        let mut touched = TouchedEdges::default();
+        for (old, mapped) in self.old_to_new.iter().enumerate() {
+            match *mapped {
+                None => touched.removed.push(old as EdgeId),
+                Some(new) => {
+                    let before = old_graph.edges()[old].p;
+                    if before.to_bits() != self.graph.edge(new).p.to_bits() {
+                        touched.reweighted.push(old as EdgeId);
+                    }
+                }
+            }
+        }
+        touched.inserted = self
+            .inserted
+            .iter()
+            .map(|&(u, v)| {
+                self.graph
+                    .edge_id(u, v)
+                    .expect("an inserted edge is in the new graph")
+            })
+            .collect();
+        touched
+    }
+}
+
+/// The edges an update batch touched ([`GraphDelta::touched_edges`]),
+/// each list ascending.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TouchedEdges {
+    /// Old ids of the net-removed edges.
+    pub removed: Vec<EdgeId>,
+    /// Old ids of the surviving edges whose probability bits changed.
+    pub reweighted: Vec<EdgeId>,
+    /// New ids of the net-inserted edges.
+    pub inserted: Vec<EdgeId>,
 }
 
 /// Validates `updates` against `graph` and applies them, producing the
@@ -404,6 +445,13 @@ mod tests {
         // {0,3} is new: its new id maps back to None.
         let e03 = delta.graph.edge_id(0, 3).unwrap();
         assert_eq!(delta.new_to_old[e03 as usize], None);
+
+        // The touched edges by id: old ids for the removed and re-weighted
+        // ones, new ids for the inserted one.
+        let touched = delta.touched_edges(&g);
+        assert_eq!(touched.removed, vec![e02]);
+        assert_eq!(touched.reweighted, vec![g.edge_id(1, 2).unwrap()]);
+        assert_eq!(touched.inserted, vec![e03]);
     }
 
     #[test]
@@ -430,6 +478,9 @@ mod tests {
         assert_eq!(delta.reweighted, 1);
         assert_eq!(delta.graph.edge_probability(0, 1), Some(0.45));
         assert_eq!(delta.graph.num_edges(), g.num_edges());
+        let touched = delta.touched_edges(&g);
+        assert_eq!(touched.reweighted, vec![g.edge_id(0, 1).unwrap()]);
+        assert!(touched.removed.is_empty() && touched.inserted.is_empty());
     }
 
     #[test]

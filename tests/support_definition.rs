@@ -20,9 +20,9 @@
 //! Graphs are random with random probabilities, plus the shapes that
 //! break index arithmetic: edgeless, triangle-free, complete, and graphs
 //! whose highest vertex ids are isolated.  Each is built at
-//! `Sequential` and at two threads, and then repaired after a random
-//! valid update batch, which must equal the same construction on the
-//! updated graph.
+//! `Sequential` and at two threads.  The sequential build is then
+//! patched around a random valid update batch (the supports' `repair`),
+//! which must equal the same construction on the updated graph.
 //!
 //! Case counts scale with `PROPTEST_CASES` (64 by default).
 
@@ -304,21 +304,17 @@ proptest! {
         }
     }
 
-    /// Repairs after a random batch equal the definition on the updated
-    /// graph at every parallelism setting.
+    /// Supports patched after a random batch equal the definition on the
+    /// updated graph.
     #[test]
     fn repairs_match_the_definition(case in arb_graph_and_batch()) {
         let (g, batch) = case;
         let delta = apply_edge_updates(&g, &batch).expect("batch is valid by construction");
         let (nucleus, truss) = (nucleus_def(&delta.graph), truss_def(&delta.graph));
-        let old_nucleus = SupportStructure::build(&g);
-        let old_truss = TrussSupport::build(&g, Parallelism::Sequential);
-        for par in settings() {
-            let what = format!("repair at {par} of batch {batch:?}");
-            let repaired = old_nucleus.repair(&delta.graph, &delta.inserted, par);
-            assert_nucleus_matches(&repaired, &nucleus, &what);
-            let repaired = old_truss.repair(&g, &delta.graph, &delta.inserted, par);
-            assert_truss_matches(&repaired, &truss, &what);
-        }
+        let what = format!("repair of batch {batch:?}");
+        let repaired = SupportStructure::build(&g).repair(&g, &delta).support;
+        assert_nucleus_matches(&repaired, &nucleus, &what);
+        let repaired = TrussSupport::build(&g, Parallelism::Sequential).repair(&g, &delta).support;
+        assert_truss_matches(&repaired, &truss, &what);
     }
 }

@@ -35,14 +35,19 @@
 use proptest::prelude::*;
 
 use prob_nucleus_repro::nucleus::{
-    DecompConfig, DecompHandle, DecompSweep, NucleusError, Rank, SweepConfig,
+    DecompConfig, DecompHandle, DecompSweep, NucleusError, Rank, RankSupport, SupportRepair,
+    SupportStructure, SweepConfig,
 };
+use prob_nucleus_repro::ugraph::rs::{RsSupport, TailTable};
 use prob_nucleus_repro::ugraph::{
     apply_edge_updates, EdgeUpdate, GraphBuilder, Parallelism, UncertainGraph, UpdateError,
 };
 
 /// Thread counts every property is exercised at.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// Every rank, lowest first.
+const RANKS: [Rank; 3] = [Rank::Core, Rank::Truss, Rank::Nucleus];
 
 /// The grid every sweep maintains across its update.
 const GRID: [f64; 3] = [0.15, 0.5, 0.9];
@@ -160,13 +165,18 @@ fn render_batch(g: &UncertainGraph, raw: &[(u32, u32, u32, u32)], messy: bool) -
             .find(|pair| !present.contains(pair))
             .map(orient);
         if messy && kind >= 10 {
+            // An edgeless graph has no vertices: vertex 0 is off it too.
+            let vertex = a % n.max(1);
             let update = match (c % 5, existing, absent) {
                 (0, _, _) => EdgeUpdate::Insert {
-                    u: a % n,
+                    u: vertex,
                     v: n + b,
                     p,
                 },
-                (1, _, _) => EdgeUpdate::Delete { u: a % n, v: a % n },
+                (1, _, _) => EdgeUpdate::Delete {
+                    u: vertex,
+                    v: vertex,
+                },
                 (2, Some((u, v)), _) => EdgeUpdate::Reweight {
                     u,
                     v,
@@ -361,6 +371,90 @@ fn assert_adjacency_follows_the_table(graph: &UncertainGraph) {
     }
 }
 
+/// The elements of `new` whose initial score is not guaranteed to equal
+/// their old score, found by testing every element: the seed set a
+/// repair's candidates must reproduce.  An element is clean iff it has
+/// an old counterpart with identical existence-probability bits and a
+/// positionally identical cell list (same cells, members mapping to the
+/// old members in order, identical completion-probability bits).
+fn full_diff<S: RsSupport>(old: &S, new: &S, new_to_old: &[Option<u32>]) -> Vec<u32> {
+    (0..new.num_elements() as u32)
+        .filter(|&t| {
+            let Some(ot) = new_to_old[t as usize] else {
+                return true;
+            };
+            let (new_cells, old_cells) = (new.cells_of(t), old.cells_of(ot));
+            new.element_prob(t).to_bits() != old.element_prob(ot).to_bits()
+                || new_cells.len() != old_cells.len()
+                || new_cells.iter().zip(old_cells).any(|(&nc, &oc)| {
+                    let members = new
+                        .cell_elements(nc)
+                        .iter()
+                        .map(|&m| new_to_old[m as usize]);
+                    new.completion_prob(nc, t).to_bits() != old.completion_prob(oc, ot).to_bits()
+                        || !members.eq(old.cell_elements(oc).iter().map(|&m| Some(m)))
+                })
+        })
+        .collect()
+}
+
+/// For every element of the sorted `new` list, its position in the
+/// sorted `old` list, or `None` when it is not there.
+fn merge_ids<T: Ord>(old: &[T], new: &[T]) -> Vec<Option<u32>> {
+    let mut i = 0;
+    new.iter()
+        .map(|t| {
+            while old.get(i).is_some_and(|o| o < t) {
+                i += 1;
+            }
+            (old.get(i) == Some(t)).then_some(i as u32)
+        })
+        .collect()
+}
+
+/// The old support of `rank` on `g` and its repair after `batch`, or
+/// `None` when the batch is rejected.
+fn repaired(
+    g: &UncertainGraph,
+    batch: &[EdgeUpdate],
+    rank: Rank,
+) -> Option<(RankSupport, SupportRepair)> {
+    let delta = apply_edge_updates(g, batch).ok()?;
+    let old = RankSupport::build(g, rank, Parallelism::Sequential);
+    let repair = old.repair(g, &delta);
+    Some((old, repair))
+}
+
+/// Two graphs with a batch each: a valid batch drawn edge by edge, and a
+/// rendered one with deletes followed by re-inserts, inserts followed by
+/// deletes and re-weights to the same bits (possibly rejected as a
+/// whole).
+fn arb_both_batches() -> impl Strategy<Value = [(UncertainGraph, Vec<EdgeUpdate>); 2]> {
+    (arb_graph_and_batch(9, 0.7), arb_graph_and_messy_batch())
+        .prop_map(|(valid, messy)| [valid, messy])
+}
+
+/// Every row, as bits, of the table carried over from `old`'s table to
+/// `new` and of the table built fresh on `new`.
+fn carried_and_fresh_rows<S: RsSupport + Sync>(
+    old: &S,
+    new: &S,
+    repair: &SupportRepair,
+) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+    let carried = TailTable::build(old, Parallelism::Sequential).repair(
+        new,
+        &repair.new_to_old,
+        &repair.affected,
+    );
+    let fresh = TailTable::build(new, Parallelism::Sequential);
+    let bits = |table: &TailTable| {
+        (0..new.num_elements() as u32)
+            .map(|t| table.row(t).iter().map(|x| x.to_bits()).collect())
+            .collect()
+    };
+    (bits(&carried), bits(&fresh))
+}
+
 /// The differential check at one rank: apply the batch incrementally at
 /// every thread count, recompute from scratch on the updated graph, and
 /// demand bit-identity of every observable — plus determinism of the
@@ -491,7 +585,9 @@ proptest! {
 
     /// The resident-service entry point: a handle repaired by
     /// [`DecompHandle::apply_updates`] answers per-threshold queries
-    /// identically to a handle built fresh on the updated graph.
+    /// identically to a handle built fresh on the updated graph.  The old
+    /// handle computes a point first, so its tail table is built and the
+    /// repaired handle starts with it carried over.
     #[test]
     fn handle_update_answers_like_a_fresh_handle(
         case in arb_graph_and_batch(10, 0.65),
@@ -499,8 +595,13 @@ proptest! {
         let (g, batch) = case;
         for rank in [Rank::Core, Rank::Truss, Rank::Nucleus] {
             let handle = DecompHandle::build(&g, rank, Parallelism::Sequential);
+            let config = DecompConfig {
+                rank,
+                ..DecompConfig::core(GRID[0])
+            };
+            handle.compute_at(&config).expect("valid config");
             let updated = handle
-                .apply_updates(&g, &batch, Parallelism::Sequential)
+                .apply_updates(&g, &batch)
                 .expect("batch is valid");
             let fresh = DecompHandle::build(&updated.graph, rank, Parallelism::Sequential);
             prop_assert_eq!(updated.handle.num_elements(), fresh.num_elements());
@@ -520,6 +621,55 @@ proptest! {
                 );
                 prop_assert_eq!(a.initial_scores(), b.initial_scores());
             }
+        }
+    }
+
+    /// The affected set a repair finds among its candidates — the
+    /// elements within one cell of a touched edge — equals the test over
+    /// every element, at every rank.  At the nucleus rank, the element
+    /// map the triangle merge yields equals a linear merge of the two
+    /// triangle arrays.
+    #[test]
+    fn patched_affected_set_equals_the_full_diff(cases in arb_both_batches()) {
+        for ((g, batch), rank) in cases.iter().flat_map(|case| RANKS.map(|rank| (case, rank))) {
+            let Some((old, repair)) = repaired(g, batch, rank) else {
+                continue;
+            };
+            let ids = &repair.new_to_old;
+            let want = match (&old, &repair.support) {
+                (RankSupport::Core(o), RankSupport::Core(n)) => full_diff(o, n, ids),
+                (RankSupport::Truss(o), RankSupport::Truss(n)) => full_diff(o, n, ids),
+                (RankSupport::Nucleus(o), RankSupport::Nucleus(n)) => {
+                    let triangles = |s: &SupportStructure| s.triangle_index().triangles().to_vec();
+                    let merged = merge_ids(&triangles(o), &triangles(n));
+                    prop_assert_eq!(ids, &merged, "batch {:?}", batch);
+                    full_diff(o, n, ids)
+                }
+                _ => unreachable!("a repair keeps its rank"),
+            };
+            prop_assert_eq!(&repair.affected, &want, "{} batch {:?}", rank, batch);
+        }
+    }
+
+    /// A tail table carried over a repair equals the table built fresh
+    /// on the repaired support, row for row and bit for bit.
+    #[test]
+    fn patched_tail_table_equals_a_fresh_build(cases in arb_both_batches()) {
+        for ((g, batch), rank) in cases.iter().flat_map(|case| RANKS.map(|rank| (case, rank))) {
+            let Some((old, repair)) = repaired(g, batch, rank) else {
+                continue;
+            };
+            let (carried, fresh) = match (&old, &repair.support) {
+                (RankSupport::Core(o), RankSupport::Core(n)) => carried_and_fresh_rows(o, n, &repair),
+                (RankSupport::Truss(o), RankSupport::Truss(n)) => {
+                    carried_and_fresh_rows(o, n, &repair)
+                }
+                (RankSupport::Nucleus(o), RankSupport::Nucleus(n)) => {
+                    carried_and_fresh_rows(o, n, &repair)
+                }
+                _ => unreachable!("a repair keeps its rank"),
+            };
+            prop_assert_eq!(carried, fresh, "{} batch {:?}", rank, batch);
         }
     }
 
