@@ -16,8 +16,9 @@
 //!   `config.threads`, with the count asserted identical.
 //! * **Streaming index build** — [`TriangleIndex::try_build_streaming`]
 //!   in fixed chunks of `streaming_chunk_edges`, asserted identical to
-//!   the all-at-once index, so the bounded-scratch path is exercised at
-//!   a scale where the bound matters.
+//!   the all-at-once index, so the chunked path (whose scratch is one
+//!   forward offset and one mark per vertex, whatever the chunk size) is
+//!   exercised at a scale where memory matters.
 //! * **Truss-rank sweep** — one [`DecompSweep`] over a small γ grid,
 //!   recording the deterministic [`nucleus::PeelStats`] per threshold.
 //!   Unlike `experiments thetasweep` there is no independent

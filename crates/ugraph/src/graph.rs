@@ -308,8 +308,8 @@ impl UncertainGraph {
     /// two sorted lists), excluding `u` and `v` themselves.
     ///
     /// This is the set of vertices forming a triangle with the edge
-    /// `{u, v}`; it is the basic primitive behind triangle and 4-clique
-    /// enumeration.
+    /// `{u, v}`.  Triangle and 4-clique enumeration do not use it: they
+    /// run the marking pass of [`crate::triangles`] and extend its table.
     pub fn common_neighbors(&self, u: VertexId, v: VertexId) -> Vec<VertexId> {
         let mut out = Vec::new();
         let a = self.neighbors(u);

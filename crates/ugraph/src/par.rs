@@ -117,10 +117,29 @@ where
     T: Send,
     F: Fn(Range<usize>, &mut Vec<T>) + Sync,
 {
+    par_extend_init(par, n, || (), |_, range, out| body(range, out))
+}
+
+/// [`par_extend`] with per-worker state: `init` runs at most once per
+/// worker thread (once on the sequential path), and every chunk that
+/// worker claims gets the same state, so `body` must leave it ready for
+/// the next chunk.  This is the hook for scratch too large to build per
+/// chunk: the triangle pass keeps one mark per vertex here.  The output
+/// carries the ordered-merge guarantee of [`par_extend`].
+///
+/// # Panics
+///
+/// Propagates a panic from `init` or `body` to the caller.
+pub(crate) fn par_extend_init<T, S, I, F>(par: Parallelism, n: usize, init: I, body: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, Range<usize>, &mut Vec<T>) + Sync,
+{
     let threads = par.num_threads();
     if threads <= 1 || n <= 1 {
         let mut out = Vec::new();
-        body(0..n, &mut out);
+        body(&mut init(), 0..n, &mut out);
         return out;
     }
 
@@ -133,6 +152,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    let mut state = None;
                     let mut mine: Vec<(usize, Vec<T>)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -142,7 +162,7 @@ where
                         let lo = i * chunk;
                         let hi = ((i + 1) * chunk).min(n);
                         let mut buf = Vec::new();
-                        body(lo..hi, &mut buf);
+                        body(state.get_or_insert_with(&init), lo..hi, &mut buf);
                         mine.push((i, buf));
                     }
                     mine
@@ -306,6 +326,37 @@ mod tests {
                 if threads > 1 {
                     assert!(seen <= chunk, "state leaked across chunks");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn par_extend_init_keeps_one_state_per_worker() {
+        // The state counts the indices its worker has processed: it is
+        // built at most once per worker, and with more chunks than
+        // workers some worker carries it across a chunk boundary.
+        for threads in [1, 2, 8] {
+            let chunk = (1000 / (threads * CHUNKS_PER_THREAD)).max(1);
+            let inits = AtomicUsize::new(0);
+            let got = par_extend_init(
+                Parallelism::fixed(threads),
+                1000,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |seen, range, out| {
+                    for i in range {
+                        *seen += 1;
+                        out.push((i, *seen));
+                    }
+                },
+            );
+            let indices: Vec<usize> = got.iter().map(|&(i, _)| i).collect();
+            assert_eq!(indices, (0..1000).collect::<Vec<_>>());
+            assert!(inits.load(Ordering::Relaxed) <= threads);
+            if threads > 1 {
+                assert!(got.iter().any(|&(_, seen)| seen > chunk));
             }
         }
     }

@@ -123,7 +123,6 @@ pub fn component_closure<S: RsSupport>(support: &S, seeds: &[u32]) -> Vec<u32> {
             stack.push(s);
         }
     }
-    let mut region = stack.clone();
     while let Some(t) = stack.pop() {
         for &c in support.cells_of(t) {
             if cell_seen[c as usize] {
@@ -133,14 +132,15 @@ pub fn component_closure<S: RsSupport>(support: &S, seeds: &[u32]) -> Vec<u32> {
             for &other in support.cell_elements(c) {
                 if !element_seen[other as usize] {
                     element_seen[other as usize] = true;
-                    region.push(other);
                     stack.push(other);
                 }
             }
         }
     }
-    region.sort_unstable();
-    region
+    // Scanning the seen flags writes the region already sorted.
+    (0..support.num_elements() as u32)
+        .filter(|&t| element_seen[t as usize])
+        .collect()
 }
 
 /// A component-closed subset of a support, densely re-indexed so the

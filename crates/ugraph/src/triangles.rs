@@ -2,13 +2,26 @@
 //!
 //! Triangles are the `r = 3` cliques of the (3,4)-nucleus and the cells
 //! of the (2,3)-truss.  Every triangle of a graph is found by one
-//! **edge-ordered pass**: for each canonical edge `(u, v)` (`u < v`, in
-//! edge-id order) an allocation-free merge of the two sorted adjacency
-//! slices yields the common neighbours `w > v`, ascending.  Each triangle
-//! is reported once, from its lexicographically smallest edge, and
-//! because the edge table is sorted by `(u, v)` the pass emits triangles
-//! already in lexicographic order — a triangle's dense id is simply its
-//! position in the output, with no sort.
+//! **edge-ordered pass** that lists triangles by marking (Chiba and
+//! Nishizeki, "Arboricity and subgraph listing algorithms", SIAM J.
+//! Comput. 14(1), 1985), with every edge oriented from its smaller to its
+//! larger id.  For each source vertex `u`, the pass marks `u`'s forward
+//! neighbours (`w > u`) with their adjacency slots; then, for each
+//! canonical edge `(u, v)` in edge-id order, it scans `v`'s forward
+//! neighbours (`w > v`), ascending, and every marked one closes a
+//! triangle; last it clears the marks.  Each triangle is reported once,
+//! from its lexicographically smallest edge, and because the edge table
+//! is sorted by `(u, v)` the pass emits triangles already in
+//! lexicographic order — a triangle's dense id is simply its position in
+//! the output, with no sort.
+//!
+//! Every vertex's first adjacency slot past itself (its *forward
+//! offset*) is found once per pass, by one binary search per vertex.
+//! The marks are one `u32` per vertex, allocated once per pass on the
+//! sequential and streaming paths and once per worker thread on the
+//! parallel one (`par::par_extend_init`): the pass splits the edge
+//! table into chunks, and a chunk that begins inside a vertex's edge run
+//! still marks all of that vertex's forward neighbours.
 //!
 //! Two products come out of that pass:
 //!
@@ -19,7 +32,7 @@
 //! * [`TriangleTable`] — the same triangles together with, per triangle,
 //!   the ids of its three edges and the three probabilities
 //!   [`UncertainGraph::edge_probability`] returns for them (read from the
-//!   adjacency slots the merge visits), plus every edge's **run**: the
+//!   adjacency slots the pass visits), plus every edge's **run**: the
 //!   contiguous id range of the triangles `(u, v, w)` the pass emitted
 //!   from edge `(u, v)`, ascending in `w`.  The support builds of both
 //!   the truss and the nucleus rank are assembled from this table alone:
@@ -97,45 +110,78 @@ impl std::fmt::Display for Triangle {
     }
 }
 
-/// The edge-ordered pass over `edges`: for every canonical edge
-/// `e = (u, v)` in the range, calls `emit(e, [u, v, w], [iuv, iuw, ivw])`
-/// for each common neighbour `w > v`, ascending, where `iuv`, `iuw` and
-/// `ivw` are the flat adjacency slots of `v` in `u`'s list, of `w` in
-/// `u`'s and of `w` in `v`'s.  An allocation-free merge of the two sorted
-/// adjacency slices beyond `v`.
-fn for_each_triangle<F>(graph: &UncertainGraph, edges: Range<usize>, mut emit: F)
-where
-    F: FnMut(EdgeId, [VertexId; 3], [usize; 3]),
-{
-    let (offsets, neighbors, _, _) = graph.csr_parts();
-    for (e, edge) in edges.clone().zip(&graph.edges()[edges]) {
-        let (ou, ov) = (offsets[edge.u as usize], offsets[edge.v as usize]);
-        let nu = &neighbors[ou..offsets[edge.u as usize + 1]];
-        let nv = &neighbors[ov..offsets[edge.v as usize + 1]];
-        // Both slices are sorted: skip to the first neighbour past `v`.
-        // `v` itself sits right before that point in `u`'s slice.
-        let mut i = nu.partition_point(|&x| x <= edge.v);
-        let mut j = nv.partition_point(|&x| x <= edge.v);
-        let iuv = ou + i - 1;
-        while i < nu.len() && j < nv.len() {
-            match nu[i].cmp(&nv[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    emit(e as EdgeId, [edge.u, edge.v, nu[i]], [iuv, ou + i, ov + j]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
+/// One edge-ordered triangle pass over a graph: the graph and every
+/// vertex's forward offset, found once per pass.
+struct TrianglePass<'g> {
+    graph: &'g UncertainGraph,
+    /// `forward[x]`: the first flat adjacency slot of `x` whose neighbour
+    /// exceeds `x` (the end of `x`'s slice when there is none).
+    forward: Vec<usize>,
 }
 
-/// Appends the triangles the edge-ordered pass emits from `edges`.
-fn push_triangles(graph: &UncertainGraph, edges: Range<usize>, out: &mut Vec<Triangle>) {
-    for_each_triangle(graph, edges, |_, vertices, _| {
-        out.push(Triangle { vertices });
-    });
+impl<'g> TrianglePass<'g> {
+    fn new(graph: &'g UncertainGraph) -> Self {
+        let (offsets, neighbors, _, _) = graph.csr_parts();
+        let forward = offsets
+            .windows(2)
+            .enumerate()
+            .map(|(x, w)| w[0] + neighbors[w[0]..w[1]].partition_point(|&y| y as usize <= x))
+            .collect();
+        TrianglePass { graph, forward }
+    }
+
+    /// Cleared marks for [`TrianglePass::for_each`]: one per vertex.
+    fn marks(&self) -> Vec<u32> {
+        vec![0; self.graph.num_vertices()]
+    }
+
+    /// The pass over `edges`: for every canonical edge `e = (u, v)` in
+    /// the range, calls `emit(e, [u, v, w], [iuv, iuw, ivw])` for each
+    /// common neighbour `w > v`, ascending, where `iuv`, `iuw` and `ivw`
+    /// are the flat adjacency slots of `v` in `u`'s list, of `w` in
+    /// `u`'s and of `w` in `v`'s.  `marks` must come in cleared and is
+    /// left cleared; while `u`'s edges are scanned, `marks[w]` is one
+    /// past the position of `w` among `u`'s forward neighbours.
+    fn for_each<F>(&self, marks: &mut [u32], edges: Range<usize>, mut emit: F)
+    where
+        F: FnMut(EdgeId, [VertexId; 3], [usize; 3]),
+    {
+        let (offsets, neighbors, _, slot_edges) = self.graph.csr_parts();
+        let table = self.graph.edges();
+        let mut e = edges.start;
+        while e < edges.end {
+            let u = table[e].u;
+            // `u`'s forward slots hold its edges `(u, v)` in id order,
+            // starting with edge `first_edge`.
+            let (first, end) = (self.forward[u as usize], offsets[u as usize + 1]);
+            let first_edge = slot_edges[first] as usize;
+            let run_end = (first_edge + (end - first)).min(edges.end);
+            for (k, &w) in (1..).zip(&neighbors[first..end]) {
+                marks[w as usize] = k;
+            }
+            for (e, edge) in (e..run_end).zip(&table[e..run_end]) {
+                let (v, iuv) = (edge.v, first + (e - first_edge));
+                let (fv, ev) = (self.forward[v as usize], offsets[v as usize + 1]);
+                for (ivw, &w) in (fv..ev).zip(&neighbors[fv..ev]) {
+                    let k = marks[w as usize];
+                    if k != 0 {
+                        emit(e as EdgeId, [u, v, w], [iuv, first + k as usize - 1, ivw]);
+                    }
+                }
+            }
+            for &w in &neighbors[first..end] {
+                marks[w as usize] = 0;
+            }
+            e = run_end;
+        }
+    }
+
+    /// Appends the triangles the pass emits from `edges`.
+    fn push_triangles(&self, marks: &mut [u32], edges: Range<usize>, out: &mut Vec<Triangle>) {
+        self.for_each(marks, edges, |_, vertices, _| {
+            out.push(Triangle { vertices });
+        });
+    }
 }
 
 /// Enumerates every triangle of `graph` exactly once, in lexicographic
@@ -154,9 +200,13 @@ pub fn enumerate_triangles(graph: &UncertainGraph) -> Vec<Triangle> {
 /// edge order, so the output is identical to the sequential enumeration
 /// for every thread count.
 pub fn enumerate_triangles_with(graph: &UncertainGraph, parallelism: Parallelism) -> Vec<Triangle> {
-    par::par_extend(parallelism, graph.num_edges(), |range, out| {
-        push_triangles(graph, range, out)
-    })
+    let pass = TrianglePass::new(graph);
+    par::par_extend_init(
+        parallelism,
+        graph.num_edges(),
+        || pass.marks(),
+        |marks, range, out| pass.push_triangles(marks, range, out),
+    )
 }
 
 /// Dense id ↔ triangle index over all triangles of a graph.
@@ -218,19 +268,22 @@ impl TriangleIndex {
     /// `chunk_edges` edges.
     ///
     /// The edge-ordered pass emits triangles already in lexicographic
-    /// order and keeps no per-edge scratch, so chunks append straight
-    /// into the index array: the result is the exact array
-    /// [`TriangleIndex::build`] produces (no global sort, no id drift)
-    /// for every chunk size, and peak transient memory is the growing
-    /// index itself.
+    /// order, so chunks append straight into the index array: the result
+    /// is the exact array [`TriangleIndex::build`] produces (no global
+    /// sort, no id drift) for every chunk size.  Besides the growing
+    /// index, the pass holds one forward offset (`usize`) and one mark
+    /// (`u32`) per vertex, allocated once per call; it keeps no per-edge
+    /// or per-chunk scratch.
     pub fn try_build_streaming(
         graph: &UncertainGraph,
         chunk_edges: usize,
     ) -> Result<Self, IdOverflow> {
         let (m, chunk) = (graph.num_edges(), chunk_edges.max(1));
+        let pass = TrianglePass::new(graph);
+        let mut marks = pass.marks();
         let mut triangles = Vec::new();
         for start in (0..m).step_by(chunk) {
-            push_triangles(graph, start..(start + chunk).min(m), &mut triangles);
+            pass.push_triangles(&mut marks, start..(start + chunk).min(m), &mut triangles);
         }
         Self::from_sorted(triangles)
     }
@@ -369,17 +422,23 @@ impl TriangleTable {
     /// Panics when the graph holds more than `2^32` triangles.
     pub fn build(graph: &UncertainGraph, parallelism: Parallelism) -> Self {
         let (_, _, probs, edges) = graph.csr_parts();
-        let parts = par::par_extend(parallelism, graph.num_edges(), |range, out| {
-            let mut part = Rows::default();
-            for_each_triangle(graph, range, |e, vertices, [iuv, iuw, ivw]| {
-                part.push(
-                    Triangle { vertices },
-                    [e, edges[iuw], edges[ivw]],
-                    [probs[iuv], probs[iuw], probs[ivw]],
-                );
-            });
-            out.push(part);
-        });
+        let pass = TrianglePass::new(graph);
+        let parts = par::par_extend_init(
+            parallelism,
+            graph.num_edges(),
+            || pass.marks(),
+            |marks, range, out| {
+                let mut part = Rows::default();
+                pass.for_each(marks, range, |e, vertices, [iuv, iuw, ivw]| {
+                    part.push(
+                        Triangle { vertices },
+                        [e, edges[iuw], edges[ivw]],
+                        [probs[iuv], probs[iuw], probs[ivw]],
+                    );
+                });
+                out.push(part);
+            },
+        );
         Self::concat(parts, graph.num_edges())
     }
 

@@ -47,7 +47,9 @@ fn arb_graph(max_v: u32, density: f64) -> impl Strategy<Value = UncertainGraph> 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    // Default config: 64 cases, scaled up via PROPTEST_CASES in CI's
+    // thorough job.
+    #![proptest_config(ProptestConfig::default())]
 
     /// Parallel triangle enumeration returns the exact sequential output
     /// (order included) at every thread count.

@@ -1,14 +1,18 @@
-//! Definitional oracle for the (2,3) and (3,4) support builds.
+//! Definitional oracle for the edge-ordered triangle pass and the (2,3)
+//! and (3,4) support builds.
 //!
 //! Both supports are assembled from one edge-ordered triangle pass whose
 //! 4-cliques are extensions along per-edge triangle runs; nothing in
 //! that assembly looks a triangle id or an edge probability up.  This
-//! suite checks the result against a construction taken straight from
-//! the definition, bit for bit:
+//! suite checks the pass and the result against a construction taken
+//! straight from the definition, bit for bit:
 //!
 //! * triangles and 4-cliques come from the slow recursive
 //!   [`enumerate_k_cliques`], and an id is the position in that sorted
 //!   list;
+//! * a triangle's edge ids and probabilities are [`UncertainGraph::edge_id`]
+//!   and [`UncertainGraph::edge_probability`] lookups, and an edge's run
+//!   holds the ids of the triangles whose smallest edge it is;
 //! * every probability is a product of [`UncertainGraph::edge_probability`]
 //!   values in the documented order — `Pr(△(a,b,c)) = p(a,b)·p(b,c)·p(a,c)`;
 //!   for a 4-clique, each triangle's three vertices joined to the
@@ -18,11 +22,14 @@
 //!   the element.
 //!
 //! Graphs are random with random probabilities, plus the shapes that
-//! break index arithmetic: edgeless, triangle-free, complete, and graphs
-//! whose highest vertex ids are isolated.  Each is built at
-//! `Sequential` and at two threads.  The sequential build is then
-//! patched around a random valid update batch (the supports' `repair`),
-//! which must equal the same construction on the updated graph.
+//! break index arithmetic: edgeless, triangle-free, complete, "hubs
+//! first" (the two smallest ids joined to every other vertex, as in the
+//! benchmark generators) and graphs whose highest vertex ids are
+//! isolated.  Each is built at `Sequential`, at two threads and at eight
+//! (one edge per chunk at these sizes, so chunks begin inside vertices'
+//! edge runs).  The sequential build is then patched around a random
+//! valid update batch (the supports' `repair`), which must equal the
+//! same construction on the updated graph.
 //!
 //! Case counts scale with `PROPTEST_CASES` (64 by default).
 
@@ -31,13 +38,19 @@ use proptest::prelude::*;
 use prob_nucleus_repro::nucleus::SupportStructure;
 use prob_nucleus_repro::ugraph::cliques::enumerate_k_cliques;
 use prob_nucleus_repro::ugraph::rs::{RsSupport, TrussSupport};
+use prob_nucleus_repro::ugraph::triangles::{enumerate_triangles_with, TriangleTable};
 use prob_nucleus_repro::ugraph::{
-    apply_edge_updates, EdgeUpdate, GraphBuilder, Parallelism, UncertainGraph, VertexId,
+    apply_edge_updates, EdgeUpdate, FourCliqueEnumerator, GraphBuilder, Parallelism, Triangle,
+    TriangleIndex, UncertainGraph, VertexId,
 };
 
 /// Parallelism settings every build is checked at.
-fn settings() -> [Parallelism; 2] {
-    [Parallelism::Sequential, Parallelism::fixed(2)]
+fn settings() -> [Parallelism; 3] {
+    [
+        Parallelism::Sequential,
+        Parallelism::fixed(2),
+        Parallelism::fixed(8),
+    ]
 }
 
 /// Largest vertex count drawn (before isolated padding).
@@ -45,10 +58,12 @@ const MAX_N: u32 = 9;
 /// Number of vertex pairs of `MAX_N` vertices.
 const MAX_PAIRS: usize = (MAX_N * (MAX_N - 1) / 2) as usize;
 
-/// Builds one of four graph shapes on `n` vertices, padded with
+/// Builds one of five graph shapes on `n` vertices, padded with
 /// `isolated` edgeless vertices at the top of the id range:
 /// `0` random with the given density, `1` edgeless, `2` bipartite
-/// (even–odd pairs only, hence triangle-free), `3` complete.
+/// (even–odd pairs only, hence triangle-free), `3` complete, `4` hubs
+/// first (vertices 0 and 1 joined to every other vertex, the rest
+/// random).
 fn shaped_graph(
     shape: u32,
     n: u32,
@@ -64,7 +79,8 @@ fn shaped_graph(
             0 => coins[i] < density,
             1 => false,
             2 => (u + v) % 2 == 1 && coins[i] < density.max(0.5),
-            _ => true,
+            3 => true,
+            _ => u < 2 || coins[i] < density,
         };
         if keep {
             b.add_edge(u, v, probs[i]).unwrap();
@@ -75,7 +91,7 @@ fn shaped_graph(
 
 fn arb_graph() -> impl Strategy<Value = UncertainGraph> {
     (
-        0u32..4,
+        0u32..5,
         1u32..=MAX_N,
         0usize..3,
         0.3f64..0.95,
@@ -292,6 +308,73 @@ fn assert_truss_matches(s: &TrussSupport, def: &TrussDef, what: &str) {
 
 proptest! {
     #![proptest_config(ProptestConfig::default())]
+
+    /// The triangle pass equals the definition at every parallelism
+    /// setting and streaming chunk size: the table's triangles, edge ids,
+    /// probability bits and runs, the plain enumeration, the streamed
+    /// index and the 4-cliques extended from the table.
+    #[test]
+    fn triangle_table_matches_the_definition(g in arb_graph()) {
+        let triangles = k_cliques::<3>(&g);
+        let e = |x, y| g.edge_id(x, y).expect("triangle edge exists");
+        let edge_ids: Vec<[u32; 3]> = triangles
+            .iter()
+            .map(|&[a, b, c]| [e(a, b), e(a, c), e(b, c)])
+            .collect();
+        let probs: Vec<[u64; 3]> = triangles
+            .iter()
+            .map(|&[a, b, c]| [p(&g, a, b), p(&g, a, c), p(&g, b, c)].map(f64::to_bits))
+            .collect();
+        let runs: Vec<Vec<usize>> = (0..g.num_edges() as u32)
+            .map(|x| {
+                (0..triangles.len())
+                    .filter(|&t| edge_ids[t].iter().min() == Some(&x))
+                    .collect()
+            })
+            .collect();
+        let cliques = k_cliques::<4>(&g);
+        let vertices = |ts: &[Triangle]| ts.iter().map(Triangle::vertices).collect::<Vec<_>>();
+        for par in settings() {
+            let table = TriangleTable::build(&g, par);
+            prop_assert_eq!(vertices(table.triangles()), triangles.clone(), "table at {}", par);
+            for t in 0..triangles.len() {
+                let id = t as u32;
+                prop_assert_eq!(table.edge_ids(id), edge_ids[t], "edge ids of {} at {}", t, par);
+                prop_assert_eq!(
+                    table.probs(id).map(f64::to_bits),
+                    probs[t],
+                    "probabilities of {} at {}",
+                    t,
+                    par
+                );
+            }
+            for (x, run) in runs.iter().enumerate() {
+                let got: Vec<usize> = table.run(x as u32).collect();
+                prop_assert_eq!(&got, run, "run of edge {} at {}", x, par);
+            }
+            prop_assert_eq!(
+                vertices(&enumerate_triangles_with(&g, par)),
+                triangles.clone(),
+                "enumeration at {}",
+                par
+            );
+            let four: Vec<[VertexId; 4]> = FourCliqueEnumerator::with_parallelism(&g, par)
+                .cliques()
+                .iter()
+                .map(|c| c.vertices())
+                .collect();
+            prop_assert_eq!(&four, &cliques, "4-cliques at {}", par);
+        }
+        for chunk in [1, 2, 3, 7, g.num_edges()] {
+            let index = TriangleIndex::try_build_streaming(&g, chunk).expect("few triangles");
+            prop_assert_eq!(
+                vertices(index.triangles()),
+                triangles.clone(),
+                "streaming at chunk {}",
+                chunk
+            );
+        }
+    }
 
     /// Fresh builds equal the definition at every parallelism setting.
     #[test]
