@@ -237,7 +237,8 @@ impl SamplingConfig {
         crate::sampling::hoeffding_sample_size(self.epsilon, self.delta)
     }
 
-    /// Validates ε and δ.
+    /// Validates ε, δ and that at least one world is sampled: with none,
+    /// every estimate would be `0 / 0` and fail every θ test.
     pub fn validate(&self) -> Result<()> {
         if !(self.epsilon > 0.0 && self.epsilon <= 1.0) || self.epsilon.is_nan() {
             return Err(NucleusError::InvalidThreshold {
@@ -249,6 +250,12 @@ impl SamplingConfig {
             return Err(NucleusError::InvalidThreshold {
                 name: "delta",
                 value: self.delta,
+            });
+        }
+        if self.num_samples() == 0 {
+            return Err(NucleusError::InvalidThreshold {
+                name: "num_samples",
+                value: 0.0,
             });
         }
         Ok(())
@@ -396,6 +403,25 @@ mod tests {
         assert!(SamplingConfig::new(0.1, 0.0).validate().is_err());
         assert!(SamplingConfig::new(0.1, 1.5).validate().is_err());
         assert!(SamplingConfig::new(0.2, 0.05).validate().is_ok());
+    }
+
+    #[test]
+    fn zero_samples_are_rejected() {
+        let zero = NucleusError::InvalidThreshold {
+            name: "num_samples",
+            value: 0.0,
+        };
+        let cfg = SamplingConfig::default().with_num_samples(0);
+        assert_eq!(cfg.validate(), Err(zero));
+        assert!(cfg.with_num_samples(1).validate().is_ok());
+        // ε and δ are checked first.
+        assert!(matches!(
+            SamplingConfig::new(0.0, 0.1).with_num_samples(0).validate(),
+            Err(NucleusError::InvalidThreshold {
+                name: "epsilon",
+                ..
+            })
+        ));
     }
 
     #[test]

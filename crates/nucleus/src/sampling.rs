@@ -247,6 +247,16 @@ impl CompiledCandidate {
     }
 }
 
+/// Moves `rng` to where `worlds` calls of [`CompiledCandidate::draw`] over
+/// a candidate of `edges` edges leave it, without making them: a draw is
+/// one `rng.gen::<f64>()` per edge, which reads one `next_u64`, two
+/// stream words.  The seek costs at most one block refill.
+pub(crate) fn skip_draws(rng: &mut ChaCha8Rng, worlds: usize, edges: usize) {
+    // The stream cycles every 2^68 words, so wrapping is exact.
+    let words = (2 * worlds as u128).wrapping_mul(edges as u128);
+    rng.set_word_pos(rng.get_word_pos().wrapping_add(words));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,8 +322,9 @@ mod tests {
 /// of tiny graphs and every `k ∈ 0..=3`, the compiled g-check must equal
 /// `detdecomp::is_k_nucleus_lenient` on the materialized world and each
 /// triangle's compiled w-membership must equal
-/// [`crate::exact::triangle_in_k_nucleus`] there; and compiled draws must
-/// consume the RNG stream exactly as [`WorldSampler::sample`] does.
+/// [`crate::exact::triangle_in_k_nucleus`] there; compiled draws must
+/// consume the RNG stream exactly as [`WorldSampler::sample`] does, and
+/// [`skip_draws`] must leave it where the draws it replaces do.
 /// Scales with `PROPTEST_CASES` (64 by default).
 #[cfg(test)]
 mod compiled_world_checks {
@@ -321,10 +332,11 @@ mod compiled_world_checks {
     use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use ugraph::possible_world::enumerate_all_worlds;
+    use ugraph::rs::Incidence;
     use ugraph::triangles::enumerate_triangles;
     use ugraph::{EdgeId, EdgeSubgraph, GraphBuilder, Triangle, UncertainGraph, WorldSampler};
 
-    use super::CompiledCandidate;
+    use super::{skip_draws, CompiledCandidate};
     use crate::exact::triangle_in_k_nucleus;
 
     fn graph(edges: &[(u32, u32, f64)]) -> UncertainGraph {
@@ -468,6 +480,52 @@ mod compiled_world_checks {
             assert_eq!(kept, sampler.sample(&mut sampler_rng).mask());
         }
         assert_eq!(compiled_rng.next_u64(), sampler_rng.next_u64());
+    }
+
+    /// A candidate that only draws, over edges of probabilities `probs`;
+    /// unlike a graph's, they may be 0.
+    fn drawing_only(probs: Vec<f64>) -> CompiledCandidate {
+        CompiledCandidate {
+            probs,
+            triangle_edges: Vec::new(),
+            cliques: Vec::new(),
+            cliques_of: Incidence::transpose(0, 0, "4-clique", |_| [0; 4]),
+            reported: Vec::new(),
+            present: Vec::new(),
+            live_cliques: Vec::new(),
+            clique_live: Vec::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn skipped_draws_leave_the_stream_where_the_draws_do() {
+        let mut kept = Vec::new();
+        for edges in 0..=20 {
+            // Certain and impossible edges still draw.
+            let probs = (0..edges).map(|e| [1.0, 0.0, 0.5][e % 3]).collect();
+            let candidate = drawing_only(probs);
+            for worlds in 0..=5 {
+                for consumed in [0, 1, 7] {
+                    let mut drawn = ChaCha8Rng::seed_from_u64(edges as u64);
+                    for _ in 0..consumed {
+                        drawn.next_u32();
+                    }
+                    let mut skipped = drawn.clone();
+                    for _ in 0..worlds {
+                        candidate.draw(&mut drawn, &mut kept);
+                    }
+                    skip_draws(&mut skipped, worlds, edges);
+                    for _ in 0..64 {
+                        assert_eq!(
+                            skipped.next_u32(),
+                            drawn.next_u32(),
+                            "{worlds} worlds of {edges} edges after {consumed} words"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -243,6 +243,32 @@ mod tests {
     }
 
     #[test]
+    fn zero_samples_are_rejected_not_answered_empty() {
+        // One world of a certain K5 shows its w-(1, 0.1)-nucleus; with
+        // none, every estimate would be 0 / 0 and fail the θ test.
+        let mut b = GraphBuilder::new();
+        for u in 0..5 {
+            for v in (u + 1)..5 {
+                b.add_edge(u, v, 1.0).unwrap();
+            }
+        }
+        let g = b.build();
+        let config =
+            |n| GlobalConfig::new(0.1).with_sampling(SamplingConfig::default().with_num_samples(n));
+        assert_eq!(weakly_global_nuclei(&g, 1, &config(1)).unwrap().len(), 1);
+        let zero = crate::NucleusError::InvalidThreshold {
+            name: "num_samples",
+            value: 0.0,
+        };
+        assert_eq!(weakly_global_nuclei(&g, 1, &config(0)).unwrap_err(), zero);
+        let local = Decomposition::compute(&g, &config(0).local_config()).unwrap();
+        assert_eq!(
+            weakly_global_nuclei_with_local(&g, 1, &config(0), &local).unwrap_err(),
+            zero
+        );
+    }
+
+    #[test]
     fn no_candidates_no_nuclei() {
         let mut b = GraphBuilder::new();
         b.add_edge(0, 1, 0.9).unwrap();
