@@ -16,16 +16,19 @@
 //!    worlds of `H` are sampled (Lemma 4 fixes `n` from ε, δ) and the
 //!    indicator `1_g` — the sampled world is a deterministic k-nucleus
 //!    containing the triangle — is averaged per triangle.  `H` is
-//!    compiled once into flat triangle and 4-clique arrays, each world
-//!    is drawn as a kept-edge mask from one RNG stream shared by all
-//!    candidates, and the indicator is evaluated on that mask (see
-//!    [`crate::sampling`]).  No world is materialized as a graph.  A
-//!    candidate whose edge set was already accepted is not sampled: its
-//!    verdict cannot change the output, so the shared stream jumps past
-//!    the `n · |E(H)|` draws its test would have made
-//!    ([`ChaCha8Rng::set_word_pos`], a counter-mode seek), and every later
-//!    candidate is tested against the worlds it would have drawn had that
-//!    one been sampled.
+//!    compiled once into flat triangle and 4-clique arrays, the worlds
+//!    are drawn from one RNG stream shared by all candidates in
+//!    ⌈n/64⌉ batches, world `w` of a batch as bit `w` of a lane mask per
+//!    edge, and the indicator is evaluated on 64 worlds at once with word
+//!    operations on those masks (see [`crate::sampling`]).  No world is
+//!    materialized as a graph.  `H`'s edge set, the key of its test, is
+//!    formed by marking the edge ids of its cliques, looked up once per
+//!    candidate clique.  A candidate whose edge set was already accepted
+//!    is not sampled: its verdict cannot change the output, so the
+//!    shared stream jumps past the `n · |E(H)|` draws its test would have
+//!    made ([`ChaCha8Rng::set_word_pos`], a counter-mode seek), and every
+//!    later candidate is tested against the worlds it would have drawn
+//!    had that one been sampled.
 //!
 //! `H` is accepted, once per edge set, when the estimate of every
 //! triangle it reports reaches θ.
@@ -183,6 +186,7 @@ pub fn global_nuclei_with_local(
         return Ok(Vec::new());
     }
     let mut closure = Closure::new(support, &candidate_cliques);
+    let mut clique_edges = CliqueEdges::new(graph, support, &candidate_cliques);
     let clique = |i: u32| support.clique(candidate_cliques[i as usize]).clique;
 
     let n_samples = config.sampling.num_samples();
@@ -191,7 +195,7 @@ pub fn global_nuclei_with_local(
     let mut accepted: HashSet<Vec<EdgeId>> = HashSet::new();
     let mut solution = Vec::new();
     let mut h = Vec::new();
-    let mut pairs = Vec::new();
+    let mut edge_ids = Vec::new();
 
     // Seed triangles in ascending id order, those in a candidate clique.
     // Each *new* candidate H consumes a slice of the shared RNG stream,
@@ -206,18 +210,7 @@ pub fn global_nuclei_with_local(
             continue; // identical candidate already evaluated
         }
 
-        // H's edge ids: one lookup per distinct vertex pair.
-        pairs.clear();
-        for &i in &h {
-            pairs.extend(clique(i).edges());
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut edge_ids: Vec<EdgeId> = pairs
-            .iter()
-            .map(|&(u, v)| graph.edge_id(u, v).expect("clique edge"))
-            .collect();
-        edge_ids.sort_unstable();
+        clique_edges.of(&h, &mut edge_ids);
         if accepted.contains(&edge_ids) {
             // Its verdict cannot add a nucleus: move the stream past the
             // draws of its test instead of making them.
@@ -232,22 +225,11 @@ pub fn global_nuclei_with_local(
         let sub = EdgeSubgraph::induced_by_edges(graph, &edge_ids);
 
         // Monte-Carlo estimation of Pr(X_{H,△,g} ≥ k) per triangle.
-        let mut compiled = CompiledCandidate::compile(&sub, &triangles);
-        let mut hits = vec![0usize; triangles.len()];
-        let mut kept = Vec::new();
-        for _ in 0..n_samples {
-            compiled.draw(&mut rng, &mut kept);
-            if compiled.is_k_nucleus(&kept, k) {
-                compiled.count_present(&kept, &mut hits);
-            }
-        }
-        let estimates: Vec<f64> = hits
-            .iter()
-            .map(|&hit| hit as f64 / n_samples as f64)
-            .collect();
+        let estimates =
+            CompiledCandidate::compile(&sub, &triangles).global_estimates(&mut rng, n_samples, k);
         let min_probability = estimates.iter().copied().fold(f64::INFINITY, f64::min);
         if estimates.iter().all(|&p| p >= config.theta) {
-            accepted.insert(edge_ids);
+            accepted.insert(edge_ids.clone());
             solution.push(GlobalNucleus {
                 k,
                 subgraph: sub,
@@ -341,6 +323,52 @@ impl<'a> Closure<'a> {
         }
         h.sort_unstable();
         true
+    }
+}
+
+/// The edge ids of the candidate cliques, looked up once, so that H's
+/// edge set is formed by marking instead of by sorting vertex pairs and
+/// searching each one's id.
+struct CliqueEdges {
+    /// Per candidate position: the clique's six edge ids.
+    of_clique: Vec<[EdgeId; 6]>,
+    /// Per graph edge: in the edge set being formed.
+    marked: Vec<bool>,
+}
+
+impl CliqueEdges {
+    fn new(graph: &UncertainGraph, support: &SupportStructure, cliques: &[u32]) -> Self {
+        let of_clique = cliques
+            .iter()
+            .map(|&c| {
+                support
+                    .clique(c)
+                    .clique
+                    .edges()
+                    .map(|(u, v)| graph.edge_id(u, v).expect("clique edge"))
+            })
+            .collect();
+        CliqueEdges {
+            of_clique,
+            marked: vec![false; graph.num_edges()],
+        }
+    }
+
+    /// Writes the sorted, distinct edge ids of the cliques at positions
+    /// `h` into `edge_ids`, leaving every mark cleared.
+    fn of(&mut self, h: &[u32], edge_ids: &mut Vec<EdgeId>) {
+        edge_ids.clear();
+        for &i in h {
+            for e in self.of_clique[i as usize] {
+                if !std::mem::replace(&mut self.marked[e as usize], true) {
+                    edge_ids.push(e);
+                }
+            }
+        }
+        for &e in edge_ids.iter() {
+            self.marked[e as usize] = false;
+        }
+        edge_ids.sort_unstable();
     }
 }
 
@@ -521,8 +549,9 @@ mod tests {
 /// return exactly the nuclei, triangles and `min_probability` bits of a
 /// reference that compiles and samples every new clique set, retests of
 /// accepted edge sets included.  The reference defines the stream
-/// discipline a skipped retest must keep.  Scales with `PROPTEST_CASES`
-/// (64 by default).
+/// discipline a skipped retest must keep, and it looks up every edge id
+/// of H by its vertex pair, so it also checks the edge sets the loop
+/// forms by marking.  Scales with `PROPTEST_CASES` (64 by default).
 #[cfg(test)]
 mod retest_checks {
     use std::collections::{BTreeMap, BTreeSet};
@@ -616,19 +645,8 @@ mod retest_checks {
             seen.insert(edge_ids.clone());
 
             let sub = EdgeSubgraph::induced_by_edges(graph, &edge_ids);
-            let mut compiled = CompiledCandidate::compile(&sub, &triangles);
-            let mut hits = vec![0usize; triangles.len()];
-            let mut kept = Vec::new();
-            for _ in 0..n_samples {
-                compiled.draw(&mut rng, &mut kept);
-                if compiled.is_k_nucleus(&kept, k) {
-                    compiled.count_present(&kept, &mut hits);
-                }
-            }
-            let estimates: Vec<f64> = hits
-                .iter()
-                .map(|&hit| hit as f64 / n_samples as f64)
-                .collect();
+            let estimates = CompiledCandidate::compile(&sub, &triangles)
+                .global_estimates(&mut rng, n_samples, k);
             let min_probability = estimates.iter().copied().fold(f64::INFINITY, f64::min);
             if estimates.iter().all(|&p| p >= config.theta) && accepted.insert(edge_ids) {
                 solution.push(GlobalNucleus {

@@ -7,13 +7,15 @@
 //! (Theorem 4.2).  The algorithm prunes with the local decomposition
 //! (every w-(k,θ)-nucleus is an ℓ-(k,θ)-nucleus) and samples `n` possible
 //! worlds of each ℓ-(k,θ)-nucleus.  Each candidate is compiled once into
-//! flat triangle and 4-clique arrays, and each world is a kept-edge mask
-//! on them (see [`crate::sampling`]).  A triangle lies in a k-nucleus of
-//! the world when it lies in a present 4-clique that survives the
-//! level-k filter: present triangles in fewer than `k` live 4-cliques are
-//! dropped, with their 4-cliques, until none is left.  The triangles
-//! whose estimated probability of lying in a k-nucleus reaches θ are
-//! kept and grouped into edge-connected w-(k,θ)-nuclei.
+//! flat triangle and 4-clique arrays, and its worlds are judged 64 at a
+//! time: world `w` of a batch is bit `w` of a lane mask per edge,
+//! triangle and 4-clique (see [`crate::sampling`]).  A triangle lies in a
+//! k-nucleus of the world when it lies in a present 4-clique that
+//! survives the level-k filter: present triangles in fewer than `k` live
+//! 4-cliques are dropped, with their 4-cliques, until none is left; the
+//! filter drops a triangle from all the lanes it is short in at once.
+//! The triangles whose estimated probability of lying in a k-nucleus
+//! reaches θ are kept and grouped into edge-connected w-(k,θ)-nuclei.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -82,17 +84,8 @@ pub fn weakly_global_nuclei_with_local(
     for candidate in local.k_nuclei(graph, k)? {
         // Monte-Carlo: count, per triangle, the worlds in which it belongs
         // to a deterministic k-nucleus of the world.
-        let mut compiled = CompiledCandidate::compile(&candidate.subgraph, &candidate.triangles);
-        let mut global_score = vec![0usize; candidate.triangles.len()];
-        let mut kept = Vec::new();
-        for _ in 0..n_samples {
-            compiled.draw(&mut rng, &mut kept);
-            compiled.count_in_k_nucleus(&kept, k, &mut global_score);
-        }
-        let estimates: Vec<f64> = global_score
-            .iter()
-            .map(|&s| s as f64 / n_samples as f64)
-            .collect();
+        let estimates = CompiledCandidate::compile(&candidate.subgraph, &candidate.triangles)
+            .weakly_global_estimates(&mut rng, n_samples, k);
 
         // Qualifying triangles, grouped into connected unions (triangles
         // sharing an edge), each forming one w-(k,θ)-nucleus.

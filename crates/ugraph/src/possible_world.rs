@@ -240,6 +240,19 @@ mod tests {
     }
 
     #[test]
+    fn sampling_is_deterministic_per_seed() {
+        let mut b = GraphBuilder::new();
+        b.add_edge(0, 1, 0.5).unwrap();
+        b.add_edge(1, 2, 0.5).unwrap();
+        b.add_edge(0, 2, 0.5).unwrap();
+        let g = b.build();
+        let sampler = WorldSampler::new(&g);
+        let sample = |seed| sampler.sample_many(&mut ChaCha8Rng::seed_from_u64(seed), 50);
+        assert_eq!(sample(9), sample(9));
+        assert_ne!(sample(9), sample(10));
+    }
+
+    #[test]
     fn sampler_frequency_approximates_probability() {
         let mut b = GraphBuilder::new();
         b.add_edge(0, 1, 0.3).unwrap();
