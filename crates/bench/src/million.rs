@@ -200,20 +200,18 @@ pub fn run(config: &MillionBenchConfig) -> Report {
     });
     let sweep_peak_rss = ugraph::metrics::peak_rss_bytes();
     assert_eq!(index.support_builds(), 1, "sweep must build support once");
-    let stats_grid = index.peel_stats();
     // The thetasweep row keys, with the process's peak RSS read right
     // after the sweep (an environment probe; 0 where unsupported).
-    let rows = config.thetas.iter().enumerate().map(|(gi, &theta)| {
-        let stats = stats_grid[gi];
-        let max_score = index.scores_at_index(gi).iter().copied().max();
+    let rows = index.points().iter().map(|point| {
+        let stats = point.peel_stats();
         object([
-            ("theta", num(theta)),
+            ("theta", num(point.config().threshold)),
             ("dp_calls", num(stats.dp_calls)),
             ("recompute_skips", num(stats.recompute_skips)),
             ("buckets_touched", num(stats.buckets_touched)),
             ("peak_scratch_bytes", num(stats.peak_scratch_bytes)),
             ("peak_rss_bytes", num(sweep_peak_rss)),
-            ("max_score", num(max_score.unwrap_or(0))),
+            ("max_score", num(point.max_score())),
         ])
     });
     let rows: Vec<Json> = rows.collect();

@@ -161,21 +161,22 @@ pub fn run_bench(config: &SweepBenchConfig) -> Result<Report, IngestError> {
     // The per-threshold peel counters, the sweep's asserted identical to
     // the independent run's; `independent_dp_calls` is recorded beside
     // `dp_calls` so the report states the ≤ relation explicitly.
-    let rows = config.thetas.iter().enumerate().zip(&independents);
-    let rows = rows.map(|((gi, &theta), solo)| {
+    let rows = index.points().iter().zip(&independents);
+    let rows = rows.map(|(point, solo)| {
+        let theta = point.config().threshold;
         assert_eq!(
-            index.scores_at_index(gi),
+            point.scores(),
             solo.scores(),
             "{rank} sweep diverged from the independent decomposition at threshold {theta}"
         );
         assert_eq!(
-            index.initial_scores_at_index(gi),
+            point.initial_scores(),
             solo.initial_scores(),
             "{rank} initial scores diverged at threshold {theta}"
         );
-        assert_eq!(index.method_counts_at_index(gi), solo.method_counts());
-        let stats = *index.peel_stats_at_index(gi);
-        assert_eq!(&stats, solo.peel_stats(), "perf counters diverged");
+        assert_eq!(point.method_counts(), solo.method_counts());
+        let stats = point.peel_stats();
+        assert_eq!(stats, solo.peel_stats(), "perf counters diverged");
         object([
             ("theta", num(theta)),
             ("dp_calls", num(stats.dp_calls)),
@@ -183,7 +184,7 @@ pub fn run_bench(config: &SweepBenchConfig) -> Result<Report, IngestError> {
             ("buckets_touched", num(stats.buckets_touched)),
             ("peak_scratch_bytes", num(stats.peak_scratch_bytes)),
             ("peak_rss_bytes", num(peak_rss_bytes)),
-            ("max_score", num(index.max_score_at_index(gi))),
+            ("max_score", num(point.max_score())),
             ("independent_dp_calls", num(solo.peel_stats().dp_calls)),
         ])
     });
@@ -317,25 +318,23 @@ pub fn run_table(ctx: &ExperimentContext, datasets: &[PaperDataset], thetas: &[f
             sweep.is_monotone_in_threshold(),
             "{name}: sweep rows must be non-increasing in theta"
         );
-        let support = sweep.nucleus_support().expect("nucleus-rank sweep");
+        let support = sweep.support().as_nucleus().expect("nucleus-rank sweep");
         shapes.push((name.clone(), support.num_triangles(), support.num_cliques()));
-        for (gi, &theta) in thetas.iter().enumerate() {
+        for point in sweep.points() {
+            let theta = point.config().threshold;
             let solo = Decomposition::compute(&graph, &DecompConfig::nucleus(theta))
                 .expect("valid config");
             assert_eq!(
-                sweep.scores_at_index(gi),
+                point.scores(),
                 solo.scores(),
                 "{name}: sweep diverged at theta {theta}"
             );
             rows.push(SweepTableRow {
                 dataset: name.clone(),
                 theta,
-                max_score: sweep.max_score_at_index(gi),
-                nuclei_at_1: sweep
-                    .k_nuclei_at(&graph, theta, 1)
-                    .expect("grid point")
-                    .len(),
-                stats: *sweep.peel_stats_at_index(gi),
+                max_score: point.max_score(),
+                nuclei_at_1: point.k_nuclei(&graph, 1).expect("nucleus rank").len(),
+                stats: *point.peel_stats(),
             });
         }
     }

@@ -187,23 +187,21 @@ pub fn run(config: &UpdateBenchConfig) -> Result<Report, IngestError> {
     // total score evaluations are `grid · elements` initial passes plus
     // the peel's recomputations.
     let rebuilt = DecompSweep::compute(&outcome.graph, &sweep_config).expect("valid sweep config");
-    for gi in 0..config.thetas.len() {
+    for (point, fresh) in sweep.points().iter().zip(rebuilt.points()) {
+        let (rank, theta) = (config.rank, point.config().threshold);
         assert_eq!(
-            sweep.scores_at_index(gi),
-            rebuilt.scores_at_index(gi),
-            "repaired {} sweep diverged from the rebuild at threshold {}",
-            config.rank,
-            config.thetas[gi]
+            point.scores(),
+            fresh.scores(),
+            "repaired {rank} sweep diverged from the rebuild at threshold {theta}"
         );
         assert_eq!(
-            sweep.initial_scores_at_index(gi),
-            rebuilt.initial_scores_at_index(gi),
-            "repaired {} initial scores diverged at threshold {}",
-            config.rank,
-            config.thetas[gi]
+            point.initial_scores(),
+            fresh.initial_scores(),
+            "repaired {rank} initial scores diverged at threshold {theta}"
         );
     }
-    let rebuild_dp_calls = config.thetas.len() * rebuilt.num_elements() + rebuilt.total_dp_calls();
+    let rebuild_dp_calls =
+        config.thetas.len() * rebuilt.support().num_elements() + rebuilt.total_dp_calls();
 
     let c = config;
     let rep = &outcome.report;

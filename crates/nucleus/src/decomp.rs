@@ -11,14 +11,18 @@
 //! * [`DecompConfig`] is the builder-style configuration (rank,
 //!   threshold, scoring method, parallelism), validated into the typed
 //!   errors of [`crate::error`],
-//! * [`Decomposition::compute`] runs one threshold,
+//! * [`Decomposition::compute`] runs one threshold; a [`Decomposition`]
+//!   is the one result type of a threshold,
 //! * [`DecompSweep::compute`] amortizes one support build across a whole
-//!   threshold grid, for any rank,
+//!   threshold grid, for any rank, and hands out the [`Decomposition`]
+//!   of each grid point ([`DecompSweep::points`], [`DecompSweep::at`]),
 //! * [`RankSupport`] / [`DecompHandle`] keep a built support resident in
 //!   memory and shareable across threads (`Arc`-based), so a serving
 //!   process can answer many queries off one build; the handle also
 //!   caches the support's threshold-independent [`TailTable`], so each
-//!   element's DP runs once however many thresholds are asked.
+//!   element's DP runs once however many thresholds are asked,
+//! * [`RankSupport::repair`] patches a support after an edge-update
+//!   batch, for [`DecompSweep::apply_updates`] or [`DecompHandle::repaired`].
 //!
 //! Outputs are **bit-identical** to the frozen eager engines of
 //! [`crate::reference`]: the supports gather the same floats in the same
@@ -31,6 +35,7 @@
 //! Differential proptests in `tests/rs_engine_equivalence.rs` and in
 //! [`crate::reference`] enforce this per rank.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
@@ -390,8 +395,7 @@ impl SupportRepair {
     }
 }
 
-/// Deterministic counters of one [`DecompSweep::apply_updates`] /
-/// [`DecompHandle::apply_updates`] call.
+/// Deterministic counters of one [`DecompSweep::apply_updates`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateReport {
     /// Net-inserted edges of the batch.
@@ -430,21 +434,8 @@ pub struct UpdateOutcome {
     pub report: UpdateReport,
 }
 
-/// Result of [`DecompHandle::apply_updates`]: a new handle over the
-/// repaired support plus the updated graph.
-#[derive(Debug, Clone)]
-pub struct HandleUpdate {
-    /// Handle over the repaired support.
-    pub handle: DecompHandle,
-    /// The post-update graph.
-    pub graph: UncertainGraph,
-    /// Batch and repair-size counters (the point counters are zero: a
-    /// handle holds no computed points).
-    pub report: UpdateReport,
-}
-
-/// Everything one threshold produces: the per-point payload shared by
-/// [`Decomposition`] and [`DecompSweep`].
+/// Everything one threshold produces: the payload of a
+/// [`Decomposition`].
 #[derive(Debug, Clone)]
 struct Point {
     scores: Vec<u32>,
@@ -638,7 +629,7 @@ fn grid_points(
 fn repair_points<S: RsSupport + Sync>(
     support: &S,
     repair: &SupportRepair,
-    old_points: &[Point],
+    old_points: &[Decomposition],
     config: &SweepConfig,
 ) -> (Vec<Point>, usize) {
     let SupportRepair {
@@ -678,7 +669,7 @@ fn repair_points<S: RsSupport + Sync>(
                     0 // overwritten below
                 } else {
                     // Clean elements always have an old counterpart.
-                    old.initial_scores[new_to_old[t].unwrap() as usize]
+                    old.initial_scores()[new_to_old[t].unwrap() as usize]
                 }
             })
             .collect();
@@ -703,7 +694,7 @@ fn repair_points<S: RsSupport + Sync>(
                 if in_region[t] {
                     0 // overwritten below
                 } else {
-                    old.scores[new_to_old[t].unwrap() as usize]
+                    old.scores()[new_to_old[t].unwrap() as usize]
                 }
             })
             .collect();
@@ -747,9 +738,8 @@ fn repair_points<S: RsSupport + Sync>(
 /// 0.7 MB for a 44k-edge graph at the nucleus rank (41k triangles, 17k
 /// 4-cliques), and about 2.4 MB for the nucleus and truss ranks of a
 /// 74k-edge graph together.  Hybrid points never build it.  A handle
-/// over a repaired support ([`repaired`](Self::repaired), which
-/// [`apply_updates`](Self::apply_updates) returns) starts with the old
-/// handle's table carried over when that one was built — clean rows
+/// over a repaired support ([`repaired`](Self::repaired)) starts with the
+/// old handle's table carried over when that one was built — clean rows
 /// copied, affected rows run again — and otherwise with an empty cache.
 #[derive(Debug, Clone)]
 pub struct DecompHandle {
@@ -830,10 +820,7 @@ impl DecompHandle {
         Ok(Decomposition {
             config: *config,
             support: Arc::clone(&self.support),
-            initial_scores: point.initial_scores,
-            scores: point.scores,
-            method_counts: point.method_counts,
-            stats: point.stats,
+            point,
         })
     }
 
@@ -850,52 +837,19 @@ impl DecompHandle {
             0,
         ))
     }
-
-    /// Applies an edge-update batch: validates it against `graph` (which
-    /// must be the graph this handle's support was built from), repairs
-    /// the support incrementally and returns a new handle over it
-    /// ([`repaired`](Self::repaired)) together with the updated graph.
-    /// The batch is atomic — on any [`NucleusError::Update`] nothing is
-    /// modified — and the repaired support is bit-identical to a fresh
-    /// build on the updated graph.
-    pub fn apply_updates(
-        &self,
-        graph: &UncertainGraph,
-        updates: &[EdgeUpdate],
-    ) -> Result<HandleUpdate> {
-        let delta = apply_edge_updates(graph, updates)?;
-        let repair = self.support.repair(graph, &delta);
-        let report = UpdateReport {
-            inserted_edges: delta.inserted.len(),
-            removed_edges: delta.removed,
-            reweighted_edges: delta.reweighted,
-            affected_elements: repair.affected.len(),
-            region_elements: repair.region.len(),
-            repair_dp_calls: 0,
-            repaired_points: 0,
-            recomputed_points: 0,
-        };
-        Ok(HandleUpdate {
-            handle: self.repaired(repair),
-            graph: delta.graph,
-            report,
-        })
-    }
 }
 
-/// Result of a unified (r,s) decomposition: the decomposition number of
-/// every element (core number, truss number or ℓ-nucleusness, indexed by
-/// vertex, edge or triangle id), the engine's deterministic perf
-/// counters, and the support it was computed over (shared with the
-/// [`DecompHandle`] that computed it, never copied).
+/// Result of a unified (r,s) decomposition at one threshold: the
+/// decomposition number of every element (core number, truss number or
+/// ℓ-nucleusness, indexed by vertex, edge or triangle id), the engine's
+/// deterministic perf counters, and the support it was computed over
+/// (shared with the [`DecompHandle`] or [`DecompSweep`] that computed
+/// it, never copied).
 #[derive(Debug, Clone)]
 pub struct Decomposition {
     config: DecompConfig,
     support: Arc<RankSupport>,
-    initial_scores: Vec<u32>,
-    scores: Vec<u32>,
-    method_counts: HashMap<ApproxMethod, usize>,
-    stats: PeelStats,
+    point: Point,
 }
 
 impl Decomposition {
@@ -920,37 +874,37 @@ impl Decomposition {
     /// Decomposition number of element `id` (vertex, edge or triangle id
     /// depending on the rank).
     pub fn score(&self, id: u32) -> u32 {
-        self.scores[id as usize]
+        self.point.scores[id as usize]
     }
 
     /// Decomposition number of every element, indexed by element id.
     pub fn scores(&self) -> &[u32] {
-        &self.scores
+        &self.point.scores
     }
 
     /// The initial scores (before peeling), indexed by element id.
     pub fn initial_scores(&self) -> &[u32] {
-        &self.initial_scores
+        &self.point.initial_scores
     }
 
     /// The largest decomposition number.
     pub fn max_score(&self) -> u32 {
-        self.scores.iter().copied().max().unwrap_or(0)
+        self.scores().iter().copied().max().unwrap_or(0)
     }
 
     /// Number of peeled elements.
     pub fn num_elements(&self) -> usize {
-        self.scores.len()
+        self.scores().len()
     }
 
     /// Evaluation method of each element's initial score computation.
     pub fn method_counts(&self) -> &HashMap<ApproxMethod, usize> {
-        &self.method_counts
+        &self.point.method_counts
     }
 
     /// Deterministic perf counters of the peeling engine.
     pub fn peel_stats(&self) -> &PeelStats {
-        &self.stats
+        &self.point.stats
     }
 
     /// The nucleus-rank [`SupportStructure`] (triangles, 4-cliques,
@@ -964,7 +918,7 @@ impl Decomposition {
     /// graph the decomposition was computed from.
     pub fn k_nuclei(&self, graph: &UncertainGraph, k: u32) -> Result<Vec<NucleusSubgraph>> {
         let support = self.require_nucleus()?;
-        Ok(nuclei::extract_k_nuclei(graph, support, &self.scores, k))
+        Ok(nuclei::extract_k_nuclei(graph, support, self.scores(), k))
     }
 
     /// The nucleus-rank support, or [`NucleusError::RankMismatch`].
@@ -975,12 +929,14 @@ impl Decomposition {
     /// The maximal connected k-subgraphs at any rank, for `k ≥ 1`: the
     /// connected (k,η)-cores (vertex-induced, at least 2 vertices), the
     /// connected (k,γ)-trusses (edge-induced, at least 3 vertices) or the
-    /// ℓ-(k,θ)-nuclei.  `graph` must be the graph the decomposition was
+    /// ℓ-(k,θ)-nuclei, ordered by smallest vertex (nuclei: by smallest
+    /// 4-clique).  `graph` must be the graph the decomposition was
     /// computed from.
     pub fn k_subgraphs(&self, graph: &UncertainGraph, k: u32) -> Vec<EdgeSubgraph> {
+        let scores = self.scores();
         match &*self.support {
             RankSupport::Core(_) => {
-                let in_core: Vec<bool> = self.scores.iter().map(|&c| c >= k).collect();
+                let in_core: Vec<bool> = scores.iter().map(|&c| c >= k).collect();
                 if !in_core.contains(&true) {
                     return Vec::new();
                 }
@@ -993,34 +949,35 @@ impl Decomposition {
                     .collect()
             }
             RankSupport::Truss(_) => {
-                let edges: Vec<EdgeId> = (0..self.scores.len() as EdgeId)
-                    .filter(|&e| self.scores[e as usize] >= k)
+                let edges: Vec<EdgeId> = (0..scores.len() as EdgeId)
+                    .filter(|&e| scores[e as usize] >= k)
                     .collect();
                 if edges.is_empty() {
                     return Vec::new();
                 }
                 let sub = EdgeSubgraph::induced_by_edges(graph, &edges);
                 let components = ConnectedComponents::new(sub.graph());
-                components
-                    .vertex_sets()
+                // One pass puts each qualifying edge, in ascending id
+                // order, into the component of its endpoints.
+                let mut members = vec![Vec::new(); components.count()];
+                for &e in &edges {
+                    let u = sub
+                        .local_vertex(graph.edge(e).u)
+                        .expect("endpoint of a kept edge");
+                    let c = components
+                        .component_of(u)
+                        .expect("every vertex is included");
+                    members[c].push(e);
+                }
+                // A connected simple graph with two edges or more has
+                // three vertices or more.
+                members
                     .into_iter()
-                    .filter(|set| set.len() > 2)
-                    .map(|set| {
-                        let original: Vec<_> =
-                            set.iter().map(|&v| sub.original_vertex(v)).collect();
-                        let comp_edges: Vec<EdgeId> = edges
-                            .iter()
-                            .copied()
-                            .filter(|&e| {
-                                let edge = graph.edge(e);
-                                original.contains(&edge.u) && original.contains(&edge.v)
-                            })
-                            .collect();
-                        EdgeSubgraph::induced_by_edges(graph, &comp_edges)
-                    })
+                    .filter(|comp_edges| comp_edges.len() > 1)
+                    .map(|comp_edges| EdgeSubgraph::induced_by_edges(graph, &comp_edges))
                     .collect()
             }
-            RankSupport::Nucleus(s) => nuclei::extract_k_nuclei(graph, s, &self.scores, k)
+            RankSupport::Nucleus(s) => nuclei::extract_k_nuclei(graph, s, scores, k)
                 .into_iter()
                 .map(|n| n.subgraph)
                 .collect(),
@@ -1029,21 +986,39 @@ impl Decomposition {
 }
 
 /// A threshold sweep at any rank: one support build amortized across a
-/// whole grid, per-point scores, method counts and [`PeelStats`],
-/// queryable in O(log grid).
+/// whole grid, and the [`Decomposition`] of every grid point.
 ///
-/// This is the one sweep engine of the workspace.  Every per-point
-/// result is bit-identical to an independent [`Decomposition::compute`]
-/// at that threshold, for every parallelism setting, and the exact-DP
-/// rows are non-increasing in the threshold (a larger threshold can only
-/// shrink every tail set).  [`support_builds`](Self::support_builds)
-/// makes the amortization CI-gateable: `experiments thetasweep` emits it
-/// and `bench-compare` pins it to 1.
+/// This is the one sweep engine of the workspace.  Every point is
+/// bit-identical to an independent [`Decomposition::compute`] at its
+/// threshold, for every parallelism setting, and shares the sweep's
+/// support.  The exact-DP rows are non-increasing in the threshold (a
+/// larger threshold can only shrink every tail set).
+/// [`support_builds`](Self::support_builds) makes the amortization
+/// CI-gateable: `experiments thetasweep` emits it and `bench-compare`
+/// pins it to 1.
+///
+/// ```
+/// use nucleus::{DecompSweep, SweepConfig};
+///
+/// let mut k5 = ugraph::GraphBuilder::new();
+/// for (u, v) in (0..5).flat_map(|u| ((u + 1)..5).map(move |v| (u, v))) {
+///     k5.add_edge(u, v, 0.9).unwrap();
+/// }
+/// let graph = k5.build();
+/// let sweep = DecompSweep::compute(&graph, &SweepConfig::exact(vec![0.02, 0.1, 0.5]))?;
+/// assert_eq!(sweep.support_builds(), 1);              // one build for the whole grid
+/// let scores = sweep.at(0.1)?.scores();               // O(log grid) lookup
+/// let nuclei = sweep.at(0.1)?.k_nuclei(&graph, 2)?;   // pure extraction, no rescoring
+/// assert_eq!(scores, &[2; 10]);
+/// assert_eq!(nuclei.len(), 1);
+/// assert!(sweep.at(0.3).is_err());                    // off the grid
+/// # Ok::<(), nucleus::NucleusError>(())
+/// ```
 #[derive(Debug, Clone)]
 pub struct DecompSweep {
     support: Arc<RankSupport>,
     config: SweepConfig,
-    points: Vec<Point>,
+    points: Vec<Decomposition>,
     support_builds: usize,
 }
 
@@ -1067,12 +1042,13 @@ impl DecompSweep {
         support_builds: usize,
     ) -> Self {
         let points = grid_points(&support, tails, config);
-        let sweep = DecompSweep {
+        let mut sweep = DecompSweep {
             support,
             config: config.clone(),
-            points,
+            points: Vec::new(),
             support_builds,
         };
+        sweep.set_points(points);
         // The DP scorer is provably monotone in the threshold (a larger
         // threshold shrinks every tail set); catch any engine regression
         // early in debug builds.
@@ -1084,6 +1060,26 @@ impl DecompSweep {
             );
         }
         sweep
+    }
+
+    /// Wraps `points`, in grid order, as the grid's decompositions over
+    /// the sweep's support.
+    fn set_points(&mut self, points: Vec<Point>) {
+        let c = &self.config;
+        let configs = c.thetas.iter().map(|&threshold| {
+            DecompConfig::new(c.rank, threshold)
+                .with_method(c.method)
+                .with_parallelism(c.parallelism)
+        });
+        let support = &self.support;
+        self.points = configs
+            .zip(points)
+            .map(|(config, point)| Decomposition {
+                config,
+                support: Arc::clone(support),
+                point,
+            })
+            .collect();
     }
 
     /// The configuration the sweep was computed with.
@@ -1101,25 +1097,9 @@ impl DecompSweep {
         &self.config.thetas
     }
 
-    /// Number of grid points.
-    pub fn grid_len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Number of peeled elements (shared by every grid point).
-    pub fn num_elements(&self) -> usize {
-        self.support.num_elements()
-    }
-
     /// The shared support.
     pub fn support(&self) -> &Arc<RankSupport> {
         &self.support
-    }
-
-    /// The nucleus-rank [`SupportStructure`], when this is a nucleus
-    /// sweep.
-    pub fn nucleus_support(&self) -> Option<&SupportStructure> {
-        self.support.as_nucleus()
     }
 
     /// Support builds the engine performed — pinned to 1 by the CI perf
@@ -1129,93 +1109,38 @@ impl DecompSweep {
         self.support_builds
     }
 
-    /// Grid position of `threshold` (exact match, O(log grid) binary
-    /// search over the sorted grid), or `None` when it is not a grid
-    /// point.
-    pub fn grid_index_of(&self, threshold: f64) -> Option<usize> {
-        self.config
-            .thetas
-            .binary_search_by(|probe| {
-                probe
-                    .partial_cmp(&threshold)
-                    .unwrap_or(std::cmp::Ordering::Less)
-            })
-            .ok()
+    /// The decomposition of every grid point, in grid order.
+    pub fn points(&self) -> &[Decomposition] {
+        &self.points
     }
 
-    /// Like [`grid_index_of`](Self::grid_index_of), but off-grid lookups
-    /// produce the typed [`NucleusError::ThresholdOffGrid`].
-    pub fn require_grid_index(&self, threshold: f64) -> Result<usize> {
-        self.grid_index_of(threshold)
-            .ok_or(NucleusError::ThresholdOffGrid {
-                name: self.config.rank.threshold_name(),
+    /// The decomposition at `threshold`: an exact-match, O(log grid)
+    /// binary search over the sorted grid.  Off the grid it produces the
+    /// typed [`NucleusError::ThresholdOffGrid`].
+    pub fn at(&self, threshold: f64) -> Result<&Decomposition> {
+        let c = &self.config;
+        c.thetas
+            .binary_search_by(|probe| probe.partial_cmp(&threshold).unwrap_or(Ordering::Less))
+            .map(|i| &self.points[i])
+            .map_err(|_| NucleusError::ThresholdOffGrid {
+                name: c.rank.threshold_name(),
                 value: threshold,
             })
     }
 
-    /// Decomposition numbers at grid point `index`.
-    pub fn scores_at_index(&self, index: usize) -> &[u32] {
-        &self.points[index].scores
-    }
-
-    /// Decomposition numbers at `threshold`, or `None` off the grid.
-    pub fn scores_at(&self, threshold: f64) -> Option<&[u32]> {
-        self.grid_index_of(threshold)
-            .map(|i| self.scores_at_index(i))
-    }
-
-    /// Initial scores at grid point `index`.
-    pub fn initial_scores_at_index(&self, index: usize) -> &[u32] {
-        &self.points[index].initial_scores
-    }
-
-    /// Initial scores at `threshold`, or `None` off the grid.
-    pub fn initial_scores_at(&self, threshold: f64) -> Option<&[u32]> {
-        self.grid_index_of(threshold)
-            .map(|i| self.initial_scores_at_index(i))
-    }
-
-    /// Evaluation-method counts at grid point `index`.
-    pub fn method_counts_at_index(&self, index: usize) -> &HashMap<ApproxMethod, usize> {
-        &self.points[index].method_counts
-    }
-
-    /// The largest decomposition number at grid point `index`.
-    pub fn max_score_at_index(&self, index: usize) -> u32 {
-        self.points[index].scores.iter().copied().max().unwrap_or(0)
-    }
-
-    /// The largest decomposition number at `threshold`, or `None` off
-    /// the grid.
-    pub fn max_score_at(&self, threshold: f64) -> Option<u32> {
-        self.grid_index_of(threshold)
-            .map(|i| self.max_score_at_index(i))
-    }
-
-    /// Peeling perf counters at grid point `index`.
-    pub fn peel_stats_at_index(&self, index: usize) -> &PeelStats {
-        &self.points[index].stats
-    }
-
-    /// Peeling perf counters of every grid point, in grid order.
-    pub fn peel_stats(&self) -> Vec<PeelStats> {
-        self.points.iter().map(|p| p.stats).collect()
-    }
-
     /// Sum of peeling-time score recomputations across the grid.
     pub fn total_dp_calls(&self) -> usize {
-        self.points.iter().map(|p| p.stats.dp_calls).sum()
+        self.points.iter().map(|p| p.peel_stats().dp_calls).sum()
     }
 
     /// `true` when every element's score row (final and initial) is
     /// non-increasing as the threshold grows across the grid.  Always
     /// holds for the exact-DP scorer at every rank.
     pub fn is_monotone_in_threshold(&self) -> bool {
-        let n = self.num_elements();
+        let below = |hi: &[u32], lo: &[u32]| hi.iter().zip(lo).all(|(h, l)| h <= l);
         self.points.windows(2).all(|w| {
-            (0..n).all(|t| {
-                w[1].scores[t] <= w[0].scores[t] && w[1].initial_scores[t] <= w[0].initial_scores[t]
-            })
+            below(w[1].scores(), w[0].scores())
+                && below(w[1].initial_scores(), w[0].initial_scores())
         })
     }
 
@@ -1272,7 +1197,7 @@ impl DecompSweep {
             recomputed_points: if hybrid { grid_len } else { 0 },
         };
         self.support = Arc::new(repair.support);
-        self.points = points;
+        self.set_points(points);
         // The repaired sweep must satisfy the same invariant a fresh
         // exact-DP sweep does.
         #[cfg(debug_assertions)]
@@ -1286,25 +1211,6 @@ impl DecompSweep {
             graph: delta.graph,
             report,
         })
-    }
-
-    /// The maximal ℓ-(k,θ)-nuclei at `threshold` — nucleus-rank sweeps
-    /// only.  Errors with [`NucleusError::RankMismatch`] at other ranks
-    /// and [`NucleusError::ThresholdOffGrid`] off the grid.
-    pub fn k_nuclei_at(
-        &self,
-        graph: &UncertainGraph,
-        threshold: f64,
-        k: u32,
-    ) -> Result<Vec<NucleusSubgraph>> {
-        let support = self.support.require_nucleus()?;
-        let gi = self.require_grid_index(threshold)?;
-        Ok(nuclei::extract_k_nuclei(
-            graph,
-            support,
-            &self.points[gi].scores,
-            k,
-        ))
     }
 }
 
@@ -1485,25 +1391,25 @@ pub(crate) mod tests {
             let sweep = DecompSweep::compute(&g, &SweepConfig::exact(grid.clone()).with_rank(rank))
                 .unwrap();
             assert_eq!(sweep.rank(), rank);
-            assert_eq!(sweep.grid_len(), grid.len());
+            assert_eq!(sweep.points().len(), grid.len());
             assert_eq!(sweep.support_builds(), 1, "{rank}");
             assert_eq!(sweep.thresholds(), &grid[..]);
-            let stats = sweep.peel_stats();
-            for (gi, &threshold) in grid.iter().enumerate() {
+            for (point, &threshold) in sweep.points().iter().zip(&grid) {
                 let solo = Decomposition::compute(&g, &DecompConfig::new(rank, threshold)).unwrap();
-                assert_eq!(
-                    sweep.scores_at_index(gi),
-                    solo.scores(),
-                    "{rank} @ {threshold}"
-                );
-                assert_eq!(sweep.initial_scores_at_index(gi), solo.initial_scores());
-                assert_eq!(&stats[gi], solo.peel_stats());
+                assert_eq!(point.config(), solo.config(), "{rank} @ {threshold}");
+                assert_eq!(point.scores(), solo.scores(), "{rank} @ {threshold}");
+                assert_eq!(point.initial_scores(), solo.initial_scores());
+                assert_eq!(point.peel_stats(), solo.peel_stats());
+                assert!(Arc::ptr_eq(&point.support, sweep.support()), "{rank}");
             }
             assert_eq!(
                 sweep.total_dp_calls(),
-                stats.iter().map(|s| s.dp_calls).sum::<usize>()
+                sweep
+                    .points()
+                    .iter()
+                    .map(|p| p.peel_stats().dp_calls)
+                    .sum::<usize>()
             );
-            assert_eq!(sweep.num_elements(), sweep.scores_at_index(0).len());
         }
     }
 
@@ -1560,20 +1466,11 @@ pub(crate) mod tests {
             assert_eq!(shared.support_builds(), 0);
             let fresh = DecompSweep::compute(&g, &config).unwrap();
             assert_eq!(fresh.support_builds(), 1);
-            for gi in 0..config.thetas.len() {
-                assert_eq!(shared.scores_at_index(gi), fresh.scores_at_index(gi));
-                assert_eq!(
-                    shared.initial_scores_at_index(gi),
-                    fresh.initial_scores_at_index(gi)
-                );
-                assert_eq!(
-                    shared.method_counts_at_index(gi),
-                    fresh.method_counts_at_index(gi)
-                );
-                assert_eq!(
-                    shared.peel_stats_at_index(gi),
-                    fresh.peel_stats_at_index(gi)
-                );
+            for (a, b) in shared.points().iter().zip(fresh.points()) {
+                assert_eq!(a.scores(), b.scores());
+                assert_eq!(a.initial_scores(), b.initial_scores());
+                assert_eq!(a.method_counts(), b.method_counts());
+                assert_eq!(a.peel_stats(), b.peel_stats());
             }
         }
     }
@@ -1602,39 +1499,36 @@ pub(crate) mod tests {
     fn sweep_grid_lookups_and_nuclei_queries() {
         let g = complete(5, 0.9);
         let sweep = DecompSweep::compute(&g, &SweepConfig::exact(vec![0.1, 0.5])).unwrap();
-        assert_eq!(sweep.grid_index_of(0.5), Some(1));
-        assert_eq!(sweep.grid_index_of(0.3), None);
-        assert!(sweep.scores_at(0.3).is_none());
-        assert!(sweep.initial_scores_at(0.1).is_some());
+        assert!(std::ptr::eq(sweep.at(0.5).unwrap(), &sweep.points()[1]));
+        assert_eq!(sweep.at(0.5).unwrap().config().threshold, 0.5);
         assert_eq!(
-            sweep.max_score_at(0.1).unwrap(),
-            sweep.max_score_at_index(0)
-        );
-        assert_eq!(
-            sweep.require_grid_index(0.3),
-            Err(NucleusError::ThresholdOffGrid {
+            sweep.at(0.3).unwrap_err(),
+            NucleusError::ThresholdOffGrid {
                 name: "theta",
                 value: 0.3,
-            })
+            }
         );
-        assert!(sweep.nucleus_support().is_some());
+        assert!(sweep.support().as_nucleus().is_some());
         let solo = Decomposition::compute(&g, &DecompConfig::nucleus(0.1)).unwrap();
-        let nuclei = sweep.k_nuclei_at(&g, 0.1, 1).unwrap();
+        let nuclei = sweep.at(0.1).unwrap().k_nuclei(&g, 1).unwrap();
         let expected = solo.k_nuclei(&g, 1).unwrap();
         assert_eq!(nuclei.len(), expected.len());
         for (a, b) in nuclei.iter().zip(&expected) {
             assert_eq!(a.cliques, b.cliques);
         }
-        assert!(matches!(
-            sweep.k_nuclei_at(&g, 0.3, 1),
-            Err(NucleusError::ThresholdOffGrid { .. })
-        ));
 
         let truss = DecompSweep::compute(&g, &SweepConfig::exact(vec![0.5]).with_rank(Rank::Truss))
             .unwrap();
-        assert!(truss.nucleus_support().is_none());
+        assert!(truss.support().as_nucleus().is_none());
+        assert_eq!(
+            truss.at(0.3).unwrap_err(),
+            NucleusError::ThresholdOffGrid {
+                name: "gamma",
+                value: 0.3,
+            }
+        );
         assert!(matches!(
-            truss.k_nuclei_at(&g, 0.5, 1),
+            truss.at(0.5).unwrap().k_nuclei(&g, 1),
             Err(NucleusError::RankMismatch {
                 expected: "nucleus",
                 got: "truss",
@@ -1702,27 +1596,19 @@ pub(crate) mod tests {
             assert!(report.affected_elements <= report.region_elements);
 
             let fresh = DecompSweep::compute(&outcome.graph, &config).unwrap();
-            for (gi, theta) in grid.iter().enumerate() {
-                assert_eq!(
-                    sweep.scores_at_index(gi),
-                    fresh.scores_at_index(gi),
-                    "{rank} @ {theta}"
-                );
-                assert_eq!(
-                    sweep.initial_scores_at_index(gi),
-                    fresh.initial_scores_at_index(gi)
-                );
-                assert_eq!(
-                    sweep.method_counts_at_index(gi),
-                    fresh.method_counts_at_index(gi)
-                );
+            for (a, b) in sweep.points().iter().zip(fresh.points()) {
+                let theta = a.config().threshold;
+                assert_eq!(a.scores(), b.scores(), "{rank} @ {theta}");
+                assert_eq!(a.initial_scores(), b.initial_scores());
+                assert_eq!(a.method_counts(), b.method_counts());
+                assert!(Arc::ptr_eq(&a.support, sweep.support()), "{rank}");
             }
 
             // The repair path must beat a rebuild on score evaluations:
             // a rebuild spends grid·n initial evaluations plus the full
             // peels' dp_calls.
-            let rebuild_calls: usize = grid.len() * fresh.num_elements()
-                + fresh.peel_stats().iter().map(|s| s.dp_calls).sum::<usize>();
+            let rebuild_calls: usize =
+                grid.len() * fresh.support().num_elements() + fresh.total_dp_calls();
             assert!(
                 report.repair_dp_calls <= rebuild_calls,
                 "{rank}: repair {} > rebuild {rebuild_calls}",
@@ -1733,8 +1619,8 @@ pub(crate) mod tests {
             let undo = [EdgeUpdate::Insert { u: 2, v: 3, p: 0.4 }];
             let outcome2 = sweep.apply_updates(&outcome.graph, &undo).unwrap();
             let fresh2 = DecompSweep::compute(&outcome2.graph, &config).unwrap();
-            for gi in 0..grid.len() {
-                assert_eq!(sweep.scores_at_index(gi), fresh2.scores_at_index(gi));
+            for (a, b) in sweep.points().iter().zip(fresh2.points()) {
+                assert_eq!(a.scores(), b.scores());
             }
         }
     }
@@ -1768,15 +1654,11 @@ pub(crate) mod tests {
                 .unwrap();
                 let outcome = par_sweep.apply_updates(&g, &batch).unwrap();
                 assert_eq!(outcome.report, base_outcome.report, "{rank} x{threads}");
-                for gi in 0..2 {
+                for (a, b) in par_sweep.points().iter().zip(base.points()) {
+                    assert_eq!(a.scores(), b.scores(), "{rank} x{threads}");
                     assert_eq!(
-                        par_sweep.scores_at_index(gi),
-                        base.scores_at_index(gi),
-                        "{rank} x{threads}"
-                    );
-                    assert_eq!(
-                        par_sweep.peel_stats_at_index(gi),
-                        base.peel_stats_at_index(gi),
+                        a.peel_stats(),
+                        b.peel_stats(),
                         "{rank} x{threads}: repair PeelStats must be deterministic"
                     );
                 }
@@ -1789,7 +1671,7 @@ pub(crate) mod tests {
         let g = complete(5, 0.6);
         let config = SweepConfig::exact(vec![0.3]).with_rank(Rank::Truss);
         let mut sweep = DecompSweep::compute(&g, &config).unwrap();
-        let before: Vec<u32> = sweep.scores_at_index(0).to_vec();
+        let before: Vec<u32> = sweep.points()[0].scores().to_vec();
         // Second entry references an off-graph vertex: the whole batch
         // must be rejected with the typed error and index.
         let batch = [
@@ -1808,7 +1690,7 @@ pub(crate) mod tests {
             })) => {}
             other => panic!("expected OffGraphEndpoint, got {other:?}"),
         }
-        assert_eq!(sweep.scores_at_index(0), &before[..], "sweep untouched");
+        assert_eq!(sweep.points()[0].scores(), &before[..], "sweep untouched");
     }
 
     #[test]
@@ -1821,18 +1703,27 @@ pub(crate) mod tests {
         assert_eq!(outcome.report.repaired_points, 0);
         assert_eq!(outcome.report.recomputed_points, 2);
         let fresh = DecompSweep::compute(&outcome.graph, &config).unwrap();
-        for gi in 0..2 {
-            assert_eq!(sweep.scores_at_index(gi), fresh.scores_at_index(gi));
+        for (a, b) in sweep.points().iter().zip(fresh.points()) {
+            assert_eq!(a.scores(), b.scores());
+            assert_eq!(a.method_counts(), b.method_counts());
             assert_eq!(
-                sweep.method_counts_at_index(gi),
-                fresh.method_counts_at_index(gi)
-            );
-            assert_eq!(
-                sweep.peel_stats_at_index(gi),
-                fresh.peel_stats_at_index(gi),
+                a.peel_stats(),
+                b.peel_stats(),
                 "recomputed points carry full-run stats"
             );
         }
+    }
+
+    /// `handle` repaired after `batch` the way a server repairs it, and
+    /// the updated graph.
+    fn repair_handle(
+        handle: &DecompHandle,
+        g: &UncertainGraph,
+        batch: &[EdgeUpdate],
+    ) -> (DecompHandle, UncertainGraph) {
+        let delta = apply_edge_updates(g, batch).unwrap();
+        let repair = handle.support().repair(g, &delta);
+        (handle.repaired(repair), delta.graph)
     }
 
     #[test]
@@ -1840,14 +1731,13 @@ pub(crate) mod tests {
         let g = complete(6, 0.7);
         let handle = DecompHandle::build(&g, Rank::Truss, Parallelism::Sequential);
         let batch = [EdgeUpdate::Delete { u: 0, v: 1 }];
-        let update = handle.apply_updates(&g, &batch).unwrap();
-        assert_eq!(update.report.removed_edges, 1);
-        assert_eq!(update.report.repaired_points, 0);
-        assert_eq!(update.graph.num_edges(), g.num_edges() - 1);
+        let (repaired, updated) = repair_handle(&handle, &g, &batch);
+        assert_eq!(updated.num_edges(), g.num_edges() - 1);
+        assert_eq!(repaired.num_elements(), updated.num_edges());
         // Queries off the repaired handle match a fresh build.
         let config = DecompConfig::truss(0.3);
-        let repaired = update.handle.compute_at(&config).unwrap();
-        let fresh = Decomposition::compute(&update.graph, &config).unwrap();
+        let repaired = repaired.compute_at(&config).unwrap();
+        let fresh = Decomposition::compute(&updated, &config).unwrap();
         assert_eq!(repaired.scores(), fresh.scores());
         assert_eq!(repaired.initial_scores(), fresh.initial_scores());
         assert_eq!(repaired.peel_stats(), fresh.peel_stats());
@@ -1862,21 +1752,21 @@ pub(crate) mod tests {
         ];
         for rank in [Rank::Core, Rank::Truss, Rank::Nucleus] {
             let handle = DecompHandle::build(&g, rank, Parallelism::Sequential);
-            let lazy = handle.apply_updates(&g, &batch).unwrap().handle;
+            let (lazy, _) = repair_handle(&handle, &g, &batch);
             assert!(lazy.tails.get().is_none(), "{rank}: nothing to carry");
 
             let config = DecompConfig::new(rank, 0.2);
             handle.compute_at(&config).unwrap();
-            let update = handle.apply_updates(&g, &batch).unwrap();
-            let carried = update.handle.tails.get().expect("carried over");
-            let fresh = DecompHandle::build(&update.graph, rank, Parallelism::Sequential);
+            let (repaired, updated) = repair_handle(&handle, &g, &batch);
+            let carried = repaired.tails.get().expect("carried over");
+            let fresh = DecompHandle::build(&updated, rank, Parallelism::Sequential);
             let built = fresh.support.tail_table(Parallelism::Sequential);
             assert_eq!(carried.len(), built.len(), "{rank}");
             for t in 0..built.len() as u32 {
                 let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(carried.row(t)), bits(built.row(t)), "{rank}: row {t}");
             }
-            let repaired = update.handle.compute_at(&config).unwrap();
+            let repaired = repaired.compute_at(&config).unwrap();
             let fresh = fresh.compute_at(&config).unwrap();
             assert_eq!(repaired.scores(), fresh.scores(), "{rank}");
             assert_eq!(repaired.initial_scores(), fresh.initial_scores(), "{rank}");
@@ -1892,10 +1782,10 @@ pub(crate) mod tests {
                 &SweepConfig::exact(vec![0.05, 0.2, 0.5, 0.8]).with_rank(rank),
             )
             .unwrap();
-            for gi in 1..sweep.grid_len() {
-                for t in 0..sweep.num_elements() {
+            for w in sweep.points().windows(2) {
+                for (hi, lo) in w[1].scores().iter().zip(w[0].scores()) {
                     assert!(
-                        sweep.scores_at_index(gi)[t] <= sweep.scores_at_index(gi - 1)[t],
+                        hi <= lo,
                         "{rank}: scores must be non-increasing in the threshold"
                     );
                 }
@@ -2164,17 +2054,15 @@ pub(crate) mod tests {
         let grid = vec![0.05, 0.2, 0.4, 0.6, 0.9];
         let sweep = DecompSweep::compute(&g, &SweepConfig::exact(grid.clone())).unwrap();
         assert_eq!(sweep.support_builds(), 1);
-        assert_eq!(sweep.grid_len(), 5);
-        for (gi, &theta) in grid.iter().enumerate() {
+        assert_eq!(sweep.points().len(), 5);
+        for &theta in &grid {
             let solo = nucleus(&g, DecompConfig::nucleus(theta));
-            assert_eq!(sweep.scores_at(theta).unwrap(), solo.scores());
-            assert_eq!(
-                sweep.initial_scores_at(theta).unwrap(),
-                solo.initial_scores()
-            );
-            assert_eq!(sweep.method_counts_at_index(gi), solo.method_counts());
-            assert_eq!(sweep.peel_stats_at_index(gi), solo.peel_stats());
-            assert_eq!(sweep.max_score_at(theta).unwrap(), solo.max_score());
+            let point = sweep.at(theta).unwrap();
+            assert_eq!(point.scores(), solo.scores());
+            assert_eq!(point.initial_scores(), solo.initial_scores());
+            assert_eq!(point.method_counts(), solo.method_counts());
+            assert_eq!(point.peel_stats(), solo.peel_stats());
+            assert_eq!(point.max_score(), solo.max_score());
         }
     }
 
@@ -2187,12 +2075,9 @@ pub(crate) mod tests {
         assert_eq!(shared.support_builds(), 0);
         let direct = DecompSweep::compute(&g, &config).unwrap();
         assert_eq!(direct.support_builds(), 1);
-        for gi in 0..shared.grid_len() {
-            assert_eq!(shared.scores_at_index(gi), direct.scores_at_index(gi));
-            assert_eq!(
-                shared.initial_scores_at_index(gi),
-                direct.initial_scores_at_index(gi)
-            );
+        for (a, b) in shared.points().iter().zip(direct.points()) {
+            assert_eq!(a.scores(), b.scores());
+            assert_eq!(a.initial_scores(), b.initial_scores());
         }
     }
 
@@ -2200,12 +2085,16 @@ pub(crate) mod tests {
     fn grid_lookup_is_exact_match_only() {
         let g = complete(5, 0.6);
         let sweep = DecompSweep::compute(&g, &SweepConfig::exact(vec![0.1, 0.3, 0.7])).unwrap();
-        assert_eq!(sweep.grid_index_of(0.3), Some(1));
-        assert_eq!(sweep.grid_index_of(0.2), None);
-        assert_eq!(sweep.grid_index_of(f64::NAN), None);
-        assert!(sweep.scores_at(0.2).is_none());
-        assert!(sweep.initial_scores_at(0.31).is_none());
-        assert!(sweep.max_score_at(0.0).is_none());
+        for (gi, &theta) in sweep.thresholds().iter().enumerate() {
+            assert!(std::ptr::eq(sweep.at(theta).unwrap(), &sweep.points()[gi]));
+        }
+        for off in [0.2, 0.31, 0.0, f64::NAN] {
+            let err = sweep.at(off).unwrap_err();
+            assert!(
+                matches!(err, NucleusError::ThresholdOffGrid { name: "theta", .. }),
+                "{off}"
+            );
+        }
         assert_eq!(sweep.thresholds(), &[0.1, 0.3, 0.7]);
     }
 
@@ -2225,12 +2114,10 @@ pub(crate) mod tests {
         let sweep =
             DecompSweep::compute(&g, &SweepConfig::exact(vec![0.05, 0.2, 0.5, 0.8])).unwrap();
         assert!(sweep.is_monotone_in_threshold());
-        let row: Vec<u32> = (0..sweep.grid_len())
-            .map(|gi| sweep.scores_at_index(gi)[0])
-            .collect();
+        let row: Vec<u32> = sweep.points().iter().map(|p| p.score(0)).collect();
         assert_eq!(row.len(), 4);
         assert!(row.windows(2).all(|w| w[1] <= w[0]));
-        let index = sweep.nucleus_support().unwrap().triangle_index();
+        let index = sweep.support().as_nucleus().unwrap().triangle_index();
         assert!(index.id_of(&ugraph::Triangle::new(90, 91, 92)).is_none());
     }
 
@@ -2242,7 +2129,7 @@ pub(crate) mod tests {
         for &theta in &grid {
             let solo = nucleus(&g, DecompConfig::nucleus(theta));
             for k in 1..=2 {
-                let from_sweep = sweep.k_nuclei_at(&g, theta, k).unwrap();
+                let from_sweep = sweep.at(theta).unwrap().k_nuclei(&g, k).unwrap();
                 let from_solo = solo.k_nuclei(&g, k).unwrap();
                 assert_eq!(from_sweep.len(), from_solo.len());
                 for (a, b) in from_sweep.iter().zip(&from_solo) {
@@ -2251,7 +2138,7 @@ pub(crate) mod tests {
                 }
             }
         }
-        assert!(sweep.k_nuclei_at(&g, 0.33, 1).is_err());
+        assert!(sweep.at(0.33).is_err());
     }
 
     #[test]
@@ -2269,17 +2156,10 @@ pub(crate) mod tests {
                 &config.clone().with_parallelism(Parallelism::fixed(threads)),
             )
             .unwrap();
-            for gi in 0..config.thetas.len() {
-                assert_eq!(
-                    par.scores_at_index(gi),
-                    base.scores_at_index(gi),
-                    "threads = {threads}"
-                );
-                assert_eq!(
-                    par.initial_scores_at_index(gi),
-                    base.initial_scores_at_index(gi)
-                );
-                assert_eq!(par.peel_stats_at_index(gi), base.peel_stats_at_index(gi));
+            for (a, b) in par.points().iter().zip(base.points()) {
+                assert_eq!(a.scores(), b.scores(), "threads = {threads}");
+                assert_eq!(a.initial_scores(), b.initial_scores());
+                assert_eq!(a.peel_stats(), b.peel_stats());
             }
         }
     }
@@ -2289,8 +2169,8 @@ pub(crate) mod tests {
         let g = complete(6, 0.7);
         let sweep = DecompSweep::compute(&g, &SweepConfig::exact(vec![0.25])).unwrap();
         let solo = nucleus(&g, DecompConfig::nucleus(0.25));
-        assert_eq!(sweep.grid_len(), 1);
-        assert_eq!(sweep.scores_at(0.25).unwrap(), solo.scores());
+        assert_eq!(sweep.points().len(), 1);
+        assert_eq!(sweep.at(0.25).unwrap().scores(), solo.scores());
         assert_eq!(sweep.total_dp_calls(), solo.peel_stats().dp_calls);
     }
 
@@ -2298,10 +2178,10 @@ pub(crate) mod tests {
     fn empty_graph_sweeps_cleanly() {
         let g = UncertainGraph::empty(4);
         let sweep = DecompSweep::compute(&g, &SweepConfig::exact(vec![0.1, 0.9])).unwrap();
-        assert_eq!(sweep.num_elements(), 0);
-        assert_eq!(sweep.max_score_at(0.1), Some(0));
+        assert_eq!(sweep.support().num_elements(), 0);
+        assert_eq!(sweep.at(0.1).unwrap().max_score(), 0);
         assert!(sweep.is_monotone_in_threshold());
-        assert!(sweep.k_nuclei_at(&g, 0.9, 1).unwrap().is_empty());
+        assert!(sweep.at(0.9).unwrap().k_nuclei(&g, 1).unwrap().is_empty());
     }
 
     #[test]
@@ -2310,10 +2190,12 @@ pub(crate) mod tests {
         let grid = vec![0.05, 0.3, 0.7];
         let sweep = DecompSweep::compute(&g, &SweepConfig::approximate(grid.clone())).unwrap();
         let hybrid = ScoreMethod::Hybrid(ApproxThresholds::default());
-        for (gi, &theta) in grid.iter().enumerate() {
+        for &theta in &grid {
             let solo = nucleus(&g, DecompConfig::nucleus(theta).with_method(hybrid));
-            assert_eq!(sweep.scores_at(theta).unwrap(), solo.scores());
-            assert_eq!(sweep.method_counts_at_index(gi), solo.method_counts());
+            let point = sweep.at(theta).unwrap();
+            assert_eq!(point.config(), solo.config());
+            assert_eq!(point.scores(), solo.scores());
+            assert_eq!(point.method_counts(), solo.method_counts());
         }
     }
 
@@ -2665,5 +2547,131 @@ pub(crate) mod tests {
         assert!(d.max_score() >= 2);
         assert_eq!(d.k_subgraphs(&g, 1)[0].num_edges(), 10);
         assert!(d.k_subgraphs(&g, d.max_score() + 1).is_empty());
+    }
+
+    /// `k_subgraphs` at every rank against a brute-force search over the
+    /// qualifying vertices, edges or 4-cliques, on random graphs of
+    /// several components.
+    mod k_subgraphs_checks {
+        use std::collections::{BTreeMap, BTreeSet};
+
+        use proptest::prelude::*;
+        use rand::SeedableRng;
+        use ugraph::generators::{assign_probabilities, planted_clique_edges, PlantedCliqueConfig};
+        use ugraph::{EdgeId, FourCliqueEnumerator, Triangle, UncertainGraph};
+
+        use super::uniform;
+        use crate::{DecompConfig, Decomposition, Rank};
+
+        /// Two to four planted cliques of 3–6 vertices among 24, plus a
+        /// few random edges: several components, pendant edges and
+        /// isolated vertices.
+        fn arb_graph() -> impl Strategy<Value = UncertainGraph> {
+            (0u64..1 << 32, 2usize..=4, 0usize..=6).prop_map(|(seed, cliques, background)| {
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+                let config = PlantedCliqueConfig {
+                    num_vertices: 24,
+                    background_edges: background,
+                    num_communities: cliques,
+                    community_size: (3, 6),
+                    overlap: 0,
+                };
+                let edges = planted_clique_edges(&config, &mut rng);
+                assign_probabilities(&edges, 24, &uniform(0.3), &mut rng)
+            })
+        }
+
+        /// The smallest node linked to each node through `links`, by
+        /// relaxing every link until none changes a label.
+        fn min_labels(n: usize, links: &[(usize, usize)]) -> Vec<usize> {
+            let mut label: Vec<usize> = (0..n).collect();
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for &(a, b) in links {
+                    let m = label[a].min(label[b]);
+                    changed |= label[a] != m || label[b] != m;
+                    (label[a], label[b]) = (m, m);
+                }
+            }
+            label
+        }
+
+        /// The edge ids of each maximal k-subgraph.  Cores: the edges
+        /// between qualifying vertices, grouped by vertex component;
+        /// trusses: the qualifying edges, likewise, of 3 vertices or more;
+        /// nuclei: the qualifying 4-cliques, linked through shared
+        /// triangles (three shared edges).  Groups come in label order:
+        /// by smallest vertex, or by smallest clique.
+        fn brute_force(g: &UncertainGraph, d: &Decomposition, k: u32) -> Vec<Vec<EdgeId>> {
+            let mut groups = BTreeMap::<usize, BTreeSet<EdgeId>>::new();
+            if d.rank() == Rank::Nucleus {
+                let index = d.nucleus_support().unwrap().triangle_index();
+                let qualifies = |t: &Triangle| d.score(index.id_of(t).unwrap()) >= k;
+                let cliques: Vec<Vec<EdgeId>> = FourCliqueEnumerator::new(g)
+                    .into_cliques()
+                    .into_iter()
+                    .filter(|q| q.triangles().iter().all(qualifies))
+                    .map(|q| q.edges().map(|(u, v)| g.edge_id(u, v).unwrap()).to_vec())
+                    .collect();
+                let shared = |i: usize, j: usize| {
+                    let common = cliques[i].iter().filter(|e| cliques[j].contains(e));
+                    common.count() == 3
+                };
+                let pairs =
+                    (0..cliques.len()).flat_map(|i| (i + 1..cliques.len()).map(move |j| (i, j)));
+                let links: Vec<_> = pairs.filter(|&(i, j)| shared(i, j)).collect();
+                let label = min_labels(cliques.len(), &links);
+                for (i, clique) in cliques.iter().enumerate() {
+                    groups.entry(label[i]).or_default().extend(clique);
+                }
+            } else {
+                let qualifies = |e: EdgeId| match d.rank() {
+                    Rank::Core => d.score(g.edge(e).u) >= k && d.score(g.edge(e).v) >= k,
+                    _ => d.score(e) >= k,
+                };
+                let ends = |e: EdgeId| (g.edge(e).u as usize, g.edge(e).v as usize);
+                let kept = (0..g.num_edges() as EdgeId).filter(|&e| qualifies(e));
+                let links: Vec<_> = kept.clone().map(ends).collect();
+                let label = min_labels(g.num_vertices(), &links);
+                for e in kept {
+                    groups.entry(label[ends(e).0]).or_default().insert(e);
+                }
+            }
+            let min_vertices = if d.rank() == Rank::Truss { 3 } else { 2 };
+            let vertices = |ids: &BTreeSet<EdgeId>| {
+                let ends = ids.iter().flat_map(|&e| [g.edge(e).u, g.edge(e).v]);
+                ends.collect::<BTreeSet<_>>().len()
+            };
+            let kept = groups
+                .into_values()
+                .filter(|ids| vertices(ids) >= min_vertices);
+            kept.map(|ids| ids.into_iter().collect()).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::default())]
+
+            #[test]
+            fn k_subgraphs_match_a_brute_force_search(
+                g in arb_graph(),
+                threshold in 0.02f64..0.6,
+            ) {
+                for rank in [Rank::Core, Rank::Truss, Rank::Nucleus] {
+                    let d = Decomposition::compute(&g, &DecompConfig::new(rank, threshold)).unwrap();
+                    // k = 0 keeps every element, so the size filters
+                    // show there.
+                    for k in 0..=d.max_score() + 1 {
+                        let got: Vec<Vec<EdgeId>> = d.k_subgraphs(&g, k).iter().map(|s| {
+                            let id = |e: &ugraph::Edge| {
+                                g.edge_id(s.original_vertex(e.u), s.original_vertex(e.v)).unwrap()
+                            };
+                            s.graph().edges().iter().map(id).collect()
+                        }).collect();
+                        prop_assert_eq!(got, brute_force(&g, &d, k), "{} at k = {}", rank, k);
+                    }
+                }
+            }
+        }
     }
 }

@@ -103,33 +103,31 @@ pub fn exact_weakly_global_tail(
     Ok(total)
 }
 
-/// `true` when `graph` (deterministic structure: edge probabilities are
-/// ignored) contains a k-(3,4)-nucleus that includes `triangle`: some
-/// 4-clique through the triangle has all four of its triangles with
-/// deterministic nucleusness ≥ k.  Nucleusness is the ℓ-NuDecomp at
-/// θ = 1.0 of the certain view of `graph` (every edge at p = 1).
-pub fn triangle_in_k_nucleus(graph: &UncertainGraph, triangle: &Triangle, k: u32) -> bool {
+/// The triangles of the maximal k-(3,4)-nuclei of `graph`
+/// (deterministic structure: edge probabilities are ignored), sorted and
+/// deduplicated: the triangles of every 4-clique whose four triangles
+/// all have deterministic nucleusness ≥ k.  Nucleusness is the
+/// ℓ-NuDecomp at θ = 1.0 of the certain view of `graph` (every edge at
+/// p = 1).  A triangle in no 4-clique is in no nucleus, not even at
+/// k = 0.  One call answers [`triangle_in_k_nucleus`] for every triangle.
+pub fn k_nucleus_triangles(graph: &UncertainGraph, k: u32) -> Vec<Triangle> {
     let certain = PossibleWorld::full(graph).materialize(graph);
     let config = DecompConfig::nucleus(1.0).with_parallelism(Parallelism::Sequential);
     let decomp = Decomposition::compute(&certain, &config).expect("θ = 1.0 is valid");
-    let index = decomp
-        .nucleus_support()
-        .expect("nucleus rank")
-        .triangle_index();
-    let Some(id) = index.id_of(triangle) else {
-        return false;
-    };
-    if decomp.score(id) < k {
-        return false;
-    }
-    // Nucleusness ≥ k guarantees membership in a k-nucleus whenever the
-    // triangle has at least one qualifying clique; verify explicitly so
-    // that the k = 0 corner case (triangle in no 4-clique) is handled.
-    decomp
-        .k_nuclei(&certain, k)
-        .expect("nucleus rank")
-        .iter()
-        .any(|n| n.contains_triangle(triangle))
+    let nuclei = decomp.k_nuclei(&certain, k).expect("nucleus rank");
+    let mut triangles: Vec<Triangle> = nuclei.into_iter().flat_map(|n| n.triangles).collect();
+    triangles.sort_unstable();
+    triangles.dedup();
+    triangles
+}
+
+/// `true` when `graph` (deterministic structure: edge probabilities are
+/// ignored) contains a k-(3,4)-nucleus that includes `triangle`: a
+/// lookup in [`k_nucleus_triangles`].
+pub fn triangle_in_k_nucleus(graph: &UncertainGraph, triangle: &Triangle, k: u32) -> bool {
+    k_nucleus_triangles(graph, k)
+        .binary_search(triangle)
+        .is_ok()
 }
 
 /// Exact network reliability (Definition 6): the probability that a
@@ -370,5 +368,13 @@ mod tests {
         }
         let tri_graph = b.build();
         assert!(!triangle_in_k_nucleus(&tri_graph, &t, 0));
+        // The set form: K4's four triangles up to k = 1, none beyond, and
+        // none in a graph without 4-cliques.
+        let k4_triangles = ugraph::triangles::enumerate_triangles(&g);
+        assert_eq!(k4_triangles.len(), 4);
+        assert_eq!(k_nucleus_triangles(&g, 0), k4_triangles);
+        assert_eq!(k_nucleus_triangles(&k4(0.3), 1), k4_triangles);
+        assert!(k_nucleus_triangles(&g, 2).is_empty());
+        assert!(k_nucleus_triangles(&tri_graph, 0).is_empty());
     }
 }

@@ -87,8 +87,8 @@ mod truss;
 pub use approx::ApproxMethod;
 pub use config::{ApproxThresholds, SamplingConfig, ScoreMethod, SweepConfig};
 pub use decomp::{
-    DecompConfig, DecompHandle, DecompSweep, Decomposition, HandleUpdate, Rank, RankSupport,
-    SupportRepair, UnknownRankError, UpdateOutcome, UpdateReport,
+    DecompConfig, DecompHandle, DecompSweep, Decomposition, Rank, RankSupport, SupportRepair,
+    UnknownRankError, UpdateOutcome, UpdateReport,
 };
 pub use error::{NucleusError, Result, ThetaGridError};
 pub use global::{global_nuclei, GlobalConfig, GlobalNucleus};

@@ -467,11 +467,12 @@ mod tests {
 /// possible world of tiny graphs is packed into lanes, 64 and again 37 to
 /// a word, and for every `k ∈ 0..=5` and `u32::MAX` each lane's g-verdict
 /// must equal `detdecomp::is_k_nucleus_lenient` on the materialized world
-/// and each lane's w-membership of each triangle must equal
-/// [`crate::exact::triangle_in_k_nucleus`] there.  Lane draws must
-/// consume the RNG stream exactly as [`WorldSampler::sample`] does, batch
-/// boundaries included, and [`skip_draws`] must leave it where the draws
-/// it replaces do.  Scales with `PROPTEST_CASES` (64 by default).
+/// and each lane's w-membership of each triangle must equal membership
+/// in [`crate::exact::k_nucleus_triangles`] there, asked once per world
+/// and k.  Lane draws must consume the RNG stream exactly as
+/// [`WorldSampler::sample`] does, batch boundaries included, and
+/// [`skip_draws`] must leave it where the draws it replaces do.  Scales
+/// with `PROPTEST_CASES` (64 by default).
 #[cfg(test)]
 mod compiled_world_checks {
     use proptest::prelude::*;
@@ -483,7 +484,7 @@ mod compiled_world_checks {
     use ugraph::{EdgeId, EdgeSubgraph, GraphBuilder, Triangle, UncertainGraph, WorldSampler};
 
     use super::{lane_batches, lanes, skip_draws, CompiledCandidate, LANES};
-    use crate::exact::triangle_in_k_nucleus;
+    use crate::exact::k_nucleus_triangles;
 
     /// Every k the checks are compared at: `u32::MAX` exceeds every
     /// triangle's clique count.
@@ -634,12 +635,13 @@ mod compiled_world_checks {
                     })
                     .collect();
                 // A triangle missing from the world is in none of its
-                // nuclei; only present ones need the oracle.
+                // nuclei.
                 let w = KS.map(|k| {
+                    let nuclei = k_nucleus_triangles(&det, k);
                     triangles
                         .iter()
                         .zip(&present)
-                        .map(|(t, &p)| p && triangle_in_k_nucleus(&det, t, k))
+                        .map(|(t, &p)| p && nuclei.binary_search(t).is_ok())
                         .collect()
                 });
                 let g = KS.map(|k| detdecomp::is_k_nucleus_lenient(&det, k));

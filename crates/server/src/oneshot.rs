@@ -114,8 +114,6 @@ pub fn run_oneshot(
     // library.  The server must reproduce it bit-for-bit.
     let sweep_config = SweepConfig::exact(options.thetas.clone());
     let sweep = DecompSweep::compute(graph, &sweep_config).expect("oneshot grid must be valid");
-    let theta0 = options.thetas[0];
-    let theta1 = options.thetas[1];
 
     // The update leg: a deterministic batch derived from the graph
     // itself (reweight the first edge, delete the last one), with a
@@ -166,7 +164,7 @@ pub fn run_oneshot(
 
     let (checker, stats) = std::thread::scope(|s| {
         let runner = s.spawn(|| server.run());
-        let script = run_script(addr, &sweep, graph, &truth, theta0, theta1);
+        let script = run_script(addr, &sweep, graph, &truth);
         // Belt and braces: the script's last call is `shutdown`, but if
         // it errored out early the server must still come down.
         core.request_shutdown();
@@ -227,13 +225,15 @@ fn run_script(
     sweep: &DecompSweep,
     graph: &UncertainGraph,
     truth: &UpdateTruth<'_>,
-    theta0: f64,
-    theta1: f64,
 ) -> Result<Checker, ClientError> {
     let mut c = Checker {
         failures: Vec::new(),
     };
     let mut client = Client::connect(addr)?;
+    // The script queries the first two grid points, looked up once.
+    let (at0, at1) = (&sweep.points()[0], &sweep.points()[1]);
+    let (theta0, theta1) = (at0.config().threshold, at1.config().threshold);
+    let post = truth.post_sweep.points();
 
     // 1: liveness.
     let pong = client.call("ping", Json::Null)?;
@@ -267,7 +267,7 @@ fn run_script(
         .expect("open returns a session id");
     c.check(
         "open",
-        opened.get("num_elements").and_then(Json::as_f64) == Some(sweep.num_elements() as f64),
+        opened.get("num_elements").and_then(Json::as_f64) == Some(at0.num_elements() as f64),
     );
     let with_session = |extra: Vec<(&str, Json)>| {
         let mut members = vec![("session", Json::num(session))];
@@ -282,7 +282,7 @@ fn run_script(
     )?;
     c.check(
         "bit-identity: scores theta0",
-        scores_from_json(&wire0).as_deref() == sweep.scores_at(theta0),
+        scores_from_json(&wire0).as_deref() == Some(at0.scores()),
     );
     let wire0_again = client.call(
         "scores_at",
@@ -295,7 +295,7 @@ fn run_script(
     )?;
     c.check(
         "bit-identity: scores theta1",
-        scores_from_json(&wire1).as_deref() == sweep.scores_at(theta1),
+        scores_from_json(&wire1).as_deref() == Some(at1.scores()),
     );
 
     // 7: max score.
@@ -305,7 +305,7 @@ fn run_script(
     )?;
     c.check(
         "bit-identity: max_score theta0",
-        max0.get("max_score").and_then(Json::as_f64) == sweep.max_score_at(theta0).map(f64::from),
+        max0.get("max_score").and_then(Json::as_f64) == Some(f64::from(at0.max_score())),
     );
 
     // 8: a batch answered in order (a max-score and an element subset).
@@ -325,9 +325,9 @@ fn run_script(
     let batch_max_ok = matches!(
         batch[0].as_ref(),
         Ok(r) if r.get("max_score").and_then(Json::as_f64)
-            == sweep.max_score_at(theta1).map(f64::from)
+            == Some(f64::from(at1.max_score()))
     );
-    let expected_first = sweep.scores_at(theta0).and_then(|s| s.first().copied());
+    let expected_first = at0.scores().first().copied();
     let batch_subset_ok = matches!(
         batch[1].as_ref(),
         Ok(r) if scores_from_json(r).as_deref().and_then(|s| s.first().copied())
@@ -340,8 +340,8 @@ fn run_script(
     // nucleus at k = 1, each ranked entry (an extracted nucleus at its
     // k, densest first) and the highest-k nucleus holding vertex 0.
     let extracted = |k: u32| -> Vec<Json> {
-        let nuclei = sweep
-            .k_nuclei_at(graph, theta0, k)
+        let nuclei = at0
+            .k_nuclei(graph, k)
             .expect("nucleus sweep extracts nuclei");
         nuclei
             .iter()
@@ -359,7 +359,7 @@ fn run_script(
             && wire_nuclei.get("nuclei").and_then(Json::as_array) == Some(&lib_nuclei[..]),
     );
 
-    let max0 = sweep.max_score_at(theta0).unwrap_or(0);
+    let max0 = at0.max_score();
     let by_k: Vec<Vec<Json>> = (1..=max0).map(extracted).collect();
     let limit = 3;
     let top = client.call(
@@ -550,7 +550,7 @@ fn run_script(
     )?;
     c.check(
         "bit-identity: post-update scores theta0",
-        scores_from_json(&post0).as_deref() == truth.post_sweep.scores_at(theta0),
+        scores_from_json(&post0).as_deref() == Some(post[0].scores()),
     );
     let post_max1 = client.call(
         "max_score_at",
@@ -558,8 +558,7 @@ fn run_script(
     )?;
     c.check(
         "bit-identity: post-update max_score theta1",
-        post_max1.get("max_score").and_then(Json::as_f64)
-            == truth.post_sweep.max_score_at(theta1).map(f64::from),
+        post_max1.get("max_score").and_then(Json::as_f64) == Some(f64::from(post[1].max_score())),
     );
 
     // 21: close both sessions.

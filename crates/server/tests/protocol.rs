@@ -377,8 +377,8 @@ fn concurrent_sessions_are_bit_identical_to_library_calls() {
                             .map(|v| v.as_f64().unwrap() as u32)
                             .collect();
                         assert_eq!(
-                            Some(wire_scores.as_slice()),
-                            sweep.scores_at(theta),
+                            wire_scores.as_slice(),
+                            sweep.at(theta).unwrap().scores(),
                             "worker {worker} diverged at rank {rank} theta {theta}"
                         );
                     }
@@ -482,8 +482,8 @@ fn concurrent_updates_and_queries_are_never_torn() {
                     for round in 0..30 {
                         let theta = thetas[round % thetas.len()];
                         let wire = wire_scores(&scores_at(&mut client, session, theta));
-                        let pre_scores = pre.scores_at(theta).unwrap();
-                        let post_scores = post.scores_at(theta).unwrap();
+                        let pre_scores = pre.at(theta).unwrap().scores();
+                        let post_scores = post.at(theta).unwrap().scores();
                         assert!(
                             wire.as_slice() == pre_scores || wire.as_slice() == post_scores,
                             "torn answer at theta {theta}: {wire:?}"
@@ -501,7 +501,7 @@ fn concurrent_updates_and_queries_are_never_torn() {
         let mut client = Client::connect(addr).expect("connect");
         let session = open_session(&mut client, "nucleus", &thetas);
         let settled = wire_scores(&scores_at(&mut client, session, thetas[0]));
-        assert_eq!(settled.as_slice(), post.scores_at(thetas[0]).unwrap());
+        assert_eq!(settled.as_slice(), post.at(thetas[0]).unwrap().scores());
     });
     assert_eq!(stats.protocol_errors, 0);
     assert_eq!(stats.updates_applied, 1);

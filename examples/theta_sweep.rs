@@ -36,16 +36,17 @@ fn main() {
         .expect("valid sweep configuration");
     println!(
         "sweep over {} grid points, {} triangles, support built {} time(s)",
-        sweep.grid_len(),
-        sweep.num_elements(),
+        sweep.points().len(),
+        sweep.support().num_elements(),
         sweep.support_builds()
     );
 
     // Any (θ, k) on the grid is now an O(log grid) lookup plus a pure
     // extraction — no enumeration, no rescoring.
     for &theta in &grid {
-        let kmax = sweep.max_score_at(theta).expect("grid point");
-        let nuclei = sweep.k_nuclei_at(&graph, theta, 1).expect("grid point");
+        let point = sweep.at(theta).expect("grid point");
+        let kmax = point.max_score();
+        let nuclei = point.k_nuclei(&graph, 1).expect("nucleus rank");
         println!(
             "theta {theta:.2}: max nucleusness {kmax}, {} l-(1,theta)-nuclei",
             nuclei.len()
@@ -54,16 +55,15 @@ fn main() {
 
     // Scores are monotone: tightening θ can only lower a triangle's
     // nucleusness, so each row of the sweep is sorted non-increasing.
-    let tri = sweep.nucleus_support().expect("nucleus rank").triangle(0);
-    let row: Vec<u32> = (0..sweep.grid_len())
-        .map(|gi| sweep.scores_at_index(gi)[0])
-        .collect();
+    let support = sweep.support().as_nucleus().expect("nucleus rank");
+    let tri = support.triangle(0);
+    let row: Vec<u32> = sweep.points().iter().map(|point| point.score(0)).collect();
     println!("scores of triangle {tri} across the grid: {row:?}");
     assert!(sweep.is_monotone_in_threshold());
 
     // The sweep is bit-identical to an independent run at any grid θ.
     let solo =
         Decomposition::compute(&graph, &DecompConfig::nucleus(0.3)).expect("valid configuration");
-    assert_eq!(sweep.scores_at(0.3).unwrap(), solo.scores());
+    assert_eq!(sweep.at(0.3).unwrap().scores(), solo.scores());
     println!("verified: sweep scores at theta 0.3 == independent decomposition");
 }

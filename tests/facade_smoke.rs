@@ -62,12 +62,12 @@ fn facade_theta_sweep_index() {
     // thresholds, bit-identical to independent runs at each grid point.
     let sweep = DecompSweep::compute(&graph, &SweepConfig::exact(vec![0.2, 0.999])).unwrap();
     assert_eq!(sweep.support_builds(), 1);
-    assert_eq!(sweep.max_score_at(0.2), Some(2));
-    assert_eq!(sweep.max_score_at(0.999), Some(0));
+    assert_eq!(sweep.at(0.2).unwrap().max_score(), 2);
+    assert_eq!(sweep.at(0.999).unwrap().max_score(), 0);
     assert!(sweep.is_monotone_in_threshold());
     let solo = Decomposition::compute(&graph, &DecompConfig::nucleus(0.2)).unwrap();
-    assert_eq!(sweep.scores_at(0.2).unwrap(), solo.scores());
-    assert_eq!(sweep.k_nuclei_at(&graph, 0.2, 2).unwrap().len(), 1);
+    assert_eq!(sweep.at(0.2).unwrap().scores(), solo.scores());
+    assert_eq!(sweep.at(0.2).unwrap().k_nuclei(&graph, 2).unwrap().len(), 1);
 
     // Typed grid validation surfaces through the facade too.
     assert_eq!(

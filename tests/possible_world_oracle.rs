@@ -224,11 +224,12 @@ fn check_graph(graph: &UncertainGraph, thetas: &[f64]) {
         "sweep rows must be sorted"
     );
     for &theta in &grid {
-        let initial = sweep.initial_scores_at(theta).expect("grid point");
+        let point = sweep.at(theta).expect("grid point");
+        let initial = point.initial_scores();
         let solo = handle
             .compute_at(&DecompConfig::nucleus(theta))
             .expect("valid config");
-        assert_eq!(sweep.scores_at(theta).expect("grid point"), solo.scores());
+        assert_eq!(point.scores(), solo.scores());
         for (t, &sweep_initial) in initial.iter().enumerate() {
             let brute_initial = (0..oracle.tail[t].len())
                 .rev()
@@ -460,10 +461,9 @@ fn check_updated_sweep(graph: &UncertainGraph, batch: &[EdgeUpdate], thetas: &[f
     let updated = outcome.graph;
     assert!(updated.num_edges() <= 12, "keep updated graphs exhaustible");
     let oracle = brute_force(&updated);
-    assert_eq!(sweep.num_elements(), oracle.tail.len());
-    for (gi, &theta) in thetas.iter().enumerate() {
-        let initial = sweep.initial_scores_at_index(gi);
-        let scores = sweep.scores_at_index(gi);
+    assert_eq!(sweep.support().num_elements(), oracle.tail.len());
+    for (point, &theta) in sweep.points().iter().zip(thetas) {
+        let (initial, scores) = (point.initial_scores(), point.scores());
         for (t, tail) in oracle.tail.iter().enumerate() {
             let brute_initial = (0..tail.len())
                 .rev()
@@ -488,10 +488,9 @@ fn check_updated_sweep(graph: &UncertainGraph, batch: &[EdgeUpdate], thetas: &[f
         .apply_updates(graph, batch)
         .expect("fixture batches are valid");
     let tail = truss_world_tails(&outcome.graph);
-    assert_eq!(sweep.num_elements(), tail.len());
-    for (gi, &gamma) in thetas.iter().enumerate() {
-        let initial = sweep.initial_scores_at_index(gi);
-        let scores = sweep.scores_at_index(gi);
+    assert_eq!(sweep.support().num_elements(), tail.len());
+    for (point, &gamma) in sweep.points().iter().zip(thetas) {
+        let (initial, scores) = (point.initial_scores(), point.scores());
         for (e, edge_tail) in tail.iter().enumerate() {
             let brute_initial = (0..edge_tail.len())
                 .rev()

@@ -123,7 +123,7 @@ proptest! {
         for rank in [Rank::Core, Rank::Truss, Rank::Nucleus] {
             let sweep = DecompSweep::compute(&g, &SweepConfig::exact(grid.clone()).with_rank(rank))
                 .expect("valid sweep");
-            for (i, &threshold) in grid.iter().enumerate() {
+            for (point, &threshold) in sweep.points().iter().zip(&grid) {
                 let config = match rank {
                     Rank::Core => DecompConfig::core(threshold),
                     Rank::Truss => DecompConfig::truss(threshold),
@@ -131,7 +131,7 @@ proptest! {
                 };
                 let solo = Decomposition::compute(&g, &config).expect("valid config");
                 prop_assert_eq!(
-                    sweep.scores_at_index(i),
+                    point.scores(),
                     solo.scores(),
                     "{} at threshold {}",
                     rank,

@@ -89,22 +89,21 @@ fn assert_sweep_matches_independent_runs(
         let config = config_for(grid.to_vec()).with_parallelism(Parallelism::fixed(threads));
         let sweep = DecompSweep::compute(g, &config).expect("valid sweep config");
         prop_assert_eq!(sweep.support_builds(), 1, "support built exactly once");
-        prop_assert_eq!(sweep.grid_len(), grid.len());
+        prop_assert_eq!(sweep.points().len(), grid.len());
         for (gi, (&theta, solo)) in grid.iter().zip(&solo).enumerate() {
+            let point = sweep.at(theta).expect("theta is a grid point");
+            prop_assert!(std::ptr::eq(point, &sweep.points()[gi]));
             prop_assert_eq!(
-                sweep.scores_at(theta).expect("theta is a grid point"),
+                point.scores(),
                 solo.scores(),
                 "scores at theta {} (grid point {}, threads {})",
                 theta,
                 gi,
                 threads
             );
-            prop_assert_eq!(
-                sweep.initial_scores_at(theta).expect("grid point"),
-                solo.initial_scores()
-            );
-            prop_assert_eq!(sweep.method_counts_at_index(gi), solo.method_counts());
-            prop_assert_eq!(sweep.peel_stats_at_index(gi), solo.peel_stats());
+            prop_assert_eq!(point.initial_scores(), solo.initial_scores());
+            prop_assert_eq!(point.method_counts(), solo.method_counts());
+            prop_assert_eq!(point.peel_stats(), solo.peel_stats());
         }
     }
 }
@@ -144,16 +143,16 @@ proptest! {
         let sweep = DecompSweep::compute(&g, &SweepConfig::exact(grid.clone()))
             .expect("valid sweep config");
         prop_assert!(sweep.is_monotone_in_threshold());
-        for t in 0..sweep.num_elements() {
+        let points = sweep.points();
+        for t in 0..sweep.support().num_elements() {
             for w in 0..grid.len().saturating_sub(1) {
                 prop_assert!(
-                    sweep.scores_at_index(w + 1)[t] <= sweep.scores_at_index(w)[t],
+                    points[w + 1].scores()[t] <= points[w].scores()[t],
                     "final score of triangle {} rose from theta {} to {}",
                     t, grid[w], grid[w + 1]
                 );
                 prop_assert!(
-                    sweep.initial_scores_at_index(w + 1)[t]
-                        <= sweep.initial_scores_at_index(w)[t],
+                    points[w + 1].initial_scores()[t] <= points[w].initial_scores()[t],
                     "initial score of triangle {} rose from theta {} to {}",
                     t, grid[w], grid[w + 1]
                 );
@@ -171,11 +170,11 @@ proptest! {
     ) {
         let sweep = DecompSweep::compute(&g, &SweepConfig::approximate(grid.clone()))
             .expect("valid sweep config");
-        for t in 0..sweep.num_elements() {
+        let points = sweep.points();
+        for t in 0..sweep.support().num_elements() {
             for w in 0..grid.len().saturating_sub(1) {
                 prop_assert!(
-                    sweep.initial_scores_at_index(w + 1)[t]
-                        <= sweep.initial_scores_at_index(w)[t],
+                    points[w + 1].initial_scores()[t] <= points[w].initial_scores()[t],
                     "hybrid initial score of triangle {} rose from theta {} to {}",
                     t, grid[w], grid[w + 1]
                 );

@@ -15,9 +15,10 @@
 //! * for the hybrid scorer at the nucleus rank (whose points are
 //!   recomputed on the repaired support rather than regionally
 //!   repaired, but must match a fresh hybrid sweep bit for bit);
-//! * through [`DecompHandle::apply_updates`], the resident-service
-//!   entry point, whose repaired handle must answer per-threshold
-//!   queries identically to a handle built fresh on the updated graph.
+//! * through [`DecompHandle::repaired`] over [`RankSupport::repair`],
+//!   the path a resident server takes, whose repaired handle must answer
+//!   per-threshold queries identically to a handle built fresh on the
+//!   updated graph.
 //!
 //! Adversarial deterministic cases ride along: a batch that deletes
 //! every edge, a rejected batch that must leave the sweep untouched,
@@ -478,32 +479,33 @@ fn assert_update_matches_recompute(
             &base.clone().with_parallelism(Parallelism::Sequential),
         )
         .expect("valid sweep config");
-        prop_assert_eq!(sweep.num_elements(), fresh.num_elements());
-        for (gi, theta) in GRID.iter().enumerate() {
+        prop_assert_eq!(
+            sweep.support().num_elements(),
+            fresh.support().num_elements()
+        );
+        for (point, want) in sweep.points().iter().zip(fresh.points()) {
+            let theta = point.config().threshold;
             prop_assert_eq!(
-                sweep.scores_at_index(gi),
-                fresh.scores_at_index(gi),
+                point.scores(),
+                want.scores(),
                 "scores at threshold {} diverged from the rebuild ({} threads, batch {:?})",
                 theta,
                 threads,
                 batch
             );
             prop_assert_eq!(
-                sweep.initial_scores_at_index(gi),
-                fresh.initial_scores_at_index(gi),
+                point.initial_scores(),
+                want.initial_scores(),
                 "initial scores at threshold {} diverged ({} threads)",
                 theta,
                 threads
             );
-            prop_assert_eq!(
-                sweep.method_counts_at_index(gi),
-                fresh.method_counts_at_index(gi)
-            );
+            prop_assert_eq!(point.method_counts(), want.method_counts());
         }
 
         // The repair itself is deterministic: identical counters and
         // per-point peel stats at every thread count.
-        let stats = sweep.peel_stats();
+        let stats: Vec<_> = sweep.points().iter().map(|p| *p.peel_stats()).collect();
         match &reference {
             None => reference = Some((outcome.report, stats)),
             Some((report, ref_stats)) => {
@@ -570,21 +572,16 @@ proptest! {
         prop_assert_eq!(outcome.report.recomputed_points, GRID.len());
         let fresh = DecompSweep::compute(&outcome.graph, &SweepConfig::approximate(GRID.to_vec()))
             .expect("valid sweep config");
-        for gi in 0..GRID.len() {
-            prop_assert_eq!(sweep.scores_at_index(gi), fresh.scores_at_index(gi));
-            prop_assert_eq!(
-                sweep.initial_scores_at_index(gi),
-                fresh.initial_scores_at_index(gi)
-            );
-            prop_assert_eq!(
-                sweep.method_counts_at_index(gi),
-                fresh.method_counts_at_index(gi)
-            );
+        for (point, want) in sweep.points().iter().zip(fresh.points()) {
+            prop_assert_eq!(point.scores(), want.scores());
+            prop_assert_eq!(point.initial_scores(), want.initial_scores());
+            prop_assert_eq!(point.method_counts(), want.method_counts());
         }
     }
 
-    /// The resident-service entry point: a handle repaired by
-    /// [`DecompHandle::apply_updates`] answers per-threshold queries
+    /// The resident-service path: a handle repaired the way the server
+    /// repairs it ([`apply_edge_updates`], [`RankSupport::repair`],
+    /// [`DecompHandle::repaired`]) answers per-threshold queries
     /// identically to a handle built fresh on the updated graph.  The old
     /// handle computes a point first, so its tail table is built and the
     /// repaired handle starts with it carried over.
@@ -600,17 +597,16 @@ proptest! {
                 ..DecompConfig::core(GRID[0])
             };
             handle.compute_at(&config).expect("valid config");
-            let updated = handle
-                .apply_updates(&g, &batch)
-                .expect("batch is valid");
-            let fresh = DecompHandle::build(&updated.graph, rank, Parallelism::Sequential);
-            prop_assert_eq!(updated.handle.num_elements(), fresh.num_elements());
+            let delta = apply_edge_updates(&g, &batch).expect("batch is valid");
+            let repaired = handle.repaired(handle.support().repair(&g, &delta));
+            let fresh = DecompHandle::build(&delta.graph, rank, Parallelism::Sequential);
+            prop_assert_eq!(repaired.num_elements(), fresh.num_elements());
             for &theta in &GRID {
                 let config = DecompConfig {
                     rank,
                     ..DecompConfig::core(theta)
                 };
-                let a = updated.handle.compute_at(&config).expect("valid config");
+                let a = repaired.compute_at(&config).expect("valid config");
                 let b = fresh.compute_at(&config).expect("valid config");
                 prop_assert_eq!(
                     a.scores(),
@@ -725,22 +721,20 @@ proptest! {
         batch.push(EdgeUpdate::Delete { u: 0, v: 999 });
         let config = SweepConfig::exact(GRID.to_vec()).with_rank(Rank::Truss);
         let mut sweep = DecompSweep::compute(&g, &config).expect("valid sweep config");
-        let before: Vec<Vec<u32>> = (0..GRID.len())
-            .map(|gi| sweep.scores_at_index(gi).to_vec())
-            .collect();
+        let before: Vec<Vec<u32>> = sweep.points().iter().map(|p| p.scores().to_vec()).collect();
         match sweep.apply_updates(&g, &batch) {
             Err(NucleusError::Update(UpdateError::OffGraphEndpoint { vertex: 999, .. })) => {}
             other => prop_assert!(false, "expected OffGraphEndpoint, got {:?}", other.err()),
         }
-        for (gi, old) in before.iter().enumerate() {
-            prop_assert_eq!(sweep.scores_at_index(gi), &old[..]);
+        for (point, old) in sweep.points().iter().zip(&before) {
+            prop_assert_eq!(point.scores(), &old[..]);
         }
         // Still fully functional: the valid prefix applies cleanly.
         batch.pop();
         let outcome = sweep.apply_updates(&g, &batch).expect("valid prefix applies");
         let fresh = DecompSweep::compute(&outcome.graph, &config).expect("valid sweep config");
-        for gi in 0..GRID.len() {
-            prop_assert_eq!(sweep.scores_at_index(gi), fresh.scores_at_index(gi));
+        for (point, want) in sweep.points().iter().zip(fresh.points()) {
+            prop_assert_eq!(point.scores(), want.scores());
         }
     }
 }
@@ -773,22 +767,19 @@ fn deleting_every_edge_empties_every_rank() {
         assert_eq!(outcome.graph.num_edges(), 0);
         assert_eq!(outcome.report.removed_edges, 15);
         let fresh = DecompSweep::compute(&outcome.graph, &config).expect("valid sweep config");
-        assert_eq!(sweep.num_elements(), fresh.num_elements(), "{rank}");
-        for gi in 0..GRID.len() {
-            assert_eq!(
-                sweep.scores_at_index(gi),
-                fresh.scores_at_index(gi),
-                "{rank}"
-            );
+        for (point, want) in sweep.points().iter().zip(fresh.points()) {
+            assert_eq!(point.scores(), want.scores(), "{rank}");
         }
         // Core elements survive (vertices are fixed) with score 0; the
         // edge and triangle ranks lose every element.
+        let elements = sweep.support().num_elements();
+        assert_eq!(elements, fresh.support().num_elements(), "{rank}");
         match rank {
             Rank::Core => {
-                assert_eq!(sweep.num_elements(), 6);
-                assert!(sweep.scores_at_index(0).iter().all(|&s| s == 0));
+                assert_eq!(elements, 6);
+                assert!(sweep.points()[0].scores().iter().all(|&s| s == 0));
             }
-            _ => assert_eq!(sweep.num_elements(), 0),
+            _ => assert_eq!(elements, 0),
         }
     }
 }
@@ -798,9 +789,7 @@ fn empty_batch_is_a_true_noop() {
     let g = clique(5, 0.7);
     let config = SweepConfig::exact(GRID.to_vec()).with_rank(Rank::Nucleus);
     let mut sweep = DecompSweep::compute(&g, &config).expect("valid sweep config");
-    let before: Vec<Vec<u32>> = (0..GRID.len())
-        .map(|gi| sweep.scores_at_index(gi).to_vec())
-        .collect();
+    let before: Vec<Vec<u32>> = sweep.points().iter().map(|p| p.scores().to_vec()).collect();
     let outcome = sweep.apply_updates(&g, &[]).expect("empty batch is valid");
     assert_eq!(outcome.report.inserted_edges, 0);
     assert_eq!(outcome.report.removed_edges, 0);
@@ -808,8 +797,8 @@ fn empty_batch_is_a_true_noop() {
     assert_eq!(outcome.report.affected_elements, 0);
     assert_eq!(outcome.report.region_elements, 0);
     assert_eq!(outcome.graph.num_edges(), 5 * 4 / 2);
-    for (gi, old) in before.iter().enumerate() {
-        assert_eq!(sweep.scores_at_index(gi), &old[..]);
+    for (point, old) in sweep.points().iter().zip(&before) {
+        assert_eq!(point.scores(), &old[..]);
     }
 }
 
@@ -818,7 +807,7 @@ fn conflicting_batches_are_rejected_atomically() {
     let g = clique(5, 0.7);
     let config = SweepConfig::exact(GRID.to_vec()).with_rank(Rank::Truss);
     let mut sweep = DecompSweep::compute(&g, &config).expect("valid sweep config");
-    let before = sweep.scores_at_index(0).to_vec();
+    let before = sweep.points()[0].scores().to_vec();
     // Double delete of the same edge: the second one hits a missing edge.
     let batch = [
         EdgeUpdate::Delete { u: 0, v: 1 },
@@ -834,5 +823,5 @@ fn conflicting_batches_are_rejected_atomically() {
         Err(NucleusError::Update(UpdateError::EdgeExists { index: 0, .. })) => {}
         other => panic!("expected EdgeExists at index 0, got {:?}", other.err()),
     }
-    assert_eq!(sweep.scores_at_index(0), &before[..]);
+    assert_eq!(sweep.points()[0].scores(), &before[..]);
 }
