@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use nucleus::approx::{max_k_with_method, ApproxMethod};
-use nucleus::exact::exact_global_tail;
+use nucleus::exact::{exact_global_tail, is_k_nucleus_lenient};
 use nucleus::sampling;
 use ugraph::{GraphBuilder, Triangle, UncertainGraph};
 
@@ -65,7 +65,7 @@ pub fn run_sample_ablation(ctx: &ExperimentContext, sample_counts: &[usize]) -> 
         .map(|&n| {
             let estimate = sampling::estimate_probability(&graph, n, ctx.seed, |world| {
                 world.contains_triangle(&graph, a, b, c)
-                    && detdecomp::is_k_nucleus_lenient(&world.materialize(&graph), 1)
+                    && is_k_nucleus_lenient(&world.materialize(&graph), 1)
             });
             // Invert the Hoeffding bound n = ln(2/δ)/(2ε²) at δ = 0.1.
             let eps = ((2.0f64 / 0.1).ln() / (2.0 * n as f64)).sqrt();

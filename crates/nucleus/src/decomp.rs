@@ -24,16 +24,17 @@
 //! * [`RankSupport::repair`] patches a support after an edge-update
 //!   batch, for [`DecompSweep::apply_updates`] or [`DecompHandle::repaired`].
 //!
-//! Outputs are **bit-identical** to the frozen eager engines of
-//! [`crate::reference`]: the supports gather the same floats in the same
-//! order, the DP is the same arithmetic (an initial score read off the
-//! tail table is the DP's own cut of the same tail), and the deferred
-//! peel reaches the same fixpoint as the eager references (the DP scorer
-//! is monotone under cell removal, which makes the peeling fixpoint
-//! schedule-independent).  Hybrid points, whose scorer is not monotone,
-//! peel on the references' own schedule ([`rs::peel_eager`]).
-//! Differential proptests in `tests/rs_engine_equivalence.rs` and in
-//! [`crate::reference`] enforce this per rank.
+//! Exact-DP outputs are **bit-identical** to their definition,
+//! [`crate::exact::definitional_scores`]: the supports gather the same
+//! floats in the same order, the DP is the same arithmetic (an initial
+//! score read off the tail table is the DP's own cut of the same tail),
+//! and the DP scorer is monotone under cell removal, so the deferred
+//! peel reaches the fixpoint the definition's level-k filter reaches.
+//! Hybrid points, whose scorer is not monotone, peel on the schedule of
+//! the frozen engine of [`crate::reference`] ([`rs::peel_eager`]) and
+//! are pinned to it.  Differential proptests in
+//! `tests/rs_engine_equivalence.rs` and in [`crate::reference`] enforce
+//! this per rank.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -41,20 +42,19 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
-use detdecomp::NucleusSubgraph;
 use ugraph::rs::{
     self, CoreSupport, DpScratch, PeelStats, RsSupport, TailScratch, TailTable, TrussSupport,
 };
 use ugraph::update::GraphDelta;
 use ugraph::{
     apply_edge_updates, par, ConnectedComponents, EdgeId, EdgeSubgraph, EdgeUpdate, Parallelism,
-    UncertainGraph,
+    UncertainGraph, UnionFind,
 };
 
 use crate::approx::{self, ApproxMethod};
 use crate::config::{validate_method, ApproxThresholds, ScoreMethod, SweepConfig};
 use crate::error::{NucleusError, Result};
-use crate::local::nuclei;
+use crate::local::nuclei::{self, NucleusSubgraph};
 use crate::support::SupportStructure;
 
 /// Which member of the (r,s)-nucleus family to compute.
@@ -450,8 +450,9 @@ struct Point {
 /// point computed over one support shares it — and peel deferred
 /// ([`generic_point`]).  Hybrid points score every element at the
 /// threshold and peel eagerly ([`hybrid_point`]); they never build a
-/// table.  Either way the result is bit-identical to the frozen engines
-/// of [`crate::reference`].
+/// table.  Exact-DP results are bit-identical to
+/// [`crate::exact::definitional_scores`], Hybrid ones to the frozen
+/// engine of [`crate::reference`].
 fn compute_point(
     support: &RankSupport,
     tails: &OnceLock<TailTable>,
@@ -955,19 +956,24 @@ impl Decomposition {
                 if edges.is_empty() {
                     return Vec::new();
                 }
-                let sub = EdgeSubgraph::induced_by_edges(graph, &edges);
-                let components = ConnectedComponents::new(sub.graph());
-                // One pass puts each qualifying edge, in ascending id
-                // order, into the component of its endpoints.
-                let mut members = vec![Vec::new(); components.count()];
+                let mut uf = UnionFind::new(graph.num_vertices());
                 for &e in &edges {
-                    let u = sub
-                        .local_vertex(graph.edge(e).u)
-                        .expect("endpoint of a kept edge");
-                    let c = components
-                        .component_of(u)
-                        .expect("every vertex is included");
-                    members[c].push(e);
+                    let edge = graph.edge(e);
+                    uf.union(edge.u, edge.v);
+                }
+                // One pass puts each qualifying edge, in ascending id
+                // order, into the component of its endpoints.  The edge
+                // table is sorted by `(u, v)` with `u < v`, so components
+                // appear in order of their smallest vertex.
+                let mut slot = vec![usize::MAX; graph.num_vertices()];
+                let mut members: Vec<Vec<EdgeId>> = Vec::new();
+                for &e in &edges {
+                    let root = uf.find(graph.edge(e).u) as usize;
+                    if slot[root] == usize::MAX {
+                        slot[root] = members.len();
+                        members.push(Vec::new());
+                    }
+                    members[slot[root]].push(e);
                 }
                 // A connected simple graph with two edges or more has
                 // three vertices or more.
@@ -1214,14 +1220,15 @@ impl DecompSweep {
     }
 }
 
-// The `pub(crate)` helpers (graph builders, the brute-force oracles and
-// the certain view) are shared with the deterministic-number tests of
-// `core_decomp`, `truss`, `nucleus` and `local`.
+// The `pub(crate)` helpers (graph builders, the certain view and the
+// deterministic numbers from their definition) are shared with the
+// deterministic-number tests of `core_decomp`, `truss`, `nucleus` and
+// `local`.
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use ugraph::generators::ProbabilityModel;
-    use ugraph::{FourCliqueEnumerator, GraphBuilder, TriangleId, TriangleIndex};
+    use ugraph::GraphBuilder;
 
     pub(crate) fn complete(n: u32, p: f64) -> UncertainGraph {
         let mut b = GraphBuilder::new();
@@ -2229,131 +2236,20 @@ pub(crate) mod tests {
         ProbabilityModel::Uniform { low, high: 1.0 }
     }
 
-    /// Deterministic core numbers via the naive iterative algorithm.
-    pub(crate) fn naive_core(graph: &UncertainGraph) -> Vec<u32> {
-        let n = graph.num_vertices();
-        let mut core = vec![0u32; n];
-        for k in 1..=graph.max_degree() as u32 {
-            let mut alive = vec![true; n];
-            loop {
-                let mut changed = false;
-                for v in 0..n {
-                    let deg = graph
-                        .neighbors(v as u32)
-                        .iter()
-                        .filter(|&&u| alive[u as usize])
-                        .count() as u32;
-                    if alive[v] && deg < k {
-                        alive[v] = false;
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            for v in 0..n {
-                if alive[v] {
-                    core[v] = k;
-                }
-            }
-        }
-        core
-    }
-
-    /// Deterministic truss numbers via naive iterative filtering (support
-    /// convention).
-    pub(crate) fn naive_truss(graph: &UncertainGraph) -> Vec<u32> {
-        let m = graph.num_edges();
-        let mut truss = vec![0u32; m];
-        for k in 1..=graph.max_degree() as u32 {
-            let mut alive = vec![true; m];
-            loop {
-                let mut changed = false;
-                for e in 0..m {
-                    let edge = graph.edge(e as EdgeId);
-                    let sup = graph
-                        .common_neighbors(edge.u, edge.v)
-                        .iter()
-                        .filter(|&&w| {
-                            alive[graph.edge_id(edge.u, w).unwrap() as usize]
-                                && alive[graph.edge_id(edge.v, w).unwrap() as usize]
-                        })
-                        .count() as u32;
-                    if alive[e] && sup < k {
-                        alive[e] = false;
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            for e in 0..m {
-                if alive[e] {
-                    truss[e] = k;
-                }
-            }
-        }
-        truss
-    }
-
-    /// Deterministic nucleusness via naive iterative filtering: for each
-    /// k, drop the triangles in fewer than k 4-cliques of surviving
-    /// triangles until none is short.
-    pub(crate) fn naive_nucleusness(graph: &UncertainGraph) -> Vec<u32> {
-        let index = TriangleIndex::build(graph);
-        let cliques = FourCliqueEnumerator::new(graph).into_cliques();
-        let clique_tris: Vec<Vec<TriangleId>> = cliques
-            .iter()
-            .map(|c| {
-                c.triangles()
-                    .iter()
-                    .map(|t| index.id_of(t).unwrap())
-                    .collect()
-            })
-            .collect();
-        let nt = index.len();
-        let mut result = vec![0u32; nt];
-        for k in 1..=cliques.len() as u32 {
-            let mut alive = vec![true; nt];
-            loop {
-                let mut changed = false;
-                for t in 0..nt {
-                    if !alive[t] {
-                        continue;
-                    }
-                    let sup = clique_tris
-                        .iter()
-                        .filter(|tris| {
-                            tris.iter().all(|&x| alive[x as usize])
-                                && tris.contains(&(t as TriangleId))
-                        })
-                        .count() as u32;
-                    if sup < k {
-                        alive[t] = false;
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            for t in 0..nt {
-                if alive[t] {
-                    result[t] = k;
-                }
-            }
-        }
-        result
-    }
-
     /// The decomposition at threshold 1.0 of the certain view of `g`
     /// (every edge at p = 1): its scores are the deterministic core, truss
     /// or nucleus numbers of `g`.
     pub(crate) fn certain(g: &UncertainGraph, rank: Rank) -> Decomposition {
         let certain = ugraph::PossibleWorld::full(g).materialize(g);
         Decomposition::compute(&certain, &DecompConfig::new(rank, 1.0)).unwrap()
+    }
+
+    /// The deterministic core, truss or nucleus numbers of `g`, from
+    /// their definition: the level-k filter at threshold 1.0 of the
+    /// certain view.
+    pub(crate) fn deterministic(g: &UncertainGraph, rank: Rank) -> Vec<u32> {
+        let certain = ugraph::PossibleWorld::full(g).materialize(g);
+        crate::exact::definitional_scores(&certain, rank, 1.0)
     }
 
     /// K4 on {0,1,2,3} plus the `extra` edges, every edge at p = 1.
@@ -2384,7 +2280,10 @@ pub(crate) mod tests {
         // With all probabilities 1 and any η ≤ 1, the η-core equals the
         // deterministic core.
         let g = random_graph(31, 40, 160, CERTAIN);
-        assert_eq!(scores(&g, DecompConfig::core(0.7)), naive_core(&g));
+        assert_eq!(
+            scores(&g, DecompConfig::core(0.7)),
+            deterministic(&g, Rank::Core)
+        );
     }
 
     #[test]
@@ -2392,7 +2291,7 @@ pub(crate) mod tests {
         let g = complete(6, 0.6);
         assert_eq!(
             scores(&g, DecompConfig::core(0.3)),
-            crate::reference::eta_core_numbers(&g, 0.3)
+            crate::exact::definitional_scores(&g, Rank::Core, 0.3)
         );
     }
 
@@ -2453,7 +2352,7 @@ pub(crate) mod tests {
     fn eta_core_never_exceeds_deterministic_core() {
         let g = random_graph(13, 30, 110, uniform(0.2));
         let prob = scores(&g, DecompConfig::core(0.4));
-        for (v, &d) in naive_core(&g).iter().enumerate() {
+        for (v, &d) in deterministic(&g, Rank::Core).iter().enumerate() {
             assert!(prob[v] <= d);
         }
     }
@@ -2461,7 +2360,10 @@ pub(crate) mod tests {
     #[test]
     fn certain_graph_matches_deterministic_truss() {
         let g = random_graph(41, 25, 100, CERTAIN);
-        assert_eq!(scores(&g, DecompConfig::truss(0.6)), naive_truss(&g));
+        assert_eq!(
+            scores(&g, DecompConfig::truss(0.6)),
+            deterministic(&g, Rank::Truss)
+        );
     }
 
     #[test]
@@ -2469,7 +2371,7 @@ pub(crate) mod tests {
         let g = complete(6, 0.7);
         assert_eq!(
             scores(&g, DecompConfig::truss(0.2)),
-            crate::reference::gamma_truss_numbers(&g, 0.2)
+            crate::exact::definitional_scores(&g, Rank::Truss, 0.2)
         );
     }
 
@@ -2504,7 +2406,7 @@ pub(crate) mod tests {
     fn gamma_truss_never_exceeds_deterministic_truss() {
         let g = random_graph(43, 20, 90, uniform(0.3));
         let prob = scores(&g, DecompConfig::truss(0.3));
-        for (e, &d) in naive_truss(&g).iter().enumerate() {
+        for (e, &d) in deterministic(&g, Rank::Truss).iter().enumerate() {
             assert!(prob[e] <= d);
         }
     }

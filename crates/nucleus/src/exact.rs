@@ -1,17 +1,89 @@
-//! Exact oracles by exhaustive possible-world enumeration.
+//! Exact oracles: the definitions, computed slowly.
 //!
-//! These functions compute the probabilities of Definition 4 *exactly* by
-//! enumerating all `2^m` possible worlds, and are therefore usable only
-//! for tiny graphs (at most [`ugraph::possible_world::MAX_EXHAUSTIVE_EDGES`]
-//! edges).  They serve as ground truth for the Monte-Carlo estimators of
-//! Algorithms 2 and 3, and make the hardness reductions of Section 4
-//! executable on small instances.
+//! * [`definitional_scores`] computes the scores of every monotone peel
+//!   from their definition, by a level-k filter.
+//! * The tails compute the probabilities of Definition 4 *exactly* by
+//!   enumerating all `2^m` possible worlds, and are therefore usable only
+//!   for tiny graphs (at most
+//!   [`ugraph::possible_world::MAX_EXHAUSTIVE_EDGES`] edges).  They serve
+//!   as ground truth for the Monte-Carlo estimators of Algorithms 2 and 3
+//!   (whose per-world checks are [`is_k_nucleus_lenient`] and
+//!   [`triangle_in_k_nucleus`]), and make the hardness reductions of
+//!   Section 4 executable on small instances.
 
+use ugraph::cliques::four_clique_extensions;
 use ugraph::possible_world::{enumerate_all_worlds, MAX_EXHAUSTIVE_EDGES};
-use ugraph::{ConnectedComponents, Parallelism, PossibleWorld, Triangle, UncertainGraph};
+use ugraph::rs::{dp, RsSupport};
+use ugraph::triangles::TriangleTable;
+use ugraph::{
+    ConnectedComponents, Parallelism, PossibleWorld, Triangle, TriangleId, UncertainGraph,
+    UnionFind,
+};
 
-use crate::decomp::{DecompConfig, Decomposition};
+use crate::decomp::{DecompConfig, Decomposition, Rank, RankSupport};
 use crate::error::{NucleusError, Result};
+
+/// The scores of `rank` at `threshold`, from their definition
+/// (Definitions 3 and 5 at rank (3,4), and the (k,η)-core and
+/// (k,γ)-truss at ranks (1,2) and (2,3)): an element scores the largest
+/// `k` for which it lies in the maximal set of elements each of which
+/// has `Pr(e) · Pr[ζ ≥ k] ≥ threshold`, with `ζ` counting the cells
+/// whose members all lie in the set.
+///
+/// A level-k filter computes it.  For k = 1, 2, … it repeatedly drops
+/// every surviving element scoring below k ([`dp::max_k`] over the
+/// completion probabilities of its cells whose members all survive),
+/// until no element drops, and stops when nothing survives; an element's
+/// score is the last k it survived.  Every round rescores every
+/// survivor: slow, and plainly the definition.
+///
+/// It is the oracle of every exact-DP [`Decomposition`], whose peel is a
+/// fast way to the same numbers.  At threshold 1.0 on the certain view
+/// of a graph (`PossibleWorld::full(&g).materialize(&g)`, every edge at
+/// p = 1) it returns the deterministic core, truss and nucleus numbers.
+/// It scores with the exact DP only: the Hybrid scorer is not monotone
+/// under cell removal, so no filter defines its peel.
+pub fn definitional_scores(graph: &UncertainGraph, rank: Rank, threshold: f64) -> Vec<u32> {
+    match RankSupport::build(graph, rank, Parallelism::Sequential) {
+        RankSupport::Core(s) => level_filter(&s, threshold),
+        RankSupport::Truss(s) => level_filter(&s, threshold),
+        RankSupport::Nucleus(s) => level_filter(&s, threshold),
+    }
+}
+
+/// The level-k filter of [`definitional_scores`] over any support.
+fn level_filter<S: RsSupport>(support: &S, threshold: f64) -> Vec<u32> {
+    let n = support.num_elements();
+    let mut alive = vec![true; n];
+    let mut scores = vec![0u32; n];
+    let mut probs = Vec::new();
+    let mut k = 0;
+    while alive.contains(&true) {
+        k += 1;
+        let mut dropped = true;
+        while dropped {
+            dropped = false;
+            for t in 0..n as u32 {
+                if !alive[t as usize] {
+                    continue;
+                }
+                let cell_alive = |c: u32| {
+                    let members = support.cell_elements(c);
+                    members.iter().all(|&m| alive[m as usize])
+                };
+                support.completion_probs_into(t, cell_alive, &mut probs);
+                if dp::max_k(support.element_prob(t), &probs, threshold) < k {
+                    alive[t as usize] = false;
+                    dropped = true;
+                }
+            }
+        }
+        for (score, _) in scores.iter_mut().zip(&alive).filter(|(_, &a)| a) {
+            *score = k;
+        }
+    }
+    scores
+}
 
 fn check_size(graph: &UncertainGraph) -> Result<()> {
     if graph.num_edges() > MAX_EXHAUSTIVE_EDGES {
@@ -57,7 +129,7 @@ pub fn exact_local_tail(graph: &UncertainGraph, triangle: &Triangle, k: u32) -> 
 /// Exact `Pr(X_{𝒢,△,g} ≥ k)`: the probability that `△` exists and the
 /// sampled world itself is a deterministic k-nucleus (Definition 4, μ = g).
 ///
-/// Worlds are judged with [`detdecomp::is_k_nucleus_lenient`]: every
+/// Worlds are judged with [`is_k_nucleus_lenient`]: every
 /// triangle of the world needs 4-clique support ≥ k and all triangles must
 /// be 4-clique-connected, while stray edges outside every 4-clique are
 /// ignored — the interpretation under which the paper's worked example
@@ -72,11 +144,52 @@ pub fn exact_global_tail(graph: &UncertainGraph, triangle: &Triangle, k: u32) ->
             continue;
         }
         let det = world.materialize(graph);
-        if detdecomp::is_k_nucleus_lenient(&det, k) {
+        if is_k_nucleus_lenient(&det, k) {
             total += world.probability(graph);
         }
     }
     Ok(total)
+}
+
+/// Whether `graph` itself is a k-(3,4)-nucleus in the sense of the
+/// *global* indicator `1_g(G, △, k)` on possible worlds (Definition 4):
+/// every triangle of `graph` has 4-clique support ≥ k and all triangles
+/// are 4-clique-connected.  Edges outside every 4-clique are ignored,
+/// unlike in Definition 3's union-of-cliques condition: a sampled world
+/// routinely contains a few stray certain edges, and the paper's worked
+/// example (Figure 2) counts such worlds.  Edge probabilities are
+/// ignored too.
+///
+/// Returns `false` for graphs without any triangle.  [`exact_global_tail`]
+/// evaluates it on every world, and the compiled Monte-Carlo checks of
+/// [`crate::sampling`] are tested against it.
+pub fn is_k_nucleus_lenient(graph: &UncertainGraph, k: u32) -> bool {
+    // The 4-cliques are extensions of the edge-ordered triangle table, so
+    // no triangle id is looked up.
+    let table = TriangleTable::build(graph, Parallelism::Sequential);
+    if table.is_empty() {
+        return false;
+    }
+    let mut support = vec![0u32; table.len()];
+    let mut uf = UnionFind::new(table.len());
+    for t in 0..table.len() as TriangleId {
+        four_clique_extensions(&table, t, |_, [abd, acd, bcd]| {
+            let ids = [t, abd, acd, bcd];
+            for &x in &ids {
+                support[x as usize] += 1;
+            }
+            for w in ids.windows(2) {
+                uf.union(w[0], w[1]);
+            }
+        });
+    }
+    if support.iter().any(|&s| s < k) {
+        return false;
+    }
+    let mut roots: Vec<u32> = (0..table.len() as u32).map(|t| uf.find(t)).collect();
+    roots.sort_unstable();
+    roots.dedup();
+    roots.len() <= 1
 }
 
 /// Exact `Pr(X_{𝒢,△,w} ≥ k)`: the probability that `△` exists and the
@@ -376,5 +489,29 @@ mod tests {
         assert_eq!(k_nucleus_triangles(&k4(0.3), 1), k4_triangles);
         assert!(k_nucleus_triangles(&g, 2).is_empty());
         assert!(k_nucleus_triangles(&tri_graph, 0).is_empty());
+    }
+
+    #[test]
+    fn definitional_scores_on_complete_graphs() {
+        // A certain K_n: core n − 1, truss n − 2 and nucleusness n − 3
+        // everywhere, at any threshold.
+        use crate::decomp::tests::complete;
+        for (n, threshold) in [(5u32, 0.5), (6, 1.0)] {
+            let g = complete(n, 1.0);
+            let scores = |rank| definitional_scores(&g, rank, threshold);
+            assert_eq!(scores(Rank::Core), vec![n - 1; n as usize]);
+            assert_eq!(scores(Rank::Truss), vec![n - 2; g.num_edges()]);
+            let triangles = ugraph::triangles::enumerate_triangles(&g).len();
+            assert_eq!(scores(Rank::Nucleus), vec![n - 3; triangles]);
+        }
+        // Isolated vertices score 0; an edgeless graph has no triangle.
+        let empty = UncertainGraph::empty(3);
+        assert_eq!(definitional_scores(&empty, Rank::Core, 0.5), vec![0; 3]);
+        assert!(definitional_scores(&empty, Rank::Nucleus, 0.5).is_empty());
+        // K4 at p = 0.7: a triangle exists with 0.7³ and its one 4-clique
+        // completes with 0.7³, so it scores 1 up to θ = 0.7⁶ ≈ 0.118.
+        let g = k4(0.7);
+        assert_eq!(definitional_scores(&g, Rank::Nucleus, 0.1), vec![1; 4]);
+        assert_eq!(definitional_scores(&g, Rank::Nucleus, 0.2), vec![0; 4]);
     }
 }

@@ -53,12 +53,12 @@
 //! |--------|---------------|----------|
 //! | [`support`] | 5.1 | per-triangle 4-clique completion probabilities |
 //! | [`decomp`] | 5, 7.4 | the one (r,s) surface: [`DecompConfig`], [`Decomposition`], [`DecompSweep`] (one support build amortized over a threshold grid) and [`DecompHandle`] over core/truss/nucleus |
-//! | [`local`] | 5.1–5.2 | ℓ-NuDecomp (Algorithm 1) as the nucleus rank of [`decomp`], and ℓ-(k,θ)-nuclei extraction |
+//! | [`local`] | 5.1–5.2 | ℓ-NuDecomp (Algorithm 1) as the nucleus rank of [`decomp`], and ℓ-(k,θ)-nuclei extraction ([`NucleusSubgraph`]) |
 //! | [`approx`] | 5.3 | Poisson / Translated-Poisson / Binomial / CLT approximations and the hybrid selector |
 //! | [`global`] | 6 | Algorithm 2 (Monte-Carlo g-(k,θ)-nuclei) |
 //! | [`weakly_global`] | 6 | Algorithm 3 (Monte-Carlo w-(k,θ)-nuclei) |
 //! | [`sampling`] | 6, Lemma 4 | Hoeffding sample sizes, world sampling, compiled candidate world checks |
-//! | [`exact`] | 3–4 | exhaustive possible-world oracles (ground truth for tests) |
+//! | [`exact`] | 3–5 | the oracles (ground truth for tests): every monotone peel's scores from their definition, exhaustive possible-world tails and the per-world k-nucleus checks |
 //! | [`hardness`] | 4 | executable reduction gadgets (reliability → g, k-clique → w) |
 
 pub mod approx;
@@ -75,8 +75,9 @@ pub mod sampling;
 pub mod support;
 pub mod weakly_global;
 
-// Tests of the deterministic core, truss and (3,4)-nucleus numbers: the
-// scores at threshold 1.0 of the certain view of a graph.
+// Tests of the deterministic core, truss and (3,4)-nucleus numbers (the
+// scores at threshold 1.0 of the certain view of a graph) and of the
+// deterministic k-nuclei.
 #[cfg(test)]
 mod core_decomp;
 #[cfg(test)]
@@ -92,6 +93,7 @@ pub use decomp::{
 };
 pub use error::{NucleusError, Result, ThetaGridError};
 pub use global::{global_nuclei, GlobalConfig, GlobalNucleus};
+pub use local::nuclei::NucleusSubgraph;
 pub use support::SupportStructure;
 pub use ugraph::rs::PeelStats;
 // Re-exported so update callers don't need a direct `ugraph` dependency.

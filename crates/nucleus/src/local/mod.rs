@@ -17,9 +17,10 @@
 //! [`ugraph::rs::peel_deferred`]; the Hybrid scorer, which is not
 //! monotone under clique removal, scores every triangle at θ and peels
 //! on [`ugraph::rs::peel_eager`].  Both emit deterministic
-//! [`PeelStats`](crate::PeelStats) perf counters, and both are
-//! property-tested bit-identical to the frozen engine of
-//! [`crate::reference`].  [`nuclei`] extracts the maximal
+//! [`PeelStats`](crate::PeelStats) perf counters.  The exact DP is
+//! property-tested bit-identical to its definition
+//! ([`crate::exact::definitional_scores`]), and both scorers to the
+//! frozen engine of [`crate::reference`].  [`nuclei`] extracts the maximal
 //! ℓ-(k,θ)-nuclei of one `k` from the scores; [`forest`] builds the
 //! hierarchy of the nuclei of every `k` at once.
 
@@ -30,8 +31,8 @@ pub mod nuclei;
 mod tests {
     use crate::approx::ApproxMethod;
     use crate::config::{ApproxThresholds, ScoreMethod};
-    use crate::decomp::tests::{naive_nucleusness, random_graph};
-    use crate::{DecompConfig, Decomposition};
+    use crate::decomp::tests::{deterministic, random_graph};
+    use crate::{DecompConfig, Decomposition, Rank};
     use ugraph::generators::ProbabilityModel;
     use ugraph::{GraphBuilder, Triangle, UncertainGraph};
 
@@ -83,7 +84,10 @@ mod tests {
         // With all probabilities 1 and θ ≤ 1, ℓ-nucleusness equals the
         // deterministic nucleusness.
         let g = random_graph(71, 20, 80, ProbabilityModel::Constant(1.0));
-        assert_eq!(exact(&g, 0.8).scores(), naive_nucleusness(&g).as_slice());
+        assert_eq!(
+            exact(&g, 0.8).scores(),
+            deterministic(&g, Rank::Nucleus).as_slice()
+        );
     }
 
     #[test]
@@ -154,7 +158,7 @@ mod tests {
         );
         let local = exact(&g, 0.2);
         // Deterministic nucleusness, indexed by the same triangle ids.
-        let det = detdecomp::reference::nucleusness(&g);
+        let det = deterministic(&g, Rank::Nucleus);
         assert_eq!(local.num_elements(), det.len());
         for (t, &d) in det.iter().enumerate() {
             assert!(local.scores()[t] <= d, "triangle {t}");

@@ -2,31 +2,120 @@
 //!
 //! Once the peeling has assigned every triangle its ℓ-nucleusness ν(△),
 //! the ℓ-(k,θ)-nuclei for a given `k` are built exactly as in the
-//! deterministic case: take every 4-clique whose four triangles all have
-//! ν ≥ k, group those cliques by shared-triangle connectivity, and each
-//! group's union of edges is one maximal nucleus (it is a union of
-//! 4-cliques and its triangles are s-connected by construction, matching
-//! the preconditions of Definition 5).
+//! deterministic case (Sarıyüce et al., WWW 2015): take every 4-clique
+//! whose four triangles all have ν ≥ k, group those cliques by
+//! shared-triangle connectivity, and each group's union of edges is one
+//! maximal nucleus (it is a union of 4-cliques and its triangles are
+//! s-connected by construction, matching the preconditions of
+//! Definitions 3 and 5).  On the certain view of a graph at θ = 1.0 the
+//! scores are the deterministic nucleusness, and the nuclei the
+//! deterministic k-(3,4)-nuclei.
 
-use detdecomp::NucleusSubgraph;
-use ugraph::UncertainGraph;
+use std::collections::HashMap;
+
+use ugraph::{EdgeId, EdgeSubgraph, FourClique, Triangle, UncertainGraph, UnionFind};
 
 use crate::support::SupportStructure;
 
-/// Extracts the maximal ℓ-(k,θ)-nuclei for `k ≥ 1` given the per-triangle
-/// scores produced by the peeling — the deterministic extraction,
-/// [`detdecomp::nucleus::extract_k_nuclei`], over the support's cliques.
+/// One maximal k-(3,4)-nucleus: a materialized subgraph plus the triangles
+/// and 4-cliques it is made of (in original vertex ids).
+#[derive(Debug, Clone)]
+pub struct NucleusSubgraph {
+    /// The `k` this nucleus was extracted for.
+    pub k: u32,
+    /// The materialized subgraph (dense local vertex ids, with the mapping
+    /// back to original ids).
+    pub subgraph: EdgeSubgraph,
+    /// Triangles of the nucleus, in original vertex ids.
+    pub triangles: Vec<Triangle>,
+    /// 4-cliques of the nucleus, in original vertex ids.
+    pub cliques: Vec<FourClique>,
+}
+
+impl NucleusSubgraph {
+    /// Number of vertices of the nucleus.
+    pub fn num_vertices(&self) -> usize {
+        self.subgraph.num_vertices()
+    }
+
+    /// Number of edges of the nucleus.
+    pub fn num_edges(&self) -> usize {
+        self.subgraph.num_edges()
+    }
+
+    /// `true` when the triangle `t` (original vertex ids) belongs to this
+    /// nucleus.
+    pub fn contains_triangle(&self, t: &Triangle) -> bool {
+        self.triangles.binary_search(t).is_ok()
+    }
+}
+
+/// Extracts the maximal ℓ-(k,θ)-nuclei for `k ≥ 1` from the per-triangle
+/// scores produced by the peeling: the support's 4-cliques all of whose
+/// triangles score ≥ k, grouped into the connected components of
+/// shared-triangle connectivity, one [`NucleusSubgraph`] per component,
+/// ordered by first clique.
 pub fn extract_k_nuclei(
     graph: &UncertainGraph,
     support: &SupportStructure,
     scores: &[u32],
     k: u32,
 ) -> Vec<NucleusSubgraph> {
-    let clique = |c: usize| {
-        let record = support.clique(c as u32);
-        (record.clique, record.triangles)
-    };
-    detdecomp::nucleus::extract_k_nuclei(graph, support.num_cliques(), clique, scores, k)
+    let qualifying: Vec<u32> = (0..support.num_cliques() as u32)
+        .filter(|&c| {
+            let triangles = support.clique(c).triangles;
+            triangles.iter().all(|&t| scores[t as usize] >= k)
+        })
+        .collect();
+    if qualifying.is_empty() {
+        return Vec::new();
+    }
+
+    // Union triangles that co-occur in a qualifying 4-clique.
+    let mut uf = UnionFind::new(scores.len());
+    for &c in &qualifying {
+        for w in support.clique(c).triangles.windows(2) {
+            uf.union(w[0], w[1]);
+        }
+    }
+
+    // Group qualifying cliques by the component of their first triangle.
+    let mut groups: HashMap<u32, Vec<u32>> = HashMap::new();
+    for &c in &qualifying {
+        groups
+            .entry(uf.find(support.clique(c).triangles[0]))
+            .or_default()
+            .push(c);
+    }
+
+    let mut nuclei: Vec<NucleusSubgraph> = groups
+        .into_values()
+        .map(|clique_ids| {
+            let mut cliques: Vec<FourClique> = clique_ids
+                .iter()
+                .map(|&c| support.clique(c).clique)
+                .collect();
+            let mut triangles: Vec<Triangle> = cliques.iter().flat_map(|q| q.triangles()).collect();
+            let mut edge_ids: Vec<EdgeId> = cliques
+                .iter()
+                .flat_map(|q| q.edges())
+                .map(|(u, v)| graph.edge_id(u, v).expect("clique edge exists"))
+                .collect();
+            triangles.sort_unstable();
+            triangles.dedup();
+            edge_ids.sort_unstable();
+            edge_ids.dedup();
+            cliques.sort_unstable();
+            NucleusSubgraph {
+                k,
+                subgraph: EdgeSubgraph::induced_by_edges(graph, &edge_ids),
+                triangles,
+                cliques,
+            }
+        })
+        .collect();
+    nuclei.sort_by_key(|n| n.cliques.first().copied());
+    nuclei
 }
 
 #[cfg(test)]

@@ -1,45 +1,40 @@
-//! The frozen eager peeling engines, kept as oracles.
+//! The frozen eager ℓ-NuDecomp engine, kept as the Hybrid scorer's
+//! oracle.
 //!
-//! One engine per rank of the (r,s)-nucleus family, each the
-//! heap-based original its rank shipped before the generic
-//! [`ugraph::rs`] engines: a `BinaryHeap<Reverse<(κ, id)>>` with lazy
-//! deletion, an **eager** full score recomputation for every affected
-//! element, and a fresh allocation per gather and per DP table.
+//! [`decompose`] is the heap-based original the (3,4) rank shipped before
+//! the generic [`ugraph::rs`] engines: a `BinaryHeap<Reverse<(κ, id)>>`
+//! with lazy deletion, an **eager** full score recomputation for every
+//! affected element, and a fresh allocation per gather and per DP table.
+//! It runs both scorers.  The one deliberate edit since it was frozen is
+//! `method_counts`, which counts the initial pass only (one entry per
+//! triangle), matching
+//! [`Decomposition::method_counts`](crate::Decomposition::method_counts)
+//! so the engines report comparable values.
 //!
-//! * [`decompose`] — ℓ-NuDecomp (3,4), for both scorers: the oracle of
-//!   the deferred peel ([`ugraph::rs::peel_deferred`], exact DP) and of
-//!   the eager one ([`ugraph::rs::peel_eager`], Hybrid), whose schedule
-//!   it shares.  The one deliberate edit since it was frozen is
-//!   `method_counts`, which counts the initial pass only (one entry per
-//!   triangle), matching
-//!   [`Decomposition::method_counts`](crate::Decomposition::method_counts)
-//!   so the engines report comparable values.
-//! * [`eta_core_numbers`] — the probabilistic (k,η)-core (1,2).
-//! * [`gamma_truss_numbers`] — the local probabilistic (k,γ)-truss (2,3).
+//! It is the only frozen peel left.  Every peel of a monotone scorer (the
+//! exact DP, at every rank) is checked against its definition instead,
+//! [`crate::exact::definitional_scores`].  [`decompose`] stays for two
+//! reasons:
 //!
-//! The core and truss engines score through [`ugraph::rs::dp::max_k`]:
-//! the same pmf and tail loops and the same `scale · tail ≥ threshold`
-//! cut as the DP copy they were frozen with, so their outputs are
-//! unchanged.  The engines exist for two reasons:
+//! * **Hybrid's oracle**: the Hybrid scorer is not monotone under clique
+//!   removal, so no filter defines its output, which depends on the
+//!   evaluation schedule; [`ugraph::rs::peel_eager`] shares this engine's
+//!   schedule.  The property suite `equivalence_proptests` below peels
+//!   random graphs with the production and frozen engines, both scorers,
+//!   and requires identical scores, initial scores and method counts;
+//! * **perf-counter baseline**: `experiments parbench` runs [`decompose`]
+//!   next to the production engine and records `reference_dp_calls`, the
+//!   denominator of the deferred engine's advertised DP savings.
 //!
-//! * **bit-identity testing**: the property suites (`equivalence_proptests`
-//!   below, `tests/rs_engine_equivalence.rs`) peel random graphs with the
-//!   production and frozen engines and require identical scores, initial
-//!   scores and method counts;
-//! * **perf-counter baselines**: `experiments parbench` runs
-//!   [`decompose`] next to the production engine and records
-//!   `reference_dp_calls`, the denominator of the deferred engine's
-//!   advertised DP savings.
-//!
-//! They are not part of the supported API surface and make no
-//! performance claims.  Do not "improve" them — any edit here
-//! invalidates the equivalence baseline.
+//! It is not part of the supported API surface and makes no performance
+//! claims.  Do not "improve" it — any edit here invalidates the
+//! equivalence baseline and the recorded counter.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use ugraph::rs::dp;
-use ugraph::{EdgeId, TriangleId, UncertainGraph, VertexId};
+use ugraph::TriangleId;
 
 use crate::approx::{self, ApproxMethod};
 use crate::config::ScoreMethod;
@@ -145,148 +140,6 @@ pub fn decompose(
         method_counts,
         dp_calls,
     })
-}
-
-/// η-core numbers of every vertex, computed by the frozen eager
-/// heap-based peel (probabilistic Batagelj–Zaveršnik).
-pub fn eta_core_numbers(graph: &UncertainGraph, eta: f64) -> Vec<u32> {
-    let n = graph.num_vertices();
-    let mut alive = vec![true; n];
-    let mut score = vec![0u32; n];
-
-    let eta_degree = |graph: &UncertainGraph, v: VertexId, alive: &[bool]| -> u32 {
-        let probs: Vec<f64> = graph
-            .neighbor_entries(v)
-            .filter(|(w, _, _)| alive[*w as usize])
-            .map(|(_, p, _)| p)
-            .collect();
-        dp::max_k(1.0, &probs, eta)
-    };
-
-    for v in 0..n as VertexId {
-        score[v as usize] = eta_degree(graph, v, &alive);
-    }
-
-    let mut heap: BinaryHeap<Reverse<(u32, VertexId)>> =
-        (0..n).map(|v| Reverse((score[v], v as VertexId))).collect();
-    let mut core = vec![0u32; n];
-    let mut level = 0u32;
-
-    while let Some(Reverse((s, v))) = heap.pop() {
-        let vi = v as usize;
-        if !alive[vi] || s != score[vi] {
-            continue;
-        }
-        alive[vi] = false;
-        level = level.max(s);
-        core[vi] = level;
-        for &u in graph.neighbors(v) {
-            let ui = u as usize;
-            if !alive[ui] {
-                continue;
-            }
-            let new_score = eta_degree(graph, u, &alive);
-            // Scores never rise above the current peeling level when
-            // they are already below it.
-            let new_score = new_score.max(level.min(score[ui]));
-            if new_score < score[ui] {
-                score[ui] = new_score;
-                heap.push(Reverse((new_score, u)));
-            }
-        }
-    }
-    core
-}
-
-/// Probabilistic truss numbers of every edge, computed by the frozen
-/// eager heap-based peel (Huang et al., SIGMOD 2016 convention).
-pub fn gamma_truss_numbers(graph: &UncertainGraph, gamma: f64) -> Vec<u32> {
-    let m = graph.num_edges();
-    let mut alive = vec![true; m];
-    let mut score = vec![0u32; m];
-
-    let gamma_support = |graph: &UncertainGraph, e: EdgeId, alive: &[bool]| -> u32 {
-        let edge = graph.edge(e);
-        let (u, v) = (edge.u, edge.v);
-        let mut wedge_probs = Vec::new();
-        for w in graph.common_neighbors(u, v) {
-            let euw = graph.edge_id(u, w).expect("edge exists");
-            let evw = graph.edge_id(v, w).expect("edge exists");
-            if alive[euw as usize] && alive[evw as usize] {
-                wedge_probs.push(graph.edge(euw).p * graph.edge(evw).p);
-            }
-        }
-        dp::max_k(edge.p, &wedge_probs, gamma)
-    };
-
-    for (e, s) in score.iter_mut().enumerate() {
-        *s = gamma_support(graph, e as EdgeId, &alive);
-    }
-
-    let mut heap: BinaryHeap<Reverse<(u32, EdgeId)>> =
-        (0..m).map(|e| Reverse((score[e], e as EdgeId))).collect();
-    let mut truss = vec![0u32; m];
-    let mut level = 0u32;
-
-    while let Some(Reverse((s, e))) = heap.pop() {
-        let ei = e as usize;
-        if !alive[ei] || s != score[ei] {
-            continue;
-        }
-        alive[ei] = false;
-        level = level.max(s);
-        truss[ei] = level;
-        let edge = graph.edge(e);
-        let (u, v) = (edge.u, edge.v);
-        for w in graph.common_neighbors(u, v) {
-            let euw = graph.edge_id(u, w).expect("edge exists");
-            let evw = graph.edge_id(v, w).expect("edge exists");
-            if !alive[euw as usize] || !alive[evw as usize] {
-                continue;
-            }
-            for f in [euw, evw] {
-                let fi = f as usize;
-                if score[fi] > level {
-                    let new_score = gamma_support(graph, f, &alive).max(level);
-                    if new_score < score[fi] {
-                        score[fi] = new_score;
-                        heap.push(Reverse((new_score, f)));
-                    }
-                }
-            }
-        }
-    }
-    truss
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ugraph::GraphBuilder;
-
-    fn complete(n: u32, p: f64) -> UncertainGraph {
-        let mut b = GraphBuilder::new();
-        for u in 0..n {
-            for v in (u + 1)..n {
-                b.add_edge(u, v, p).unwrap();
-            }
-        }
-        b.build()
-    }
-
-    #[test]
-    fn reference_core_matches_known_values() {
-        // Certain K5: every vertex has deterministic core number 4.
-        let core = eta_core_numbers(&complete(5, 1.0), 0.5);
-        assert_eq!(core, vec![4; 5]);
-    }
-
-    #[test]
-    fn reference_truss_matches_known_values() {
-        // Certain K5: every edge sits in 3 triangles (support convention).
-        let truss = gamma_truss_numbers(&complete(5, 1.0), 0.5);
-        assert_eq!(truss, vec![3; 10]);
-    }
 }
 
 /// Property suite: the production engines must be **bit-identical** to

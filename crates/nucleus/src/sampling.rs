@@ -271,8 +271,8 @@ impl CompiledCandidate {
     /// triangle, in which every present triangle lies in at least `k`
     /// present 4-cliques, and in which the present triangles form one
     /// component under present 4-cliques.  Edges outside every 4-clique
-    /// are ignored, as `detdecomp::is_k_nucleus_lenient` ignores them on
-    /// the materialized world.
+    /// are ignored, as [`crate::exact::is_k_nucleus_lenient`] ignores
+    /// them on the materialized world.
     fn k_nucleus_lanes(&mut self, valid: u64, k: u32) -> u64 {
         let mut ok = self.load_lanes(valid);
         for t in 0..self.present.len() {
@@ -466,10 +466,10 @@ mod tests {
 /// Definitional suite for the lane kernel of [`CompiledCandidate`]: every
 /// possible world of tiny graphs is packed into lanes, 64 and again 37 to
 /// a word, and for every `k ∈ 0..=5` and `u32::MAX` each lane's g-verdict
-/// must equal `detdecomp::is_k_nucleus_lenient` on the materialized world
-/// and each lane's w-membership of each triangle must equal membership
-/// in [`crate::exact::k_nucleus_triangles`] there, asked once per world
-/// and k.  Lane draws must consume the RNG stream exactly as
+/// must equal [`crate::exact::is_k_nucleus_lenient`] on the materialized
+/// world and each lane's w-membership of each triangle must equal
+/// membership in [`crate::exact::k_nucleus_triangles`] there, asked once
+/// per world and k.  Lane draws must consume the RNG stream exactly as
 /// [`WorldSampler::sample`] does, batch boundaries included, and
 /// [`skip_draws`] must leave it where the draws it replaces do.  Scales
 /// with `PROPTEST_CASES` (64 by default).
@@ -484,7 +484,7 @@ mod compiled_world_checks {
     use ugraph::{EdgeId, EdgeSubgraph, GraphBuilder, Triangle, UncertainGraph, WorldSampler};
 
     use super::{lane_batches, lanes, skip_draws, CompiledCandidate, LANES};
-    use crate::exact::k_nucleus_triangles;
+    use crate::exact::{is_k_nucleus_lenient, k_nucleus_triangles};
 
     /// Every k the checks are compared at: `u32::MAX` exceeds every
     /// triangle's clique count.
@@ -644,7 +644,7 @@ mod compiled_world_checks {
                         .map(|(t, &p)| p && nuclei.binary_search(t).is_ok())
                         .collect()
                 });
-                let g = KS.map(|k| detdecomp::is_k_nucleus_lenient(&det, k));
+                let g = KS.map(|k| is_k_nucleus_lenient(&det, k));
                 Verdicts { present, g, w }
             })
             .collect();

@@ -1,10 +1,10 @@
 //! Deterministic truss numbers: the truss-rank scores at threshold 1.0 of
-//! the certain view of a graph, on hand-built graphs and against brute
-//! force and the frozen eager heap peel.
+//! the certain view of a graph, on hand-built graphs and against their
+//! definition.
 
 #[cfg(test)]
 mod tests {
-    use crate::decomp::tests::{certain, complete, k4_plus, naive_truss, random_graph, uniform};
+    use crate::decomp::tests::{certain, complete, deterministic, k4_plus, random_graph, uniform};
     use crate::Rank;
     use ugraph::{GraphBuilder, UncertainGraph};
 
@@ -53,11 +53,6 @@ mod tests {
         // The certain view ignores the edge probabilities.
         let g = random_graph(23, 30, 120, uniform(0.2));
         let d = certain(&g, Rank::Truss);
-        assert_eq!(d.scores(), naive_truss(&g).as_slice());
-        assert_eq!(
-            d.scores(),
-            detdecomp::reference::truss_numbers(&g).as_slice(),
-            "the certain view must match the frozen eager heap peel"
-        );
+        assert_eq!(d.scores(), deterministic(&g, Rank::Truss).as_slice());
     }
 }

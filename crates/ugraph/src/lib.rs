@@ -35,7 +35,7 @@
 //!   paths consume.
 //!
 //! The crate is deliberately free of any decomposition logic; it is the
-//! substrate shared by `detdecomp` and `nucleus`.
+//! substrate `nucleus` builds on.
 //!
 //! # Unsafe-code discipline
 //!

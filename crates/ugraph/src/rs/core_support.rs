@@ -17,9 +17,9 @@ use super::{RsSupport, SupportPatch};
 ///
 /// The per-vertex cell lists follow adjacency order (sorted by neighbour
 /// id) and the per-cell probability is the canonical edge-table
-/// probability — the same float, in the same order, as the reference
-/// implementation's `neighbor_entries` gather, so DP scores are
-/// bit-identical.
+/// probability — the same float, in the same order, as a
+/// `neighbor_entries` gather of the vertex's incident edges, so DP scores
+/// are bit-identical to the η-degree computed from the graph.
 #[derive(Debug, Clone)]
 pub struct CoreSupport {
     /// Incident edge ids of every vertex, flattened; slice `v` is

@@ -33,7 +33,8 @@
 //! * [`peel_deferred`] — the deferred bucket-queue peel, generic over the
 //!   support and the (monotone) rescoring function.
 //! * [`peel_eager`] — the eager heap peel, generic over the support and
-//!   any rescoring function: the schedule of the frozen reference engines.
+//!   any rescoring function: the schedule of the frozen reference engine
+//!   (`nucleus::reference::decompose`).
 //! * [`region`] — the bounded re-peel machinery for incremental edge
 //!   updates: the [`SupportPatch`] a support repair returns, the
 //!   affected-set test over its candidates, component closure and the
@@ -354,7 +355,7 @@ where
 }
 
 /// The eager heap peel, generic over the support structure and the
-/// rescoring function: the schedule of the frozen reference engines.
+/// rescoring function: the schedule of the frozen reference engine.
 ///
 /// Arguments and return value are those of [`peel_deferred`]
 /// (`buckets_touched` stays 0: the heap has no buckets).  The schedule
@@ -432,9 +433,10 @@ where
 /// [`score`](Self::score) is the exact arithmetic of gathering the
 /// completion probabilities in cell order and running [`dp::max_k`], so
 /// scores are bit-identical to the allocating entry points — and to the
-/// frozen per-rank reference implementations, which gather the same
-/// floats in the same order.  [`score_with`](Self::score_with) runs any
-/// other kernel over the same gather.
+/// definitional level-k filter (`nucleus::exact::definitional_scores`),
+/// which gathers the same floats in the same order.
+/// [`score_with`](Self::score_with) runs any other kernel over the same
+/// gather.
 #[derive(Debug, Clone, Default)]
 pub struct TailScratch {
     probs: Vec<f64>,

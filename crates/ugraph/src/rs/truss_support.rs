@@ -35,8 +35,8 @@ use super::{Incidence, RsSupport, SupportPatch};
 /// Cell ids are the [`crate::triangles::TriangleIndex`] ids, which are
 /// lexicographic on the sorted vertex triple — so for a fixed edge
 /// `{u, v}` the cell list is ordered by ascending third vertex `w`,
-/// exactly the `common_neighbors(u, v)` order the frozen reference
-/// implementation gathers in.  DP scores are therefore bit-identical.
+/// exactly the `common_neighbors(u, v)` order.  DP scores are therefore
+/// bit-identical to the γ-support gathered from the graph in that order.
 #[derive(Debug, Clone)]
 pub struct TrussSupport {
     /// Existence probability of every edge.

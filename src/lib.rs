@@ -7,13 +7,13 @@
 //!
 //! * [`ugraph`] — probabilistic graph substrate (representation, cliques,
 //!   possible worlds, metrics, generators, I/O),
-//! * [`detdecomp`] — deterministic k-(3,4)-nuclei: extraction, the
-//!   per-world nucleus checks and the frozen deterministic peels (the
-//!   deterministic numbers are [`Decomposition`] at threshold 1.0 on the
-//!   certain view of a graph),
 //! * [`nucleus`] — the paper's contribution: local (exact DP + statistical
 //!   approximations), global and weakly-global nucleus decompositions, and
-//!   the same engine's probabilistic (k,η)-core and (k,γ)-truss baselines,
+//!   the same engine's probabilistic (k,η)-core and (k,γ)-truss baselines;
+//!   the deterministic core, truss and nucleus numbers are
+//!   [`Decomposition`] at threshold 1.0 on the certain view of a graph,
+//!   and [`nucleus::exact`] holds the oracles that check them all against
+//!   their definitions,
 //! * [`nd_datasets`] — synthetic emulations of the paper's datasets.
 //!
 //! ```
@@ -39,7 +39,6 @@
 
 #![deny(deprecated)]
 
-pub use detdecomp;
 pub use nd_datasets;
 pub use nucleus;
 pub use ugraph;

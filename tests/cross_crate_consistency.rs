@@ -1,13 +1,13 @@
 //! Cross-crate integration tests: the probabilistic decompositions must be
 //! consistent with the deterministic ones and with each other.
 
-use prob_nucleus_repro::detdecomp::reference;
+use prob_nucleus_repro::nucleus::exact::definitional_scores;
 use prob_nucleus_repro::ugraph::generators::{
     assign_probabilities, planted_clique_edges, PlantedCliqueConfig, ProbabilityModel,
 };
 use prob_nucleus_repro::ugraph::rs::dp;
 use prob_nucleus_repro::ugraph::{EdgeId, PossibleWorld, UncertainGraph, VertexId};
-use prob_nucleus_repro::{DecompConfig, Decomposition};
+use prob_nucleus_repro::{DecompConfig, Decomposition, Rank};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -30,19 +30,20 @@ fn decompose(g: &UncertainGraph, config: DecompConfig) -> Decomposition {
 
 /// With all edge probabilities equal to 1, every probabilistic
 /// decomposition must coincide with its deterministic counterpart (the
-/// frozen deterministic peels; triangle ids are lexicographic in both).
+/// definitional filter at threshold 1.0).
 #[test]
 fn certain_graph_probabilistic_equals_deterministic() {
     let g = clique_rich_graph(1, ProbabilityModel::Constant(1.0));
+    let deterministic = |rank| definitional_scores(&g, rank, 1.0);
 
     let prob_core = decompose(&g, DecompConfig::core(0.9));
-    assert_eq!(reference::core_numbers(&g), prob_core.scores());
+    assert_eq!(deterministic(Rank::Core), prob_core.scores());
 
     let prob_truss = decompose(&g, DecompConfig::truss(0.9));
-    assert_eq!(reference::truss_numbers(&g), prob_truss.scores());
+    assert_eq!(deterministic(Rank::Truss), prob_truss.scores());
 
     let prob_nucleus = decompose(&g, DecompConfig::nucleus(0.9));
-    assert_eq!(reference::nucleusness(&g), prob_nucleus.scores());
+    assert_eq!(deterministic(Rank::Nucleus), prob_nucleus.scores());
 }
 
 /// The probabilistic scores are upper-bounded by the deterministic ones
@@ -56,7 +57,8 @@ fn probabilistic_scores_bounded_by_deterministic() {
             high: 1.0,
         },
     );
-    let det = reference::nucleusness(&g);
+    let certain = PossibleWorld::full(&g).materialize(&g);
+    let det = definitional_scores(&certain, Rank::Nucleus, 1.0);
     let loose = decompose(&g, DecompConfig::nucleus(0.05));
     let tight = decompose(&g, DecompConfig::nucleus(0.6));
     assert_eq!(loose.num_elements(), det.len());

@@ -1,14 +1,14 @@
 //! End-to-end smoke test of the `prob_nucleus_repro` facade re-exports:
 //! builds a small probabilistic graph through `ugraph`, runs decompositions
-//! from `nucleus` against the deterministic oracle of `detdecomp`, and
+//! from `nucleus` against the definitional oracle of `nucleus::exact`, and
 //! touches a synthetic dataset from `nd_datasets` — all through the
 //! umbrella crate's paths.
 
-use prob_nucleus_repro::detdecomp;
 use prob_nucleus_repro::nd_datasets::{PaperDataset, Scale};
+use prob_nucleus_repro::nucleus::exact::definitional_scores;
 use prob_nucleus_repro::nucleus::{NucleusError, SweepConfig, ThetaGridError};
-use prob_nucleus_repro::ugraph::{GraphBuilder, Triangle};
-use prob_nucleus_repro::{DecompConfig, DecompSweep, Decomposition};
+use prob_nucleus_repro::ugraph::{GraphBuilder, PossibleWorld, Triangle};
+use prob_nucleus_repro::{DecompConfig, DecompSweep, Decomposition, Rank};
 
 /// A probabilistic K5 with p = 0.9 on every edge.
 fn k5(p: f64) -> prob_nucleus_repro::ugraph::UncertainGraph {
@@ -42,8 +42,13 @@ fn facade_local_decomposition_known_score() {
     );
 
     // The probabilistic scores coincide with the deterministic nucleusness
-    // here, and the single extracted 2-nucleus is the whole K5.
-    assert_eq!(local.scores(), detdecomp::reference::nucleusness(&graph));
+    // (the definition at threshold 1.0 on the certain view) here, and the
+    // single extracted 2-nucleus is the whole K5.
+    let certain = PossibleWorld::full(&graph).materialize(&graph);
+    assert_eq!(
+        local.scores(),
+        definitional_scores(&certain, Rank::Nucleus, 1.0)
+    );
     let nuclei = local.k_nuclei(&graph, 2).unwrap();
     assert_eq!(nuclei.len(), 1);
     assert_eq!(nuclei[0].num_vertices(), 5);

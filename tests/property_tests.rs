@@ -2,11 +2,11 @@
 
 use proptest::prelude::*;
 
-use prob_nucleus_repro::detdecomp::reference;
 use prob_nucleus_repro::nucleus::approx::{tail_probability, ApproxMethod};
+use prob_nucleus_repro::nucleus::exact::definitional_scores;
 use prob_nucleus_repro::ugraph::rs::dp;
-use prob_nucleus_repro::ugraph::{GraphBuilder, UncertainGraph};
-use prob_nucleus_repro::{DecompConfig, Decomposition};
+use prob_nucleus_repro::ugraph::{GraphBuilder, PossibleWorld, UncertainGraph};
+use prob_nucleus_repro::{DecompConfig, Decomposition, Rank};
 
 /// Strategy: a random probabilistic graph with up to `max_v` vertices and
 /// a biased-dense edge set so triangles and 4-cliques actually appear.
@@ -104,8 +104,10 @@ proptest! {
     #[test]
     fn local_scores_bounded_by_deterministic(g in arb_graph(9, 0.75), theta in 0.05f64..0.9) {
         let local = Decomposition::compute(&g, &DecompConfig::nucleus(theta)).unwrap();
-        // Deterministic nucleusness, indexed by the same triangle ids.
-        let det = reference::nucleusness(&g);
+        // Deterministic nucleusness (the definition at threshold 1.0 on
+        // the certain view), indexed by the same triangle ids.
+        let certain = PossibleWorld::full(&g).materialize(&g);
+        let det = definitional_scores(&certain, Rank::Nucleus, 1.0);
         prop_assert_eq!(local.num_elements(), det.len());
         for (id, &d) in det.iter().enumerate() {
             prop_assert!(local.scores()[id] <= d);

@@ -1,26 +1,29 @@
-//! Differential tests of the generic (r,s) peeling engine.
+//! Differential tests of the generic (r,s) peeling engine against the
+//! definition.
 //!
-//! The API redesign moved every decomposition — probabilistic (k,η)-core,
-//! local (k,γ)-truss and ℓ-NuDecomp — onto one generic engine
-//! (`ugraph::rs`), and deterministic core, truss and nucleus numbers are
-//! that engine at threshold 1.0 on the certain view of a graph (every
-//! edge at p = 1).  The pre-redesign peeling loops are frozen in
-//! `nucleus::reference` and `detdecomp::reference`; these proptests pin
-//! the generic engine **bit-identical** to the core, truss and
-//! deterministic ones on random graphs, at 1, 2 and 8 worker threads
-//! (the engine's counters and scores must not depend on the thread
-//! count).  The nucleus rank, both scorers, is pinned to its frozen
-//! engine by the `equivalence_proptests` of `nucleus::reference`.
+//! Every decomposition — probabilistic (k,η)-core, local (k,γ)-truss and
+//! ℓ-NuDecomp — runs on one generic engine (`ugraph::rs`), and
+//! deterministic core, truss and nucleus numbers are that engine at
+//! threshold 1.0 on the certain view of a graph (every edge at p = 1).
+//! The peel is a fast way to a number the paper defines by a filter:
+//! the largest k for which an element lies in a maximal set whose every
+//! element scores ≥ k over the set's cells.  These proptests pin the
+//! exact-DP engine **bit-identical** to that filter,
+//! `nucleus::exact::definitional_scores`, at all three ranks and on the
+//! certain view, on random graphs at 1, 2 and 8 worker threads (the
+//! engine's counters and scores must not depend on the thread count).
+//! The Hybrid scorer, which no filter defines, is pinned to its frozen
+//! engine by the `equivalence_proptests` of `nucleus::reference`.  The
+//! `*_frozen_reference*` tests keep the names they had when frozen peels
+//! were their reference, so that the ids of the tests stay stable.
 //!
 //! Case count scales with `PROPTEST_CASES` (64 by default, 1024 in the
 //! thorough CI job).
 
 use proptest::prelude::*;
 
-use prob_nucleus_repro::detdecomp;
-use prob_nucleus_repro::nucleus::{
-    reference, DecompConfig, DecompSweep, Decomposition, Rank, SweepConfig,
-};
+use prob_nucleus_repro::nucleus::exact::definitional_scores;
+use prob_nucleus_repro::nucleus::{DecompConfig, DecompSweep, Decomposition, Rank, SweepConfig};
 use prob_nucleus_repro::ugraph::{GraphBuilder, Parallelism, PossibleWorld, UncertainGraph};
 
 /// Strategy: a random probabilistic graph with a biased-dense edge set so
@@ -77,41 +80,47 @@ fn thread_independent_scores(g: &UncertainGraph, config: DecompConfig) -> Vec<u3
 proptest! {
     #![proptest_config(ProptestConfig::default())]
 
-    /// Rank (1,2): the generic engine reproduces the frozen eager
-    /// (k,η)-core peel bit-identically at every thread count.
+    /// Rank (1,2): the generic engine's (k,η)-core equals the
+    /// definitional filter bit for bit at every thread count.
     #[test]
     fn core_matches_frozen_reference(g in arb_graph(14, 0.55), eta in 0.02f64..0.95) {
         let generic = thread_independent_scores(&g, DecompConfig::core(eta));
-        let frozen = reference::eta_core_numbers(&g, eta);
-        prop_assert_eq!(generic, frozen);
+        prop_assert_eq!(generic, definitional_scores(&g, Rank::Core, eta));
     }
 
-    /// Rank (2,3): the generic engine reproduces the frozen eager
-    /// (k,γ)-truss peel bit-identically at every thread count.
+    /// Rank (2,3): the generic engine's (k,γ)-truss equals the
+    /// definitional filter bit for bit at every thread count.
     #[test]
     fn truss_matches_frozen_reference(g in arb_graph(12, 0.6), gamma in 0.02f64..0.95) {
         let generic = thread_independent_scores(&g, DecompConfig::truss(gamma));
-        let frozen = reference::gamma_truss_numbers(&g, gamma);
-        prop_assert_eq!(generic, frozen);
+        prop_assert_eq!(generic, definitional_scores(&g, Rank::Truss, gamma));
     }
 
-    /// The certain view at threshold 1.0 reproduces the frozen
-    /// deterministic peels at every thread count: Batagelj–Zaveršnik
-    /// core, eager heap truss and eager heap (3,4)-nucleus.
+    /// Rank (3,4): the generic engine's exact-DP ℓ-NuDecomp equals the
+    /// definitional filter bit for bit at every thread count.
+    #[test]
+    fn nucleus_matches_the_definition(g in arb_graph(11, 0.75), theta in 0.02f64..0.95) {
+        let generic = thread_independent_scores(&g, DecompConfig::nucleus(theta));
+        prop_assert_eq!(generic, definitional_scores(&g, Rank::Nucleus, theta));
+    }
+
+    /// The certain view at threshold 1.0 equals the definitional filter
+    /// at every thread count: the deterministic core, truss and
+    /// (3,4)-nucleus numbers.
     #[test]
     fn deterministic_peels_match_frozen_references(g in arb_graph(12, 0.6)) {
         let certain = PossibleWorld::full(&g).materialize(&g);
         prop_assert_eq!(
             thread_independent_scores(&certain, DecompConfig::core(1.0)),
-            detdecomp::reference::core_numbers(&g)
+            definitional_scores(&certain, Rank::Core, 1.0)
         );
         prop_assert_eq!(
             thread_independent_scores(&certain, DecompConfig::truss(1.0)),
-            detdecomp::reference::truss_numbers(&g)
+            definitional_scores(&certain, Rank::Truss, 1.0)
         );
         prop_assert_eq!(
             thread_independent_scores(&certain, DecompConfig::nucleus(1.0)),
-            detdecomp::reference::nucleusness(&g)
+            definitional_scores(&certain, Rank::Nucleus, 1.0)
         );
     }
 

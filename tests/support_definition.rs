@@ -1,10 +1,11 @@
-//! Definitional oracle for the edge-ordered triangle pass and the (2,3)
-//! and (3,4) support builds.
+//! Definitional oracle for the edge-ordered triangle pass and the (1,2),
+//! (2,3) and (3,4) support builds.
 //!
-//! Both supports are assembled from one edge-ordered triangle pass whose
-//! 4-cliques are extensions along per-edge triangle runs; nothing in
-//! that assembly looks a triangle id or an edge probability up.  This
-//! suite checks the pass and the result against a construction taken
+//! The (2,3) and (3,4) supports are assembled from one edge-ordered
+//! triangle pass whose 4-cliques are extensions along per-edge triangle
+//! runs; nothing in that assembly looks a triangle id or an edge
+//! probability up.  The (1,2) support is a scan of the edge table.  This
+//! suite checks the pass and the results against a construction taken
 //! straight from the definition, bit for bit:
 //!
 //! * triangles and 4-cliques come from the slow recursive
@@ -19,7 +20,10 @@
 //!   completing vertex, left to right; for a truss cell, the two other
 //!   edges of the triangle, `{a,b}` before `{a,c}` before `{b,c}`;
 //! * every incidence list is the ascending ids of the cells that contain
-//!   the element.
+//!   the element;
+//! * a vertex's cells are its incident edges in ascending neighbour
+//!   order, each holding the edge's two endpoints and completed with the
+//!   edge's probability, and a vertex itself exists with probability 1.
 //!
 //! Graphs are random with random probabilities, plus the shapes that
 //! break index arithmetic: edgeless, triangle-free, complete, "hubs
@@ -37,7 +41,7 @@ use proptest::prelude::*;
 
 use prob_nucleus_repro::nucleus::SupportStructure;
 use prob_nucleus_repro::ugraph::cliques::enumerate_k_cliques;
-use prob_nucleus_repro::ugraph::rs::{RsSupport, TrussSupport};
+use prob_nucleus_repro::ugraph::rs::{CoreSupport, RsSupport, TrussSupport};
 use prob_nucleus_repro::ugraph::triangles::{enumerate_triangles_with, TriangleTable};
 use prob_nucleus_repro::ugraph::{
     apply_edge_updates, EdgeUpdate, FourCliqueEnumerator, GraphBuilder, Parallelism, Triangle,
@@ -306,6 +310,62 @@ fn assert_truss_matches(s: &TrussSupport, def: &TrussDef, what: &str) {
     }
 }
 
+/// The (1,2) support, from the definition.
+struct CoreDef {
+    cells_of: Vec<Vec<u32>>,
+    cell_elements: Vec<[VertexId; 2]>,
+    completion: Vec<f64>,
+}
+
+fn core_def(g: &UncertainGraph) -> CoreDef {
+    let n = g.num_vertices() as VertexId;
+    let e = |x, y| g.edge_id(x, y).expect("edge exists");
+    let mut cell_elements = vec![[0, 0]; g.num_edges()];
+    let mut completion = vec![0.0; g.num_edges()];
+    for u in 0..n {
+        for v in (u + 1)..n {
+            if g.has_edge(u, v) {
+                cell_elements[e(u, v) as usize] = [u, v];
+                completion[e(u, v) as usize] = p(g, u, v);
+            }
+        }
+    }
+    let cells_of = (0..n)
+        .map(|v| {
+            (0..n)
+                .filter(|&w| g.has_edge(v, w))
+                .map(|w| e(v, w))
+                .collect()
+        })
+        .collect();
+    CoreDef {
+        cells_of,
+        cell_elements,
+        completion,
+    }
+}
+
+fn assert_core_matches(s: &CoreSupport, def: &CoreDef, what: &str) {
+    assert_eq!(s.num_elements(), def.cells_of.len(), "{what}: vertex count");
+    assert_eq!(s.num_cells(), def.cell_elements.len(), "{what}: edge count");
+    for (v, cells) in def.cells_of.iter().enumerate() {
+        let id = v as u32;
+        assert_eq!(s.element_prob(id), 1.0, "{what}: Pr of vertex {v}");
+        assert_eq!(s.cells_of(id), cells.as_slice(), "{what}: cells of {v}");
+    }
+    for (c, members) in def.cell_elements.iter().enumerate() {
+        let id = c as u32;
+        assert_eq!(s.cell_elements(id), members, "{what}: members of edge {c}");
+        for &m in members {
+            assert_eq!(
+                s.completion_prob(id, m).to_bits(),
+                def.completion[c].to_bits(),
+                "{what}: completion of edge {c} for vertex {m}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::default())]
 
@@ -380,6 +440,7 @@ proptest! {
     #[test]
     fn builds_match_the_definition(g in arb_graph()) {
         let (nucleus, truss) = (nucleus_def(&g), truss_def(&g));
+        assert_core_matches(&CoreSupport::build(&g), &core_def(&g), "build");
         for par in settings() {
             let what = format!("build at {par}");
             assert_nucleus_matches(&SupportStructure::build_with(&g, par), &nucleus, &what);
@@ -399,5 +460,7 @@ proptest! {
         assert_nucleus_matches(&repaired, &nucleus, &what);
         let repaired = TrussSupport::build(&g, Parallelism::Sequential).repair(&g, &delta).support;
         assert_truss_matches(&repaired, &truss, &what);
+        let repaired = CoreSupport::repair(&g, &delta).support;
+        assert_core_matches(&repaired, &core_def(&delta.graph), &what);
     }
 }
