@@ -44,13 +44,32 @@ impl TranslatedPoisson {
 
     /// The largest `k ≤ max_support` such that
     /// `triangle_prob · Pr[Y ≥ k] ≥ theta`.
+    ///
+    /// One pass: the Poisson cdf is carried from k to k + 1 with the
+    /// recurrence and the additions [`Self::tail`] makes, in the same
+    /// order, so every tail it compares is the one `tail(k)` returns.
     pub fn max_k(&self, triangle_prob: f64, max_support: usize, theta: f64) -> u32 {
         if triangle_prob < theta {
             return 0;
         }
+        let lambda = self.poisson_lambda;
         let mut best = 0u32;
+        let mut cdf = 0.0f64; // Pr[Π < residual]
+        let mut p = poisson::pmf(lambda, 0);
         for k in 0..=max_support {
-            if triangle_prob * self.tail(k) >= theta {
+            let residual = k as i64 - self.shift;
+            let tail = if residual <= 0 {
+                1.0
+            } else {
+                // Advance cdf to Pr[Π < residual] by adding pmf(residual − 1).
+                let j = residual - 1;
+                if j > 0 {
+                    p = p * lambda / j as f64;
+                }
+                cdf += p;
+                (1.0 - cdf).clamp(0.0, 1.0)
+            };
+            if triangle_prob * tail >= theta {
                 best = k as u32;
             } else {
                 break;
@@ -76,6 +95,7 @@ pub fn max_k(triangle_prob: f64, completion_probs: &[f64], theta: f64) -> u32 {
 mod tests {
     use super::*;
     use crate::approx::stats;
+    use proptest::prelude::*;
     use ugraph::rs::dp;
 
     #[test]
@@ -159,5 +179,51 @@ mod tests {
     #[test]
     fn max_k_zero_when_triangle_unlikely() {
         assert_eq!(max_k(0.01, &[0.9, 0.9, 0.9], 0.5), 0);
+    }
+
+    /// The per-k scan `max_k` replaced: `tail(k)` for each k, each call
+    /// summing the cdf from 0.
+    fn max_k_by_tail(
+        tp: &TranslatedPoisson,
+        triangle_prob: f64,
+        max_support: usize,
+        theta: f64,
+    ) -> u32 {
+        if triangle_prob < theta {
+            return 0;
+        }
+        let mut best = 0u32;
+        for k in 0..=max_support {
+            if triangle_prob * tp.tail(k) >= theta {
+                best = k as u32;
+            } else {
+                break;
+            }
+        }
+        best
+    }
+
+    /// A completion probability, 1.0 a quarter of the time.
+    fn arb_prob() -> impl Strategy<Value = f64> {
+        (0u8..4, 0.0f64..=1.0).prop_map(|(certain, p)| if certain == 0 { 1.0 } else { p })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::default())]
+
+        /// The one-pass scan returns what the per-k scan returns, for up
+        /// to 300 cliques, at every θ and triangle probability, 1.0
+        /// included.
+        #[test]
+        fn max_k_matches_the_per_k_tail_scan(
+            probs in proptest::collection::vec(arb_prob(), 0..=300),
+            triangle_prob in arb_prob(),
+            theta in arb_prob(),
+        ) {
+            let tp = TranslatedPoisson::from_moments(stats::mean(&probs), stats::variance(&probs));
+            let want = max_k_by_tail(&tp, triangle_prob, probs.len(), theta);
+            prop_assert_eq!(tp.max_k(triangle_prob, probs.len(), theta), want);
+            prop_assert_eq!(max_k(triangle_prob, &probs, theta), want);
+        }
     }
 }

@@ -17,7 +17,11 @@
 //! lane-parallel multi-source search (Then et al., "The More the Merrier:
 //! Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014), and a
 //! batch's hits are population counts.  The draws are the per-world
-//! draws, so every verdict is that of its world.
+//! draws, so every verdict is that of its world: a world reads its
+//! edges' stream words in one bulk read (`fill_bytes`) and keeps an edge
+//! when its word's top 53 bits fall below the edge's integer threshold
+//! `⌈p · 2^53⌉`, which is exactly the [`WorldSampler`]'s
+//! `rng.gen::<f64>() < p` on the same word.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -64,6 +68,15 @@ fn lane_batches(n: usize) -> impl Iterator<Item = usize> {
         .map(move |start| (n - start).min(LANES))
 }
 
+/// The threshold below which a stream word `x` keeps an edge of
+/// probability `p`: `⌈p · 2^53⌉`.  `rng.gen::<f64>()` is exactly
+/// `m · 2^-53` with `m = x >> 11` for the next `u64` `x`, and scaling by
+/// 2^53 is exact, so `m · 2^-53 < p` holds exactly when the integer `m`
+/// is below `⌈p · 2^53⌉`.  At p = 1 the threshold, 2^53, exceeds every m.
+fn draw_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// The mask of the first `worlds ≤ 64` lanes.
 fn lanes(worlds: usize) -> u64 {
     u64::MAX.checked_shr((LANES - worlds) as u32).unwrap_or(0)
@@ -73,8 +86,8 @@ fn lanes(worlds: usize) -> u64 {
 /// its sampled worlds are judged 64 at a time on lane masks rather than
 /// on materialized graphs.
 ///
-/// It holds H's edge probabilities in edge-id order, every triangle of H
-/// as its three edge ids, every 4-clique of H as its four triangle ids
+/// It holds H's edge draw thresholds in edge-id order, every triangle of
+/// H as its three edge ids, every 4-clique of H as its four triangle ids
 /// with the triangle → 4-cliques incidence, and the H-triangle id of each
 /// triangle the candidate reports.  A triangle is in a world iff its
 /// three edges are kept, and a 4-clique iff its four triangles are, since
@@ -85,8 +98,11 @@ fn lanes(worlds: usize) -> u64 {
 /// the batch; lanes outside the batch's `valid` mask are zero in every
 /// triangle and 4-clique mask.
 pub(crate) struct CompiledCandidate {
-    /// Edge probabilities of H in edge-id order: the draw order.
-    probs: Vec<f64>,
+    /// Per edge of H in edge-id order, the draw order: its
+    /// [`draw_threshold`].
+    thresholds: Vec<u64>,
+    /// One world's stream bytes: 8 per edge.
+    coins: Vec<u8>,
     /// The edge ids of every triangle of H.
     triangle_edges: Vec<[EdgeId; 3]>,
     /// The triangle ids of every 4-clique of H.
@@ -144,7 +160,8 @@ impl CompiledCandidate {
             })
             .collect();
         CompiledCandidate {
-            probs: h.edges().iter().map(|e| e.p).collect(),
+            thresholds: h.edges().iter().map(|e| draw_threshold(e.p)).collect(),
+            coins: vec![0; 8 * h.num_edges()],
             kept: vec![0; h.num_edges()],
             triangle_edges,
             live: vec![0; cliques.len()],
@@ -195,18 +212,26 @@ impl CompiledCandidate {
     }
 
     /// Draws `worlds ≤ 64` worlds of H into the edge masks, world `w`
-    /// into lane `w`, and returns the mask of those lanes.  It makes
-    /// exactly the calls `worlds` calls of [`WorldSampler::sample`] make —
-    /// one `rng.gen::<f64>() < p` per edge, in edge-id order, world after
-    /// world — so every lane and the stream position after the draws are
-    /// the sampler's, bit for bit.  Lanes `≥ worlds` stay zero.
+    /// into lane `w`, and returns the mask of those lanes.  A world reads
+    /// one `u64` per edge, in edge-id order, in one
+    /// [`RngCore::fill_bytes`], which reads what as many `next_u64` calls
+    /// read, and keeps an edge when its word's `x >> 11` is below the
+    /// edge's [`draw_threshold`]: exactly when `rng.gen::<f64>() < p` on
+    /// that word.  So every lane and the stream position after the draws
+    /// are those of `worlds` calls of [`WorldSampler::sample`], bit for
+    /// bit.  Lanes `≥ worlds` stay zero.
+    ///
+    /// [`RngCore::fill_bytes`]: rand::RngCore::fill_bytes
     fn draw_lanes<R: Rng + ?Sized>(&mut self, rng: &mut R, worlds: usize) -> u64 {
         assert!(worlds <= LANES, "{worlds} worlds exceed one batch");
         self.kept.fill(0);
         for w in 0..worlds {
-            for (mask, &p) in self.kept.iter_mut().zip(&self.probs) {
+            rng.fill_bytes(&mut self.coins);
+            let draws = self.kept.iter_mut().zip(&self.thresholds);
+            for ((mask, &threshold), coin) in draws.zip(self.coins.chunks_exact(8)) {
+                let x = u64::from_le_bytes(coin.try_into().expect("chunks of 8 bytes"));
                 // Branch-free: the coin is unpredictable.
-                *mask |= u64::from(rng.gen::<f64>() < p) << w;
+                *mask |= u64::from(x >> 11 < threshold) << w;
             }
         }
         lanes(worlds)
@@ -396,8 +421,8 @@ impl CompiledCandidate {
 /// Moves `rng` to where drawing `worlds` worlds of a candidate of `edges`
 /// edges ([`CompiledCandidate::draw_lanes`], in any batches) leaves it,
 /// without drawing them: a world is one `rng.gen::<f64>()` per edge,
-/// which reads one `next_u64`, two stream words.  The seek costs at most
-/// one block refill.
+/// which reads one `next_u64`, two stream words.  The seek generates
+/// nothing; the next draw refills the keystream where it lands.
 pub(crate) fn skip_draws(rng: &mut ChaCha8Rng, worlds: usize, edges: usize) {
     // The stream cycles every 2^68 words, so wrapping is exact.
     let words = (2 * worlds as u128).wrapping_mul(edges as u128);
@@ -483,7 +508,7 @@ mod compiled_world_checks {
     use ugraph::triangles::enumerate_triangles;
     use ugraph::{EdgeId, EdgeSubgraph, GraphBuilder, Triangle, UncertainGraph, WorldSampler};
 
-    use super::{lane_batches, lanes, skip_draws, CompiledCandidate, LANES};
+    use super::{draw_threshold, lane_batches, lanes, skip_draws, CompiledCandidate, LANES};
     use crate::exact::{is_k_nucleus_lenient, k_nucleus_triangles};
 
     /// Every k the checks are compared at: `u32::MAX` exceeds every
@@ -728,10 +753,11 @@ mod compiled_world_checks {
 
     /// A candidate that only draws, over edges of probabilities `probs`;
     /// unlike a graph's, they may be 0.
-    fn drawing_only(probs: Vec<f64>) -> CompiledCandidate {
+    pub(super) fn drawing_only(probs: &[f64]) -> CompiledCandidate {
         CompiledCandidate {
             kept: vec![0; probs.len()],
-            probs,
+            thresholds: probs.iter().map(|&p| draw_threshold(p)).collect(),
+            coins: vec![0; 8 * probs.len()],
             triangle_edges: Vec::new(),
             cliques: Vec::new(),
             cliques_of: Incidence::transpose(0, 0, "4-clique", |_| [0; 4]),
@@ -753,7 +779,7 @@ mod compiled_world_checks {
     fn skipped_draws_leave_the_stream_where_the_draws_do() {
         for edges in 0..=20 {
             let probs: Vec<f64> = (0..edges).map(|e| [1.0, 0.0, 0.5][e % 3]).collect();
-            let mut candidate = drawing_only(probs.clone());
+            let mut candidate = drawing_only(&probs);
             for worlds in WORLD_COUNTS {
                 for consumed in [0, 1, 7] {
                     let mut drawn = ChaCha8Rng::seed_from_u64(edges as u64);
@@ -800,6 +826,90 @@ mod compiled_world_checks {
         fn random_graphs_match_the_definitions(g in arb_graph(), seed in 0u64..1 << 32) {
             assert_checks_match_definitions(&g);
             assert_draws_match_sampler(&g, seed);
+        }
+    }
+}
+
+/// The integer draw of [`CompiledCandidate::draw_lanes`] at the rounding
+/// edge: for probabilities whose thresholds are hard to hit — 0, 2^-53,
+/// tiny doubles, 1 − 2^-53, 1 and doubles that are not multiples of
+/// 2^-53 — every lane bit must equal `rng.gen::<f64>() < p` on the same
+/// `u64`, for the words right below and at the threshold and for random
+/// ones.  The random half scales with `PROPTEST_CASES` (64 by default).
+#[cfg(test)]
+mod draw_thresholds {
+    use proptest::prelude::*;
+    use rand::{Rng, RngCore, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    use super::compiled_world_checks::drawing_only;
+    use super::draw_threshold;
+
+    /// A generator that reads out the words it was given.
+    struct Script(std::vec::IntoIter<u64>);
+
+    impl RngCore for Script {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("a scripted word")
+        }
+    }
+
+    /// Draws one world per word of a one-edge candidate of probability
+    /// `p`: words whose top 53 bits sit right below and at its threshold,
+    /// with the low 11 bits clear, set and random, then random words.
+    fn assert_lanes_match_the_f64_draw(p: f64, seed: u64) {
+        let t = draw_threshold(p);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut words = Vec::new();
+        for top in [t.wrapping_sub(1), t] {
+            if top < 1 << 53 {
+                for low in [0, 0x7ff, rng.next_u64() & 0x7ff] {
+                    words.push(top << 11 | low);
+                }
+            }
+        }
+        while words.len() < 64 {
+            words.push(rng.next_u64());
+        }
+        let mut candidate = drawing_only(&[p]);
+        candidate.draw_lanes(&mut Script(words.clone().into_iter()), words.len());
+        for (w, &x) in words.iter().enumerate() {
+            let want = Script(vec![x].into_iter()).gen::<f64>() < p;
+            let got = candidate.kept[0] >> w & 1 == 1;
+            assert_eq!(got, want, "p = {p:e}, threshold {t}, word {x:#x}");
+        }
+    }
+
+    #[test]
+    fn boundary_probabilities_match_the_f64_draw() {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let tiny = [
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1e-300,
+            ulp / 2.0,
+            1.5 * ulp,
+        ];
+        let named = [0.0, ulp, 0.1, 1.0 / 3.0, 0.5, 1.0 - ulp, 1.0];
+        for (i, &p) in named.iter().chain(&tiny).enumerate() {
+            assert_lanes_match_the_f64_draw(p, i as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::default())]
+
+        #[test]
+        fn random_probabilities_match_the_f64_draw(
+            uniform in 0.0f64..=1.0,
+            grid in 0u64..=1 << 53,
+            exponent in 0u32..=1074,
+            seed in 0u64..1 << 32,
+        ) {
+            assert_lanes_match_the_f64_draw(uniform, seed);
+            // A multiple of 2^-53 is its own threshold's edge.
+            assert_lanes_match_the_f64_draw(grid as f64 / (1u64 << 53) as f64, seed);
+            assert_lanes_match_the_f64_draw(2f64.powi(-(exponent as i32)), seed);
         }
     }
 }
